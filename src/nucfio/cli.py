@@ -1,6 +1,6 @@
 """Command-line runner: JSON scenario configs in, trace reports out.
 
-Verbs: trace, spectrum, decompose, wigner, quantize, verify, haar-check.
+Verbs: trace, spectrum, wigner, quantize, verify, haar-check.
 Every verb reads --config (a strict JSON scenario: unknown keys are errors),
 writes report.json under --out, and prints a one-line summary. spectrum
 additionally writes spectrum.csv when --format csv. Exit codes: 0 success,
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .grids import UniformGrid, ksum
+from .grids import UniformGrid, ksum, require_int
 from .numerics import dense_eigenvalues, matrix_trace
 from .nuclear import (
     RankOneSequence,
@@ -34,7 +35,6 @@ from .nuclear import (
 from .euclid import PhaseSpec, lidskii_report
 from .quantize import tau_apply, tau_convert, weyl_symbol_from_decomposition, wigner
 from .lattice import (
-    LatticePhase,
     LatticeRankOne,
     LatticeSymbol,
     LatticeWindow,
@@ -47,7 +47,6 @@ from .lattice import (
 from .group import (
     GroupRankOne,
     GroupSymbol,
-    TorusPhase,
     TorusSymbol,
     group_delgado_trace,
     group_matrix,
@@ -62,6 +61,7 @@ from .group import (
     torus_matrix,
     torus_nuclear_trace,
     torus_symbol_from_decomposition,
+    unitarity_defect,
     wigner_matrix,
     euler_from_su2,
 )
@@ -85,7 +85,31 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 
-_VERBS = ("trace", "spectrum", "decompose", "wigner", "quantize", "verify", "haar-check")
+_VERBS = ("trace", "spectrum", "wigner", "quantize", "verify", "haar-check")
+
+# Required and optional top-level keys per setting; "su2-checks" is su2 under
+# verify and haar-check, which run the quadrature checks instead of a trace.
+_KEYS = {
+    "euclid": (
+        ("setting", "grid", "decomposition"),
+        ("seed", "xi_grid", "phase", "p", "taus", "probe"),
+    ),
+    "lattice": (
+        ("setting", "radius"),
+        ("seed", "dim", "xi_count", "phase", "decomposition", "symbol", "p"),
+    ),
+    "torus": (("setting", "cutoff"), ("seed", "dim", "x_count", "phase", "decomposition", "symbol", "p")),
+    "su2": (("setting", "cutoff_twoL"), ("seed", "quadrature", "symbol", "decomposition", "p")),
+    "su2-checks": (
+        ("setting",),
+        ("seed", "quadrature", "cutoff_twoL", "symbol", "decomposition", "p", "s3_resolution"),
+    ),
+    "homog": (
+        ("setting", "instance"),
+        ("seed", "quadrature", "cutoff_twoL", "dim", "cutoff", "x_count", "p1", "p2"),
+    ),
+    "su3": (("setting",), ("seed", "resolution", "phi_count", "samples")),
+}
 
 
 # -- config plumbing ----------------------------------------------------------
@@ -100,6 +124,11 @@ def _check_keys(cfg: dict, where: str, required: tuple, optional: tuple) -> None
     missing = sorted(set(required) - set(cfg))
     if missing:
         raise ValidationError(f"{where}: missing required keys {missing}")
+
+
+def _int(spec: dict, key: str, default=None) -> int:
+    """Integer config value (a required key when no default is given)."""
+    return require_int(spec.get(key, default), key)
 
 
 def _load_config(path: str) -> dict:
@@ -136,20 +165,64 @@ def _rng_for(cfg: dict) -> np.random.Generator | None:
         raise ValidationError("config uses a random family but carries no integer 'seed'")
     if seed is None:
         return None
-    if not isinstance(seed, int):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(require_int(seed, "seed"))
 
 
-def _grid_from(spec: dict, where: str, periodic: bool = False) -> UniformGrid:
+def _grid_from(spec: dict, where: str) -> UniformGrid:
     _check_keys(spec, where, ("count",), ("lo", "hi", "dim"))
-    dim = int(spec.get("dim", 1))
-    count = int(spec["count"])
-    if periodic:
-        return UniformGrid.torus(count, dim)
+    dim = _int(spec, "dim", 1)
+    count = _int(spec, "count")
     lo = float(spec.get("lo", -6.0))
     hi = float(spec.get("hi", 6.0))
     return UniformGrid.box(lo, hi, count, dim)
+
+
+def _decomposition(spec: dict, factor, build):
+    """Parse a decomposition spec into build(terms, p1, p2, r); factor(spec,
+    where) turns one h or g spec into samples."""
+    _check_keys(spec, "decomposition", ("terms",), ("p1", "p2", "r"))
+    terms = []
+    for i, t in enumerate(spec["terms"]):
+        where = f"decomposition.terms[{i}]"
+        _check_keys(t, where, ("h", "g"), ())
+        terms.append((factor(t["h"], f"{where}.h"), factor(t["g"], f"{where}.g")))
+    p1, p2, r = float(spec.get("p1", 2.0)), float(spec.get("p2", 2.0)), float(spec.get("r", 1.0))
+    return build(tuple(terms), p1, p2, r)
+
+
+def _linear_phase(cfg: dict, setting: str) -> PhaseSpec:
+    spec = cfg.get("phase", {"kind": "linear"})
+    _check_keys(spec, "phase", ("kind",), ())
+    if spec["kind"] != "linear":
+        raise ValidationError(f"{setting} configs support the linear phase only")
+    return PhaseSpec.linear()
+
+
+def _constant_symbol(cfg: dict, setting: str, shape: tuple) -> np.ndarray:
+    spec = cfg["symbol"]
+    _check_keys(spec, "symbol", ("family",), ("value",))
+    if spec["family"] != "constant":
+        raise ValidationError(f"direct {setting} symbols support the constant family only")
+    return np.full(shape, complex(float(spec.get("value", 1.0))), dtype=complex)
+
+
+def _identity_blocks(size: int, cutoff: int) -> dict:
+    return {
+        t: np.broadcast_to(np.eye(t + 1, dtype=complex), (size, t + 1, t + 1)).copy()
+        for t in range(cutoff + 1)
+    }
+
+
+def _matrix_report(setting: str, nuclear: complex, M: np.ndarray, t0: float, **fields) -> TraceReport:
+    """Report of a trace checked against the matrix M and its spectrum."""
+    return TraceReport(
+        setting=setting,
+        nuclear_trace=nuclear,
+        matrix_trace=matrix_trace(M),
+        eigenvalues=dense_eigenvalues(M),
+        runtime_ms=(time.perf_counter() - t0) * 1e3,
+        **fields,
+    )
 
 
 # -- euclid -------------------------------------------------------------------
@@ -169,32 +242,16 @@ def _euclid_phase(spec: dict, x_grid: UniformGrid, xi_grid: UniformGrid) -> Phas
     raise ValidationError(f"unknown sampled phase family {fam!r}")
 
 
-def _euclid_decomposition(spec: dict, grid: UniformGrid, rng) -> RankOneSequence:
-    _check_keys(spec, "decomposition", ("terms",), ("p1", "p2", "r"))
-    terms = []
-    for i, t in enumerate(spec["terms"]):
-        _check_keys(t, f"decomposition.terms[{i}]", ("h", "g"), ())
-        terms.append(
-            (families.euclid_field(grid, t["h"], rng), families.euclid_field(grid, t["g"], rng))
-        )
-    return RankOneSequence(
-        tuple(terms), float(spec.get("p1", 2.0)), float(spec.get("p2", 2.0)), float(spec.get("r", 1.0))
-    )
-
-
-_EUCLID_KEYS = ("setting", "seed", "grid", "xi_grid", "phase", "decomposition", "p", "taus", "probe")
-
-
 def _run_euclid(cfg: dict, verb: str) -> TraceReport:
-    _check_keys(cfg, "config", ("setting", "grid", "decomposition"), tuple(k for k in _EUCLID_KEYS if k not in ("setting", "grid", "decomposition")))
     rng = _rng_for(cfg)
     grid = _grid_from(cfg["grid"], "grid")
     xi_grid = _grid_from(cfg["xi_grid"], "xi_grid") if "xi_grid" in cfg else UniformGrid(grid.axes)
     phase = _euclid_phase(cfg.get("phase", {"kind": "linear"}), grid, xi_grid)
-    d = _euclid_decomposition(cfg["decomposition"], grid, rng)
+    d = _decomposition(
+        cfg["decomposition"], lambda spec, where: families.euclid_field(grid, spec, rng), RankOneSequence
+    )
     p = float(cfg.get("p", 2.0))
     report = lidskii_report(phase, d, p, xi_grid)
-
     if verb == "wigner":
         h1, g1 = d.terms[0]
         W = wigner(h1, g1, xi_grid)
@@ -236,295 +293,176 @@ def _run_euclid(cfg: dict, verb: str) -> TraceReport:
     return report
 
 
-# -- lattice ------------------------------------------------------------------
-
-
-_LATTICE_KEYS = ("setting", "seed", "dim", "radius", "xi_count", "phase", "decomposition", "symbol", "p")
-
-
-def _lattice_phase(spec: dict) -> LatticePhase:
-    _check_keys(spec, "phase", ("kind",), ())
-    if spec["kind"] != "linear":
-        raise ValidationError("lattice configs support the linear phase only")
-    return LatticePhase.linear()
+# -- lattice and torus --------------------------------------------------------
 
 
 def _run_lattice(cfg: dict, verb: str) -> TraceReport:
-    _check_keys(cfg, "config", ("setting", "radius"), tuple(k for k in _LATTICE_KEYS if k not in ("setting", "radius")))
     rng = _rng_for(cfg)
-    window = LatticeWindow(int(cfg.get("dim", 1)), int(cfg["radius"]))
-    xi_count = int(cfg.get("xi_count", max(32, window.min_xi_count())))
+    window = LatticeWindow(_int(cfg, "dim", 1), _int(cfg, "radius"))
+    xi_count = _int(cfg, "xi_count", max(32, window.min_xi_count()))
     if xi_count < window.min_xi_count():
         raise ValidationError(
             f"xi_count = {xi_count} below the exactness threshold {window.min_xi_count()}"
         )
     xi_grid = UniformGrid.torus(xi_count, window.n)
-    phase = _lattice_phase(cfg.get("phase", {"kind": "linear"}))
+    phase = _linear_phase(cfg, "lattice")
     t0 = time.perf_counter()
     quasinorm = None
-    mixed = (None, None)
     if "decomposition" in cfg and "symbol" in cfg:
         raise ValidationError("give either 'decomposition' or 'symbol', not both")
     if "decomposition" in cfg:
-        spec = cfg["decomposition"]
-        _check_keys(spec, "decomposition", ("terms",), ("p1", "p2", "r"))
-        terms = []
-        for i, t in enumerate(spec["terms"]):
-            _check_keys(t, f"decomposition.terms[{i}]", ("h", "g"), ())
-            terms.append(
-                (
-                    families.lattice_sequence(window, t["h"], rng),
-                    families.lattice_sequence(window, t["g"], rng),
-                )
-            )
-        d = LatticeRankOne(
-            tuple(terms), float(spec.get("p1", 2.0)), float(spec.get("p2", 2.0)), float(spec.get("r", 1.0))
+        d = _decomposition(
+            cfg["decomposition"],
+            lambda spec, where: families.lattice_sequence(window, spec, rng),
+            LatticeRankOne,
         )
         a = lattice_symbol_from_decomposition(phase, d, xi_grid)
         quasinorm = lattice_quasinorm_bound(d)
         mixed = lattice_mixed_norms(a, d.p1, d.p2)
     elif "symbol" in cfg:
-        sspec = cfg["symbol"]
-        _check_keys(sspec, "symbol", ("family",), ("value",))
-        if sspec["family"] != "constant":
-            raise ValidationError("direct lattice symbols support the constant family only")
-        c = complex(float(sspec.get("value", 1.0)))
-        a = LatticeSymbol(window, xi_grid, np.full((window.size, xi_grid.size), c, dtype=complex))
+        a = LatticeSymbol(window, xi_grid, _constant_symbol(cfg, "lattice", (window.size, xi_grid.size)))
         p = float(cfg.get("p", 2.0))
         mixed = lattice_mixed_norms(a, p, p)
     else:
         raise ValidationError("lattice config needs 'decomposition' or 'symbol'")
     nuclear = lattice_nuclear_trace(phase, a)
     M = lattice_matrix(phase, a)
-    report = TraceReport(
-        setting="lattice",
-        nuclear_trace=nuclear,
-        matrix_trace=matrix_trace(M),
-        eigenvalues=dense_eigenvalues(M),
-        quasinorm_bound=quasinorm,
-        mixed_norm_x_first=mixed[0],
-        mixed_norm_xi_first=mixed[1],
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
+    return _matrix_report(
+        "lattice", nuclear, M, t0,
+        quasinorm_bound=quasinorm, mixed_norm_x_first=mixed[0], mixed_norm_xi_first=mixed[1],
     )
-    return report
-
-
-# -- torus --------------------------------------------------------------------
-
-
-_TORUS_KEYS = ("setting", "seed", "dim", "cutoff", "x_count", "phase", "decomposition", "symbol", "p")
 
 
 def _run_torus(cfg: dict, verb: str) -> TraceReport:
-    _check_keys(cfg, "config", ("setting", "cutoff"), tuple(k for k in _TORUS_KEYS if k not in ("setting", "cutoff")))
     rng = _rng_for(cfg)
-    dim = int(cfg.get("dim", 1))
-    cutoff = int(cfg["cutoff"])
-    x_count = int(cfg.get("x_count", 32))
+    dim = _int(cfg, "dim", 1)
+    cutoff = _int(cfg, "cutoff")
+    x_count = _int(cfg, "x_count", 32)
     if x_count < 4 * cutoff + 2:
         raise ValidationError(
             f"x_count = {x_count} below the exactness threshold {4 * cutoff + 2}"
         )
     x_grid = UniformGrid.torus(x_count, dim)
-    pspec = cfg.get("phase", {"kind": "linear"})
-    _check_keys(pspec, "phase", ("kind",), ())
-    if pspec["kind"] != "linear":
-        raise ValidationError("torus configs support the linear phase only")
-    phase = TorusPhase.linear()
+    phase = _linear_phase(cfg, "torus")
     t0 = time.perf_counter()
     quasinorm = None
     if "decomposition" in cfg:
-        spec = cfg["decomposition"]
-        _check_keys(spec, "decomposition", ("terms",), ("p1", "p2", "r"))
-        terms = []
-        for i, t in enumerate(spec["terms"]):
-            _check_keys(t, f"decomposition.terms[{i}]", ("h", "g"), ())
-            terms.append(
-                (
-                    families.euclid_field(x_grid, t["h"], rng),
-                    families.euclid_field(x_grid, t["g"], rng),
-                )
-            )
-        d = RankOneSequence(
-            tuple(terms), float(spec.get("p1", 2.0)), float(spec.get("p2", 2.0)), float(spec.get("r", 1.0))
+        d = _decomposition(
+            cfg["decomposition"],
+            lambda spec, where: families.euclid_field(x_grid, spec, rng),
+            RankOneSequence,
         )
         a = torus_symbol_from_decomposition(phase, d, cutoff, x_grid)
         quasinorm = r_quasinorm_bound(d)
     elif "symbol" in cfg:
-        sspec = cfg["symbol"]
-        _check_keys(sspec, "symbol", ("family",), ("value",))
-        if sspec["family"] != "constant":
-            raise ValidationError("direct torus symbols support the constant family only")
-        c = complex(float(sspec.get("value", 1.0)))
-        n_freq = torus_freqs(cutoff, dim).shape[0]
-        a = TorusSymbol(x_grid, cutoff, np.full((x_grid.size, n_freq), c, dtype=complex))
+        shape = (x_grid.size, torus_freqs(cutoff, dim).shape[0])
+        a = TorusSymbol(x_grid, cutoff, _constant_symbol(cfg, "torus", shape))
     else:
         raise ValidationError("torus config needs 'decomposition' or 'symbol'")
     nuclear = torus_nuclear_trace(phase, a)
     M = torus_matrix(phase, a)
-    return TraceReport(
-        setting="torus",
-        nuclear_trace=nuclear,
-        matrix_trace=matrix_trace(M),
-        eigenvalues=dense_eigenvalues(M),
-        quasinorm_bound=quasinorm,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _matrix_report("torus", nuclear, M, t0, quasinorm_bound=quasinorm)
 
 
-# -- su2 ----------------------------------------------------------------------
-
-
-_SU2_KEYS = ("setting", "seed", "quadrature", "cutoff_twoL", "symbol", "decomposition", "p")
+# -- su2 and homog --------------------------------------------------------------
 
 
 def _su2_quad(cfg: dict):
     qspec = cfg.get("quadrature", {})
     _check_keys(qspec, "quadrature", (), ("n_alpha", "n_beta", "n_gamma"))
     return su2_haar_quadrature(
-        int(qspec.get("n_alpha", 16)), int(qspec.get("n_beta", 16)), int(qspec.get("n_gamma", 32))
+        _int(qspec, "n_alpha", 16), _int(qspec, "n_beta", 16), _int(qspec, "n_gamma", 32)
     )
 
 
-def _group_rank_one(cfg_spec: dict, quad, cutoff: int, rng) -> GroupRankOne:
-    _check_keys(cfg_spec, "decomposition", ("terms",), ("p1", "p2", "r"))
-    terms = []
-    for i, t in enumerate(cfg_spec["terms"]):
-        _check_keys(t, f"decomposition.terms[{i}]", ("h", "g"), ())
-        pair = []
-        for side in ("h", "g"):
-            fspec = t[side]
-            _check_keys(fspec, f"decomposition.terms[{i}].{side}", ("family",), ("value", "twoL", "i", "j"))
-            fam = fspec["family"]
-            if fam == "constant":
-                pair.append(np.full(quad.size, complex(float(fspec.get("value", 1.0)))))
-            elif fam == "matrix_entry":
-                twoL = int(fspec.get("twoL", 1))
+def _group_factor(quad, cutoff: int, rng):
+    """Factor builder for su2 decompositions: samples at the quadrature nodes."""
+
+    def factor(fspec: dict, where: str) -> np.ndarray:
+        _check_keys(fspec, where, ("family",), ("value", "twoL", "i", "j"))
+        fam = fspec["family"]
+        if fam == "constant":
+            return np.full(quad.size, complex(float(fspec.get("value", 1.0))))
+        if fam == "matrix_entry":
+            twoL = _int(fspec, "twoL", 1)
+            T = su2_irrep_table(quad, twoL)
+            return np.sqrt(twoL + 1) * T[:, _int(fspec, "i", 0), _int(fspec, "j", 0)]
+        if fam == "random_bandlimited":
+            if rng is None:
+                raise ValidationError("random_bandlimited needs a config seed")
+            vals = np.zeros(quad.size, dtype=complex)
+            for twoL in range(cutoff + 1):
                 T = su2_irrep_table(quad, twoL)
-                pair.append(np.sqrt(twoL + 1) * T[:, int(fspec.get("i", 0)), int(fspec.get("j", 0))])
-            elif fam == "random_bandlimited":
-                if rng is None:
-                    raise ValidationError("random_bandlimited needs a config seed")
-                vals = np.zeros(quad.size, dtype=complex)
-                for twoL in range(cutoff + 1):
-                    T = su2_irrep_table(quad, twoL)
-                    d = twoL + 1
-                    C = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                    vals += np.sqrt(d) * np.einsum("nij,ij->n", T, C)
-                pair.append(vals)
-            else:
-                raise ValidationError(f"unknown group field family {fam!r}")
-        terms.append(tuple(pair))
-    return GroupRankOne(
-        quad,
-        tuple(terms),
-        float(cfg_spec.get("p1", 2.0)),
-        float(cfg_spec.get("p2", 2.0)),
-        float(cfg_spec.get("r", 1.0)),
-    )
+                d = twoL + 1
+                C = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                vals += np.sqrt(d) * np.einsum("nij,ij->n", T, C)
+            return vals
+        raise ValidationError(f"unknown group field family {fam!r}")
+
+    return factor
 
 
 def _run_su2(cfg: dict, verb: str) -> TraceReport:
-    _check_keys(cfg, "config", ("setting", "cutoff_twoL"), tuple(k for k in _SU2_KEYS if k not in ("setting", "cutoff_twoL")))
     rng = _rng_for(cfg)
     quad = _su2_quad(cfg)
-    cutoff = int(cfg["cutoff_twoL"])
+    cutoff = _int(cfg, "cutoff_twoL")
     Phi = identity_phase(quad, cutoff)
     t0 = time.perf_counter()
     quasinorm = None
     extras = {}
     if "decomposition" in cfg:
-        d = _group_rank_one(cfg["decomposition"], quad, cutoff, rng)
+        d = _decomposition(
+            cfg["decomposition"], _group_factor(quad, cutoff, rng), functools.partial(GroupRankOne, quad)
+        )
         a = group_symbol_from_decomposition(Phi, d, cutoff)
         quasinorm = group_quasinorm_bound(d)
         dtr = group_delgado_trace(d)
         extras["delgado_trace"] = {"re": dtr.real, "im": dtr.imag}
     else:
-        sym = cfg.get("symbol", "identity")
-        if sym != "identity":
+        if cfg.get("symbol", "identity") != "identity":
             raise ValidationError("su2 config needs 'decomposition' or symbol 'identity'")
-        blocks = {
-            twoL: np.broadcast_to(np.eye(twoL + 1, dtype=complex), (quad.size, twoL + 1, twoL + 1)).copy()
-            for twoL in range(cutoff + 1)
-        }
-        a = GroupSymbol(quad, blocks)
+        a = GroupSymbol(quad, _identity_blocks(quad.size, cutoff))
     nuclear = group_nuclear_trace(Phi, a, cutoff)
     M = group_matrix(Phi, a, cutoff)
-    return TraceReport(
-        setting="su2",
-        nuclear_trace=nuclear,
-        matrix_trace=matrix_trace(M),
-        eigenvalues=dense_eigenvalues(M),
-        quasinorm_bound=quasinorm,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        extras=extras,
-    )
-
-
-# -- homog --------------------------------------------------------------------
-
-
-_HOMOG_KEYS = ("setting", "seed", "instance", "quadrature", "cutoff_twoL", "dim", "cutoff", "x_count", "p1", "p2")
+    return _matrix_report("su2", nuclear, M, t0, quasinorm_bound=quasinorm, extras=extras)
 
 
 def _run_homog(cfg: dict, verb: str) -> TraceReport:
-    _check_keys(cfg, "config", ("setting", "instance"), tuple(k for k in _HOMOG_KEYS if k not in ("setting", "instance")))
+    """The identity operator on G/K with K = {e}, traced through the class-I
+    table and through the group (su2) or torus route it degenerates to."""
     instance = cfg["instance"]
     t0 = time.perf_counter()
     p1, p2 = float(cfg.get("p1", 2.0)), float(cfg.get("p2", 2.0))
     if instance == "su2":
         quad = _su2_quad(cfg)
-        cutoff = int(cfg.get("cutoff_twoL", 2))
+        cutoff = _int(cfg, "cutoff_twoL", 2)
         table = table_from_su2(quad, cutoff)
-        blocks_phi = {t: table.entries[t].matrices for t in table.labels}
-        blocks_a = {
-            t: np.broadcast_to(np.eye(t + 1, dtype=complex), (quad.size, t + 1, t + 1)).copy()
-            for t in table.labels
-        }
-        Phi_h = HomogPhase(table, blocks_phi)
-        a_h = HomogSymbol(table, blocks_a)
-        nuclear = homog_nuclear_trace(Phi_h, a_h)
+        blocks_a = _identity_blocks(quad.size, cutoff)
         Phi_g = identity_phase(quad, cutoff)
         a_g = GroupSymbol(quad, {t: blocks_a[t] for t in table.labels})
-        group_value = group_nuclear_trace(Phi_g, a_g, cutoff)
+        route, reference = "group_trace", group_nuclear_trace(Phi_g, a_g, cutoff)
         M = group_matrix(Phi_g, a_g, cutoff)
-        extras = {
-            "group_trace": {"re": group_value.real, "im": group_value.imag},
-            "degeneration_gap": abs(nuclear - group_value),
-            "mixed_norm_dual": homog_mixed_norm(a_h, p1, p2),
-        }
     elif instance == "torus":
-        dim = int(cfg.get("dim", 1))
-        cutoff = int(cfg.get("cutoff", 2))
-        x_count = int(cfg.get("x_count", 32))
-        x_grid = UniformGrid.torus(x_count, dim)
+        dim = _int(cfg, "dim", 1)
+        cutoff = _int(cfg, "cutoff", 2)
+        x_grid = UniformGrid.torus(_int(cfg, "x_count", 32), dim)
         table = table_from_torus(x_grid, cutoff)
-        blocks_phi = {lab: table.entries[lab].matrices for lab in table.labels}
-        blocks_a = {
-            lab: np.ones((x_grid.size, 1, 1), dtype=complex) for lab in table.labels
-        }
-        Phi_h = HomogPhase(table, blocks_phi)
-        a_h = HomogSymbol(table, blocks_a)
-        nuclear = homog_nuclear_trace(Phi_h, a_h)
+        blocks_a = {lab: np.ones((x_grid.size, 1, 1), dtype=complex) for lab in table.labels}
         n_freq = torus_freqs(cutoff, dim).shape[0]
         a_t = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, n_freq), dtype=complex))
-        torus_value = torus_nuclear_trace(TorusPhase.linear(), a_t)
-        M = torus_matrix(TorusPhase.linear(), a_t)
-        extras = {
-            "torus_trace": {"re": torus_value.real, "im": torus_value.imag},
-            "degeneration_gap": abs(nuclear - torus_value),
-            "mixed_norm_dual": homog_mixed_norm(a_h, p1, p2),
-        }
+        route, reference = "torus_trace", torus_nuclear_trace(PhaseSpec.linear(), a_t)
+        M = torus_matrix(PhaseSpec.linear(), a_t)
     else:
         raise ValidationError(f"homog instance {instance!r} not in ('su2', 'torus')")
-    return TraceReport(
-        setting="homog",
-        nuclear_trace=nuclear,
-        matrix_trace=matrix_trace(M),
-        eigenvalues=dense_eigenvalues(M),
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        extras=extras,
-    )
+    Phi_h = HomogPhase(table, {lab: table.entries[lab].matrices for lab in table.labels})
+    a_h = HomogSymbol(table, blocks_a)
+    nuclear = homog_nuclear_trace(Phi_h, a_h)
+    extras = {
+        route: {"re": reference.real, "im": reference.imag},
+        "degeneration_gap": abs(nuclear - reference),
+        "mixed_norm_dual": homog_mixed_norm(a_h, p1, p2),
+    }
+    return _matrix_report("homog", nuclear, M, t0, extras=extras)
 
 
 _RUNNERS = {
@@ -539,19 +477,21 @@ _RUNNERS = {
 # -- verify / haar-check ------------------------------------------------------
 
 
+def _with_tolerance(checks: list, tolerance: float | None) -> list:
+    """Replace each check's own tolerance by --tolerance, when given."""
+    if tolerance is None:
+        return checks
+    return [(n, v, tolerance) for n, v, _ in checks]
+
+
 def _su2_verify_checks(cfg: dict, tolerance: float | None) -> list:
     quad = _su2_quad(cfg)
-    cutoff = int(cfg.get("cutoff_twoL", 2))
+    cutoff = _int(cfg, "cutoff_twoL", 2)
     checks = []
-
     wsum = abs(float(ksum(quad.weights)) - 1.0)
     checks.append(("haar_weight_sum", wsum, 1e-10))
 
-    defect = 0.0
-    for twoL in range(cutoff + 1):
-        T = su2_irrep_table(quad, twoL)
-        eye = np.eye(twoL + 1)
-        defect = max(defect, float(np.abs(np.einsum("nij,nkj->nik", T, T.conj()) - eye).max()))
+    defect = max(unitarity_defect(su2_irrep_table(quad, t)) for t in range(cutoff + 1))
     checks.append(("table_unitarity", defect, 1e-10))
 
     # Schur orthogonality up to spin 3/2 (twoL <= 3)
@@ -561,12 +501,9 @@ def _su2_verify_checks(cfg: dict, tolerance: float | None) -> list:
         for tB in range(0, 4):
             TB = su2_irrep_table(quad, tB)
             G = np.einsum("n,nij,nkl->ijkl", quad.weights, TA, TB.conj())
-            if tA == tB:
-                d = tA + 1
-                target = np.einsum("ik,jl->ijkl", np.eye(d), np.eye(d)) / d
-                schur = max(schur, float(np.abs(G - target).max()))
-            else:
-                schur = max(schur, float(np.abs(G).max()))
+            d = tA + 1
+            target = np.einsum("ik,jl->ijkl", np.eye(d), np.eye(d)) / d if tA == tB else 0.0
+            schur = max(schur, float(np.abs(G - target).max()))
     checks.append(("schur_orthogonality", schur, 1e-6))
 
     # composition D(U1 U2) = D(U1) D(U2) on deterministic angle pairs
@@ -587,72 +524,53 @@ def _su2_verify_checks(cfg: dict, tolerance: float | None) -> list:
 
     # identity-operator trace = sum of squared dimensions
     Phi = identity_phase(quad, cutoff)
-    blocks = {
-        t: np.broadcast_to(np.eye(t + 1, dtype=complex), (quad.size, t + 1, t + 1)).copy()
-        for t in range(cutoff + 1)
-    }
-    a = GroupSymbol(quad, blocks)
+    a = GroupSymbol(quad, _identity_blocks(quad.size, cutoff))
     expected = float(sum((t + 1) ** 2 for t in range(cutoff + 1)))
     trace_gap = abs(group_nuclear_trace(Phi, a, cutoff) - expected)
     checks.append(("identity_trace", trace_gap, 1e-6))
 
-    s3 = s3_quadrature(int(cfg.get("s3_resolution", 48)))
+    s3 = s3_quadrature(_int(cfg, "s3_resolution", 48))
     checks.append(("s3_raw_mass", abs(s3.raw_mass - 4.0 * np.pi**2), 1e-4))
-
-    if tolerance is not None:
-        checks = [(n, v, tolerance) for n, v, _ in checks]
-    return checks
-
-
-_SU3_KEYS = ("setting", "seed", "resolution", "phi_count", "samples")
+    return _with_tolerance(checks, tolerance)
 
 
 def _su3_checks(cfg: dict, tolerance: float | None) -> list:
-    _check_keys(cfg, "config", ("setting",), tuple(k for k in _SU3_KEYS if k != "setting"))
-    quad = su3_haar_quadrature(int(cfg.get("resolution", 16)), int(cfg.get("phi_count", 5)))
+    samples = _int(cfg, "samples", 10000)
+    rng = np.random.default_rng(_int(cfg, "seed", 0))
+    quad = su3_haar_quadrature(_int(cfg, "resolution", 16), _int(cfg, "phi_count", 5))
     checks = [
         ("haar_mass", abs(su3_mass(quad) - 1.0), 1e-6),
         ("schur_orthogonality", su3_schur_error(quad), 1e-3),
     ]
-    samples = int(cfg.get("samples", 10000))
-    seed = cfg.get("seed", 0)
-    rng = np.random.default_rng(int(seed))
     angles = np.empty((samples, 8))
     angles[:, :3] = rng.uniform(0.0, np.pi / 2.0, size=(samples, 3))
     angles[:, 3:] = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 5))
     U = su3_fundamental_batch(angles)
-    eye = np.eye(3)
-    unit = float(np.abs(np.einsum("nij,nkj->nik", U, U.conj()) - eye).max())
     det = float(np.abs(np.linalg.det(U) - 1.0).max())
-    checks.append(("sampled_unitarity", unit, 1e-10))
+    checks.append(("sampled_unitarity", unitarity_defect(U), 1e-10))
     checks.append(("sampled_determinant", det, 1e-10))
-    if tolerance is not None:
-        checks = [(n, v, tolerance) for n, v, _ in checks]
-    return checks
+    return _with_tolerance(checks, tolerance)
 
 
-def _homog_verify_checks(cfg: dict, tolerance: float | None) -> list:
-    report = _run_homog(cfg, "verify")
+def _homog_verify_checks(report: TraceReport, tolerance: float | None) -> list:
     checks = [("degeneration_gap", float(report.extras["degeneration_gap"]), 1e-10)]
     rng = np.random.default_rng(7)
     B = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
     masked = class_i_mask(B, 2)
     twice = class_i_mask(masked, 2)
-    checks.append(("mask_idempotence", float(np.abs(twice - masked).max()), 0.0))
+    mask_checks = [("mask_idempotence", float(np.abs(twice - masked).max()), 0.0)]
     outside = float(np.abs(masked[:, 2:, :]).max()) + float(np.abs(masked[:, :, 2:]).max())
-    checks.append(("mask_support", outside, 0.0))
-    if tolerance is not None:
-        checks = [(n, v, tolerance) for n, v, _ in checks[:1]] + checks[1:]
-    return checks
+    mask_checks.append(("mask_support", outside, 0.0))
+    # the mask checks are exact by construction and keep their zero tolerance
+    return _with_tolerance(checks, tolerance) + mask_checks
 
 
-def _generic_verify_checks(cfg: dict, report: TraceReport, tolerance: float | None) -> list:
+def _generic_verify_checks(report: TraceReport, tolerance: float | None) -> list:
     tol = 1e-8 if tolerance is None else tolerance
-    checks = [
+    return [
         ("trace_vs_matrix", report.discrepancy_trace_vs_matrix, tol),
         ("trace_vs_eigensum", report.discrepancy_trace_vs_eigensum, tol),
     ]
-    return checks
 
 
 # -- output -------------------------------------------------------------------
@@ -700,29 +618,25 @@ def run_scenario(cfg: dict, verb: str, tolerance: float | None = None):
     if verb not in _VERBS:
         raise ValidationError(f"unknown verb {verb!r}")
     setting = cfg.get("setting")
-    if verb == "haar-check":
-        if setting == "su2":
-            allowed = tuple(set(_SU2_KEYS) | {"s3_resolution"})
-            _check_keys(cfg, "config", ("setting",), tuple(k for k in allowed if k != "setting"))
-            return _empty_report("su2"), _su2_verify_checks(cfg, tolerance)
-        if setting == "su3":
-            return _empty_report("su3"), _su3_checks(cfg, tolerance)
+    if verb == "haar-check" and setting not in ("su2", "su3"):
         raise ValidationError("haar-check supports settings 'su2' and 'su3'")
-    if setting not in _RUNNERS:
+    if verb != "haar-check" and setting not in _RUNNERS:
         raise ValidationError(
             f"setting {setting!r} not in {sorted(_RUNNERS)} (config needs a 'setting')"
         )
-    if verb == "verify":
-        if setting == "su2":
-            allowed = tuple(set(_SU2_KEYS) | {"s3_resolution"})
-            _check_keys(cfg, "config", ("setting",), tuple(k for k in allowed if k != "setting"))
-            return _empty_report("su2"), _su2_verify_checks(cfg, tolerance)
-        if setting == "homog":
-            return _run_homog(cfg, verb), _homog_verify_checks(cfg, tolerance)
-        report = _RUNNERS[setting](cfg, verb)
-        return report, _generic_verify_checks(cfg, report, tolerance)
+    if setting == "su3":
+        _check_keys(cfg, "config", *_KEYS["su3"])
+        return _empty_report("su3"), _su3_checks(cfg, tolerance)
+    if setting == "su2" and verb in ("verify", "haar-check"):
+        _check_keys(cfg, "config", *_KEYS["su2-checks"])
+        return _empty_report("su2"), _su2_verify_checks(cfg, tolerance)
+    _check_keys(cfg, "config", *_KEYS[setting])
     report = _RUNNERS[setting](cfg, verb)
-    return report, []
+    if verb != "verify":
+        return report, []
+    if setting == "homog":
+        return report, _homog_verify_checks(report, tolerance)
+    return report, _generic_verify_checks(report, tolerance)
 
 
 def run_main(argv=None) -> int:

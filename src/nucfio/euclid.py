@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
-from .grids import SampledField, UniformGrid, ksum, require_same_grid
+from .grids import SampledField, UniformGrid, complex_samples, ksum, require_same_grid, validate_range
 from .nuclear import (
     RankOneSequence,
     delgado_trace,
@@ -57,7 +57,10 @@ class PhaseSpec:
     """Real phase function phi(x, xi), linear or tabulated.
 
     kind 'linear' means phi = 2*pi*x.xi with no stored samples. kind
-    'sampled' stores values of shape (x_grid.size, xi_grid.size).
+    'sampled' stores a table with one row per space point and one column
+    per frequency point. The same class serves R^n (x and xi on grids), the
+    lattice (x on a window, xi on the torus) and the torus (x on the torus,
+    xi in a frequency cube).
     """
 
     kind: str
@@ -69,7 +72,7 @@ class PhaseSpec:
         if self.kind == "sampled":
             v = np.asarray(self.values, dtype=float)
             if v.ndim != 2:
-                raise ShapeError("sampled phase must be a 2-d table (x nodes, xi nodes)")
+                raise ShapeError("sampled phase must be a 2-d table (x points, xi points)")
             if not np.all(np.isfinite(v)):
                 raise ValidationError("sampled phase contains non-finite entries")
             object.__setattr__(self, "values", v)
@@ -80,28 +83,19 @@ class PhaseSpec:
     def linear(cls) -> "PhaseSpec":
         return cls("linear")
 
-    @classmethod
-    def from_callable(cls, x_grid: UniformGrid, xi_grid: UniformGrid, fn) -> "PhaseSpec":
-        X, XI = x_grid.nodes, xi_grid.nodes
-        vals = np.empty((x_grid.size, xi_grid.size))
-        for i in range(x_grid.size):
-            if x_grid.dim == 1 and xi_grid.dim == 1:
-                vals[i] = fn(X[i, 0], XI[:, 0])
-            else:
-                vals[i] = fn(X[i], XI)
-        return cls("sampled", vals)
+    def table(self, x: np.ndarray, xi: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Phase table rows for the points ``x[rows]`` against all of ``xi``.
 
-    def block(self, x_grid: UniformGrid, xi_grid: UniformGrid, rows: slice) -> np.ndarray:
-        """Phase table rows for x nodes in ``rows``; linear phases are formed
-        as 2*pi*(x.xi) so callers can cancel the same product exactly."""
+        Linear phases are formed as 2*pi*(x.xi) so callers can cancel the
+        same product exactly.
+        """
         if self.kind == "linear":
-            return 2.0 * np.pi * (x_grid.nodes[rows] @ xi_grid.nodes.T)
-        v = self.values
-        if v.shape != (x_grid.size, xi_grid.size):
+            return 2.0 * np.pi * (x[rows] @ xi.T)
+        if self.values.shape != (x.shape[0], xi.shape[0]):
             raise ShapeError(
-                f"sampled phase table {v.shape} != ({x_grid.size}, {xi_grid.size})"
+                f"sampled phase table {self.values.shape} != ({x.shape[0]}, {xi.shape[0]})"
             )
-        return v[rows]
+        return self.values[rows]
 
 
 @dataclass(frozen=True)
@@ -117,13 +111,7 @@ class EuclideanSymbol:
             raise ShapeError(
                 f"x dim {self.x_grid.dim} != xi dim {self.xi_grid.dim}"
             )
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.x_grid.size, self.xi_grid.size):
-            raise ShapeError(
-                f"symbol values {v.shape} != ({self.x_grid.size}, {self.xi_grid.size})"
-            )
-        if not np.all(np.isfinite(v.view(float))):
-            raise ValidationError("symbol contains non-finite samples")
+        v = complex_samples(self.values, (self.x_grid.size, self.xi_grid.size), "symbol")
         object.__setattr__(self, "values", v)
 
 
@@ -164,7 +152,7 @@ def fio_apply(phase: PhaseSpec, a: EuclideanSymbol, f: SampledField) -> SampledF
     out = np.empty(a.x_grid.size, dtype=complex)
     for s in range(0, a.x_grid.size, _ROW_CHUNK):
         rows = slice(s, min(s + _ROW_CHUNK, a.x_grid.size))
-        phi = phase.block(a.x_grid, a.xi_grid, rows)
+        phi = phase.table(a.x_grid.nodes, a.xi_grid.nodes, rows)
         out[rows] = ksum(np.exp(1j * phi) * a.values[rows] * wfhat[None, :], axis=1)
     return SampledField(a.x_grid, out)
 
@@ -189,7 +177,7 @@ def symbol_from_decomposition(
         A += np.outer(h.values, ginv)
     for s in range(0, x_grid.size, _ROW_CHUNK):
         rows = slice(s, min(s + _ROW_CHUNK, x_grid.size))
-        A[rows] *= np.exp(-1j * phase.block(x_grid, xi_grid, rows))
+        A[rows] *= np.exp(-1j * phase.table(x_grid.nodes, xi_grid.nodes, rows))
     return EuclideanSymbol(x_grid, xi_grid, A)
 
 
@@ -212,7 +200,7 @@ def nuclear_trace_euclid(phase: PhaseSpec, a: EuclideanSymbol) -> complex:
     for s in range(0, a.x_grid.size, _ROW_CHUNK):
         rows = slice(s, min(s + _ROW_CHUNK, a.x_grid.size))
         xdotxi = 2.0 * np.pi * (a.x_grid.nodes[rows] @ a.xi_grid.nodes.T)
-        phi = phase.block(a.x_grid, a.xi_grid, rows)
+        phi = phase.table(a.x_grid.nodes, a.xi_grid.nodes, rows)
         psi = phi - xdotxi
         integrand = np.exp(1j * psi) * a.values[rows] * wxi[None, :] * wx[rows, None]
         partials.append(ksum(integrand))
@@ -238,9 +226,7 @@ def decay_norms(a: EuclideanSymbol, p1: float, p2: float) -> tuple:
 
 def lidskii_exponent(p: float) -> float:
     """r with 1/r = 1 + |1/p - 1/2|, the summability order granted on L^p."""
-    p = float(p)
-    if not (np.isfinite(p) and p >= 1.0):
-        raise DomainError(f"p = {p!r} outside [1, inf)")
+    p = validate_range("p", p, 1.0, np.inf, include_hi=False)
     return 1.0 / (1.0 + abs(1.0 / p - 0.5))
 
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .grids import SampledField, UniformGrid
+from .grids import SampledField, UniformGrid, require_int
 from .lattice import LatticeSequence, LatticeWindow
 
 __all__ = [
@@ -58,6 +58,24 @@ def hermite_function(k: int, x: np.ndarray) -> np.ndarray:
     return norm * hk * np.exp(-np.pi * x**2)
 
 
+def _gaussian(pts: np.ndarray, spec: dict) -> np.ndarray:
+    """Product over axes of gaussian_profile at the points; a scalar center
+    applies to every axis."""
+    dim = pts.shape[1]
+    centers = np.broadcast_to(np.asarray(spec.get("center", 0.0), dtype=float).reshape(-1), (dim,))
+    width = float(spec.get("width", 1.0))
+    vals = np.ones(pts.shape[0])
+    for ax in range(dim):
+        vals = vals * gaussian_profile(pts[:, ax], centers[ax], width)
+    return vals
+
+
+def _family(spec, what: str) -> str:
+    if not isinstance(spec, dict) or "family" not in spec:
+        raise ValidationError(f"{what} spec must be a dict with a 'family' key, got {spec!r}")
+    return spec["family"]
+
+
 def _complex_of(value) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
@@ -85,24 +103,16 @@ def random_gaussian_mix(grid: UniformGrid, rng: np.random.Generator, terms: int 
 
 def euclid_field(grid: UniformGrid, spec: dict, rng: np.random.Generator | None = None) -> SampledField:
     """Build a field on a continuum grid from a family spec."""
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ValidationError(f"field spec must be a dict with a 'family' key, got {spec!r}")
-    fam = spec["family"]
+    fam = _family(spec, "field")
     pts = grid.nodes
     if fam == "gaussian":
-        center = spec.get("center", 0.0)
-        width = spec.get("width", 1.0)
-        centers = np.broadcast_to(np.asarray(center, dtype=float).reshape(-1), (grid.dim,))
-        vals = np.ones(grid.size)
-        for ax in range(grid.dim):
-            vals = vals * gaussian_profile(pts[:, ax], centers[ax], float(width))
-        return SampledField(grid, vals)
+        return SampledField(grid, _gaussian(pts, spec))
     if fam == "hermite":
         if grid.dim != 1:
             raise ValidationError("hermite family is one-dimensional")
-        return SampledField(grid, hermite_function(spec.get("k", 0), pts[:, 0]))
+        return SampledField(grid, hermite_function(require_int(spec.get("k", 0), "k"), pts[:, 0]))
     if fam == "delta":
-        node = int(spec.get("node", grid.size // 2))
+        node = require_int(spec.get("node", grid.size // 2), "node")
         if not (0 <= node < grid.size):
             raise ValidationError(f"delta node {node} outside [0, {grid.size})")
         vals = np.zeros(grid.size, dtype=complex)
@@ -124,27 +134,20 @@ def euclid_field(grid: UniformGrid, spec: dict, rng: np.random.Generator | None 
     if fam == "random_mix":
         if rng is None:
             raise ValidationError("random_mix family needs a seeded generator")
-        return SampledField(grid, random_gaussian_mix(grid, rng, spec.get("terms", 3)))
+        terms = require_int(spec.get("terms", 3), "terms")
+        return SampledField(grid, random_gaussian_mix(grid, rng, terms))
     raise ValidationError(f"unknown field family {fam!r}")
 
 
 def lattice_sequence(window: LatticeWindow, spec: dict, rng: np.random.Generator | None = None) -> LatticeSequence:
     """Build a sequence on a lattice window from a family spec."""
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ValidationError(f"sequence spec must be a dict with a 'family' key, got {spec!r}")
-    fam = spec["family"]
+    fam = _family(spec, "sequence")
     pts = window.points
     if fam == "gaussian":
-        center = spec.get("center", 0.0)
-        width = float(spec.get("width", 1.0))
-        centers = np.broadcast_to(np.asarray(center, dtype=float).reshape(-1), (window.n,))
-        vals = np.ones(window.size)
-        for ax in range(window.n):
-            vals = vals * gaussian_profile(pts[:, ax], centers[ax], width)
-        return LatticeSequence(window, vals)
+        return LatticeSequence(window, _gaussian(pts, spec))
     if fam == "delta":
-        at = spec.get("at", [0] * window.n)
-        at = np.asarray(at, dtype=float).reshape(-1)
+        at = [require_int(v, "at") for v in np.ravel(spec.get("at", [0] * window.n))]
+        at = np.asarray(at, dtype=float)
         match = np.all(pts == at[None, :], axis=1)
         if not match.any():
             raise ValidationError(f"delta point {at.tolist()} outside the window")

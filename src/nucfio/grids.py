@@ -33,6 +33,8 @@ __all__ = [
     "require_edge_decay",
     "require_same_grid",
     "validate_range",
+    "require_int",
+    "complex_samples",
 ]
 
 # Relative tolerance for the weight-sum == volume construction invariant.
@@ -184,23 +186,8 @@ class SampledField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).reshape(-1)
-        if v.shape[0] != self.grid.size:
-            raise ShapeError(
-                f"field has {v.shape[0]} samples for a grid of {self.grid.size} nodes"
-            )
-        if not np.all(np.isfinite(v.view(float))):
-            raise ValidationError("field contains non-finite samples")
+        v = complex_samples(np.reshape(self.values, -1), (self.grid.size,), "field")
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_callable(cls, grid: UniformGrid, fn) -> "SampledField":
-        pts = grid.nodes
-        if grid.dim == 1:
-            vals = fn(pts[:, 0])
-        else:
-            vals = fn(*(pts[:, k] for k in range(grid.dim)))
-        return cls(grid, np.asarray(vals, dtype=complex))
 
 
 # -- interpolation ----------------------------------------------------------
@@ -320,3 +307,26 @@ def validate_range(name: str, value: float, lo: float, hi: float, include_lo=Tru
         rb = "]" if include_hi else ")"
         raise DomainError(f"{name} = {value!r} outside {lb}{lo}, {hi}{rb}")
     return v
+
+
+def complex_samples(values, shape: tuple, what: str) -> np.ndarray:
+    """values as a complex array of exactly ``shape`` with finite entries;
+    the one sample validator behind every field, sequence, symbol, kernel
+    and representation block."""
+    v = np.asarray(values, dtype=complex)
+    if v.shape != shape:
+        raise ShapeError(f"{what} has shape {v.shape}, expected {shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} contains non-finite samples")
+    return v
+
+
+def require_int(value, name: str) -> int:
+    """An integer parameter, as given: bools and floats (even 3.0) raise.
+
+    Config values are never truncated, so "radius": 3.9 is an error rather
+    than radius 3.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)

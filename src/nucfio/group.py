@@ -11,10 +11,19 @@ exact.
 Haar quadratures carry normalized weights (they sum to 1); the 3-sphere
 parametrization additionally records the raw mass of its printed density,
 which integrates to 4*pi^2 over the chart, twice the unit 3-sphere area.
+
+Two kernels do the work. The torus is the abelian pair of the lattice module
+(``lattice._abelian_*``) with space and frequency swapped. SU(2) is the K = {e}
+instance of the class-I table kernel below (``_check_blocks``,
+``_check_invertible``, ``_table_fourier``, ``_table_apply``, ``_table_synthesis``,
+``dual_trace_sum``), parameterized by the Haar weights, one representation
+table per label and the invariant counts k_inv; ``homog`` calls the same
+functions, so the K = {e} degeneration is bit-for-bit by construction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +34,11 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .grids import SampledField, UniformGrid, ksum
+from .euclid import PhaseSpec
+from .grids import SampledField, UniformGrid, complex_samples, ksum
+from .lattice import LatticeWindow, _abelian_matrix, _abelian_synthesis, _abelian_trace
+from .nuclear import _check_rank_one, quasinorm
+from .numerics import character_sum
 
 __all__ = [
     "GroupQuadrature",
@@ -47,23 +60,20 @@ __all__ = [
     "group_matrix",
     "group_delgado_trace",
     "group_quasinorm_bound",
-    "group_lp_norm",
     "TorusPhase",
     "TorusSymbol",
     "torus_freqs",
     "torus_fourier",
     "torus_symbol_from_decomposition",
-    "torus_fio_apply",
     "torus_nuclear_trace",
     "torus_matrix",
+    "class_i_mask",
     "dual_trace_sum",
+    "unitarity_defect",
 ]
 
 # Phase blocks must stay invertible; this is the admissibility threshold.
 _PHASE_COND_CAP = 1e8
-
-# Euler-angle table caches are keyed per quadrature instance.
-_JY_CACHE: dict = {}
 
 
 def _require_twoL(twoL) -> int:
@@ -73,14 +83,13 @@ def _require_twoL(twoL) -> int:
     return t
 
 
+@functools.cache
 def _jy_eig(twoL: int):
     """Eigendecomposition of J_y for spin twoL/2, cached.
 
     J_+ has entries sqrt(j(j+1) - m(m+1)) one step above the diagonal in the
     descending-m basis; J_y = (J_+ - J_-) / 2i is Hermitian.
     """
-    if twoL in _JY_CACHE:
-        return _JY_CACHE[twoL]
     j = twoL / 2.0
     dim = twoL + 1
     m = j - np.arange(dim)  # m = j, j-1, ..., -j
@@ -90,8 +99,7 @@ def _jy_eig(twoL: int):
         jplus[k, k + 1] = np.sqrt(j * (j + 1) - mk * (mk + 1))
     jy = (jplus - jplus.conj().T) / 2j
     lam, V = np.linalg.eigh(jy)
-    _JY_CACHE[twoL] = (m, lam, V)
-    return _JY_CACHE[twoL]
+    return m, lam, V
 
 
 def wigner_matrix(twoL: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -267,29 +275,26 @@ def su2_irrep_table(quad: GroupQuadrature, twoL: int) -> np.ndarray:
     if key in quad._cache:
         return quad._cache[key]
     if quad.kind == "su2-euler":
-        m, lam, V = _jy_eig(twoL)
         alpha, beta, gamma = quad.nodes.T
-        core = np.exp(-1j * np.outer(beta, lam))
-        d_beta = np.einsum("ik,nk,jk->nij", V, core, V.conj())
-        T = (
-            np.exp(-1j * np.outer(alpha, m))[:, :, None]
-            * d_beta
-            * np.exp(-1j * np.outer(gamma, m))[:, None, :]
-        )
     elif quad.kind == "s3":
-        eulers = np.array([euler_from_su2(U) for U in s3_su2_points(quad)])
-        m, lam, V = _jy_eig(twoL)
-        core = np.exp(-1j * np.outer(eulers[:, 1], lam))
-        d_beta = np.einsum("ik,nk,jk->nij", V, core, V.conj())
-        T = (
-            np.exp(-1j * np.outer(eulers[:, 0], m))[:, :, None]
-            * d_beta
-            * np.exp(-1j * np.outer(eulers[:, 2], m))[:, None, :]
-        )
+        alpha, beta, gamma = np.array([euler_from_su2(U) for U in s3_su2_points(quad)]).T
     else:
         raise ValidationError(f"no SU(2) tables for quadrature kind {quad.kind!r}")
+    m, lam, V = _jy_eig(twoL)
+    core = np.exp(-1j * np.outer(beta, lam))
+    d_beta = np.einsum("ik,nk,jk->nij", V, core, V.conj())
+    T = (
+        np.exp(-1j * np.outer(alpha, m))[:, :, None]
+        * d_beta
+        * np.exp(-1j * np.outer(gamma, m))[:, None, :]
+    )
     quad._cache[key] = T
     return T
+
+
+def unitarity_defect(U: np.ndarray) -> float:
+    """max |U_n U_n^* - I| over a batch of square matrices."""
+    return float(np.abs(np.einsum("nij,nkj->nik", U, U.conj()) - np.eye(U.shape[-1])).max())
 
 
 def su2_character(quad: GroupQuadrature, twoL: int) -> np.ndarray:
@@ -300,32 +305,139 @@ def su2_character(quad: GroupQuadrature, twoL: int) -> np.ndarray:
 
 def su2_fourier(f_values: np.ndarray, quad: GroupQuadrature, twoL: int) -> np.ndarray:
     """fhat(l) = sum_n w_n f_n t_l(x_n)^*, the matrix Fourier coefficient."""
+    return _table_fourier(f_values, quad.weights, su2_irrep_table(quad, twoL))
+
+
+# -- the class-I table kernel -------------------------------------------------
+
+
+def class_i_mask(blocks: np.ndarray, k: int) -> np.ndarray:
+    """Zero every entry outside the leading k x k block (exact, idempotent).
+
+    Accepts a single matrix or a batch with leading dimensions.
+    """
+    M = np.array(blocks, dtype=complex)
+    d = M.shape[-1]
+    if M.shape[-2] != d:
+        raise ShapeError(f"mask needs square trailing dims, got {M.shape}")
+    if not (1 <= k <= d):
+        raise DomainError(f"k = {k} outside [1, {d}]")
+    M[..., k:, :] = 0.0
+    M[..., :, k:] = 0.0
+    return M
+
+
+def _check_blocks(size: int, blocks: dict, dims: dict, k_inv: dict) -> dict:
+    """Validated blocks, label -> (size, d, d) finite complex array, sorted.
+
+    ``dims`` maps each admissible label to its dimension d; every block must
+    vanish outside its leading k_inv x k_inv corner (no constraint where
+    k_inv = d).
+    """
+    out = {}
+    for label in sorted(blocks):
+        if label not in dims:
+            raise ValidationError(f"block label {label!r} is not in the irrep table")
+        d = dims[label]
+        B = complex_samples(blocks[label], (size, d, d), f"block {label!r}")
+        k = k_inv[label]
+        if k < d and (np.any(B[:, k:, :] != 0.0) or np.any(B[:, :, k:] != 0.0)):
+            raise ValidationError(
+                f"block {label!r} has support outside its {k}x{k} invariant corner; "
+                f"apply class_i_mask"
+            )
+        out[label] = B
+    if not out:
+        raise ValidationError("symbol needs at least one block")
+    return out
+
+
+def _check_invertible(blocks: dict) -> None:
+    """Every phase block invertible at every node with condition number at
+    most 1e8; ConditionError names the first offending label and node."""
+    for label, B in blocks.items():
+        s = np.linalg.svd(B, compute_uv=False)
+        smin = s[:, -1].min()
+        if smin <= 0.0 or not np.isfinite(smin):
+            node = int(s[:, -1].argmin())
+            raise ConditionError(f"phase block {label!r} is singular at node {node}")
+        cond = float((s[:, 0] / s[:, -1]).max())
+        if cond > _PHASE_COND_CAP:
+            node = int((s[:, 0] / s[:, -1]).argmax())
+            raise ConditionError(
+                f"phase block {label!r} has condition {cond:.3e} at node "
+                f"{node}, above the cap {_PHASE_COND_CAP:.1e}"
+            )
+
+
+def _common_labels(what: str, Phi_on, a_on, Phi_blocks: dict, a_blocks: dict) -> list:
+    """Sorted labels of a phase and a symbol built on the same quadrature or
+    table (``Phi_on is a_on``) and carrying the same labels."""
+    if Phi_on is not a_on:
+        raise ValidationError(f"{what}: phase and symbol use different quadratures or tables")
+    if sorted(Phi_blocks) != sorted(a_blocks):
+        raise ValidationError(
+            f"{what}: phase labels {sorted(Phi_blocks)} differ from symbol "
+            f"labels {sorted(a_blocks)}"
+        )
+    return sorted(a_blocks)
+
+
+def _table_fourier(f_values: np.ndarray, weights: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """fhat = sum_n w_n f_n T_n^*, the matrix Fourier coefficient for table T."""
     f = np.asarray(f_values, dtype=complex).reshape(-1)
-    if f.shape[0] != quad.size:
-        raise ShapeError(f"function has {f.shape[0]} samples, quadrature {quad.size}")
-    T = su2_irrep_table(quad, twoL)
-    return np.einsum("n,nji->ij", quad.weights * f, T.conj())
+    if f.shape[0] != weights.shape[0]:
+        raise ShapeError(f"function has {f.shape[0]} samples, quadrature {weights.shape[0]}")
+    return np.einsum("n,nji->ij", weights * f, T.conj())
+
+
+def _table_apply(weights: np.ndarray, tables: dict, Phi_blocks: dict, a_blocks: dict, f_values):
+    """(Ff)(x) = sum_l d_l Tr[Phi(x,l) a(x,l) fhat(l)] at every node."""
+    f = np.asarray(f_values, dtype=complex).reshape(-1)
+    out = np.zeros(weights.shape[0], dtype=complex)
+    for label in sorted(a_blocks):
+        T = tables[label]
+        fhat = _table_fourier(f, weights, T)
+        out += T.shape[1] * np.einsum("nij,njk,ki->n", Phi_blocks[label], a_blocks[label], fhat)
+    return out
+
+
+def _table_synthesis(weights: np.ndarray, tables: dict, Phi_blocks: dict, terms, k_inv: dict) -> dict:
+    """a(x,l) = mask_k [ Phi(x,l)^{-1} sum_k h_k(x) (F conj(g_k))(l)^* ].
+
+    The mask to the leading k_inv x k_inv corner removes nothing where
+    k_inv = d, as for every group label.
+    """
+    blocks = {}
+    for label in sorted(Phi_blocks):
+        T = tables[label]
+        d = T.shape[1]
+        S = np.zeros((weights.shape[0], d, d), dtype=complex)
+        for h, g in terms:
+            ghat = _table_fourier(np.conj(g), weights, T)
+            S += h[:, None, None] * ghat.conj().T[None, :, :]
+        S = np.linalg.solve(Phi_blocks[label], S)  # drop the right-hand side before the mask copies
+        blocks[label] = class_i_mask(S, k_inv[label])
+    return blocks
+
+
+def dual_trace_sum(weights: np.ndarray, tables: dict, Phi_blocks: dict, a_blocks: dict) -> complex:
+    """sum_x w(x) sum_l d_l Tr[t_l(x)^* Phi(x,l) a(x,l)].
+
+    Shared reduction kernel: the compact-group trace and the homogeneous-
+    space trace both route through here, so the K = {e} degeneration is
+    bit-for-bit rather than merely close.
+    """
+    parts = []
+    for twoL in sorted(a_blocks):
+        T = tables[twoL]
+        v = np.einsum("nji,njk,nki->n", T.conj(), Phi_blocks[twoL], a_blocks[twoL])
+        d = T.shape[1]
+        parts.append(d * complex(ksum(weights * v)))
+    return complex(ksum(np.asarray(parts)))
 
 
 # -- matrix-valued phases and symbols ----------------------------------------
-
-
-def _check_blocks(quad: GroupQuadrature, blocks: dict) -> dict:
-    out = {}
-    for twoL in sorted(blocks):
-        t = _require_twoL(twoL)
-        B = np.asarray(blocks[twoL], dtype=complex)
-        d = t + 1
-        if B.shape != (quad.size, d, d):
-            raise ShapeError(
-                f"block twoL={t} has shape {B.shape}, expected ({quad.size}, {d}, {d})"
-            )
-        if not np.all(np.isfinite(B.view(float))):
-            raise ValidationError(f"block twoL={t} contains non-finite entries")
-        out[t] = B
-    if not out:
-        raise ValidationError("symbol needs at least one representation block")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,7 +448,9 @@ class GroupSymbol:
     blocks: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", _check_blocks(self.quad, self.blocks))
+        blocks = {_require_twoL(t): B for t, B in self.blocks.items()}
+        dims = {t: t + 1 for t in blocks}
+        object.__setattr__(self, "blocks", _check_blocks(self.quad.size, blocks, dims, dims))
 
     @property
     def labels(self) -> list:
@@ -353,19 +467,7 @@ class GroupPhase(GroupSymbol):
 
     def __post_init__(self):
         super().__post_init__()
-        for twoL, B in self.blocks.items():
-            s = np.linalg.svd(B, compute_uv=False)
-            smin = s[:, -1].min()
-            if smin <= 0.0 or not np.isfinite(smin):
-                node = int(s[:, -1].argmin())
-                raise ConditionError(f"phase block twoL={twoL} is singular at node {node}")
-            cond = float((s[:, 0] / s[:, -1]).max())
-            if cond > _PHASE_COND_CAP:
-                node = int((s[:, 0] / s[:, -1]).argmax())
-                raise ConditionError(
-                    f"phase block twoL={twoL} has condition {cond:.3e} at node "
-                    f"{node}, above the cap {_PHASE_COND_CAP:.1e}"
-                )
+        _check_invertible(self.blocks)
 
 
 def identity_phase(quad: GroupQuadrature, cutoff_twoL: int) -> GroupPhase:
@@ -386,30 +488,11 @@ class GroupRankOne:
     r: float
 
     def __post_init__(self):
-        terms = []
-        for h, g in self.terms:
-            hv = np.asarray(h, dtype=complex).reshape(-1)
-            gv = np.asarray(g, dtype=complex).reshape(-1)
-            if hv.shape[0] != self.quad.size or gv.shape[0] != self.quad.size:
-                raise ShapeError("factor sample count differs from quadrature size")
-            terms.append((hv, gv))
-        if not terms:
-            raise ValidationError("decomposition needs at least one term")
-        for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not (np.isfinite(p) and p >= 1.0):
-                raise DomainError(f"{name} = {p!r} outside [1, inf)")
-        if not (0.0 < self.r <= 1.0):
-            raise DomainError(f"r = {self.r!r} outside (0, 1]")
-        object.__setattr__(self, "terms", tuple(terms))
+        def samples(v, what):
+            return complex_samples(np.reshape(v, -1), (self.quad.size,), what)
 
-
-def group_lp_norm(values: np.ndarray, quad: GroupQuadrature, p: float) -> float:
-    """L^p norm against the normalized Haar weights, p in [1, inf)."""
-    p = float(p)
-    if not (np.isfinite(p) and p >= 1.0):
-        raise DomainError(f"p = {p!r} outside [1, inf)")
-    v = np.asarray(values, dtype=complex).reshape(-1)
-    return float(ksum(quad.weights * np.abs(v) ** p)) ** (1.0 / p)
+        terms = [(samples(h, "h factor"), samples(g, "g factor")) for h, g in self.terms]
+        object.__setattr__(self, "terms", _check_rank_one(terms, self.p1, self.p2, self.r))
 
 
 def group_delgado_trace(d: GroupRankOne) -> complex:
@@ -422,25 +505,7 @@ def group_delgado_trace(d: GroupRankOne) -> complex:
 
 def group_quasinorm_bound(d: GroupRankOne) -> float:
     """( sum_k ||g_k||_{p1'}^r ||h_k||_{p2}^r )^{1/r} over Haar norms."""
-    parts = []
-    for h, g in d.terms:
-        if d.p1 == 1.0:
-            gn = float(np.abs(g).max())
-        else:
-            gn = group_lp_norm(g, d.quad, d.p1 / (d.p1 - 1.0))
-        parts.append((gn * group_lp_norm(h, d.quad, d.p2)) ** d.r)
-    return float(ksum(np.asarray(parts))) ** (1.0 / d.r)
-
-
-def _common_labels(Phi: GroupSymbol, a: GroupSymbol, what: str) -> list:
-    if Phi.quad is not a.quad:
-        raise ValidationError(f"{what}: phase and symbol use different quadratures")
-    if sorted(Phi.blocks) != sorted(a.blocks):
-        raise ValidationError(
-            f"{what}: phase labels {sorted(Phi.blocks)} differ from symbol "
-            f"labels {sorted(a.blocks)}"
-        )
-    return sorted(a.blocks)
+    return quasinorm(d.terms, d.quad.weights, d.quad.weights, d.p1, d.p2, d.r)
 
 
 def _require_cutoff(sym: GroupSymbol, cutoff_twoL: int | None, what: str) -> None:
@@ -451,45 +516,29 @@ def _require_cutoff(sym: GroupSymbol, cutoff_twoL: int | None, what: str) -> Non
         )
 
 
+def _tables(quad: GroupQuadrature, labels) -> dict:
+    return {twoL: su2_irrep_table(quad, twoL) for twoL in labels}
+
+
+def _table_args(what: str, Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None) -> tuple:
+    """Haar weights and tables for a checked phase/symbol pair."""
+    labels = _common_labels(what, Phi.quad, a.quad, Phi.blocks, a.blocks)
+    _require_cutoff(a, cutoff_twoL, what)
+    return a.quad.weights, _tables(a.quad, labels)
+
+
 def group_fio_apply(
     Phi: GroupPhase, a: GroupSymbol, f_values: np.ndarray, cutoff_twoL: int | None = None
 ) -> np.ndarray:
     """(Ff)(x) = sum_l d_l Tr[Phi(x,l) a(x,l) fhat(l)] at every node."""
-    labels = _common_labels(Phi, a, "group_fio_apply")
-    _require_cutoff(a, cutoff_twoL, "group_fio_apply")
-    quad = a.quad
-    f = np.asarray(f_values, dtype=complex).reshape(-1)
-    if f.shape[0] != quad.size:
-        raise ShapeError(f"function has {f.shape[0]} samples, quadrature {quad.size}")
-    out = np.zeros(quad.size, dtype=complex)
-    for twoL in labels:
-        fhat = su2_fourier(f, quad, twoL)
-        out += (twoL + 1) * np.einsum("nij,njk,ki->n", Phi.blocks[twoL], a.blocks[twoL], fhat)
-    return out
-
-
-def dual_trace_sum(weights: np.ndarray, tables: dict, Phi_blocks: dict, a_blocks: dict) -> complex:
-    """sum_x w(x) sum_l d_l Tr[t_l(x)^* Phi(x,l) a(x,l)].
-
-    Shared reduction kernel: the compact-group trace and the homogeneous-
-    space trace both route through here, so the K = {e} degeneration is
-    bit-for-bit rather than merely close.
-    """
-    parts = []
-    for twoL in sorted(a_blocks):
-        T = tables[twoL]
-        v = np.einsum("nji,njk,nki->n", T.conj(), Phi_blocks[twoL], a_blocks[twoL])
-        d = T.shape[1]
-        parts.append(d * complex(ksum(weights * v)))
-    return complex(ksum(np.asarray(parts)))
+    weights, tables = _table_args("group_fio_apply", Phi, a, cutoff_twoL)
+    return _table_apply(weights, tables, Phi.blocks, a.blocks, f_values)
 
 
 def group_nuclear_trace(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None) -> complex:
     """Haar integral of sum_l d_l Tr[t_l(x)^* Phi(x,l) a(x,l)]."""
-    labels = _common_labels(Phi, a, "group_nuclear_trace")
-    _require_cutoff(a, cutoff_twoL, "group_nuclear_trace")
-    tables = {twoL: su2_irrep_table(a.quad, twoL) for twoL in labels}
-    return dual_trace_sum(a.quad.weights, tables, Phi.blocks, a.blocks)
+    weights, tables = _table_args("group_nuclear_trace", Phi, a, cutoff_twoL)
+    return dual_trace_sum(weights, tables, Phi.blocks, a.blocks)
 
 
 def group_symbol_from_decomposition(
@@ -505,14 +554,8 @@ def group_symbol_from_decomposition(
     quad = Phi.quad
     if d.quad is not quad:
         raise ValidationError("decomposition and phase use different quadratures")
-    blocks = {}
-    for twoL in sorted(Phi.blocks):
-        dim = twoL + 1
-        S = np.zeros((quad.size, dim, dim), dtype=complex)
-        for h, g in d.terms:
-            ghat = su2_fourier(np.conj(g), quad, twoL)
-            S += h[:, None, None] * ghat.conj().T[None, :, :]
-        blocks[twoL] = np.linalg.solve(Phi.blocks[twoL], S)
+    dims = {t: t + 1 for t in Phi.blocks}
+    blocks = _table_synthesis(quad.weights, _tables(quad, Phi.labels), Phi.blocks, d.terms, dims)
     return GroupSymbol(quad, blocks)
 
 
@@ -524,13 +567,10 @@ def group_matrix(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None
     identity phase with identity symbol this is the identity on a space of
     dimension sum d_l^2.
     """
-    labels = _common_labels(Phi, a, "group_matrix")
-    _require_cutoff(a, cutoff_twoL, "group_matrix")
-    quad = a.quad
+    weights, tables = _table_args("group_matrix", Phi, a, cutoff_twoL)
     basis = []
-    for twoL in labels:
-        T = su2_irrep_table(quad, twoL)
-        d = twoL + 1
+    for T in tables.values():
+        d = T.shape[1]
         for i in range(d):
             for j in range(d):
                 basis.append(np.sqrt(d) * T[:, i, j])
@@ -539,7 +579,7 @@ def group_matrix(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None
     for c in range(dim):
         Fc = group_fio_apply(Phi, a, basis[c])
         for r in range(dim):
-            M[r, c] = complex(ksum(quad.weights * np.conj(basis[r]) * Fc))
+            M[r, c] = complex(ksum(weights * np.conj(basis[r]) * Fc))
     return M
 
 
@@ -547,45 +587,16 @@ def group_matrix(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None
 
 
 def torus_freqs(cutoff: int, dim: int) -> np.ndarray:
-    """Integer frequency tuples in {-cutoff..cutoff}^dim, lexicographic."""
+    """Integer frequency tuples in {-cutoff..cutoff}^dim, lexicographic: the
+    points of the lattice window of radius ``cutoff``."""
     if int(cutoff) < 0:
         raise DomainError(f"cutoff = {cutoff} < 0")
-    rng = np.arange(-int(cutoff), int(cutoff) + 1)
-    mesh = np.meshgrid(*([rng] * dim), indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1).astype(float)
+    return LatticeWindow(dim, int(cutoff)).points
 
 
-@dataclass(frozen=True)
-class TorusPhase:
-    """phi(x, l): 'linear' means 2*pi*x.l, 'sampled' a real table."""
-
-    kind: str
-    values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "sampled"):
-            raise ValidationError(f"phase kind {self.kind!r} not in ('linear', 'sampled')")
-        if self.kind == "sampled":
-            v = np.asarray(self.values, dtype=float)
-            if v.ndim != 2 or not np.all(np.isfinite(v)):
-                raise ValidationError("sampled torus phase must be a finite 2-d table")
-            object.__setattr__(self, "values", v)
-        elif self.values is not None:
-            raise ValidationError("linear phase carries no sample table")
-
-    @classmethod
-    def linear(cls) -> "TorusPhase":
-        return cls("linear")
-
-    def table(self, x_grid: UniformGrid, freqs: np.ndarray) -> np.ndarray:
-        if self.kind == "linear":
-            return 2.0 * np.pi * (x_grid.nodes @ freqs.T)
-        if self.values.shape != (x_grid.size, freqs.shape[0]):
-            raise ShapeError(
-                f"sampled phase table {self.values.shape} != "
-                f"({x_grid.size}, {freqs.shape[0]})"
-            )
-        return self.values
+# The torus shares the lattice's phase type: rows are spatial nodes, columns
+# integer frequencies.
+TorusPhase = PhaseSpec
 
 
 @dataclass(frozen=True)
@@ -599,15 +610,8 @@ class TorusSymbol:
     def __post_init__(self):
         if not self.x_grid.periodic:
             raise ValidationError("torus symbols need a periodic spatial grid")
-        freqs = torus_freqs(self.cutoff, self.x_grid.dim)
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.x_grid.size, freqs.shape[0]):
-            raise ShapeError(
-                f"symbol values {v.shape} != ({self.x_grid.size}, {freqs.shape[0]})"
-            )
-        if not np.all(np.isfinite(v.view(float))):
-            raise ValidationError("symbol contains non-finite samples")
-        object.__setattr__(self, "values", v)
+        shape = (self.x_grid.size, torus_freqs(self.cutoff, self.x_grid.dim).shape[0])
+        object.__setattr__(self, "values", complex_samples(self.values, shape, "symbol"))
 
     @property
     def freqs(self) -> np.ndarray:
@@ -623,8 +627,7 @@ def torus_fourier(f: SampledField, cutoff: int) -> np.ndarray:
     if not f.grid.periodic:
         raise ValidationError("torus transform needs a periodic grid")
     freqs = torus_freqs(cutoff, f.grid.dim)
-    E = np.exp(-2j * np.pi * (f.grid.nodes @ freqs.T))
-    return ksum((f.grid.weights * f.values)[:, None] * E, axis=0)
+    return character_sum(f.grid.weights * f.values, f.grid.nodes, freqs, -1.0)
 
 
 def torus_symbol_from_decomposition(
@@ -637,45 +640,24 @@ def torus_symbol_from_decomposition(
     pair in (F conj(g))(l)^* collapses to evaluating the plain transform at
     the negated frequency).
     """
-    freqs = torus_freqs(cutoff, x_grid.dim)
-    E_neg = np.exp(2j * np.pi * (x_grid.nodes @ freqs.T))
-    A = np.zeros((x_grid.size, freqs.shape[0]), dtype=complex)
     for h, g in d.terms:
         if g.grid != x_grid or h.grid != x_grid:
             raise ValidationError("decomposition factors must live on the torus grid")
-        ghat_neg = ksum((x_grid.weights * g.values)[:, None] * E_neg, axis=0)
-        A += np.outer(h.values, ghat_neg)
-    phi = phase.table(x_grid, freqs)
-    return TorusSymbol(x_grid, int(cutoff), np.exp(-1j * phi) * A)
-
-
-def torus_fio_apply(phase: TorusPhase, a: TorusSymbol, f: SampledField) -> SampledField:
-    """(Ff)(x) = sum_l e^{i phi(x,l)} a(x,l) fhat(l)."""
-    if f.grid != a.x_grid:
-        raise ValidationError("input field grid differs from the symbol grid")
-    fhat = torus_fourier(f, a.cutoff)
-    phi = phase.table(a.x_grid, a.freqs)
-    return SampledField(a.x_grid, ksum(np.exp(1j * phi) * a.values * fhat[None, :], axis=1))
+    x, freqs = x_grid.nodes, torus_freqs(cutoff, x_grid.dim)
+    pairs = [(h.values, x_grid.weights * g.values) for h, g in d.terms]
+    return TorusSymbol(x_grid, int(cutoff), _abelian_synthesis(phase.table(x, freqs), pairs, x, freqs))
 
 
 def torus_nuclear_trace(phase: TorusPhase, a: TorusSymbol) -> complex:
     """int_T sum_l e^{i(phi - 2*pi*x.l)} a(x,l) dx, single-difference exponent."""
-    freqs = a.freqs
-    phi = phase.table(a.x_grid, freqs)
-    kernel = 2.0 * np.pi * (a.x_grid.nodes @ freqs.T)
-    integrand = np.exp(1j * (phi - kernel)) * a.values * a.x_grid.weights[:, None]
-    return complex(ksum(integrand))
+    x, freqs = a.x_grid.nodes, a.freqs
+    return _abelian_trace(phase.table(x, freqs), a.values, x, freqs, a.x_grid.weights[:, None])
 
 
 def torus_matrix(phase: TorusPhase, a: TorusSymbol) -> np.ndarray:
     """Operator matrix on Fourier coefficients, M[l', l] = int e^{-2*pi*i*x.l'}
-    e^{i phi(x,l)} a(x,l) dx; its diagonal reuses the trace cancellation."""
-    freqs = a.freqs
-    phi = phase.table(a.x_grid, freqs)
-    wa = a.values * a.x_grid.weights[:, None]
-    n = freqs.shape[0]
-    M = np.empty((n, n), dtype=complex)
-    for q in range(n):
-        kernel_q = 2.0 * np.pi * (a.x_grid.nodes @ freqs[q])
-        M[q, :] = ksum(np.exp(1j * (phi - kernel_q[:, None])) * wa, axis=0)
-    return M
+    e^{i phi(x,l)} a(x,l) dx: the lattice-form matrix of the transposed
+    symbol, transposed back. Its diagonal reuses the trace cancellation."""
+    x, freqs = a.x_grid.nodes, a.freqs
+    M = _abelian_matrix(phase.table(x, freqs).T, a.values.T, freqs, x, a.x_grid.weights)
+    return np.ascontiguousarray(M.T)

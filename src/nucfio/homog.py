@@ -7,9 +7,10 @@ the top-left k_pi x k_pi block; the mask enforcing that is exact (entries
 outside the block are bit-zero, and masking twice changes nothing).
 
 With K = {e} every k_pi equals d_pi, the mask is the identity, and the
-machinery degenerates to the compact-group module; the trace reduction is
-shared with it (see ``group.dual_trace_sum``) so the degeneration is
-bit-for-bit.
+machinery degenerates to the compact-group module. Both run on one class-I
+table kernel in ``group`` (block and invertibility checks, Fourier
+coefficients, application, synthesis and ``dual_trace_sum``), so the
+degeneration is bit-for-bit by construction.
 
 The concrete non-abelian instance is SU(3) in the eight-angle product
 parametrization (three theta axes on [0, pi/2], five phi axes on [0, 2*pi],
@@ -22,18 +23,27 @@ restore exact unitarity and are noted inline.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
-from .grids import UniformGrid, ksum
+from .grids import UniformGrid, ksum, validate_range
 from .group import (
     GroupQuadrature,
     GroupRankOne,
+    _check_blocks,
+    _check_invertible,
+    _common_labels,
+    _leggauss_ab,
+    _table_apply,
+    _table_fourier,
+    _table_synthesis,
+    class_i_mask,
     dual_trace_sum,
     su2_irrep_table,
     torus_freqs,
+    unitarity_defect,
 )
 
 __all__ = [
@@ -58,9 +68,6 @@ __all__ = [
     "su3_mass",
     "su3_schur_error",
 ]
-
-_PHASE_COND_CAP = 1e8
-
 
 # -- class-I representation tables -------------------------------------------
 
@@ -88,8 +95,7 @@ class IrrepEntry:
                 f"irrep {self.label!r} matrices have shape {M.shape}, expected "
                 f"(N, {self.dim}, {self.dim})"
             )
-        eye = np.eye(self.dim)
-        defect = float(np.abs(np.einsum("nij,nkj->nik", M, M.conj()) - eye).max())
+        defect = unitarity_defect(M)
         if defect > 1e-10:
             raise ValidationError(
                 f"irrep {self.label!r} table is not unitary: defect {defect:.3e} > 1e-10"
@@ -138,57 +144,19 @@ class ClassIIrrepTable:
         return sorted(self.entries)
 
 
-def class_i_mask(blocks: np.ndarray, k: int) -> np.ndarray:
-    """Zero every entry outside the leading k x k block (exact, idempotent).
-
-    Accepts a single matrix or a batch with leading dimensions.
-    """
-    M = np.array(blocks, dtype=complex)
-    d = M.shape[-1]
-    if M.shape[-2] != d:
-        raise ShapeError(f"mask needs square trailing dims, got {M.shape}")
-    if not (1 <= k <= d):
-        raise DomainError(f"k = {k} outside [1, {d}]")
-    M[..., k:, :] = 0.0
-    M[..., :, k:] = 0.0
-    return M
-
-
-def _check_homog_blocks(table: ClassIIrrepTable, blocks: dict, masked: bool) -> dict:
-    out = {}
-    for label in sorted(blocks):
-        if label not in table.entries:
-            raise ValidationError(f"block label {label!r} is not in the irrep table")
-        e = table.entries[label]
-        B = np.asarray(blocks[label], dtype=complex)
-        if B.shape != (table.size, e.dim, e.dim):
-            raise ShapeError(
-                f"block {label!r} has shape {B.shape}, expected "
-                f"({table.size}, {e.dim}, {e.dim})"
-            )
-        if not np.all(np.isfinite(B.view(float))):
-            raise ValidationError(f"block {label!r} contains non-finite entries")
-        if masked and e.k_inv < e.dim:
-            if np.any(B[:, e.k_inv :, :] != 0.0) or np.any(B[:, :, e.k_inv :] != 0.0):
-                raise ValidationError(
-                    f"block {label!r} has support outside its {e.k_inv}x{e.k_inv} "
-                    f"invariant corner; apply class_i_mask"
-                )
-        out[label] = B
-    if not out:
-        raise ValidationError("symbol needs at least one block")
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class HomogSymbol:
     """Symbol a(x, pi) on G/K: masked blocks over a class-I table."""
 
     table: ClassIIrrepTable
     blocks: dict
+    _masked = True  # class attribute: symbols live on the invariant corner
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", _check_homog_blocks(self.table, self.blocks, masked=True))
+        entries = self.table.entries
+        dims = {label: e.dim for label, e in entries.items()}
+        k_inv = {label: e.k_inv for label, e in entries.items()} if self._masked else dims
+        object.__setattr__(self, "blocks", _check_blocks(self.table.size, self.blocks, dims, k_inv))
 
     @property
     def labels(self) -> list:
@@ -196,61 +164,29 @@ class HomogSymbol:
 
 
 @dataclass(frozen=True, eq=False)
-class HomogPhase:
+class HomogPhase(HomogSymbol):
     """Phase Phi(x, pi): unmasked invertible blocks, condition <= 1e8."""
 
-    table: ClassIIrrepTable
-    blocks: dict
+    _masked = False
 
     def __post_init__(self):
-        blocks = _check_homog_blocks(self.table, self.blocks, masked=False)
-        for label, B in blocks.items():
-            s = np.linalg.svd(B, compute_uv=False)
-            smin = s[:, -1].min()
-            if smin <= 0.0 or not np.isfinite(smin):
-                raise ValidationError(f"phase block {label!r} is singular")
-            cond = float((s[:, 0] / s[:, -1]).max())
-            if cond > _PHASE_COND_CAP:
-                raise ValidationError(
-                    f"phase block {label!r} has condition {cond:.3e}, above "
-                    f"{_PHASE_COND_CAP:.1e}"
-                )
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def labels(self) -> list:
-        return sorted(self.blocks)
+        super().__post_init__()
+        _check_invertible(self.blocks)
 
 
-def _common_labels(Phi: HomogPhase, a: HomogSymbol, what: str) -> list:
-    if Phi.table is not a.table:
-        raise ValidationError(f"{what}: phase and symbol use different tables")
-    if Phi.labels != a.labels:
-        raise ValidationError(
-            f"{what}: phase labels {Phi.labels} differ from symbol labels {a.labels}"
-        )
-    return a.labels
+def _tables(table: ClassIIrrepTable, labels) -> dict:
+    return {label: table.entries[label].matrices for label in labels}
 
 
 def homog_fourier(f_values: np.ndarray, table: ClassIIrrepTable, label) -> np.ndarray:
     """fhat(pi) = sum_x w(x) f(x) pi(x)^*."""
-    f = np.asarray(f_values, dtype=complex).reshape(-1)
-    if f.shape[0] != table.size:
-        raise ShapeError(f"function has {f.shape[0]} samples, table {table.size}")
-    T = table.entries[label].matrices
-    return np.einsum("n,nji->ij", table.weights * f, T.conj())
+    return _table_fourier(f_values, table.weights, table.entries[label].matrices)
 
 
 def homog_fio_apply(Phi: HomogPhase, a: HomogSymbol, f_values: np.ndarray) -> np.ndarray:
     """(Ff)(x) = sum_pi d_pi Tr[Phi(x,pi) a(x,pi) fhat(pi)]."""
-    labels = _common_labels(Phi, a, "homog_fio_apply")
-    f = np.asarray(f_values, dtype=complex).reshape(-1)
-    out = np.zeros(a.table.size, dtype=complex)
-    for label in labels:
-        d = a.table.entries[label].dim
-        fhat = homog_fourier(f, a.table, label)
-        out += d * np.einsum("nij,njk,ki->n", Phi.blocks[label], a.blocks[label], fhat)
-    return out
+    labels = _common_labels("homog_fio_apply", Phi.table, a.table, Phi.blocks, a.blocks)
+    return _table_apply(a.table.weights, _tables(a.table, labels), Phi.blocks, a.blocks, f_values)
 
 
 def homog_symbol_from_decomposition(Phi: HomogPhase, d: GroupRankOne) -> HomogSymbol:
@@ -263,14 +199,8 @@ def homog_symbol_from_decomposition(Phi: HomogPhase, d: GroupRankOne) -> HomogSy
     table = Phi.table
     if d.quad.size != table.size:
         raise ValidationError("decomposition sample count differs from the table")
-    blocks = {}
-    for label in Phi.labels:
-        e = table.entries[label]
-        S = np.zeros((table.size, e.dim, e.dim), dtype=complex)
-        for h, g in d.terms:
-            ghat = homog_fourier(np.conj(g), table, label)
-            S += h[:, None, None] * ghat.conj().T[None, :, :]
-        blocks[label] = class_i_mask(np.linalg.solve(Phi.blocks[label], S), e.k_inv)
+    k_inv = {label: table.entries[label].k_inv for label in Phi.labels}
+    blocks = _table_synthesis(table.weights, _tables(table, Phi.labels), Phi.blocks, d.terms, k_inv)
     return HomogSymbol(table, blocks)
 
 
@@ -280,17 +210,14 @@ def homog_nuclear_trace(Phi: HomogPhase, a: HomogSymbol) -> complex:
     Routed through the same reduction kernel as the compact-group trace, so
     a K = {e} table reproduces that module's result bit-for-bit.
     """
-    labels = _common_labels(Phi, a, "homog_nuclear_trace")
-    tables = {label: a.table.entries[label].matrices for label in labels}
-    return dual_trace_sum(a.table.weights, tables, Phi.blocks, a.blocks)
+    labels = _common_labels("homog_nuclear_trace", Phi.table, a.table, Phi.blocks, a.blocks)
+    return dual_trace_sum(a.table.weights, _tables(a.table, labels), Phi.blocks, a.blocks)
 
 
 def dual_lp_norm(coeffs: dict, table: ClassIIrrepTable, p: float) -> float:
     """ell^p norm on the restricted dual: ( sum_pi d_pi k_pi^{p(1/p - 1/2)}
     ||M(pi)||_HS^p )^{1/p}."""
-    p = float(p)
-    if not (np.isfinite(p) and p >= 1.0):
-        raise DomainError(f"p = {p!r} outside [1, inf)")
+    p = validate_range("p", p, 1.0, np.inf, include_hi=False)
     parts = []
     for label in sorted(coeffs):
         e = table.entries[label]
@@ -303,9 +230,8 @@ def dual_lp_norm(coeffs: dict, table: ClassIIrrepTable, p: float) -> float:
 def homog_mixed_norm(a: HomogSymbol, p1: float, p2: float) -> float:
     """( int_M ( sum_pi d_pi k_pi^{p1(1/p1-1/2)} ||a(x,pi)||_HS^{p1} )^{p2/p1}
     dx )^{1/p2}, the momentum-decay norm behind nuclearity on G/K."""
-    for name, p in (("p1", p1), ("p2", p2)):
-        if not (np.isfinite(p) and p >= 1.0):
-            raise DomainError(f"{name} = {p!r} outside [1, inf)")
+    validate_range("p1", p1, 1.0, np.inf, include_hi=False)
+    validate_range("p2", p2, 1.0, np.inf, include_hi=False)
     inner = np.zeros(a.table.size)
     for label in a.labels:
         e = a.table.entries[label]
@@ -369,7 +295,7 @@ def su3_fundamental_batch(params: np.ndarray) -> np.ndarray:
         raise ShapeError(f"need 8 angles per row, got shape {P.shape}")
     t1, t2, t3 = P[:, 0], P[:, 1], P[:, 2]
     f1, f2, f3, f4, f5 = P[:, 3], P[:, 4], P[:, 5], P[:, 6], P[:, 7]
-    if np.any(t1 < -1e-12) or np.any(P[:, :3] > np.pi / 2 + 1e-12):
+    if np.any(P[:, :3] < -1e-12) or np.any(P[:, :3] > np.pi / 2 + 1e-12):
         raise DomainError("theta angles must lie in [0, pi/2]")
     if np.any(P[:, 3:] < -1e-12) or np.any(P[:, 3:] > 2 * np.pi + 1e-12):
         raise DomainError("phi angles must lie in [0, 2*pi]")
@@ -398,12 +324,6 @@ def su3_fundamental(*angles) -> np.ndarray:
     return su3_fundamental_batch(np.asarray(angles, dtype=float))[0]
 
 
-def _leggauss_ab(n: int, a: float, b: float):
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 @dataclass(frozen=True, eq=False)
 class Su3Quadrature:
     """Eight-axis product quadrature for normalized Haar measure on SU(3).
@@ -428,13 +348,6 @@ class Su3Quadrature:
         for ax in self.phi_nodes:
             n *= ax.shape[0]
         return n
-
-    def mass(self) -> float:
-        """Product of per-axis weight sums; 1 up to quadrature rounding."""
-        m = 1.0
-        for w in self.theta_weights + self.phi_weights:
-            m *= float(ksum(w))
-        return m
 
     def iter_chunks(self):
         """Yield (params (m, 8), weights (m,)) blocks covering the grid.
@@ -491,7 +404,8 @@ def su3_haar_quadrature(resolution: int = 16, phi_count: int = 5) -> Su3Quadratu
 
 
 def su3_mass(quad: Su3Quadrature) -> float:
-    """Chunked total mass, equal to ``quad.mass()`` up to summation order."""
+    """Total mass of the product rule summed block by block; 1 up to
+    quadrature rounding."""
     parts = [float(ksum(w)) for _, w in quad.iter_chunks()]
     return float(ksum(np.asarray(parts)))
 

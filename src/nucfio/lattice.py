@@ -7,6 +7,11 @@ periodic trapezoid rule integrates the trigonometric polynomials it produces
 exactly once the grid has more than twice the window's bandwidth per axis.
 Trace kernels are formed as single exponent differences so the linear phase
 cancels in floating point and windowed identities trace to exact integers.
+
+The torus is the same pairing with the roles of space and frequency swapped,
+so the trace, matrix and synthesis kernels here (``_abelian_*``) take the two
+point sets and the weights of the summed side; ``group.torus_*`` calls them
+too. Lattice sums are unweighted, torus integrals carry the grid weights.
 """
 
 from __future__ import annotations
@@ -17,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, TruncationError, ValidationError
-from .grids import SampledField, UniformGrid, ksum
+from .euclid import PhaseSpec
+from .grids import SampledField, UniformGrid, complex_samples, ksum, validate_range
+from .nuclear import _check_rank_one, quasinorm
+from .numerics import character_sum, weighted_lp_norm
 
 __all__ = [
     "LatticeWindow",
@@ -96,13 +104,7 @@ class LatticeSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).reshape(-1)
-        if v.shape[0] != self.window.size:
-            raise ShapeError(
-                f"sequence has {v.shape[0]} entries for a window of {self.window.size} points"
-            )
-        if not np.all(np.isfinite(v.view(float))):
-            raise ValidationError("sequence contains non-finite entries")
+        v = complex_samples(np.reshape(self.values, -1), (self.window.size,), "sequence")
         object.__setattr__(self, "values", v)
 
 
@@ -116,49 +118,12 @@ class LatticeSymbol:
 
     def __post_init__(self):
         _check_xi_grid(self.window, self.xi_grid)
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.window.size, self.xi_grid.size):
-            raise ShapeError(
-                f"symbol values {v.shape} != ({self.window.size}, {self.xi_grid.size})"
-            )
-        if not np.all(np.isfinite(v.view(float))):
-            raise ValidationError("symbol contains non-finite samples")
+        v = complex_samples(self.values, (self.window.size, self.xi_grid.size), "symbol")
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class LatticePhase:
-    """phi(n', xi): 'linear' means 2*pi*n'.xi, 'sampled' is a real table."""
-
-    kind: str
-    values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "sampled"):
-            raise ValidationError(f"phase kind {self.kind!r} not in ('linear', 'sampled')")
-        if self.kind == "sampled":
-            v = np.asarray(self.values, dtype=float)
-            if v.ndim != 2:
-                raise ShapeError("sampled lattice phase must be 2-d (points, xi nodes)")
-            if not np.all(np.isfinite(v)):
-                raise ValidationError("sampled phase contains non-finite entries")
-            object.__setattr__(self, "values", v)
-        elif self.values is not None:
-            raise ValidationError("linear phase carries no sample table")
-
-    @classmethod
-    def linear(cls) -> "LatticePhase":
-        return cls("linear")
-
-    def table(self, window: LatticeWindow, xi_grid: UniformGrid) -> np.ndarray:
-        if self.kind == "linear":
-            return 2.0 * np.pi * (window.points @ xi_grid.nodes.T)
-        if self.values.shape != (window.size, xi_grid.size):
-            raise ShapeError(
-                f"sampled phase table {self.values.shape} != "
-                f"({window.size}, {xi_grid.size})"
-            )
-        return self.values
+# The lattice and the torus share one phase type.
+LatticePhase = PhaseSpec
 
 
 @dataclass(frozen=True)
@@ -171,18 +136,11 @@ class LatticeRankOne:
     r: float
 
     def __post_init__(self):
-        terms = tuple((h, g) for h, g in self.terms)
-        if not terms:
-            raise ValidationError("decomposition needs at least one term")
+        terms = _check_rank_one(self.terms, self.p1, self.p2, self.r)
         w0 = terms[0][0].window
         for h, g in terms:
             if h.window != w0 or g.window != w0:
                 raise ValidationError("all factors must share one window")
-        for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not (np.isfinite(p) and p >= 1.0):
-                raise DomainError(f"{name} = {p!r} outside [1, inf)")
-        if not (0.0 < self.r <= 1.0):
-            raise DomainError(f"r = {self.r!r} outside (0, 1]")
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -190,21 +148,52 @@ class LatticeRankOne:
         return self.terms[0][0].window
 
 
+def _abelian_synthesis(phi: np.ndarray, pairs, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """a(p, j) = e^{-i phi(p, j)} sum_k h_k(p) sum_m g_k(m) e^{2*pi*i rows_m.cols_j}.
+
+    ``pairs`` holds (h_k, g_k) samples on ``rows``; any quadrature weight of
+    the summed side is already folded into g_k.
+    """
+    A = np.zeros((rows.shape[0], cols.shape[0]), dtype=complex)
+    for h, g in pairs:
+        A += np.outer(h, character_sum(g, rows, cols, 1.0))
+    return np.exp(-1j * phi) * A
+
+
+def _abelian_trace(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, cols: np.ndarray, w) -> complex:
+    """sum_{p, j} w e^{i(phi(p, j) - 2*pi*rows_p.cols_j)} a(p, j), flattened in
+    the symbol's own order; ``w`` broadcasts against ``a``.
+
+    The exponent keeps the i on phi and is formed as one difference, so the
+    linear phase gives e^{i*0} = 1 exactly and identities trace to the
+    cardinality with no rounding.
+    """
+    kernel = 2.0 * np.pi * (rows @ cols.T)
+    return complex(ksum(np.exp(1j * (phi - kernel)) * a * w))
+
+
+def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, cols: np.ndarray, w) -> np.ndarray:
+    """M[p, q] = sum_j w_j e^{i(phi(p, j) - 2*pi*rows_q.cols_j)} a(p, j).
+
+    The diagonal reuses the trace kernel's exact cancellation.
+    """
+    wa = a * w[None, :]
+    M = np.empty((rows.shape[0], rows.shape[0]), dtype=complex)
+    for q in range(rows.shape[0]):
+        kernel_q = 2.0 * np.pi * (rows[q] @ cols.T)
+        M[:, q] = ksum(np.exp(1j * (phi - kernel_q[None, :])) * wa, axis=1)
+    return M
+
+
 def lattice_lp_norm(f: LatticeSequence, p: float) -> float:
     """Unweighted ell^p norm over the window, p in [1, inf]."""
-    p = float(p)
-    if np.isinf(p) and p > 0:
-        return float(np.abs(f.values).max())
-    if not (np.isfinite(p) and p >= 1.0):
-        raise DomainError(f"p = {p!r} outside [1, inf]")
-    return float(ksum(np.abs(f.values) ** p)) ** (1.0 / p)
+    return weighted_lp_norm(f.values, np.ones(f.window.size), p)
 
 
 def lattice_dft(f: LatticeSequence, xi_grid: UniformGrid) -> SampledField:
     """(F_Z f)(xi) = sum_m f(m) e^{-2*pi*i*m.xi}, exact finite sum."""
     _check_xi_grid(f.window, xi_grid)
-    E = np.exp(-2j * np.pi * (f.window.points @ xi_grid.nodes.T))
-    return SampledField(xi_grid, ksum(f.values[:, None] * E, axis=0))
+    return SampledField(xi_grid, character_sum(f.values, f.window.points, xi_grid.nodes, -1.0))
 
 
 def lattice_fio_apply(phase: LatticePhase, a: LatticeSymbol, f: LatticeSequence) -> LatticeSequence:
@@ -212,7 +201,7 @@ def lattice_fio_apply(phase: LatticePhase, a: LatticeSymbol, f: LatticeSequence)
     if f.window != a.window:
         raise ValidationError("input sequence window differs from the symbol window")
     fhat = lattice_dft(f, a.xi_grid).values
-    phi = phase.table(a.window, a.xi_grid)
+    phi = phase.table(a.window.points, a.xi_grid.nodes)
     integrand = np.exp(1j * phi) * a.values * (a.xi_grid.weights * fhat)[None, :]
     return LatticeSequence(a.window, ksum(integrand, axis=1))
 
@@ -227,43 +216,26 @@ def lattice_symbol_from_decomposition(
     """
     _check_xi_grid(d.window, xi_grid)
     pts = d.window.points
-    E_neg = np.exp(2j * np.pi * (pts @ xi_grid.nodes.T))  # (F_Z g)(-xi) kernel
-    A = np.zeros((d.window.size, xi_grid.size), dtype=complex)
-    for h, g in d.terms:
-        ghat_neg = ksum(g.values[:, None] * E_neg, axis=0)
-        A += np.outer(h.values, ghat_neg)
-    phi = phase.table(d.window, xi_grid)
-    return LatticeSymbol(d.window, xi_grid, np.exp(-1j * phi) * A)
+    pairs = [(h.values, g.values) for h, g in d.terms]
+    A = _abelian_synthesis(phase.table(pts, xi_grid.nodes), pairs, pts, xi_grid.nodes)
+    return LatticeSymbol(d.window, xi_grid, A)
 
 
 def lattice_nuclear_trace(phase: LatticePhase, a: LatticeSymbol) -> complex:
-    """sum_{n'} sum_xi w(xi) e^{i(phi - 2*pi*n'.xi)} a(n', xi).
-
-    The exponent keeps the i on phi and is formed as one difference, so the
-    linear phase gives e^{i*0} = 1 exactly and the windowed identity traces
-    to the window cardinality with no rounding.
-    """
-    phi = phase.table(a.window, a.xi_grid)
-    kernel = 2.0 * np.pi * (a.window.points @ a.xi_grid.nodes.T)
-    integrand = np.exp(1j * (phi - kernel)) * a.values * a.xi_grid.weights[None, :]
-    return complex(ksum(integrand))
+    """sum_{n'} sum_xi w(xi) e^{i(phi - 2*pi*n'.xi)} a(n', xi), exact for
+    windowed identities (see ``_abelian_trace``)."""
+    pts, xi = a.window.points, a.xi_grid.nodes
+    return _abelian_trace(phase.table(pts, xi), a.values, pts, xi, a.xi_grid.weights[None, :])
 
 
 def lattice_matrix(phase: LatticePhase, a: LatticeSymbol) -> np.ndarray:
     """Dense matrix of the operator on the window.
 
     M[p, q] = sum_xi w(xi) e^{i(phi(n'_p, xi) - 2*pi*m_q.xi)} a(n'_p, xi),
-    acting on sequence values by plain matrix multiplication. The diagonal
-    reuses the trace kernel's exact cancellation.
+    acting on sequence values by plain matrix multiplication.
     """
-    pts = a.window.points
-    phi = phase.table(a.window, a.xi_grid)
-    wa = a.values * a.xi_grid.weights[None, :]
-    M = np.empty((a.window.size, a.window.size), dtype=complex)
-    for q in range(a.window.size):
-        kernel_q = 2.0 * np.pi * (pts[q] @ a.xi_grid.nodes.T)
-        M[:, q] = ksum(np.exp(1j * (phi - kernel_q[None, :])) * wa, axis=1)
-    return M
+    pts, xi = a.window.points, a.xi_grid.nodes
+    return _abelian_matrix(phase.table(pts, xi), a.values, pts, xi, a.xi_grid.weights)
 
 
 def lattice_mixed_norms(a: LatticeSymbol, p1: float, p2: float) -> tuple:
@@ -272,9 +244,8 @@ def lattice_mixed_norms(a: LatticeSymbol, p1: float, p2: float) -> tuple:
     Returns ((int_T (sum_{n'} |a|^{p2})^{p1/p2} dxi)^{1/p1},
              (sum_{n'} (int_T |a|^{p1} dxi)^{p2/p1})^{1/p2}).
     """
-    for name, p in (("p1", p1), ("p2", p2)):
-        if not (np.isfinite(p) and p >= 1.0):
-            raise DomainError(f"{name} = {p!r} outside [1, inf)")
+    validate_range("p1", p1, 1.0, np.inf, include_hi=False)
+    validate_range("p2", p2, 1.0, np.inf, include_hi=False)
     vals = np.abs(a.values)
     w = a.xi_grid.weights
     inner_pts = ksum(vals**p2, axis=0) ** (p1 / p2)
@@ -285,16 +256,6 @@ def lattice_mixed_norms(a: LatticeSymbol, p1: float, p2: float) -> tuple:
 
 
 def lattice_quasinorm_bound(d: LatticeRankOne) -> float:
-    """( sum_k ||g_k||_{ell^{p1'}}^r ||h_k||_{ell^{p2}}^r )^{1/r}."""
-    if d.p1 == 1.0:
-        parts = [
-            (float(np.abs(g.values).max()) * lattice_lp_norm(h, d.p2)) ** d.r
-            for h, g in d.terms
-        ]
-    else:
-        p1c = d.p1 / (d.p1 - 1.0)
-        parts = [
-            (lattice_lp_norm(g, p1c) * lattice_lp_norm(h, d.p2)) ** d.r
-            for h, g in d.terms
-        ]
-    return float(ksum(np.asarray(parts))) ** (1.0 / d.r)
+    """( sum_k ||g_k||_{ell^{p1'}}^r ||h_k||_{ell^{p2}}^r )^{1/r}, unweighted."""
+    ones = np.ones(d.window.size)
+    return quasinorm([(h.values, g.values) for h, g in d.terms], ones, ones, d.p1, d.p2, d.r)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, ShapeError, ValidationError
-from .grids import SampledField, UniformGrid, ksum, require_same_grid
-from .numerics import lp_norm, sup_norm
+from .errors import DomainError, GridMismatchError, ValidationError
+from .grids import SampledField, UniformGrid, complex_samples, ksum, require_same_grid, validate_range
+from .numerics import weighted_lp_norm
 
 __all__ = [
     "RankOneSequence",
@@ -24,6 +24,7 @@ __all__ = [
     "kernel_matrix",
     "delgado_trace",
     "r_quasinorm_bound",
+    "quasinorm",
     "holder_conjugate",
 ]
 
@@ -33,12 +34,39 @@ DEFAULT_NODE_CAP = 4096
 
 def holder_conjugate(p: float) -> float:
     """p' with 1/p + 1/p' = 1; p = 1 maps to inf."""
-    p = float(p)
-    if not (np.isfinite(p) and p >= 1.0):
-        raise DomainError(f"p = {p!r} outside [1, inf)")
+    p = validate_range("p", p, 1.0, np.inf, include_hi=False)
     if p == 1.0:
         return np.inf
     return p / (p - 1.0)
+
+
+def _check_rank_one(terms, p1: float, p2: float, r: float) -> tuple:
+    """The checks every rank-one container shares: at least one (h, g) pair,
+    p1 and p2 in [1, inf), r in (0, 1]. Returns the terms as a tuple."""
+    terms = tuple((h, g) for h, g in terms)
+    if not terms:
+        raise ValidationError("decomposition needs at least one term")
+    validate_range("p1", p1, 1.0, np.inf, include_hi=False)
+    validate_range("p2", p2, 1.0, np.inf, include_hi=False)
+    if not (0.0 < r <= 1.0):
+        raise DomainError(f"r = {r!r} outside (0, 1]")
+    return terms
+
+
+def quasinorm(pairs, h_weights, g_weights, p1: float, p2: float, r: float) -> float:
+    """( sum_k ||g_k||_{p1'}^r ||h_k||_{p2}^r )^(1/r) over sample pairs.
+
+    The norms are weighted by ``h_weights`` and ``g_weights`` (quadrature
+    weights, or ones for plain sums); p1 = 1 measures g in the sup norm.
+    This is the decomposition's own bound; no infimum over alternative
+    decompositions is attempted.
+    """
+    p1c = holder_conjugate(p1)
+    parts = [
+        (weighted_lp_norm(g, g_weights, p1c) * weighted_lp_norm(h, h_weights, p2)) ** r
+        for h, g in pairs
+    ]
+    return float(ksum(np.asarray(parts))) ** (1.0 / r)
 
 
 @dataclass(frozen=True)
@@ -62,18 +90,11 @@ class RankOneSequence:
     r: float
 
     def __post_init__(self):
-        terms = tuple((h, g) for h, g in self.terms)
-        if not terms:
-            raise ValidationError("decomposition needs at least one term")
+        terms = _check_rank_one(self.terms, self.p1, self.p2, self.r)
         h0, g0 = terms[0]
         for h, g in terms[1:]:
             require_same_grid(h.grid, h0.grid, "h factors")
             require_same_grid(g.grid, g0.grid, "g factors")
-        for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not (np.isfinite(p) and p >= 1.0):
-                raise DomainError(f"{name} = {p!r} outside [1, inf)")
-        if not (0.0 < self.r <= 1.0):
-            raise DomainError(f"r = {self.r!r} outside (0, 1]")
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -98,13 +119,7 @@ class SampledKernel:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.x_grid.size, self.y_grid.size):
-            raise ShapeError(
-                f"kernel values {v.shape} != ({self.x_grid.size}, {self.y_grid.size})"
-            )
-        if not np.all(np.isfinite(v.view(float))):
-            raise ValidationError("kernel contains non-finite samples")
+        v = complex_samples(self.values, (self.x_grid.size, self.y_grid.size), "kernel")
         object.__setattr__(self, "values", v)
 
 
@@ -157,16 +172,6 @@ def delgado_trace(d: RankOneSequence) -> complex:
 
 
 def r_quasinorm_bound(d: RankOneSequence) -> float:
-    """( sum_k ||g_k||_{p1'}^r ||h_k||_{p2}^r )^(1/r) for the given terms.
-
-    This is the decomposition's own bound; no infimum over alternative
-    decompositions is attempted.
-    """
-    p1c = holder_conjugate(d.p1)
-    parts = []
-    for h, g in d.terms:
-        gn = sup_norm(g) if np.isinf(p1c) else lp_norm(g, p1c)
-        hn = lp_norm(h, d.p2)
-        parts.append((gn * hn) ** d.r)
-    total = float(ksum(np.asarray(parts)))
-    return total ** (1.0 / d.r)
+    """``quasinorm`` of the given terms under their grids' quadrature weights."""
+    pairs = [(h.values, g.values) for h, g in d.terms]
+    return quasinorm(pairs, d.h_grid.weights, d.g_grid.weights, d.p1, d.p2, d.r)

@@ -12,12 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError, ValidationError, ZeroNormError
-from .grids import SampledField, UniformGrid, ksum
+from .grids import SampledField, UniformGrid, ksum, validate_range
 
 __all__ = [
+    "character_sum",
     "dft_forward",
     "dft_inverse",
     "lp_norm",
+    "weighted_lp_norm",
     "sup_norm",
     "mixed_norm",
     "hausdorff_young_ratio",
@@ -30,15 +32,22 @@ __all__ = [
 _CHUNK = 1024
 
 
+def character_sum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: float) -> np.ndarray:
+    """sum_p values_p e^{sign*2*pi*i rows_p.cols_j} for every j, ascending in p.
+
+    The one transform kernel: quadrature transforms on R^n (weights folded
+    into the values), the finite transform on Z^n and Fourier coefficients
+    on the torus.
+    """
+    return ksum(values[:, None] * np.exp(sign * 2j * np.pi * (rows @ cols.T)), axis=0)
+
+
 def _dft(values: np.ndarray, from_grid: UniformGrid, to_grid: UniformGrid, sign: float) -> np.ndarray:
-    src = from_grid.nodes
+    src, dst = from_grid.nodes, to_grid.nodes
     wsrc = from_grid.weights * values
     out = np.empty(to_grid.size, dtype=complex)
-    dst = to_grid.nodes
     for s in range(0, to_grid.size, _CHUNK):
-        block = dst[s : s + _CHUNK]
-        phase = np.exp(sign * 2j * np.pi * (src @ block.T))
-        out[s : s + block.shape[0]] = ksum(wsrc[:, None] * phase, axis=0)
+        out[s : s + _CHUNK] = character_sum(wsrc, src, dst[s : s + _CHUNK], sign)
     return out
 
 
@@ -67,16 +76,26 @@ def dft_inverse(F: SampledField, x_grid: UniformGrid) -> SampledField:
     return SampledField(x_grid, _dft(F.values, F.grid, x_grid, +1.0))
 
 
+def weighted_lp_norm(values: np.ndarray, weights, p: float) -> float:
+    """(sum_n w_n |v_n|^p)^(1/p) for p in [1, inf); p = inf gives max |v_n|.
+
+    The one l^p / L^p norm behind every setting: quadrature weights on grids
+    and Haar quadratures, ones on lattice windows (multiplying by 1.0 is
+    exact, so unweighted sums are unchanged).
+    """
+    if p == np.inf:
+        return float(np.abs(values).max())
+    p = validate_range("p", p, 1.0, np.inf, include_hi=False)
+    return float(ksum(weights * np.abs(values) ** p)) ** (1.0 / p)
+
+
 def lp_norm(f: SampledField, p: float) -> float:
     """Quadrature L^p norm, p in [1, inf).
 
     (sum_x w(x) |f(x)|^p)^(1/p) over the field's own grid.
     """
-    p = float(p)
-    if not (np.isfinite(p) and p >= 1.0):
-        raise DomainError(f"p = {p!r} outside [1, inf)")
-    total = float(ksum(f.grid.weights * np.abs(f.values) ** p))
-    return total ** (1.0 / p)
+    p = validate_range("p", p, 1.0, np.inf, include_hi=False)
+    return weighted_lp_norm(f.values, f.grid.weights, p)
 
 
 def sup_norm(f: SampledField) -> float:
@@ -106,9 +125,8 @@ def mixed_norm(symbol, inner: str, p_inner: float, p_outer: float) -> float:
     With p_inner == p_outer == p this factors into the 2n-dimensional L^p
     norm on the product grid (Fubini for the product weights).
     """
-    for name, p in (("p_inner", p_inner), ("p_outer", p_outer)):
-        if not (np.isfinite(p) and p >= 1.0):
-            raise DomainError(f"{name} = {p!r} outside [1, inf)")
+    validate_range("p_inner", p_inner, 1.0, np.inf, include_hi=False)
+    validate_range("p_outer", p_outer, 1.0, np.inf, include_hi=False)
     if inner not in ("x", "xi"):
         raise ValidationError(f"inner must be 'x' or 'xi', got {inner!r}")
     vals = np.abs(np.asarray(symbol.values))
@@ -139,10 +157,8 @@ def hausdorff_young_ratio(f: SampledField, p: float, xi_grid: UniformGrid | None
     if denom == 0.0:
         raise ZeroNormError("||f||_p = 0, ratio undefined")
     F = dft_forward(f, xi_grid)
-    if p == 1.0:
-        return sup_norm(F) / denom
-    pprime = p / (p - 1.0)
-    return lp_norm(F, pprime) / denom
+    pprime = np.inf if p == 1.0 else p / (p - 1.0)
+    return weighted_lp_norm(F.values, F.grid.weights, pprime) / denom
 
 
 def dense_eigenvalues(M: np.ndarray) -> np.ndarray:

@@ -169,3 +169,20 @@ def test_haar_check_su3_small(tmp_path, capsys):
         "sampled_unitarity",
         "sampled_determinant",
     }
+
+
+@pytest.mark.parametrize(
+    "verb, cfg",
+    [
+        ("trace", {"setting": "lattice", "radius": 3.9, "symbol": {"family": "constant"}}),
+        ("trace", {"setting": "lattice", "radius": 3, "xi_count": 32.5, "symbol": {"family": "constant"}}),
+        ("trace", {"setting": "torus", "cutoff": 2.7, "symbol": {"family": "constant"}}),
+        ("trace", {**euclid_cfg(), "seed": True}),
+        ("haar-check", {"setting": "su3", "resolution": 4, "samples": 10, "seed": 1.5}),
+    ],
+    ids=["radius", "xi_count", "cutoff", "bool_seed", "su3_seed"],
+)
+def test_non_integer_config_values_are_exit_2(tmp_path, capsys, verb, cfg):
+    # integer keys are never truncated or coerced: 3.9 is not radius 3
+    assert run(tmp_path, verb, cfg) == 2
+    assert "must be an integer" in capsys.readouterr().err

@@ -260,3 +260,14 @@ def test_torus_synthesis_trace(circle):
     a = torus_symbol_from_decomposition(TorusPhase.linear(), d, 2, circle)
     want = complex((circle.weights * h.values * g.values).sum())
     assert torus_nuclear_trace(TorusPhase.linear(), a) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, cutoff, x_count", [(1, 3, 16), (2, 2, 16)])
+def test_constant_torus_symbol_traces_exactly(dim, cutoff, x_count):
+    x_grid = UniformGrid.torus(x_count, dim)
+    n_freq = (2 * cutoff + 1) ** dim
+    a = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, n_freq), dtype=complex))
+    # [DERIVED] the identity on the frequency cube traces to its cardinality
+    # with no rounding: the linear phase cancels the kernel to e^{i*0} = 1
+    # and the dyadic weights sum exactly
+    assert torus_nuclear_trace(TorusPhase.linear(), a) == complex(n_freq)

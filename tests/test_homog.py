@@ -88,6 +88,15 @@ def test_symbol_rejects_support_outside_mask(table, quad):
         HomogSymbol(small, blocks)
 
 
+def test_singular_homog_phase_is_condition_error(table, quad):
+    from nucfio.errors import ConditionError
+
+    blocks = {t: table.entries[t].matrices.copy() for t in table.labels}
+    blocks[1][5] = 0.0  # one singular node
+    with pytest.raises(ConditionError):
+        HomogPhase(table, blocks)
+
+
 def test_irrep_entry_validation(quad):
     T = su2_irrep_table(quad, 1)
     with pytest.raises(DomainError):
@@ -203,6 +212,14 @@ def test_su3_single_sample_matches_batch():
 def test_su3_angle_validation():
     with pytest.raises(DomainError):
         su3_fundamental(2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # theta beyond pi/2
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_su3_negative_theta_rejected(axis):
+    angles = [0.3, 0.3, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]
+    angles[axis] = -0.1
+    with pytest.raises(DomainError):
+        su3_fundamental(*angles)
 
 
 def test_su3_haar_mass_and_schur():
