@@ -206,6 +206,11 @@ def _constant_symbol(cfg: dict, setting: str, shape: tuple) -> np.ndarray:
     return np.full(shape, complex(float(spec.get("value", 1.0))), dtype=complex)
 
 
+def _one_operator_source(cfg: dict) -> None:
+    if "decomposition" in cfg and "symbol" in cfg:
+        raise ValidationError("give either 'decomposition' or 'symbol', not both")
+
+
 def _identity_blocks(size: int, cutoff: int) -> dict:
     return {
         t: np.broadcast_to(np.eye(t + 1, dtype=complex), (size, t + 1, t + 1)).copy()
@@ -308,8 +313,7 @@ def _run_lattice(cfg: dict, verb: str) -> TraceReport:
     phase = _linear_phase(cfg, "lattice")
     t0 = time.perf_counter()
     quasinorm = None
-    if "decomposition" in cfg and "symbol" in cfg:
-        raise ValidationError("give either 'decomposition' or 'symbol', not both")
+    _one_operator_source(cfg)
     if "decomposition" in cfg:
         d = _decomposition(
             cfg["decomposition"],
@@ -346,6 +350,7 @@ def _run_torus(cfg: dict, verb: str) -> TraceReport:
     phase = _linear_phase(cfg, "torus")
     t0 = time.perf_counter()
     quasinorm = None
+    _one_operator_source(cfg)
     if "decomposition" in cfg:
         d = _decomposition(
             cfg["decomposition"],
@@ -386,7 +391,11 @@ def _group_factor(quad, cutoff: int, rng):
         if fam == "matrix_entry":
             twoL = _int(fspec, "twoL", 1)
             T = su2_irrep_table(quad, twoL)
-            return np.sqrt(twoL + 1) * T[:, _int(fspec, "i", 0), _int(fspec, "j", 0)]
+            i, j = _int(fspec, "i", 0), _int(fspec, "j", 0)
+            for key, index in (("i", i), ("j", j)):
+                if not 0 <= index <= twoL:
+                    raise ValidationError(f"{where}.{key} = {index} outside 0..{twoL} (twoL)")
+            return np.sqrt(twoL + 1) * T[:, i, j]
         if fam == "random_bandlimited":
             if rng is None:
                 raise ValidationError("random_bandlimited needs a config seed")

@@ -21,17 +21,11 @@ from .grids import SampledField, UniformGrid, complex_samples, ksum, require_sam
 from .nuclear import (
     RankOneSequence,
     delgado_trace,
-    kernel_from_decomposition,
-    kernel_matrix,
+    kernel_diagonal_trace,
     r_quasinorm_bound,
+    require_node_cap,
 )
-from .numerics import (
-    dense_eigenvalues,
-    dft_forward,
-    dft_inverse,
-    matrix_trace,
-    mixed_norm,
-)
+from .numerics import dft_forward, dft_inverse, factored_eigenvalues, mixed_norm
 from .report import TraceReport
 
 __all__ = [
@@ -242,21 +236,29 @@ def lidskii_report(
     integral, the quadrature matrix trace, and the eigenvalue sum, and
     records the quasinorm at the r implied by p together with both decay
     norms (which require d.p1 >= 2).
+
+    The quadrature matrix M = H G^T W (H, G the n x k factor columns, W the
+    weights) is never formed: its trace comes from the kernel diagonal
+    (``kernel_diagonal_trace``, equal to the dense matrix trace bit for bit)
+    and its eigenvalues from the k x k compression (``factored_eigenvalues``).
+    The node cap still holds, because the n x n_xi symbol is dense.
     """
     t0 = time.perf_counter()
     r = lidskii_exponent(p)
+    require_node_cap(d.h_grid, d.g_grid)
     a = symbol_from_decomposition(phase, d, xi_grid)
     nuclear = nuclear_trace_euclid(phase, a)
-    M = kernel_matrix(kernel_from_decomposition(d))
-    mtrace = matrix_trace(M)
-    ev = dense_eigenvalues(M)
+    w = d.g_grid.weights
+    H = np.stack([h.values for h, _ in d.terms], axis=1)
+    GW = np.stack([g.values * w for _, g in d.terms], axis=1)
+    ev = factored_eigenvalues(H, GW)
     d_at_r = RankOneSequence(d.terms, d.p1, d.p2, r)
     norms = decay_norms(a, d.p1, d.p2)
     dtr = delgado_trace(d)
     return TraceReport(
         setting="euclid",
         nuclear_trace=nuclear,
-        matrix_trace=mtrace,
+        matrix_trace=kernel_diagonal_trace(d),
         eigenvalues=ev,
         quasinorm_bound=r_quasinorm_bound(d_at_r),
         mixed_norm_x_first=norms[0],

@@ -249,7 +249,8 @@ def interpolate(field_values: np.ndarray, grid: UniformGrid, points: np.ndarray)
         raise ShapeError(f"points have dim {pts.shape[1]}, grid has dim {grid.dim}")
     vals = np.asarray(field_values)
     trailing = vals.shape[1:]
-    vals = vals.reshape(grid.shape + trailing)
+    dtype = np.result_type(vals.dtype, float)
+    flat_vals = vals.reshape((grid.size,) + trailing).astype(dtype, copy=False)
 
     starts, weights, inside = [], [], np.ones(pts.shape[0], dtype=bool)
     for ax in range(grid.dim):
@@ -259,13 +260,18 @@ def interpolate(field_values: np.ndarray, grid: UniformGrid, points: np.ndarray)
         inside &= ins
 
     out = np.zeros((pts.shape[0],) + trailing, dtype=complex)
+    # One gather buffer reused for every stencil point; mode="clip" keeps
+    # np.take from buffering a second copy (the indices are in range anyway).
+    term = np.empty(out.shape, dtype=dtype)
     stencil_sizes = [w.shape[1] for w in weights]
     for combo in itertools.product(*(range(n) for n in stencil_sizes)):
         idx = tuple(starts[ax] + combo[ax] for ax in range(grid.dim))
         w = weights[0][:, combo[0]]
         for ax in range(1, grid.dim):
             w = w * weights[ax][:, combo[ax]]
-        out += w.reshape((-1,) + (1,) * len(trailing)) * vals[idx]
+        np.take(flat_vals, np.ravel_multi_index(idx, grid.shape), axis=0, out=term, mode="clip")
+        term *= w.reshape((-1,) + (1,) * len(trailing))
+        out += term
     if not np.all(inside):
         out[~inside] = 0.0
     return out

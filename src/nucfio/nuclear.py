@@ -22,7 +22,9 @@ __all__ = [
     "kernel_from_decomposition",
     "apply_kernel",
     "kernel_matrix",
+    "require_node_cap",
     "delgado_trace",
+    "kernel_diagonal_trace",
     "r_quasinorm_bound",
     "quasinorm",
     "holder_conjugate",
@@ -139,6 +141,13 @@ def apply_kernel(K: SampledKernel, f: SampledField) -> SampledField:
     return SampledField(K.x_grid, out)
 
 
+def require_node_cap(x_grid: UniformGrid, y_grid: UniformGrid, node_cap: int = DEFAULT_NODE_CAP) -> None:
+    """Reject a kernel on these grids with more than ``node_cap`` nodes per side."""
+    n = max(x_grid.size, y_grid.size)
+    if n > node_cap:
+        raise ValidationError(f"kernel has {n} nodes per side, above the cap {node_cap}")
+
+
 def kernel_matrix(K: SampledKernel, node_cap: int = DEFAULT_NODE_CAP) -> np.ndarray:
     """Matrix M with M f_samples = apply_kernel samples: M[i, j] = w(y_j) K(x_i, y_j).
 
@@ -146,9 +155,7 @@ def kernel_matrix(K: SampledKernel, node_cap: int = DEFAULT_NODE_CAP) -> np.ndar
     action on sample vectors reproduces ``apply_kernel`` and the matrix trace
     equals the quadrature trace of the kernel diagonal.
     """
-    n = max(K.x_grid.size, K.y_grid.size)
-    if n > node_cap:
-        raise ValidationError(f"kernel has {n} nodes per side, above the cap {node_cap}")
+    require_node_cap(K.x_grid, K.y_grid, node_cap)
     return K.values * K.y_grid.weights[None, :]
 
 
@@ -169,6 +176,23 @@ def delgado_trace(d: RankOneSequence) -> complex:
     for h, g in d.terms:
         s += g.values * h.values
     return complex(ksum(d.h_grid.weights * s))
+
+
+def kernel_diagonal_trace(d: RankOneSequence) -> complex:
+    """``matrix_trace(kernel_matrix(kernel_from_decomposition(d)))`` bit for
+    bit, without forming the n x n matrix.
+
+    The diagonal is accumulated from zeros as h_k * g_k, term by term, and
+    then weighted, exactly as the dense kernel and ``kernel_matrix`` form it.
+    This is the same value as ``delgado_trace`` up to the last bit only:
+    numpy's complex product may use fused multiply-adds, so g * h and h * g
+    can round differently.
+    """
+    require_same_grid(d.h_grid, d.g_grid, "kernel_diagonal_trace")
+    s = np.zeros(d.h_grid.size, dtype=complex)
+    for h, g in d.terms:
+        s += h.values * g.values
+    return complex(ksum(s * d.g_grid.weights))
 
 
 def r_quasinorm_bound(d: RankOneSequence) -> float:

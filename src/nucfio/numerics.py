@@ -24,6 +24,7 @@ __all__ = [
     "mixed_norm",
     "hausdorff_young_ratio",
     "dense_eigenvalues",
+    "factored_eigenvalues",
     "matrix_trace",
 ]
 
@@ -192,6 +193,40 @@ def dense_eigenvalues(M: np.ndarray) -> np.ndarray:
         ) from exc
     order = np.lexsort((np.angle(ev), -np.abs(ev)))
     return ev[order]
+
+
+def _ksum_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^T B by compensated sums over the shared leading axis, ascending.
+
+    No BLAS call, so the result does not depend on the BLAS thread count.
+    """
+    return ksum(A[:, :, None] * B[:, None, :], axis=0)
+
+
+def factored_eigenvalues(H: np.ndarray, GW: np.ndarray) -> np.ndarray:
+    """The n eigenvalues of the rank-k product H GW^T, H and GW both n x k.
+
+    AB and BA share their nonzero spectrum (Horn and Johnson, Matrix
+    Analysis, Thm 1.3.22), so for k < n the spectrum is that of the k x k
+    compression GW^T H, ordered as by ``dense_eigenvalues``, followed by
+    n - k exact zeros. For k >= n the n x n product itself is diagonalized.
+
+    Raises
+    ------
+    ShapeError
+        H and GW are not 2-d arrays of one shape.
+    ValidationError, NumericError
+        As ``dense_eigenvalues``.
+    """
+    H = np.asarray(H, dtype=complex)
+    GW = np.asarray(GW, dtype=complex)
+    if H.ndim != 2 or H.shape != GW.shape:
+        raise ShapeError(f"factors must be 2-d of one shape, got {H.shape} and {GW.shape}")
+    n, k = H.shape
+    if k >= n:
+        return dense_eigenvalues(_ksum_product(H.T, GW.T))
+    ev = dense_eigenvalues(_ksum_product(GW, H))
+    return np.concatenate([ev, np.zeros(n - k, dtype=complex)])
 
 
 def matrix_trace(M: np.ndarray) -> complex:

@@ -81,6 +81,7 @@ def tau_apply(sigma: EuclideanSymbol, tau: float, f: SampledField) -> SampledFie
         pts = tau * Xc[:, None, :] + (1.0 - tau) * Y[None, :, :]
         S = interpolate(sigma.values, xg, pts.reshape(-1, xg.dim)).reshape(m, xg.size, xig.size)
         v = np.einsum("y,myk,yk->mk", wf, S, E0)
+        del S  # free the chunk before the next interpolate allocates its own
         rowphase = np.exp(2j * np.pi * (Xc @ XI.T))
         out[rows] = ksum(rowphase * wxi[None, :] * v, axis=1)
     return SampledField(xg, out)
@@ -154,6 +155,7 @@ def tau_convert(b: EuclideanSymbol, tau: float, tau_prime: float) -> EuclideanSy
         pts = (Xc[:, None, :] + delta * Z[None, :, :]).reshape(-1, xg.dim)
         BU = interpolate(b.values, xg, pts).reshape(m, zg.size, xig.size)
         c = np.einsum("mzh,h,zh->mz", BU, weta, E_eta)
+        del BU  # free the chunk before the next interpolate allocates its own
         out[rows] = np.einsum("mz,z,zk->mk", c, wz, E_xi)
     return EuclideanSymbol(xg, xig, out)
 

@@ -20,9 +20,12 @@ def _c(z) -> dict:
 class TraceReport:
     """One operator, three routes to its trace, and the norms behind them.
 
-    eigenvalues are ordered as produced by ``dense_eigenvalues``. The two
-    discrepancy fields are derived, not stored: |nuclear - matrix| and
-    |nuclear - sum(eigenvalues)|.
+    eigenvalues are ordered as produced by ``dense_eigenvalues``, one per
+    row of the operator's matrix. For euclid reports of rank k on n > k
+    nodes they are the k eigenvalues of the matrix's k x k compression
+    followed by n - k exact zeros, and do not depend on the BLAS thread
+    count. The two discrepancy fields are derived,
+    not stored: |nuclear - matrix| and |nuclear - sum(eigenvalues)|.
     """
 
     setting: str

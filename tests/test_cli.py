@@ -1,12 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from nucfio.cli import run_main
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "nucfio" / "scenarios"
+SRC = Path(__file__).resolve().parents[1] / "src"
+SCENARIOS = SRC / "nucfio" / "scenarios"
 
 PINNED_ORDER = [
     "setting",
@@ -186,3 +190,59 @@ def test_non_integer_config_values_are_exit_2(tmp_path, capsys, verb, cfg):
     # integer keys are never truncated or coerced: 3.9 is not radius 3
     assert run(tmp_path, verb, cfg) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, extra", [("lattice", {"radius": 2}), ("torus", {"cutoff": 2})])
+def test_decomposition_and_symbol_together_are_exit_2(tmp_path, capsys, setting, extra):
+    constant = {"family": "constant"}
+    cfg = {
+        "setting": setting,
+        **extra,
+        "symbol": {"family": "constant", "value": 5.0},
+        "decomposition": {"terms": [{"h": constant, "g": constant}]},
+    }
+    assert run(tmp_path, "trace", cfg) == 2
+    assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, index", [("i", -1), ("i", 2), ("j", 2)])
+def test_matrix_entry_index_out_of_range_is_exit_2(tmp_path, capsys, key, index):
+    # a negative index would wrap to the last row; twoL + 1 is past the table
+    entry = {"family": "matrix_entry", "twoL": 1, key: index}
+    cfg = {
+        "setting": "su2",
+        "cutoff_twoL": 1,
+        "decomposition": {"terms": [{"h": entry, "g": {"family": "constant"}}]},
+    }
+    assert run(tmp_path, "trace", cfg) == 2
+    assert f".{key} = {index} outside 0..1" in capsys.readouterr().err
+
+
+def _report_at_threads(tmp_path, cfg_path, threads):
+    out = tmp_path / f"threads{threads}"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "nucfio._main", "spectrum", "--config", str(cfg_path), "--out", str(out)]
+    subprocess.run(argv, env=env, check=True, capture_output=True, timeout=600)
+    rep = json.loads((out / "report.json").read_text())
+    rep.pop("runtime_ms")
+    return json.dumps(rep)
+
+
+_RANK4_SPECTRUM = {
+    "setting": "euclid",
+    "seed": 11,
+    "grid": {"lo": -8.0, "hi": 8.0, "count": 1025},
+    "decomposition": {"terms": [{"h": {"family": "random_mix"}, "g": {"family": "random_mix"}}] * 4},
+}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [json.loads((SCENARIOS / "gaussian_rank1.json").read_text()), _RANK4_SPECTRUM],
+    ids=["gaussian_rank1", "rank4_random_mix"],
+)
+def test_euclid_report_is_identical_across_blas_threads(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _report_at_threads(tmp_path, path, 1) == _report_at_threads(tmp_path, path, 2)

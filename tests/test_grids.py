@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,3 +115,20 @@ def test_validate_range_bounds():
     validate_range("tau", 0.5, 0.0, 1.0, include_lo=False)
     with pytest.raises(DomainError):
         validate_range("tau", 0.0, 0.0, 1.0, include_lo=False)
+
+
+def test_interpolate_peak_memory_is_about_twice_the_output():
+    # the output plus one reused gather buffer; a gather, a weighted copy and
+    # the output alive at once would be three times the output
+    g = UniformGrid.box(-5.0, 5.0, 201, 1)
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((g.size, 201)) + 1j * rng.standard_normal((g.size, 201))
+    pts = rng.uniform(-5.0, 5.0, size=(2000, 1))
+    tracemalloc.start()
+    try:
+        out = interpolate(vals, g, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2000, 201)
+    assert peak <= 2.2 * out.nbytes
