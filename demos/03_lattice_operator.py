@@ -17,9 +17,9 @@ from nucfio.lattice import (
     LatticeWindow,
     lattice_matrix,
     lattice_nuclear_trace,
-    lattice_quasinorm_bound,
     lattice_symbol_from_decomposition,
 )
+from nucfio.nuclear import r_quasinorm_bound
 from nucfio.numerics import dense_eigenvalues, matrix_trace
 
 window = LatticeWindow(n=1, radius=4)      # sites -4..4
@@ -54,5 +54,5 @@ print("  diagonal pairing :", direct)
 print("  nuclear trace    :", lattice_nuclear_trace(phase, a))
 print("  matrix trace     :", matrix_trace(M))
 print("  eigenvalue sum   :", ev.sum())
-print("  summability bound:", lattice_quasinorm_bound(d))
+print("  summability bound:", r_quasinorm_bound(d))
 print("  top |eigenvalues|:", np.abs(ev[:3]).round(6))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import sys
 import time
@@ -24,34 +23,30 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .grids import UniformGrid, ksum, require_int
+from .grids import SampledField, UniformGrid, ksum, require_int
 from .numerics import dense_eigenvalues, matrix_trace
 from .nuclear import (
     RankOneSequence,
     apply_kernel,
+    kernel_diagonal_trace,
     kernel_from_decomposition,
     r_quasinorm_bound,
 )
 from .euclid import PhaseSpec, lidskii_report
 from .quantize import tau_apply, tau_convert, weyl_symbol_from_decomposition, wigner
 from .lattice import (
-    LatticeRankOne,
     LatticeSymbol,
     LatticeWindow,
     lattice_matrix,
     lattice_mixed_norms,
     lattice_nuclear_trace,
-    lattice_quasinorm_bound,
     lattice_symbol_from_decomposition,
 )
 from .group import (
-    GroupRankOne,
     GroupSymbol,
     TorusSymbol,
-    group_delgado_trace,
     group_matrix,
     group_nuclear_trace,
-    group_quasinorm_bound,
     group_symbol_from_decomposition,
     identity_phase,
     s3_quadrature,
@@ -177,9 +172,9 @@ def _grid_from(spec: dict, where: str) -> UniformGrid:
     return UniformGrid.box(lo, hi, count, dim)
 
 
-def _decomposition(spec: dict, factor, build):
-    """Parse a decomposition spec into build(terms, p1, p2, r); factor(spec,
-    where) turns one h or g spec into samples."""
+def _decomposition(spec: dict, factor) -> RankOneSequence:
+    """Parse a decomposition spec; factor(spec, where) turns one h or g spec
+    into a SampledField."""
     _check_keys(spec, "decomposition", ("terms",), ("p1", "p2", "r"))
     terms = []
     for i, t in enumerate(spec["terms"]):
@@ -187,7 +182,7 @@ def _decomposition(spec: dict, factor, build):
         _check_keys(t, where, ("h", "g"), ())
         terms.append((factor(t["h"], f"{where}.h"), factor(t["g"], f"{where}.g")))
     p1, p2, r = float(spec.get("p1", 2.0)), float(spec.get("p2", 2.0)), float(spec.get("r", 1.0))
-    return build(tuple(terms), p1, p2, r)
+    return RankOneSequence(tuple(terms), p1, p2, r)
 
 
 def _linear_phase(cfg: dict, setting: str) -> PhaseSpec:
@@ -252,9 +247,7 @@ def _run_euclid(cfg: dict, verb: str) -> TraceReport:
     grid = _grid_from(cfg["grid"], "grid")
     xi_grid = _grid_from(cfg["xi_grid"], "xi_grid") if "xi_grid" in cfg else UniformGrid(grid.axes)
     phase = _euclid_phase(cfg.get("phase", {"kind": "linear"}), grid, xi_grid)
-    d = _decomposition(
-        cfg["decomposition"], lambda spec, where: families.euclid_field(grid, spec, rng), RankOneSequence
-    )
+    d = _decomposition(cfg["decomposition"], lambda spec, where: families.euclid_field(grid, spec, rng))
     p = float(cfg.get("p", 2.0))
     report = lidskii_report(phase, d, p, xi_grid)
     if verb == "wigner":
@@ -316,12 +309,10 @@ def _run_lattice(cfg: dict, verb: str) -> TraceReport:
     _one_operator_source(cfg)
     if "decomposition" in cfg:
         d = _decomposition(
-            cfg["decomposition"],
-            lambda spec, where: families.lattice_sequence(window, spec, rng),
-            LatticeRankOne,
+            cfg["decomposition"], lambda spec, where: families.lattice_sequence(window, spec, rng)
         )
         a = lattice_symbol_from_decomposition(phase, d, xi_grid)
-        quasinorm = lattice_quasinorm_bound(d)
+        quasinorm = r_quasinorm_bound(d)
         mixed = lattice_mixed_norms(a, d.p1, d.p2)
     elif "symbol" in cfg:
         a = LatticeSymbol(window, xi_grid, _constant_symbol(cfg, "lattice", (window.size, xi_grid.size)))
@@ -352,11 +343,7 @@ def _run_torus(cfg: dict, verb: str) -> TraceReport:
     quasinorm = None
     _one_operator_source(cfg)
     if "decomposition" in cfg:
-        d = _decomposition(
-            cfg["decomposition"],
-            lambda spec, where: families.euclid_field(x_grid, spec, rng),
-            RankOneSequence,
-        )
+        d = _decomposition(cfg["decomposition"], lambda spec, where: families.euclid_field(x_grid, spec, rng))
         a = torus_symbol_from_decomposition(phase, d, cutoff, x_grid)
         quasinorm = r_quasinorm_bound(d)
     elif "symbol" in cfg:
@@ -381,13 +368,13 @@ def _su2_quad(cfg: dict):
 
 
 def _group_factor(quad, cutoff: int, rng):
-    """Factor builder for su2 decompositions: samples at the quadrature nodes."""
+    """Factor builder for su2 decompositions: fields on the quadrature."""
 
-    def factor(fspec: dict, where: str) -> np.ndarray:
+    def factor(fspec: dict, where: str) -> SampledField:
         _check_keys(fspec, where, ("family",), ("value", "twoL", "i", "j"))
         fam = fspec["family"]
         if fam == "constant":
-            return np.full(quad.size, complex(float(fspec.get("value", 1.0))))
+            return SampledField(quad, np.full(quad.size, complex(float(fspec.get("value", 1.0)))))
         if fam == "matrix_entry":
             twoL = _int(fspec, "twoL", 1)
             T = su2_irrep_table(quad, twoL)
@@ -395,7 +382,7 @@ def _group_factor(quad, cutoff: int, rng):
             for key, index in (("i", i), ("j", j)):
                 if not 0 <= index <= twoL:
                     raise ValidationError(f"{where}.{key} = {index} outside 0..{twoL} (twoL)")
-            return np.sqrt(twoL + 1) * T[:, i, j]
+            return SampledField(quad, np.sqrt(twoL + 1) * T[:, i, j])
         if fam == "random_bandlimited":
             if rng is None:
                 raise ValidationError("random_bandlimited needs a config seed")
@@ -405,13 +392,14 @@ def _group_factor(quad, cutoff: int, rng):
                 d = twoL + 1
                 C = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 vals += np.sqrt(d) * np.einsum("nij,ij->n", T, C)
-            return vals
+            return SampledField(quad, vals)
         raise ValidationError(f"unknown group field family {fam!r}")
 
     return factor
 
 
 def _run_su2(cfg: dict, verb: str) -> TraceReport:
+    _one_operator_source(cfg)
     rng = _rng_for(cfg)
     quad = _su2_quad(cfg)
     cutoff = _int(cfg, "cutoff_twoL")
@@ -420,12 +408,10 @@ def _run_su2(cfg: dict, verb: str) -> TraceReport:
     quasinorm = None
     extras = {}
     if "decomposition" in cfg:
-        d = _decomposition(
-            cfg["decomposition"], _group_factor(quad, cutoff, rng), functools.partial(GroupRankOne, quad)
-        )
+        d = _decomposition(cfg["decomposition"], _group_factor(quad, cutoff, rng))
         a = group_symbol_from_decomposition(Phi, d, cutoff)
-        quasinorm = group_quasinorm_bound(d)
-        dtr = group_delgado_trace(d)
+        quasinorm = r_quasinorm_bound(d)
+        dtr = kernel_diagonal_trace(d)
         extras["delgado_trace"] = {"re": dtr.real, "im": dtr.imag}
     else:
         if cfg.get("symbol", "identity") != "identity":

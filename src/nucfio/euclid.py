@@ -241,11 +241,12 @@ def lidskii_report(
     weights) is never formed: its trace comes from the kernel diagonal
     (``kernel_diagonal_trace``, equal to the dense matrix trace bit for bit)
     and its eigenvalues from the k x k compression (``factored_eigenvalues``).
-    The node cap still holds, because the n x n_xi symbol is dense.
+    The node cap still holds on the x grid and the xi grid (the factor grid
+    by default), because the n x n_xi symbol is dense.
     """
     t0 = time.perf_counter()
     r = lidskii_exponent(p)
-    require_node_cap(d.h_grid, d.g_grid)
+    require_node_cap(d.h_grid, d.g_grid if xi_grid is None else xi_grid)
     a = symbol_from_decomposition(phase, d, xi_grid)
     nuclear = nuclear_trace_euclid(phase, a)
     w = d.g_grid.weights

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,10 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    from .group import GroupQuadrature
+    from .lattice import LatticeWindow
 
 __all__ = [
     "UniformGrid",
@@ -170,19 +175,27 @@ class UniformGrid:
         return cls(tuple((0.0, 1.0, count) for _ in range(dim)), periodic=True)
 
 
-def require_same_grid(a: UniformGrid, b: UniformGrid, what: str) -> None:
-    if a.axes != b.axes or a.periodic != b.periodic:
-        raise GridMismatchError(f"{what}: grids differ ({a.axes} vs {b.axes})")
+def require_same_grid(a, b, what: str) -> None:
+    """Reject two different domains: grids compare by axes and periodicity,
+    lattice windows by (n, radius), group quadratures by identity."""
+    if a != b:
+        raise GridMismatchError(f"{what}: grids differ ({getattr(a, 'axes', a)} vs {getattr(b, 'axes', b)})")
 
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex samples of a function on a :class:`UniformGrid`.
+    """Complex samples of a function on a domain with ``size`` and ``weights``.
 
-    values are stored flat, aligned with ``grid.nodes``.
+    The one sampled-function type of every setting. The domain is one of:
+
+    * a :class:`UniformGrid` (boxes in R^n, the periodic torus);
+    * a ``lattice.LatticeWindow`` (Z^n; unit weights, so sums stay plain sums);
+    * a ``group.GroupQuadrature`` (Haar nodes on SU(2)).
+
+    values are stored flat, aligned with the domain's nodes.
     """
 
-    grid: UniformGrid
+    grid: UniformGrid | LatticeWindow | GroupQuadrature
     values: np.ndarray
 
     def __post_init__(self):

@@ -35,16 +35,15 @@ from .errors import (
     ValidationError,
 )
 from .euclid import PhaseSpec
-from .grids import SampledField, UniformGrid, complex_samples, ksum
+from .grids import SampledField, UniformGrid, complex_samples, ksum, require_same_grid
 from .lattice import LatticeWindow, _abelian_matrix, _abelian_synthesis, _abelian_trace
-from .nuclear import _check_rank_one, quasinorm
+from .nuclear import RankOneSequence
 from .numerics import character_sum
 
 __all__ = [
     "GroupQuadrature",
     "GroupPhase",
     "GroupSymbol",
-    "GroupRankOne",
     "su2_haar_quadrature",
     "s3_quadrature",
     "s3_su2_points",
@@ -58,8 +57,6 @@ __all__ = [
     "group_symbol_from_decomposition",
     "group_nuclear_trace",
     "group_matrix",
-    "group_delgado_trace",
-    "group_quasinorm_bound",
     "TorusPhase",
     "TorusSymbol",
     "torus_freqs",
@@ -171,8 +168,8 @@ class GroupQuadrature:
     """
 
     kind: str
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     raw_mass: float | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -233,17 +230,14 @@ def s3_quadrature(resolution: int = 48) -> GroupQuadrature:
     tn, tw = _leggauss_ab(n, 0.0, 2.0 * np.pi)
     sn = 2.0 * np.pi * np.arange(n) / n  # uniform, exact for trig polynomials
     sw = np.full(n, 2.0 * np.pi / n)
-    nodes, weights = [], []
-    for ti, twi in zip(tn, tw):
-        half = np.sin(ti / 2.0)
-        vn, vw = _leggauss_ab(n, -half, half)
-        for vi, vwi in zip(vn, vw):
-            for si, swi in zip(sn, sw):
-                nodes.append((ti, vi, si))
-                weights.append(twi * half * vwi * swi)
-    weights = np.asarray(weights)
+    half = np.sin(tn / 2.0)[:, None]
+    vn, vw = _leggauss_ab(n, -half, half)  # one nu rule per t node, (n, n)
+    # node (t_i, nu_ij, s_k) in row-major order, weight ((tw_i half_i) vw_ij) sw_k
+    T, S = np.broadcast_to(tn[:, None, None], (n, n, n)), np.broadcast_to(sn, (n, n, n))
+    nodes = np.stack([T.reshape(-1), np.repeat(vn.reshape(-1), n), S.reshape(-1)], axis=-1)
+    weights = ((tw[:, None] * half * vw)[:, :, None] * sw).reshape(-1)
     raw = float(ksum(weights))
-    return GroupQuadrature("s3", np.asarray(nodes), weights / raw, raw_mass=raw)
+    return GroupQuadrature("s3", nodes, weights / raw, raw_mass=raw)
 
 
 def s3_su2_points(quad: GroupQuadrature) -> np.ndarray:
@@ -414,8 +408,8 @@ def _table_synthesis(weights: np.ndarray, tables: dict, Phi_blocks: dict, terms,
         d = T.shape[1]
         S = np.zeros((weights.shape[0], d, d), dtype=complex)
         for h, g in terms:
-            ghat = _table_fourier(np.conj(g), weights, T)
-            S += h[:, None, None] * ghat.conj().T[None, :, :]
+            ghat = _table_fourier(np.conj(g.values), weights, T)
+            S += h.values[:, None, None] * ghat.conj().T[None, :, :]
         S = np.linalg.solve(Phi_blocks[label], S)  # drop the right-hand side before the mask copies
         blocks[label] = class_i_mask(S, k_inv[label])
     return blocks
@@ -477,37 +471,6 @@ def identity_phase(quad: GroupQuadrature, cutoff_twoL: int) -> GroupPhase:
     return GroupPhase(quad, {t: su2_irrep_table(quad, t) for t in range(cutoff + 1)})
 
 
-@dataclass(frozen=True, eq=False)
-class GroupRankOne:
-    """Rank-one kernel terms on the group: node-sampled (h_k, g_k) pairs."""
-
-    quad: GroupQuadrature
-    terms: tuple
-    p1: float
-    p2: float
-    r: float
-
-    def __post_init__(self):
-        def samples(v, what):
-            return complex_samples(np.reshape(v, -1), (self.quad.size,), what)
-
-        terms = [(samples(h, "h factor"), samples(g, "g factor")) for h, g in self.terms]
-        object.__setattr__(self, "terms", _check_rank_one(terms, self.p1, self.p2, self.r))
-
-
-def group_delgado_trace(d: GroupRankOne) -> complex:
-    """sum_x w(x) sum_k h_k(x) g_k(x), the kernel-diagonal trace."""
-    s = np.zeros(d.quad.size, dtype=complex)
-    for h, g in d.terms:
-        s += h * g
-    return complex(ksum(d.quad.weights * s))
-
-
-def group_quasinorm_bound(d: GroupRankOne) -> float:
-    """( sum_k ||g_k||_{p1'}^r ||h_k||_{p2}^r )^{1/r} over Haar norms."""
-    return quasinorm(d.terms, d.quad.weights, d.quad.weights, d.p1, d.p2, d.r)
-
-
 def _require_cutoff(sym: GroupSymbol, cutoff_twoL: int | None, what: str) -> None:
     if cutoff_twoL is not None and sym.max_label() > cutoff_twoL:
         raise ValidationError(
@@ -542,18 +505,18 @@ def group_nuclear_trace(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None
 
 
 def group_symbol_from_decomposition(
-    Phi: GroupPhase, d: GroupRankOne, cutoff_twoL: int | None = None
+    Phi: GroupPhase, d: RankOneSequence, cutoff_twoL: int | None = None
 ) -> GroupSymbol:
     """a(x, l) = Phi(x, l)^{-1} sum_k h_k(x) (F_G conj(g_k))(l)^*.
 
     With this symbol the operator's kernel is sum_k h_k(x) g_k(y) (no
     conjugate on g in the kernel; the conjugations inside the transform and
-    the adjoint cancel).
+    the adjoint cancel). The factors are fields on the phase's quadrature.
     """
     _require_cutoff(Phi, cutoff_twoL, "group_symbol_from_decomposition")
     quad = Phi.quad
-    if d.quad is not quad:
-        raise ValidationError("decomposition and phase use different quadratures")
+    for grid in (d.h_grid, d.g_grid):
+        require_same_grid(grid, quad, "group_symbol_from_decomposition")
     dims = {t: t + 1 for t in Phi.blocks}
     blocks = _table_synthesis(quad.weights, _tables(quad, Phi.labels), Phi.blocks, d.terms, dims)
     return GroupSymbol(quad, blocks)
@@ -640,9 +603,8 @@ def torus_symbol_from_decomposition(
     pair in (F conj(g))(l)^* collapses to evaluating the plain transform at
     the negated frequency).
     """
-    for h, g in d.terms:
-        if g.grid != x_grid or h.grid != x_grid:
-            raise ValidationError("decomposition factors must live on the torus grid")
+    for grid in (d.h_grid, d.g_grid):
+        require_same_grid(grid, x_grid, "torus_symbol_from_decomposition")
     x, freqs = x_grid.nodes, torus_freqs(cutoff, x_grid.dim)
     pairs = [(h.values, x_grid.weights * g.values) for h, g in d.terms]
     return TorusSymbol(x_grid, int(cutoff), _abelian_synthesis(phase.table(x, freqs), pairs, x, freqs))

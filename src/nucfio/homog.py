@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
-from .grids import UniformGrid, ksum, validate_range
+from .grids import UniformGrid, ksum, require_same_grid, validate_range
 from .group import (
     GroupQuadrature,
-    GroupRankOne,
     _check_blocks,
     _check_invertible,
     _common_labels,
@@ -45,6 +44,7 @@ from .group import (
     torus_freqs,
     unitarity_defect,
 )
+from .nuclear import RankOneSequence
 
 __all__ = [
     "IrrepEntry",
@@ -189,15 +189,16 @@ def homog_fio_apply(Phi: HomogPhase, a: HomogSymbol, f_values: np.ndarray) -> np
     return _table_apply(a.table.weights, _tables(a.table, labels), Phi.blocks, a.blocks, f_values)
 
 
-def homog_symbol_from_decomposition(Phi: HomogPhase, d: GroupRankOne) -> HomogSymbol:
+def homog_symbol_from_decomposition(Phi: HomogPhase, d: RankOneSequence) -> HomogSymbol:
     """a(x,pi) = mask_k [ Phi(x,pi)^{-1} sum_k h_k(x) (F conj(g_k))(pi)^* ].
 
     For genuinely K-invariant data the mask removes nothing; it enforces the
     class-I support rule on the stored blocks either way. The mask never
-    touches Phi.
+    touches Phi. The factors are fields on one quadrature of the table's size.
     """
     table = Phi.table
-    if d.quad.size != table.size:
+    require_same_grid(d.h_grid, d.g_grid, "homog_symbol_from_decomposition")
+    if d.h_grid.size != table.size:
         raise ValidationError("decomposition sample count differs from the table")
     k_inv = {label: table.entries[label].k_inv for label in Phi.labels}
     blocks = _table_synthesis(table.weights, _tables(table, Phi.labels), Phi.blocks, d.terms, k_inv)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, TruncationError, ValidationError
 from .euclid import PhaseSpec
-from .grids import SampledField, UniformGrid, complex_samples, ksum, validate_range
-from .nuclear import _check_rank_one, quasinorm
+from .grids import SampledField, UniformGrid, complex_samples, ksum, require_same_grid, validate_range
+from .nuclear import RankOneSequence
 from .numerics import character_sum, weighted_lp_norm
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "lattice_nuclear_trace",
     "lattice_matrix",
     "lattice_mixed_norms",
-    "lattice_quasinorm_bound",
     "lattice_lp_norm",
 ]
 
@@ -64,6 +63,11 @@ class LatticeWindow:
     @property
     def size(self) -> int:
         return self.side**self.n
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Unit weights: lattice sums are plain sums."""
+        return np.ones(self.size)
 
     @property
     def points(self) -> np.ndarray:
@@ -96,16 +100,10 @@ def _check_xi_grid(window: LatticeWindow, xi_grid: UniformGrid) -> None:
             )
 
 
-@dataclass(frozen=True)
-class LatticeSequence:
-    """Complex samples indexed by a window's points."""
-
-    window: LatticeWindow
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = complex_samples(np.reshape(self.values, -1), (self.window.size,), "sequence")
-        object.__setattr__(self, "values", v)
+# A sequence is a sampled field on a window (unit weights), and a lattice
+# decomposition is the one rank-one container over such fields.
+LatticeSequence = SampledField
+LatticeRankOne = RankOneSequence
 
 
 @dataclass(frozen=True)
@@ -124,28 +122,6 @@ class LatticeSymbol:
 
 # The lattice and the torus share one phase type.
 LatticePhase = PhaseSpec
-
-
-@dataclass(frozen=True)
-class LatticeRankOne:
-    """Rank-one kernel terms (h_k, g_k) on a shared window, with exponents."""
-
-    terms: tuple
-    p1: float
-    p2: float
-    r: float
-
-    def __post_init__(self):
-        terms = _check_rank_one(self.terms, self.p1, self.p2, self.r)
-        w0 = terms[0][0].window
-        for h, g in terms:
-            if h.window != w0 or g.window != w0:
-                raise ValidationError("all factors must share one window")
-        object.__setattr__(self, "terms", terms)
-
-    @property
-    def window(self) -> LatticeWindow:
-        return self.terms[0][0].window
 
 
 def _abelian_synthesis(phi: np.ndarray, pairs, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -187,19 +163,18 @@ def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, cols: np.n
 
 def lattice_lp_norm(f: LatticeSequence, p: float) -> float:
     """Unweighted ell^p norm over the window, p in [1, inf]."""
-    return weighted_lp_norm(f.values, np.ones(f.window.size), p)
+    return weighted_lp_norm(f.values, f.grid.weights, p)
 
 
 def lattice_dft(f: LatticeSequence, xi_grid: UniformGrid) -> SampledField:
     """(F_Z f)(xi) = sum_m f(m) e^{-2*pi*i*m.xi}, exact finite sum."""
-    _check_xi_grid(f.window, xi_grid)
-    return SampledField(xi_grid, character_sum(f.values, f.window.points, xi_grid.nodes, -1.0))
+    _check_xi_grid(f.grid, xi_grid)
+    return SampledField(xi_grid, character_sum(f.values, f.grid.points, xi_grid.nodes, -1.0))
 
 
 def lattice_fio_apply(phase: LatticePhase, a: LatticeSymbol, f: LatticeSequence) -> LatticeSequence:
     """out(n') = sum_xi w(xi) e^{i phi(n', xi)} a(n', xi) (F_Z f)(xi)."""
-    if f.window != a.window:
-        raise ValidationError("input sequence window differs from the symbol window")
+    require_same_grid(f.grid, a.window, "lattice_fio_apply input")
     fhat = lattice_dft(f, a.xi_grid).values
     phi = phase.table(a.window.points, a.xi_grid.nodes)
     integrand = np.exp(1j * phi) * a.values * (a.xi_grid.weights * fhat)[None, :]
@@ -214,11 +189,12 @@ def lattice_symbol_from_decomposition(
     a(n', xi) = e^{-i phi(n', xi)} sum_k h_k(n') (F_Z g_k)(-xi); the h factor
     rides the output variable n', the g transform is evaluated at -xi.
     """
-    _check_xi_grid(d.window, xi_grid)
-    pts = d.window.points
+    require_same_grid(d.h_grid, d.g_grid, "lattice_symbol_from_decomposition")
+    _check_xi_grid(d.h_grid, xi_grid)
+    pts = d.h_grid.points
     pairs = [(h.values, g.values) for h, g in d.terms]
     A = _abelian_synthesis(phase.table(pts, xi_grid.nodes), pairs, pts, xi_grid.nodes)
-    return LatticeSymbol(d.window, xi_grid, A)
+    return LatticeSymbol(d.h_grid, xi_grid, A)
 
 
 def lattice_nuclear_trace(phase: LatticePhase, a: LatticeSymbol) -> complex:
@@ -253,9 +229,3 @@ def lattice_mixed_norms(a: LatticeSymbol, p1: float, p2: float) -> tuple:
     inner_xi = ksum(w[None, :] * vals**p1, axis=1) ** (p2 / p1)
     xi_first = float(ksum(inner_xi)) ** (1.0 / p2)
     return n_first, xi_first
-
-
-def lattice_quasinorm_bound(d: LatticeRankOne) -> float:
-    """( sum_k ||g_k||_{ell^{p1'}}^r ||h_k||_{ell^{p2}}^r )^{1/r}, unweighted."""
-    ones = np.ones(d.window.size)
-    return quasinorm([(h.values, g.values) for h, g in d.terms], ones, ones, d.p1, d.p2, d.r)

@@ -42,19 +42,6 @@ def holder_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _check_rank_one(terms, p1: float, p2: float, r: float) -> tuple:
-    """The checks every rank-one container shares: at least one (h, g) pair,
-    p1 and p2 in [1, inf), r in (0, 1]. Returns the terms as a tuple."""
-    terms = tuple((h, g) for h, g in terms)
-    if not terms:
-        raise ValidationError("decomposition needs at least one term")
-    validate_range("p1", p1, 1.0, np.inf, include_hi=False)
-    validate_range("p2", p2, 1.0, np.inf, include_hi=False)
-    if not (0.0 < r <= 1.0):
-        raise DomainError(f"r = {r!r} outside (0, 1]")
-    return terms
-
-
 def quasinorm(pairs, h_weights, g_weights, p1: float, p2: float, r: float) -> float:
     """( sum_k ||g_k||_{p1'}^r ||h_k||_{p2}^r )^(1/r) over sample pairs.
 
@@ -75,10 +62,16 @@ def quasinorm(pairs, h_weights, g_weights, p1: float, p2: float, r: float) -> fl
 class RankOneSequence:
     """Factor pairs (h_k, g_k) plus the exponents they are measured in.
 
+    The one rank-one container of every setting. Its factors are
+    :class:`~nucfio.grids.SampledField` samples on one of three domain kinds:
+    a ``UniformGrid`` (R^n, the torus), a ``LatticeWindow`` (Z^n) or a
+    ``GroupQuadrature`` (SU(2), and G/K through its class-I table).
+
     Parameters
     ----------
     terms : list of (SampledField, SampledField)
-        (h_k, g_k) pairs; all h_k share one grid, all g_k share one grid.
+        (h_k, g_k) pairs, at least one; all h_k share one domain, all g_k
+        share one domain.
     p1, p2 : float
         Lebesgue exponents, >= 1. g-factors are measured in the conjugate
         exponent p1', h-factors in p2.
@@ -92,7 +85,15 @@ class RankOneSequence:
     r: float
 
     def __post_init__(self):
-        terms = _check_rank_one(self.terms, self.p1, self.p2, self.r)
+        terms = tuple((h, g) for h, g in self.terms)
+        if not terms:
+            raise ValidationError("decomposition needs at least one term")
+        if not all(isinstance(f, SampledField) for pair in terms for f in pair):
+            raise ValidationError("decomposition factors must be SampledFields")
+        validate_range("p1", self.p1, 1.0, np.inf, include_hi=False)
+        validate_range("p2", self.p2, 1.0, np.inf, include_hi=False)
+        if not (0.0 < self.r <= 1.0):
+            raise DomainError(f"r = {self.r!r} outside (0, 1]")
         h0, g0 = terms[0]
         for h, g in terms[1:]:
             require_same_grid(h.grid, h0.grid, "h factors")
@@ -104,11 +105,11 @@ class RankOneSequence:
         return len(self.terms)
 
     @property
-    def h_grid(self) -> UniformGrid:
+    def h_grid(self):
         return self.terms[0][0].grid
 
     @property
-    def g_grid(self) -> UniformGrid:
+    def g_grid(self):
         return self.terms[0][1].grid
 
 
@@ -141,21 +142,21 @@ def apply_kernel(K: SampledKernel, f: SampledField) -> SampledField:
     return SampledField(K.x_grid, out)
 
 
-def require_node_cap(x_grid: UniformGrid, y_grid: UniformGrid, node_cap: int = DEFAULT_NODE_CAP) -> None:
-    """Reject a kernel on these grids with more than ``node_cap`` nodes per side."""
+def require_node_cap(x_grid: UniformGrid, y_grid: UniformGrid) -> None:
+    """Reject a kernel on these grids with more than ``DEFAULT_NODE_CAP`` nodes per side."""
     n = max(x_grid.size, y_grid.size)
-    if n > node_cap:
-        raise ValidationError(f"kernel has {n} nodes per side, above the cap {node_cap}")
+    if n > DEFAULT_NODE_CAP:
+        raise ValidationError(f"kernel has {n} nodes per side, above the cap {DEFAULT_NODE_CAP}")
 
 
-def kernel_matrix(K: SampledKernel, node_cap: int = DEFAULT_NODE_CAP) -> np.ndarray:
+def kernel_matrix(K: SampledKernel) -> np.ndarray:
     """Matrix M with M f_samples = apply_kernel samples: M[i, j] = w(y_j) K(x_i, y_j).
 
     The same quadrature weights are folded into the columns, so the matrix
     action on sample vectors reproduces ``apply_kernel`` and the matrix trace
     equals the quadrature trace of the kernel diagonal.
     """
-    require_node_cap(K.x_grid, K.y_grid, node_cap)
+    require_node_cap(K.x_grid, K.y_grid)
     return K.values * K.y_grid.weights[None, :]
 
 
@@ -179,14 +180,15 @@ def delgado_trace(d: RankOneSequence) -> complex:
 
 
 def kernel_diagonal_trace(d: RankOneSequence) -> complex:
-    """``matrix_trace(kernel_matrix(kernel_from_decomposition(d)))`` bit for
-    bit, without forming the n x n matrix.
+    """sum_x w(x) sum_k h_k(x) g_k(x) on any domain, the kernel-diagonal trace.
 
-    The diagonal is accumulated from zeros as h_k * g_k, term by term, and
-    then weighted, exactly as the dense kernel and ``kernel_matrix`` form it.
-    This is the same value as ``delgado_trace`` up to the last bit only:
-    numpy's complex product may use fused multiply-adds, so g * h and h * g
-    can round differently.
+    On a grid this is ``matrix_trace(kernel_matrix(kernel_from_decomposition(d)))``
+    bit for bit, without forming the n x n matrix: the diagonal is
+    accumulated from zeros as h_k * g_k, term by term, and then weighted,
+    exactly as the dense kernel and ``kernel_matrix`` form it. It is the same
+    value as ``delgado_trace`` up to the last bit only: numpy's complex
+    product may use fused multiply-adds, so g * h and h * g can round
+    differently.
     """
     require_same_grid(d.h_grid, d.g_grid, "kernel_diagonal_trace")
     s = np.zeros(d.h_grid.size, dtype=complex)
@@ -196,6 +198,7 @@ def kernel_diagonal_trace(d: RankOneSequence) -> complex:
 
 
 def r_quasinorm_bound(d: RankOneSequence) -> float:
-    """``quasinorm`` of the given terms under their grids' quadrature weights."""
+    """``quasinorm`` of the given terms under their domains' weights (ones on
+    a lattice window, so the norms there are plain sums)."""
     pairs = [(h.values, g.values) for h, g in d.terms]
     return quasinorm(pairs, d.h_grid.weights, d.g_grid.weights, d.p1, d.p2, d.r)

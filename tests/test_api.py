@@ -1,0 +1,46 @@
+"""The public names other code relies on resolve.
+
+Every name in a module's ``__all__`` must exist, and every function the
+benchmark's traced worker wraps (``bench/spans.py``, as "module:qualname")
+must exist, so deleting or renaming one fails here rather than in a traced
+benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import nucfio
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", nucfio._SUBMODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"nucfio.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_traced_functions_resolve():
+    spans = load_spans()
+    keys = {k for group in [*spans.LAYERS.values(), *spans.CALLS.values()] for k in group}
+    missing = []
+    for key in sorted(keys | set(spans.SIZES)):
+        try:
+            owner, attr = spans._resolve(key)
+        except (AttributeError, ImportError):
+            missing.append(key)
+            continue
+        if not callable(getattr(owner, attr, None)):
+            missing.append(key)
+    assert missing == []

@@ -192,7 +192,9 @@ def test_non_integer_config_values_are_exit_2(tmp_path, capsys, verb, cfg):
     assert "must be an integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting, extra", [("lattice", {"radius": 2}), ("torus", {"cutoff": 2})])
+@pytest.mark.parametrize(
+    "setting, extra", [("lattice", {"radius": 2}), ("torus", {"cutoff": 2}), ("su2", {"cutoff_twoL": 1})]
+)
 def test_decomposition_and_symbol_together_are_exit_2(tmp_path, capsys, setting, extra):
     constant = {"family": "constant"}
     cfg = {

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from nucfio.errors import ConditionError, DomainError, ValidationError
-from nucfio.grids import SampledField, UniformGrid
+from nucfio.grids import SampledField, UniformGrid, ksum
 from nucfio.group import (
+    _leggauss_ab,
     GroupPhase,
-    GroupRankOne,
     GroupSymbol,
     TorusPhase,
     TorusSymbol,
     euler_from_su2,
-    group_delgado_trace,
     group_fio_apply,
     group_matrix,
     group_nuclear_trace,
@@ -29,7 +28,7 @@ from nucfio.group import (
     torus_symbol_from_decomposition,
     wigner_matrix,
 )
-from nucfio.nuclear import RankOneSequence
+from nucfio.nuclear import RankOneSequence, kernel_diagonal_trace
 from nucfio.numerics import dense_eigenvalues, matrix_trace
 
 
@@ -174,16 +173,18 @@ def test_identity_operator_trace(quad):
 def test_synthesis_reproduces_delgado(quad):
     rng = np.random.default_rng(9)
     cutoff = 2
-    d = GroupRankOne(
-        quad,
-        tuple((bandlimited(quad, rng), bandlimited(quad, rng)) for _ in range(2)),
+    d = RankOneSequence(
+        tuple(
+            (SampledField(quad, bandlimited(quad, rng)), SampledField(quad, bandlimited(quad, rng)))
+            for _ in range(2)
+        ),
         2.0,
         2.0,
         1.0,
     )
     Phi = identity_phase(quad, cutoff)
     a = group_symbol_from_decomposition(Phi, d, cutoff)
-    want = group_delgado_trace(d)
+    want = kernel_diagonal_trace(d)
     assert group_nuclear_trace(Phi, a, cutoff) == pytest.approx(want, abs=1e-9)
     assert matrix_trace(group_matrix(Phi, a, cutoff)) == pytest.approx(want, abs=1e-9)
 
@@ -208,6 +209,33 @@ def test_s3_chart_quadrature():
     G = np.einsum("n,nij,nkl->ijkl", s3.weights, T, T.conj())
     G = G - np.einsum("ik,jl->ijkl", np.eye(2), np.eye(2)) / 2.0
     assert np.abs(G).max() < 1e-10
+
+
+def s3_loop_oracle(n):
+    """The 3-sphere rule built node by node, in the documented order."""
+    tn, tw = _leggauss_ab(n, 0.0, 2.0 * np.pi)
+    sn = 2.0 * np.pi * np.arange(n) / n
+    sw = np.full(n, 2.0 * np.pi / n)
+    nodes, weights = [], []
+    for ti, twi in zip(tn, tw):
+        half = np.sin(ti / 2.0)
+        vn, vw = _leggauss_ab(n, -half, half)
+        for vi, vwi in zip(vn, vw):
+            for si, swi in zip(sn, sw):
+                nodes.append((ti, vi, si))
+                weights.append(twi * half * vwi * swi)
+    weights = np.asarray(weights)
+    raw = float(ksum(weights))
+    return np.asarray(nodes), weights / raw, raw
+
+
+def test_s3_quadrature_matches_loop_oracle():
+    # the array construction reproduces the node-by-node loop bit for bit
+    nodes, weights, raw = s3_loop_oracle(6)
+    s3 = s3_quadrature(6)
+    assert s3.nodes.tobytes() == nodes.tobytes()
+    assert s3.weights.tobytes() == weights.tobytes()
+    assert s3.raw_mass == raw
 
 
 def test_invalid_inputs(quad):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from nucfio.errors import DomainError, ValidationError
-from nucfio.grids import UniformGrid
+from nucfio.grids import SampledField, UniformGrid
 from nucfio.group import (
-    GroupRankOne,
     GroupSymbol,
     TorusPhase,
     TorusSymbol,
@@ -38,6 +37,7 @@ from nucfio.homog import (
     table_from_su2,
     table_from_torus,
 )
+from nucfio.nuclear import RankOneSequence
 
 
 @pytest.fixture(scope="module")
@@ -122,9 +122,11 @@ def test_degeneration_matches_group_bitwise(quad, table):
 
 def test_degeneration_synthesis_and_apply(quad, table):
     rng = np.random.default_rng(3)
-    d = GroupRankOne(
-        quad,
-        tuple((bandlimited(quad, rng), bandlimited(quad, rng)) for _ in range(2)),
+    d = RankOneSequence(
+        tuple(
+            (SampledField(quad, bandlimited(quad, rng)), SampledField(quad, bandlimited(quad, rng)))
+            for _ in range(2)
+        ),
         2.0,
         2.0,
         1.0,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nucfio.errors import DomainError, ShapeError, ValidationError
+from nucfio.errors import DomainError, GridMismatchError, ShapeError, ValidationError
 from nucfio.grids import UniformGrid
 from nucfio.lattice import (
     LatticePhase,
@@ -15,9 +15,9 @@ from nucfio.lattice import (
     lattice_matrix,
     lattice_mixed_norms,
     lattice_nuclear_trace,
-    lattice_quasinorm_bound,
     lattice_symbol_from_decomposition,
 )
+from nucfio.nuclear import r_quasinorm_bound
 from nucfio.numerics import dense_eigenvalues, matrix_trace
 
 
@@ -137,10 +137,18 @@ def test_quasinorm_closed_form(setup):
     h = LatticeSequence(w, np.ones(w.size, dtype=complex))
     d = LatticeRankOne(((h, h),), 2.0, 2.0, 1.0)
     # [DERIVED] ||1||_2 * ||1||_2 over 9 points = 9
-    assert lattice_quasinorm_bound(d) == pytest.approx(9.0)
+    assert r_quasinorm_bound(d) == pytest.approx(9.0)
     d_sup = LatticeRankOne(((h, h),), 1.0, 2.0, 1.0)
     # p1 = 1 pairs the g factor with the sup norm
-    assert lattice_quasinorm_bound(d_sup) == pytest.approx(3.0)
+    assert r_quasinorm_bound(d_sup) == pytest.approx(3.0)
+
+
+def test_decomposition_factors_share_the_window(setup):
+    w, xi, phase = setup
+    h = LatticeSequence(w, np.ones(w.size))
+    g = LatticeSequence(LatticeWindow(1, 3), np.ones(7))
+    with pytest.raises(GridMismatchError):
+        lattice_symbol_from_decomposition(phase, LatticeRankOne(((h, g),), 2.0, 2.0, 1.0), xi)
 
 
 def test_sequence_shape_validation(setup):

@@ -75,14 +75,20 @@ def test_factored_eigenvalues_compression_and_fallback():
         factored_eigenvalues(np.ones((4, 2)), np.ones((4, 3)))
 
 
-def test_node_cap_is_checked_before_symbol_synthesis(tmp_path, monkeypatch, capsys):
-    n = DEFAULT_NODE_CAP + 1
+@pytest.mark.parametrize(
+    "grid_count, xi_count", [(DEFAULT_NODE_CAP + 1, None), (65, 5000)], ids=["x_grid", "xi_grid"]
+)
+def test_node_cap_is_checked_before_symbol_synthesis(tmp_path, monkeypatch, capsys, grid_count, xi_count):
+    # the dense symbol is n x n_xi, so both grids are capped; xi defaults to the x grid
+    n = max(grid_count, xi_count or 0)
     gaussian = {"family": "gaussian", "center": 0.0, "width": 1.0}
     cfg = {
         "setting": "euclid",
-        "grid": {"lo": -8.0, "hi": 8.0, "count": n},
+        "grid": {"lo": -8.0, "hi": 8.0, "count": grid_count},
         "decomposition": {"terms": [{"h": gaussian, "g": gaussian}]},
     }
+    if xi_count is not None:
+        cfg["xi_grid"] = {"lo": -8.0, "hi": 8.0, "count": xi_count}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
 

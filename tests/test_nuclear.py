@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from nucfio.errors import DomainError, GridMismatchError
+from nucfio.errors import DomainError, GridMismatchError, ValidationError
 from nucfio.grids import SampledField, UniformGrid
+from nucfio.group import su2_haar_quadrature
+from nucfio.lattice import LatticeWindow
 from nucfio.nuclear import (
     RankOneSequence,
     apply_kernel,
@@ -77,6 +79,23 @@ def test_rank_one_sequence_validation(grid):
         RankOneSequence(((h, h),), 2.0, 2.0, 0.0)
     with pytest.raises(DomainError):
         RankOneSequence(((h, h),), 2.0, 2.0, 1.5)
+
+
+def test_rank_one_sequence_domains():
+    # one container for every domain kind: factors must be fields, and the
+    # h (and g) factors must share one domain, compared as that kind compares
+    w, quad = LatticeWindow(1, 2), su2_haar_quadrature(4, 4, 8)
+    ones = SampledField(w, np.ones(w.size))
+    with pytest.raises(ValidationError):
+        RankOneSequence(((np.ones(w.size), ones),), 2.0, 2.0, 1.0)
+    other = SampledField(LatticeWindow(1, 2), np.ones(w.size))
+    assert RankOneSequence(((ones, ones), (other, other)), 2.0, 2.0, 1.0).rank == 2
+    with pytest.raises(GridMismatchError):
+        RankOneSequence(((ones, ones), (SampledField(LatticeWindow(1, 3), np.ones(7)), ones)), 2.0, 2.0, 1.0)
+    twin = su2_haar_quadrature(4, 4, 8)  # the same nodes in another object
+    f, f_twin = SampledField(quad, np.ones(quad.size)), SampledField(twin, np.ones(twin.size))
+    with pytest.raises(GridMismatchError):
+        RankOneSequence(((f, f), (f_twin, f)), 2.0, 2.0, 1.0)
 
 
 def test_kernel_apply_matches_inner_products(grid):
