@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .grids import SampledField, UniformGrid, ksum, require_int
+from .grids import SampledField, UniformGrid, ksum, require_int, require_real
 from .numerics import dense_eigenvalues, matrix_trace
 from .nuclear import (
     RankOneSequence,
@@ -83,7 +83,7 @@ EXIT_NUMERIC = 3
 _VERBS = ("trace", "spectrum", "wigner", "quantize", "verify", "haar-check")
 
 # Required and optional top-level keys per setting; "su2-checks" is su2 under
-# verify and haar-check, which run the quadrature checks instead of a trace.
+# haar-check, which runs the quadrature checks instead of a trace.
 _KEYS = {
     "euclid": (
         ("setting", "grid", "decomposition"),
@@ -95,10 +95,7 @@ _KEYS = {
     ),
     "torus": (("setting", "cutoff"), ("seed", "dim", "x_count", "phase", "decomposition", "symbol", "p")),
     "su2": (("setting", "cutoff_twoL"), ("seed", "quadrature", "symbol", "decomposition", "p")),
-    "su2-checks": (
-        ("setting",),
-        ("seed", "quadrature", "cutoff_twoL", "symbol", "decomposition", "p", "s3_resolution"),
-    ),
+    "su2-checks": (("setting",), ("seed", "quadrature", "cutoff_twoL", "s3_resolution")),
     "homog": (
         ("setting", "instance"),
         ("seed", "quadrature", "cutoff_twoL", "dim", "cutoff", "x_count", "p1", "p2"),
@@ -124,6 +121,11 @@ def _check_keys(cfg: dict, where: str, required: tuple, optional: tuple) -> None
 def _int(spec: dict, key: str, default=None) -> int:
     """Integer config value (a required key when no default is given)."""
     return require_int(spec.get(key, default), key)
+
+
+def _real(spec: dict, key: str, default=None) -> float:
+    """Real config value (a required key when no default is given)."""
+    return require_real(spec.get(key, default), key)
 
 
 def _load_config(path: str) -> dict:
@@ -167,9 +169,7 @@ def _grid_from(spec: dict, where: str) -> UniformGrid:
     _check_keys(spec, where, ("count",), ("lo", "hi", "dim"))
     dim = _int(spec, "dim", 1)
     count = _int(spec, "count")
-    lo = float(spec.get("lo", -6.0))
-    hi = float(spec.get("hi", 6.0))
-    return UniformGrid.box(lo, hi, count, dim)
+    return UniformGrid.box(_real(spec, "lo", -6.0), _real(spec, "hi", 6.0), count, dim)
 
 
 def _decomposition(spec: dict, factor) -> RankOneSequence:
@@ -181,7 +181,7 @@ def _decomposition(spec: dict, factor) -> RankOneSequence:
         where = f"decomposition.terms[{i}]"
         _check_keys(t, where, ("h", "g"), ())
         terms.append((factor(t["h"], f"{where}.h"), factor(t["g"], f"{where}.g")))
-    p1, p2, r = float(spec.get("p1", 2.0)), float(spec.get("p2", 2.0)), float(spec.get("r", 1.0))
+    p1, p2, r = _real(spec, "p1", 2.0), _real(spec, "p2", 2.0), _real(spec, "r", 1.0)
     return RankOneSequence(tuple(terms), p1, p2, r)
 
 
@@ -198,7 +198,7 @@ def _constant_symbol(cfg: dict, setting: str, shape: tuple) -> np.ndarray:
     _check_keys(spec, "symbol", ("family",), ("value",))
     if spec["family"] != "constant":
         raise ValidationError(f"direct {setting} symbols support the constant family only")
-    return np.full(shape, complex(float(spec.get("value", 1.0))), dtype=complex)
+    return np.full(shape, complex(_real(spec, "value", 1.0)), dtype=complex)
 
 
 def _one_operator_source(cfg: dict) -> None:
@@ -236,8 +236,7 @@ def _euclid_phase(spec: dict, x_grid: UniformGrid, xi_grid: UniformGrid) -> Phas
         raise ValidationError(f"phase kind {spec['kind']!r} not in ('linear', 'sampled')")
     fam = spec.get("family", "shifted_linear")
     if fam == "shifted_linear":
-        shift = float(spec.get("shift", 0.0))
-        table = 2.0 * np.pi * ((x_grid.nodes + shift) @ xi_grid.nodes.T)
+        table = 2.0 * np.pi * ((x_grid.nodes + _real(spec, "shift", 0.0)) @ xi_grid.nodes.T)
         return PhaseSpec("sampled", table)
     raise ValidationError(f"unknown sampled phase family {fam!r}")
 
@@ -248,8 +247,7 @@ def _run_euclid(cfg: dict, verb: str) -> TraceReport:
     xi_grid = _grid_from(cfg["xi_grid"], "xi_grid") if "xi_grid" in cfg else UniformGrid(grid.axes)
     phase = _euclid_phase(cfg.get("phase", {"kind": "linear"}), grid, xi_grid)
     d = _decomposition(cfg["decomposition"], lambda spec, where: families.euclid_field(grid, spec, rng))
-    p = float(cfg.get("p", 2.0))
-    report = lidskii_report(phase, d, p, xi_grid)
+    report = lidskii_report(phase, d, _real(cfg, "p", 2.0), xi_grid)
     if verb == "wigner":
         h1, g1 = d.terms[0]
         W = wigner(h1, g1, xi_grid)
@@ -269,6 +267,9 @@ def _run_euclid(cfg: dict, verb: str) -> TraceReport:
         )
     elif verb == "quantize":
         taus = cfg.get("taus", [0.25, 0.5, 0.75, 1.0])
+        if not isinstance(taus, list):
+            raise ValidationError(f"taus must be a list of real numbers, got {taus!r}")
+        taus = [require_real(tau, "taus") for tau in taus]
         probe_spec = cfg.get("probe", {"family": "gaussian", "center": 0.3, "width": 1.1})
         probe = families.euclid_field(grid, probe_spec, rng)
         K = kernel_from_decomposition(d)
@@ -276,12 +277,12 @@ def _run_euclid(cfg: dict, verb: str) -> TraceReport:
         scale = float(np.abs(want).max()) or 1.0
         gaps = {}
         for tau in taus:
-            sym = weyl_symbol_from_decomposition(d, float(tau), xi_grid)
-            got = tau_apply(sym, float(tau), probe).values
-            gaps[f"{float(tau):g}"] = float(np.abs(got - want).max() / scale)
+            sym = weyl_symbol_from_decomposition(d, tau, xi_grid)
+            got = tau_apply(sym, tau, probe).values
+            gaps[f"{tau:g}"] = float(np.abs(got - want).max() / scale)
         report.extras["tau_action_gaps"] = gaps
         if len(taus) >= 2:
-            t0, t1 = float(taus[0]), float(taus[1])
+            t0, t1 = taus[0], taus[1]
             sym0 = weyl_symbol_from_decomposition(d, t0, xi_grid)
             back = tau_convert(tau_convert(sym0, t0, t1), t1, t0)
             denom = float(np.abs(sym0.values).max()) or 1.0
@@ -316,7 +317,7 @@ def _run_lattice(cfg: dict, verb: str) -> TraceReport:
         mixed = lattice_mixed_norms(a, d.p1, d.p2)
     elif "symbol" in cfg:
         a = LatticeSymbol(window, xi_grid, _constant_symbol(cfg, "lattice", (window.size, xi_grid.size)))
-        p = float(cfg.get("p", 2.0))
+        p = _real(cfg, "p", 2.0)
         mixed = lattice_mixed_norms(a, p, p)
     else:
         raise ValidationError("lattice config needs 'decomposition' or 'symbol'")
@@ -374,7 +375,7 @@ def _group_factor(quad, cutoff: int, rng):
         _check_keys(fspec, where, ("family",), ("value", "twoL", "i", "j"))
         fam = fspec["family"]
         if fam == "constant":
-            return SampledField(quad, np.full(quad.size, complex(float(fspec.get("value", 1.0)))))
+            return SampledField(quad, np.full(quad.size, complex(_real(fspec, "value", 1.0))))
         if fam == "matrix_entry":
             twoL = _int(fspec, "twoL", 1)
             T = su2_irrep_table(quad, twoL)
@@ -427,7 +428,7 @@ def _run_homog(cfg: dict, verb: str) -> TraceReport:
     table and through the group (su2) or torus route it degenerates to."""
     instance = cfg["instance"]
     t0 = time.perf_counter()
-    p1, p2 = float(cfg.get("p1", 2.0)), float(cfg.get("p2", 2.0))
+    p1, p2 = _real(cfg, "p1", 2.0), _real(cfg, "p2", 2.0)
     if instance == "su2":
         quad = _su2_quad(cfg)
         cutoff = _int(cfg, "cutoff_twoL", 2)
@@ -479,7 +480,7 @@ def _with_tolerance(checks: list, tolerance: float | None) -> list:
     return [(n, v, tolerance) for n, v, _ in checks]
 
 
-def _su2_verify_checks(cfg: dict, tolerance: float | None) -> list:
+def _su2_haar_checks(cfg: dict, tolerance: float | None) -> list:
     quad = _su2_quad(cfg)
     cutoff = _int(cfg, "cutoff_twoL", 2)
     checks = []
@@ -622,9 +623,9 @@ def run_scenario(cfg: dict, verb: str, tolerance: float | None = None):
     if setting == "su3":
         _check_keys(cfg, "config", *_KEYS["su3"])
         return _empty_report("su3"), _su3_checks(cfg, tolerance)
-    if setting == "su2" and verb in ("verify", "haar-check"):
+    if setting == "su2" and verb == "haar-check":
         _check_keys(cfg, "config", *_KEYS["su2-checks"])
-        return _empty_report("su2"), _su2_verify_checks(cfg, tolerance)
+        return _empty_report("su2"), _su2_haar_checks(cfg, tolerance)
     _check_keys(cfg, "config", *_KEYS[setting])
     report = _RUNNERS[setting](cfg, verb)
     if verb != "verify":

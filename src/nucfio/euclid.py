@@ -246,7 +246,8 @@ def lidskii_report(
     """
     t0 = time.perf_counter()
     r = lidskii_exponent(p)
-    require_node_cap(d.h_grid, d.g_grid if xi_grid is None else xi_grid)
+    require_node_cap(d.h_grid, "x grid")
+    require_node_cap(d.g_grid if xi_grid is None else xi_grid, "xi grid")
     a = symbol_from_decomposition(phase, d, xi_grid)
     nuclear = nuclear_trace_euclid(phase, a)
     w = d.g_grid.weights

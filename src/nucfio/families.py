@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .grids import SampledField, UniformGrid, require_int
+from .grids import SampledField, UniformGrid, require_int, require_real
 from .lattice import LatticeSequence, LatticeWindow
 
 __all__ = [
@@ -62,8 +62,10 @@ def _gaussian(pts: np.ndarray, spec: dict) -> np.ndarray:
     """Product over axes of gaussian_profile at the points; a scalar center
     applies to every axis."""
     dim = pts.shape[1]
-    centers = np.broadcast_to(np.asarray(spec.get("center", 0.0), dtype=float).reshape(-1), (dim,))
-    width = float(spec.get("width", 1.0))
+    center = spec.get("center", 0.0)
+    centers = [require_real(c, "center") for c in (center if isinstance(center, list) else [center])]
+    centers = np.broadcast_to(np.asarray(centers, dtype=float), (dim,))
+    width = require_real(spec.get("width", 1.0), "width")
     vals = np.ones(pts.shape[0])
     for ax in range(dim):
         vals = vals * gaussian_profile(pts[:, ax], centers[ax], width)
@@ -76,10 +78,11 @@ def _family(spec, what: str) -> str:
     return spec["family"]
 
 
-def _complex_of(value) -> complex:
+def _complex_of(value, name: str) -> complex:
+    """A real config value, or a [re, im] pair of them, as a complex number."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    return complex(float(value))
+        return complex(require_real(value[0], name), require_real(value[1], name))
+    return complex(require_real(value, name))
 
 
 def random_gaussian_mix(grid: UniformGrid, rng: np.random.Generator, terms: int = 3) -> np.ndarray:
@@ -121,7 +124,7 @@ def euclid_field(grid: UniformGrid, spec: dict, rng: np.random.Generator | None 
     if fam == "trigpoly":
         if grid.dim != 1:
             raise ValidationError("trigpoly family is one-dimensional")
-        coeffs = [_complex_of(c) for c in spec.get("coeffs", [1.0])]
+        coeffs = [_complex_of(c, "coeffs") for c in spec.get("coeffs", [1.0])]
         if len(coeffs) % 2 != 1:
             raise ValidationError("trigpoly needs an odd coefficient count (-K..K)")
         K = len(coeffs) // 2
@@ -130,7 +133,7 @@ def euclid_field(grid: UniformGrid, spec: dict, rng: np.random.Generator | None 
             vals += c * np.exp(2j * np.pi * j * pts[:, 0])
         return SampledField(grid, vals)
     if fam == "constant":
-        return SampledField(grid, np.full(grid.size, _complex_of(spec.get("value", 1.0))))
+        return SampledField(grid, np.full(grid.size, _complex_of(spec.get("value", 1.0), "value")))
     if fam == "random_mix":
         if rng is None:
             raise ValidationError("random_mix family needs a seeded generator")
@@ -155,7 +158,7 @@ def lattice_sequence(window: LatticeWindow, spec: dict, rng: np.random.Generator
         vals[int(np.argmax(match))] = 1.0
         return LatticeSequence(window, vals)
     if fam == "constant":
-        return LatticeSequence(window, np.full(window.size, _complex_of(spec.get("value", 1.0))))
+        return LatticeSequence(window, np.full(window.size, _complex_of(spec.get("value", 1.0), "value")))
     if fam == "random_mix":
         if rng is None:
             raise ValidationError("random_mix family needs a seeded generator")

@@ -349,3 +349,14 @@ def require_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_real(value, name: str) -> float:
+    """A finite real parameter, as given: integers and floats pass; bools,
+    strings (even "3") and non-finite values raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return x

@@ -14,11 +14,12 @@ which integrates to 4*pi^2 over the chart, twice the unit 3-sphere area.
 
 Two kernels do the work. The torus is the abelian pair of the lattice module
 (``lattice._abelian_*``) with space and frequency swapped. SU(2) is the K = {e}
-instance of the class-I table kernel below (``_check_blocks``,
-``_check_invertible``, ``_table_fourier``, ``_table_apply``, ``_table_synthesis``,
-``dual_trace_sum``), parameterized by the Haar weights, one representation
-table per label and the invariant counts k_inv; ``homog`` calls the same
-functions, so the K = {e} degeneration is bit-for-bit by construction.
+instance of the class-I table kernel below. Its domain is anything with
+``size``, ``weights`` and ``irrep(label) -> (label, dim, k_inv, matrices)``: a
+``GroupQuadrature`` (k_inv = dim) or a ``homog.ClassIIrrepTable``. One symbol
+class and one phase class (``GroupSymbol``, ``GroupPhase``; ``homog`` binds
+``HomogSymbol`` and ``HomogPhase`` to them) and one set of kernel functions
+serve both, so the K = {e} degeneration is bit-for-bit by construction.
 """
 
 from __future__ import annotations
@@ -127,32 +128,38 @@ def euler_from_su2(U: np.ndarray) -> tuple:
     A = np.asarray(U, dtype=complex)
     if A.shape != (2, 2):
         raise ShapeError(f"SU(2) element must be 2x2, got {A.shape}")
-    herm = np.abs(A @ A.conj().T - np.eye(2)).max()
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if herm > 1e-10 or abs(det - 1.0) > 1e-10:
+    return tuple(float(v[0]) for v in _euler_angles(A[None]))
+
+
+def _euler_angles(U: np.ndarray) -> tuple:
+    """Euler angle arrays (alpha, beta, gamma) of a batch (N, 2, 2) of SU(2)
+    matrices, each checked to be special unitary to 1e-10.
+
+    Moduli go through hypot, as scalar ``abs`` does, so a batch gives the
+    angles of a node-by-node loop bit for bit.
+    """
+    herm = unitarity_defect(U)
+    det = np.abs(U[:, 0, 0] * U[:, 1, 1] - U[:, 0, 1] * U[:, 1, 0] - 1.0).max()
+    if herm > 1e-10 or det > 1e-10:
         raise ValidationError(
-            f"matrix is not special unitary (unitarity defect {herm:.2e}, "
-            f"det defect {abs(det - 1.0):.2e})"
+            f"matrix is not special unitary (unitarity defect {herm:.2e}, det defect {det:.2e})"
         )
-    cb = abs(A[0, 0])
-    sb = abs(A[1, 0])
+    a, c = U[:, 0, 0], U[:, 1, 0]
+    cb, sb = np.hypot(a.real, a.imag), np.hypot(c.real, c.imag)
     beta = 2.0 * np.arctan2(sb, cb)
-    if sb < 1e-12:  # beta ~ 0: only alpha+gamma is defined
-        total = -2.0 * np.angle(A[0, 0])
-        alpha = total % (2.0 * np.pi)
-        gamma = (total - alpha) % (4.0 * np.pi)
-    elif cb < 1e-12:  # beta ~ pi: only alpha-gamma is defined
-        diff = 2.0 * np.angle(A[1, 0])
-        alpha = diff % (2.0 * np.pi)
-        gamma = (alpha - diff) % (4.0 * np.pi)
-    else:
-        total = -2.0 * np.angle(A[0, 0])  # alpha + gamma
-        diff = 2.0 * np.angle(A[1, 0])  # alpha - gamma
-        alpha_raw = 0.5 * (total + diff)
-        alpha = alpha_raw % (2.0 * np.pi)
-        # alpha shifts by 2*pi trade against gamma shifts by 2*pi: same element
-        gamma = (0.5 * (total - diff) + (alpha_raw - alpha)) % (4.0 * np.pi)
-    return float(alpha), float(beta), float(gamma)
+    total = -2.0 * np.angle(a)  # alpha + gamma
+    diff = 2.0 * np.angle(c)  # alpha - gamma
+    alpha_raw = 0.5 * (total + diff)
+    alpha = alpha_raw % (2.0 * np.pi)
+    # alpha shifts by 2*pi trade against gamma shifts by 2*pi: same element
+    gamma = (0.5 * (total - diff) + (alpha_raw - alpha)) % (4.0 * np.pi)
+    top = sb < 1e-12  # beta ~ 0: only alpha+gamma is defined
+    alpha[top] = total[top] % (2.0 * np.pi)
+    gamma[top] = (total[top] - alpha[top]) % (4.0 * np.pi)
+    bottom = (cb < 1e-12) & ~top  # beta ~ pi: only alpha-gamma is defined
+    alpha[bottom] = diff[bottom] % (2.0 * np.pi)
+    gamma[bottom] = (alpha[bottom] - diff[bottom]) % (4.0 * np.pi)
+    return alpha, beta, gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +194,11 @@ class GroupQuadrature:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
+
+    def irrep(self, label) -> tuple:
+        """(twoL, dim, k_inv, matrices) of the spin twoL/2 irrep; K = {e}, so k_inv = dim."""
+        twoL = _require_twoL(label)
+        return twoL, twoL + 1, twoL + 1, su2_irrep_table(self, twoL)
 
 
 def _leggauss_ab(n: int, a: float, b: float):
@@ -271,7 +283,7 @@ def su2_irrep_table(quad: GroupQuadrature, twoL: int) -> np.ndarray:
     if quad.kind == "su2-euler":
         alpha, beta, gamma = quad.nodes.T
     elif quad.kind == "s3":
-        alpha, beta, gamma = np.array([euler_from_su2(U) for U in s3_su2_points(quad)]).T
+        alpha, beta, gamma = _euler_angles(s3_su2_points(quad))
     else:
         raise ValidationError(f"no SU(2) tables for quadrature kind {quad.kind!r}")
     m, lam, V = _jy_eig(twoL)
@@ -299,7 +311,7 @@ def su2_character(quad: GroupQuadrature, twoL: int) -> np.ndarray:
 
 def su2_fourier(f_values: np.ndarray, quad: GroupQuadrature, twoL: int) -> np.ndarray:
     """fhat(l) = sum_n w_n f_n t_l(x_n)^*, the matrix Fourier coefficient."""
-    return _table_fourier(f_values, quad.weights, su2_irrep_table(quad, twoL))
+    return _table_fourier(f_values, quad.weights, quad.irrep(twoL)[3])
 
 
 # -- the class-I table kernel -------------------------------------------------
@@ -321,21 +333,18 @@ def class_i_mask(blocks: np.ndarray, k: int) -> np.ndarray:
     return M
 
 
-def _check_blocks(size: int, blocks: dict, dims: dict, k_inv: dict) -> dict:
-    """Validated blocks, label -> (size, d, d) finite complex array, sorted.
+def _check_blocks(domain, blocks: dict, masked: bool) -> dict:
+    """Validated blocks, label -> (N, d, d) finite complex array, sorted.
 
-    ``dims`` maps each admissible label to its dimension d; every block must
-    vanish outside its leading k_inv x k_inv corner (no constraint where
-    k_inv = d).
+    ``domain.irrep`` checks each label and gives its dimension d and
+    invariant count k_inv; masked blocks must vanish outside their leading
+    k_inv x k_inv corner (no constraint where k_inv = d).
     """
     out = {}
-    for label in sorted(blocks):
-        if label not in dims:
-            raise ValidationError(f"block label {label!r} is not in the irrep table")
-        d = dims[label]
-        B = complex_samples(blocks[label], (size, d, d), f"block {label!r}")
-        k = k_inv[label]
-        if k < d and (np.any(B[:, k:, :] != 0.0) or np.any(B[:, :, k:] != 0.0)):
+    for key in sorted(blocks):
+        label, d, k, _ = domain.irrep(key)
+        B = complex_samples(blocks[key], (domain.size, d, d), f"block {label!r}")
+        if masked and k < d and (np.any(B[:, k:, :] != 0.0) or np.any(B[:, :, k:] != 0.0)):
             raise ValidationError(
                 f"block {label!r} has support outside its {k}x{k} invariant corner; "
                 f"apply class_i_mask"
@@ -364,19 +373,6 @@ def _check_invertible(blocks: dict) -> None:
             )
 
 
-def _common_labels(what: str, Phi_on, a_on, Phi_blocks: dict, a_blocks: dict) -> list:
-    """Sorted labels of a phase and a symbol built on the same quadrature or
-    table (``Phi_on is a_on``) and carrying the same labels."""
-    if Phi_on is not a_on:
-        raise ValidationError(f"{what}: phase and symbol use different quadratures or tables")
-    if sorted(Phi_blocks) != sorted(a_blocks):
-        raise ValidationError(
-            f"{what}: phase labels {sorted(Phi_blocks)} differ from symbol "
-            f"labels {sorted(a_blocks)}"
-        )
-    return sorted(a_blocks)
-
-
 def _table_fourier(f_values: np.ndarray, weights: np.ndarray, T: np.ndarray) -> np.ndarray:
     """fhat = sum_n w_n f_n T_n^*, the matrix Fourier coefficient for table T."""
     f = np.asarray(f_values, dtype=complex).reshape(-1)
@@ -396,23 +392,22 @@ def _table_apply(weights: np.ndarray, tables: dict, Phi_blocks: dict, a_blocks: 
     return out
 
 
-def _table_synthesis(weights: np.ndarray, tables: dict, Phi_blocks: dict, terms, k_inv: dict) -> dict:
-    """a(x,l) = mask_k [ Phi(x,l)^{-1} sum_k h_k(x) (F conj(g_k))(l)^* ].
+def _table_synthesis(Phi: GroupPhase, terms) -> GroupSymbol:
+    """a(x,l) = mask_k [ Phi(x,l)^{-1} sum_k h_k(x) (F conj(g_k))(l)^* ] on
+    the phase's domain; the factor pairs (h_k, g_k) are fields on its nodes.
 
     The mask to the leading k_inv x k_inv corner removes nothing where
     k_inv = d, as for every group label.
     """
-    blocks = {}
-    for label in sorted(Phi_blocks):
-        T = tables[label]
-        d = T.shape[1]
-        S = np.zeros((weights.shape[0], d, d), dtype=complex)
+    domain, blocks = Phi.domain, {}
+    for label, d, k, T in map(domain.irrep, Phi.labels):
+        S = np.zeros((domain.size, d, d), dtype=complex)
         for h, g in terms:
-            ghat = _table_fourier(np.conj(g.values), weights, T)
+            ghat = _table_fourier(np.conj(g.values), domain.weights, T)
             S += h.values[:, None, None] * ghat.conj().T[None, :, :]
-        S = np.linalg.solve(Phi_blocks[label], S)  # drop the right-hand side before the mask copies
-        blocks[label] = class_i_mask(S, k_inv[label])
-    return blocks
+        S = np.linalg.solve(Phi.blocks[label], S)  # drop the right-hand side before the mask copies
+        blocks[label] = class_i_mask(S, k)
+    return GroupSymbol(domain, blocks)
 
 
 def dual_trace_sum(weights: np.ndarray, tables: dict, Phi_blocks: dict, a_blocks: dict) -> complex:
@@ -436,15 +431,19 @@ def dual_trace_sum(weights: np.ndarray, tables: dict, Phi_blocks: dict, a_blocks
 
 @dataclass(frozen=True, eq=False)
 class GroupSymbol:
-    """Matrix symbol a(x, l): one (N, d_l, d_l) block per integer label twoL."""
+    """Matrix symbol a(x, l): one (N, d_l, d_l) block per label of its domain.
 
-    quad: GroupQuadrature
+    The domain is a ``GroupQuadrature`` (labels twoL, every block full) or a
+    ``homog.ClassIIrrepTable`` (symbols on G/K, each block supported on its
+    leading k_inv x k_inv corner).
+    """
+
+    domain: object
     blocks: dict
+    _masked = True  # class attribute: symbols live on the invariant corner
 
     def __post_init__(self):
-        blocks = {_require_twoL(t): B for t, B in self.blocks.items()}
-        dims = {t: t + 1 for t in blocks}
-        object.__setattr__(self, "blocks", _check_blocks(self.quad.size, blocks, dims, dims))
+        object.__setattr__(self, "blocks", _check_blocks(self.domain, self.blocks, self._masked))
 
     @property
     def labels(self) -> list:
@@ -456,8 +455,10 @@ class GroupSymbol:
 
 @dataclass(frozen=True, eq=False)
 class GroupPhase(GroupSymbol):
-    """Phase blocks Phi(x, l); every block must be invertible with condition
-    number at most 1e8, checked at construction node by node."""
+    """Phase blocks Phi(x, l): full (unmasked) blocks, each invertible with
+    condition number at most 1e8, checked at construction node by node."""
+
+    _masked = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -479,29 +480,29 @@ def _require_cutoff(sym: GroupSymbol, cutoff_twoL: int | None, what: str) -> Non
         )
 
 
-def _tables(quad: GroupQuadrature, labels) -> dict:
-    return {twoL: su2_irrep_table(quad, twoL) for twoL in labels}
-
-
-def _table_args(what: str, Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None) -> tuple:
-    """Haar weights and tables for a checked phase/symbol pair."""
-    labels = _common_labels(what, Phi.quad, a.quad, Phi.blocks, a.blocks)
+def _pair_tables(what: str, Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None) -> dict:
+    """Representation tables, label -> (N, d, d), of a phase and a symbol on
+    one domain with the same labels (none above the cutoff, when given)."""
+    if Phi.domain is not a.domain:
+        raise ValidationError(f"{what}: phase and symbol use different quadratures or tables")
+    if Phi.labels != a.labels:
+        raise ValidationError(f"{what}: phase labels {Phi.labels} differ from symbol labels {a.labels}")
     _require_cutoff(a, cutoff_twoL, what)
-    return a.quad.weights, _tables(a.quad, labels)
+    return {label: a.domain.irrep(label)[3] for label in a.labels}
 
 
 def group_fio_apply(
     Phi: GroupPhase, a: GroupSymbol, f_values: np.ndarray, cutoff_twoL: int | None = None
 ) -> np.ndarray:
     """(Ff)(x) = sum_l d_l Tr[Phi(x,l) a(x,l) fhat(l)] at every node."""
-    weights, tables = _table_args("group_fio_apply", Phi, a, cutoff_twoL)
-    return _table_apply(weights, tables, Phi.blocks, a.blocks, f_values)
+    tables = _pair_tables("group_fio_apply", Phi, a, cutoff_twoL)
+    return _table_apply(a.domain.weights, tables, Phi.blocks, a.blocks, f_values)
 
 
 def group_nuclear_trace(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None) -> complex:
     """Haar integral of sum_l d_l Tr[t_l(x)^* Phi(x,l) a(x,l)]."""
-    weights, tables = _table_args("group_nuclear_trace", Phi, a, cutoff_twoL)
-    return dual_trace_sum(weights, tables, Phi.blocks, a.blocks)
+    tables = _pair_tables("group_nuclear_trace", Phi, a, cutoff_twoL)
+    return dual_trace_sum(a.domain.weights, tables, Phi.blocks, a.blocks)
 
 
 def group_symbol_from_decomposition(
@@ -514,12 +515,9 @@ def group_symbol_from_decomposition(
     the adjoint cancel). The factors are fields on the phase's quadrature.
     """
     _require_cutoff(Phi, cutoff_twoL, "group_symbol_from_decomposition")
-    quad = Phi.quad
     for grid in (d.h_grid, d.g_grid):
-        require_same_grid(grid, quad, "group_symbol_from_decomposition")
-    dims = {t: t + 1 for t in Phi.blocks}
-    blocks = _table_synthesis(quad.weights, _tables(quad, Phi.labels), Phi.blocks, d.terms, dims)
-    return GroupSymbol(quad, blocks)
+        require_same_grid(grid, Phi.domain, "group_symbol_from_decomposition")
+    return _table_synthesis(Phi, d.terms)
 
 
 def group_matrix(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None) -> np.ndarray:
@@ -530,7 +528,7 @@ def group_matrix(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None
     identity phase with identity symbol this is the identity on a space of
     dimension sum d_l^2.
     """
-    weights, tables = _table_args("group_matrix", Phi, a, cutoff_twoL)
+    weights, tables = a.domain.weights, _pair_tables("group_matrix", Phi, a, cutoff_twoL)
     basis = []
     for T in tables.values():
         d = T.shape[1]

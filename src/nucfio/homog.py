@@ -7,9 +7,10 @@ the top-left k_pi x k_pi block; the mask enforcing that is exact (entries
 outside the block are bit-zero, and masking twice changes nothing).
 
 With K = {e} every k_pi equals d_pi, the mask is the identity, and the
-machinery degenerates to the compact-group module. Both run on one class-I
-table kernel in ``group`` (block and invertibility checks, Fourier
-coefficients, application, synthesis and ``dual_trace_sum``), so the
+machinery degenerates to the compact-group module. A table is one more domain
+of the class-I table kernel in ``group``: ``HomogSymbol`` and ``HomogPhase``
+are ``GroupSymbol`` and ``GroupPhase``, and the Fourier coefficients,
+application, synthesis and ``dual_trace_sum`` are shared, so the
 degeneration is bit-for-bit by construction.
 
 The concrete non-abelian instance is SU(3) in the eight-angle product
@@ -30,17 +31,16 @@ import numpy as np
 from .errors import DomainError, ShapeError, ValidationError
 from .grids import UniformGrid, ksum, require_same_grid, validate_range
 from .group import (
+    GroupPhase,
     GroupQuadrature,
-    _check_blocks,
-    _check_invertible,
-    _common_labels,
+    GroupSymbol,
     _leggauss_ab,
+    _pair_tables,
     _table_apply,
     _table_fourier,
     _table_synthesis,
     class_i_mask,
     dual_trace_sum,
-    su2_irrep_table,
     torus_freqs,
     unitarity_defect,
 )
@@ -143,50 +143,29 @@ class ClassIIrrepTable:
     def labels(self) -> list:
         return sorted(self.entries)
 
-
-@dataclass(frozen=True, eq=False)
-class HomogSymbol:
-    """Symbol a(x, pi) on G/K: masked blocks over a class-I table."""
-
-    table: ClassIIrrepTable
-    blocks: dict
-    _masked = True  # class attribute: symbols live on the invariant corner
-
-    def __post_init__(self):
-        entries = self.table.entries
-        dims = {label: e.dim for label, e in entries.items()}
-        k_inv = {label: e.k_inv for label, e in entries.items()} if self._masked else dims
-        object.__setattr__(self, "blocks", _check_blocks(self.table.size, self.blocks, dims, k_inv))
-
-    @property
-    def labels(self) -> list:
-        return sorted(self.blocks)
+    def irrep(self, label) -> tuple:
+        """(label, dim, k_inv, matrices) of one entry."""
+        if label not in self.entries:
+            raise ValidationError(f"block label {label!r} is not in the irrep table")
+        e = self.entries[label]
+        return e.label, e.dim, e.k_inv, e.matrices
 
 
-@dataclass(frozen=True, eq=False)
-class HomogPhase(HomogSymbol):
-    """Phase Phi(x, pi): unmasked invertible blocks, condition <= 1e8."""
-
-    _masked = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        _check_invertible(self.blocks)
-
-
-def _tables(table: ClassIIrrepTable, labels) -> dict:
-    return {label: table.entries[label].matrices for label in labels}
+# Symbols and phases on G/K are the group's, over a table domain: symbol
+# blocks are masked to the invariant corner, phase blocks are full.
+HomogSymbol = GroupSymbol
+HomogPhase = GroupPhase
 
 
 def homog_fourier(f_values: np.ndarray, table: ClassIIrrepTable, label) -> np.ndarray:
     """fhat(pi) = sum_x w(x) f(x) pi(x)^*."""
-    return _table_fourier(f_values, table.weights, table.entries[label].matrices)
+    return _table_fourier(f_values, table.weights, table.irrep(label)[3])
 
 
 def homog_fio_apply(Phi: HomogPhase, a: HomogSymbol, f_values: np.ndarray) -> np.ndarray:
     """(Ff)(x) = sum_pi d_pi Tr[Phi(x,pi) a(x,pi) fhat(pi)]."""
-    labels = _common_labels("homog_fio_apply", Phi.table, a.table, Phi.blocks, a.blocks)
-    return _table_apply(a.table.weights, _tables(a.table, labels), Phi.blocks, a.blocks, f_values)
+    tables = _pair_tables("homog_fio_apply", Phi, a)
+    return _table_apply(a.domain.weights, tables, Phi.blocks, a.blocks, f_values)
 
 
 def homog_symbol_from_decomposition(Phi: HomogPhase, d: RankOneSequence) -> HomogSymbol:
@@ -196,13 +175,10 @@ def homog_symbol_from_decomposition(Phi: HomogPhase, d: RankOneSequence) -> Homo
     class-I support rule on the stored blocks either way. The mask never
     touches Phi. The factors are fields on one quadrature of the table's size.
     """
-    table = Phi.table
     require_same_grid(d.h_grid, d.g_grid, "homog_symbol_from_decomposition")
-    if d.h_grid.size != table.size:
+    if d.h_grid.size != Phi.domain.size:
         raise ValidationError("decomposition sample count differs from the table")
-    k_inv = {label: table.entries[label].k_inv for label in Phi.labels}
-    blocks = _table_synthesis(table.weights, _tables(table, Phi.labels), Phi.blocks, d.terms, k_inv)
-    return HomogSymbol(table, blocks)
+    return _table_synthesis(Phi, d.terms)
 
 
 def homog_nuclear_trace(Phi: HomogPhase, a: HomogSymbol) -> complex:
@@ -211,8 +187,8 @@ def homog_nuclear_trace(Phi: HomogPhase, a: HomogSymbol) -> complex:
     Routed through the same reduction kernel as the compact-group trace, so
     a K = {e} table reproduces that module's result bit-for-bit.
     """
-    labels = _common_labels("homog_nuclear_trace", Phi.table, a.table, Phi.blocks, a.blocks)
-    return dual_trace_sum(a.table.weights, _tables(a.table, labels), Phi.blocks, a.blocks)
+    tables = _pair_tables("homog_nuclear_trace", Phi, a)
+    return dual_trace_sum(a.domain.weights, tables, Phi.blocks, a.blocks)
 
 
 def dual_lp_norm(coeffs: dict, table: ClassIIrrepTable, p: float) -> float:
@@ -221,10 +197,10 @@ def dual_lp_norm(coeffs: dict, table: ClassIIrrepTable, p: float) -> float:
     p = validate_range("p", p, 1.0, np.inf, include_hi=False)
     parts = []
     for label in sorted(coeffs):
-        e = table.entries[label]
+        _, d, k, _ = table.irrep(label)
         M = np.asarray(coeffs[label], dtype=complex)
         hs = float(np.sqrt((np.abs(M) ** 2).sum()))
-        parts.append(e.dim * e.k_inv ** (p * (1.0 / p - 0.5)) * hs**p)
+        parts.append(d * k ** (p * (1.0 / p - 0.5)) * hs**p)
     return float(ksum(np.asarray(parts))) ** (1.0 / p)
 
 
@@ -233,12 +209,12 @@ def homog_mixed_norm(a: HomogSymbol, p1: float, p2: float) -> float:
     dx )^{1/p2}, the momentum-decay norm behind nuclearity on G/K."""
     validate_range("p1", p1, 1.0, np.inf, include_hi=False)
     validate_range("p2", p2, 1.0, np.inf, include_hi=False)
-    inner = np.zeros(a.table.size)
+    inner = np.zeros(a.domain.size)
     for label in a.labels:
-        e = a.table.entries[label]
+        _, d, k, _ = a.domain.irrep(label)
         hs = np.sqrt(np.einsum("nij->n", np.abs(a.blocks[label]) ** 2))
-        inner += e.dim * e.k_inv ** (p1 * (1.0 / p1 - 0.5)) * hs**p1
-    outer = ksum(a.table.weights * inner ** (p2 / p1))
+        inner += d * k ** (p1 * (1.0 / p1 - 0.5)) * hs**p1
+    outer = ksum(a.domain.weights * inner ** (p2 / p1))
     return float(outer) ** (1.0 / p2)
 
 
@@ -247,11 +223,7 @@ def homog_mixed_norm(a: HomogSymbol, p1: float, p2: float) -> float:
 
 def table_from_su2(quad: GroupQuadrature, cutoff_twoL: int) -> ClassIIrrepTable:
     """K = {e} table over an SU(2) quadrature: k_pi = d_pi for every label."""
-    entries = {}
-    for twoL in range(int(cutoff_twoL) + 1):
-        T = su2_irrep_table(quad, twoL)
-        d = twoL + 1
-        entries[twoL] = IrrepEntry(twoL, d, d, T)
+    entries = {twoL: IrrepEntry(*quad.irrep(twoL)) for twoL in range(int(cutoff_twoL) + 1)}
     return ClassIIrrepTable(quad.weights, entries)
 
 

@@ -142,11 +142,11 @@ def apply_kernel(K: SampledKernel, f: SampledField) -> SampledField:
     return SampledField(K.x_grid, out)
 
 
-def require_node_cap(x_grid: UniformGrid, y_grid: UniformGrid) -> None:
-    """Reject a kernel on these grids with more than ``DEFAULT_NODE_CAP`` nodes per side."""
-    n = max(x_grid.size, y_grid.size)
-    if n > DEFAULT_NODE_CAP:
-        raise ValidationError(f"kernel has {n} nodes per side, above the cap {DEFAULT_NODE_CAP}")
+def require_node_cap(grid: UniformGrid, name: str) -> None:
+    """Reject a grid of a dense array with more than ``DEFAULT_NODE_CAP``
+    nodes; the error names the grid."""
+    if grid.size > DEFAULT_NODE_CAP:
+        raise ValidationError(f"{name} has {grid.size} nodes, above the cap {DEFAULT_NODE_CAP}")
 
 
 def kernel_matrix(K: SampledKernel) -> np.ndarray:
@@ -156,7 +156,8 @@ def kernel_matrix(K: SampledKernel) -> np.ndarray:
     action on sample vectors reproduces ``apply_kernel`` and the matrix trace
     equals the quadrature trace of the kernel diagonal.
     """
-    require_node_cap(K.x_grid, K.y_grid)
+    require_node_cap(K.x_grid, "x grid")
+    require_node_cap(K.y_grid, "y grid")
     return K.values * K.y_grid.weights[None, :]
 
 

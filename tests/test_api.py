@@ -44,3 +44,16 @@ def test_traced_functions_resolve():
         if not callable(getattr(owner, attr, None)):
             missing.append(key)
     assert missing == []
+
+
+def test_traced_functions_are_distinct_objects():
+    # the traced worker books each function's time under its own layer; two
+    # names bound to one object would book one layer's time under both
+    spans = load_spans()
+    keys = [k for group in spans.LAYERS.values() for k in group]
+    objects = {}
+    for key in keys:
+        owner, attr = spans._resolve(key)
+        objects.setdefault(id(getattr(owner, attr)), []).append(key)
+    shared = [names for names in objects.values() if len(names) > 1]
+    assert shared == []

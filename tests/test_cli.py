@@ -220,6 +220,60 @@ def test_matrix_entry_index_out_of_range_is_exit_2(tmp_path, capsys, key, index)
     assert f".{key} = {index} outside 0..1" in capsys.readouterr().err
 
 
+def su2_decomposition_cfg():
+    return {
+        "setting": "su2",
+        "seed": 3,
+        "cutoff_twoL": 1,
+        "quadrature": {"n_alpha": 8, "n_beta": 8, "n_gamma": 16},
+        "decomposition": {
+            "terms": [
+                {
+                    "h": {"family": "matrix_entry", "twoL": 1, "i": 0, "j": 1},
+                    "g": {"family": "random_bandlimited"},
+                }
+            ]
+        },
+    }
+
+
+def test_su2_verify_checks_the_operator_routes(tmp_path):
+    # verify builds the operator and checks its trace against the matrix
+    # and the eigenvalue sum, as in every other trace setting
+    assert run(tmp_path, "trace", su2_decomposition_cfg()) == 0
+    traced = json.loads((tmp_path / "report.json").read_text())
+    assert run(tmp_path, "verify", su2_decomposition_cfg()) == 0
+    verified = json.loads((tmp_path / "report.json").read_text())
+    assert verified["nuclear_trace"] == traced["nuclear_trace"]
+    assert verified["nuclear_trace"] != {"re": 0.0, "im": 0.0}
+    assert set(verified["checks"]) == {"trace_vs_matrix", "trace_vs_eigensum"}
+
+
+def test_su2_haar_check_rejects_operator_keys(tmp_path, capsys):
+    # haar-check runs the quadrature checks only, so an operator is an unknown key
+    cfg = su2_decomposition_cfg()
+    del cfg["seed"]
+    assert run(tmp_path, "haar-check", cfg) == 2
+    assert "unknown keys ['decomposition']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, cfg",
+    [
+        ("trace", {**euclid_cfg(), "p": True}),
+        ("trace", {"setting": "lattice", "radius": 2, "p": "3", "symbol": {"family": "constant"}}),
+        ("trace", {"setting": "lattice", "radius": 2, "symbol": {"family": "constant", "value": True}}),
+        ("trace", {**euclid_cfg(), "grid": {"lo": "-6", "hi": 6.0, "count": 65}}),
+        ("quantize", {**euclid_cfg(), "taus": 0.5}),
+    ],
+    ids=["bool_p", "string_p", "bool_value", "string_lo", "scalar_taus"],
+)
+def test_non_real_config_values_are_exit_2(tmp_path, capsys, verb, cfg):
+    # real keys are never coerced: "3" is not 3.0 and true is not 1.0
+    assert run(tmp_path, verb, cfg) == 2
+    assert "real number" in capsys.readouterr().err
+
+
 def _report_at_threads(tmp_path, cfg_path, threads):
     out = tmp_path / f"threads{threads}"
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))

@@ -6,6 +6,7 @@ from nucfio.grids import SampledField, UniformGrid, ksum
 from nucfio.group import (
     _leggauss_ab,
     GroupPhase,
+    GroupQuadrature,
     GroupSymbol,
     TorusPhase,
     TorusSymbol,
@@ -236,6 +237,40 @@ def test_s3_quadrature_matches_loop_oracle():
     assert s3.nodes.tobytes() == nodes.tobytes()
     assert s3.weights.tobytes() == weights.tobytes()
     assert s3.raw_mass == raw
+
+
+def euler_loop_oracle(U):
+    """Euler angles of one SU(2) matrix, the node-by-node recovery with
+    scalar moduli and branches."""
+    cb, sb = abs(U[0, 0]), abs(U[1, 0])
+    beta = 2.0 * np.arctan2(sb, cb)
+    if sb < 1e-12:
+        total = -2.0 * np.angle(U[0, 0])
+        alpha = total % (2.0 * np.pi)
+        gamma = (total - alpha) % (4.0 * np.pi)
+    elif cb < 1e-12:
+        diff = 2.0 * np.angle(U[1, 0])
+        alpha = diff % (2.0 * np.pi)
+        gamma = (alpha - diff) % (4.0 * np.pi)
+    else:
+        total, diff = -2.0 * np.angle(U[0, 0]), 2.0 * np.angle(U[1, 0])
+        alpha_raw = 0.5 * (total + diff)
+        alpha = alpha_raw % (2.0 * np.pi)
+        gamma = (0.5 * (total - diff) + (alpha_raw - alpha)) % (4.0 * np.pi)
+    return float(alpha), float(beta), float(gamma)
+
+
+def test_s3_tables_match_loop_oracle():
+    # the array Euler recovery gives the tables of a node-by-node loop bit
+    # for bit: evaluate the Wigner tables at the loop's angles instead
+    s3 = s3_quadrature(8)
+    angles = np.array([euler_loop_oracle(U) for U in s3_su2_points(s3)])
+    euler = GroupQuadrature("su2-euler", angles, s3.weights)
+    for twoL in range(4):
+        assert su2_irrep_table(s3, twoL).tobytes() == su2_irrep_table(euler, twoL).tobytes()
+    # the branches beta ~ 0 and beta ~ pi, and the single-matrix entry point
+    for U in (np.diag([np.exp(0.4j), np.exp(-0.4j)]), np.array([[0.0, -np.exp(0.9j)], [np.exp(-0.9j), 0.0]])):
+        assert euler_from_su2(U) == euler_loop_oracle(U)
 
 
 def test_invalid_inputs(quad):

@@ -97,4 +97,4 @@ def test_node_cap_is_checked_before_symbol_synthesis(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(euclid, "symbol_from_decomposition", must_not_run)
     assert run_main(["trace", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert f"kernel has {n} nodes per side, above the cap {DEFAULT_NODE_CAP}" in capsys.readouterr().err
+    assert f"{'x' if xi_count is None else 'xi'} grid has {n} nodes, above the cap {DEFAULT_NODE_CAP}" in capsys.readouterr().err
