@@ -93,8 +93,8 @@ _KEYS = {
         ("setting", "radius"),
         ("seed", "dim", "xi_count", "phase", "decomposition", "symbol", "p"),
     ),
-    "torus": (("setting", "cutoff"), ("seed", "dim", "x_count", "phase", "decomposition", "symbol", "p")),
-    "su2": (("setting", "cutoff_twoL"), ("seed", "quadrature", "symbol", "decomposition", "p")),
+    "torus": (("setting", "cutoff"), ("seed", "dim", "x_count", "phase", "decomposition", "symbol")),
+    "su2": (("setting", "cutoff_twoL"), ("seed", "quadrature", "symbol", "decomposition")),
     "su2-checks": (("setting",), ("seed", "quadrature", "cutoff_twoL", "s3_resolution")),
     "homog": (
         ("setting", "instance"),

@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "UniformGrid",
     "SampledField",
+    "KahanSum",
     "ksum",
     "interpolate",
     "require_edge_decay",
@@ -44,6 +45,42 @@ __all__ = [
 
 # Relative tolerance for the weight-sum == volume construction invariant.
 _VOLUME_RTOL = 1e-12
+
+
+class KahanSum:
+    """Resumable compensated (Kahan) sum over the leading axis of blocks.
+
+    ``add(block)`` folds axis 0 of ``block`` into the running total in
+    ascending index order, elementwise over the trailing ``shape``. A sum
+    taken block by block gives the same bits as one ``add`` of the whole
+    stack, so callers can bound memory by feeding chunks.
+
+    Parameters
+    ----------
+    shape : tuple
+        Shape of the running total (the trailing shape of every block).
+    dtype : numpy dtype
+        Accumulator dtype; complex totals are accumulated componentwise.
+    """
+
+    def __init__(self, shape=(), dtype=float):
+        self.total = np.zeros(shape, dtype=dtype)
+        self.comp = np.zeros_like(self.total)
+
+    def add(self, block) -> "KahanSum":
+        total, comp = self.total, self.comp
+        for row in block:
+            y = row - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        self.total, self.comp = total, comp
+        return self
+
+    @property
+    def value(self):
+        """The running total: an array, or a scalar for shape ()."""
+        return self.total if self.total.ndim else self.total[()]
 
 
 def ksum(values, axis=None):
@@ -62,19 +99,9 @@ def ksum(values, axis=None):
     scalar or ndarray
     """
     a = np.asarray(values)
-    if axis is None:
-        a = a.reshape(-1)
-        axis = 0
-    else:
-        a = np.moveaxis(a, axis, 0)
-    total = np.zeros(a.shape[1:], dtype=a.dtype if a.dtype.kind in "fc" else float)
-    comp = np.zeros_like(total)
-    for k in range(a.shape[0]):
-        y = a[k] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total if total.ndim else total[()]
+    a = a.reshape(-1) if axis is None else np.moveaxis(a, axis, 0)
+    dtype = a.dtype if a.dtype.kind in "fc" else float
+    return KahanSum(a.shape[1:], dtype).add(a).value
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,15 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, TruncationError, ValidationError
 from .euclid import PhaseSpec
-from .grids import SampledField, UniformGrid, complex_samples, ksum, require_same_grid, validate_range
+from .grids import (
+    KahanSum,
+    SampledField,
+    UniformGrid,
+    complex_samples,
+    ksum,
+    require_same_grid,
+    validate_range,
+)
 from .nuclear import RankOneSequence
 from .numerics import character_sum, weighted_lp_norm
 
@@ -148,17 +156,29 @@ def _abelian_trace(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, cols: np.nd
     return complex(ksum(np.exp(1j * (phi - kernel)) * a * w))
 
 
+# Frequencies per accumulated block of ``_abelian_matrix``: the block is
+# (rows, rows, _MATRIX_FREQS), so a wider chunk raises peak memory.
+_MATRIX_FREQS = 4
+
+
 def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, cols: np.ndarray, w) -> np.ndarray:
     """M[p, q] = sum_j w_j e^{i(phi(p, j) - 2*pi*rows_q.cols_j)} a(p, j).
 
-    The diagonal reuses the trace kernel's exact cancellation.
+    The diagonal reuses the trace kernel's exact cancellation. Every entry
+    is reduced over j in one compensated pass, chunk by chunk in ascending
+    order, as a per-column ``ksum`` would take it.
     """
     wa = a * w[None, :]
-    M = np.empty((rows.shape[0], rows.shape[0]), dtype=complex)
+    kern = np.empty((rows.shape[0], cols.shape[0]))
     for q in range(rows.shape[0]):
-        kernel_q = 2.0 * np.pi * (rows[q] @ cols.T)
-        M[:, q] = ksum(np.exp(1j * (phi - kernel_q[None, :])) * wa, axis=1)
-    return M
+        # one matrix-vector product per q: a single matmul may round differently
+        kern[q] = 2.0 * np.pi * (rows[q] @ cols.T)
+    acc = KahanSum((rows.shape[0], rows.shape[0]), complex)
+    for j0 in range(0, cols.shape[0], _MATRIX_FREQS):
+        js = slice(j0, j0 + _MATRIX_FREQS)
+        block = np.exp(1j * (phi[:, None, js] - kern[None, :, js])) * wa[:, None, js]
+        acc.add(np.moveaxis(block, -1, 0))
+    return acc.value
 
 
 def lattice_lp_norm(f: LatticeSequence, p: float) -> float:

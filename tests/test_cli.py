@@ -274,6 +274,25 @@ def test_non_real_config_values_are_exit_2(tmp_path, capsys, verb, cfg):
     assert "real number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"setting": "torus", "cutoff": 2, "p": 3.0, "symbol": {"family": "constant"}},
+        {
+            "setting": "su2",
+            "cutoff_twoL": 1,
+            "p": 3.0,
+            "quadrature": {"n_alpha": 4, "n_beta": 4, "n_gamma": 8},
+        },
+    ],
+    ids=["torus", "su2"],
+)
+def test_unread_p_key_is_exit_2(tmp_path, capsys, cfg):
+    # torus and su2 read no exponent, so "p" is rejected rather than ignored
+    assert run(tmp_path, "trace", cfg) == 2
+    assert "unknown keys ['p']" in capsys.readouterr().err
+
+
 def _report_at_threads(tmp_path, cfg_path, threads):
     out = tmp_path / f"threads{threads}"
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))

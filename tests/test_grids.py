@@ -12,6 +12,7 @@ from nucfio.errors import (
     ValidationError,
 )
 from nucfio.grids import (
+    KahanSum,
     SampledField,
     UniformGrid,
     interpolate,
@@ -63,6 +64,37 @@ def test_ksum_axis_and_complex():
     out = ksum(a, axis=0)
     assert out.shape == (4,)
     assert np.allclose(out, a.sum(axis=0))
+
+
+def _adversarial(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+
+
+@pytest.mark.parametrize(
+    "values, axis",
+    [
+        (_adversarial(2000), None),
+        (_adversarial(2000) + 1j * _adversarial(2000, 1), None),
+        (_adversarial(2000).reshape(40, 50), 1),
+        ((_adversarial(2000) - 1j * _adversarial(2000, 2)).reshape(20, 10, 10), 0),
+    ],
+    ids=["real_flat", "complex_flat", "real_axis1", "complex_axis0"],
+)
+def test_kahan_sum_in_blocks_matches_one_ksum(values, axis):
+    # the cancellation-heavy input of the fsum test, fed at random split
+    # points (repeated points give empty blocks): the same bits as one call
+    want = ksum(values, axis=axis)
+    a = values.reshape(-1) if axis is None else np.moveaxis(values, axis, 0)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        cuts = np.sort(rng.integers(0, a.shape[0] + 1, size=5))
+        acc = KahanSum(a.shape[1:], a.dtype)
+        for block in np.split(a, cuts):
+            acc.add(block)
+        got = acc.value
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_interpolate_exact_on_cubics():

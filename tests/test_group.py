@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,17 @@ def test_euler_rejects_non_unitary():
         euler_from_su2(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "entry, value", [(..., np.nan), ((0, 1), np.nan), ((1, 1), np.inf)], ids=["all_nan", "one_nan", "inf"]
+)
+def test_euler_rejects_non_finite(entry, value):
+    # a nan defect compares false against the tolerance; it must still raise
+    U = wigner_matrix(1, 0.3, 1.1, 2.0)
+    U[entry] = value
+    with pytest.raises(ValidationError):
+        euler_from_su2(U)
+
+
 def test_haar_quadrature_normalized(quad):
     assert abs(float(quad.weights.sum()) - 1.0) < 1e-12
     # [DERIVED] total solid measure before normalization is 16 pi^2
@@ -169,6 +182,22 @@ def test_identity_operator_trace(quad):
     assert np.abs(M - np.eye(14)).max() < 1e-10
     ev = dense_eigenvalues(M)
     assert np.abs(ev - 1.0).max() < 1e-10
+
+
+def test_group_matrix_peak_memory(quad):
+    # the operator is applied column group by column group and the basis is
+    # formed in node chunks, so no (N, dim) or (N, dim, dim) array is held
+    cutoff = 3
+    Phi = identity_phase(quad, cutoff)
+    a = identity_symbol(quad, cutoff)
+    tracemalloc.start()
+    try:
+        M = group_matrix(Phi, a, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (30, 30)
+    assert peak <= 8e6
 
 
 def test_synthesis_reproduces_delgado(quad):

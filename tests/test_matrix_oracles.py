@@ -1,0 +1,121 @@
+"""The batched operator matrices against the loops they replaced.
+
+``group_matrix`` and ``lattice._abelian_matrix`` (behind ``lattice_matrix``
+and ``torus_matrix``) reduce every entry in one compensated pass. The
+oracles below are the earlier formulations, one ``ksum`` per entry or per
+column, kept here so the batched builders stay equal to them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from nucfio.euclid import PhaseSpec
+from nucfio.grids import UniformGrid, ksum
+from nucfio.group import (
+    GroupPhase,
+    GroupSymbol,
+    TorusSymbol,
+    group_fio_apply,
+    group_matrix,
+    identity_phase,
+    su2_haar_quadrature,
+    su2_irrep_table,
+    torus_freqs,
+    torus_matrix,
+)
+from nucfio.homog import ClassIIrrepTable, HomogPhase, HomogSymbol, IrrepEntry, class_i_mask
+from nucfio.lattice import LatticeSymbol, LatticeWindow, lattice_matrix
+
+
+def per_entry_group_matrix(Phi, a):
+    """One operator application per basis column, one ksum per entry."""
+    weights = a.domain.weights
+    basis = []
+    for label in a.labels:
+        T = a.domain.irrep(label)[3]
+        d = T.shape[1]
+        basis += [np.sqrt(d) * T[:, i, j] for i in range(d) for j in range(d)]
+    M = np.empty((len(basis), len(basis)), dtype=complex)
+    for c, bc in enumerate(basis):
+        Fc = group_fio_apply(Phi, a, bc)
+        for r, br in enumerate(basis):
+            M[r, c] = complex(ksum(weights * np.conj(br) * Fc))
+    return M
+
+
+def per_column_abelian_matrix(phi, a, rows, cols, w):
+    """One kernel row and one ksum over the summed axis per column q."""
+    wa = a * w[None, :]
+    M = np.empty((rows.shape[0], rows.shape[0]), dtype=complex)
+    for q in range(rows.shape[0]):
+        kernel_q = 2.0 * np.pi * (rows[q] @ cols.T)
+        M[:, q] = ksum(np.exp(1j * (phi - kernel_q[None, :])) * wa, axis=1)
+    return M
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def phases(rows, cols, rng):
+    """The linear phase and a sampled perturbation of it, on (rows, cols)."""
+    sampled = 2.0 * np.pi * (rows @ cols.T) + 0.3 * rng.standard_normal((rows.shape[0], cols.shape[0]))
+    return [PhaseSpec.linear(), PhaseSpec("sampled", sampled)]
+
+
+@pytest.fixture(scope="module")
+def small_quad():
+    return su2_haar_quadrature(6, 6, 12)
+
+
+def test_group_matrix_matches_per_entry_loop(small_quad):
+    rng = np.random.default_rng(20)
+    cutoff = 2
+    labels = range(cutoff + 1)
+    a = GroupSymbol(small_quad, {t: random_complex(rng, (small_quad.size, t + 1, t + 1)) for t in labels})
+    near = {
+        t: su2_irrep_table(small_quad, t) + 0.1 * rng.standard_normal((small_quad.size, t + 1, t + 1))
+        for t in labels
+    }
+    for Phi in (identity_phase(small_quad, cutoff), GroupPhase(small_quad, near)):
+        M = group_matrix(Phi, a, cutoff)
+        assert M.shape == (14, 14)
+        assert np.array_equal(M, per_entry_group_matrix(Phi, a))
+
+
+def test_group_matrix_on_a_class_i_table_matches_per_entry_loop(small_quad):
+    # label 2 keeps a 2-dimensional invariant corner of its 3x3 blocks
+    rng = np.random.default_rng(21)
+    k_inv = {0: 1, 1: 2, 2: 2}
+    entries = {t: IrrepEntry(t, t + 1, k, su2_irrep_table(small_quad, t)) for t, k in k_inv.items()}
+    table = ClassIIrrepTable(small_quad.weights, entries)
+    Phi = HomogPhase(table, {t: e.matrices for t, e in entries.items()})
+    blocks = {t: class_i_mask(random_complex(rng, (table.size, t + 1, t + 1)), k) for t, k in k_inv.items()}
+    a = HomogSymbol(table, blocks)
+    assert np.array_equal(group_matrix(Phi, a), per_entry_group_matrix(Phi, a))
+
+
+@pytest.mark.parametrize("dim, radius, xi_count", [(1, 4, 20), (2, 2, 12)], ids=["dim1", "dim2"])
+def test_lattice_matrix_matches_per_column_loop(dim, radius, xi_count):
+    rng = np.random.default_rng(22 + dim)
+    window, xi_grid = LatticeWindow(dim, radius), UniformGrid.torus(xi_count, dim)
+    pts, xi = window.points, xi_grid.nodes
+    shape = (window.size, xi_grid.size)
+    for values in (np.ones(shape), random_complex(rng, shape)):
+        a = LatticeSymbol(window, xi_grid, values)
+        for phase in phases(pts, xi, rng):
+            want = per_column_abelian_matrix(phase.table(pts, xi), a.values, pts, xi, xi_grid.weights)
+            assert np.array_equal(lattice_matrix(phase, a), want)
+
+
+@pytest.mark.parametrize("dim, cutoff, x_count", [(1, 5, 24), (2, 2, 10)], ids=["dim1", "dim2"])
+def test_torus_matrix_matches_per_column_loop(dim, cutoff, x_count):
+    rng = np.random.default_rng(24 + dim)
+    x_grid = UniformGrid.torus(x_count, dim)
+    x, freqs = x_grid.nodes, torus_freqs(cutoff, dim)
+    shape = (x_grid.size, freqs.shape[0])
+    for values in (np.ones(shape), random_complex(rng, shape)):
+        a = TorusSymbol(x_grid, cutoff, values)
+        for phase in phases(x, freqs, rng):
+            M = per_column_abelian_matrix(phase.table(x, freqs).T, a.values.T, freqs, x, x_grid.weights)
+            assert np.array_equal(torus_matrix(phase, a), M.T)
