@@ -22,7 +22,7 @@ from nucfio.lattice import (
 from nucfio.nuclear import r_quasinorm_bound
 from nucfio.numerics import dense_eigenvalues, matrix_trace
 
-window = LatticeWindow(n=1, radius=4)      # sites -4..4
+window = LatticeWindow(dim=1, radius=4)      # sites -4..4
 xi = UniformGrid.torus(32, 1)              # 32 >= 2 * (2N + 1) = 18: exact
 phase = LatticePhase.linear()
 

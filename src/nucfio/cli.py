@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .grids import SampledField, UniformGrid, ksum, require_int, require_real
+from .grids import SampledField, SampledSymbol, UniformGrid, ksum, require_int, require_real
 from .numerics import dense_eigenvalues, matrix_trace
 from .nuclear import (
     RankOneSequence,
@@ -35,7 +35,6 @@ from .nuclear import (
 from .euclid import PhaseSpec, lidskii_report
 from .quantize import tau_apply, tau_convert, weyl_symbol_from_decomposition, wigner
 from .lattice import (
-    LatticeSymbol,
     LatticeWindow,
     lattice_matrix,
     lattice_mixed_norms,
@@ -52,7 +51,6 @@ from .group import (
     s3_quadrature,
     su2_haar_quadrature,
     su2_irrep_table,
-    torus_freqs,
     torus_matrix,
     torus_nuclear_trace,
     torus_symbol_from_decomposition,
@@ -83,7 +81,8 @@ EXIT_NUMERIC = 3
 _VERBS = ("trace", "spectrum", "wigner", "quantize", "verify", "haar-check")
 
 # Required and optional top-level keys per setting; "su2-checks" is su2 under
-# haar-check, which runs the quadrature checks instead of a trace.
+# haar-check, which runs the quadrature checks instead of a trace, and each
+# homog instance reads its own keys.
 _KEYS = {
     "euclid": (
         ("setting", "grid", "decomposition"),
@@ -96,10 +95,8 @@ _KEYS = {
     "torus": (("setting", "cutoff"), ("seed", "dim", "x_count", "phase", "decomposition", "symbol")),
     "su2": (("setting", "cutoff_twoL"), ("seed", "quadrature", "symbol", "decomposition")),
     "su2-checks": (("setting",), ("seed", "quadrature", "cutoff_twoL", "s3_resolution")),
-    "homog": (
-        ("setting", "instance"),
-        ("seed", "quadrature", "cutoff_twoL", "dim", "cutoff", "x_count", "p1", "p2"),
-    ),
+    "homog-su2": (("setting", "instance"), ("seed", "quadrature", "cutoff_twoL", "p1", "p2")),
+    "homog-torus": (("setting", "instance"), ("seed", "dim", "cutoff", "x_count", "p1", "p2")),
     "su3": (("setting",), ("seed", "resolution", "phi_count", "samples")),
 }
 
@@ -121,6 +118,14 @@ def _check_keys(cfg: dict, where: str, required: tuple, optional: tuple) -> None
 def _int(spec: dict, key: str, default=None) -> int:
     """Integer config value (a required key when no default is given)."""
     return require_int(spec.get(key, default), key)
+
+
+def _count(spec: dict, key: str, default: int, least: int) -> int:
+    """Integer config value of at least ``least``."""
+    value = _int(spec, key, default)
+    if value < least:
+        raise ValidationError(f"{key} = {value} below its minimum {least}")
+    return value
 
 
 def _real(spec: dict, key: str, default=None) -> float:
@@ -295,6 +300,17 @@ def _run_euclid(cfg: dict, verb: str) -> TraceReport:
 # -- lattice and torus --------------------------------------------------------
 
 
+def _abelian_operator(cfg: dict, setting: str, space, freq, factor, synthesize) -> tuple:
+    """(symbol, decomposition or None) of a lattice or torus config."""
+    _one_operator_source(cfg)
+    if "decomposition" in cfg:
+        d = _decomposition(cfg["decomposition"], factor)
+        return synthesize(d), d
+    if "symbol" in cfg:
+        return SampledSymbol(space, freq, _constant_symbol(cfg, setting, (space.size, freq.size))), None
+    raise ValidationError(f"{setting} config needs 'decomposition' or 'symbol'")
+
+
 def _run_lattice(cfg: dict, verb: str) -> TraceReport:
     rng = _rng_for(cfg)
     window = LatticeWindow(_int(cfg, "dim", 1), _int(cfg, "radius"))
@@ -303,58 +319,49 @@ def _run_lattice(cfg: dict, verb: str) -> TraceReport:
         raise ValidationError(
             f"xi_count = {xi_count} below the exactness threshold {window.min_xi_count()}"
         )
-    xi_grid = UniformGrid.torus(xi_count, window.n)
+    xi_grid = UniformGrid.torus(xi_count, window.dim)
     phase = _linear_phase(cfg, "lattice")
     t0 = time.perf_counter()
-    quasinorm = None
-    _one_operator_source(cfg)
-    if "decomposition" in cfg:
-        d = _decomposition(
-            cfg["decomposition"], lambda spec, where: families.lattice_sequence(window, spec, rng)
-        )
-        a = lattice_symbol_from_decomposition(phase, d, xi_grid)
-        quasinorm = r_quasinorm_bound(d)
-        mixed = lattice_mixed_norms(a, d.p1, d.p2)
-    elif "symbol" in cfg:
-        a = LatticeSymbol(window, xi_grid, _constant_symbol(cfg, "lattice", (window.size, xi_grid.size)))
-        p = _real(cfg, "p", 2.0)
-        mixed = lattice_mixed_norms(a, p, p)
-    else:
-        raise ValidationError("lattice config needs 'decomposition' or 'symbol'")
-    nuclear = lattice_nuclear_trace(phase, a)
-    M = lattice_matrix(phase, a)
+    a, d = _abelian_operator(
+        cfg, "lattice", window, xi_grid,
+        lambda spec, where: families.lattice_sequence(window, spec, rng),
+        lambda d: lattice_symbol_from_decomposition(phase, d, xi_grid),
+    )
+    p1, p2 = (_real(cfg, "p", 2.0),) * 2 if d is None else (d.p1, d.p2)
+    mixed = lattice_mixed_norms(a, p1, p2)
     return _matrix_report(
-        "lattice", nuclear, M, t0,
-        quasinorm_bound=quasinorm, mixed_norm_x_first=mixed[0], mixed_norm_xi_first=mixed[1],
+        "lattice", lattice_nuclear_trace(phase, a), lattice_matrix(phase, a), t0,
+        quasinorm_bound=None if d is None else r_quasinorm_bound(d),
+        mixed_norm_x_first=mixed[0], mixed_norm_xi_first=mixed[1],
     )
 
 
-def _run_torus(cfg: dict, verb: str) -> TraceReport:
-    rng = _rng_for(cfg)
-    dim = _int(cfg, "dim", 1)
-    cutoff = _int(cfg, "cutoff")
+def _torus_grid(cfg: dict, cutoff: int) -> UniformGrid:
+    """The periodic x grid of a torus config; below 4 * cutoff + 2 nodes per
+    axis it aliases the frequency cube and the quadratures are not exact."""
     x_count = _int(cfg, "x_count", 32)
     if x_count < 4 * cutoff + 2:
         raise ValidationError(
             f"x_count = {x_count} below the exactness threshold {4 * cutoff + 2}"
         )
-    x_grid = UniformGrid.torus(x_count, dim)
+    return UniformGrid.torus(x_count, _int(cfg, "dim", 1))
+
+
+def _run_torus(cfg: dict, verb: str) -> TraceReport:
+    rng = _rng_for(cfg)
+    cutoff = _count(cfg, "cutoff", None, 0)
+    x_grid = _torus_grid(cfg, cutoff)
     phase = _linear_phase(cfg, "torus")
     t0 = time.perf_counter()
-    quasinorm = None
-    _one_operator_source(cfg)
-    if "decomposition" in cfg:
-        d = _decomposition(cfg["decomposition"], lambda spec, where: families.euclid_field(x_grid, spec, rng))
-        a = torus_symbol_from_decomposition(phase, d, cutoff, x_grid)
-        quasinorm = r_quasinorm_bound(d)
-    elif "symbol" in cfg:
-        shape = (x_grid.size, torus_freqs(cutoff, dim).shape[0])
-        a = TorusSymbol(x_grid, cutoff, _constant_symbol(cfg, "torus", shape))
-    else:
-        raise ValidationError("torus config needs 'decomposition' or 'symbol'")
-    nuclear = torus_nuclear_trace(phase, a)
-    M = torus_matrix(phase, a)
-    return _matrix_report("torus", nuclear, M, t0, quasinorm_bound=quasinorm)
+    a, d = _abelian_operator(
+        cfg, "torus", x_grid, LatticeWindow(x_grid.dim, cutoff),
+        lambda spec, where: families.euclid_field(x_grid, spec, rng),
+        lambda d: torus_symbol_from_decomposition(phase, d, cutoff, x_grid),
+    )
+    return _matrix_report(
+        "torus", torus_nuclear_trace(phase, a), torus_matrix(phase, a), t0,
+        quasinorm_bound=None if d is None else r_quasinorm_bound(d),
+    )
 
 
 # -- su2 and homog --------------------------------------------------------------
@@ -431,25 +438,21 @@ def _run_homog(cfg: dict, verb: str) -> TraceReport:
     p1, p2 = _real(cfg, "p1", 2.0), _real(cfg, "p2", 2.0)
     if instance == "su2":
         quad = _su2_quad(cfg)
-        cutoff = _int(cfg, "cutoff_twoL", 2)
+        cutoff = _count(cfg, "cutoff_twoL", 2, 0)
         table = table_from_su2(quad, cutoff)
         blocks_a = _identity_blocks(quad.size, cutoff)
         Phi_g = identity_phase(quad, cutoff)
         a_g = GroupSymbol(quad, {t: blocks_a[t] for t in table.labels})
         route, reference = "group_trace", group_nuclear_trace(Phi_g, a_g, cutoff)
         M = group_matrix(Phi_g, a_g, cutoff)
-    elif instance == "torus":
-        dim = _int(cfg, "dim", 1)
-        cutoff = _int(cfg, "cutoff", 2)
-        x_grid = UniformGrid.torus(_int(cfg, "x_count", 32), dim)
+    else:
+        cutoff = _count(cfg, "cutoff", 2, 0)
+        x_grid = _torus_grid(cfg, cutoff)
         table = table_from_torus(x_grid, cutoff)
         blocks_a = {lab: np.ones((x_grid.size, 1, 1), dtype=complex) for lab in table.labels}
-        n_freq = torus_freqs(cutoff, dim).shape[0]
-        a_t = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, n_freq), dtype=complex))
+        a_t = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, len(table.labels)), dtype=complex))
         route, reference = "torus_trace", torus_nuclear_trace(PhaseSpec.linear(), a_t)
         M = torus_matrix(PhaseSpec.linear(), a_t)
-    else:
-        raise ValidationError(f"homog instance {instance!r} not in ('su2', 'torus')")
     Phi_h = HomogPhase(table, {lab: table.entries[lab].matrices for lab in table.labels})
     a_h = HomogSymbol(table, blocks_a)
     nuclear = homog_nuclear_trace(Phi_h, a_h)
@@ -481,8 +484,8 @@ def _with_tolerance(checks: list, tolerance: float | None) -> list:
 
 
 def _su2_haar_checks(cfg: dict, tolerance: float | None) -> list:
+    cutoff = _count(cfg, "cutoff_twoL", 2, 0)
     quad = _su2_quad(cfg)
-    cutoff = _int(cfg, "cutoff_twoL", 2)
     checks = []
     wsum = abs(float(ksum(quad.weights)) - 1.0)
     checks.append(("haar_weight_sum", wsum, 1e-10))
@@ -525,13 +528,13 @@ def _su2_haar_checks(cfg: dict, tolerance: float | None) -> list:
     trace_gap = abs(group_nuclear_trace(Phi, a, cutoff) - expected)
     checks.append(("identity_trace", trace_gap, 1e-6))
 
-    s3 = s3_quadrature(_int(cfg, "s3_resolution", 48))
+    s3 = s3_quadrature(_count(cfg, "s3_resolution", 48, 4))
     checks.append(("s3_raw_mass", abs(s3.raw_mass - 4.0 * np.pi**2), 1e-4))
     return _with_tolerance(checks, tolerance)
 
 
 def _su3_checks(cfg: dict, tolerance: float | None) -> list:
-    samples = _int(cfg, "samples", 10000)
+    samples = _count(cfg, "samples", 10000, 1)
     rng = np.random.default_rng(_int(cfg, "seed", 0))
     quad = su3_haar_quadrature(_int(cfg, "resolution", 16), _int(cfg, "phi_count", 5))
     checks = [
@@ -626,13 +629,17 @@ def run_scenario(cfg: dict, verb: str, tolerance: float | None = None):
     if setting == "su2" and verb == "haar-check":
         _check_keys(cfg, "config", *_KEYS["su2-checks"])
         return _empty_report("su2"), _su2_haar_checks(cfg, tolerance)
-    _check_keys(cfg, "config", *_KEYS[setting])
+    keys = f"homog-{cfg.get('instance')}" if setting == "homog" else setting
+    if keys not in _KEYS:
+        raise ValidationError(f"homog instance {cfg.get('instance')!r} not in ('su2', 'torus')")
+    _check_keys(cfg, "config", *_KEYS[keys])
     report = _RUNNERS[setting](cfg, verb)
     if verb != "verify":
         return report, []
+    checks = _generic_verify_checks(report, tolerance)
     if setting == "homog":
-        return report, _homog_verify_checks(report, tolerance)
-    return report, _generic_verify_checks(report, tolerance)
+        checks += _homog_verify_checks(report, tolerance)
+    return report, checks
 
 
 def run_main(argv=None) -> int:

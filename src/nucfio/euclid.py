@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
-from .grids import SampledField, UniformGrid, complex_samples, ksum, require_same_grid, validate_range
+from .grids import SampledField, SampledSymbol, UniformGrid, ksum, require_same_grid, validate_range
 from .nuclear import (
     RankOneSequence,
     delgado_trace,
@@ -92,33 +92,18 @@ class PhaseSpec:
         return self.values[rows]
 
 
-@dataclass(frozen=True)
-class EuclideanSymbol:
-    """Symbol samples a(x_i, xi_j) on a spatial grid and a frequency grid."""
-
-    x_grid: UniformGrid
-    xi_grid: UniformGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.x_grid.dim != self.xi_grid.dim:
-            raise ShapeError(
-                f"x dim {self.x_grid.dim} != xi dim {self.xi_grid.dim}"
-            )
-        v = complex_samples(self.values, (self.x_grid.size, self.xi_grid.size), "symbol")
-        object.__setattr__(self, "values", v)
+# A symbol on R^n is a sampled symbol on a spatial box times a frequency box.
+EuclideanSymbol = SampledSymbol
 
 
-def _require_phase_density(
-    table: np.ndarray, x_shape: tuple, xi_shape: tuple, what: str, xi_only: bool = False
-) -> None:
+def _require_phase_density(table: np.ndarray, a: SampledSymbol, what: str, xi_only: bool = False) -> None:
     """Sampled integrands must advance by <= 2*pi/8 per node step per axis.
 
     Only the axes actually integrated against the oscillation are checked:
     application integrates xi alone, traces integrate both variables.
     """
-    full = table.reshape(x_shape + xi_shape)
-    first_axis = len(x_shape) if xi_only else 0
+    full = table.reshape(a.space.shape + a.freq.shape)
+    first_axis = a.space.dim if xi_only else 0
     for ax in range(first_axis, full.ndim):
         if full.shape[ax] < 2:
             continue
@@ -136,19 +121,17 @@ def fio_apply(phase: PhaseSpec, a: EuclideanSymbol, f: SampledField) -> SampledF
 
     f must live on the symbol's spatial grid; the output does too.
     """
-    require_same_grid(f.grid, a.x_grid, "fio_apply input")
+    require_same_grid(f.grid, a.space, "fio_apply input")
     if phase.kind == "sampled":
-        _require_phase_density(
-            phase.values, a.x_grid.shape, a.xi_grid.shape, "fio_apply", xi_only=True
-        )
-    fhat = dft_forward(f, a.xi_grid).values
-    wfhat = a.xi_grid.weights * fhat
-    out = np.empty(a.x_grid.size, dtype=complex)
-    for s in range(0, a.x_grid.size, _ROW_CHUNK):
-        rows = slice(s, min(s + _ROW_CHUNK, a.x_grid.size))
-        phi = phase.table(a.x_grid.nodes, a.xi_grid.nodes, rows)
+        _require_phase_density(phase.values, a, "fio_apply", xi_only=True)
+    fhat = dft_forward(f, a.freq).values
+    wfhat = a.freq.weights * fhat
+    out = np.empty(a.space.size, dtype=complex)
+    for s in range(0, a.space.size, _ROW_CHUNK):
+        rows = slice(s, min(s + _ROW_CHUNK, a.space.size))
+        phi = phase.table(a.space.nodes, a.freq.nodes, rows)
         out[rows] = ksum(np.exp(1j * phi) * a.values[rows] * wfhat[None, :], axis=1)
-    return SampledField(a.x_grid, out)
+    return SampledField(a.space, out)
 
 
 def symbol_from_decomposition(
@@ -182,19 +165,14 @@ def nuclear_trace_euclid(phase: PhaseSpec, a: EuclideanSymbol) -> complex:
     the trace kernel exactly in floating point.
     """
     if phase.kind == "sampled":
-        xdotxi = a.x_grid.nodes @ a.xi_grid.nodes.T
-        _require_phase_density(
-            phase.values - 2.0 * np.pi * xdotxi,
-            a.x_grid.shape,
-            a.xi_grid.shape,
-            "nuclear_trace_euclid",
-        )
-    wx, wxi = a.x_grid.weights, a.xi_grid.weights
+        xdotxi = a.space.nodes @ a.freq.nodes.T
+        _require_phase_density(phase.values - 2.0 * np.pi * xdotxi, a, "nuclear_trace_euclid")
+    wx, wxi = a.space.weights, a.freq.weights
     partials = []
-    for s in range(0, a.x_grid.size, _ROW_CHUNK):
-        rows = slice(s, min(s + _ROW_CHUNK, a.x_grid.size))
-        xdotxi = 2.0 * np.pi * (a.x_grid.nodes[rows] @ a.xi_grid.nodes.T)
-        phi = phase.table(a.x_grid.nodes, a.xi_grid.nodes, rows)
+    for s in range(0, a.space.size, _ROW_CHUNK):
+        rows = slice(s, min(s + _ROW_CHUNK, a.space.size))
+        xdotxi = 2.0 * np.pi * (a.space.nodes[rows] @ a.freq.nodes.T)
+        phi = phase.table(a.space.nodes, a.freq.nodes, rows)
         psi = phi - xdotxi
         integrand = np.exp(1j * psi) * a.values[rows] * wxi[None, :] * wx[rows, None]
         partials.append(ksum(integrand))

@@ -145,11 +145,11 @@ def euclid_field(grid: UniformGrid, spec: dict, rng: np.random.Generator | None 
 def lattice_sequence(window: LatticeWindow, spec: dict, rng: np.random.Generator | None = None) -> LatticeSequence:
     """Build a sequence on a lattice window from a family spec."""
     fam = _family(spec, "sequence")
-    pts = window.points
+    pts = window.nodes
     if fam == "gaussian":
         return LatticeSequence(window, _gaussian(pts, spec))
     if fam == "delta":
-        at = [require_int(v, "at") for v in np.ravel(spec.get("at", [0] * window.n))]
+        at = [require_int(v, "at") for v in np.ravel(spec.get("at", [0] * window.dim))]
         at = np.asarray(at, dtype=float)
         match = np.all(pts == at[None, :], axis=1)
         if not match.any():

@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "UniformGrid",
     "SampledField",
+    "SampledSymbol",
     "KahanSum",
     "ksum",
     "interpolate",
@@ -204,7 +205,7 @@ class UniformGrid:
 
 def require_same_grid(a, b, what: str) -> None:
     """Reject two different domains: grids compare by axes and periodicity,
-    lattice windows by (n, radius), group quadratures by identity."""
+    lattice windows by (dim, radius), group quadratures by identity."""
     if a != b:
         raise GridMismatchError(f"{what}: grids differ ({getattr(a, 'axes', a)} vs {getattr(b, 'axes', b)})")
 
@@ -227,6 +228,24 @@ class SampledField:
 
     def __post_init__(self):
         v = complex_samples(np.reshape(self.values, -1), (self.grid.size,), "field")
+        object.__setattr__(self, "values", v)
+
+
+@dataclass(frozen=True)
+class SampledSymbol:
+    """Complex samples a(x, xi) on a space times its dual group: boxes for
+    R^n, a ``lattice.LatticeWindow`` times the periodic [0, 1)^n grid for Z^n,
+    and the reverse for the torus. Rows are ``space`` nodes, columns ``freq``
+    nodes."""
+
+    space: UniformGrid | LatticeWindow
+    freq: UniformGrid | LatticeWindow
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.space.dim != self.freq.dim:
+            raise ShapeError(f"space dim {self.space.dim} != frequency dim {self.freq.dim}")
+        v = complex_samples(self.values, (self.space.size, self.freq.size), "symbol")
         object.__setattr__(self, "values", v)
 
 

@@ -13,7 +13,8 @@ parametrization additionally records the raw mass of its printed density,
 which integrates to 4*pi^2 over the chart, twice the unit 3-sphere area.
 
 Two kernels do the work. The torus is the abelian pair of the lattice module
-(``lattice._abelian_*``) with space and frequency swapped. SU(2) is the K = {e}
+(``lattice._abelian_*``) with space and frequency swapped, one ``SampledSymbol``
+over a periodic grid and a frequency ``LatticeWindow``. SU(2) is the K = {e}
 instance of the class-I table kernel below. Its domain is anything with
 ``size``, ``weights`` and ``irrep(label) -> (label, dim, k_inv, matrices)``: a
 ``GroupQuadrature`` (k_inv = dim) or a ``homog.ClassIIrrepTable``. One symbol
@@ -36,10 +37,10 @@ from .errors import (
     ValidationError,
 )
 from .euclid import PhaseSpec
-from .grids import KahanSum, SampledField, UniformGrid, complex_samples, ksum, require_same_grid
+from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, complex_samples, ksum, require_same_grid
 from .lattice import LatticeWindow, _abelian_matrix, _abelian_synthesis, _abelian_trace
 from .nuclear import RankOneSequence
-from .numerics import character_sum
+from .numerics import dft_forward
 
 __all__ = [
     "GroupQuadrature",
@@ -563,12 +564,17 @@ def group_matrix(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None
 # -- the torus as the abelian instance ---------------------------------------
 
 
-def torus_freqs(cutoff: int, dim: int) -> np.ndarray:
-    """Integer frequency tuples in {-cutoff..cutoff}^dim, lexicographic: the
-    points of the lattice window of radius ``cutoff``."""
+def _freq_window(cutoff: int, dim: int) -> LatticeWindow:
+    """The centered frequency cube {-cutoff..cutoff}^dim of the torus."""
     if int(cutoff) < 0:
         raise DomainError(f"cutoff = {cutoff} < 0")
-    return LatticeWindow(dim, int(cutoff)).points
+    return LatticeWindow(dim, int(cutoff))
+
+
+def torus_freqs(cutoff: int, dim: int) -> np.ndarray:
+    """Integer frequency tuples in {-cutoff..cutoff}^dim, lexicographic: the
+    nodes of the lattice window of radius ``cutoff``."""
+    return _freq_window(cutoff, dim).nodes
 
 
 # The torus shares the lattice's phase type: rows are spatial nodes, columns
@@ -576,23 +582,22 @@ def torus_freqs(cutoff: int, dim: int) -> np.ndarray:
 TorusPhase = PhaseSpec
 
 
-@dataclass(frozen=True)
-class TorusSymbol:
-    """a(x, l) on a periodic grid times a centered frequency cube."""
+def _require_periodic(x_grid) -> None:
+    if not getattr(x_grid, "periodic", False):
+        raise ValidationError("torus symbols need a periodic spatial grid")
 
-    x_grid: UniformGrid
-    cutoff: int
-    values: np.ndarray
 
-    def __post_init__(self):
-        if not self.x_grid.periodic:
-            raise ValidationError("torus symbols need a periodic spatial grid")
-        shape = (self.x_grid.size, torus_freqs(self.cutoff, self.x_grid.dim).shape[0])
-        object.__setattr__(self, "values", complex_samples(self.values, shape, "symbol"))
+def _check_torus(a: SampledSymbol) -> None:
+    """The torus setting: a periodic grid times a frequency window."""
+    _require_periodic(a.space)
+    if not isinstance(a.freq, LatticeWindow):
+        raise ValidationError(f"torus frequencies must be a LatticeWindow, got {type(a.freq).__name__}")
 
-    @property
-    def freqs(self) -> np.ndarray:
-        return torus_freqs(self.cutoff, self.x_grid.dim)
+
+def TorusSymbol(x_grid: UniformGrid, cutoff: int, values) -> SampledSymbol:
+    """a(x, l) on a periodic grid times the centered frequency cube."""
+    _require_periodic(x_grid)
+    return SampledSymbol(x_grid, _freq_window(cutoff, x_grid.dim), values)
 
 
 def torus_fourier(f: SampledField, cutoff: int) -> np.ndarray:
@@ -603,13 +608,12 @@ def torus_fourier(f: SampledField, cutoff: int) -> np.ndarray:
     """
     if not f.grid.periodic:
         raise ValidationError("torus transform needs a periodic grid")
-    freqs = torus_freqs(cutoff, f.grid.dim)
-    return character_sum(f.grid.weights * f.values, f.grid.nodes, freqs, -1.0)
+    return dft_forward(f, _freq_window(cutoff, f.grid.dim)).values
 
 
 def torus_symbol_from_decomposition(
     phase: TorusPhase, d, cutoff: int, x_grid: UniformGrid
-) -> TorusSymbol:
+) -> SampledSymbol:
     """a(x, l) = e^{-i phi(x,l)} sum_k h_k(x) (F_T g_k)(-l).
 
     d is a rank-one decomposition whose factors are fields on the periodic
@@ -619,21 +623,21 @@ def torus_symbol_from_decomposition(
     """
     for grid in (d.h_grid, d.g_grid):
         require_same_grid(grid, x_grid, "torus_symbol_from_decomposition")
-    x, freqs = x_grid.nodes, torus_freqs(cutoff, x_grid.dim)
-    pairs = [(h.values, x_grid.weights * g.values) for h, g in d.terms]
-    return TorusSymbol(x_grid, int(cutoff), _abelian_synthesis(phase.table(x, freqs), pairs, x, freqs))
+    _require_periodic(x_grid)
+    return _abelian_synthesis(phase, d, x_grid, _freq_window(cutoff, x_grid.dim))
 
 
-def torus_nuclear_trace(phase: TorusPhase, a: TorusSymbol) -> complex:
+def torus_nuclear_trace(phase: TorusPhase, a: SampledSymbol) -> complex:
     """int_T sum_l e^{i(phi - 2*pi*x.l)} a(x,l) dx, single-difference exponent."""
-    x, freqs = a.x_grid.nodes, a.freqs
-    return _abelian_trace(phase.table(x, freqs), a.values, x, freqs, a.x_grid.weights[:, None])
+    _check_torus(a)
+    return _abelian_trace(phase, a)
 
 
-def torus_matrix(phase: TorusPhase, a: TorusSymbol) -> np.ndarray:
+def torus_matrix(phase: TorusPhase, a: SampledSymbol) -> np.ndarray:
     """Operator matrix on Fourier coefficients, M[l', l] = int e^{-2*pi*i*x.l'}
     e^{i phi(x,l)} a(x,l) dx: the lattice-form matrix of the transposed
     symbol, transposed back. Its diagonal reuses the trace cancellation."""
-    x, freqs = a.x_grid.nodes, a.freqs
-    M = _abelian_matrix(phase.table(x, freqs).T, a.values.T, freqs, x, a.x_grid.weights)
+    _check_torus(a)
+    x, freqs = a.space.nodes, a.freq.nodes
+    M = _abelian_matrix(phase.table(x, freqs).T, a.values.T, freqs, x, a.space.weights)
     return np.ascontiguousarray(M.T)

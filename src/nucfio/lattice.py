@@ -8,10 +8,10 @@ exactly once the grid has more than twice the window's bandwidth per axis.
 Trace kernels are formed as single exponent differences so the linear phase
 cancels in floating point and windowed identities trace to exact integers.
 
-The torus is the same pairing with the roles of space and frequency swapped,
-so the trace, matrix and synthesis kernels here (``_abelian_*``) take the two
-point sets and the weights of the summed side; ``group.torus_*`` calls them
-too. Lattice sums are unweighted, torus integrals carry the grid weights.
+The torus is the same pairing with the roles of space and frequency swapped:
+both store a ``grids.SampledSymbol`` one side of which is a window with unit
+weights, so the ``_abelian_*`` kernels here weight by both sides, exactly,
+and ``group.torus_*`` calls them too.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ from .euclid import PhaseSpec
 from .grids import (
     KahanSum,
     SampledField,
+    SampledSymbol,
     UniformGrid,
-    complex_samples,
     ksum,
     require_same_grid,
     validate_range,
 )
 from .nuclear import RankOneSequence
-from .numerics import character_sum, weighted_lp_norm
+from .numerics import character_sum, dft_forward, weighted_lp_norm
 
 __all__ = [
     "LatticeWindow",
@@ -53,14 +53,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LatticeWindow:
-    """Centered cube {-radius..radius}^n in lexicographic point order."""
+    """Centered cube {-radius..radius}^dim in lexicographic node order."""
 
-    n: int
+    dim: int
     radius: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"lattice dimension {self.n} < 1")
+        if self.dim < 1:
+            raise DomainError(f"lattice dimension {self.dim} < 1")
         if self.radius < 0:
             raise DomainError(f"window radius {self.radius} < 0")
 
@@ -70,7 +70,7 @@ class LatticeWindow:
 
     @property
     def size(self) -> int:
-        return self.side**self.n
+        return self.side**self.dim
 
     @property
     def weights(self) -> np.ndarray:
@@ -78,9 +78,10 @@ class LatticeWindow:
         return np.ones(self.size)
 
     @property
-    def points(self) -> np.ndarray:
+    def nodes(self) -> np.ndarray:
+        """All integer points, shape (size, dim), first axis slowest."""
         rng = range(-self.radius, self.radius + 1)
-        return np.array(list(itertools.product(rng, repeat=self.n)), dtype=float)
+        return np.array(list(itertools.product(rng, repeat=self.dim)), dtype=float)
 
     def min_xi_count(self) -> int:
         """Nodes per xi-axis for exact quadrature of window bigrams.
@@ -93,10 +94,13 @@ class LatticeWindow:
 
 
 def _check_xi_grid(window: LatticeWindow, xi_grid: UniformGrid) -> None:
+    """The lattice setting: a window times an exact periodic grid on [0, 1)^n."""
+    if not isinstance(window, LatticeWindow):
+        raise ValidationError(f"lattice space must be a LatticeWindow, got {type(window).__name__}")
     if not xi_grid.periodic:
         raise ValidationError("lattice frequency grid must be periodic on [0,1)^n")
-    if xi_grid.dim != window.n:
-        raise ShapeError(f"xi grid dim {xi_grid.dim} != lattice dim {window.n}")
+    if xi_grid.dim != window.dim:
+        raise ShapeError(f"xi grid dim {xi_grid.dim} != lattice dim {window.dim}")
     need = window.min_xi_count()
     for ax, (lo, hi, count) in enumerate(xi_grid.axes):
         if not (lo == 0.0 and hi == 1.0):
@@ -114,46 +118,40 @@ LatticeSequence = SampledField
 LatticeRankOne = RankOneSequence
 
 
-@dataclass(frozen=True)
-class LatticeSymbol:
-    """Symbol samples a(n', xi_j), window points by torus nodes."""
-
-    window: LatticeWindow
-    xi_grid: UniformGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_xi_grid(self.window, self.xi_grid)
-        v = complex_samples(self.values, (self.window.size, self.xi_grid.size), "symbol")
-        object.__setattr__(self, "values", v)
+def LatticeSymbol(window: LatticeWindow, xi_grid: UniformGrid, values) -> SampledSymbol:
+    """Symbol samples a(n', xi_j), window points by checked torus nodes."""
+    _check_xi_grid(window, xi_grid)
+    return SampledSymbol(window, xi_grid, values)
 
 
 # The lattice and the torus share one phase type.
 LatticePhase = PhaseSpec
 
 
-def _abelian_synthesis(phi: np.ndarray, pairs, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """a(p, j) = e^{-i phi(p, j)} sum_k h_k(p) sum_m g_k(m) e^{2*pi*i rows_m.cols_j}.
-
-    ``pairs`` holds (h_k, g_k) samples on ``rows``; any quadrature weight of
-    the summed side is already folded into g_k.
+def _abelian_synthesis(phase: PhaseSpec, d: RankOneSequence, space, freq) -> SampledSymbol:
+    """a(p, j) = e^{-i phi(p, j)} sum_k h_k(p) sum_m w_m g_k(m) e^{2*pi*i x_m.xi_j}
+    on ``space`` x ``freq``. The summed side's weights w fold into g_k; on a
+    window, 1.0 * g changes at most the sign of a zero, which the compensated
+    sum absorbs, so window sums stay plain sums bit for bit.
     """
-    A = np.zeros((rows.shape[0], cols.shape[0]), dtype=complex)
-    for h, g in pairs:
-        A += np.outer(h, character_sum(g, rows, cols, 1.0))
-    return np.exp(-1j * phi) * A
+    x, xi = space.nodes, freq.nodes
+    A = np.zeros((space.size, freq.size), dtype=complex)
+    for h, g in d.terms:
+        A += np.outer(h.values, character_sum(space.weights * g.values, x, xi, 1.0))
+    return SampledSymbol(space, freq, np.exp(-1j * phase.table(x, xi)) * A)
 
 
-def _abelian_trace(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, cols: np.ndarray, w) -> complex:
-    """sum_{p, j} w e^{i(phi(p, j) - 2*pi*rows_p.cols_j)} a(p, j), flattened in
-    the symbol's own order; ``w`` broadcasts against ``a``.
-
-    The exponent keeps the i on phi and is formed as one difference, so the
+def _abelian_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
+    """sum_{p, j} w_p w_j e^{i(phi(p, j) - 2*pi*x_p.xi_j)} a(p, j) in the
+    symbol's own order; one side is a window of unit weights, so w_p w_j is
+    exact. The exponent keeps the i on phi and is one difference, so the
     linear phase gives e^{i*0} = 1 exactly and identities trace to the
     cardinality with no rounding.
     """
-    kernel = 2.0 * np.pi * (rows @ cols.T)
-    return complex(ksum(np.exp(1j * (phi - kernel)) * a * w))
+    x, xi = a.space.nodes, a.freq.nodes
+    w = a.space.weights[:, None] * a.freq.weights[None, :]
+    kernel = 2.0 * np.pi * (x @ xi.T)
+    return complex(ksum(np.exp(1j * (phase.table(x, xi) - kernel)) * a.values * w))
 
 
 # Frequencies per accumulated block of ``_abelian_matrix``: the block is
@@ -187,23 +185,25 @@ def lattice_lp_norm(f: LatticeSequence, p: float) -> float:
 
 
 def lattice_dft(f: LatticeSequence, xi_grid: UniformGrid) -> SampledField:
-    """(F_Z f)(xi) = sum_m f(m) e^{-2*pi*i*m.xi}, exact finite sum."""
+    """(F_Z f)(xi) = sum_m f(m) e^{-2*pi*i*m.xi}, exact finite sum (the
+    quadrature transform with the window's unit weights)."""
     _check_xi_grid(f.grid, xi_grid)
-    return SampledField(xi_grid, character_sum(f.values, f.grid.points, xi_grid.nodes, -1.0))
+    return dft_forward(f, xi_grid)
 
 
-def lattice_fio_apply(phase: LatticePhase, a: LatticeSymbol, f: LatticeSequence) -> LatticeSequence:
-    """out(n') = sum_xi w(xi) e^{i phi(n', xi)} a(n', xi) (F_Z f)(xi)."""
-    require_same_grid(f.grid, a.window, "lattice_fio_apply input")
-    fhat = lattice_dft(f, a.xi_grid).values
-    phi = phase.table(a.window.points, a.xi_grid.nodes)
-    integrand = np.exp(1j * phi) * a.values * (a.xi_grid.weights * fhat)[None, :]
-    return LatticeSequence(a.window, ksum(integrand, axis=1))
+def lattice_fio_apply(phase: LatticePhase, a: SampledSymbol, f: LatticeSequence) -> LatticeSequence:
+    """out(n') = sum_xi w(xi) e^{i phi(n', xi)} a(n', xi) (F_Z f)(xi); the
+    transform checks the symbol's setting."""
+    require_same_grid(f.grid, a.space, "lattice_fio_apply input")
+    fhat = lattice_dft(f, a.freq).values
+    phi = phase.table(a.space.nodes, a.freq.nodes)
+    integrand = np.exp(1j * phi) * a.values * (a.freq.weights * fhat)[None, :]
+    return LatticeSequence(a.space, ksum(integrand, axis=1))
 
 
 def lattice_symbol_from_decomposition(
     phase: LatticePhase, d: LatticeRankOne, xi_grid: UniformGrid
-) -> LatticeSymbol:
+) -> SampledSymbol:
     """Symbol with kernel sum_k h_k(n') g_k(m).
 
     a(n', xi) = e^{-i phi(n', xi)} sum_k h_k(n') (F_Z g_k)(-xi); the h factor
@@ -211,30 +211,28 @@ def lattice_symbol_from_decomposition(
     """
     require_same_grid(d.h_grid, d.g_grid, "lattice_symbol_from_decomposition")
     _check_xi_grid(d.h_grid, xi_grid)
-    pts = d.h_grid.points
-    pairs = [(h.values, g.values) for h, g in d.terms]
-    A = _abelian_synthesis(phase.table(pts, xi_grid.nodes), pairs, pts, xi_grid.nodes)
-    return LatticeSymbol(d.h_grid, xi_grid, A)
+    return _abelian_synthesis(phase, d, d.h_grid, xi_grid)
 
 
-def lattice_nuclear_trace(phase: LatticePhase, a: LatticeSymbol) -> complex:
+def lattice_nuclear_trace(phase: LatticePhase, a: SampledSymbol) -> complex:
     """sum_{n'} sum_xi w(xi) e^{i(phi - 2*pi*n'.xi)} a(n', xi), exact for
     windowed identities (see ``_abelian_trace``)."""
-    pts, xi = a.window.points, a.xi_grid.nodes
-    return _abelian_trace(phase.table(pts, xi), a.values, pts, xi, a.xi_grid.weights[None, :])
+    _check_xi_grid(a.space, a.freq)
+    return _abelian_trace(phase, a)
 
 
-def lattice_matrix(phase: LatticePhase, a: LatticeSymbol) -> np.ndarray:
+def lattice_matrix(phase: LatticePhase, a: SampledSymbol) -> np.ndarray:
     """Dense matrix of the operator on the window.
 
     M[p, q] = sum_xi w(xi) e^{i(phi(n'_p, xi) - 2*pi*m_q.xi)} a(n'_p, xi),
     acting on sequence values by plain matrix multiplication.
     """
-    pts, xi = a.window.points, a.xi_grid.nodes
-    return _abelian_matrix(phase.table(pts, xi), a.values, pts, xi, a.xi_grid.weights)
+    _check_xi_grid(a.space, a.freq)
+    pts, xi = a.space.nodes, a.freq.nodes
+    return _abelian_matrix(phase.table(pts, xi), a.values, pts, xi, a.freq.weights)
 
 
-def lattice_mixed_norms(a: LatticeSymbol, p1: float, p2: float) -> tuple:
+def lattice_mixed_norms(a: SampledSymbol, p1: float, p2: float) -> tuple:
     """The two iterated norms, n'-inner and xi-inner.
 
     Returns ((int_T (sum_{n'} |a|^{p2})^{p1/p2} dxi)^{1/p1},
@@ -242,8 +240,9 @@ def lattice_mixed_norms(a: LatticeSymbol, p1: float, p2: float) -> tuple:
     """
     validate_range("p1", p1, 1.0, np.inf, include_hi=False)
     validate_range("p2", p2, 1.0, np.inf, include_hi=False)
+    _check_xi_grid(a.space, a.freq)
     vals = np.abs(a.values)
-    w = a.xi_grid.weights
+    w = a.freq.weights
     inner_pts = ksum(vals**p2, axis=0) ** (p1 / p2)
     n_first = float(ksum(w * inner_pts)) ** (1.0 / p1)
     inner_xi = ksum(w[None, :] * vals**p1, axis=1) ** (p2 / p1)

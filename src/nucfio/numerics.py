@@ -109,11 +109,11 @@ def mixed_norm(symbol, inner: str, p_inner: float, p_outer: float) -> float:
 
     Parameters
     ----------
-    symbol : object
-        Anything with ``x_grid``, ``xi_grid`` and ``values`` of shape
-        (x_grid.size, xi_grid.size).
+    symbol : SampledSymbol
+        Or anything with ``space`` and ``freq`` domains (``size``,
+        ``weights``) and ``values`` of shape (space.size, freq.size).
     inner : {'x', 'xi'}
-        Which variable the inner norm integrates first.
+        Which side the inner norm integrates first: 'x' is ``space``.
     p_inner, p_outer : float
         Exponents in [1, inf).
 
@@ -131,10 +131,10 @@ def mixed_norm(symbol, inner: str, p_inner: float, p_outer: float) -> float:
     if inner not in ("x", "xi"):
         raise ValidationError(f"inner must be 'x' or 'xi', got {inner!r}")
     vals = np.abs(np.asarray(symbol.values))
-    nx, nxi = symbol.x_grid.size, symbol.xi_grid.size
+    nx, nxi = symbol.space.size, symbol.freq.size
     if vals.shape != (nx, nxi):
         raise ShapeError(f"symbol values {vals.shape} != grid sizes ({nx}, {nxi})")
-    wx, wxi = symbol.x_grid.weights, symbol.xi_grid.weights
+    wx, wxi = symbol.space.weights, symbol.freq.weights
     if inner == "x":
         t = ksum(wx[:, None] * vals**p_inner, axis=0) ** (1.0 / p_inner)
         return float(ksum(wxi * t**p_outer)) ** (1.0 / p_outer)

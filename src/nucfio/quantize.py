@@ -65,8 +65,8 @@ def tau_apply(sigma: EuclideanSymbol, tau: float, f: SampledField) -> SampledFie
     stays inside the box, via cubic interpolation between x-nodes.
     """
     tau = _validate_tau(tau)
-    require_same_grid(f.grid, sigma.x_grid, "tau_apply input")
-    xg, xig = sigma.x_grid, sigma.xi_grid
+    require_same_grid(f.grid, sigma.space, "tau_apply input")
+    xg, xig = sigma.space, sigma.freq
     Y, XI = xg.nodes, xig.nodes
     wf = xg.weights * f.values
     # e^{-2 pi i y.xi} carries the y-side of the double integral; the x-side
@@ -136,7 +136,7 @@ def tau_convert(b: EuclideanSymbol, tau: float, tau_prime: float) -> EuclideanSy
     """
     tau = _validate_tau(tau)
     tau_prime = _validate_tau(tau_prime)
-    xg, xig = b.x_grid, b.xi_grid
+    xg, xig = b.space, b.freq
     if tau == tau_prime:
         return EuclideanSymbol(xg, xig, b.values.copy())
     require_edge_decay(b.values, xg, "tau_convert symbol")

@@ -321,3 +321,65 @@ def test_euclid_report_is_identical_across_blas_threads(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert _report_at_threads(tmp_path, path, 1) == _report_at_threads(tmp_path, path, 2)
+
+
+_SMALL_SU2_QUAD = {"n_alpha": 8, "n_beta": 8, "n_gamma": 16}
+_HOMOG = {
+    "su2": {"setting": "homog", "instance": "su2", "quadrature": _SMALL_SU2_QUAD, "cutoff_twoL": 1},
+    "torus": {"setting": "homog", "instance": "torus", "cutoff": 2, "x_count": 16},
+}
+
+
+def test_homog_torus_below_the_exactness_threshold_is_exit_2(tmp_path, capsys):
+    # four nodes alias the cutoff-3 frequency cube, so the "identity" matrix
+    # would have eigenvalues 2, 2, 2, 1, 0, 0, 0; the torus setting rejects
+    # the same grid
+    for setting in ({"setting": "homog", "instance": "torus"}, {"setting": "torus", "symbol": {"family": "constant"}}):
+        assert run(tmp_path, "verify", {**setting, "cutoff": 3, "x_count": 4}) == 2
+        assert "x_count = 4 below the exactness threshold 14" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "instance, key, value",
+    [
+        ("su2", "dim", 1),
+        ("su2", "cutoff", 2),
+        ("su2", "x_count", 32),
+        ("torus", "quadrature", _SMALL_SU2_QUAD),
+        ("torus", "cutoff_twoL", 1),
+    ],
+    ids=["su2_dim", "su2_cutoff", "su2_x_count", "torus_quadrature", "torus_cutoff_twoL"],
+)
+def test_unread_homog_key_is_exit_2(tmp_path, capsys, instance, key, value):
+    # each homog instance reads its own keys; the other instance's are rejected
+    assert run(tmp_path, "trace", {**_HOMOG[instance], key: value}) == 2
+    assert f"unknown keys ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instance", ["su2", "torus"])
+def test_homog_verify_adds_its_checks_to_the_route_checks(tmp_path, instance):
+    assert run(tmp_path, "verify", _HOMOG[instance]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert list(rep["checks"]) == [
+        "trace_vs_matrix",
+        "trace_vs_eigensum",
+        "degeneration_gap",
+        "mask_idempotence",
+        "mask_support",
+    ]
+    assert all(check["pass"] for check in rep["checks"].values())
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"setting": "su2", "cutoff_twoL": -1, "quadrature": _SMALL_SU2_QUAD}, "cutoff_twoL = -1 below its minimum 0"),
+        ({"setting": "su2", "s3_resolution": 3, "quadrature": _SMALL_SU2_QUAD}, "s3_resolution = 3 below its minimum 4"),
+        ({"setting": "su3", "resolution": 4, "samples": 0, "seed": 1}, "samples = 0 below its minimum 1"),
+        ({"setting": "su3", "resolution": 4, "samples": -1, "seed": 1}, "samples = -1 below its minimum 1"),
+    ],
+    ids=["su2_cutoff", "s3_resolution", "su3_zero_samples", "su3_negative_samples"],
+)
+def test_haar_check_range_errors_name_the_key(tmp_path, capsys, cfg, message):
+    assert run(tmp_path, "haar-check", cfg) == 2
+    assert message in capsys.readouterr().err

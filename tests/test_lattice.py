@@ -43,8 +43,8 @@ def test_window_enumeration():
     w = LatticeWindow(2, 1)
     assert w.size == 9
     # [TRIVIAL] lexicographic, first axis slowest
-    assert np.array_equal(w.points[0], [-1.0, -1.0])
-    assert np.array_equal(w.points[-1], [1.0, 1.0])
+    assert np.array_equal(w.nodes[0], [-1.0, -1.0])
+    assert np.array_equal(w.nodes[-1], [1.0, 1.0])
     assert w.min_xi_count() == 6
     with pytest.raises(DomainError):
         LatticeWindow(0, 1)

@@ -99,7 +99,7 @@ def test_group_matrix_on_a_class_i_table_matches_per_entry_loop(small_quad):
 def test_lattice_matrix_matches_per_column_loop(dim, radius, xi_count):
     rng = np.random.default_rng(22 + dim)
     window, xi_grid = LatticeWindow(dim, radius), UniformGrid.torus(xi_count, dim)
-    pts, xi = window.points, xi_grid.nodes
+    pts, xi = window.nodes, xi_grid.nodes
     shape = (window.size, xi_grid.size)
     for values in (np.ones(shape), random_complex(rng, shape)):
         a = LatticeSymbol(window, xi_grid, values)

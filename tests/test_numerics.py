@@ -73,7 +73,7 @@ def test_mixed_norm_separable_factorizes():
     v = np.exp(-np.pi * gxi.nodes[:, 0] ** 2 / 2.0)
 
     class Sym:
-        x_grid, xi_grid = gx, gxi
+        space, freq = gx, gxi
         values = np.outer(u, v).astype(complex)
 
     # [DERIVED] tensor products factor into one norm per variable

@@ -1,0 +1,160 @@
+"""The merged lattice and torus symbol bodies against the formulas they replaced.
+
+Z^n and the torus store one ``SampledSymbol`` and share one trace, one
+synthesis and one transform path. The oracles below are the earlier
+per-setting formulations, kept here so the merged bodies stay equal to them
+bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from nucfio.errors import ShapeError, ValidationError
+from nucfio.euclid import EuclideanSymbol, PhaseSpec
+from nucfio.grids import SampledField, SampledSymbol, UniformGrid, ksum
+from nucfio.group import (
+    TorusSymbol,
+    torus_fourier,
+    torus_freqs,
+    torus_matrix,
+    torus_nuclear_trace,
+    torus_symbol_from_decomposition,
+)
+from nucfio.lattice import (
+    LatticeSymbol,
+    LatticeWindow,
+    lattice_dft,
+    lattice_matrix,
+    lattice_mixed_norms,
+    lattice_nuclear_trace,
+    lattice_symbol_from_decomposition,
+)
+from nucfio.nuclear import RankOneSequence
+from nucfio.numerics import character_sum
+
+
+def oracle_trace(phi, a, rows, cols, w):
+    """The per-setting trace: ``w`` is the xi weights as a row on the
+    lattice and the x weights as a column on the torus."""
+    kernel = 2.0 * np.pi * (rows @ cols.T)
+    return complex(ksum(np.exp(1j * (phi - kernel)) * a * w))
+
+
+def oracle_synthesis(phi, pairs, rows, cols):
+    """The per-setting synthesis: pairs (h, g) on the lattice, (h, w * g) on
+    the torus."""
+    A = np.zeros((rows.shape[0], cols.shape[0]), dtype=complex)
+    for h, g in pairs:
+        A += np.outer(h, character_sum(g, rows, cols, 1.0))
+    return np.exp(-1j * phi) * A
+
+
+def random_complex(rng, shape):
+    """Gaussian samples with a fifth of the entries holding signed zeros."""
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = v.reshape(-1)
+    for t, i in enumerate(rng.choice(flat.size, size=max(1, flat.size // 5), replace=False)):
+        flat[i] = complex((0.0, -0.0, flat[i].real)[t % 3], (-0.0, 0.0, 0.0, -0.0)[t % 4])
+    return v
+
+
+def phases(rows, cols, rng):
+    """The linear phase and a sampled perturbation of it, on (rows, cols)."""
+    sampled = 2.0 * np.pi * (rows @ cols.T) + 0.3 * rng.standard_normal((rows.shape[0], cols.shape[0]))
+    return [PhaseSpec.linear(), PhaseSpec("sampled", sampled)]
+
+
+def random_decomposition(grid, rng, terms=2):
+    pairs = tuple(
+        (SampledField(grid, random_complex(rng, grid.size)), SampledField(grid, random_complex(rng, grid.size)))
+        for _ in range(terms)
+    )
+    return RankOneSequence(pairs, 2.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("dim, radius, xi_count", [(1, 4, 20), (2, 2, 12)], ids=["dim1", "dim2"])
+def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
+    rng = np.random.default_rng(30 + dim)
+    window, xi_grid = LatticeWindow(dim, radius), UniformGrid.torus(xi_count, dim)
+    pts, xi = window.nodes, xi_grid.nodes
+    shape = (window.size, xi_grid.size)
+    d = random_decomposition(window, rng)
+    symbols = [LatticeSymbol(window, xi_grid, v) for v in (np.ones(shape), random_complex(rng, shape))]
+    for phase in phases(pts, xi, rng):
+        phi = phase.table(pts, xi)
+        for a in symbols:
+            want = oracle_trace(phi, a.values, pts, xi, xi_grid.weights[None, :])
+            assert np.array_equal(lattice_nuclear_trace(phase, a), want)
+        s = lattice_symbol_from_decomposition(phase, d, xi_grid)
+        pairs = [(h.values, g.values) for h, g in d.terms]
+        assert np.array_equal(s.values, oracle_synthesis(phi, pairs, pts, xi))
+    f = d.terms[0][1]
+    assert np.array_equal(lattice_dft(f, xi_grid).values, character_sum(f.values, pts, xi, -1.0))
+
+
+@pytest.mark.parametrize("dim, cutoff, x_count", [(1, 5, 24), (2, 2, 10)], ids=["dim1", "dim2"])
+def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
+    rng = np.random.default_rng(32 + dim)
+    x_grid = UniformGrid.torus(x_count, dim)
+    x, freqs, w = x_grid.nodes, torus_freqs(cutoff, dim), x_grid.weights
+    shape = (x_grid.size, freqs.shape[0])
+    d = random_decomposition(x_grid, rng)
+    symbols = [TorusSymbol(x_grid, cutoff, v) for v in (np.ones(shape), random_complex(rng, shape))]
+    for phase in phases(x, freqs, rng):
+        phi = phase.table(x, freqs)
+        for a in symbols:
+            want = oracle_trace(phi, a.values, x, freqs, w[:, None])
+            assert np.array_equal(torus_nuclear_trace(phase, a), want)
+        s = torus_symbol_from_decomposition(phase, d, cutoff, x_grid)
+        pairs = [(h.values, w * g.values) for h, g in d.terms]
+        assert np.array_equal(s.values, oracle_synthesis(phi, pairs, x, freqs))
+    f = d.terms[0][1]
+    assert np.array_equal(torus_fourier(f, cutoff), character_sum(w * f.values, x, freqs, -1.0))
+
+
+def test_setting_constructors_return_sampled_symbols():
+    window, xi_grid = LatticeWindow(1, 2), UniformGrid.torus(12, 1)
+    circle = UniformGrid.torus(16, 1)
+    a = LatticeSymbol(window, xi_grid, np.ones((5, 12)))
+    t = TorusSymbol(circle, 2, np.ones((16, 5)))
+    assert EuclideanSymbol is SampledSymbol
+    assert type(a) is SampledSymbol and (a.space, a.freq) == (window, xi_grid)
+    assert type(t) is SampledSymbol and (t.space, t.freq) == (circle, LatticeWindow(1, 2))
+
+
+@pytest.mark.parametrize(
+    "space, freq, values, error",
+    [
+        (UniformGrid.box(-1.0, 1.0, 5), UniformGrid.box(-1.0, 1.0, 7), np.ones((7, 5)), ShapeError),
+        (UniformGrid.box(-1.0, 1.0, 5), UniformGrid.box(-1.0, 1.0, 3, dim=2), np.ones((5, 9)), ShapeError),
+        (LatticeWindow(2, 1), UniformGrid.torus(6, 1), np.ones((9, 6)), ShapeError),
+        (UniformGrid.box(-1.0, 1.0, 5), UniformGrid.box(-1.0, 1.0, 7), np.full((5, 7), np.nan), ValidationError),
+        (LatticeWindow(1, 1), UniformGrid.torus(6, 1), np.full((3, 6), np.inf), ValidationError),
+    ],
+    ids=["wrong_shape", "mixed_dims_grids", "mixed_dims_window", "nan", "inf"],
+)
+def test_sampled_symbol_construction_is_checked(space, freq, values, error):
+    with pytest.raises(error):
+        SampledSymbol(space, freq, values)
+
+
+def test_entry_points_check_the_setting_of_a_bare_symbol():
+    # a SampledSymbol carries no setting, so each entry point checks its own
+    phase = PhaseSpec.linear()
+    box = UniformGrid.box(0.0, 1.0, 8)
+    euclid = SampledSymbol(box, box, np.ones((8, 8)))
+    coarse = SampledSymbol(LatticeWindow(1, 2), UniformGrid.torus(6, 1), np.ones((5, 6)))
+    circle = UniformGrid.torus(8, 1)
+    grid_freqs = SampledSymbol(circle, UniformGrid.torus(5, 1), np.ones((8, 5)))
+    for f in (lattice_nuclear_trace, lattice_matrix):
+        with pytest.raises(ValidationError):
+            f(phase, euclid)
+        with pytest.raises(ValidationError):
+            f(phase, coarse)  # 6 < 2 * 5 frequency nodes
+    with pytest.raises(ValidationError):
+        lattice_mixed_norms(euclid, 2.0, 2.0)
+    for f in (torus_nuclear_trace, torus_matrix):
+        with pytest.raises(ValidationError):
+            f(phase, euclid)  # open spatial box
+        with pytest.raises(ValidationError):
+            f(phase, grid_freqs)  # frequencies not a window
