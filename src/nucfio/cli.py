@@ -312,6 +312,11 @@ def _abelian_operator(cfg: dict, setting: str, space, freq, factor, synthesize) 
 
 
 def _run_lattice(cfg: dict, verb: str) -> TraceReport:
+    if "p" in cfg and "decomposition" in cfg:
+        raise ValidationError(
+            "lattice key 'p' applies to a direct 'symbol' only; a "
+            "'decomposition' sets its norm exponents with its own 'p1' and 'p2'"
+        )
     rng = _rng_for(cfg)
     window = LatticeWindow(_int(cfg, "dim", 1), _int(cfg, "radius"))
     xi_count = _int(cfg, "xi_count", max(32, window.min_xi_count()))
@@ -682,4 +687,8 @@ def run_main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: problem too large for available memory{detail}", file=sys.stderr)
         return EXIT_INVALID

@@ -18,12 +18,17 @@ parametrization (three theta axes on [0, pi/2], five phi axes on [0, 2*pi],
 Haar density sin(t1) cos^3(t1) sin(t2) cos(t2) sin(t3) cos(t3) / (2*pi^5)).
 Two printed entries of the commonly cited parametrization (u21 and u23) have
 a theta-index misprint that breaks row orthonormality; the forms used here
-restore exact unitarity and are noted inline.
+restore exact unitarity and are noted inline. Each fundamental entry is at
+most two separable terms (``_SU3_TERMS``), so the Haar checks on the
+eight-axis product rule are sum-factorized (Orszag, J. Comput. Phys. 1980):
+the mass is the product of the axis weight sums, and each Schur integral is
+a sum of products of theta moments and phi harmonics, every one a
+compensated sum over one axis. This is the product-rule sum over the full
+grid in another order, with no BLAS and no pass over the grid's nodes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,39 +257,60 @@ def su3_dim(a: int, b: int) -> int:
     return (a + 1) * (b + 1) * (a + b + 2) // 2
 
 
+# Each fundamental entry U_ij as at most two terms
+# sign * (product of the named theta factors) * exp(i k . (phi1, ..., phi5)),
+# with c2 = cos(theta2), s3 = sin(theta3) and so on; factors are named in axis
+# order and every exponent is 0 or 1. The leading factors of u21 and u23 are
+# sin(t2)sin(t3) and cos(t2)sin(t3): the printed variants with theta1 there
+# leave the rows non-orthonormal, so these are the exactly unitary forms.
+_SU3_TERMS = {
+    (0, 0): ((+1, "c1 c2", (1, 0, 0, 0, 0)),),
+    (0, 1): ((+1, "s1", (0, 0, 1, 0, 0)),),
+    (0, 2): ((+1, "c1 s2", (0, 0, 0, 1, 0)),),
+    (1, 0): ((+1, "s2 s3", (0, 0, 0, -1, -1)), (-1, "s1 c2 c3", (1, 1, -1, 0, 0))),
+    (1, 1): ((+1, "c1 c3", (0, 1, 0, 0, 0)),),
+    (1, 2): ((-1, "c2 s3", (-1, 0, 0, 0, -1)), (-1, "s1 s2 c3", (0, 1, -1, 1, 0))),
+    (2, 0): ((-1, "s1 c2 s3", (1, 0, -1, 0, 1)), (-1, "s2 c3", (0, -1, 0, -1, 0))),
+    (2, 1): ((+1, "c1 s3", (0, 0, 0, 0, 1)),),
+    (2, 2): ((+1, "c2 c3", (-1, -1, 0, 0, 0)), (-1, "s1 s2 s3", (0, 0, -1, 1, 1))),
+}
+
+
+def _theta_powers(factors: str) -> tuple:
+    """((cos power, sin power) per theta axis) of a factor string such as "s1 c2"."""
+    powers = [[0, 0], [0, 0], [0, 0]]
+    for name in factors.split():
+        powers[int(name[1]) - 1]["cs".index(name[0])] += 1
+    return tuple(map(tuple, powers))
+
+
 def su3_fundamental_batch(params: np.ndarray) -> np.ndarray:
     """Fundamental 3x3 matrices for rows of eight angles
     (theta1, theta2, theta3, phi1, ..., phi5), vectorized.
 
-    Entries follow the eight-angle product parametrization. The leading
-    factors of u21 and u23 are sin(t2)sin(t3) and cos(t2)sin(t3); the
-    variants with theta1 there leave the rows non-orthonormal, so this form
-    is the one that is exactly unitary.
+    Entries follow the eight-angle product parametrization, evaluated from
+    the term table ``_SU3_TERMS`` that the Haar checks integrate.
     """
     P = np.asarray(params, dtype=float)
     if P.ndim == 1:
         P = P[None, :]
     if P.shape[1] != 8:
         raise ShapeError(f"need 8 angles per row, got shape {P.shape}")
-    t1, t2, t3 = P[:, 0], P[:, 1], P[:, 2]
-    f1, f2, f3, f4, f5 = P[:, 3], P[:, 4], P[:, 5], P[:, 6], P[:, 7]
     if np.any(P[:, :3] < -1e-12) or np.any(P[:, :3] > np.pi / 2 + 1e-12):
         raise DomainError("theta angles must lie in [0, pi/2]")
     if np.any(P[:, 3:] < -1e-12) or np.any(P[:, 3:] > 2 * np.pi + 1e-12):
         raise DomainError("phi angles must lie in [0, 2*pi]")
-    c1, c2, c3 = np.cos(t1), np.cos(t2), np.cos(t3)
-    s1, s2, s3 = np.sin(t1), np.sin(t2), np.sin(t3)
-    e = lambda x: np.exp(1j * x)
+    cos, sin = np.cos(P[:, :3]), np.sin(P[:, :3])
     U = np.empty((P.shape[0], 3, 3), dtype=complex)
-    U[:, 0, 0] = c1 * c2 * e(f1)
-    U[:, 0, 1] = s1 * e(f3)
-    U[:, 0, 2] = c1 * s2 * e(f4)
-    U[:, 1, 0] = s2 * s3 * e(-f4 - f5) - s1 * c2 * c3 * e(f1 + f2 - f3)
-    U[:, 1, 1] = c1 * c3 * e(f2)
-    U[:, 1, 2] = -c2 * s3 * e(-f1 - f5) - s1 * s2 * c3 * e(f2 - f3 + f4)
-    U[:, 2, 0] = -s1 * c2 * s3 * e(f1 - f3 + f5) - s2 * c3 * e(-f2 - f4)
-    U[:, 2, 1] = c1 * s3 * e(f5)
-    U[:, 2, 2] = c2 * c3 * e(-f1 - f2) - s1 * s2 * s3 * e(-f3 + f4 + f5)
+    for (i, j), terms in _SU3_TERMS.items():
+        entry = 0.0
+        for sign, factors, k in terms:
+            real = np.ones(P.shape[0])
+            for axis, (pc, ps) in enumerate(_theta_powers(factors)):
+                real = real * cos[:, axis] ** pc * sin[:, axis] ** ps
+            phase = sum(km * P[:, 3 + m] for m, km in enumerate(k) if km)
+            entry = entry + (sign * real) * np.exp(1j * phase)
+        U[:, i, j] = entry
     return U
 
 
@@ -304,8 +330,8 @@ class Su3Quadrature:
     The three theta axes carry Gauss-Legendre nodes with the Haar density
     folded into their weights; the five phi axes carry uniform nodes, exact
     for the low phi-harmonics that fundamental-representation products
-    produce. The full tensor grid is never materialized: iterate it in
-    blocks with :meth:`iter_chunks`.
+    produce. The rule is kept as its axes: the tensor grid of ``size``
+    nodes is never formed, and the Haar checks sum over it axis by axis.
     """
 
     theta_nodes: tuple
@@ -321,28 +347,6 @@ class Su3Quadrature:
         for ax in self.phi_nodes:
             n *= ax.shape[0]
         return n
-
-    def iter_chunks(self):
-        """Yield (params (m, 8), weights (m,)) blocks covering the grid.
-
-        One block per phi-angle combination, each containing the full theta
-        box in row-major order.
-        """
-        t1, t2, t3 = self.theta_nodes
-        w1, w2, w3 = self.theta_weights
-        T1, T2, T3 = np.meshgrid(t1, t2, t3, indexing="ij")
-        wt = (w1[:, None, None] * w2[None, :, None] * w3[None, None, :]).reshape(-1)
-        block = np.empty((wt.shape[0], 8))
-        block[:, 0] = T1.reshape(-1)
-        block[:, 1] = T2.reshape(-1)
-        block[:, 2] = T3.reshape(-1)
-        phi_ranges = [range(ax.shape[0]) for ax in self.phi_nodes]
-        for combo in itertools.product(*phi_ranges):
-            wphi = 1.0
-            for ax, (nodes, weights) in enumerate(zip(self.phi_nodes, self.phi_weights)):
-                block[:, 3 + ax] = nodes[combo[ax]]
-                wphi *= weights[combo[ax]]
-            yield block.copy(), wt * wphi
 
 
 def su3_haar_quadrature(resolution: int = 16, phi_count: int = 5) -> Su3Quadrature:
@@ -377,21 +381,47 @@ def su3_haar_quadrature(resolution: int = 16, phi_count: int = 5) -> Su3Quadratu
 
 
 def su3_mass(quad: Su3Quadrature) -> float:
-    """Total mass of the product rule summed block by block; 1 up to
-    quadrature rounding."""
-    parts = [float(ksum(w)) for _, w in quad.iter_chunks()]
-    return float(ksum(np.asarray(parts)))
+    """Total mass of the product rule, the product of its eight axis weight
+    sums; 1 up to quadrature rounding."""
+    mass = 1.0
+    for w in quad.theta_weights + quad.phi_weights:
+        mass *= float(ksum(w))
+    return mass
 
 
 def su3_schur_error(quad: Su3Quadrature) -> float:
     """max | int U_ij conj(U_kl) dmu - delta_ik delta_jl / 3 | over indices.
 
     Schur orthogonality for the fundamental representation; the flat test of
-    whether the quadrature really is Haar measure.
+    whether the quadrature really is Haar measure. Every product of two
+    ``_SU3_TERMS`` terms separates over the eight axes, so its sum over the
+    product rule is three theta moments sum_n w_a(n) cos^p sin^q (p, q <= 2)
+    times five phi harmonics sum_m w(m) e^{i k phi_m} (|k| <= 2): the same
+    quadrature sum as over the full grid, in sum-factorized order.
     """
+    moments = []
+    for t, w in zip(quad.theta_nodes, quad.theta_weights):
+        powers = np.stack([np.cos(t) ** p * np.sin(t) ** q for p in range(3) for q in range(3)], axis=1)
+        moments.append(ksum(w[:, None] * powers, axis=0).reshape(3, 3))
+    harmonics = [
+        ksum(w[:, None] * np.exp(1j * np.multiply.outer(f, np.arange(-2, 3))), axis=0)
+        for f, w in zip(quad.phi_nodes, quad.phi_weights)
+    ]
+
+    def integral(term, other) -> complex:
+        """int term * conj(other) dmu under the product rule."""
+        (sign, factors, k), (other_sign, other_factors, other_k) = term, other
+        value = complex(sign * other_sign)
+        axes = zip(_theta_powers(factors), _theta_powers(other_factors))
+        for axis, ((pc, ps), (qc, qs)) in enumerate(axes):
+            value *= moments[axis][pc + qc, ps + qs]
+        for axis in range(5):
+            value *= harmonics[axis][k[axis] - other_k[axis] + 2]
+        return value
+
     G = np.zeros((3, 3, 3, 3), dtype=complex)
-    for params, w in quad.iter_chunks():
-        U = su3_fundamental_batch(params)
-        G += np.einsum("n,nij,nkl->ijkl", w, U, U.conj())
+    for (i, j), terms in _SU3_TERMS.items():
+        for (k, l), others in _SU3_TERMS.items():
+            G[i, j, k, l] = sum(integral(t, o) for t in terms for o in others)
     target = np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3)) / 3.0
     return float(np.abs(G - target).max())

@@ -293,11 +293,38 @@ def test_unread_p_key_is_exit_2(tmp_path, capsys, cfg):
     assert "unknown keys ['p']" in capsys.readouterr().err
 
 
-def _report_at_threads(tmp_path, cfg_path, threads):
+def test_lattice_p_next_to_a_decomposition_is_exit_2(tmp_path, capsys):
+    # a decomposition carries its own p1 and p2, so "p" would be ignored
+    constant = {"family": "constant"}
+    cfg = {
+        "setting": "lattice",
+        "radius": 2,
+        "p": 3.0,
+        "decomposition": {"terms": [{"h": constant, "g": constant}]},
+    }
+    assert run(tmp_path, "trace", cfg) == 2
+    assert "lattice key 'p'" in capsys.readouterr().err
+    del cfg["p"]
+    assert run(tmp_path, "trace", cfg) == 0
+
+
+def test_memory_error_is_exit_2(tmp_path, capsys, monkeypatch):
+    def too_large(cfg, verb, tolerance=None):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr("nucfio.cli.run_scenario", too_large)
+    assert run(tmp_path, "trace", euclid_cfg()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem too large for available memory")
+    assert "8.00 TiB" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def _report_at_threads(tmp_path, cfg_path, threads, verb="spectrum"):
     out = tmp_path / f"threads{threads}"
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "nucfio._main", "spectrum", "--config", str(cfg_path), "--out", str(out)]
+    argv = [sys.executable, "-m", "nucfio._main", verb, "--config", str(cfg_path), "--out", str(out)]
     subprocess.run(argv, env=env, check=True, capture_output=True, timeout=600)
     rep = json.loads((out / "report.json").read_text())
     rep.pop("runtime_ms")
@@ -321,6 +348,22 @@ def test_euclid_report_is_identical_across_blas_threads(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert _report_at_threads(tmp_path, path, 1) == _report_at_threads(tmp_path, path, 2)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"setting": "su2", "quadrature": {"n_alpha": 12, "n_beta": 12, "n_gamma": 24}, "s3_resolution": 8},
+        {"setting": "su3", "seed": 5, "resolution": 8, "phi_count": 5, "samples": 500},
+    ],
+    ids=["su2", "su3"],
+)
+def test_haar_check_report_is_identical_across_blas_threads(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    one, two = (_report_at_threads(tmp_path, path, n, "haar-check") for n in (1, 2))
+    assert "schur_orthogonality" in one
+    assert one == two
 
 
 _SMALL_SU2_QUAD = {"n_alpha": 8, "n_beta": 8, "n_gamma": 16}

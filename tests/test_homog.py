@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from nucfio.errors import DomainError, ValidationError
-from nucfio.grids import SampledField, UniformGrid
+from nucfio.grids import SampledField, UniformGrid, ksum
 from nucfio.group import (
     GroupSymbol,
     TorusPhase,
@@ -229,3 +231,78 @@ def test_su3_haar_mass_and_schur():
     quad = su3_haar_quadrature(8, 5)
     assert abs(su3_mass(quad) - 1.0) < 1e-10
     assert su3_schur_error(quad) < 1e-6
+
+
+# -- su3 oracles: the closed-form entries and the full-grid sweep ---------------
+
+
+def closed_form_fundamental(P):
+    """The fundamental matrices written out entry by entry."""
+    t1, t2, t3 = P[:, 0], P[:, 1], P[:, 2]
+    f1, f2, f3, f4, f5 = P[:, 3], P[:, 4], P[:, 5], P[:, 6], P[:, 7]
+    c1, c2, c3 = np.cos(t1), np.cos(t2), np.cos(t3)
+    s1, s2, s3 = np.sin(t1), np.sin(t2), np.sin(t3)
+    e = lambda x: np.exp(1j * x)
+    U = np.empty((P.shape[0], 3, 3), dtype=complex)
+    U[:, 0, 0] = c1 * c2 * e(f1)
+    U[:, 0, 1] = s1 * e(f3)
+    U[:, 0, 2] = c1 * s2 * e(f4)
+    U[:, 1, 0] = s2 * s3 * e(-f4 - f5) - s1 * c2 * c3 * e(f1 + f2 - f3)
+    U[:, 1, 1] = c1 * c3 * e(f2)
+    U[:, 1, 2] = -c2 * s3 * e(-f1 - f5) - s1 * s2 * c3 * e(f2 - f3 + f4)
+    U[:, 2, 0] = -s1 * c2 * s3 * e(f1 - f3 + f5) - s2 * c3 * e(-f2 - f4)
+    U[:, 2, 1] = c1 * s3 * e(f5)
+    U[:, 2, 2] = c2 * c3 * e(-f1 - f2) - s1 * s2 * s3 * e(-f3 + f4 + f5)
+    return U
+
+
+def grid_chunks(quad):
+    """(params (m, 8), weights (m,)) blocks covering the full product grid:
+    one block per phi-node combination, each the whole theta box."""
+    T1, T2, T3 = np.meshgrid(*quad.theta_nodes, indexing="ij")
+    w1, w2, w3 = quad.theta_weights
+    wt = (w1[:, None, None] * w2[None, :, None] * w3[None, None, :]).reshape(-1)
+    block = np.empty((wt.shape[0], 8))
+    block[:, 0], block[:, 1], block[:, 2] = T1.reshape(-1), T2.reshape(-1), T3.reshape(-1)
+    for combo in itertools.product(*(range(ax.shape[0]) for ax in quad.phi_nodes)):
+        wphi = 1.0
+        for ax, (nodes, weights) in enumerate(zip(quad.phi_nodes, quad.phi_weights)):
+            block[:, 3 + ax] = nodes[combo[ax]]
+            wphi *= weights[combo[ax]]
+        yield block.copy(), wt * wphi
+
+
+def brute_mass(quad):
+    return float(ksum(np.asarray([float(ksum(w)) for _, w in grid_chunks(quad)])))
+
+
+def brute_schur_error(quad):
+    G = np.zeros((3, 3, 3, 3), dtype=complex)
+    for params, w in grid_chunks(quad):
+        U = closed_form_fundamental(params)
+        G += np.einsum("n,nij,nkl->ijkl", w, U, U.conj())
+    target = np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3)) / 3.0
+    return float(np.abs(G - target).max())
+
+
+def test_su3_term_table_matches_the_closed_form():
+    rng = np.random.default_rng(8)
+    ang = np.empty((1000, 8))
+    ang[:, :3] = rng.uniform(0.0, np.pi / 2.0, (1000, 3))
+    ang[:, 3:] = rng.uniform(0.0, 2.0 * np.pi, (1000, 5))
+    corners = np.array(
+        [list(t) + list(f) for t in itertools.product((0.0, np.pi / 2.0), repeat=3)
+         for f in itertools.product((0.0, 2.0 * np.pi), repeat=5)]
+    )
+    for P in (ang, corners):
+        assert np.abs(su3_fundamental_batch(P) - closed_form_fundamental(P)).max() < 1e-14
+
+
+@pytest.mark.parametrize("resolution, phi_count", [(4, 3), (5, 3)])
+def test_su3_factorized_checks_match_the_grid_sweep(resolution, phi_count):
+    # the factorized sums reorder the product-rule sum over every node; these
+    # rules are far from converged (Schur error near 4e-3 and 3e-4), so the
+    # match is with the rule, not with the exact integrals
+    quad = su3_haar_quadrature(resolution, phi_count)
+    assert abs(su3_mass(quad) - brute_mass(quad)) < 1e-14
+    assert abs(su3_schur_error(quad) - brute_schur_error(quad)) < 1e-14
