@@ -7,8 +7,9 @@ additionally writes spectrum.csv when --format csv. Exit codes: 0 success,
 2 invalid input or config, 3 numeric failure or tolerance breach.
 
 Reports are byte-identical across reruns of the same config apart from the
-runtime_ms field; all randomness flows through the config's integer seed,
-which is mandatory whenever a random family appears.
+runtime_ms field, the wall time of the whole scenario; all randomness flows
+through the config's integer seed, which is mandatory whenever a random
+family appears.
 """
 
 from __future__ import annotations
@@ -79,27 +80,6 @@ EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 
 _VERBS = ("trace", "spectrum", "wigner", "quantize", "verify", "haar-check")
-
-# Required and optional top-level keys per setting; "su2-checks" is su2 under
-# haar-check, which runs the quadrature checks instead of a trace, and each
-# homog instance reads its own keys.
-_KEYS = {
-    "euclid": (
-        ("setting", "grid", "decomposition"),
-        ("seed", "xi_grid", "phase", "p", "taus", "probe"),
-    ),
-    "lattice": (
-        ("setting", "radius"),
-        ("seed", "dim", "xi_count", "phase", "decomposition", "symbol", "p"),
-    ),
-    "torus": (("setting", "cutoff"), ("seed", "dim", "x_count", "phase", "decomposition", "symbol")),
-    "su2": (("setting", "cutoff_twoL"), ("seed", "quadrature", "symbol", "decomposition")),
-    "su2-checks": (("setting",), ("seed", "quadrature", "cutoff_twoL", "s3_resolution")),
-    "homog-su2": (("setting", "instance"), ("seed", "quadrature", "cutoff_twoL", "p1", "p2")),
-    "homog-torus": (("setting", "instance"), ("seed", "dim", "cutoff", "x_count", "p1", "p2")),
-    "su3": (("setting",), ("seed", "resolution", "phi_count", "samples")),
-}
-
 
 # -- config plumbing ----------------------------------------------------------
 
@@ -181,6 +161,8 @@ def _decomposition(spec: dict, factor) -> RankOneSequence:
     """Parse a decomposition spec; factor(spec, where) turns one h or g spec
     into a SampledField."""
     _check_keys(spec, "decomposition", ("terms",), ("p1", "p2", "r"))
+    if not isinstance(spec["terms"], list):
+        raise ValidationError(f"decomposition.terms must be a list, got {spec['terms']!r}")
     terms = []
     for i, t in enumerate(spec["terms"]):
         where = f"decomposition.terms[{i}]"
@@ -211,21 +193,13 @@ def _one_operator_source(cfg: dict) -> None:
         raise ValidationError("give either 'decomposition' or 'symbol', not both")
 
 
-def _identity_blocks(size: int, cutoff: int) -> dict:
-    return {
-        t: np.broadcast_to(np.eye(t + 1, dtype=complex), (size, t + 1, t + 1)).copy()
-        for t in range(cutoff + 1)
-    }
-
-
-def _matrix_report(setting: str, nuclear: complex, M: np.ndarray, t0: float, **fields) -> TraceReport:
+def _matrix_report(setting: str, nuclear: complex, M: np.ndarray, **fields) -> TraceReport:
     """Report of a trace checked against the matrix M and its spectrum."""
     return TraceReport(
         setting=setting,
         nuclear_trace=nuclear,
         matrix_trace=matrix_trace(M),
         eigenvalues=dense_eigenvalues(M),
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
         **fields,
     )
 
@@ -236,6 +210,7 @@ def _matrix_report(setting: str, nuclear: complex, M: np.ndarray, t0: float, **f
 def _euclid_phase(spec: dict, x_grid: UniformGrid, xi_grid: UniformGrid) -> PhaseSpec:
     _check_keys(spec, "phase", ("kind",), ("family", "shift"))
     if spec["kind"] == "linear":
+        _check_keys(spec, "linear phase", ("kind",), ())
         return PhaseSpec.linear()
     if spec["kind"] != "sampled":
         raise ValidationError(f"phase kind {spec['kind']!r} not in ('linear', 'sampled')")
@@ -246,7 +221,7 @@ def _euclid_phase(spec: dict, x_grid: UniformGrid, xi_grid: UniformGrid) -> Phas
     raise ValidationError(f"unknown sampled phase family {fam!r}")
 
 
-def _run_euclid(cfg: dict, verb: str) -> TraceReport:
+def _run_euclid(cfg: dict, verb: str) -> tuple:
     rng = _rng_for(cfg)
     grid = _grid_from(cfg["grid"], "grid")
     xi_grid = _grid_from(cfg["xi_grid"], "xi_grid") if "xi_grid" in cfg else UniformGrid(grid.axes)
@@ -294,7 +269,7 @@ def _run_euclid(cfg: dict, verb: str) -> TraceReport:
             report.extras["tau_roundtrip_gap"] = float(
                 np.abs(back.values - sym0.values).max() / denom
             )
-    return report
+    return report, []
 
 
 # -- lattice and torus --------------------------------------------------------
@@ -311,7 +286,7 @@ def _abelian_operator(cfg: dict, setting: str, space, freq, factor, synthesize) 
     raise ValidationError(f"{setting} config needs 'decomposition' or 'symbol'")
 
 
-def _run_lattice(cfg: dict, verb: str) -> TraceReport:
+def _run_lattice(cfg: dict, verb: str) -> tuple:
     if "p" in cfg and "decomposition" in cfg:
         raise ValidationError(
             "lattice key 'p' applies to a direct 'symbol' only; a "
@@ -326,7 +301,6 @@ def _run_lattice(cfg: dict, verb: str) -> TraceReport:
         )
     xi_grid = UniformGrid.torus(xi_count, window.dim)
     phase = _linear_phase(cfg, "lattice")
-    t0 = time.perf_counter()
     a, d = _abelian_operator(
         cfg, "lattice", window, xi_grid,
         lambda spec, where: families.lattice_sequence(window, spec, rng),
@@ -335,10 +309,10 @@ def _run_lattice(cfg: dict, verb: str) -> TraceReport:
     p1, p2 = (_real(cfg, "p", 2.0),) * 2 if d is None else (d.p1, d.p2)
     mixed = lattice_mixed_norms(a, p1, p2)
     return _matrix_report(
-        "lattice", lattice_nuclear_trace(phase, a), lattice_matrix(phase, a), t0,
+        "lattice", lattice_nuclear_trace(phase, a), lattice_matrix(phase, a),
         quasinorm_bound=None if d is None else r_quasinorm_bound(d),
         mixed_norm_x_first=mixed[0], mixed_norm_xi_first=mixed[1],
-    )
+    ), []
 
 
 def _torus_grid(cfg: dict, cutoff: int) -> UniformGrid:
@@ -352,21 +326,20 @@ def _torus_grid(cfg: dict, cutoff: int) -> UniformGrid:
     return UniformGrid.torus(x_count, _int(cfg, "dim", 1))
 
 
-def _run_torus(cfg: dict, verb: str) -> TraceReport:
+def _run_torus(cfg: dict, verb: str) -> tuple:
     rng = _rng_for(cfg)
     cutoff = _count(cfg, "cutoff", None, 0)
     x_grid = _torus_grid(cfg, cutoff)
     phase = _linear_phase(cfg, "torus")
-    t0 = time.perf_counter()
     a, d = _abelian_operator(
         cfg, "torus", x_grid, LatticeWindow(x_grid.dim, cutoff),
         lambda spec, where: families.euclid_field(x_grid, spec, rng),
         lambda d: torus_symbol_from_decomposition(phase, d, cutoff, x_grid),
     )
     return _matrix_report(
-        "torus", torus_nuclear_trace(phase, a), torus_matrix(phase, a), t0,
+        "torus", torus_nuclear_trace(phase, a), torus_matrix(phase, a),
         quasinorm_bound=None if d is None else r_quasinorm_bound(d),
-    )
+    ), []
 
 
 # -- su2 and homog --------------------------------------------------------------
@@ -380,12 +353,22 @@ def _su2_quad(cfg: dict):
     )
 
 
+def _su2_identity(quad, cutoff: int) -> tuple:
+    """(Phi, a) of the identity operator on SU(2): Phi(x, l) = t_l(x), a = 1."""
+    Phi = identity_phase(quad, cutoff)
+    blocks = {t: np.tile(np.eye(t + 1, dtype=complex), (quad.size, 1, 1)) for t in range(cutoff + 1)}
+    return Phi, GroupSymbol(quad, blocks)
+
+
+# The su2 field families and the keys each reads besides "family".
+_GROUP_FAMILIES = {"constant": ("value",), "matrix_entry": ("twoL", "i", "j"), "random_bandlimited": ()}
+
+
 def _group_factor(quad, cutoff: int, rng):
     """Factor builder for su2 decompositions: fields on the quadrature."""
 
     def factor(fspec: dict, where: str) -> SampledField:
-        _check_keys(fspec, where, ("family",), ("value", "twoL", "i", "j"))
-        fam = fspec["family"]
+        fam = families._family(fspec, "group field", _GROUP_FAMILIES)
         if fam == "constant":
             return SampledField(quad, np.full(quad.size, complex(_real(fspec, "value", 1.0))))
         if fam == "matrix_entry":
@@ -396,58 +379,52 @@ def _group_factor(quad, cutoff: int, rng):
                 if not 0 <= index <= twoL:
                     raise ValidationError(f"{where}.{key} = {index} outside 0..{twoL} (twoL)")
             return SampledField(quad, np.sqrt(twoL + 1) * T[:, i, j])
-        if fam == "random_bandlimited":
-            if rng is None:
-                raise ValidationError("random_bandlimited needs a config seed")
-            vals = np.zeros(quad.size, dtype=complex)
-            for twoL in range(cutoff + 1):
-                T = su2_irrep_table(quad, twoL)
-                d = twoL + 1
-                C = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                vals += np.sqrt(d) * np.einsum("nij,ij->n", T, C)
-            return SampledField(quad, vals)
-        raise ValidationError(f"unknown group field family {fam!r}")
+        # random_bandlimited; the config's seed scan has made sure of rng
+        vals = np.zeros(quad.size, dtype=complex)
+        for twoL in range(cutoff + 1):
+            T = su2_irrep_table(quad, twoL)
+            d = twoL + 1
+            C = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            vals += np.sqrt(d) * np.einsum("nij,ij->n", T, C)
+        return SampledField(quad, vals)
 
     return factor
 
 
-def _run_su2(cfg: dict, verb: str) -> TraceReport:
+def _run_su2(cfg: dict, verb: str) -> tuple:
     _one_operator_source(cfg)
     rng = _rng_for(cfg)
     quad = _su2_quad(cfg)
     cutoff = _int(cfg, "cutoff_twoL")
-    Phi = identity_phase(quad, cutoff)
-    t0 = time.perf_counter()
     quasinorm = None
     extras = {}
     if "decomposition" in cfg:
+        Phi = identity_phase(quad, cutoff)
         d = _decomposition(cfg["decomposition"], _group_factor(quad, cutoff, rng))
         a = group_symbol_from_decomposition(Phi, d, cutoff)
         quasinorm = r_quasinorm_bound(d)
         dtr = kernel_diagonal_trace(d)
         extras["delgado_trace"] = {"re": dtr.real, "im": dtr.imag}
     else:
+        Phi, a = _su2_identity(quad, cutoff)
         if cfg.get("symbol", "identity") != "identity":
             raise ValidationError("su2 config needs 'decomposition' or symbol 'identity'")
-        a = GroupSymbol(quad, _identity_blocks(quad.size, cutoff))
     nuclear = group_nuclear_trace(Phi, a, cutoff)
     M = group_matrix(Phi, a, cutoff)
-    return _matrix_report("su2", nuclear, M, t0, quasinorm_bound=quasinorm, extras=extras)
+    return _matrix_report("su2", nuclear, M, quasinorm_bound=quasinorm, extras=extras), []
 
 
-def _run_homog(cfg: dict, verb: str) -> TraceReport:
+def _run_homog(cfg: dict, verb: str) -> tuple:
     """The identity operator on G/K with K = {e}, traced through the class-I
     table and through the group (su2) or torus route it degenerates to."""
     instance = cfg["instance"]
-    t0 = time.perf_counter()
     p1, p2 = _real(cfg, "p1", 2.0), _real(cfg, "p2", 2.0)
     if instance == "su2":
         quad = _su2_quad(cfg)
         cutoff = _count(cfg, "cutoff_twoL", 2, 0)
         table = table_from_su2(quad, cutoff)
-        blocks_a = _identity_blocks(quad.size, cutoff)
-        Phi_g = identity_phase(quad, cutoff)
-        a_g = GroupSymbol(quad, {t: blocks_a[t] for t in table.labels})
+        Phi_g, a_g = _su2_identity(quad, cutoff)
+        blocks_a = a_g.blocks
         route, reference = "group_trace", group_nuclear_trace(Phi_g, a_g, cutoff)
         M = group_matrix(Phi_g, a_g, cutoff)
     else:
@@ -466,29 +443,13 @@ def _run_homog(cfg: dict, verb: str) -> TraceReport:
         "degeneration_gap": abs(nuclear - reference),
         "mixed_norm_dual": homog_mixed_norm(a_h, p1, p2),
     }
-    return _matrix_report("homog", nuclear, M, t0, extras=extras)
+    return _matrix_report("homog", nuclear, M, extras=extras), []
 
 
-_RUNNERS = {
-    "euclid": _run_euclid,
-    "lattice": _run_lattice,
-    "torus": _run_torus,
-    "su2": _run_su2,
-    "homog": _run_homog,
-}
+# -- haar-check and verify ----------------------------------------------------
 
 
-# -- verify / haar-check ------------------------------------------------------
-
-
-def _with_tolerance(checks: list, tolerance: float | None) -> list:
-    """Replace each check's own tolerance by --tolerance, when given."""
-    if tolerance is None:
-        return checks
-    return [(n, v, tolerance) for n, v, _ in checks]
-
-
-def _su2_haar_checks(cfg: dict, tolerance: float | None) -> list:
+def _su2_haar_checks(cfg: dict, verb: str) -> tuple:
     cutoff = _count(cfg, "cutoff_twoL", 2, 0)
     quad = _su2_quad(cfg)
     checks = []
@@ -527,18 +488,17 @@ def _su2_haar_checks(cfg: dict, tolerance: float | None) -> list:
     checks.append(("composition", comp, 1e-8))
 
     # identity-operator trace = sum of squared dimensions
-    Phi = identity_phase(quad, cutoff)
-    a = GroupSymbol(quad, _identity_blocks(quad.size, cutoff))
+    Phi, a = _su2_identity(quad, cutoff)
     expected = float(sum((t + 1) ** 2 for t in range(cutoff + 1)))
     trace_gap = abs(group_nuclear_trace(Phi, a, cutoff) - expected)
     checks.append(("identity_trace", trace_gap, 1e-6))
 
     s3 = s3_quadrature(_count(cfg, "s3_resolution", 48, 4))
     checks.append(("s3_raw_mass", abs(s3.raw_mass - 4.0 * np.pi**2), 1e-4))
-    return _with_tolerance(checks, tolerance)
+    return TraceReport("su2", 0.0, 0.0, np.zeros(0, dtype=complex)), checks
 
 
-def _su3_checks(cfg: dict, tolerance: float | None) -> list:
+def _su3_checks(cfg: dict, verb: str) -> tuple:
     samples = _count(cfg, "samples", 10000, 1)
     rng = np.random.default_rng(_int(cfg, "seed", 0))
     quad = su3_haar_quadrature(_int(cfg, "resolution", 16), _int(cfg, "phi_count", 5))
@@ -553,28 +513,66 @@ def _su3_checks(cfg: dict, tolerance: float | None) -> list:
     det = float(np.abs(np.linalg.det(U) - 1.0).max())
     checks.append(("sampled_unitarity", unitarity_defect(U), 1e-10))
     checks.append(("sampled_determinant", det, 1e-10))
-    return _with_tolerance(checks, tolerance)
+    return TraceReport("su3", 0.0, 0.0, np.zeros(0, dtype=complex)), checks
 
 
-def _homog_verify_checks(report: TraceReport, tolerance: float | None) -> list:
-    checks = [("degeneration_gap", float(report.extras["degeneration_gap"]), 1e-10)]
+def _route_checks(report: TraceReport) -> list:
+    """verify's checks: trace against matrix trace and eigenvalue sum; homog adds
+    the K = {e} degeneration gap and the mask checks, exact with tolerance 0."""
+    checks = [
+        ("trace_vs_matrix", report.discrepancy_trace_vs_matrix, 1e-8),
+        ("trace_vs_eigensum", report.discrepancy_trace_vs_eigensum, 1e-8),
+    ]
+    if report.setting != "homog":
+        return checks
     rng = np.random.default_rng(7)
     B = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
     masked = class_i_mask(B, 2)
     twice = class_i_mask(masked, 2)
-    mask_checks = [("mask_idempotence", float(np.abs(twice - masked).max()), 0.0)]
     outside = float(np.abs(masked[:, 2:, :]).max()) + float(np.abs(masked[:, :, 2:]).max())
-    mask_checks.append(("mask_support", outside, 0.0))
-    # the mask checks are exact by construction and keep their zero tolerance
-    return _with_tolerance(checks, tolerance) + mask_checks
-
-
-def _generic_verify_checks(report: TraceReport, tolerance: float | None) -> list:
-    tol = 1e-8 if tolerance is None else tolerance
-    return [
-        ("trace_vs_matrix", report.discrepancy_trace_vs_matrix, tol),
-        ("trace_vs_eigensum", report.discrepancy_trace_vs_eigensum, tol),
+    return checks + [
+        ("degeneration_gap", float(report.extras["degeneration_gap"]), 1e-10),
+        ("mask_idempotence", float(np.abs(twice - masked).max()), 0.0),
+        ("mask_support", outside, 0.0),
     ]
+
+
+# Every scenario: name -> (required keys, optional keys, runner), where every
+# config also needs a "setting" and may carry a "seed". A runner takes (cfg,
+# verb) and returns (report, checks). su2 under haar-check runs the quadrature
+# checks instead of a trace, and each homog instance reads its own keys.
+_SCENARIOS = {
+    "euclid": (("grid", "decomposition"), ("xi_grid", "phase", "p", "taus", "probe"), _run_euclid),
+    "lattice": (("radius",), ("dim", "xi_count", "phase", "decomposition", "symbol", "p"), _run_lattice),
+    "torus": (("cutoff",), ("dim", "x_count", "phase", "decomposition", "symbol"), _run_torus),
+    "su2": (("cutoff_twoL",), ("quadrature", "symbol", "decomposition"), _run_su2),
+    "su2-checks": ((), ("quadrature", "cutoff_twoL", "s3_resolution"), _su2_haar_checks),
+    "homog-su2": (("instance",), ("quadrature", "cutoff_twoL", "p1", "p2"), _run_homog),
+    "homog-torus": (("instance",), ("dim", "cutoff", "x_count", "p1", "p2"), _run_homog),
+    "su3": ((), ("resolution", "phi_count", "samples"), _su3_checks),
+}
+_TRACE_SETTINGS = ("euclid", "homog", "lattice", "su2", "torus")
+
+
+def _scenario(cfg: dict, verb: str) -> tuple:
+    """The table entry for a config's setting (and homog instance) under a verb."""
+    if verb not in _VERBS:
+        raise ValidationError(f"unknown verb {verb!r}")
+    setting = cfg.get("setting")
+    if verb == "haar-check":
+        if setting not in ("su2", "su3"):
+            raise ValidationError("haar-check supports settings 'su2' and 'su3'")
+        return _SCENARIOS["su2-checks" if setting == "su2" else "su3"]
+    if setting not in _TRACE_SETTINGS:
+        raise ValidationError(
+            f"setting {setting!r} not in {list(_TRACE_SETTINGS)} (config needs a 'setting')"
+        )
+    if verb in ("wigner", "quantize") and setting != "euclid":
+        raise ValidationError(f"{verb} supports setting 'euclid' only")
+    name = f"homog-{cfg.get('instance')}" if setting == "homog" else setting
+    if name not in _SCENARIOS:
+        raise ValidationError(f"homog instance {cfg.get('instance')!r} not in ('su2', 'torus')")
+    return _SCENARIOS[name]
 
 
 # -- output -------------------------------------------------------------------
@@ -605,45 +603,23 @@ def _checks_payload(checks: list) -> dict:
     }
 
 
-def _empty_report(setting: str) -> TraceReport:
-    return TraceReport(
-        setting=setting,
-        nuclear_trace=0.0,
-        matrix_trace=0.0,
-        eigenvalues=np.zeros(0, dtype=complex),
-    )
-
-
 # -- driver -------------------------------------------------------------------
 
 
 def run_scenario(cfg: dict, verb: str, tolerance: float | None = None):
-    """Execute one verb against a parsed config; returns (report, checks)."""
-    if verb not in _VERBS:
-        raise ValidationError(f"unknown verb {verb!r}")
-    setting = cfg.get("setting")
-    if verb == "haar-check" and setting not in ("su2", "su3"):
-        raise ValidationError("haar-check supports settings 'su2' and 'su3'")
-    if verb != "haar-check" and setting not in _RUNNERS:
-        raise ValidationError(
-            f"setting {setting!r} not in {sorted(_RUNNERS)} (config needs a 'setting')"
-        )
-    if setting == "su3":
-        _check_keys(cfg, "config", *_KEYS["su3"])
-        return _empty_report("su3"), _su3_checks(cfg, tolerance)
-    if setting == "su2" and verb == "haar-check":
-        _check_keys(cfg, "config", *_KEYS["su2-checks"])
-        return _empty_report("su2"), _su2_haar_checks(cfg, tolerance)
-    keys = f"homog-{cfg.get('instance')}" if setting == "homog" else setting
-    if keys not in _KEYS:
-        raise ValidationError(f"homog instance {cfg.get('instance')!r} not in ('su2', 'torus')")
-    _check_keys(cfg, "config", *_KEYS[keys])
-    report = _RUNNERS[setting](cfg, verb)
-    if verb != "verify":
-        return report, []
-    checks = _generic_verify_checks(report, tolerance)
-    if setting == "homog":
-        checks += _homog_verify_checks(report, tolerance)
+    """Execute one verb against a parsed config; returns (report, checks).
+
+    A given tolerance replaces every nonzero check tolerance (the exact checks
+    keep their 0); runtime_ms is the wall time of the whole scenario."""
+    t0 = time.perf_counter()
+    required, optional, runner = _scenario(cfg, verb)
+    _check_keys(cfg, "config", ("setting", *required), ("seed", *optional))
+    report, checks = runner(cfg, verb)
+    if verb == "verify":
+        checks = checks + _route_checks(report)
+    if tolerance is not None:
+        checks = [(name, value, tolerance if tol else tol) for name, value, tol in checks]
+    report.runtime_ms = (time.perf_counter() - t0) * 1e3
     return report, checks
 
 

@@ -11,7 +11,6 @@ that integrates them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,7 +221,6 @@ def lidskii_report(
     The node cap still holds on the x grid and the xi grid (the factor grid
     by default), because the n x n_xi symbol is dense.
     """
-    t0 = time.perf_counter()
     r = lidskii_exponent(p)
     require_node_cap(d.h_grid, "x grid")
     require_node_cap(d.g_grid if xi_grid is None else xi_grid, "xi grid")
@@ -243,6 +241,5 @@ def lidskii_report(
         quasinorm_bound=r_quasinorm_bound(d_at_r),
         mixed_norm_x_first=norms[0],
         mixed_norm_xi_first=norms[1],
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
         extras={"delgado_trace": {"re": dtr.real, "im": dtr.imag}},
     )

@@ -26,8 +26,26 @@ __all__ = [
 ]
 
 # Families whose output depends on the generator; configs using them must
-# carry a seed.
-_RANDOM_FAMILIES = {"random_mix"}
+# carry a seed. A tuple, so that a family given as a list or an object is
+# simply not random rather than unhashable.
+_RANDOM_FAMILIES = ("random_mix", "random_bandlimited")
+
+# The keys each family reads besides "family"; any other key is rejected
+# rather than ignored.
+_FIELD_KEYS = {
+    "gaussian": ("center", "width"),
+    "hermite": ("k",),
+    "delta": ("node",),
+    "trigpoly": ("coeffs",),
+    "constant": ("value",),
+    "random_mix": ("terms",),
+}
+_SEQUENCE_KEYS = {
+    "gaussian": ("center", "width"),
+    "delta": ("at",),
+    "constant": ("value",),
+    "random_mix": (),
+}
 
 
 def spec_needs_rng(spec: dict) -> bool:
@@ -72,10 +90,18 @@ def _gaussian(pts: np.ndarray, spec: dict) -> np.ndarray:
     return vals
 
 
-def _family(spec, what: str) -> str:
+def _family(spec, what: str, keys: dict) -> str:
+    """The family of a spec; ``keys`` maps each known family to the keys it
+    reads, and the spec may carry no others."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise ValidationError(f"{what} spec must be a dict with a 'family' key, got {spec!r}")
-    return spec["family"]
+    fam = spec["family"]
+    if not isinstance(fam, str) or fam not in keys:
+        raise ValidationError(f"unknown {what} family {fam!r}")
+    unknown = sorted(set(spec) - {"family", *keys[fam]})
+    if unknown:
+        raise ValidationError(f"{what} family {fam!r}: unknown keys {unknown}")
+    return fam
 
 
 def _complex_of(value, name: str) -> complex:
@@ -106,7 +132,7 @@ def random_gaussian_mix(grid: UniformGrid, rng: np.random.Generator, terms: int 
 
 def euclid_field(grid: UniformGrid, spec: dict, rng: np.random.Generator | None = None) -> SampledField:
     """Build a field on a continuum grid from a family spec."""
-    fam = _family(spec, "field")
+    fam = _family(spec, "field", _FIELD_KEYS)
     pts = grid.nodes
     if fam == "gaussian":
         return SampledField(grid, _gaussian(pts, spec))
@@ -124,7 +150,10 @@ def euclid_field(grid: UniformGrid, spec: dict, rng: np.random.Generator | None 
     if fam == "trigpoly":
         if grid.dim != 1:
             raise ValidationError("trigpoly family is one-dimensional")
-        coeffs = [_complex_of(c, "coeffs") for c in spec.get("coeffs", [1.0])]
+        coeffs = spec.get("coeffs", [1.0])
+        if not isinstance(coeffs, list):
+            raise ValidationError(f"trigpoly coeffs must be a list, got {coeffs!r}")
+        coeffs = [_complex_of(c, "coeffs") for c in coeffs]
         if len(coeffs) % 2 != 1:
             raise ValidationError("trigpoly needs an odd coefficient count (-K..K)")
         K = len(coeffs) // 2
@@ -134,17 +163,16 @@ def euclid_field(grid: UniformGrid, spec: dict, rng: np.random.Generator | None 
         return SampledField(grid, vals)
     if fam == "constant":
         return SampledField(grid, np.full(grid.size, _complex_of(spec.get("value", 1.0), "value")))
-    if fam == "random_mix":
-        if rng is None:
-            raise ValidationError("random_mix family needs a seeded generator")
-        terms = require_int(spec.get("terms", 3), "terms")
-        return SampledField(grid, random_gaussian_mix(grid, rng, terms))
-    raise ValidationError(f"unknown field family {fam!r}")
+    # random_mix, the one family left
+    if rng is None:
+        raise ValidationError("random_mix family needs a seeded generator")
+    terms = require_int(spec.get("terms", 3), "terms")
+    return SampledField(grid, random_gaussian_mix(grid, rng, terms))
 
 
 def lattice_sequence(window: LatticeWindow, spec: dict, rng: np.random.Generator | None = None) -> LatticeSequence:
     """Build a sequence on a lattice window from a family spec."""
-    fam = _family(spec, "sequence")
+    fam = _family(spec, "sequence", _SEQUENCE_KEYS)
     pts = window.nodes
     if fam == "gaussian":
         return LatticeSequence(window, _gaussian(pts, spec))
@@ -159,9 +187,8 @@ def lattice_sequence(window: LatticeWindow, spec: dict, rng: np.random.Generator
         return LatticeSequence(window, vals)
     if fam == "constant":
         return LatticeSequence(window, np.full(window.size, _complex_of(spec.get("value", 1.0), "value")))
-    if fam == "random_mix":
-        if rng is None:
-            raise ValidationError("random_mix family needs a seeded generator")
-        vals = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
-        return LatticeSequence(window, vals)
-    raise ValidationError(f"unknown sequence family {fam!r}")
+    # random_mix, the one family left
+    if rng is None:
+        raise ValidationError("random_mix family needs a seeded generator")
+    vals = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
+    return LatticeSequence(window, vals)

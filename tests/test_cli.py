@@ -426,3 +426,102 @@ def test_homog_verify_adds_its_checks_to_the_route_checks(tmp_path, instance):
 def test_haar_check_range_errors_name_the_key(tmp_path, capsys, cfg, message):
     assert run(tmp_path, "haar-check", cfg) == 2
     assert message in capsys.readouterr().err
+
+
+_CONSTANT = {"family": "constant"}
+_TINY_TORUS = {"setting": "torus", "cutoff": 1, "x_count": 8}
+
+
+def _one_term(h, g=_CONSTANT):
+    return {"terms": [{"h": h, "g": g}]}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {**euclid_cfg(), "decomposition": {"terms": 5}},
+        {"setting": ["x"]},
+        {"setting": {"k": 1}},
+        {"setting": "lattice", "radius": 2, "symbol": {"family": ["constant"]}},
+        {"setting": "su2", "cutoff_twoL": 1, "decomposition": _one_term({"family": ["constant"]})},
+        {**euclid_cfg(), "decomposition": _one_term({"family": {"k": 1}})},
+        {**_TINY_TORUS, "decomposition": _one_term({"family": "trigpoly", "coeffs": 3})},
+        {**_TINY_TORUS, "decomposition": _one_term({"family": "trigpoly", "coeffs": True})},
+    ],
+    ids=["int_terms", "list_setting", "object_setting", "list_lattice_family", "list_su2_family",
+         "object_euclid_family", "int_coeffs", "bool_coeffs"],
+)
+def test_wrongly_typed_config_values_are_exit_2(tmp_path, capsys, cfg):
+    # each of these once escaped as an uncaught TypeError (exit 1)
+    assert run(tmp_path, "trace", cfg) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (
+            {**euclid_cfg(), "decomposition": _one_term({"family": "gaussian", "widht": 3.0})},
+            "field family 'gaussian': unknown keys ['widht']",
+        ),
+        (
+            {"setting": "lattice", "radius": 2, "decomposition": _one_term({"family": "constant", "valeu": 3.0})},
+            "sequence family 'constant': unknown keys ['valeu']",
+        ),
+        ({**euclid_cfg(), "phase": {"kind": "linear", "shift": 0.5}}, "linear phase: unknown keys ['shift']"),
+        (
+            {"setting": "su2", "cutoff_twoL": 1, "decomposition": _one_term({"family": "constant", "twoL": 1})},
+            "group field family 'constant': unknown keys ['twoL']",
+        ),
+        # the keys are per family and domain: a grid delta reads "node", a
+        # window delta "at", and only a grid random_mix reads "terms"
+        (
+            {**euclid_cfg(), "decomposition": _one_term({"family": "delta", "at": [0]})},
+            "field family 'delta': unknown keys ['at']",
+        ),
+        (
+            {"setting": "lattice", "seed": 1, "radius": 2, "decomposition": _one_term({"family": "random_mix", "terms": 2})},
+            "sequence family 'random_mix': unknown keys ['terms']",
+        ),
+    ],
+    ids=["euclid_widht", "lattice_valeu", "linear_shift", "su2_constant_twoL", "grid_delta_at", "window_random_mix_terms"],
+)
+def test_keys_a_family_or_phase_would_ignore_are_exit_2(tmp_path, capsys, cfg, message):
+    assert run(tmp_path, "trace", cfg) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["wigner", "quantize"])
+def test_euclid_only_verbs_outside_euclid_are_exit_2(tmp_path, capsys, verb):
+    # as haar-check outside su2 and su3: no plain trace without the verb's fields
+    code = run_main([verb, "--config", str(SCENARIOS / "lattice_identity.json"), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"{verb} supports setting 'euclid' only" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_seedless_su2_random_bandlimited_is_exit_2(tmp_path, capsys):
+    cfg = {"setting": "su2", "cutoff_twoL": 1, "decomposition": _one_term({"family": "random_bandlimited"})}
+    assert run(tmp_path, "trace", cfg) == 2
+    assert "no integer 'seed'" in capsys.readouterr().err
+
+
+
+def test_tolerance_replaces_every_nonzero_tolerance(tmp_path):
+    # the mask checks are exact by construction and keep their 0
+    assert run(tmp_path, "verify", _HOMOG["torus"], tolerance=0.5) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    tolerances = {name: check["tolerance"] for name, check in rep["checks"].items()}
+    assert tolerances == {
+        "trace_vs_matrix": 0.5,
+        "trace_vs_eigensum": 0.5,
+        "degeneration_gap": 0.5,
+        "mask_idempotence": 0.0,
+        "mask_support": 0.0,
+    }
+
+
+def test_runtime_ms_times_the_whole_scenario_in_every_verb(tmp_path):
+    cfg = {"setting": "su3", "resolution": 4, "samples": 10, "seed": 1}
+    run(tmp_path, "haar-check", cfg)
+    assert json.loads((tmp_path / "report.json").read_text())["runtime_ms"] > 0.0

@@ -69,3 +69,16 @@ def test_lattice_delta(grid):
     want = np.zeros(5, dtype=complex)
     want[3] = 1.0
     assert np.array_equal(f.values, want)
+
+
+def test_random_bandlimited_needs_rng():
+    # so a seedless su2 config is rejected before its quadrature is built
+    assert spec_needs_rng({"family": "random_bandlimited"})
+    assert not spec_needs_rng({"family": ["random_mix"]})
+
+
+def test_a_family_rejects_keys_it_does_not_read(grid):
+    with pytest.raises(ValidationError, match=r"unknown keys \['widht'\]"):
+        euclid_field(grid, {"family": "gaussian", "widht": 3.0}, None)
+    with pytest.raises(ValidationError, match=r"unknown keys \['node'\]"):
+        lattice_sequence(LatticeWindow(1, 2), {"family": "delta", "node": 1}, None)
