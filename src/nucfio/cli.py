@@ -145,9 +145,7 @@ def _rng_for(cfg: dict) -> np.random.Generator | None:
     seed = cfg.get("seed")
     if needs and seed is None:
         raise ValidationError("config uses a random family but carries no integer 'seed'")
-    if seed is None:
-        return None
-    return np.random.default_rng(require_int(seed, "seed"))
+    return None if seed is None else np.random.default_rng(seed)
 
 
 def _grid_from(spec: dict, where: str) -> UniformGrid:
@@ -222,6 +220,9 @@ def _euclid_phase(spec: dict, x_grid: UniformGrid, xi_grid: UniformGrid) -> Phas
 
 
 def _run_euclid(cfg: dict, verb: str) -> tuple:
+    unread = sorted({"taus", "probe"} & set(cfg)) if verb != "quantize" else []
+    if unread:
+        raise ValidationError(f"euclid keys {unread} apply to the quantize verb only, not {verb!r}")
     rng = _rng_for(cfg)
     grid = _grid_from(cfg["grid"], "grid")
     xi_grid = _grid_from(cfg["xi_grid"], "xi_grid") if "xi_grid" in cfg else UniformGrid(grid.axes)
@@ -614,6 +615,8 @@ def run_scenario(cfg: dict, verb: str, tolerance: float | None = None):
     t0 = time.perf_counter()
     required, optional, runner = _scenario(cfg, verb)
     _check_keys(cfg, "config", ("setting", *required), ("seed", *optional))
+    if "seed" in cfg:
+        require_int(cfg["seed"], "seed")
     report, checks = runner(cfg, verb)
     if verb == "verify":
         checks = checks + _route_checks(report)

@@ -7,6 +7,11 @@ real tables. Linear phases cancel exactly against the trace kernel because
 both are formed from the same float products; sampled phases are validated
 for oscillation density (at least 8 nodes per period) before any quadrature
 that integrates them.
+
+This module owns the abelian bodies (``_abelian_apply``, ``_abelian_synthesis``,
+``_abelian_trace``): R^n, Z^n and the torus take the same sums over a
+``SampledSymbol``, with different weights, so ``lattice`` and ``group`` import
+them and only check their own setting.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
-from .grids import SampledField, SampledSymbol, UniformGrid, ksum, require_same_grid, validate_range
+from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, ksum, require_same_grid, validate_range
 from .nuclear import (
     RankOneSequence,
     delgado_trace,
@@ -115,6 +120,67 @@ def _require_phase_density(table: np.ndarray, a: SampledSymbol, what: str, xi_on
             )
 
 
+def _row_blocks(n: int):
+    """Slices of ``_ROW_CHUNK`` consecutive rows covering range(n) in order."""
+    for s in range(0, n, _ROW_CHUNK):
+        yield slice(s, min(s + _ROW_CHUNK, n))
+
+
+# -- the abelian bodies -------------------------------------------------------
+# R^n, Z^n and the torus share these three: a ``SampledSymbol`` over a space
+# domain and a frequency domain (grids, or a window with unit weights on one
+# side), a ``PhaseSpec`` whose rows are space points and columns frequencies.
+# The entry points check their setting and call one of them.
+
+
+def _abelian_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> SampledField:
+    """out(p) = sum_j w_j e^{i phi(p, j)} a(p, j) (F f)(xi_j), row block by
+    row block; f lives on the symbol's space domain, and so does the output."""
+    x, xi = a.space.nodes, a.freq.nodes
+    wfhat = a.freq.weights * dft_forward(f, a.freq).values
+    out = np.empty(a.space.size, dtype=complex)
+    for rows in _row_blocks(a.space.size):
+        out[rows] = ksum(np.exp(1j * phase.table(x, xi, rows)) * a.values[rows] * wfhat[None, :], axis=1)
+    return SampledField(a.space, out)
+
+
+def _abelian_synthesis(phase: PhaseSpec, d: RankOneSequence, space, freq) -> SampledSymbol:
+    """a(p, j) = e^{-i phi(p, j)} sum_k h_k(p) sum_m w_m g_k(m) e^{2*pi*i x_m.xi_j}
+    on ``space`` x ``freq``, the g factors on ``space``. The summed side's
+    weights w fold into g_k (``dft_inverse``); on a window, 1.0 * g changes
+    at most the sign of a zero, which the compensated sum absorbs, so window
+    sums stay plain sums bit for bit.
+    """
+    x, xi = space.nodes, freq.nodes
+    A = np.zeros((space.size, freq.size), dtype=complex)
+    for h, g in d.terms:
+        A += np.outer(h.values, dft_inverse(g, freq).values)
+    for rows in _row_blocks(space.size):
+        np.multiply(np.exp(-1j * phase.table(x, xi, rows)), A[rows], out=A[rows])
+    return SampledSymbol(space, freq, A)
+
+
+def _abelian_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
+    """sum_{p, j} w_p w_j e^{i(phi(p, j) - 2*pi*x_p.xi_j)} a(p, j) in the
+    symbol's own order, as one compensated pass over the flattened rows.
+
+    The exponent keeps the i on phi and is one difference, so a linear phase
+    gives e^{i*0} = 1 exactly; where one side is a window of unit weights,
+    w_p w_j is exact and identities trace to the cardinality with no rounding.
+    """
+    x, xi = a.space.nodes, a.freq.nodes
+    wx, wxi = a.space.weights, a.freq.weights
+    acc = KahanSum((), complex)
+    for rows in _row_blocks(a.space.size):
+        kernel = 2.0 * np.pi * (x[rows] @ xi.T)
+        w = wx[rows, None] * wxi[None, :]
+        acc.add((np.exp(1j * (phase.table(x, xi, rows) - kernel)) * a.values[rows] * w).reshape(-1))
+    return complex(acc.value)
+
+
+# -- R^n ---------------------------------------------------------------------
+
+
 def fio_apply(phase: PhaseSpec, a: EuclideanSymbol, f: SampledField) -> SampledField:
     """Apply the operator: transform f, weight by e^{i phi} a, integrate in xi.
 
@@ -123,14 +189,7 @@ def fio_apply(phase: PhaseSpec, a: EuclideanSymbol, f: SampledField) -> SampledF
     require_same_grid(f.grid, a.space, "fio_apply input")
     if phase.kind == "sampled":
         _require_phase_density(phase.values, a, "fio_apply", xi_only=True)
-    fhat = dft_forward(f, a.freq).values
-    wfhat = a.freq.weights * fhat
-    out = np.empty(a.space.size, dtype=complex)
-    for s in range(0, a.space.size, _ROW_CHUNK):
-        rows = slice(s, min(s + _ROW_CHUNK, a.space.size))
-        phi = phase.table(a.space.nodes, a.freq.nodes, rows)
-        out[rows] = ksum(np.exp(1j * phi) * a.values[rows] * wfhat[None, :], axis=1)
-    return SampledField(a.space, out)
+    return _abelian_apply(phase, a, f)
 
 
 def symbol_from_decomposition(
@@ -144,17 +203,8 @@ def symbol_from_decomposition(
     grid defaults to the factors' own box.
     """
     require_same_grid(d.h_grid, d.g_grid, "symbol_from_decomposition factors")
-    x_grid = d.h_grid
-    if xi_grid is None:
-        xi_grid = UniformGrid(x_grid.axes)
-    A = np.zeros((x_grid.size, xi_grid.size), dtype=complex)
-    for h, g in d.terms:
-        ginv = dft_inverse(g, xi_grid).values
-        A += np.outer(h.values, ginv)
-    for s in range(0, x_grid.size, _ROW_CHUNK):
-        rows = slice(s, min(s + _ROW_CHUNK, x_grid.size))
-        A[rows] *= np.exp(-1j * phase.table(x_grid.nodes, xi_grid.nodes, rows))
-    return EuclideanSymbol(x_grid, xi_grid, A)
+    xi_grid = UniformGrid(d.h_grid.axes) if xi_grid is None else xi_grid
+    return _abelian_synthesis(phase, d, d.h_grid, xi_grid)
 
 
 def nuclear_trace_euclid(phase: PhaseSpec, a: EuclideanSymbol) -> complex:
@@ -166,16 +216,7 @@ def nuclear_trace_euclid(phase: PhaseSpec, a: EuclideanSymbol) -> complex:
     if phase.kind == "sampled":
         xdotxi = a.space.nodes @ a.freq.nodes.T
         _require_phase_density(phase.values - 2.0 * np.pi * xdotxi, a, "nuclear_trace_euclid")
-    wx, wxi = a.space.weights, a.freq.weights
-    partials = []
-    for s in range(0, a.space.size, _ROW_CHUNK):
-        rows = slice(s, min(s + _ROW_CHUNK, a.space.size))
-        xdotxi = 2.0 * np.pi * (a.space.nodes[rows] @ a.freq.nodes.T)
-        phi = phase.table(a.space.nodes, a.freq.nodes, rows)
-        psi = phi - xdotxi
-        integrand = np.exp(1j * psi) * a.values[rows] * wxi[None, :] * wx[rows, None]
-        partials.append(ksum(integrand))
-    return complex(ksum(np.asarray(partials)))
+    return _abelian_trace(phase, a)
 
 
 def decay_norms(a: EuclideanSymbol, p1: float, p2: float) -> tuple:

@@ -12,10 +12,11 @@ Haar quadratures carry normalized weights (they sum to 1); the 3-sphere
 parametrization additionally records the raw mass of its printed density,
 which integrates to 4*pi^2 over the chart, twice the unit 3-sphere area.
 
-Two kernels do the work. The torus is the abelian pair of the lattice module
-(``lattice._abelian_*``) with space and frequency swapped, one ``SampledSymbol``
-over a periodic grid and a frequency ``LatticeWindow``. SU(2) is the K = {e}
-instance of the class-I table kernel below. Its domain is anything with
+Two kernels do the work. The torus is the abelian pair of the lattice with
+space and frequency swapped, one ``SampledSymbol`` over a periodic grid and a
+frequency ``LatticeWindow``: its synthesis and trace are the abelian bodies
+of ``euclid``, its matrix is ``lattice._abelian_matrix``. SU(2) is the
+K = {e} instance of the class-I table kernel below. Its domain is anything with
 ``size``, ``weights`` and ``irrep(label) -> (label, dim, k_inv, matrices)``: a
 ``GroupQuadrature`` (k_inv = dim) or a ``homog.ClassIIrrepTable``. One symbol
 class and one phase class (``GroupSymbol``, ``GroupPhase``; ``homog`` binds
@@ -36,9 +37,9 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .euclid import PhaseSpec
+from .euclid import PhaseSpec, _abelian_synthesis, _abelian_trace
 from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, complex_samples, ksum, require_same_grid
-from .lattice import LatticeWindow, _abelian_matrix, _abelian_synthesis, _abelian_trace
+from .lattice import LatticeWindow, _abelian_matrix
 from .nuclear import RankOneSequence
 from .numerics import dft_forward
 

@@ -8,10 +8,12 @@ exactly once the grid has more than twice the window's bandwidth per axis.
 Trace kernels are formed as single exponent differences so the linear phase
 cancels in floating point and windowed identities trace to exact integers.
 
-The torus is the same pairing with the roles of space and frequency swapped:
-both store a ``grids.SampledSymbol`` one side of which is a window with unit
-weights, so the ``_abelian_*`` kernels here weight by both sides, exactly,
-and ``group.torus_*`` calls them too.
+The lattice, the torus (the same pairing with space and frequency swapped)
+and R^n store one ``grids.SampledSymbol``. Apply, synthesis and trace are
+the abelian bodies of ``euclid``, which weight by both sides (exactly, where
+one side is a window of unit weights); the entry points here check the
+lattice setting and call them. The operator matrix ``_abelian_matrix`` lives
+here, because R^n has none; ``group.torus_matrix`` calls it too.
 """
 
 from __future__ import annotations
@@ -22,18 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, TruncationError, ValidationError
-from .euclid import PhaseSpec
-from .grids import (
-    KahanSum,
-    SampledField,
-    SampledSymbol,
-    UniformGrid,
-    ksum,
-    require_same_grid,
-    validate_range,
-)
+from .euclid import PhaseSpec, _abelian_apply, _abelian_synthesis, _abelian_trace
+from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, require_same_grid
 from .nuclear import RankOneSequence
-from .numerics import character_sum, dft_forward, weighted_lp_norm
+from .numerics import dft_forward, mixed_norm, weighted_lp_norm
 
 __all__ = [
     "LatticeWindow",
@@ -128,32 +122,6 @@ def LatticeSymbol(window: LatticeWindow, xi_grid: UniformGrid, values) -> Sample
 LatticePhase = PhaseSpec
 
 
-def _abelian_synthesis(phase: PhaseSpec, d: RankOneSequence, space, freq) -> SampledSymbol:
-    """a(p, j) = e^{-i phi(p, j)} sum_k h_k(p) sum_m w_m g_k(m) e^{2*pi*i x_m.xi_j}
-    on ``space`` x ``freq``. The summed side's weights w fold into g_k; on a
-    window, 1.0 * g changes at most the sign of a zero, which the compensated
-    sum absorbs, so window sums stay plain sums bit for bit.
-    """
-    x, xi = space.nodes, freq.nodes
-    A = np.zeros((space.size, freq.size), dtype=complex)
-    for h, g in d.terms:
-        A += np.outer(h.values, character_sum(space.weights * g.values, x, xi, 1.0))
-    return SampledSymbol(space, freq, np.exp(-1j * phase.table(x, xi)) * A)
-
-
-def _abelian_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
-    """sum_{p, j} w_p w_j e^{i(phi(p, j) - 2*pi*x_p.xi_j)} a(p, j) in the
-    symbol's own order; one side is a window of unit weights, so w_p w_j is
-    exact. The exponent keeps the i on phi and is one difference, so the
-    linear phase gives e^{i*0} = 1 exactly and identities trace to the
-    cardinality with no rounding.
-    """
-    x, xi = a.space.nodes, a.freq.nodes
-    w = a.space.weights[:, None] * a.freq.weights[None, :]
-    kernel = 2.0 * np.pi * (x @ xi.T)
-    return complex(ksum(np.exp(1j * (phase.table(x, xi) - kernel)) * a.values * w))
-
-
 # Frequencies per accumulated block of ``_abelian_matrix``: the block is
 # (rows, rows, _MATRIX_FREQS), so a wider chunk raises peak memory.
 _MATRIX_FREQS = 4
@@ -192,13 +160,10 @@ def lattice_dft(f: LatticeSequence, xi_grid: UniformGrid) -> SampledField:
 
 
 def lattice_fio_apply(phase: LatticePhase, a: SampledSymbol, f: LatticeSequence) -> LatticeSequence:
-    """out(n') = sum_xi w(xi) e^{i phi(n', xi)} a(n', xi) (F_Z f)(xi); the
-    transform checks the symbol's setting."""
+    """out(n') = sum_xi w(xi) e^{i phi(n', xi)} a(n', xi) (F_Z f)(xi)."""
     require_same_grid(f.grid, a.space, "lattice_fio_apply input")
-    fhat = lattice_dft(f, a.freq).values
-    phi = phase.table(a.space.nodes, a.freq.nodes)
-    integrand = np.exp(1j * phi) * a.values * (a.freq.weights * fhat)[None, :]
-    return LatticeSequence(a.space, ksum(integrand, axis=1))
+    _check_xi_grid(a.space, a.freq)
+    return _abelian_apply(phase, a, f)
 
 
 def lattice_symbol_from_decomposition(
@@ -238,13 +203,5 @@ def lattice_mixed_norms(a: SampledSymbol, p1: float, p2: float) -> tuple:
     Returns ((int_T (sum_{n'} |a|^{p2})^{p1/p2} dxi)^{1/p1},
              (sum_{n'} (int_T |a|^{p1} dxi)^{p2/p1})^{1/p2}).
     """
-    validate_range("p1", p1, 1.0, np.inf, include_hi=False)
-    validate_range("p2", p2, 1.0, np.inf, include_hi=False)
     _check_xi_grid(a.space, a.freq)
-    vals = np.abs(a.values)
-    w = a.freq.weights
-    inner_pts = ksum(vals**p2, axis=0) ** (p1 / p2)
-    n_first = float(ksum(w * inner_pts)) ** (1.0 / p1)
-    inner_xi = ksum(w[None, :] * vals**p1, axis=1) ** (p2 / p1)
-    xi_first = float(ksum(inner_xi)) ** (1.0 / p2)
-    return n_first, xi_first
+    return mixed_norm(a, "x", p2, p1), mixed_norm(a, "xi", p1, p2)

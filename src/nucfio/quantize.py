@@ -164,26 +164,11 @@ def wigner(h: SampledField, g: SampledField, xi_grid: UniformGrid | None = None)
     """Cross-Wigner transform W(h, g)(x, xi) = sum_z w(z) e^{-2*pi*i*z.xi}
     h(x + z/2) conj(g(x - z/2)).
 
-    Both fields share one grid; half-shifts are exact lattice moves for odd
-    node counts. W(h, h) of a real Gaussian peaks at the phase-space origin.
+    This is the Weyl (tau = 1/2) symbol of the rank-one kernel h(x) conj(g(y)),
+    so it runs through ``weyl_symbol_from_decomposition``. Both fields share
+    one grid; half-shifts are exact lattice moves for odd node counts. W(h, h)
+    of a real Gaussian peaks at the phase-space origin.
     """
     require_same_grid(h.grid, g.grid, "wigner inputs")
-    xg = h.grid
-    xig = UniformGrid(xg.axes) if xi_grid is None else xi_grid
-    require_edge_decay(h.values, xg, "wigner h")
-    require_edge_decay(g.values, xg, "wigner g")
-    zg = shift_grid(xg)
-    Z, wz = zg.nodes, zg.weights
-    E = np.exp(-2j * np.pi * (Z @ xig.nodes.T))
-    gconj = np.conj(g.values)
-    out = np.empty((xg.size, xig.size), dtype=complex)
-    for s in range(0, xg.size, _X_CHUNK):
-        rows = slice(s, min(s + _X_CHUNK, xg.size))
-        Xc = xg.nodes[rows]
-        m = Xc.shape[0]
-        plus = (Xc[:, None, :] + 0.5 * Z[None, :, :]).reshape(-1, xg.dim)
-        minus = (Xc[:, None, :] - 0.5 * Z[None, :, :]).reshape(-1, xg.dim)
-        hv = interpolate(h.values, xg, plus).reshape(m, zg.size)
-        gv = interpolate(gconj, xg, minus).reshape(m, zg.size)
-        out[rows] = np.einsum("mz,z,zk->mk", hv * gv, wz, E)
-    return EuclideanSymbol(xg, xig, out)
+    d = RankOneSequence(((h, SampledField(g.grid, np.conj(g.values))),), 2.0, 2.0, 1.0)
+    return weyl_symbol_from_decomposition(d, 0.5, xi_grid)

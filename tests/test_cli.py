@@ -183,8 +183,12 @@ def test_haar_check_su3_small(tmp_path, capsys):
         ("trace", {"setting": "torus", "cutoff": 2.7, "symbol": {"family": "constant"}}),
         ("trace", {**euclid_cfg(), "seed": True}),
         ("haar-check", {"setting": "su3", "resolution": 4, "samples": 10, "seed": 1.5}),
+        # no runner reads these seeds; run_scenario checks every seed once
+        ("trace", {"setting": "homog", "instance": "torus", "cutoff": 1, "x_count": 8, "seed": "x"}),
+        ("haar-check", {"setting": "su2", "quadrature": {"n_alpha": 4, "n_beta": 4, "n_gamma": 8}, "seed": [1]}),
+        ("trace", {**euclid_cfg(), "seed": None}),
     ],
-    ids=["radius", "xi_count", "cutoff", "bool_seed", "su3_seed"],
+    ids=["radius", "xi_count", "cutoff", "bool_seed", "su3_seed", "homog_seed", "su2_haar_seed", "null_seed"],
 )
 def test_non_integer_config_values_are_exit_2(tmp_path, capsys, verb, cfg):
     # integer keys are never truncated or coerced: 3.9 is not radius 3
@@ -340,14 +344,19 @@ _RANK4_SPECTRUM = {
 
 
 @pytest.mark.parametrize(
-    "cfg",
-    [json.loads((SCENARIOS / "gaussian_rank1.json").read_text()), _RANK4_SPECTRUM],
-    ids=["gaussian_rank1", "rank4_random_mix"],
+    "verb, cfg",
+    [
+        ("spectrum", json.loads((SCENARIOS / "gaussian_rank1.json").read_text())),
+        ("spectrum", _RANK4_SPECTRUM),
+        ("quantize", {**euclid_cfg(), "taus": [0.25, 0.5, 1.0]}),
+    ],
+    ids=["gaussian_rank1", "rank4_random_mix", "quantize_taus"],
 )
-def test_euclid_report_is_identical_across_blas_threads(tmp_path, cfg):
+def test_euclid_report_is_identical_across_blas_threads(tmp_path, verb, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert _report_at_threads(tmp_path, path, 1) == _report_at_threads(tmp_path, path, 2)
+    one, two = (_report_at_threads(tmp_path, path, n, verb) for n in (1, 2))
+    assert one == two
 
 
 @pytest.mark.parametrize(
@@ -505,6 +514,23 @@ def test_seedless_su2_random_bandlimited_is_exit_2(tmp_path, capsys):
     assert run(tmp_path, "trace", cfg) == 2
     assert "no integer 'seed'" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize(
+    "verb, key, value",
+    [
+        ("trace", "probe", {"family": "gaussian", "widht": 1.0}),
+        ("trace", "taus", "not a list"),
+        ("spectrum", "taus", [0.5]),
+        ("verify", "probe", {"family": "gaussian"}),
+        ("wigner", "taus", [0.5]),
+    ],
+    ids=["trace_probe", "trace_taus", "spectrum_taus", "verify_probe", "wigner_taus"],
+)
+def test_quantize_keys_under_other_verbs_are_exit_2(tmp_path, capsys, verb, key, value):
+    # only quantize reads "taus" and "probe"; elsewhere they would go unchecked
+    assert run(tmp_path, verb, {**euclid_cfg(), key: value}) == 2
+    assert f"euclid keys ['{key}'] apply to the quantize verb only" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_tolerance_replaces_every_nonzero_tolerance(tmp_path):

@@ -12,7 +12,7 @@ from nucfio.euclid import (
     nuclear_trace_euclid,
     symbol_from_decomposition,
 )
-from nucfio.grids import SampledField, UniformGrid
+from nucfio.grids import SampledField, UniformGrid, ksum
 from nucfio.nuclear import (
     RankOneSequence,
     apply_kernel,
@@ -104,6 +104,22 @@ def test_trace_is_phase_independent_after_synthesis(grid):
     a = symbol_from_decomposition(phase, d)
     tr = nuclear_trace_euclid(phase, a)
     assert tr == pytest.approx(delgado_trace(d), abs=1e-10)
+
+
+def test_trace_is_one_compensated_pass_over_the_integrand():
+    # 300 rows span two row blocks of the trace body; the blocks feed one
+    # running Kahan sum in the symbol's flat order, so the trace is ksum of
+    # the whole integrand bit for bit, with no per-block partial sums
+    g = UniformGrid.box(-5.0, 5.0, 300, 1)
+    xi = UniformGrid.box(-4.0, 4.0, 64, 1)
+    kernel = 2.0 * np.pi * (g.nodes @ xi.nodes.T)
+    table = kernel + 0.5 * np.sin(g.nodes) * np.cos(xi.nodes.T)
+    rng = np.random.default_rng(19)
+    values = rng.standard_normal((g.size, xi.size)) + 1j * rng.standard_normal((g.size, xi.size))
+    w = g.weights[:, None] * xi.weights[None, :]
+    want = complex(ksum(np.exp(1j * (table - kernel)) * values * w))
+    got = nuclear_trace_euclid(PhaseSpec("sampled", table), EuclideanSymbol(g, xi, values))
+    assert (got.real, got.imag) == (want.real, want.imag)
 
 
 def test_decay_norms_requires_p1_at_least_two(grid):
