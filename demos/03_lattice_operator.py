@@ -8,23 +8,21 @@ as integers, not approximations.
 
 import numpy as np
 
-from nucfio.grids import UniformGrid
+from nucfio.euclid import PhaseSpec
+from nucfio.grids import SampledField, UniformGrid
 from nucfio.lattice import (
-    LatticePhase,
-    LatticeRankOne,
-    LatticeSequence,
     LatticeSymbol,
     LatticeWindow,
     lattice_matrix,
     lattice_nuclear_trace,
     lattice_symbol_from_decomposition,
 )
-from nucfio.nuclear import r_quasinorm_bound
+from nucfio.nuclear import RankOneSequence, r_quasinorm_bound
 from nucfio.numerics import dense_eigenvalues, matrix_trace
 
 window = LatticeWindow(dim=1, radius=4)      # sites -4..4
 xi = UniformGrid.torus(32, 1)              # 32 >= 2 * (2N + 1) = 18: exact
-phase = LatticePhase.linear()
+phase = PhaseSpec.linear()
 
 # constant symbol 1 is the identity on the window
 ident = LatticeSymbol(window, xi, np.ones((window.size, xi.size), dtype=complex))
@@ -36,12 +34,12 @@ print("exact integer :", tr == complex(window.size))
 rng = np.random.default_rng(7)
 pairs = tuple(
     (
-        LatticeSequence(window, rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)),
-        LatticeSequence(window, rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)),
+        SampledField(window, rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)),
+        SampledField(window, rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)),
     )
     for _ in range(3)
 )
-d = LatticeRankOne(pairs, 2.0, 2.0, 1.0)
+d = RankOneSequence(pairs, 2.0, 2.0, 1.0)
 a = lattice_symbol_from_decomposition(phase, d, xi)
 
 direct = sum((h.values * g.values).sum() for h, g in d.terms)

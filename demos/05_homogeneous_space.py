@@ -10,11 +10,15 @@ the rank-two quotient checks.
 
 import numpy as np
 
-from nucfio.group import GroupSymbol, group_nuclear_trace, identity_phase, su2_haar_quadrature
-from nucfio.homog import (
-    HomogPhase,
-    HomogSymbol,
+from nucfio.group import (
+    GroupPhase,
+    GroupSymbol,
     class_i_mask,
+    group_nuclear_trace,
+    identity_phase,
+    su2_haar_quadrature,
+)
+from nucfio.homog import (
     homog_mixed_norm,
     homog_nuclear_trace,
     su3_fundamental_batch,
@@ -41,15 +45,15 @@ blocks = {
     for t in table.labels
 }
 th = homog_nuclear_trace(
-    HomogPhase(table, {t: table.entries[t].matrices for t in table.labels}),
-    HomogSymbol(table, blocks),
+    GroupPhase(table, {t: table.entries[t].matrices for t in table.labels}),
+    GroupSymbol(table, blocks),
 )
 tg = group_nuclear_trace(identity_phase(quad, cutoff), GroupSymbol(quad, blocks), cutoff)
 print()
 print("quotient trace :", th)
 print("group trace    :", tg)
 print("bit-for-bit    :", th == tg)
-print("dual-decay norm:", homog_mixed_norm(HomogSymbol(table, blocks), 2.0, 2.0))
+print("dual-decay norm:", homog_mixed_norm(GroupSymbol(table, blocks), 2.0, 2.0))
 
 # the eight-angle parametrization of special unitary 3 x 3 matrices
 rng = np.random.default_rng(1)

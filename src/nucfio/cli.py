@@ -2,9 +2,12 @@
 
 Verbs: trace, spectrum, wigner, quantize, verify, haar-check.
 Every verb reads --config (a strict JSON scenario: unknown keys are errors),
-writes report.json under --out, and prints a one-line summary. spectrum
-additionally writes spectrum.csv when --format csv. Exit codes: 0 success,
-2 invalid input or config, 3 numeric failure or tolerance breach.
+writes report.json under --out, and prints a one-line summary. Only spectrum
+takes --format (csv also writes spectrum.csv), and only verify and haar-check
+take --tolerance (finite, >= 0; it replaces every nonzero check tolerance).
+A check passes when value <= tolerance, one rule for the printed status, the
+report's "pass" field and the exit code. Exit codes: 0 success, 2 invalid
+input or config, 3 numeric failure or tolerance breach.
 
 Reports are byte-identical across reruns of the same config apart from the
 runtime_ms field, the wall time of the whole scenario; all randomness flows
@@ -29,7 +32,7 @@ from .numerics import dense_eigenvalues, matrix_trace
 from .nuclear import (
     RankOneSequence,
     apply_kernel,
-    kernel_diagonal_trace,
+    delgado_trace,
     kernel_from_decomposition,
     r_quasinorm_bound,
 )
@@ -43,8 +46,10 @@ from .lattice import (
     lattice_symbol_from_decomposition,
 )
 from .group import (
+    GroupPhase,
     GroupSymbol,
     TorusSymbol,
+    class_i_mask,
     group_matrix,
     group_nuclear_trace,
     group_symbol_from_decomposition,
@@ -60,9 +65,6 @@ from .group import (
     euler_from_su2,
 )
 from .homog import (
-    HomogPhase,
-    HomogSymbol,
-    class_i_mask,
     homog_mixed_norm,
     homog_nuclear_trace,
     su3_fundamental_batch,
@@ -404,7 +406,7 @@ def _run_su2(cfg: dict, verb: str) -> tuple:
         d = _decomposition(cfg["decomposition"], _group_factor(quad, cutoff, rng))
         a = group_symbol_from_decomposition(Phi, d, cutoff)
         quasinorm = r_quasinorm_bound(d)
-        dtr = kernel_diagonal_trace(d)
+        dtr = delgado_trace(d)
         extras["delgado_trace"] = {"re": dtr.real, "im": dtr.imag}
     else:
         Phi, a = _su2_identity(quad, cutoff)
@@ -436,8 +438,8 @@ def _run_homog(cfg: dict, verb: str) -> tuple:
         a_t = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, len(table.labels)), dtype=complex))
         route, reference = "torus_trace", torus_nuclear_trace(PhaseSpec.linear(), a_t)
         M = torus_matrix(PhaseSpec.linear(), a_t)
-    Phi_h = HomogPhase(table, {lab: table.entries[lab].matrices for lab in table.labels})
-    a_h = HomogSymbol(table, blocks_a)
+    Phi_h = GroupPhase(table, {lab: table.entries[lab].matrices for lab in table.labels})
+    a_h = GroupSymbol(table, blocks_a)
     nuclear = homog_nuclear_trace(Phi_h, a_h)
     extras = {
         route: {"re": reference.real, "im": reference.imag},
@@ -598,6 +600,7 @@ def _write_spectrum_csv(eigenvalues, out_dir: str) -> Path:
 
 
 def _checks_payload(checks: list) -> dict:
+    """Value, tolerance and verdict per check, under the one pass rule value <= tolerance."""
     return {
         name: {"value": float(value), "tolerance": float(tol), "pass": bool(value <= tol)}
         for name, value, tol in checks
@@ -613,6 +616,8 @@ def run_scenario(cfg: dict, verb: str, tolerance: float | None = None):
     A given tolerance replaces every nonzero check tolerance (the exact checks
     keep their 0); runtime_ms is the wall time of the whole scenario."""
     t0 = time.perf_counter()
+    if tolerance is not None and not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValidationError(f"tolerance = {tolerance!r} must be a finite number >= 0")
     required, optional, runner = _scenario(cfg, verb)
     _check_keys(cfg, "config", ("setting", *required), ("seed", *optional))
     if "seed" in cfg:
@@ -631,34 +636,38 @@ def run_main(argv=None) -> int:
         prog="nucfio",
         description="Nuclear-trace computations for Fourier integral operators.",
     )
+    parser.set_defaults(format="json", tolerance=None)
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in _VERBS:
         sp = sub.add_parser(verb)
         sp.add_argument("--config", required=True, help="path to a JSON scenario")
         sp.add_argument("--out", default=".", help="output directory (default: cwd)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--tolerance", type=float, default=None)
+        if verb == "spectrum":
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if verb in ("verify", "haar-check"):
+            sp.add_argument("--tolerance", type=float, default=None)
     args = parser.parse_args(argv)
 
     try:
         cfg = _load_config(args.config)
         report, checks = run_scenario(cfg, args.verb, args.tolerance)
         payload = report.to_payload()
-        if checks:
-            payload["checks"] = _checks_payload(checks)
+        results = _checks_payload(checks)
+        if results:
+            payload["checks"] = results
         path = _write_report(payload, args.out)
         written = [str(path)]
-        if args.verb == "spectrum" and args.format == "csv":
+        if args.format == "csv":
             written.append(str(_write_spectrum_csv(report.eigenvalues, args.out)))
-        for name, value, tol in checks:
-            status = "pass" if value <= tol else "FAIL"
-            print(f"{status} {name}: {value:.3e} (tolerance {tol:.3e})")
+        for name, check in results.items():
+            status = "pass" if check["pass"] else "FAIL"
+            print(f"{status} {name}: {check['value']:.3e} (tolerance {check['tolerance']:.3e})")
         tr = report.nuclear_trace
         print(
             f"{args.verb} {report.setting}: nuclear_trace = {tr.real:.12g}"
             f"{tr.imag:+.12g}i -> {', '.join(written)}"
         )
-        if checks and any(value > tol for _, value, tol in checks):
+        if not all(check["pass"] for check in results.values()):
             return EXIT_NUMERIC
         return EXIT_OK
     except NumericError as exc:

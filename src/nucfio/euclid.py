@@ -22,19 +22,12 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
 from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, ksum, require_same_grid, validate_range
-from .nuclear import (
-    RankOneSequence,
-    delgado_trace,
-    kernel_diagonal_trace,
-    r_quasinorm_bound,
-    require_node_cap,
-)
+from .nuclear import RankOneSequence, delgado_trace, r_quasinorm_bound, require_node_cap
 from .numerics import dft_forward, dft_inverse, factored_eigenvalues, mixed_norm
 from .report import TraceReport
 
 __all__ = [
     "PhaseSpec",
-    "EuclideanSymbol",
     "fio_apply",
     "symbol_from_decomposition",
     "nuclear_trace_euclid",
@@ -94,10 +87,6 @@ class PhaseSpec:
                 f"sampled phase table {self.values.shape} != ({x.shape[0]}, {xi.shape[0]})"
             )
         return self.values[rows]
-
-
-# A symbol on R^n is a sampled symbol on a spatial box times a frequency box.
-EuclideanSymbol = SampledSymbol
 
 
 def _require_phase_density(table: np.ndarray, a: SampledSymbol, what: str, xi_only: bool = False) -> None:
@@ -181,7 +170,7 @@ def _abelian_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
 # -- R^n ---------------------------------------------------------------------
 
 
-def fio_apply(phase: PhaseSpec, a: EuclideanSymbol, f: SampledField) -> SampledField:
+def fio_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> SampledField:
     """Apply the operator: transform f, weight by e^{i phi} a, integrate in xi.
 
     f must live on the symbol's spatial grid; the output does too.
@@ -196,7 +185,7 @@ def symbol_from_decomposition(
     phase: PhaseSpec,
     d: RankOneSequence,
     xi_grid: UniformGrid | None = None,
-) -> EuclideanSymbol:
+) -> SampledSymbol:
     """Symbol whose operator has kernel sum_k h_k(x) g_k(y).
 
     a(x, xi) = e^{-i phi(x, xi)} sum_k h_k(x) (F^{-1} g_k)(xi). The frequency
@@ -207,7 +196,7 @@ def symbol_from_decomposition(
     return _abelian_synthesis(phase, d, d.h_grid, xi_grid)
 
 
-def nuclear_trace_euclid(phase: PhaseSpec, a: EuclideanSymbol) -> complex:
+def nuclear_trace_euclid(phase: PhaseSpec, a: SampledSymbol) -> complex:
     """Double quadrature of e^{i(phi - 2*pi*x.xi)} a(x, xi).
 
     The exponent is formed as a single difference, so a linear phase cancels
@@ -219,7 +208,7 @@ def nuclear_trace_euclid(phase: PhaseSpec, a: EuclideanSymbol) -> complex:
     return _abelian_trace(phase, a)
 
 
-def decay_norms(a: EuclideanSymbol, p1: float, p2: float) -> tuple:
+def decay_norms(a: SampledSymbol, p1: float, p2: float) -> tuple:
     """The two iterated norms behind nuclearity, x-inner and xi-inner.
 
     Returns (||a|| with x integrated first at exponent p2 then xi at p1,
@@ -257,8 +246,8 @@ def lidskii_report(
 
     The quadrature matrix M = H G^T W (H, G the n x k factor columns, W the
     weights) is never formed: its trace comes from the kernel diagonal
-    (``kernel_diagonal_trace``, equal to the dense matrix trace bit for bit)
-    and its eigenvalues from the k x k compression (``factored_eigenvalues``).
+    (``delgado_trace``, equal to the dense matrix trace bit for bit, and
+    reported as both) and its eigenvalues from the k x k compression (``factored_eigenvalues``).
     The node cap still holds on the x grid and the xi grid (the factor grid
     by default), because the n x n_xi symbol is dense.
     """
@@ -277,7 +266,7 @@ def lidskii_report(
     return TraceReport(
         setting="euclid",
         nuclear_trace=nuclear,
-        matrix_trace=kernel_diagonal_trace(d),
+        matrix_trace=dtr,
         eigenvalues=ev,
         quasinorm_bound=r_quasinorm_bound(d_at_r),
         mixed_norm_x_first=norms[0],

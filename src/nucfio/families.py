@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .grids import SampledField, UniformGrid, require_int, require_real
-from .lattice import LatticeSequence, LatticeWindow
+from .lattice import LatticeWindow
 
 __all__ = [
     "hermite_function",
@@ -170,12 +170,12 @@ def euclid_field(grid: UniformGrid, spec: dict, rng: np.random.Generator | None 
     return SampledField(grid, random_gaussian_mix(grid, rng, terms))
 
 
-def lattice_sequence(window: LatticeWindow, spec: dict, rng: np.random.Generator | None = None) -> LatticeSequence:
+def lattice_sequence(window: LatticeWindow, spec: dict, rng: np.random.Generator | None = None) -> SampledField:
     """Build a sequence on a lattice window from a family spec."""
     fam = _family(spec, "sequence", _SEQUENCE_KEYS)
     pts = window.nodes
     if fam == "gaussian":
-        return LatticeSequence(window, _gaussian(pts, spec))
+        return SampledField(window, _gaussian(pts, spec))
     if fam == "delta":
         at = [require_int(v, "at") for v in np.ravel(spec.get("at", [0] * window.dim))]
         at = np.asarray(at, dtype=float)
@@ -184,11 +184,11 @@ def lattice_sequence(window: LatticeWindow, spec: dict, rng: np.random.Generator
             raise ValidationError(f"delta point {at.tolist()} outside the window")
         vals = np.zeros(window.size, dtype=complex)
         vals[int(np.argmax(match))] = 1.0
-        return LatticeSequence(window, vals)
+        return SampledField(window, vals)
     if fam == "constant":
-        return LatticeSequence(window, np.full(window.size, _complex_of(spec.get("value", 1.0), "value")))
+        return SampledField(window, np.full(window.size, _complex_of(spec.get("value", 1.0), "value")))
     # random_mix, the one family left
     if rng is None:
         raise ValidationError("random_mix family needs a seeded generator")
     vals = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
-    return LatticeSequence(window, vals)
+    return SampledField(window, vals)

@@ -19,9 +19,9 @@ of ``euclid``, its matrix is ``lattice._abelian_matrix``. SU(2) is the
 K = {e} instance of the class-I table kernel below. Its domain is anything with
 ``size``, ``weights`` and ``irrep(label) -> (label, dim, k_inv, matrices)``: a
 ``GroupQuadrature`` (k_inv = dim) or a ``homog.ClassIIrrepTable``. One symbol
-class and one phase class (``GroupSymbol``, ``GroupPhase``; ``homog`` binds
-``HomogSymbol`` and ``HomogPhase`` to them) and one set of kernel functions
-serve both, so the K = {e} degeneration is bit-for-bit by construction.
+class and one phase class (``GroupSymbol``, ``GroupPhase``) and one set of
+kernel functions serve both, so the K = {e} degeneration is bit-for-bit by
+construction.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "group_symbol_from_decomposition",
     "group_nuclear_trace",
     "group_matrix",
-    "TorusPhase",
     "TorusSymbol",
     "torus_freqs",
     "torus_fourier",
@@ -578,11 +577,6 @@ def torus_freqs(cutoff: int, dim: int) -> np.ndarray:
     return _freq_window(cutoff, dim).nodes
 
 
-# The torus shares the lattice's phase type: rows are spatial nodes, columns
-# integer frequencies.
-TorusPhase = PhaseSpec
-
-
 def _require_periodic(x_grid) -> None:
     if not getattr(x_grid, "periodic", False):
         raise ValidationError("torus symbols need a periodic spatial grid")
@@ -613,7 +607,7 @@ def torus_fourier(f: SampledField, cutoff: int) -> np.ndarray:
 
 
 def torus_symbol_from_decomposition(
-    phase: TorusPhase, d, cutoff: int, x_grid: UniformGrid
+    phase: PhaseSpec, d, cutoff: int, x_grid: UniformGrid
 ) -> SampledSymbol:
     """a(x, l) = e^{-i phi(x,l)} sum_k h_k(x) (F_T g_k)(-l).
 
@@ -628,13 +622,13 @@ def torus_symbol_from_decomposition(
     return _abelian_synthesis(phase, d, x_grid, _freq_window(cutoff, x_grid.dim))
 
 
-def torus_nuclear_trace(phase: TorusPhase, a: SampledSymbol) -> complex:
+def torus_nuclear_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
     """int_T sum_l e^{i(phi - 2*pi*x.l)} a(x,l) dx, single-difference exponent."""
     _check_torus(a)
     return _abelian_trace(phase, a)
 
 
-def torus_matrix(phase: TorusPhase, a: SampledSymbol) -> np.ndarray:
+def torus_matrix(phase: PhaseSpec, a: SampledSymbol) -> np.ndarray:
     """Operator matrix on Fourier coefficients, M[l', l] = int e^{-2*pi*i*x.l'}
     e^{i phi(x,l)} a(x,l) dx: the lattice-form matrix of the transposed
     symbol, transposed back. Its diagonal reuses the trace cancellation."""

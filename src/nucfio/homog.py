@@ -8,10 +8,11 @@ outside the block are bit-zero, and masking twice changes nothing).
 
 With K = {e} every k_pi equals d_pi, the mask is the identity, and the
 machinery degenerates to the compact-group module. A table is one more domain
-of the class-I table kernel in ``group``: ``HomogSymbol`` and ``HomogPhase``
-are ``GroupSymbol`` and ``GroupPhase``, and the Fourier coefficients,
-application, synthesis and ``dual_trace_sum`` are shared, so the
-degeneration is bit-for-bit by construction.
+of the class-I table kernel in ``group``: symbols and phases on G/K are
+``GroupSymbol`` and ``GroupPhase`` over a table (symbol blocks masked to the
+invariant corner by ``group.class_i_mask``, phase blocks full), and the
+Fourier coefficients, application, synthesis and ``dual_trace_sum`` are
+shared, so the degeneration is bit-for-bit by construction.
 
 The concrete non-abelian instance is SU(3) in the eight-angle product
 parametrization (three theta axes on [0, pi/2], five phi axes on [0, 2*pi],
@@ -44,7 +45,6 @@ from .group import (
     _table_apply,
     _table_fourier,
     _table_synthesis,
-    class_i_mask,
     dual_trace_sum,
     torus_freqs,
     unitarity_defect,
@@ -54,9 +54,6 @@ from .nuclear import RankOneSequence
 __all__ = [
     "IrrepEntry",
     "ClassIIrrepTable",
-    "HomogPhase",
-    "HomogSymbol",
-    "class_i_mask",
     "homog_fourier",
     "homog_fio_apply",
     "homog_symbol_from_decomposition",
@@ -66,7 +63,6 @@ __all__ = [
     "table_from_su2",
     "table_from_torus",
     "su3_dim",
-    "su3_fundamental",
     "su3_fundamental_batch",
     "Su3Quadrature",
     "su3_haar_quadrature",
@@ -156,24 +152,18 @@ class ClassIIrrepTable:
         return e.label, e.dim, e.k_inv, e.matrices
 
 
-# Symbols and phases on G/K are the group's, over a table domain: symbol
-# blocks are masked to the invariant corner, phase blocks are full.
-HomogSymbol = GroupSymbol
-HomogPhase = GroupPhase
-
-
 def homog_fourier(f_values: np.ndarray, table: ClassIIrrepTable, label) -> np.ndarray:
     """fhat(pi) = sum_x w(x) f(x) pi(x)^*."""
     return _table_fourier(f_values, table.weights, table.irrep(label)[3])
 
 
-def homog_fio_apply(Phi: HomogPhase, a: HomogSymbol, f_values: np.ndarray) -> np.ndarray:
+def homog_fio_apply(Phi: GroupPhase, a: GroupSymbol, f_values: np.ndarray) -> np.ndarray:
     """(Ff)(x) = sum_pi d_pi Tr[Phi(x,pi) a(x,pi) fhat(pi)]."""
     tables = _pair_tables("homog_fio_apply", Phi, a)
     return _table_apply(a.domain.weights, tables, Phi.blocks, a.blocks, f_values)
 
 
-def homog_symbol_from_decomposition(Phi: HomogPhase, d: RankOneSequence) -> HomogSymbol:
+def homog_symbol_from_decomposition(Phi: GroupPhase, d: RankOneSequence) -> GroupSymbol:
     """a(x,pi) = mask_k [ Phi(x,pi)^{-1} sum_k h_k(x) (F conj(g_k))(pi)^* ].
 
     For genuinely K-invariant data the mask removes nothing; it enforces the
@@ -186,7 +176,7 @@ def homog_symbol_from_decomposition(Phi: HomogPhase, d: RankOneSequence) -> Homo
     return _table_synthesis(Phi, d.terms)
 
 
-def homog_nuclear_trace(Phi: HomogPhase, a: HomogSymbol) -> complex:
+def homog_nuclear_trace(Phi: GroupPhase, a: GroupSymbol) -> complex:
     """int_M sum_pi d_pi Tr[pi(x)^* Phi(x,pi) a(x,pi)] dx.
 
     Routed through the same reduction kernel as the compact-group trace, so
@@ -209,7 +199,7 @@ def dual_lp_norm(coeffs: dict, table: ClassIIrrepTable, p: float) -> float:
     return float(ksum(np.asarray(parts))) ** (1.0 / p)
 
 
-def homog_mixed_norm(a: HomogSymbol, p1: float, p2: float) -> float:
+def homog_mixed_norm(a: GroupSymbol, p1: float, p2: float) -> float:
     """( int_M ( sum_pi d_pi k_pi^{p1(1/p1-1/2)} ||a(x,pi)||_HS^{p1} )^{p2/p1}
     dx )^{1/p2}, the momentum-decay norm behind nuclearity on G/K."""
     validate_range("p1", p1, 1.0, np.inf, include_hi=False)
@@ -286,7 +276,8 @@ def _theta_powers(factors: str) -> tuple:
 
 def su3_fundamental_batch(params: np.ndarray) -> np.ndarray:
     """Fundamental 3x3 matrices for rows of eight angles
-    (theta1, theta2, theta3, phi1, ..., phi5), vectorized.
+    (theta1, theta2, theta3, phi1, ..., phi5), vectorized; one row of
+    angles gives a batch of one, ``su3_fundamental_batch(angles)[0]``.
 
     Entries follow the eight-angle product parametrization, evaluated from
     the term table ``_SU3_TERMS`` that the Haar checks integrate.
@@ -312,15 +303,6 @@ def su3_fundamental_batch(params: np.ndarray) -> np.ndarray:
             entry = entry + (sign * real) * np.exp(1j * phase)
         U[:, i, j] = entry
     return U
-
-
-def su3_fundamental(*angles) -> np.ndarray:
-    """Fundamental matrix for one angle tuple; see ``su3_fundamental_batch``."""
-    if len(angles) == 1:
-        angles = tuple(np.asarray(angles[0], dtype=float).reshape(-1))
-    if len(angles) != 8:
-        raise ShapeError(f"need 8 angles, got {len(angles)}")
-    return su3_fundamental_batch(np.asarray(angles, dtype=float))[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,21 +27,17 @@ from .errors import DomainError, ShapeError, TruncationError, ValidationError
 from .euclid import PhaseSpec, _abelian_apply, _abelian_synthesis, _abelian_trace
 from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, require_same_grid
 from .nuclear import RankOneSequence
-from .numerics import dft_forward, mixed_norm, weighted_lp_norm
+from .numerics import dft_forward, mixed_norm
 
 __all__ = [
     "LatticeWindow",
-    "LatticeSequence",
     "LatticeSymbol",
-    "LatticePhase",
-    "LatticeRankOne",
     "lattice_dft",
     "lattice_fio_apply",
     "lattice_symbol_from_decomposition",
     "lattice_nuclear_trace",
     "lattice_matrix",
     "lattice_mixed_norms",
-    "lattice_lp_norm",
 ]
 
 
@@ -106,20 +102,10 @@ def _check_xi_grid(window: LatticeWindow, xi_grid: UniformGrid) -> None:
             )
 
 
-# A sequence is a sampled field on a window (unit weights), and a lattice
-# decomposition is the one rank-one container over such fields.
-LatticeSequence = SampledField
-LatticeRankOne = RankOneSequence
-
-
 def LatticeSymbol(window: LatticeWindow, xi_grid: UniformGrid, values) -> SampledSymbol:
     """Symbol samples a(n', xi_j), window points by checked torus nodes."""
     _check_xi_grid(window, xi_grid)
     return SampledSymbol(window, xi_grid, values)
-
-
-# The lattice and the torus share one phase type.
-LatticePhase = PhaseSpec
 
 
 # Frequencies per accumulated block of ``_abelian_matrix``: the block is
@@ -147,19 +133,14 @@ def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, cols: np.n
     return acc.value
 
 
-def lattice_lp_norm(f: LatticeSequence, p: float) -> float:
-    """Unweighted ell^p norm over the window, p in [1, inf]."""
-    return weighted_lp_norm(f.values, f.grid.weights, p)
-
-
-def lattice_dft(f: LatticeSequence, xi_grid: UniformGrid) -> SampledField:
+def lattice_dft(f: SampledField, xi_grid: UniformGrid) -> SampledField:
     """(F_Z f)(xi) = sum_m f(m) e^{-2*pi*i*m.xi}, exact finite sum (the
     quadrature transform with the window's unit weights)."""
     _check_xi_grid(f.grid, xi_grid)
     return dft_forward(f, xi_grid)
 
 
-def lattice_fio_apply(phase: LatticePhase, a: SampledSymbol, f: LatticeSequence) -> LatticeSequence:
+def lattice_fio_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> SampledField:
     """out(n') = sum_xi w(xi) e^{i phi(n', xi)} a(n', xi) (F_Z f)(xi)."""
     require_same_grid(f.grid, a.space, "lattice_fio_apply input")
     _check_xi_grid(a.space, a.freq)
@@ -167,7 +148,7 @@ def lattice_fio_apply(phase: LatticePhase, a: SampledSymbol, f: LatticeSequence)
 
 
 def lattice_symbol_from_decomposition(
-    phase: LatticePhase, d: LatticeRankOne, xi_grid: UniformGrid
+    phase: PhaseSpec, d: RankOneSequence, xi_grid: UniformGrid
 ) -> SampledSymbol:
     """Symbol with kernel sum_k h_k(n') g_k(m).
 
@@ -179,14 +160,14 @@ def lattice_symbol_from_decomposition(
     return _abelian_synthesis(phase, d, d.h_grid, xi_grid)
 
 
-def lattice_nuclear_trace(phase: LatticePhase, a: SampledSymbol) -> complex:
+def lattice_nuclear_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
     """sum_{n'} sum_xi w(xi) e^{i(phi - 2*pi*n'.xi)} a(n', xi), exact for
     windowed identities (see ``_abelian_trace``)."""
     _check_xi_grid(a.space, a.freq)
     return _abelian_trace(phase, a)
 
 
-def lattice_matrix(phase: LatticePhase, a: SampledSymbol) -> np.ndarray:
+def lattice_matrix(phase: PhaseSpec, a: SampledSymbol) -> np.ndarray:
     """Dense matrix of the operator on the window.
 
     M[p, q] = sum_xi w(xi) e^{i(phi(n'_p, xi) - 2*pi*m_q.xi)} a(n'_p, xi),

@@ -2,8 +2,8 @@
 
 A decomposition is a finite list of factor pairs (h_k, g_k) standing for the
 kernel K(x, y) = sum_k h_k(x) g_k(y). Everything here treats the list as
-given: the quasinorm is the bound computed from these factors, with no
-attempt at the infimum over all decompositions of the same kernel.
+given: the quasinorm bound is computed from these factors, with no attempt
+at the infimum over all decompositions of the same kernel.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ __all__ = [
     "kernel_matrix",
     "require_node_cap",
     "delgado_trace",
-    "kernel_diagonal_trace",
     "r_quasinorm_bound",
-    "quasinorm",
     "holder_conjugate",
 ]
 
@@ -40,22 +38,6 @@ def holder_conjugate(p: float) -> float:
     if p == 1.0:
         return np.inf
     return p / (p - 1.0)
-
-
-def quasinorm(pairs, h_weights, g_weights, p1: float, p2: float, r: float) -> float:
-    """( sum_k ||g_k||_{p1'}^r ||h_k||_{p2}^r )^(1/r) over sample pairs.
-
-    The norms are weighted by ``h_weights`` and ``g_weights`` (quadrature
-    weights, or ones for plain sums); p1 = 1 measures g in the sup norm.
-    This is the decomposition's own bound; no infimum over alternative
-    decompositions is attempted.
-    """
-    p1c = holder_conjugate(p1)
-    parts = [
-        (weighted_lp_norm(g, g_weights, p1c) * weighted_lp_norm(h, h_weights, p2)) ** r
-        for h, g in pairs
-    ]
-    return float(ksum(np.asarray(parts))) ** (1.0 / r)
 
 
 @dataclass(frozen=True)
@@ -162,10 +144,15 @@ def kernel_matrix(K: SampledKernel) -> np.ndarray:
 
 
 def delgado_trace(d: RankOneSequence) -> complex:
-    """Quadrature trace of the kernel diagonal, sum_x w(x) sum_k g_k(x) h_k(x).
+    """sum_x w(x) sum_k h_k(x) g_k(x) on any domain, the kernel-diagonal trace.
 
-    Requires both factor families to live on one common grid so the diagonal
-    is meaningful.
+    Requires both factor families to live on one common domain so the
+    diagonal is meaningful. On a grid this is
+    ``matrix_trace(kernel_matrix(kernel_from_decomposition(d)))`` bit for bit,
+    without forming the n x n matrix: the diagonal is accumulated from zeros
+    as h_k * g_k, term by term, and then weighted, exactly as the dense
+    kernel and ``kernel_matrix`` form it (numpy's complex product may use
+    fused multiply-adds, so g * h could round differently).
     """
     try:
         require_same_grid(d.h_grid, d.g_grid, "delgado_trace")
@@ -176,30 +163,21 @@ def delgado_trace(d: RankOneSequence) -> complex:
         ) from None
     s = np.zeros(d.h_grid.size, dtype=complex)
     for h, g in d.terms:
-        s += g.values * h.values
-    return complex(ksum(d.h_grid.weights * s))
-
-
-def kernel_diagonal_trace(d: RankOneSequence) -> complex:
-    """sum_x w(x) sum_k h_k(x) g_k(x) on any domain, the kernel-diagonal trace.
-
-    On a grid this is ``matrix_trace(kernel_matrix(kernel_from_decomposition(d)))``
-    bit for bit, without forming the n x n matrix: the diagonal is
-    accumulated from zeros as h_k * g_k, term by term, and then weighted,
-    exactly as the dense kernel and ``kernel_matrix`` form it. It is the same
-    value as ``delgado_trace`` up to the last bit only: numpy's complex
-    product may use fused multiply-adds, so g * h and h * g can round
-    differently.
-    """
-    require_same_grid(d.h_grid, d.g_grid, "kernel_diagonal_trace")
-    s = np.zeros(d.h_grid.size, dtype=complex)
-    for h, g in d.terms:
         s += h.values * g.values
     return complex(ksum(s * d.g_grid.weights))
 
 
 def r_quasinorm_bound(d: RankOneSequence) -> float:
-    """``quasinorm`` of the given terms under their domains' weights (ones on
-    a lattice window, so the norms there are plain sums)."""
-    pairs = [(h.values, g.values) for h, g in d.terms]
-    return quasinorm(pairs, d.h_grid.weights, d.g_grid.weights, d.p1, d.p2, d.r)
+    """( sum_k ||g_k||_{p1'}^r ||h_k||_{p2}^r )^(1/r) over the given terms.
+
+    The norms are weighted by the domains' weights (quadrature weights, or
+    ones on a lattice window, so the norms there are plain sums); p1 = 1
+    measures g in the sup norm. This is the decomposition's own bound; no
+    infimum over alternative decompositions is attempted.
+    """
+    p1c, wh, wg = holder_conjugate(d.p1), d.h_grid.weights, d.g_grid.weights
+    parts = [
+        (weighted_lp_norm(g.values, wg, p1c) * weighted_lp_norm(h.values, wh, d.p2)) ** d.r
+        for h, g in d.terms
+    ]
+    return float(ksum(np.asarray(parts))) ** (1.0 / d.r)

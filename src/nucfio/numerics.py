@@ -9,6 +9,10 @@ latter for sampled phases).
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from pathlib import Path
+
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError, ValidationError, ZeroNormError
@@ -20,7 +24,6 @@ __all__ = [
     "dft_inverse",
     "lp_norm",
     "weighted_lp_norm",
-    "sup_norm",
     "mixed_norm",
     "hausdorff_young_ratio",
     "dense_eigenvalues",
@@ -91,17 +94,13 @@ def weighted_lp_norm(values: np.ndarray, weights, p: float) -> float:
 
 
 def lp_norm(f: SampledField, p: float) -> float:
-    """Quadrature L^p norm, p in [1, inf).
+    """L^p norm of a field over its own domain, p in [1, inf].
 
-    (sum_x w(x) |f(x)|^p)^(1/p) over the field's own grid.
+    (sum_x w(x) |f(x)|^p)^(1/p) under the domain's weights: quadrature
+    weights on grids and Haar quadratures, ones on lattice windows. p = inf
+    is the largest sample modulus.
     """
-    p = validate_range("p", p, 1.0, np.inf, include_hi=False)
     return weighted_lp_norm(f.values, f.grid.weights, p)
-
-
-def sup_norm(f: SampledField) -> float:
-    """Largest sample modulus (the p = inf endpoint, quadrature-free)."""
-    return float(np.abs(f.values).max())
 
 
 def mixed_norm(symbol, inner: str, p_inner: float, p_outer: float) -> float:
@@ -162,10 +161,43 @@ def hausdorff_young_ratio(f: SampledField, p: float, xi_grid: UniformGrid | None
     return weighted_lp_norm(F.values, F.grid.weights, pprime) / denom
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when that library or its thread symbols cannot be found."""
+    pkg = Path(np.__file__).resolve().parent
+    for path in sorted([*pkg.parent.glob("numpy.libs/*openblas*"), *pkg.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+def _eigvals_one_thread(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals`` on one OpenBLAS thread, then the old count again.
+
+    zgeev's blocked updates split their sums across threads, so the last
+    bits of a spectrum would follow the thread count. Without the bundled
+    OpenBLAS symbols it runs unpinned.
+    """
+    threads = _openblas_threads()
+    old = threads[0]() if threads else 1
+    if old == 1:
+        return np.linalg.eigvals(A)
+    threads[1](1)
+    try:
+        return np.linalg.eigvals(A)
+    finally:
+        threads[1](old)
+
+
 def dense_eigenvalues(M: np.ndarray) -> np.ndarray:
     """Full spectrum of a dense square matrix, deterministically ordered.
 
-    Uses LAPACK's Hessenberg reduction + shifted QR iteration (zgeev).
+    Uses LAPACK's Hessenberg reduction + shifted QR iteration (zgeev), on
+    one OpenBLAS thread so the bits do not depend on the thread count.
     Eigenvalues are returned in descending modulus; exact modulus ties break
     by ascending principal argument.
 
@@ -185,7 +217,7 @@ def dense_eigenvalues(M: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(A.view(float))):
         raise ValidationError("matrix contains non-finite entries")
     try:
-        ev = np.linalg.eigvals(A)
+        ev = _eigvals_one_thread(A)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"eigenvalue QR iteration failed to converge within the LAPACK cap "

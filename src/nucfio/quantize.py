@@ -23,6 +23,7 @@ import numpy as np
 
 from .grids import (
     SampledField,
+    SampledSymbol,
     UniformGrid,
     interpolate,
     ksum,
@@ -30,7 +31,6 @@ from .grids import (
     require_same_grid,
     validate_range,
 )
-from .euclid import EuclideanSymbol
 from .nuclear import RankOneSequence
 
 __all__ = [
@@ -58,7 +58,7 @@ def _validate_tau(tau: float) -> float:
     return validate_range("tau", tau, 0.0, 1.0, include_lo=False)
 
 
-def tau_apply(sigma: EuclideanSymbol, tau: float, f: SampledField) -> SampledField:
+def tau_apply(sigma: SampledSymbol, tau: float, f: SampledField) -> SampledField:
     """Apply the tau-quantized operator of ``sigma`` to ``f`` by quadrature.
 
     The symbol is evaluated at tau*x + (1-tau)*y, a convex combination that
@@ -89,7 +89,7 @@ def tau_apply(sigma: EuclideanSymbol, tau: float, f: SampledField) -> SampledFie
 
 def weyl_symbol_from_decomposition(
     d: RankOneSequence, tau: float, xi_grid: UniformGrid | None = None
-) -> EuclideanSymbol:
+) -> SampledSymbol:
     """tau-symbol of the rank-one kernel sum_k h_k(x) g_k(y).
 
     a(x, xi) = sum_z w(z) e^{-2*pi*i*z.xi} sum_k h_k(x + (1-tau) z) g_k(x - tau z),
@@ -120,10 +120,10 @@ def weyl_symbol_from_decomposition(
             gv = interpolate(g.values, xg, minus).reshape(m, zg.size)
             acc += hv * gv
         out[rows] = np.einsum("mz,z,zk->mk", acc, wz, E)
-    return EuclideanSymbol(xg, xig, out)
+    return SampledSymbol(xg, xig, out)
 
 
-def tau_convert(b: EuclideanSymbol, tau: float, tau_prime: float) -> EuclideanSymbol:
+def tau_convert(b: SampledSymbol, tau: float, tau_prime: float) -> SampledSymbol:
     """Re-express a tau-symbol in the tau_prime quantization.
 
     a(x, xi) = sum_z sum_eta w(z) w(eta) e^{-2*pi*i*(xi-eta).z}
@@ -138,7 +138,7 @@ def tau_convert(b: EuclideanSymbol, tau: float, tau_prime: float) -> EuclideanSy
     tau_prime = _validate_tau(tau_prime)
     xg, xig = b.space, b.freq
     if tau == tau_prime:
-        return EuclideanSymbol(xg, xig, b.values.copy())
+        return SampledSymbol(xg, xig, b.values.copy())
     require_edge_decay(b.values, xg, "tau_convert symbol")
     delta = tau - tau_prime
     zg = shift_grid(xg)
@@ -157,10 +157,10 @@ def tau_convert(b: EuclideanSymbol, tau: float, tau_prime: float) -> EuclideanSy
         c = np.einsum("mzh,h,zh->mz", BU, weta, E_eta)
         del BU  # free the chunk before the next interpolate allocates its own
         out[rows] = np.einsum("mz,z,zk->mk", c, wz, E_xi)
-    return EuclideanSymbol(xg, xig, out)
+    return SampledSymbol(xg, xig, out)
 
 
-def wigner(h: SampledField, g: SampledField, xi_grid: UniformGrid | None = None) -> EuclideanSymbol:
+def wigner(h: SampledField, g: SampledField, xi_grid: UniformGrid | None = None) -> SampledSymbol:
     """Cross-Wigner transform W(h, g)(x, xi) = sum_z w(z) e^{-2*pi*i*z.xi}
     h(x + z/2) conj(g(x - z/2)).
 

@@ -14,7 +14,7 @@ from nucfio.euclid import PhaseSpec, nuclear_trace_euclid, symbol_from_decomposi
 from nucfio.grids import SampledField, UniformGrid
 from nucfio.group import torus_nuclear_trace, torus_symbol_from_decomposition
 from nucfio.lattice import LatticeWindow, lattice_nuclear_trace, lattice_symbol_from_decomposition
-from nucfio.nuclear import RankOneSequence, kernel_diagonal_trace
+from nucfio.nuclear import RankOneSequence, delgado_trace
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -47,7 +47,7 @@ def test_euclid_trace_is_the_kernel_diagonal_trace(seed, rank):
     d = _decomposition(gaussian, rank)
     phase = PhaseSpec.linear()
     got = nuclear_trace_euclid(phase, symbol_from_decomposition(phase, d))
-    assert got == pytest.approx(kernel_diagonal_trace(d), abs=1e-10)
+    assert got == pytest.approx(delgado_trace(d), abs=1e-10)
 
 
 @_SETTINGS
@@ -59,7 +59,7 @@ def test_lattice_trace_is_the_kernel_diagonal_trace(seed, rank, radius):
     phase = PhaseSpec.linear()
     xi_grid = UniformGrid.torus(window.min_xi_count(), 1)
     got = lattice_nuclear_trace(phase, lattice_symbol_from_decomposition(phase, d, xi_grid))
-    assert got == pytest.approx(kernel_diagonal_trace(d), abs=1e-10)
+    assert got == pytest.approx(delgado_trace(d), abs=1e-10)
 
 
 @_SETTINGS
@@ -76,4 +76,4 @@ def test_torus_trace_is_the_kernel_diagonal_trace(seed, rank, cutoff):
     d = _decomposition(trigpoly, rank)
     phase = PhaseSpec.linear()
     got = torus_nuclear_trace(phase, torus_symbol_from_decomposition(phase, d, cutoff, circle))
-    assert got == pytest.approx(kernel_diagonal_trace(d), abs=1e-12)
+    assert got == pytest.approx(delgado_trace(d), abs=1e-12)

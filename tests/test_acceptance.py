@@ -14,7 +14,9 @@ from nucfio.families import euclid_field, lattice_sequence, random_gaussian_mix
 from nucfio.grids import SampledField, UniformGrid
 from nucfio.euclid import PhaseSpec, decay_norms, lidskii_report, symbol_from_decomposition
 from nucfio.group import (
+    GroupPhase,
     GroupSymbol,
+    class_i_mask,
     euler_from_su2,
     group_nuclear_trace,
     identity_phase,
@@ -24,9 +26,6 @@ from nucfio.group import (
     wigner_matrix,
 )
 from nucfio.homog import (
-    HomogPhase,
-    HomogSymbol,
-    class_i_mask,
     homog_nuclear_trace,
     su3_fundamental_batch,
     su3_haar_quadrature,
@@ -35,12 +34,8 @@ from nucfio.homog import (
     table_from_su2,
 )
 from nucfio.lattice import (
-    LatticePhase,
-    LatticeRankOne,
-    LatticeSequence,
     LatticeSymbol,
     LatticeWindow,
-    lattice_lp_norm,
     lattice_matrix,
     lattice_mixed_norms,
     lattice_nuclear_trace,
@@ -88,7 +83,7 @@ def test_criterion_2_lattice_decompositions(capsys):
     t0 = time.perf_counter()
     w = LatticeWindow(1, 4)
     xi = UniformGrid.torus(32, 1)
-    phase = LatticePhase.linear()
+    phase = PhaseSpec.linear()
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(20):
@@ -97,9 +92,9 @@ def test_criterion_2_lattice_decompositions(capsys):
         for _k in range(3):
             hv = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
             gv = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
-            pairs.append((LatticeSequence(w, hv), LatticeSequence(w, gv)))
+            pairs.append((SampledField(w, hv), SampledField(w, gv)))
             direct += (hv * gv).sum()
-        d = LatticeRankOne(tuple(pairs), 2.0, 2.0, 1.0)
+        d = RankOneSequence(tuple(pairs), 2.0, 2.0, 1.0)
         a = lattice_symbol_from_decomposition(phase, d, xi)
         M = lattice_matrix(phase, a)
         worst = max(
@@ -186,11 +181,11 @@ def test_criterion_4_norm_bounds_over_corpus(capsys):
             )
             for _k in range(int(rng.integers(1, 4)))
         )
-        d = LatticeRankOne(terms, p1, p2, 1.0)
-        a = lattice_symbol_from_decomposition(LatticePhase.linear(), d, xi)
+        d = RankOneSequence(terms, p1, p2, 1.0)
+        a = lattice_symbol_from_decomposition(PhaseSpec.linear(), d, xi)
         nf, xf = lattice_mixed_norms(a, p1, p2)
         bound = sum(
-            lattice_lp_norm(h, p2) * lattice_lp_norm(g, holder_conjugate(p1)) for h, g in terms
+            lp_norm(h, p2) * lp_norm(g, holder_conjugate(p1)) for h, g in terms
         )
         ok = ok and nf <= bound + 1e-8 and xf <= bound + 1e-8
     _emit(capsys, 4, "mixed-norm and transform-norm bounds over random corpus", ok)
@@ -255,8 +250,8 @@ def test_criterion_6_homogeneous_degeneration(capsys):
         for t in table.labels
     }
     th = homog_nuclear_trace(
-        HomogPhase(table, {t: table.entries[t].matrices for t in table.labels}),
-        HomogSymbol(table, blocks_a),
+        GroupPhase(table, {t: table.entries[t].matrices for t in table.labels}),
+        GroupSymbol(table, blocks_a),
     )
     tg = group_nuclear_trace(identity_phase(quad, cutoff), GroupSymbol(quad, blocks_a), cutoff)
     bitwise = th == tg

@@ -3,9 +3,11 @@
 Every name in a module's ``__all__`` must exist, and every function the
 benchmark's traced worker wraps (``bench/spans.py``, as "module:qualname")
 must exist, so deleting or renaming one fails here rather than in a traced
-benchmark run.
+benchmark run. Each public object has one public name, and every name the
+demos import from the package resolves.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -14,7 +16,8 @@ import pytest
 
 import nucfio
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -57,3 +60,25 @@ def test_traced_functions_are_distinct_objects():
         objects.setdefault(id(getattr(owner, attr)), []).append(key)
     shared = [names for names in objects.values() if len(names) > 1]
     assert shared == []
+
+
+def test_each_public_object_has_one_public_name():
+    names = {}
+    for name in nucfio._SUBMODULES:
+        module = importlib.import_module(f"nucfio.{name}")
+        for attr in getattr(module, "__all__", ()):
+            names.setdefault(id(getattr(module, attr)), []).append(f"{name}.{attr}")
+    shared = [group for group in names.values() if len(group) > 1]
+    assert shared == []
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_imports_resolve(demo):
+    # parsed, not run: a renamed or deleted name fails here in milliseconds
+    tree = ast.parse((ROOT / "demos" / demo).read_text())
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nucfio":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert missing == []

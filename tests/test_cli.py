@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nucfio.cli import run_main
+from nucfio.report import TraceReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCENARIOS = SRC / "nucfio" / "scenarios"
@@ -359,6 +361,30 @@ def test_euclid_report_is_identical_across_blas_threads(tmp_path, verb, cfg):
     assert one == two
 
 
+_MIX = {"family": "random_mix"}
+_MIX_DIM2 = {"seed": 3, "dim": 2, "decomposition": {"terms": [{"h": _MIX, "g": _MIX}] * 2}}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"setting": "lattice", "radius": 5, **_MIX_DIM2},
+        {"setting": "torus", "cutoff": 3, "x_count": 16, **_MIX_DIM2},
+        json.loads((SCENARIOS / "su2_identity_L1.json").read_text()),
+        {"setting": "homog", "instance": "su2", "quadrature": {"n_alpha": 8, "n_beta": 8, "n_gamma": 16}},
+        {"setting": "homog", "instance": "torus", "cutoff": 2, "x_count": 16},
+    ],
+    ids=["lattice_dim2", "torus_dim2", "su2_identity_L1", "homog_su2", "homog_torus"],
+)
+def test_compact_spectrum_is_identical_across_blas_threads(tmp_path, cfg):
+    # zgeev's blocked updates round by thread count unless the spectrum pins
+    # OpenBLAS to one thread; the lattice case differs in its last bits without
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    one, two = (_report_at_threads(tmp_path, path, n) for n in (1, 2))
+    assert one == two
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -551,3 +577,46 @@ def test_runtime_ms_times_the_whole_scenario_in_every_verb(tmp_path):
     cfg = {"setting": "su3", "resolution": 4, "samples": 10, "seed": 1}
     run(tmp_path, "haar-check", cfg)
     assert json.loads((tmp_path / "report.json").read_text())["runtime_ms"] > 0.0
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_tolerance_is_exit_2(tmp_path, capsys, tolerance):
+    assert run(tmp_path, "verify", _HOMOG["torus"], tolerance=tolerance) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_one_pass_rule_for_printout_payload_and_exit(tmp_path, capsys, monkeypatch):
+    # a NaN check value is no pass: FAIL, "pass": false and exit 3 together
+    checks = [("finite", 0.5, 1.0), ("nan_value", float("nan"), 1.0)]
+
+    def fake(cfg, verb, tolerance=None):
+        return TraceReport("su3", 0.0, 0.0, np.zeros(0, dtype=complex)), checks
+
+    monkeypatch.setattr("nucfio.cli.run_scenario", fake)
+    assert run(tmp_path, "haar-check", {"setting": "su3"}) == 3
+    out = capsys.readouterr().out
+    assert "pass finite" in out and "FAIL nan_value" in out
+    payload = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert payload["finite"]["pass"] is True and payload["nan_value"]["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "verb, option",
+    [
+        ("trace", ["--format", "csv"]),
+        ("verify", ["--format", "json"]),
+        ("trace", ["--tolerance", "1e-3"]),
+        ("spectrum", ["--tolerance", "1e-3"]),
+        ("quantize", ["--tolerance", "1e-3"]),
+    ],
+    ids=["trace_format", "verify_format", "trace_tolerance", "spectrum_tolerance", "quantize_tolerance"],
+)
+def test_option_on_a_verb_that_ignores_it_is_exit_2(tmp_path, capsys, verb, option):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(euclid_cfg()))
+    with pytest.raises(SystemExit) as exc:
+        run_main([verb, "--config", str(path), "--out", str(tmp_path), *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

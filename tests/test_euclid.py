@@ -3,7 +3,6 @@ import pytest
 
 from nucfio.errors import DomainError, ValidationError
 from nucfio.euclid import (
-    EuclideanSymbol,
     PhaseSpec,
     decay_norms,
     fio_apply,
@@ -12,7 +11,7 @@ from nucfio.euclid import (
     nuclear_trace_euclid,
     symbol_from_decomposition,
 )
-from nucfio.grids import SampledField, UniformGrid, ksum
+from nucfio.grids import SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.nuclear import (
     RankOneSequence,
     apply_kernel,
@@ -44,7 +43,7 @@ def rank_one(grid, rng, terms=2):
 
 def test_identity_symbol_reproduces_input(grid):
     # phi = 2 pi x.xi with a = 1 is the inverse transform of the transform
-    a = EuclideanSymbol(grid, grid, np.ones((grid.size, grid.size), dtype=complex))
+    a = SampledSymbol(grid, grid, np.ones((grid.size, grid.size), dtype=complex))
     f = gaussian(grid, 0.4, 1.2)
     out = fio_apply(PhaseSpec.linear(), a, f)
     assert np.abs(out.values - f.values).max() < 1e-10
@@ -87,7 +86,7 @@ def test_undersampled_phase_is_rejected():
     # coarse grid with a strongly shifted phase: the residual oscillation
     # 2 pi s.xi advances too fast per node, so the 8-per-period rule fires
     g = UniformGrid.box(-6.0, 6.0, 17, 1)
-    a = EuclideanSymbol(g, g, np.ones((17, 17), dtype=complex))
+    a = SampledSymbol(g, g, np.ones((17, 17), dtype=complex))
     table = 2.0 * np.pi * ((g.nodes + 2.0) @ g.nodes.T)
     with pytest.raises(ValidationError, match="density"):
         nuclear_trace_euclid(PhaseSpec("sampled", table), a)
@@ -118,12 +117,12 @@ def test_trace_is_one_compensated_pass_over_the_integrand():
     values = rng.standard_normal((g.size, xi.size)) + 1j * rng.standard_normal((g.size, xi.size))
     w = g.weights[:, None] * xi.weights[None, :]
     want = complex(ksum(np.exp(1j * (table - kernel)) * values * w))
-    got = nuclear_trace_euclid(PhaseSpec("sampled", table), EuclideanSymbol(g, xi, values))
+    got = nuclear_trace_euclid(PhaseSpec("sampled", table), SampledSymbol(g, xi, values))
     assert (got.real, got.imag) == (want.real, want.imag)
 
 
 def test_decay_norms_requires_p1_at_least_two(grid):
-    a = EuclideanSymbol(grid, grid, np.ones((grid.size, grid.size), dtype=complex))
+    a = SampledSymbol(grid, grid, np.ones((grid.size, grid.size), dtype=complex))
     with pytest.raises(DomainError):
         decay_norms(a, 1.5, 2.0)
 

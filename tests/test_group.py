@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from nucfio.errors import ConditionError, DomainError, ValidationError
+from nucfio.euclid import PhaseSpec
 from nucfio.grids import SampledField, UniformGrid, ksum
 from nucfio.group import (
     _leggauss_ab,
     GroupPhase,
     GroupQuadrature,
     GroupSymbol,
-    TorusPhase,
     TorusSymbol,
     euler_from_su2,
     group_fio_apply,
@@ -31,7 +31,7 @@ from nucfio.group import (
     torus_symbol_from_decomposition,
     wigner_matrix,
 )
-from nucfio.nuclear import RankOneSequence, kernel_diagonal_trace
+from nucfio.nuclear import RankOneSequence, delgado_trace
 from nucfio.numerics import dense_eigenvalues, matrix_trace
 
 
@@ -214,7 +214,7 @@ def test_synthesis_reproduces_delgado(quad):
     )
     Phi = identity_phase(quad, cutoff)
     a = group_symbol_from_decomposition(Phi, d, cutoff)
-    want = kernel_diagonal_trace(d)
+    want = delgado_trace(d)
     assert group_nuclear_trace(Phi, a, cutoff) == pytest.approx(want, abs=1e-9)
     assert matrix_trace(group_matrix(Phi, a, cutoff)) == pytest.approx(want, abs=1e-9)
 
@@ -339,8 +339,8 @@ def test_torus_identity_trace(circle):
     n_freq = torus_freqs(2, 1).shape[0]
     a = TorusSymbol(circle, 2, np.ones((circle.size, n_freq), dtype=complex))
     # [DERIVED] identity on a 5-dimensional space of exponentials
-    assert torus_nuclear_trace(TorusPhase.linear(), a) == pytest.approx(5.0, abs=1e-13)
-    M = torus_matrix(TorusPhase.linear(), a)
+    assert torus_nuclear_trace(PhaseSpec.linear(), a) == pytest.approx(5.0, abs=1e-13)
+    M = torus_matrix(PhaseSpec.linear(), a)
     assert np.abs(M - np.eye(5)).max() < 1e-13
 
 
@@ -349,9 +349,9 @@ def test_torus_synthesis_trace(circle):
     h = SampledField(circle, np.exp(2j * np.pi * x) + 0.5)
     g = SampledField(circle, 0.7 * np.exp(-2j * np.pi * x) + 0.2)
     d = RankOneSequence(((h, g),), 2.0, 2.0, 1.0)
-    a = torus_symbol_from_decomposition(TorusPhase.linear(), d, 2, circle)
+    a = torus_symbol_from_decomposition(PhaseSpec.linear(), d, 2, circle)
     want = complex((circle.weights * h.values * g.values).sum())
-    assert torus_nuclear_trace(TorusPhase.linear(), a) == pytest.approx(want, abs=1e-12)
+    assert torus_nuclear_trace(PhaseSpec.linear(), a) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("dim, cutoff, x_count", [(1, 3, 16), (2, 2, 16)])
@@ -362,4 +362,4 @@ def test_constant_torus_symbol_traces_exactly(dim, cutoff, x_count):
     # [DERIVED] the identity on the frequency cube traces to its cardinality
     # with no rounding: the linear phase cancels the kernel to e^{i*0} = 1
     # and the dyadic weights sum exactly
-    assert torus_nuclear_trace(TorusPhase.linear(), a) == complex(n_freq)
+    assert torus_nuclear_trace(PhaseSpec.linear(), a) == complex(n_freq)

@@ -5,10 +5,12 @@ import pytest
 
 from nucfio.errors import DomainError, ValidationError
 from nucfio.grids import SampledField, UniformGrid, ksum
+from nucfio.euclid import PhaseSpec
 from nucfio.group import (
+    GroupPhase,
     GroupSymbol,
-    TorusPhase,
     TorusSymbol,
+    class_i_mask,
     group_fio_apply,
     group_nuclear_trace,
     group_symbol_from_decomposition,
@@ -20,10 +22,7 @@ from nucfio.group import (
 )
 from nucfio.homog import (
     ClassIIrrepTable,
-    HomogPhase,
-    HomogSymbol,
     IrrepEntry,
-    class_i_mask,
     dual_lp_norm,
     homog_fio_apply,
     homog_fourier,
@@ -31,7 +30,6 @@ from nucfio.homog import (
     homog_nuclear_trace,
     homog_symbol_from_decomposition,
     su3_dim,
-    su3_fundamental,
     su3_fundamental_batch,
     su3_haar_quadrature,
     su3_mass,
@@ -87,7 +85,7 @@ def test_symbol_rejects_support_outside_mask(table, quad):
     }
     small = ClassIIrrepTable(quad.weights, entries)
     with pytest.raises(ValidationError):
-        HomogSymbol(small, blocks)
+        GroupSymbol(small, blocks)
 
 
 def test_singular_homog_phase_is_condition_error(table, quad):
@@ -96,7 +94,7 @@ def test_singular_homog_phase_is_condition_error(table, quad):
     blocks = {t: table.entries[t].matrices.copy() for t in table.labels}
     blocks[1][5] = 0.0  # one singular node
     with pytest.raises(ConditionError):
-        HomogPhase(table, blocks)
+        GroupPhase(table, blocks)
 
 
 def test_irrep_entry_validation(quad):
@@ -117,7 +115,7 @@ def test_degeneration_matches_group_bitwise(quad, table):
         t: np.broadcast_to(np.eye(t + 1, dtype=complex), (quad.size, t + 1, t + 1)).copy()
         for t in table.labels
     }
-    th = homog_nuclear_trace(HomogPhase(table, blocks_phi), HomogSymbol(table, blocks_a))
+    th = homog_nuclear_trace(GroupPhase(table, blocks_phi), GroupSymbol(table, blocks_a))
     tg = group_nuclear_trace(identity_phase(quad, 2), GroupSymbol(quad, blocks_a), 2)
     assert th == tg
 
@@ -133,7 +131,7 @@ def test_degeneration_synthesis_and_apply(quad, table):
         2.0,
         1.0,
     )
-    Phi_h = HomogPhase(table, {t: table.entries[t].matrices for t in table.labels})
+    Phi_h = GroupPhase(table, {t: table.entries[t].matrices for t in table.labels})
     a_h = homog_symbol_from_decomposition(Phi_h, d)
     Phi_g = identity_phase(quad, 2)
     a_g = group_symbol_from_decomposition(Phi_g, d, 2)
@@ -150,10 +148,10 @@ def test_torus_degeneration():
     tab = table_from_torus(x_grid, cutoff)
     blocks_phi = {lab: tab.entries[lab].matrices for lab in tab.labels}
     blocks_a = {lab: np.ones((x_grid.size, 1, 1), dtype=complex) for lab in tab.labels}
-    th = homog_nuclear_trace(HomogPhase(tab, blocks_phi), HomogSymbol(tab, blocks_a))
+    th = homog_nuclear_trace(GroupPhase(tab, blocks_phi), GroupSymbol(tab, blocks_a))
     n_freq = torus_freqs(cutoff, 1).shape[0]
     a_t = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, n_freq), dtype=complex))
-    tt = torus_nuclear_trace(TorusPhase.linear(), a_t)
+    tt = torus_nuclear_trace(PhaseSpec.linear(), a_t)
     assert th == tt
 
 
@@ -171,7 +169,7 @@ def test_homog_mixed_norm_identity(quad, table):
         t: np.broadcast_to(np.eye(t + 1, dtype=complex), (quad.size, t + 1, t + 1)).copy()
         for t in table.labels
     }
-    a = HomogSymbol(table, blocks)
+    a = GroupSymbol(table, blocks)
     # [DERIVED] p1 = p2 = 2: sum_t d_t * ||I_d||_HS^2 = 1 + 2*2 + 3*3 = 14
     assert homog_mixed_norm(a, 2.0, 2.0) == pytest.approx(np.sqrt(14.0), rel=1e-12)
 
@@ -208,14 +206,14 @@ def test_su3_fundamental_is_special_unitary():
 
 def test_su3_single_sample_matches_batch():
     ang = (0.3, 0.7, 1.1, 0.2, 2.9, 4.1, 5.0, 0.6)
-    U = su3_fundamental(*ang)
+    U = su3_fundamental_batch(ang)[0]
     Ub = su3_fundamental_batch(np.array([ang]))[0]
     assert np.array_equal(U, Ub)
 
 
 def test_su3_angle_validation():
     with pytest.raises(DomainError):
-        su3_fundamental(2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # theta beyond pi/2
+        su3_fundamental_batch([2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # theta beyond pi/2
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -223,7 +221,7 @@ def test_su3_negative_theta_rejected(axis):
     angles = [0.3, 0.3, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]
     angles[axis] = -0.1
     with pytest.raises(DomainError):
-        su3_fundamental(*angles)
+        su3_fundamental_batch(angles)[0]
 
 
 def test_su3_haar_mass_and_schur():

@@ -2,41 +2,38 @@ import numpy as np
 import pytest
 
 from nucfio.errors import DomainError, GridMismatchError, ShapeError, ValidationError
-from nucfio.grids import UniformGrid
+from nucfio.euclid import PhaseSpec
+from nucfio.grids import SampledField, UniformGrid
 from nucfio.lattice import (
-    LatticePhase,
-    LatticeRankOne,
-    LatticeSequence,
     LatticeSymbol,
     LatticeWindow,
     lattice_dft,
     lattice_fio_apply,
-    lattice_lp_norm,
     lattice_matrix,
     lattice_mixed_norms,
     lattice_nuclear_trace,
     lattice_symbol_from_decomposition,
 )
-from nucfio.nuclear import r_quasinorm_bound
-from nucfio.numerics import dense_eigenvalues, matrix_trace
+from nucfio.nuclear import RankOneSequence, r_quasinorm_bound
+from nucfio.numerics import dense_eigenvalues, lp_norm, matrix_trace
 
 
 @pytest.fixture
 def setup():
     w = LatticeWindow(1, 4)
     xi = UniformGrid.torus(32, 1)
-    return w, xi, LatticePhase.linear()
+    return w, xi, PhaseSpec.linear()
 
 
 def random_rank_one(w, rng, terms=3):
     pairs = tuple(
         (
-            LatticeSequence(w, rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)),
-            LatticeSequence(w, rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)),
+            SampledField(w, rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)),
+            SampledField(w, rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)),
         )
         for _ in range(terms)
     )
-    return LatticeRankOne(pairs, 2.0, 2.0, 1.0)
+    return RankOneSequence(pairs, 2.0, 2.0, 1.0)
 
 
 def test_window_enumeration():
@@ -60,7 +57,7 @@ def test_dft_of_delta_is_character(setup):
     w, xi, _ = setup
     f = np.zeros(w.size, dtype=complex)
     f[w.size // 2] = 1.0  # the origin of the window
-    fhat = lattice_dft(LatticeSequence(w, f), xi)
+    fhat = lattice_dft(SampledField(w, f), xi)
     # [DERIVED] delta at m = 0 transforms to the constant 1
     assert np.abs(fhat.values - 1.0).max() < 1e-14
 
@@ -81,7 +78,7 @@ def test_synthesis_reproduces_sequence_action(setup):
     rng = np.random.default_rng(5)
     d = random_rank_one(w, rng)
     a = lattice_symbol_from_decomposition(phase, d, xi)
-    f = LatticeSequence(w, rng.standard_normal(w.size) + 0j)
+    f = SampledField(w, rng.standard_normal(w.size) + 0j)
     got = lattice_fio_apply(phase, a, f)
     want = np.zeros(w.size, dtype=complex)
     for h, g in d.terms:
@@ -114,10 +111,10 @@ def test_undersampled_xi_grid_rejected(setup):
 
 def test_lp_norm_is_unweighted(setup):
     w, _, _ = setup
-    f = LatticeSequence(w, np.full(w.size, 2.0 + 0.0j))
+    f = SampledField(w, np.full(w.size, 2.0 + 0.0j))
     # [TRIVIAL] ell^2 over 9 points of the constant 2
-    assert lattice_lp_norm(f, 2.0) == pytest.approx(6.0)
-    assert lattice_lp_norm(f, np.inf) == pytest.approx(2.0)
+    assert lp_norm(f, 2.0) == pytest.approx(6.0)
+    assert lp_norm(f, np.inf) == pytest.approx(2.0)
 
 
 def test_mixed_norms_for_separable_symbol(setup):
@@ -134,24 +131,24 @@ def test_mixed_norms_for_separable_symbol(setup):
 
 def test_quasinorm_closed_form(setup):
     w, _, _ = setup
-    h = LatticeSequence(w, np.ones(w.size, dtype=complex))
-    d = LatticeRankOne(((h, h),), 2.0, 2.0, 1.0)
+    h = SampledField(w, np.ones(w.size, dtype=complex))
+    d = RankOneSequence(((h, h),), 2.0, 2.0, 1.0)
     # [DERIVED] ||1||_2 * ||1||_2 over 9 points = 9
     assert r_quasinorm_bound(d) == pytest.approx(9.0)
-    d_sup = LatticeRankOne(((h, h),), 1.0, 2.0, 1.0)
+    d_sup = RankOneSequence(((h, h),), 1.0, 2.0, 1.0)
     # p1 = 1 pairs the g factor with the sup norm
     assert r_quasinorm_bound(d_sup) == pytest.approx(3.0)
 
 
 def test_decomposition_factors_share_the_window(setup):
     w, xi, phase = setup
-    h = LatticeSequence(w, np.ones(w.size))
-    g = LatticeSequence(LatticeWindow(1, 3), np.ones(7))
+    h = SampledField(w, np.ones(w.size))
+    g = SampledField(LatticeWindow(1, 3), np.ones(7))
     with pytest.raises(GridMismatchError):
-        lattice_symbol_from_decomposition(phase, LatticeRankOne(((h, g),), 2.0, 2.0, 1.0), xi)
+        lattice_symbol_from_decomposition(phase, RankOneSequence(((h, g),), 2.0, 2.0, 1.0), xi)
 
 
 def test_sequence_shape_validation(setup):
     w, _, _ = setup
     with pytest.raises(ShapeError):
-        LatticeSequence(w, np.ones(4))
+        SampledField(w, np.ones(4))

@@ -15,6 +15,7 @@ from nucfio.group import (
     GroupPhase,
     GroupSymbol,
     TorusSymbol,
+    class_i_mask,
     group_fio_apply,
     group_matrix,
     identity_phase,
@@ -23,7 +24,7 @@ from nucfio.group import (
     torus_freqs,
     torus_matrix,
 )
-from nucfio.homog import ClassIIrrepTable, HomogPhase, HomogSymbol, IrrepEntry, class_i_mask
+from nucfio.homog import ClassIIrrepTable, IrrepEntry
 from nucfio.lattice import LatticeSymbol, LatticeWindow, lattice_matrix
 
 
@@ -89,9 +90,9 @@ def test_group_matrix_on_a_class_i_table_matches_per_entry_loop(small_quad):
     k_inv = {0: 1, 1: 2, 2: 2}
     entries = {t: IrrepEntry(t, t + 1, k, su2_irrep_table(small_quad, t)) for t, k in k_inv.items()}
     table = ClassIIrrepTable(small_quad.weights, entries)
-    Phi = HomogPhase(table, {t: e.matrices for t, e in entries.items()})
+    Phi = GroupPhase(table, {t: e.matrices for t, e in entries.items()})
     blocks = {t: class_i_mask(random_complex(rng, (table.size, t + 1, t + 1)), k) for t, k in k_inv.items()}
-    a = HomogSymbol(table, blocks)
+    a = GroupSymbol(table, blocks)
     assert np.array_equal(group_matrix(Phi, a), per_entry_group_matrix(Phi, a))
 
 

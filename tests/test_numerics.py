@@ -12,7 +12,6 @@ from nucfio.numerics import (
     lp_norm,
     matrix_trace,
     mixed_norm,
-    sup_norm,
 )
 
 
@@ -61,7 +60,7 @@ def test_lp_norm_closed_form():
     # [DERIVED] ||exp(-pi x^2)||_p = p^(-1/(2p))
     for p in (1.0, 2.0, 3.0):
         assert lp_norm(f, p) == pytest.approx(p ** (-1.0 / (2.0 * p)), rel=1e-8)
-    assert sup_norm(f) == pytest.approx(1.0)
+    assert lp_norm(f, np.inf) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         lp_norm(f, 0.5)
 

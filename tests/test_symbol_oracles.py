@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nucfio.errors import ShapeError, ValidationError
-from nucfio.euclid import EuclideanSymbol, PhaseSpec
+from nucfio.euclid import PhaseSpec
 from nucfio.grids import SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.group import (
     TorusSymbol,
@@ -117,7 +117,6 @@ def test_setting_constructors_return_sampled_symbols():
     circle = UniformGrid.torus(16, 1)
     a = LatticeSymbol(window, xi_grid, np.ones((5, 12)))
     t = TorusSymbol(circle, 2, np.ones((16, 5)))
-    assert EuclideanSymbol is SampledSymbol
     assert type(a) is SampledSymbol and (a.space, a.freq) == (window, xi_grid)
     assert type(t) is SampledSymbol and (t.space, t.freq) == (circle, LatticeWindow(1, 2))
 
