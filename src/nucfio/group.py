@@ -15,7 +15,8 @@ which integrates to 4*pi^2 over the chart, twice the unit 3-sphere area.
 Two kernels do the work. The torus is the abelian pair of the lattice with
 space and frequency swapped, one ``SampledSymbol`` over a periodic grid and a
 frequency ``LatticeWindow``: its synthesis and trace are the abelian bodies
-of ``euclid``, its matrix is ``lattice._abelian_matrix``. SU(2) is the
+of ``euclid``, its matrix is ``lattice._abelian_matrix`` (FFT off-diagonals
+within 1e-13 * sum(w) * max|a|, an exact trace-kernel diagonal). SU(2) is the
 K = {e} instance of the class-I table kernel below. Its domain is anything with
 ``size``, ``weights`` and ``irrep(label) -> (label, dim, k_inv, matrices)``: a
 ``GroupQuadrature`` (k_inv = dim) or a ``homog.ClassIIrrepTable``. One symbol
@@ -578,8 +579,12 @@ def torus_freqs(cutoff: int, dim: int) -> np.ndarray:
 
 
 def _require_periodic(x_grid) -> None:
+    """The torus side: a periodic grid on [0, 1)^n, whose nodes k/N the
+    operator matrix's FFT reads."""
     if not getattr(x_grid, "periodic", False):
         raise ValidationError("torus symbols need a periodic spatial grid")
+    if any(not (lo == 0.0 and hi == 1.0) for lo, hi, _ in x_grid.axes):
+        raise ValidationError("torus spatial axes must span [0, 1)")
 
 
 def _check_torus(a: SampledSymbol) -> None:
@@ -631,8 +636,10 @@ def torus_nuclear_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
 def torus_matrix(phase: PhaseSpec, a: SampledSymbol) -> np.ndarray:
     """Operator matrix on Fourier coefficients, M[l', l] = int e^{-2*pi*i*x.l'}
     e^{i phi(x,l)} a(x,l) dx: the lattice-form matrix of the transposed
-    symbol, transposed back. Its diagonal reuses the trace cancellation."""
+    symbol, transposed back. Column l is an FFT over the x grid, within
+    1e-13 * max|a| of the per-entry sums; the diagonal is the trace kernel's
+    compensated sum, so the constant symbol's diagonal is exactly 1."""
     _check_torus(a)
     x, freqs = a.space.nodes, a.freq.nodes
-    M = _abelian_matrix(phase.table(x, freqs).T, a.values.T, freqs, x, a.space.weights)
+    M = _abelian_matrix(phase.table(x, freqs).T, a.values.T, freqs, a.space)
     return np.ascontiguousarray(M.T)

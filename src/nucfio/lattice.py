@@ -13,7 +13,9 @@ and R^n store one ``grids.SampledSymbol``. Apply, synthesis and trace are
 the abelian bodies of ``euclid``, which weight by both sides (exactly, where
 one side is a window of unit weights); the entry points here check the
 lattice setting and call them. The operator matrix ``_abelian_matrix`` lives
-here, because R^n has none; ``group.torus_matrix`` calls it too.
+here, because R^n has none; ``group.torus_matrix`` calls it too. It takes
+its off-diagonal entries from one FFT per row (within 1e-13 * sum(w) *
+max|a| of the per-entry sums) and its diagonal from the exact trace kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, TruncationError, ValidationError
 from .euclid import PhaseSpec, _abelian_apply, _abelian_synthesis, _abelian_trace
-from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, require_same_grid
+from .grids import SampledField, SampledSymbol, UniformGrid, ksum, require_same_grid
 from .nuclear import RankOneSequence
 from .numerics import dft_forward, mixed_norm
 
@@ -108,29 +110,32 @@ def LatticeSymbol(window: LatticeWindow, xi_grid: UniformGrid, values) -> Sample
     return SampledSymbol(window, xi_grid, values)
 
 
-# Frequencies per accumulated block of ``_abelian_matrix``: the block is
-# (rows, rows, _MATRIX_FREQS), so a wider chunk raises peak memory.
-_MATRIX_FREQS = 4
+def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, grid: UniformGrid) -> np.ndarray:
+    """M[p, q] = sum_j w_j e^{i(phi(p, j) - 2*pi*rows_q.x_j)} a(p, j), x_j the
+    nodes of the periodic [0, 1)^n ``grid``, rows_q integer points.
 
-
-def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, cols: np.ndarray, w) -> np.ndarray:
-    """M[p, q] = sum_j w_j e^{i(phi(p, j) - 2*pi*rows_q.cols_j)} a(p, j).
-
-    The diagonal reuses the trace kernel's exact cancellation. Every entry
-    is reduced over j in one compensated pass, chunk by chunk in ascending
-    order, as a per-column ``ksum`` would take it.
+    Row p is the DFT of w e^{i phi(p, .)} a(p, .) read at rows_q mod N per
+    axis. The FFT's DC bin is not exact, so the diagonal is the trace
+    kernel's compensated row sum, its exponent one difference.
     """
-    wa = a * w[None, :]
-    kern = np.empty((rows.shape[0], cols.shape[0]))
-    for q in range(rows.shape[0]):
-        # one matrix-vector product per q: a single matmul may round differently
-        kern[q] = 2.0 * np.pi * (rows[q] @ cols.T)
-    acc = KahanSum((rows.shape[0], rows.shape[0]), complex)
-    for j0 in range(0, cols.shape[0], _MATRIX_FREQS):
-        js = slice(j0, j0 + _MATRIX_FREQS)
-        block = np.exp(1j * (phi[:, None, js] - kern[None, :, js])) * wa[:, None, js]
-        acc.add(np.moveaxis(block, -1, 0))
-    return acc.value
+    n, cols, wa = rows.shape[0], grid.nodes, a * grid.weights[None, :]
+    # one (rows, nodes) buffer, used in place twice: first the FFT rows...
+    B = np.empty_like(wa)
+    np.exp(np.multiply(1j, phi, out=B), out=B)
+    B *= wa
+    F = B.reshape((n,) + grid.shape)
+    np.fft.fftn(F, axes=tuple(range(1, F.ndim)), out=F)
+    at = np.ravel_multi_index(tuple(rows.astype(int).T), grid.shape, mode="wrap")  # rows_q mod N
+    M = np.take(B, at, axis=1)
+    # ...then the trace kernel's integrand e^{i(phi - kern)} w a
+    kern = np.empty((n, cols.shape[0]))
+    for p in range(n):
+        # one matrix-vector product per row: a single matmul may round differently
+        kern[p] = 2.0 * np.pi * (rows[p] @ cols.T)
+    np.exp(np.multiply(1j, np.subtract(phi, kern, out=kern), out=B), out=B)
+    B *= wa
+    M[np.diag_indices(n)] = ksum(B, axis=1)
+    return M
 
 
 def lattice_dft(f: SampledField, xi_grid: UniformGrid) -> SampledField:
@@ -174,8 +179,8 @@ def lattice_matrix(phase: PhaseSpec, a: SampledSymbol) -> np.ndarray:
     acting on sequence values by plain matrix multiplication.
     """
     _check_xi_grid(a.space, a.freq)
-    pts, xi = a.space.nodes, a.freq.nodes
-    return _abelian_matrix(phase.table(pts, xi), a.values, pts, xi, a.freq.weights)
+    pts = a.space.nodes
+    return _abelian_matrix(phase.table(pts, a.freq.nodes), a.values, pts, a.freq)
 
 
 def lattice_mixed_norms(a: SampledSymbol, p1: float, p2: float) -> tuple:

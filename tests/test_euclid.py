@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,48 @@ def test_undersampled_phase_is_rejected():
     table = 2.0 * np.pi * ((g.nodes + 2.0) @ g.nodes.T)
     with pytest.raises(ValidationError, match="density"):
         nuclear_trace_euclid(PhaseSpec("sampled", table), a)
+
+
+def test_density_check_pairs_rows_across_row_blocks():
+    # 300 rows span two row blocks of the check; the only step above the
+    # bound is between rows 255 and 256, one on each side of the boundary
+    g = UniformGrid.box(-5.0, 5.0, 300, 1)
+    xi = UniformGrid.box(-1.0, 1.0, 32, 1)
+    a = SampledSymbol(g, xi, np.ones((g.size, xi.size), dtype=complex))
+    table = 2.0 * np.pi * (g.nodes @ xi.nodes.T)
+    table[256:] += 1.0
+    with pytest.raises(ValidationError, match=r"advances 1\.000 rad per node step on axis 0,"):
+        nuclear_trace_euclid(PhaseSpec("sampled", table), a)
+
+
+def test_density_check_skips_line_ends_in_dim_two():
+    # 20 x 20 rows in two row blocks; the residual 0.5 * (second index)
+    # steps by 0.5 along axis 1 and jumps 9.5 between flat rows that end
+    # one line and start the next, which are not neighbours on any axis
+    g = UniformGrid.box(-1.0, 1.0, 20, 2)
+    xi = UniformGrid.box(-1.0, 1.0, 4, 2)
+    a = SampledSymbol(g, xi, np.ones((g.size, xi.size), dtype=complex))
+    second = np.tile(np.arange(20.0), 20)
+    table = 2.0 * np.pi * (g.nodes @ xi.nodes.T) + 0.5 * second[:, None]
+    nuclear_trace_euclid(PhaseSpec("sampled", table), a)
+    table[second == 19] += 0.5
+    with pytest.raises(ValidationError, match=r"advances 1\.000 rad per node step on axis 1,"):
+        nuclear_trace_euclid(PhaseSpec("sampled", table), a)
+
+
+def test_sampled_trace_peak_memory_is_row_blocked():
+    # the density check reads the phase in the trace's row blocks: at
+    # n = n_xi = 1025 a full-table check allocated 32 MB, the trace 12 MB
+    g = UniformGrid.box(-8.0, 8.0, 1025, 1)
+    a = SampledSymbol(g, g, np.ones((g.size, g.size), dtype=complex))
+    phase = PhaseSpec("sampled", 2.0 * np.pi * ((g.nodes + 0.25) @ g.nodes.T))
+    tracemalloc.start()
+    try:
+        nuclear_trace_euclid(phase, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_trace_is_phase_independent_after_synthesis(grid):

@@ -5,7 +5,7 @@ import pytest
 
 from nucfio.errors import ConditionError, DomainError, ValidationError
 from nucfio.euclid import PhaseSpec
-from nucfio.grids import SampledField, UniformGrid, ksum
+from nucfio.grids import SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.group import (
     _leggauss_ab,
     GroupPhase,
@@ -31,6 +31,7 @@ from nucfio.group import (
     torus_symbol_from_decomposition,
     wigner_matrix,
 )
+from nucfio.lattice import LatticeWindow
 from nucfio.nuclear import RankOneSequence, delgado_trace
 from nucfio.numerics import dense_eigenvalues, matrix_trace
 
@@ -363,3 +364,33 @@ def test_constant_torus_symbol_traces_exactly(dim, cutoff, x_count):
     # with no rounding: the linear phase cancels the kernel to e^{i*0} = 1
     # and the dyadic weights sum exactly
     assert torus_nuclear_trace(PhaseSpec.linear(), a) == complex(n_freq)
+
+
+@pytest.mark.parametrize("x_count", [21, 22, 42])
+def test_constant_torus_matrix_is_exact_at_any_x_count(x_count):
+    # fft(full(N, 1/N))[0] != 1 at N = 21 and 42: the matrix diagonal comes
+    # from the trace kernel's row sums, not from the FFT's DC bin
+    cutoff = (x_count - 2) // 4  # the CLI's exactness threshold 4 * cutoff + 2
+    x_grid = UniformGrid.torus(x_count, 1)
+    n_freq = 2 * cutoff + 1
+    a = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, n_freq), dtype=complex))
+    M = torus_matrix(PhaseSpec.linear(), a)
+    assert np.array_equal(np.diag(M), np.ones(n_freq, dtype=complex))
+    assert torus_nuclear_trace(PhaseSpec.linear(), a) == complex(n_freq)
+    assert matrix_trace(M) == complex(n_freq)
+    assert abs(dense_eigenvalues(M).sum() - n_freq) < 1e-12
+
+
+def test_torus_grids_must_span_the_unit_box():
+    # a periodic [0, 2) grid: its nodes are not k/N, where the torus matrix reads them
+    wide = UniformGrid(((0.0, 2.0, 16),), periodic=True)
+    ones = np.ones((wide.size, 5), dtype=complex)
+    with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
+        TorusSymbol(wide, 2, ones)
+    h = SampledField(wide, np.ones(wide.size, dtype=complex))
+    with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
+        torus_symbol_from_decomposition(PhaseSpec.linear(), RankOneSequence(((h, h),), 2.0, 2.0, 1.0), 2, wide)
+    bare = SampledSymbol(wide, LatticeWindow(1, 2), ones)
+    for entry in (torus_nuclear_trace, torus_matrix):
+        with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
+            entry(PhaseSpec.linear(), bare)

@@ -152,3 +152,18 @@ def test_sequence_shape_validation(setup):
     w, _, _ = setup
     with pytest.raises(ShapeError):
         SampledField(w, np.ones(4))
+
+
+@pytest.mark.parametrize("xi_count", [14, 21, 22, 42, 82])
+def test_identity_is_exact_at_any_xi_count(xi_count):
+    # fft(full(N, 1/N))[0] != 1 at N = 14, 21, 42 and 82: the matrix diagonal
+    # comes from the trace kernel's row sums, not from the FFT's DC bin
+    radius = (xi_count // 2 - 1) // 2  # the largest with 2 * (2 * radius + 1) <= xi_count
+    w, xi = LatticeWindow(1, radius), UniformGrid.torus(xi_count, 1)
+    phase = PhaseSpec.linear()
+    a = LatticeSymbol(w, xi, np.ones((w.size, xi.size), dtype=complex))
+    M = lattice_matrix(phase, a)
+    assert np.array_equal(np.diag(M), np.ones(w.size, dtype=complex))
+    assert lattice_nuclear_trace(phase, a) == complex(w.size)
+    assert matrix_trace(M) == complex(w.size)
+    assert abs(dense_eigenvalues(M).sum() - w.size) < 1e-12
