@@ -12,10 +12,10 @@ The lattice, the torus (the same pairing with space and frequency swapped)
 and R^n store one ``grids.SampledSymbol``. Apply, synthesis and trace are
 the abelian bodies of ``euclid``, which weight by both sides (exactly, where
 one side is a window of unit weights); the entry points here check the
-lattice setting and call them. The operator matrix ``_abelian_matrix`` lives
-here, because R^n has none; ``group.torus_matrix`` calls it too. It takes
-its off-diagonal entries from one FFT per row (within 1e-13 * sum(w) *
-max|a| of the per-entry sums) and its diagonal from the exact trace kernel.
+lattice setting and call them. The operator matrix ``_abelian_matrix`` (R^n has
+none; ``group.torus_matrix`` calls it too) takes its off-diagonal entries from one
+FFT per row, within 1e-13 * sum(w) * max|a| of the per-entry sums, and its
+diagonal from the exact trace kernel.
 """
 
 from __future__ import annotations
@@ -111,30 +111,23 @@ def LatticeSymbol(window: LatticeWindow, xi_grid: UniformGrid, values) -> Sample
 
 
 def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, grid: UniformGrid) -> np.ndarray:
-    """M[p, q] = sum_j w_j e^{i(phi(p, j) - 2*pi*rows_q.x_j)} a(p, j), x_j the
-    nodes of the periodic [0, 1)^n ``grid``, rows_q integer points.
-
-    Row p is the DFT of w e^{i phi(p, .)} a(p, .) read at rows_q mod N per
-    axis. The FFT's DC bin is not exact, so the diagonal is the trace
-    kernel's compensated row sum, its exponent one difference.
+    """M[p, q] = sum_j w_j e^{i(phi(p, j) - 2*pi*rows_q.x_j)} a(p, j) over the nodes x_j
+    of the periodic [0, 1)^n ``grid``: row p is the FFT of w e^{i phi} a read at rows_q mod N.
+    The FFT's DC bin is not exact, so the diagonal is the trace kernel's compensated row sum.
     """
     n, cols, wa = rows.shape[0], grid.nodes, a * grid.weights[None, :]
-    # one (rows, nodes) buffer, used in place twice: first the FFT rows...
-    B = np.empty_like(wa)
-    np.exp(np.multiply(1j, phi, out=B), out=B)
-    B *= wa
-    F = B.reshape((n,) + grid.shape)
+    # one (rows, nodes) buffer, used in place: first w a e^{i phi}, transformed row by row...
+    B = np.multiply(1j, phi, out=np.empty_like(wa))
+    F = np.multiply(np.exp(B, out=B), wa, out=B).reshape((n,) + grid.shape)
     np.fft.fftn(F, axes=tuple(range(1, F.ndim)), out=F)
-    at = np.ravel_multi_index(tuple(rows.astype(int).T), grid.shape, mode="wrap")  # rows_q mod N
-    M = np.take(B, at, axis=1)
+    M = np.take(B, np.ravel_multi_index(tuple(rows.astype(int).T), grid.shape, mode="wrap"), axis=1)
     # ...then the trace kernel's integrand e^{i(phi - kern)} w a
-    kern = np.empty((n, cols.shape[0]))
+    kern = np.empty(phi.shape)
     for p in range(n):
         # one matrix-vector product per row: a single matmul may round differently
         kern[p] = 2.0 * np.pi * (rows[p] @ cols.T)
     np.exp(np.multiply(1j, np.subtract(phi, kern, out=kern), out=B), out=B)
-    B *= wa
-    M[np.diag_indices(n)] = ksum(B, axis=1)
+    M[np.diag_indices(n)] = ksum(np.multiply(B, wa, out=B), axis=1)
     return M
 
 
