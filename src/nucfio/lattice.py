@@ -116,7 +116,7 @@ def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, grid: Unif
     The FFT's DC bin is not exact, so the diagonal is the trace kernel's compensated row sum.
     """
     n, cols, wa = rows.shape[0], grid.nodes, a * grid.weights[None, :]
-    # one (rows, nodes) buffer, used in place: first w a e^{i phi}, transformed row by row...
+    # one (rows, nodes) buffer, reused in place to bound memory: first the rows w a e^{i phi}...
     B = np.multiply(1j, phi, out=np.empty_like(wa))
     F = np.multiply(np.exp(B, out=B), wa, out=B).reshape((n,) + grid.shape)
     np.fft.fftn(F, axes=tuple(range(1, F.ndim)), out=F)
