@@ -95,36 +95,26 @@ def _require_phase_density(phase: PhaseSpec, a: SampledSymbol, what: str, xi_onl
     Only the axes actually integrated against the oscillation are checked:
     application integrates xi alone against the phase, traces integrate both
     variables against the phase minus the trace kernel 2*pi*x.xi. The table
-    is read in row blocks; a step along a space axis of row stride s pairs
-    rows r and r + s, so each block rereads the s rows before it (one row
-    in dim 1). Steps are maximized over the whole table before any axis is
+    is read in blocks of whole axis-0 slabs, each reshaped to the grid's
+    axes; the last slab of a block is carried so axis 0 steps pair across
+    blocks. Steps are maximized over the whole table before any axis is
     judged, so the first offending axis is named, as on the full table.
     """
     x, xi = a.space.nodes, a.freq.nodes
     space, freq = a.space.shape, a.freq.shape
-    strides = () if xi_only else tuple(int(np.prod(space[ax + 1 :])) for ax in range(len(space)))
-    back = strides[0] if strides else 0
+    first = len(space) if xi_only else 0
     steps = np.zeros(len(space) + len(freq))
-    for rows in _row_blocks(a.space.size):
-        first = max(rows.start - back, 0)
-        t = phase.table(x, xi, slice(first, rows.stop))
+    prev = np.empty((0,) + space[1:] + freq)
+    for rows in _row_blocks(a.space.size, int(np.prod(space[1:]))):
+        t = phase.table(x, xi, rows)
         if not xi_only:
-            t = t - 2.0 * np.pi * (x[first : rows.stop] @ xi.T)
-        own = t[rows.start - first :].reshape((-1,) + freq)
-        for k, count in enumerate(freq):
-            if count > 1:
-                ax = len(space) + k
-                steps[ax] = max(steps[ax], np.abs(np.diff(own, axis=k + 1)).max())
-        for ax, stride in enumerate(strides):
-            # pairs (r, r + stride) whose upper row is in this block, minus
-            # those whose lower row r ends a line along the axis
-            r = np.arange(max(rows.start - stride, first), rows.stop - stride)
-            if r.size:
-                lo = r[0] - first
-                step = np.abs(t[lo + stride :] - t[lo : lo + r.size]).max(axis=1)
-                keep = (r // stride) % space[ax] != space[ax] - 1
-                steps[ax] = max(steps[ax], step.max(initial=0.0, where=keep))
-    for ax in range(0 if strides else len(space), len(steps)):
+            t = t - 2.0 * np.pi * (x[rows] @ xi.T)
+        t = t.reshape((-1,) + space[1:] + freq)
+        for ax in range(first, t.ndim):
+            s = np.concatenate([prev, t]) if ax == 0 else t
+            steps[ax] = max(steps[ax], np.abs(np.diff(s, axis=ax)).max(initial=0.0))
+        prev = t[-1:].copy()
+    for ax in range(first, len(steps)):
         if steps[ax] > _MAX_PHASE_STEP + 1e-12:
             raise ValidationError(
                 f"{what}: sampled phase advances {steps[ax]:.3f} rad per node step on "
@@ -133,10 +123,12 @@ def _require_phase_density(phase: PhaseSpec, a: SampledSymbol, what: str, xi_onl
             )
 
 
-def _row_blocks(n: int):
-    """Slices of ``_ROW_CHUNK`` consecutive rows covering range(n) in order."""
-    for s in range(0, n, _ROW_CHUNK):
-        yield slice(s, min(s + _ROW_CHUNK, n))
+def _row_blocks(n: int, unit: int = 1):
+    """Consecutive row slices covering range(n) in order, each a whole number
+    of ``unit``-row slabs and about ``_ROW_CHUNK`` rows (at least one slab)."""
+    step = max(1, _ROW_CHUNK // unit) * unit
+    for s in range(0, n, step):
+        yield slice(s, min(s + step, n))
 
 
 # -- the abelian bodies -------------------------------------------------------

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .euclid import PhaseSpec, _abelian_synthesis, _abelian_trace
 from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, complex_samples, ksum, require_same_grid
-from .lattice import LatticeWindow, _abelian_matrix
+from .lattice import LatticeWindow, _abelian_matrix, _require_unit_torus
 from .nuclear import RankOneSequence
 from .numerics import dft_forward
 
@@ -578,25 +578,16 @@ def torus_freqs(cutoff: int, dim: int) -> np.ndarray:
     return _freq_window(cutoff, dim).nodes
 
 
-def _require_periodic(x_grid) -> None:
-    """The torus side: a periodic grid on [0, 1)^n, whose nodes k/N the
-    operator matrix's FFT reads."""
-    if not getattr(x_grid, "periodic", False):
-        raise ValidationError("torus symbols need a periodic spatial grid")
-    if any(not (lo == 0.0 and hi == 1.0) for lo, hi, _ in x_grid.axes):
-        raise ValidationError("torus spatial axes must span [0, 1)")
-
-
 def _check_torus(a: SampledSymbol) -> None:
     """The torus setting: a periodic grid times a frequency window."""
-    _require_periodic(a.space)
+    _require_unit_torus(a.space, "torus spatial")
     if not isinstance(a.freq, LatticeWindow):
         raise ValidationError(f"torus frequencies must be a LatticeWindow, got {type(a.freq).__name__}")
 
 
 def TorusSymbol(x_grid: UniformGrid, cutoff: int, values) -> SampledSymbol:
     """a(x, l) on a periodic grid times the centered frequency cube."""
-    _require_periodic(x_grid)
+    _require_unit_torus(x_grid, "torus spatial")
     return SampledSymbol(x_grid, _freq_window(cutoff, x_grid.dim), values)
 
 
@@ -606,8 +597,7 @@ def torus_fourier(f: SampledField, cutoff: int) -> np.ndarray:
     Exact for trigonometric polynomials whose degree plus cutoff stays below
     the periodic grid's node count per axis.
     """
-    if not f.grid.periodic:
-        raise ValidationError("torus transform needs a periodic grid")
+    _require_unit_torus(f.grid, "torus spatial")
     return dft_forward(f, _freq_window(cutoff, f.grid.dim)).values
 
 
@@ -623,7 +613,7 @@ def torus_symbol_from_decomposition(
     """
     for grid in (d.h_grid, d.g_grid):
         require_same_grid(grid, x_grid, "torus_symbol_from_decomposition")
-    _require_periodic(x_grid)
+    _require_unit_torus(x_grid, "torus spatial")
     return _abelian_synthesis(phase, d, x_grid, _freq_window(cutoff, x_grid.dim))
 
 

@@ -89,14 +89,11 @@ def _check_xi_grid(window: LatticeWindow, xi_grid: UniformGrid) -> None:
     """The lattice setting: a window times an exact periodic grid on [0, 1)^n."""
     if not isinstance(window, LatticeWindow):
         raise ValidationError(f"lattice space must be a LatticeWindow, got {type(window).__name__}")
-    if not xi_grid.periodic:
-        raise ValidationError("lattice frequency grid must be periodic on [0,1)^n")
+    _require_unit_torus(xi_grid, "lattice frequency")
     if xi_grid.dim != window.dim:
         raise ShapeError(f"xi grid dim {xi_grid.dim} != lattice dim {window.dim}")
     need = window.min_xi_count()
-    for ax, (lo, hi, count) in enumerate(xi_grid.axes):
-        if not (lo == 0.0 and hi == 1.0):
-            raise ValidationError("lattice frequency axes must span [0, 1)")
+    for ax, (_, _, count) in enumerate(xi_grid.axes):
         if count < need:
             raise TruncationError(
                 f"frequency axis {ax} has {count} nodes, below the {need} needed "
@@ -108,6 +105,14 @@ def LatticeSymbol(window: LatticeWindow, xi_grid: UniformGrid, values) -> Sample
     """Symbol samples a(n', xi_j), window points by checked torus nodes."""
     _check_xi_grid(window, xi_grid)
     return SampledSymbol(window, xi_grid, values)
+
+
+def _require_unit_torus(grid, what: str) -> None:
+    """A periodic grid on [0, 1)^n, whose nodes k/N the FFT of ``_abelian_matrix`` reads."""
+    if not getattr(grid, "periodic", False):
+        raise ValidationError(f"{what} grid must be periodic on [0, 1)^n")
+    if any(not (lo == 0.0 and hi == 1.0) for lo, hi, _ in grid.axes):
+        raise ValidationError(f"{what} axes must span [0, 1)")
 
 
 def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, grid: UniformGrid) -> np.ndarray:

@@ -390,6 +390,8 @@ def test_torus_grids_must_span_the_unit_box():
     h = SampledField(wide, np.ones(wide.size, dtype=complex))
     with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
         torus_symbol_from_decomposition(PhaseSpec.linear(), RankOneSequence(((h, h),), 2.0, 2.0, 1.0), 2, wide)
+    with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
+        torus_fourier(h, 2)
     bare = SampledSymbol(wide, LatticeWindow(1, 2), ones)
     for entry in (torus_nuclear_trace, torus_matrix):
         with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
