@@ -12,10 +12,8 @@ The lattice, the torus (the same pairing with space and frequency swapped)
 and R^n store one ``grids.SampledSymbol``. Apply, synthesis and trace are
 the abelian bodies of ``euclid``, which weight by both sides (exactly, where
 one side is a window of unit weights); the entry points here check the
-lattice setting and call them. The operator matrix ``_abelian_matrix`` (R^n has
-none; ``group.torus_matrix`` calls it too) takes its off-diagonal entries from one
-FFT per row, within 1e-13 * sum(w) * max|a| of the per-entry sums, and its
-diagonal from the exact trace kernel.
+lattice setting and call them. ``_abelian_matrix`` (the torus's too) reads off-diagonals from
+one FFT per row, within 1e-13 * sum(w) * max|a| of per-entry sums, its diagonal from the trace kernel.
 """
 
 from __future__ import annotations
@@ -109,10 +107,8 @@ def LatticeSymbol(window: LatticeWindow, xi_grid: UniformGrid, values) -> Sample
 
 def _require_unit_torus(grid, what: str) -> None:
     """A periodic grid on [0, 1)^n, whose nodes k/N the FFT of ``_abelian_matrix`` reads."""
-    if not getattr(grid, "periodic", False):
-        raise ValidationError(f"{what} grid must be periodic on [0, 1)^n")
-    if any(not (lo == 0.0 and hi == 1.0) for lo, hi, _ in grid.axes):
-        raise ValidationError(f"{what} axes must span [0, 1)")
+    if not getattr(grid, "periodic", False) or any((lo, hi) != (0.0, 1.0) for lo, hi, _ in grid.axes):
+        raise ValidationError(f"{what} grid must be periodic and span [0, 1) on every axis")
 
 
 def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, grid: UniformGrid) -> np.ndarray:
