@@ -96,24 +96,24 @@ def _require_phase_density(phase: PhaseSpec, a: SampledSymbol, what: str, xi_onl
     application integrates xi alone against the phase, traces integrate both
     variables against the phase minus the trace kernel 2*pi*x.xi. The table
     is read in blocks of whole axis-0 slabs, each reshaped to the grid's
-    axes; the last slab of a block is carried so axis 0 steps pair across
-    blocks. Steps are maximized over the whole table before any axis is
+    axes; a block also rereads the slab before it, so axis 0 steps pair
+    across blocks. Steps are maximized over the whole table before any axis is
     judged, so the first offending axis is named, as on the full table.
     """
     x, xi = a.space.nodes, a.freq.nodes
     space, freq = a.space.shape, a.freq.shape
     first = len(space) if xi_only else 0
     steps = np.zeros(len(space) + len(freq))
-    prev = np.empty((0,) + space[1:] + freq)
-    for rows in _row_blocks(a.space.size, int(np.prod(space[1:]))):
-        t = phase.table(x, xi, rows)
+    slab = int(np.prod(space[1:]))
+    for rows in _row_blocks(a.space.size, slab):
+        lo = max(rows.start - slab, 0)
+        t = phase.table(x, xi, slice(lo, rows.stop))
         if not xi_only:
-            t = t - 2.0 * np.pi * (x[rows] @ xi.T)
+            t = t - 2.0 * np.pi * (x[lo : rows.stop] @ xi.T)
         t = t.reshape((-1,) + space[1:] + freq)
         for ax in range(first, t.ndim):
-            s = np.concatenate([prev, t]) if ax == 0 else t
+            s = t if ax == 0 else t[(rows.start - lo) // slab :]
             steps[ax] = max(steps[ax], np.abs(np.diff(s, axis=ax)).max(initial=0.0))
-        prev = t[-1:].copy()
     for ax in range(first, len(steps)):
         if steps[ax] > _MAX_PHASE_STEP + 1e-12:
             raise ValidationError(
