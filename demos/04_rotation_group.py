@@ -50,8 +50,8 @@ a = GroupSymbol(quad, blocks)
 Phi = identity_phase(quad, cutoff)
 print()
 print("identity operator through twoL = 2:")
-print("  nuclear trace :", group_nuclear_trace(Phi, a, cutoff))
-print("  matrix route  :", dense_eigenvalues(group_matrix(Phi, a, cutoff)).sum())
+print("  nuclear trace :", group_nuclear_trace(Phi, a))
+print("  matrix route  :", dense_eigenvalues(group_matrix(Phi, a)).sum())
 
 # the same group seen as the unit 3-sphere: a chart quadrature whose raw
 # chart mass is 4 pi^2 reproduces the same representation integrals

@@ -14,6 +14,7 @@ from nucfio.group import (
     GroupPhase,
     GroupSymbol,
     class_i_mask,
+    group_matrix,
     group_nuclear_trace,
     identity_phase,
     su2_haar_quadrature,
@@ -36,7 +37,9 @@ print("mask keeps corner:", np.array_equal(masked[:, :3, :3], B[:, :3, :3]))
 print("mask idempotent  :", np.array_equal(class_i_mask(masked, 3), masked))
 
 # trivial subgroup: every block is fully invariant (k = dim), and the
-# quotient trace equals the group trace exactly, same bits
+# quotient trace equals the group trace exactly, same bits. The group_*
+# functions take the table as their domain; its own matrices are the
+# identity phase
 quad = su2_haar_quadrature(16, 16, 32)
 cutoff = 2
 table = table_from_su2(quad, cutoff)
@@ -44,15 +47,14 @@ blocks = {
     t: np.broadcast_to(np.eye(t + 1, dtype=complex), (quad.size, t + 1, t + 1)).copy()
     for t in table.labels
 }
-th = homog_nuclear_trace(
-    GroupPhase(table, {t: table.entries[t].matrices for t in table.labels}),
-    GroupSymbol(table, blocks),
-)
-tg = group_nuclear_trace(identity_phase(quad, cutoff), GroupSymbol(quad, blocks), cutoff)
+Phi_h, a_h = GroupPhase(table, table.matrices), GroupSymbol(table, blocks)
+th = homog_nuclear_trace(Phi_h, a_h)
+tg = group_nuclear_trace(identity_phase(quad, cutoff), GroupSymbol(quad, blocks))
 print()
 print("quotient trace :", th)
 print("group trace    :", tg)
 print("bit-for-bit    :", th == tg)
+print("matrix route   :", np.trace(group_matrix(Phi_h, a_h)))
 print("dual-decay norm:", homog_mixed_norm(GroupSymbol(table, blocks), 2.0, 2.0))
 
 # the eight-angle parametrization of special unitary 3 x 3 matrices

@@ -230,6 +230,8 @@ def _run_euclid(cfg: dict, verb: str) -> tuple:
     xi_grid = _grid_from(cfg["xi_grid"], "xi_grid") if "xi_grid" in cfg else UniformGrid(grid.axes)
     phase = _euclid_phase(cfg.get("phase", {"kind": "linear"}), grid, xi_grid)
     d = _decomposition(cfg["decomposition"], lambda spec, where: families.euclid_field(grid, spec, rng))
+    if "r" in cfg["decomposition"]:
+        raise ValidationError("euclid reads no 'decomposition.r': r follows from 'p', 1/r = 1 + |1/p - 1/2|")
     report = lidskii_report(phase, d, _real(cfg, "p", 2.0), xi_grid)
     if verb == "wigner":
         h1, g1 = d.terms[0]
@@ -319,14 +321,14 @@ def _run_lattice(cfg: dict, verb: str) -> tuple:
 
 
 def _torus_grid(cfg: dict, cutoff: int) -> UniformGrid:
-    """The periodic x grid of a torus config; below 4 * cutoff + 2 nodes per
+    """The periodic x grid of a torus config; below ``min_xi_count`` nodes per
     axis it aliases the frequency cube and the quadratures are not exact."""
-    x_count = _int(cfg, "x_count", 32)
-    if x_count < 4 * cutoff + 2:
+    x_count, window = _int(cfg, "x_count", 32), LatticeWindow(_int(cfg, "dim", 1), cutoff)
+    if x_count < window.min_xi_count():
         raise ValidationError(
-            f"x_count = {x_count} below the exactness threshold {4 * cutoff + 2}"
+            f"x_count = {x_count} below the exactness threshold {window.min_xi_count()}"
         )
-    return UniformGrid.torus(x_count, _int(cfg, "dim", 1))
+    return UniformGrid.torus(x_count, window.dim)
 
 
 def _run_torus(cfg: dict, verb: str) -> tuple:
@@ -404,7 +406,7 @@ def _run_su2(cfg: dict, verb: str) -> tuple:
     if "decomposition" in cfg:
         Phi = identity_phase(quad, cutoff)
         d = _decomposition(cfg["decomposition"], _group_factor(quad, cutoff, rng))
-        a = group_symbol_from_decomposition(Phi, d, cutoff)
+        a = group_symbol_from_decomposition(Phi, d)
         quasinorm = r_quasinorm_bound(d)
         dtr = delgado_trace(d)
         extras["delgado_trace"] = {"re": dtr.real, "im": dtr.imag}
@@ -412,8 +414,8 @@ def _run_su2(cfg: dict, verb: str) -> tuple:
         Phi, a = _su2_identity(quad, cutoff)
         if cfg.get("symbol", "identity") != "identity":
             raise ValidationError("su2 config needs 'decomposition' or symbol 'identity'")
-    nuclear = group_nuclear_trace(Phi, a, cutoff)
-    M = group_matrix(Phi, a, cutoff)
+    nuclear = group_nuclear_trace(Phi, a)
+    M = group_matrix(Phi, a)
     return _matrix_report("su2", nuclear, M, quasinorm_bound=quasinorm, extras=extras), []
 
 
@@ -428,8 +430,8 @@ def _run_homog(cfg: dict, verb: str) -> tuple:
         table = table_from_su2(quad, cutoff)
         Phi_g, a_g = _su2_identity(quad, cutoff)
         blocks_a = a_g.blocks
-        route, reference = "group_trace", group_nuclear_trace(Phi_g, a_g, cutoff)
-        M = group_matrix(Phi_g, a_g, cutoff)
+        route, reference = "group_trace", group_nuclear_trace(Phi_g, a_g)
+        M = group_matrix(Phi_g, a_g)
     else:
         cutoff = _count(cfg, "cutoff", 2, 0)
         x_grid = _torus_grid(cfg, cutoff)
@@ -438,7 +440,7 @@ def _run_homog(cfg: dict, verb: str) -> tuple:
         a_t = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, len(table.labels)), dtype=complex))
         route, reference = "torus_trace", torus_nuclear_trace(PhaseSpec.linear(), a_t)
         M = torus_matrix(PhaseSpec.linear(), a_t)
-    Phi_h = GroupPhase(table, {lab: table.entries[lab].matrices for lab in table.labels})
+    Phi_h = GroupPhase(table, table.matrices)
     a_h = GroupSymbol(table, blocks_a)
     nuclear = homog_nuclear_trace(Phi_h, a_h)
     extras = {
@@ -493,7 +495,7 @@ def _su2_haar_checks(cfg: dict, verb: str) -> tuple:
     # identity-operator trace = sum of squared dimensions
     Phi, a = _su2_identity(quad, cutoff)
     expected = float(sum((t + 1) ** 2 for t in range(cutoff + 1)))
-    trace_gap = abs(group_nuclear_trace(Phi, a, cutoff) - expected)
+    trace_gap = abs(group_nuclear_trace(Phi, a) - expected)
     checks.append(("identity_trace", trace_gap, 1e-6))
 
     s3 = s3_quadrature(_count(cfg, "s3_resolution", 48, 4))

@@ -218,7 +218,7 @@ class SampledField:
 
     * a :class:`UniformGrid` (boxes in R^n, the periodic torus);
     * a ``lattice.LatticeWindow`` (Z^n; unit weights, so sums stay plain sums);
-    * a ``group.GroupQuadrature`` (Haar nodes on SU(2)).
+    * a ``group.GroupQuadrature`` or ``homog.ClassIIrrepTable`` (Haar nodes on G or G/K).
 
     values are stored flat, aligned with the domain's nodes.
     """

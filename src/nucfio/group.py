@@ -20,9 +20,9 @@ within 1e-13 * sum(w) * max|a|, an exact trace-kernel diagonal). SU(2) is the
 K = {e} instance of the class-I table kernel below. Its domain is anything with
 ``size``, ``weights`` and ``irrep(label) -> (label, dim, k_inv, matrices)``: a
 ``GroupQuadrature`` (k_inv = dim) or a ``homog.ClassIIrrepTable``. One symbol
-class and one phase class (``GroupSymbol``, ``GroupPhase``) and one set of
-kernel functions serve both, so the K = {e} degeneration is bit-for-bit by
-construction.
+class and one phase class (``GroupSymbol``, ``GroupPhase``) and the five
+``group_*`` functions serve both, so the K = {e} degeneration is bit-for-bit
+by construction.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ __all__ = [
     "wigner_matrix",
     "euler_from_su2",
     "su2_irrep_table",
-    "su2_fourier",
+    "group_fourier",
     "su2_character",
     "identity_phase",
     "group_fio_apply",
@@ -68,7 +68,6 @@ __all__ = [
     "torus_nuclear_trace",
     "torus_matrix",
     "class_i_mask",
-    "dual_trace_sum",
     "unitarity_defect",
 ]
 
@@ -311,11 +310,6 @@ def su2_character(quad: GroupQuadrature, twoL: int) -> np.ndarray:
     return np.einsum("nii->n", T)
 
 
-def su2_fourier(f_values: np.ndarray, quad: GroupQuadrature, twoL: int) -> np.ndarray:
-    """fhat(l) = sum_n w_n f_n t_l(x_n)^*, the matrix Fourier coefficient."""
-    return _table_fourier(f_values, quad.weights, quad.irrep(twoL)[3])
-
-
 # -- the class-I table kernel -------------------------------------------------
 
 
@@ -383,49 +377,9 @@ def _table_fourier(f_values: np.ndarray, weights: np.ndarray, T: np.ndarray) -> 
     return np.einsum("n,nji->ij", weights * f, T.conj())
 
 
-def _table_apply(weights: np.ndarray, tables: dict, Phi_blocks: dict, a_blocks: dict, f_values):
-    """(Ff)(x) = sum_l d_l Tr[Phi(x,l) a(x,l) fhat(l)] at every node."""
-    f = np.asarray(f_values, dtype=complex).reshape(-1)
-    out = np.zeros(weights.shape[0], dtype=complex)
-    for label in sorted(a_blocks):
-        T = tables[label]
-        fhat = _table_fourier(f, weights, T)
-        out += T.shape[1] * np.einsum("nij,njk,ki->n", Phi_blocks[label], a_blocks[label], fhat)
-    return out
-
-
-def _table_synthesis(Phi: GroupPhase, terms) -> GroupSymbol:
-    """a(x,l) = mask_k [ Phi(x,l)^{-1} sum_k h_k(x) (F conj(g_k))(l)^* ] on
-    the phase's domain; the factor pairs (h_k, g_k) are fields on its nodes.
-
-    The mask to the leading k_inv x k_inv corner removes nothing where
-    k_inv = d, as for every group label.
-    """
-    domain, blocks = Phi.domain, {}
-    for label, d, k, T in map(domain.irrep, Phi.labels):
-        S = np.zeros((domain.size, d, d), dtype=complex)
-        for h, g in terms:
-            ghat = _table_fourier(np.conj(g.values), domain.weights, T)
-            S += h.values[:, None, None] * ghat.conj().T[None, :, :]
-        S = np.linalg.solve(Phi.blocks[label], S)  # drop the right-hand side before the mask copies
-        blocks[label] = class_i_mask(S, k)
-    return GroupSymbol(domain, blocks)
-
-
-def dual_trace_sum(weights: np.ndarray, tables: dict, Phi_blocks: dict, a_blocks: dict) -> complex:
-    """sum_x w(x) sum_l d_l Tr[t_l(x)^* Phi(x,l) a(x,l)].
-
-    Shared reduction kernel: the compact-group trace and the homogeneous-
-    space trace both route through here, so the K = {e} degeneration is
-    bit-for-bit rather than merely close.
-    """
-    parts = []
-    for twoL in sorted(a_blocks):
-        T = tables[twoL]
-        v = np.einsum("nji,njk,nki->n", T.conj(), Phi_blocks[twoL], a_blocks[twoL])
-        d = T.shape[1]
-        parts.append(d * complex(ksum(weights * v)))
-    return complex(ksum(np.asarray(parts)))
+def group_fourier(f_values: np.ndarray, domain, label) -> np.ndarray:
+    """fhat(l) = sum_n w_n f_n t_l(x_n)^*, the matrix Fourier coefficient."""
+    return _table_fourier(f_values, domain.weights, domain.irrep(label)[3])
 
 
 # -- matrix-valued phases and symbols ----------------------------------------
@@ -451,9 +405,6 @@ class GroupSymbol:
     def labels(self) -> list:
         return sorted(self.blocks)
 
-    def max_label(self) -> int:
-        return max(self.blocks)
-
 
 @dataclass(frozen=True, eq=False)
 class GroupPhase(GroupSymbol):
@@ -474,52 +425,55 @@ def identity_phase(quad: GroupQuadrature, cutoff_twoL: int) -> GroupPhase:
     return GroupPhase(quad, {t: su2_irrep_table(quad, t) for t in range(cutoff + 1)})
 
 
-def _require_cutoff(sym: GroupSymbol, cutoff_twoL: int | None, what: str) -> None:
-    if cutoff_twoL is not None and sym.max_label() > cutoff_twoL:
-        raise ValidationError(
-            f"{what}: symbol carries label twoL={sym.max_label()} above the "
-            f"cutoff twoL={cutoff_twoL}"
-        )
-
-
-def _pair_tables(what: str, Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None) -> dict:
-    """Representation tables, label -> (N, d, d), of a phase and a symbol on
-    one domain with the same labels (none above the cutoff, when given)."""
+def _pair_tables(what: str, Phi: GroupPhase, a: GroupSymbol) -> dict:
+    """Representation tables, label -> (N, d, d), of a phase and a symbol on one domain and label set."""
     if Phi.domain is not a.domain:
         raise ValidationError(f"{what}: phase and symbol use different quadratures or tables")
     if Phi.labels != a.labels:
         raise ValidationError(f"{what}: phase labels {Phi.labels} differ from symbol labels {a.labels}")
-    _require_cutoff(a, cutoff_twoL, what)
     return {label: a.domain.irrep(label)[3] for label in a.labels}
 
 
-def group_fio_apply(
-    Phi: GroupPhase, a: GroupSymbol, f_values: np.ndarray, cutoff_twoL: int | None = None
-) -> np.ndarray:
+def group_fio_apply(Phi: GroupPhase, a: GroupSymbol, f_values: np.ndarray) -> np.ndarray:
     """(Ff)(x) = sum_l d_l Tr[Phi(x,l) a(x,l) fhat(l)] at every node."""
-    tables = _pair_tables("group_fio_apply", Phi, a, cutoff_twoL)
-    return _table_apply(a.domain.weights, tables, Phi.blocks, a.blocks, f_values)
+    tables = _pair_tables("group_fio_apply", Phi, a)
+    weights, f = a.domain.weights, np.asarray(f_values, dtype=complex).reshape(-1)
+    out = np.zeros(weights.shape[0], dtype=complex)
+    for label, T in tables.items():
+        fhat = _table_fourier(f, weights, T)
+        out += T.shape[1] * np.einsum("nij,njk,ki->n", Phi.blocks[label], a.blocks[label], fhat)
+    return out
 
 
-def group_nuclear_trace(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None) -> complex:
+def group_nuclear_trace(Phi: GroupPhase, a: GroupSymbol) -> complex:
     """Haar integral of sum_l d_l Tr[t_l(x)^* Phi(x,l) a(x,l)]."""
-    tables = _pair_tables("group_nuclear_trace", Phi, a, cutoff_twoL)
-    return dual_trace_sum(a.domain.weights, tables, Phi.blocks, a.blocks)
+    tables = _pair_tables("group_nuclear_trace", Phi, a)
+    parts = []
+    for label, T in tables.items():
+        v = np.einsum("nji,njk,nki->n", T.conj(), Phi.blocks[label], a.blocks[label])
+        parts.append(T.shape[1] * complex(ksum(a.domain.weights * v)))
+    return complex(ksum(np.asarray(parts)))
 
 
-def group_symbol_from_decomposition(
-    Phi: GroupPhase, d: RankOneSequence, cutoff_twoL: int | None = None
-) -> GroupSymbol:
-    """a(x, l) = Phi(x, l)^{-1} sum_k h_k(x) (F_G conj(g_k))(l)^*.
+def group_symbol_from_decomposition(Phi: GroupPhase, d: RankOneSequence) -> GroupSymbol:
+    """a(x, l) = mask_k [ Phi(x, l)^{-1} sum_k h_k(x) (F conj(g_k))(l)^* ].
 
     With this symbol the operator's kernel is sum_k h_k(x) g_k(y) (no
     conjugate on g in the kernel; the conjugations inside the transform and
-    the adjoint cancel). The factors are fields on the phase's quadrature.
+    the adjoint cancel). The factors are fields on the phase's domain. The
+    mask to the k_inv x k_inv corner removes nothing on a group (k_inv = d).
     """
-    _require_cutoff(Phi, cutoff_twoL, "group_symbol_from_decomposition")
     for grid in (d.h_grid, d.g_grid):
         require_same_grid(grid, Phi.domain, "group_symbol_from_decomposition")
-    return _table_synthesis(Phi, d.terms)
+    domain, blocks = Phi.domain, {}
+    for label, dim, k, T in map(domain.irrep, Phi.labels):
+        S = np.zeros((domain.size, dim, dim), dtype=complex)
+        for h, g in d.terms:
+            ghat = _table_fourier(np.conj(g.values), domain.weights, T)
+            S += h.values[:, None, None] * ghat.conj().T[None, :, :]
+        S = np.linalg.solve(Phi.blocks[label], S)  # drop the right-hand side before the mask copies
+        blocks[label] = class_i_mask(S, k)
+    return GroupSymbol(domain, blocks)
 
 
 # Basis columns per operator application pass, and quadrature nodes per
@@ -528,7 +482,7 @@ _MATRIX_COLUMNS = 8
 _MATRIX_NODES = 128
 
 
-def group_matrix(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None) -> np.ndarray:
+def group_matrix(Phi: GroupPhase, a: GroupSymbol) -> np.ndarray:
     """Dense matrix of the operator on the band-limited Peter-Weyl basis.
 
     Basis functions sqrt(d_l) t_l(x)_{ij} for every carried label, ordered by
@@ -542,7 +496,7 @@ def group_matrix(Phi: GroupPhase, a: GroupSymbol, cutoff_twoL: int | None = None
     values are formed from the cached tables chunk by chunk, never as a
     whole (N, dim) array.
     """
-    weights, tables = a.domain.weights, _pair_tables("group_matrix", Phi, a, cutoff_twoL)
+    weights, tables = a.domain.weights, _pair_tables("group_matrix", Phi, a)
     n = a.domain.size
     flat = [(np.sqrt(T.shape[1]), T.reshape(n, -1)) for T in tables.values()]
     columns = [(s, Tf[:, k]) for s, Tf in flat for k in range(Tf.shape[1])]

@@ -9,10 +9,10 @@ outside the block are bit-zero, and masking twice changes nothing).
 With K = {e} every k_pi equals d_pi, the mask is the identity, and the
 machinery degenerates to the compact-group module. A table is one more domain
 of the class-I table kernel in ``group``: symbols and phases on G/K are
-``GroupSymbol`` and ``GroupPhase`` over a table (symbol blocks masked to the
-invariant corner by ``group.class_i_mask``, phase blocks full), and the
-Fourier coefficients, application, synthesis and ``dual_trace_sum`` are
-shared, so the degeneration is bit-for-bit by construction.
+``GroupSymbol`` and ``GroupPhase`` over a table (symbol blocks masked by
+``group.class_i_mask``, phase blocks full), and the ``group_*`` functions
+run on it, decomposition factors being fields on the table. So the
+degeneration is bit-for-bit by construction.
 
 The concrete non-abelian instance is SU(3) in the eight-angle product
 parametrization (three theta axes on [0, pi/2], five phi axes on [0, 2*pi],
@@ -35,28 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
-from .grids import UniformGrid, ksum, require_same_grid, validate_range
+from .grids import UniformGrid, ksum, validate_range
 from .group import (
     GroupPhase,
     GroupQuadrature,
     GroupSymbol,
     _leggauss_ab,
-    _pair_tables,
-    _table_apply,
-    _table_fourier,
-    _table_synthesis,
-    dual_trace_sum,
+    group_nuclear_trace,
     torus_freqs,
     unitarity_defect,
 )
-from .nuclear import RankOneSequence
 
 __all__ = [
-    "IrrepEntry",
     "ClassIIrrepTable",
-    "homog_fourier",
-    "homog_fio_apply",
-    "homog_symbol_from_decomposition",
     "homog_nuclear_trace",
     "homog_mixed_norm",
     "dual_lp_norm",
@@ -74,67 +65,38 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class IrrepEntry:
-    """One irreducible representation: label, dimension, K-invariant count,
-    and its unitary matrices at every quadrature node."""
-
-    label: object
-    dim: int
-    k_inv: int
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError(f"irrep dimension {self.dim} < 1")
-        if not (1 <= self.k_inv <= self.dim):
-            raise DomainError(
-                f"k_inv = {self.k_inv} outside [1, {self.dim}] for label {self.label!r}"
-            )
-        M = np.asarray(self.matrices, dtype=complex)
-        if M.ndim != 3 or M.shape[1:] != (self.dim, self.dim):
-            raise ShapeError(
-                f"irrep {self.label!r} matrices have shape {M.shape}, expected "
-                f"(N, {self.dim}, {self.dim})"
-            )
-        defect = unitarity_defect(M)
-        if defect > 1e-10:
-            raise ValidationError(
-                f"irrep {self.label!r} table is not unitary: defect {defect:.3e} > 1e-10"
-            )
-        object.__setattr__(self, "matrices", M)
-
-
-@dataclass(frozen=True, eq=False)
 class ClassIIrrepTable:
-    """Haar weights plus the family of class-I irrep entries, keyed by label.
-
-    Labels must sort (ints or tuples); iteration over them is always in
-    sorted order so reductions are reproducible.
-    """
+    """Haar weights plus the class-I irreps by label: ``matrices[label]`` is
+    the unitary (N, d, d) table at the nodes, ``k_inv[label]`` the number of
+    K-invariant vectors, 1 <= k_inv <= d. Labels must sort (ints or tuples);
+    reductions iterate them in sorted order, so they are reproducible."""
 
     weights: np.ndarray
-    entries: dict
+    matrices: dict
+    k_inv: dict
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         total = float(ksum(w))
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"Haar weights sum to {total!r}, not 1")
-        ent = {}
-        for label in sorted(self.entries):
-            e = self.entries[label]
-            if e.label != label:
-                raise ValidationError(f"entry key {label!r} != entry label {e.label!r}")
-            if e.matrices.shape[0] != w.shape[0]:
-                raise ShapeError(
-                    f"irrep {label!r} has {e.matrices.shape[0]} node matrices for "
-                    f"{w.shape[0]} quadrature nodes"
-                )
-            ent[label] = e
-        if not ent:
-            raise ValidationError("table needs at least one irrep entry")
+        if set(self.matrices) != set(self.k_inv):
+            raise ValidationError(f"matrix labels {sorted(self.matrices)} != k_inv labels {sorted(self.k_inv)}")
+        if not self.matrices:
+            raise ValidationError("table needs at least one irrep")
+        matrices = {}
+        for label in sorted(self.matrices):
+            M = matrices[label] = np.asarray(self.matrices[label], dtype=complex)
+            if M.ndim != 3 or M.shape[0] != w.shape[0] or M.shape[1] != M.shape[2]:
+                raise ShapeError(f"irrep {label!r} matrices have shape {M.shape}, expected ({w.shape[0]}, d, d)")
+            if not (1 <= self.k_inv[label] <= M.shape[1]):
+                raise DomainError(f"k_inv = {self.k_inv[label]} outside [1, {M.shape[1]}] for label {label!r}")
+            defect = unitarity_defect(M)
+            if defect > 1e-10:
+                raise ValidationError(f"irrep {label!r} table is not unitary: defect {defect:.3e} > 1e-10")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "k_inv", dict(self.k_inv))
 
     @property
     def size(self) -> int:
@@ -142,48 +104,19 @@ class ClassIIrrepTable:
 
     @property
     def labels(self) -> list:
-        return sorted(self.entries)
+        return sorted(self.matrices)
 
     def irrep(self, label) -> tuple:
-        """(label, dim, k_inv, matrices) of one entry."""
-        if label not in self.entries:
+        """(label, dim, k_inv, matrices) of one irrep."""
+        if label not in self.matrices:
             raise ValidationError(f"block label {label!r} is not in the irrep table")
-        e = self.entries[label]
-        return e.label, e.dim, e.k_inv, e.matrices
-
-
-def homog_fourier(f_values: np.ndarray, table: ClassIIrrepTable, label) -> np.ndarray:
-    """fhat(pi) = sum_x w(x) f(x) pi(x)^*."""
-    return _table_fourier(f_values, table.weights, table.irrep(label)[3])
-
-
-def homog_fio_apply(Phi: GroupPhase, a: GroupSymbol, f_values: np.ndarray) -> np.ndarray:
-    """(Ff)(x) = sum_pi d_pi Tr[Phi(x,pi) a(x,pi) fhat(pi)]."""
-    tables = _pair_tables("homog_fio_apply", Phi, a)
-    return _table_apply(a.domain.weights, tables, Phi.blocks, a.blocks, f_values)
-
-
-def homog_symbol_from_decomposition(Phi: GroupPhase, d: RankOneSequence) -> GroupSymbol:
-    """a(x,pi) = mask_k [ Phi(x,pi)^{-1} sum_k h_k(x) (F conj(g_k))(pi)^* ].
-
-    For genuinely K-invariant data the mask removes nothing; it enforces the
-    class-I support rule on the stored blocks either way. The mask never
-    touches Phi. The factors are fields on one quadrature of the table's size.
-    """
-    require_same_grid(d.h_grid, d.g_grid, "homog_symbol_from_decomposition")
-    if d.h_grid.size != Phi.domain.size:
-        raise ValidationError("decomposition sample count differs from the table")
-    return _table_synthesis(Phi, d.terms)
+        return label, self.matrices[label].shape[1], self.k_inv[label], self.matrices[label]
 
 
 def homog_nuclear_trace(Phi: GroupPhase, a: GroupSymbol) -> complex:
-    """int_M sum_pi d_pi Tr[pi(x)^* Phi(x,pi) a(x,pi)] dx.
-
-    Routed through the same reduction kernel as the compact-group trace, so
-    a K = {e} table reproduces that module's result bit-for-bit.
-    """
-    tables = _pair_tables("homog_nuclear_trace", Phi, a)
-    return dual_trace_sum(a.domain.weights, tables, Phi.blocks, a.blocks)
+    """int_M sum_pi d_pi Tr[pi(x)^* Phi(x,pi) a(x,pi)] dx: ``group_nuclear_trace``
+    on the table, so a K = {e} table gives the group trace bit for bit."""
+    return group_nuclear_trace(Phi, a)
 
 
 def dual_lp_norm(coeffs: dict, table: ClassIIrrepTable, p: float) -> float:
@@ -218,22 +151,21 @@ def homog_mixed_norm(a: GroupSymbol, p1: float, p2: float) -> float:
 
 def table_from_su2(quad: GroupQuadrature, cutoff_twoL: int) -> ClassIIrrepTable:
     """K = {e} table over an SU(2) quadrature: k_pi = d_pi for every label."""
-    entries = {twoL: IrrepEntry(*quad.irrep(twoL)) for twoL in range(int(cutoff_twoL) + 1)}
-    return ClassIIrrepTable(quad.weights, entries)
+    matrices = {twoL: quad.irrep(twoL)[3] for twoL in range(int(cutoff_twoL) + 1)}
+    return ClassIIrrepTable(quad.weights, matrices, {twoL: twoL + 1 for twoL in matrices})
 
 
 def table_from_torus(x_grid: UniformGrid, cutoff: int) -> ClassIIrrepTable:
-    """Torus-as-homogeneous-space: characters as 1x1 entries, k_pi = 1."""
+    """Torus-as-homogeneous-space: characters as 1x1 irreps, k_pi = 1."""
     if not x_grid.periodic:
         raise ValidationError("torus table needs a periodic grid")
     freqs = torus_freqs(cutoff, x_grid.dim)
     # weights on [0,1)^n already sum to 1 (normalized Haar on the torus)
-    entries = {}
+    matrices = {}
     for ell in freqs:
         chars = np.exp(2j * np.pi * (x_grid.nodes @ ell))
-        label = tuple(int(v) for v in ell)
-        entries[label] = IrrepEntry(label, 1, 1, chars.reshape(-1, 1, 1))
-    return ClassIIrrepTable(x_grid.weights, entries)
+        matrices[tuple(int(v) for v in ell)] = chars.reshape(-1, 1, 1)
+    return ClassIIrrepTable(x_grid.weights, matrices, dict.fromkeys(matrices, 1))
 
 
 # -- SU(3) --------------------------------------------------------------------

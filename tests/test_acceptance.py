@@ -230,7 +230,7 @@ def test_criterion_5_su2_suite(capsys):
         t: np.broadcast_to(np.eye(t + 1, dtype=complex), (quad.size, t + 1, t + 1)).copy()
         for t in range(cutoff + 1)
     }
-    tr = group_nuclear_trace(identity_phase(quad, cutoff), GroupSymbol(quad, blocks), cutoff)
+    tr = group_nuclear_trace(identity_phase(quad, cutoff), GroupSymbol(quad, blocks))
     ok = ok and abs(tr - 14.0) < 1e-6  # [DERIVED] 1 + 4 + 9
 
     s3 = s3_quadrature(48)
@@ -250,10 +250,10 @@ def test_criterion_6_homogeneous_degeneration(capsys):
         for t in table.labels
     }
     th = homog_nuclear_trace(
-        GroupPhase(table, {t: table.entries[t].matrices for t in table.labels}),
+        GroupPhase(table, table.matrices),
         GroupSymbol(table, blocks_a),
     )
-    tg = group_nuclear_trace(identity_phase(quad, cutoff), GroupSymbol(quad, blocks_a), cutoff)
+    tg = group_nuclear_trace(identity_phase(quad, cutoff), GroupSymbol(quad, blocks_a))
     bitwise = th == tg
     ok = bitwise and abs(th - tg) < 1e-10 and abs(th - 14.0) < 1e-6
 

@@ -3,13 +3,16 @@
 Every name in a module's ``__all__`` must exist, and every function the
 benchmark's traced worker wraps (``bench/spans.py``, as "module:qualname")
 must exist, so deleting or renaming one fails here rather than in a traced
-benchmark run. Each public object has one public name, and every name the
-demos import from the package resolves.
+benchmark run. Each public object has one public name, every name the
+demos import from the package resolves, and the compact-group demos run.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,15 @@ def test_demo_imports_resolve(demo):
             module = importlib.import_module(node.module)
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", ["04_rotation_group.py", "05_homogeneous_space.py"])
+def test_compact_demo_runs(demo, tmp_path):
+    # run, not parsed: a changed call signature fails here, which the import
+    # check above cannot see; each takes about a second
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -314,6 +314,17 @@ def test_lattice_p_next_to_a_decomposition_is_exit_2(tmp_path, capsys):
     assert run(tmp_path, "trace", cfg) == 0
 
 
+def test_euclid_decomposition_r_is_exit_2(tmp_path, capsys):
+    # euclid takes the summability order r from "p", so a decomposition's "r"
+    # would be ignored
+    cfg = euclid_cfg()
+    cfg["decomposition"]["r"] = 0.5
+    assert run(tmp_path, "trace", cfg) == 2
+    assert "follows from 'p'" in capsys.readouterr().err
+    del cfg["decomposition"]["r"]
+    assert run(tmp_path, "trace", cfg) == 0
+
+
 def test_memory_error_is_exit_2(tmp_path, capsys, monkeypatch):
     def too_large(cfg, verb, tolerance=None):
         raise MemoryError("Unable to allocate 8.00 TiB")

@@ -40,7 +40,6 @@ BASES = {
         "decomposition": {
             "p1": 2.0,
             "p2": 2.0,
-            "r": 1.0,
             "terms": [
                 {"h": _GAUSS, "g": {"family": "delta", "node": 40}},
                 {"h": {"family": "hermite", "k": 1}, "g": {"family": "random_mix", "terms": 1}},
@@ -79,6 +78,7 @@ BASES = {
         "cutoff_twoL": 1,
         "quadrature": {"n_alpha": 8, "n_beta": 8, "n_gamma": 16},
         "decomposition": {
+            "r": 1.0,
             "terms": [
                 {"h": {"family": "matrix_entry", "twoL": 1, "i": 0, "j": 1}, "g": {"family": "random_bandlimited"}},
                 {"h": _CONST, "g": _CONST},

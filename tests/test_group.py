@@ -21,7 +21,7 @@ from nucfio.group import (
     s3_quadrature,
     s3_su2_points,
     su2_character,
-    su2_fourier,
+    group_fourier,
     su2_haar_quadrature,
     su2_irrep_table,
     torus_fourier,
@@ -157,7 +157,7 @@ def test_fourier_inversion_on_bandlimited(quad):
     cutoff = 2
     f = bandlimited(quad, rng, cutoff)
     Phi = identity_phase(quad, cutoff)
-    out = group_fio_apply(Phi, identity_symbol(quad, cutoff), f, cutoff)
+    out = group_fio_apply(Phi, identity_symbol(quad, cutoff), f)
     assert np.abs(out - f).max() < 1e-9
 
 
@@ -165,11 +165,11 @@ def test_fourier_coefficient_orthogonality(quad):
     # [DERIVED] sqrt(d) T_ij picks out the single matrix entry (j, i) / sqrt(d)
     T = su2_irrep_table(quad, 2)
     f = np.sqrt(3.0) * T[:, 0, 1]
-    fhat = su2_fourier(f, quad, 2)
+    fhat = group_fourier(f, quad, 2)
     want = np.zeros((3, 3), dtype=complex)
     want[1, 0] = 1.0 / np.sqrt(3.0)
     assert np.abs(fhat - want).max() < 1e-12
-    assert np.abs(su2_fourier(f, quad, 1)).max() < 1e-12
+    assert np.abs(group_fourier(f, quad, 1)).max() < 1e-12
 
 
 def test_identity_operator_trace(quad):
@@ -177,8 +177,8 @@ def test_identity_operator_trace(quad):
     Phi = identity_phase(quad, cutoff)
     a = identity_symbol(quad, cutoff)
     # [DERIVED] sum of squared dimensions: 1 + 4 + 9 = 14
-    assert abs(group_nuclear_trace(Phi, a, cutoff) - 14.0) < 1e-10
-    M = group_matrix(Phi, a, cutoff)
+    assert abs(group_nuclear_trace(Phi, a) - 14.0) < 1e-10
+    M = group_matrix(Phi, a)
     assert M.shape == (14, 14)
     assert np.abs(M - np.eye(14)).max() < 1e-10
     ev = dense_eigenvalues(M)
@@ -193,7 +193,7 @@ def test_group_matrix_peak_memory(quad):
     a = identity_symbol(quad, cutoff)
     tracemalloc.start()
     try:
-        M = group_matrix(Phi, a, cutoff)
+        M = group_matrix(Phi, a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,10 +214,10 @@ def test_synthesis_reproduces_delgado(quad):
         1.0,
     )
     Phi = identity_phase(quad, cutoff)
-    a = group_symbol_from_decomposition(Phi, d, cutoff)
+    a = group_symbol_from_decomposition(Phi, d)
     want = delgado_trace(d)
-    assert group_nuclear_trace(Phi, a, cutoff) == pytest.approx(want, abs=1e-9)
-    assert matrix_trace(group_matrix(Phi, a, cutoff)) == pytest.approx(want, abs=1e-9)
+    assert group_nuclear_trace(Phi, a) == pytest.approx(want, abs=1e-9)
+    assert matrix_trace(group_matrix(Phi, a)) == pytest.approx(want, abs=1e-9)
 
 
 def test_singular_phase_rejected(quad):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nucfio.errors import DomainError, ValidationError
+from nucfio.errors import DomainError, GridMismatchError, ShapeError, ValidationError
 from nucfio.grids import SampledField, UniformGrid, ksum
 from nucfio.euclid import PhaseSpec
 from nucfio.group import (
@@ -12,6 +12,8 @@ from nucfio.group import (
     TorusSymbol,
     class_i_mask,
     group_fio_apply,
+    group_fourier,
+    group_matrix,
     group_nuclear_trace,
     group_symbol_from_decomposition,
     identity_phase,
@@ -22,13 +24,9 @@ from nucfio.group import (
 )
 from nucfio.homog import (
     ClassIIrrepTable,
-    IrrepEntry,
     dual_lp_norm,
-    homog_fio_apply,
-    homog_fourier,
     homog_mixed_norm,
     homog_nuclear_trace,
-    homog_symbol_from_decomposition,
     su3_dim,
     su3_fundamental_batch,
     su3_haar_quadrature,
@@ -38,6 +36,7 @@ from nucfio.homog import (
     table_from_torus,
 )
 from nucfio.nuclear import RankOneSequence
+from nucfio.numerics import matrix_trace
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +47,12 @@ def quad():
 @pytest.fixture(scope="module")
 def table(quad):
     return table_from_su2(quad, 2)
+
+
+def on_domain(domain, pairs):
+    """The rank-one decomposition with factor values ``pairs`` as fields on ``domain``."""
+    terms = tuple((SampledField(domain, h), SampledField(domain, g)) for h, g in pairs)
+    return RankOneSequence(terms, 2.0, 2.0, 1.0)
 
 
 def bandlimited(quad, rng, cutoff=2):
@@ -79,11 +84,7 @@ def test_symbol_rejects_support_outside_mask(table, quad):
     }
     blocks[2][:, 2, 2] = 0.0
     blocks[2][0, 2, 0] = 1e-30  # any nonzero value below k rows is illegal once k < dim
-    entries = {
-        t: IrrepEntry(t, t + 1, t + 1 if t != 2 else 2, table.entries[t].matrices)
-        for t in table.labels
-    }
-    small = ClassIIrrepTable(quad.weights, entries)
+    small = ClassIIrrepTable(quad.weights, table.matrices, {0: 1, 1: 2, 2: 2})
     with pytest.raises(ValidationError):
         GroupSymbol(small, blocks)
 
@@ -91,64 +92,81 @@ def test_symbol_rejects_support_outside_mask(table, quad):
 def test_singular_homog_phase_is_condition_error(table, quad):
     from nucfio.errors import ConditionError
 
-    blocks = {t: table.entries[t].matrices.copy() for t in table.labels}
+    blocks = {t: M.copy() for t, M in table.matrices.items()}
     blocks[1][5] = 0.0  # one singular node
     with pytest.raises(ConditionError):
         GroupPhase(table, blocks)
 
 
-def test_irrep_entry_validation(quad):
+def test_table_validation(quad):
     T = su2_irrep_table(quad, 1)
     with pytest.raises(DomainError):
-        IrrepEntry(1, 2, 0, T)
+        ClassIIrrepTable(quad.weights, {1: T}, {1: 0})
     with pytest.raises(DomainError):
-        IrrepEntry(1, 2, 3, T)
+        ClassIIrrepTable(quad.weights, {1: T}, {1: 3})
     with pytest.raises(ValidationError):
-        IrrepEntry(1, 2, 2, 1.7 * T)  # not unitary
+        ClassIIrrepTable(quad.weights, {1: 1.7 * T}, {1: 2})  # not unitary
+    with pytest.raises(ShapeError):
+        ClassIIrrepTable(quad.weights, {1: T[1:]}, {1: 2})  # one node short
+    with pytest.raises(ValidationError):
+        ClassIIrrepTable(quad.weights, {1: T}, {2: 2})  # labels disagree
+    with pytest.raises(ValidationError):
+        ClassIIrrepTable(quad.weights, {}, {})
+    with pytest.raises(ValidationError):
+        ClassIIrrepTable(2.0 * quad.weights, {1: T}, {1: 2})  # weights sum to 2
 
 
 def test_degeneration_matches_group_bitwise(quad, table):
     # trivial subgroup: the restricted trace must equal the group trace
     # bit for bit, both routes sharing one reduction kernel
-    blocks_phi = {t: table.entries[t].matrices for t in table.labels}
     blocks_a = {
         t: np.broadcast_to(np.eye(t + 1, dtype=complex), (quad.size, t + 1, t + 1)).copy()
         for t in table.labels
     }
-    th = homog_nuclear_trace(GroupPhase(table, blocks_phi), GroupSymbol(table, blocks_a))
-    tg = group_nuclear_trace(identity_phase(quad, 2), GroupSymbol(quad, blocks_a), 2)
+    th = homog_nuclear_trace(GroupPhase(table, table.matrices), GroupSymbol(table, blocks_a))
+    tg = group_nuclear_trace(identity_phase(quad, 2), GroupSymbol(quad, blocks_a))
     assert th == tg
 
 
 def test_degeneration_synthesis_and_apply(quad, table):
+    # the same factor values as fields on the table and on the quadrature
     rng = np.random.default_rng(3)
-    d = RankOneSequence(
-        tuple(
-            (SampledField(quad, bandlimited(quad, rng)), SampledField(quad, bandlimited(quad, rng)))
-            for _ in range(2)
-        ),
-        2.0,
-        2.0,
-        1.0,
-    )
-    Phi_h = GroupPhase(table, {t: table.entries[t].matrices for t in table.labels})
-    a_h = homog_symbol_from_decomposition(Phi_h, d)
+    pairs = [(bandlimited(quad, rng), bandlimited(quad, rng)) for _ in range(2)]
+    Phi_h = GroupPhase(table, table.matrices)
+    a_h = group_symbol_from_decomposition(Phi_h, on_domain(table, pairs))
     Phi_g = identity_phase(quad, 2)
-    a_g = group_symbol_from_decomposition(Phi_g, d, 2)
-    assert homog_nuclear_trace(Phi_h, a_h) == group_nuclear_trace(Phi_g, a_g, 2)
+    a_g = group_symbol_from_decomposition(Phi_g, on_domain(quad, pairs))
+    assert homog_nuclear_trace(Phi_h, a_h) == group_nuclear_trace(Phi_g, a_g)
     f = bandlimited(quad, rng)
-    out_h = homog_fio_apply(Phi_h, a_h, f)
-    out_g = group_fio_apply(Phi_g, a_g, f, 2)
+    out_h = group_fio_apply(Phi_h, a_h, f)
+    out_g = group_fio_apply(Phi_g, a_g, f)
     assert np.array_equal(out_h, out_g)
+
+
+def test_synthesis_on_a_table_with_a_smaller_invariant_corner(quad, table):
+    # label 2 keeps a 2 x 2 corner of its 3 x 3 blocks, so the mask drops entries
+    k_inv = {0: 1, 1: 2, 2: 2}
+    small = ClassIIrrepTable(quad.weights, table.matrices, k_inv)
+    rng = np.random.default_rng(4)
+    pairs = [(bandlimited(quad, rng), bandlimited(quad, rng)) for _ in range(2)]
+    Phi = GroupPhase(small, small.matrices)
+    a = group_symbol_from_decomposition(Phi, on_domain(small, pairs))
+    full = group_symbol_from_decomposition(GroupPhase(table, table.matrices), on_domain(table, pairs))
+    assert np.abs(full.blocks[2][:, 2, :]).max() > 0.1
+    for t, k in k_inv.items():
+        assert np.array_equal(a.blocks[t], class_i_mask(full.blocks[t], k))
+    assert group_nuclear_trace(Phi, a) == pytest.approx(matrix_trace(group_matrix(Phi, a)), abs=1e-9)
+    # factors on the quadrature have the table's size and weights, but not its domain
+    with pytest.raises(GridMismatchError):
+        group_symbol_from_decomposition(Phi, on_domain(quad, pairs))
 
 
 def test_torus_degeneration():
     x_grid = UniformGrid.torus(32, 1)
     cutoff = 2
     tab = table_from_torus(x_grid, cutoff)
-    blocks_phi = {lab: tab.entries[lab].matrices for lab in tab.labels}
     blocks_a = {lab: np.ones((x_grid.size, 1, 1), dtype=complex) for lab in tab.labels}
-    th = homog_nuclear_trace(GroupPhase(tab, blocks_phi), GroupSymbol(tab, blocks_a))
+    th = homog_nuclear_trace(GroupPhase(tab, tab.matrices), GroupSymbol(tab, blocks_a))
     n_freq = torus_freqs(cutoff, 1).shape[0]
     a_t = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, n_freq), dtype=complex))
     tt = torus_nuclear_trace(PhaseSpec.linear(), a_t)
@@ -177,10 +195,8 @@ def test_homog_mixed_norm_identity(quad, table):
 def test_homog_fourier_matches_group(quad, table):
     rng = np.random.default_rng(5)
     f = bandlimited(quad, rng)
-    from nucfio.group import su2_fourier
-
     for t in table.labels:
-        assert np.array_equal(homog_fourier(f, table, t), su2_fourier(f, quad, t))
+        assert np.array_equal(group_fourier(f, table, t), group_fourier(f, quad, t))
 
 
 # -- su3 ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from nucfio.group import (
     torus_freqs,
     torus_matrix,
 )
-from nucfio.homog import ClassIIrrepTable, IrrepEntry
+from nucfio.homog import ClassIIrrepTable
 from nucfio.lattice import LatticeSymbol, LatticeWindow, lattice_matrix
 
 
@@ -92,7 +92,7 @@ def test_group_matrix_matches_per_entry_loop(small_quad):
         for t in labels
     }
     for Phi in (identity_phase(small_quad, cutoff), GroupPhase(small_quad, near)):
-        M = group_matrix(Phi, a, cutoff)
+        M = group_matrix(Phi, a)
         assert M.shape == (14, 14)
         assert np.array_equal(M, per_entry_group_matrix(Phi, a))
 
@@ -101,9 +101,8 @@ def test_group_matrix_on_a_class_i_table_matches_per_entry_loop(small_quad):
     # label 2 keeps a 2-dimensional invariant corner of its 3x3 blocks
     rng = np.random.default_rng(21)
     k_inv = {0: 1, 1: 2, 2: 2}
-    entries = {t: IrrepEntry(t, t + 1, k, su2_irrep_table(small_quad, t)) for t, k in k_inv.items()}
-    table = ClassIIrrepTable(small_quad.weights, entries)
-    Phi = GroupPhase(table, {t: e.matrices for t, e in entries.items()})
+    table = ClassIIrrepTable(small_quad.weights, {t: su2_irrep_table(small_quad, t) for t in k_inv}, k_inv)
+    Phi = GroupPhase(table, table.matrices)
     blocks = {t: class_i_mask(random_complex(rng, (table.size, t + 1, t + 1)), k) for t, k in k_inv.items()}
     a = GroupSymbol(table, blocks)
     assert np.array_equal(group_matrix(Phi, a), per_entry_group_matrix(Phi, a))
