@@ -282,7 +282,7 @@ def _axis_stencil(grid: UniformGrid, axis: int, coords: np.ndarray):
     return start, weights, inside
 
 
-def interpolate(field_values: np.ndarray, grid: UniformGrid, points: np.ndarray) -> np.ndarray:
+def interpolate(field_values: np.ndarray, grid: UniformGrid, points: np.ndarray, cols=None) -> np.ndarray:
     """Evaluate grid samples at off-grid points.
 
     Tensor-product 4-point Lagrange (cubic) interpolation per axis, exact at
@@ -292,14 +292,17 @@ def interpolate(field_values: np.ndarray, grid: UniformGrid, points: np.ndarray)
     Parameters
     ----------
     field_values : ndarray
-        Flat samples aligned with ``grid.nodes``, or an array whose leading
-        dimension is ``grid.size`` (trailing dimensions ride along).
+        Flat samples aligned with ``grid.nodes``; with ``cols``, a
+        (grid.size, K) table whose rows are aligned with ``grid.nodes``.
     grid : UniformGrid
     points : ndarray, shape (m, dim) or (m,) for 1-d grids
+    cols : ndarray of int, shape (m,), optional
+        Point i reads column ``cols[i]`` of the table, so each point gathers
+        one value per stencil node however wide the table is.
 
     Returns
     -------
-    ndarray, shape (m,) plus any trailing dimensions of ``field_values``.
+    ndarray, shape (m,)
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -307,9 +310,15 @@ def interpolate(field_values: np.ndarray, grid: UniformGrid, points: np.ndarray)
     if pts.shape[1] != grid.dim:
         raise ShapeError(f"points have dim {pts.shape[1]}, grid has dim {grid.dim}")
     vals = np.asarray(field_values)
-    trailing = vals.shape[1:]
     dtype = np.result_type(vals.dtype, float)
-    flat_vals = vals.reshape((grid.size,) + trailing).astype(dtype, copy=False)
+    width = 1 if cols is None else vals.shape[-1]
+    if cols is not None:
+        cols = np.asarray(cols)
+        if vals.shape != (grid.size, width) or cols.shape != pts.shape[:1]:
+            raise ShapeError(f"a {vals.shape} table read at {cols.shape} columns for {pts.shape[0]} points")
+        if cols.size and not (0 <= cols.min() and cols.max() < width):
+            raise ValidationError(f"column indices outside the table's {width} columns")
+    flat_vals = vals.reshape(grid.size * width).astype(dtype, copy=False)
 
     starts, weights, inside = [], [], np.ones(pts.shape[0], dtype=bool)
     for ax in range(grid.dim):
@@ -318,7 +327,7 @@ def interpolate(field_values: np.ndarray, grid: UniformGrid, points: np.ndarray)
         weights.append(w)
         inside &= ins
 
-    out = np.zeros((pts.shape[0],) + trailing, dtype=complex)
+    out = np.zeros(pts.shape[0], dtype=complex)
     # One gather buffer reused for every stencil point; mode="clip" keeps
     # np.take from buffering a second copy (the indices are in range anyway).
     term = np.empty(out.shape, dtype=dtype)
@@ -328,8 +337,11 @@ def interpolate(field_values: np.ndarray, grid: UniformGrid, points: np.ndarray)
         w = weights[0][:, combo[0]]
         for ax in range(1, grid.dim):
             w = w * weights[ax][:, combo[ax]]
-        np.take(flat_vals, np.ravel_multi_index(idx, grid.shape), axis=0, out=term, mode="clip")
-        term *= w.reshape((-1,) + (1,) * len(trailing))
+        flat = np.ravel_multi_index(idx, grid.shape)
+        if cols is not None:
+            flat = flat * width + cols
+        np.take(flat_vals, flat, out=term, mode="clip")
+        term *= w
         out += term
     if not np.all(inside):
         out[~inside] = 0.0

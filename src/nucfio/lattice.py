@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, TruncationError, ValidationError
-from .euclid import PhaseSpec, _abelian_apply, _abelian_synthesis, _abelian_trace
+from .euclid import PhaseSpec, _abelian_apply, _abelian_synthesis, _abelian_trace, _require_phase_density
 from .grids import SampledField, SampledSymbol, UniformGrid, ksum, require_same_grid
 from .nuclear import RankOneSequence
 from .numerics import dft_forward, mixed_norm
@@ -57,6 +57,10 @@ class LatticeWindow:
     @property
     def side(self) -> int:
         return 2 * self.radius + 1
+
+    @property
+    def shape(self) -> tuple:
+        return (self.side,) * self.dim
 
     @property
     def size(self) -> int:
@@ -143,6 +147,8 @@ def lattice_fio_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> Sa
     """out(n') = sum_xi w(xi) e^{i phi(n', xi)} a(n', xi) (F_Z f)(xi)."""
     require_same_grid(f.grid, a.space, "lattice_fio_apply input")
     _check_xi_grid(a.space, a.freq)
+    if phase.kind == "sampled":
+        _require_phase_density(phase, a, "lattice_fio_apply", xi_only=True)
     return _abelian_apply(phase, a, f)
 
 

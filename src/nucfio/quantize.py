@@ -9,12 +9,19 @@ tau in (0, 1] (tau = 0 puts the symbol at the output-independent point y and
 is excluded). tau = 1/2 is the symmetric (Weyl) quantization, tau = 1 the
 x-form whose symbol synthesis matches the plain transform route.
 
-Numerical layout: shift integrals run over an auxiliary z-grid with twice the
-spacing and twice the extent of the x-grid, so the half-shifts x +- z/2 and
-the full shifts x - z land exactly on x-nodes when the node count is odd.
-Points off the lattice (tau not in {1/2, 1}) are evaluated by tensor-product
-cubic interpolation with zero extension outside the box; fields and symbols
-must therefore decay at the box edge, which is enforced at call time.
+Numerical layout: tau_apply and tau_convert contract the symbol's frequency
+axis first, once per call, into a table T(u, z) over the x-nodes u and a
+lattice of shifts z. Interpolation is linear in the samples with weights that
+depend only on the point, so sum_xi w(xi) e^{2*pi*i*z.xi} sigma(P, xi) is T's
+column z read by one cubic stencil at P: each point pair reads one stencil,
+not a whole frequency row. tau_apply's shifts z = x - y live on the
+difference lattice (2n - 1 nodes per axis at the x spacing). tau_convert and
+the synthesis use an auxiliary z-grid with twice the spacing and twice the
+extent of the x-grid, so the half-shifts x +- z/2 and the full shifts x - z
+land exactly on x-nodes when the node count is odd. Points off the lattice
+(tau not in {1/2, 1}) are evaluated by tensor-product cubic interpolation
+with zero extension outside the box; fields and symbols must therefore decay
+at the box edge, which is enforced at call time.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .grids import (
     SampledSymbol,
     UniformGrid,
     interpolate,
-    ksum,
     require_edge_decay,
     require_same_grid,
     validate_range,
@@ -61,29 +67,33 @@ def _validate_tau(tau: float) -> float:
 def tau_apply(sigma: SampledSymbol, tau: float, f: SampledField) -> SampledField:
     """Apply the tau-quantized operator of ``sigma`` to ``f`` by quadrature.
 
-    The symbol is evaluated at tau*x + (1-tau)*y, a convex combination that
-    stays inside the box, via cubic interpolation between x-nodes.
+    The xi-integral is taken first, once per call, on the difference lattice
+    z = x - y of the x-grid: S(u, z) = sum_xi w(xi) e^{2*pi*i*z.xi} sigma(u, xi)
+    at every x-node u. Interpolation is linear in the samples, so each (x, y)
+    pair then reads one cubic stencil of S at u = tau*x + (1-tau)*y (a convex
+    combination that stays inside the box) in the column of its z.
     """
     tau = _validate_tau(tau)
     require_same_grid(f.grid, sigma.space, "tau_apply input")
     xg, xig = sigma.space, sigma.freq
-    Y, XI = xg.nodes, xig.nodes
+    # the difference lattice: 2n-1 nodes per axis at the x spacing, z = 0 in the middle;
+    # x-node i minus y-node j sits at i - j + n - 1 per axis, so its flat index is
+    # flat(i) - flat(j) + flat(n - 1) with both raveled over the lattice's shape
+    n = np.array(xg.shape)
+    zshape = tuple(2 * n - 1)
+    zidx = np.stack(np.unravel_index(np.arange(np.prod(zshape)), zshape), axis=-1)
+    Z = (zidx - (n - 1)) * np.array(xg.spacing)
+    S = np.einsum("uk,zk->uz", sigma.values * xig.weights[None, :], np.exp(2j * np.pi * (Z @ xig.nodes.T)))
+    zflat = np.ravel_multi_index(np.unravel_index(np.arange(xg.size), xg.shape), zshape)
+    center = np.ravel_multi_index(tuple(n - 1), zshape)
+    X = xg.nodes
     wf = xg.weights * f.values
-    # e^{-2 pi i y.xi} carries the y-side of the double integral; the x-side
-    # phase is applied per output row.
-    E0 = np.exp(-2j * np.pi * (Y @ XI.T))
-    wxi = xig.weights
     out = np.empty(xg.size, dtype=complex)
     for s in range(0, xg.size, _X_CHUNK):
         rows = slice(s, min(s + _X_CHUNK, xg.size))
-        Xc = xg.nodes[rows]
-        m = Xc.shape[0]
-        pts = tau * Xc[:, None, :] + (1.0 - tau) * Y[None, :, :]
-        S = interpolate(sigma.values, xg, pts.reshape(-1, xg.dim)).reshape(m, xg.size, xig.size)
-        v = np.einsum("y,myk,yk->mk", wf, S, E0)
-        del S  # free the chunk before the next interpolate allocates its own
-        rowphase = np.exp(2j * np.pi * (Xc @ XI.T))
-        out[rows] = ksum(rowphase * wxi[None, :] * v, axis=1)
+        pts = (tau * X[rows, None, :] + (1.0 - tau) * X[None, :, :]).reshape(-1, xg.dim)
+        cols = (zflat[rows, None] - zflat[None, :] + center).reshape(-1)
+        out[rows] = np.einsum("my,y->m", interpolate(S, xg, pts, cols).reshape(-1, xg.size), wf)
     return SampledField(xg, out)
 
 
@@ -143,9 +153,8 @@ def tau_convert(b: SampledSymbol, tau: float, tau_prime: float) -> SampledSymbol
     delta = tau - tau_prime
     zg = shift_grid(xg)
     Z, wz = zg.nodes, zg.weights
-    ETA = xig.nodes
-    weta = xig.weights
-    E_eta = np.exp(2j * np.pi * (Z @ ETA.T))  # e^{+2 pi i eta.z}
+    # eta first, once per call: B(u, z) = sum_eta w(eta) e^{+2 pi i eta.z} b(u, eta)
+    B = np.einsum("uh,zh->uz", b.values * xig.weights[None, :], np.exp(2j * np.pi * (Z @ xig.nodes.T)))
     E_xi = np.exp(-2j * np.pi * (Z @ xig.nodes.T))  # e^{-2 pi i xi.z}
     out = np.empty((xg.size, xig.size), dtype=complex)
     for s in range(0, xg.size, _X_CHUNK):
@@ -153,9 +162,7 @@ def tau_convert(b: SampledSymbol, tau: float, tau_prime: float) -> SampledSymbol
         Xc = xg.nodes[rows]
         m = Xc.shape[0]
         pts = (Xc[:, None, :] + delta * Z[None, :, :]).reshape(-1, xg.dim)
-        BU = interpolate(b.values, xg, pts).reshape(m, zg.size, xig.size)
-        c = np.einsum("mzh,h,zh->mz", BU, weta, E_eta)
-        del BU  # free the chunk before the next interpolate allocates its own
+        c = interpolate(B, xg, pts, np.tile(np.arange(zg.size), m)).reshape(m, zg.size)
         out[rows] = np.einsum("mz,z,zk->mk", c, wz, E_xi)
     return SampledSymbol(xg, xig, out)
 

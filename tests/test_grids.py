@@ -149,18 +149,23 @@ def test_validate_range_bounds():
         validate_range("tau", 0.0, 0.0, 1.0, include_lo=False)
 
 
-def test_interpolate_peak_memory_is_about_twice_the_output():
-    # the output plus one reused gather buffer; a gather, a weighted copy and
-    # the output alive at once would be three times the output
+def test_interpolate_column_gather_peak_does_not_grow_with_table_width():
+    # each point reads one column, so the peak is a few point-sized arrays
+    # (the output, one reused gather buffer, the stencils), never points x columns
     g = UniformGrid.box(-5.0, 5.0, 201, 1)
     rng = np.random.default_rng(3)
-    vals = rng.standard_normal((g.size, 201)) + 1j * rng.standard_normal((g.size, 201))
     pts = rng.uniform(-5.0, 5.0, size=(2000, 1))
-    tracemalloc.start()
-    try:
-        out = interpolate(vals, g, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (2000, 201)
-    assert peak <= 2.2 * out.nbytes
+    peaks = []
+    for width in (3, 201):
+        vals = rng.standard_normal((g.size, width)) + 1j * rng.standard_normal((g.size, width))
+        cols = rng.integers(0, width, size=2000)
+        tracemalloc.start()
+        try:
+            out = interpolate(vals, g, pts, cols)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2000,)
+    # equal up to interpreter bookkeeping; a (points, width) buffer would be 6.4 MB
+    assert abs(peaks[1] - peaks[0]) < 0.05 * peaks[0]
+    assert peaks[1] <= 8 * out.nbytes

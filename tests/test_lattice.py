@@ -167,3 +167,17 @@ def test_identity_is_exact_at_any_xi_count(xi_count):
     assert lattice_nuclear_trace(phase, a) == complex(w.size)
     assert matrix_trace(M) == complex(w.size)
     assert abs(dense_eigenvalues(M).sum() - w.size) < 1e-12
+
+
+def test_sampled_phase_is_density_checked_on_apply():
+    # 2*pi*n*xi tabulated on 20 xi nodes advances 2*pi*4/20 = 1.26 rad per node
+    # at n = 4, above the 2*pi/8 bound; half of it (0.63 rad) passes, and the
+    # linear phase, which is exact, is not checked
+    w, xi = LatticeWindow(1, 4), UniformGrid.torus(20, 1)
+    a = LatticeSymbol(w, xi, np.ones((w.size, xi.size), dtype=complex))
+    f = SampledField(w, np.ones(w.size))
+    table = 2.0 * np.pi * (w.nodes @ xi.nodes.T)
+    with pytest.raises(ValidationError, match="1.257 rad per node step on axis 1"):
+        lattice_fio_apply(PhaseSpec("sampled", table), a, f)
+    lattice_fio_apply(PhaseSpec("sampled", 0.5 * table), a, f)
+    lattice_fio_apply(PhaseSpec.linear(), a, f)
