@@ -297,12 +297,8 @@ def _run_lattice(cfg: dict, verb: str) -> tuple:
         )
     rng = _rng_for(cfg)
     window = LatticeWindow(_int(cfg, "dim", 1), _int(cfg, "radius"))
-    xi_count = _int(cfg, "xi_count", max(32, window.min_xi_count()))
-    if xi_count < window.min_xi_count():
-        raise ValidationError(
-            f"xi_count = {xi_count} below the exactness threshold {window.min_xi_count()}"
-        )
-    xi_grid = UniformGrid.torus(xi_count, window.dim)
+    xi_grid = UniformGrid.torus(_int(cfg, "xi_count", max(32, window.min_xi_count())), window.dim)
+    window.check_grid(xi_grid, "xi_count")
     phase = _linear_phase(cfg, "lattice")
     a, d = _abelian_operator(
         cfg, "lattice", window, xi_grid,
@@ -318,24 +314,21 @@ def _run_lattice(cfg: dict, verb: str) -> tuple:
     ), []
 
 
-def _torus_grid(cfg: dict, cutoff: int) -> UniformGrid:
-    """The periodic x grid of a torus config; below ``min_xi_count`` nodes per
-    axis it aliases the frequency cube and the quadratures are not exact."""
-    x_count, window = _int(cfg, "x_count", 32), LatticeWindow(_int(cfg, "dim", 1), cutoff)
-    if x_count < window.min_xi_count():
-        raise ValidationError(
-            f"x_count = {x_count} below the exactness threshold {window.min_xi_count()}"
-        )
-    return UniformGrid.torus(x_count, window.dim)
+def _torus_grid(cfg: dict, cutoff: int) -> tuple:
+    """(x grid, frequency window) of a torus config, the grid checked against the window."""
+    window = LatticeWindow(_int(cfg, "dim", 1), cutoff)
+    x_grid = UniformGrid.torus(_int(cfg, "x_count", 32), window.dim)
+    window.check_grid(x_grid, "x_count")
+    return x_grid, window
 
 
 def _run_torus(cfg: dict, verb: str) -> tuple:
     rng = _rng_for(cfg)
     cutoff = _count(cfg, "cutoff", None, 0)
-    x_grid = _torus_grid(cfg, cutoff)
+    x_grid, window = _torus_grid(cfg, cutoff)
     phase = _linear_phase(cfg, "torus")
     a, d = _abelian_operator(
-        cfg, "torus", x_grid, LatticeWindow(x_grid.dim, cutoff),
+        cfg, "torus", x_grid, window,
         lambda spec, where: families.euclid_field(x_grid, spec, rng),
         lambda d: torus_symbol_from_decomposition(phase, d, cutoff, x_grid),
     )
@@ -396,6 +389,8 @@ def _group_factor(quad, cutoff: int, rng):
 
 def _run_su2(cfg: dict, verb: str) -> tuple:
     _one_operator_source(cfg)
+    if cfg.get("symbol", "identity") != "identity":
+        raise ValidationError("su2 config needs 'decomposition' or symbol 'identity'")
     rng = _rng_for(cfg)
     quad = _su2_quad(cfg)
     cutoff = _int(cfg, "cutoff_twoL")
@@ -410,8 +405,6 @@ def _run_su2(cfg: dict, verb: str) -> tuple:
         extras["delgado_trace"] = {"re": dtr.real, "im": dtr.imag}
     else:
         Phi, a = _su2_identity(quad, cutoff)
-        if cfg.get("symbol", "identity") != "identity":
-            raise ValidationError("su2 config needs 'decomposition' or symbol 'identity'")
     nuclear = group_nuclear_trace(Phi, a)
     M = group_matrix(Phi, a)
     return _matrix_report("su2", nuclear, M, quasinorm_bound=quasinorm, extras=extras), []
@@ -432,7 +425,7 @@ def _run_homog(cfg: dict, verb: str) -> tuple:
         M = group_matrix(Phi_g, a_g)
     else:
         cutoff = _count(cfg, "cutoff", 2, 0)
-        x_grid = _torus_grid(cfg, cutoff)
+        x_grid, _ = _torus_grid(cfg, cutoff)
         table = table_from_torus(x_grid, cutoff)
         blocks_a = {lab: np.ones((x_grid.size, 1, 1), dtype=complex) for lab in table.labels}
         a_t = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, len(table.labels)), dtype=complex))
@@ -446,7 +439,19 @@ def _run_homog(cfg: dict, verb: str) -> tuple:
         "degeneration_gap": abs(nuclear - reference),
         "mixed_norm_dual": homog_mixed_norm(a_h, p1, p2),
     }
-    return _matrix_report("homog", nuclear, M, extras=extras), []
+    checks = []
+    if verb == "verify":
+        # the class-I mask on this run's own blocks, exact with tolerance 0; outside
+        # a K = {e} block (k = d) the slices are empty, hence initial=0.0
+        idempotence = support = 0.0
+        for label, k in table.k_inv.items():
+            masked = class_i_mask(a_h.blocks[label], k)
+            idempotence = max(idempotence, float(np.abs(class_i_mask(masked, k) - masked).max()))
+            outside = np.abs(masked[:, k:, :]).max(initial=0.0) + np.abs(masked[:, :, k:]).max(initial=0.0)
+            support = max(support, float(outside))
+        degeneration = ("degeneration_gap", extras["degeneration_gap"], 1e-10)
+        checks = [degeneration, ("mask_idempotence", idempotence, 0.0), ("mask_support", support, 0.0)]
+    return _matrix_report("homog", nuclear, M, extras=extras), checks
 
 
 # -- haar-check and verify ----------------------------------------------------
@@ -517,27 +522,6 @@ def _su3_checks(cfg: dict, verb: str) -> tuple:
     checks.append(("sampled_unitarity", unitarity_defect(U), 1e-10))
     checks.append(("sampled_determinant", det, 1e-10))
     return TraceReport("su3", 0.0, 0.0, np.zeros(0, dtype=complex)), checks
-
-
-def _route_checks(report: TraceReport) -> list:
-    """verify's checks: trace against matrix trace and eigenvalue sum; homog adds
-    the K = {e} degeneration gap and the mask checks, exact with tolerance 0."""
-    checks = [
-        ("trace_vs_matrix", report.discrepancy_trace_vs_matrix, 1e-8),
-        ("trace_vs_eigensum", report.discrepancy_trace_vs_eigensum, 1e-8),
-    ]
-    if report.setting != "homog":
-        return checks
-    rng = np.random.default_rng(7)
-    B = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-    masked = class_i_mask(B, 2)
-    twice = class_i_mask(masked, 2)
-    outside = float(np.abs(masked[:, 2:, :]).max()) + float(np.abs(masked[:, :, 2:]).max())
-    return checks + [
-        ("degeneration_gap", float(report.extras["degeneration_gap"]), 1e-10),
-        ("mask_idempotence", float(np.abs(twice - masked).max()), 0.0),
-        ("mask_support", outside, 0.0),
-    ]
 
 
 # Every scenario: name -> (required keys, optional keys, runner), where every
@@ -624,7 +608,11 @@ def run_scenario(cfg: dict, verb: str, tolerance: float | None = None):
         require_int(cfg["seed"], "seed")
     report, checks = runner(cfg, verb)
     if verb == "verify":
-        checks = checks + _route_checks(report)
+        # the route checks lead; a runner's own verify checks (homog's) follow
+        checks = [
+            ("trace_vs_matrix", report.discrepancy_trace_vs_matrix, 1e-8),
+            ("trace_vs_eigensum", report.discrepancy_trace_vs_eigensum, 1e-8),
+        ] + checks
     if tolerance is not None:
         checks = [(name, value, tolerance if tol else tol) for name, value, tol in checks]
     report.runtime_ms = (time.perf_counter() - t0) * 1e3

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .euclid import PhaseSpec, _abelian_synthesis, _abelian_trace
 from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, complex_samples, ksum, require_same_grid
-from .lattice import LatticeWindow, _abelian_matrix, _require_unit_torus
+from .lattice import LatticeWindow, _abelian_matrix
 from .nuclear import RankOneSequence
 from .numerics import dft_forward
 
@@ -519,30 +519,17 @@ def group_matrix(Phi: GroupPhase, a: GroupSymbol) -> np.ndarray:
 # -- the torus as the abelian instance ---------------------------------------
 
 
-def _freq_window(cutoff: int, dim: int) -> LatticeWindow:
-    """The centered frequency cube {-cutoff..cutoff}^dim of the torus."""
-    if int(cutoff) < 0:
-        raise DomainError(f"cutoff = {cutoff} < 0")
-    return LatticeWindow(dim, int(cutoff))
-
-
 def torus_freqs(cutoff: int, dim: int) -> np.ndarray:
     """Integer frequency tuples in {-cutoff..cutoff}^dim, lexicographic: the
     nodes of the lattice window of radius ``cutoff``."""
-    return _freq_window(cutoff, dim).nodes
-
-
-def _check_torus(a: SampledSymbol) -> None:
-    """The torus setting: a periodic grid times a frequency window."""
-    _require_unit_torus(a.space, "torus spatial")
-    if not isinstance(a.freq, LatticeWindow):
-        raise ValidationError(f"torus frequencies must be a LatticeWindow, got {type(a.freq).__name__}")
+    return LatticeWindow(dim, cutoff).nodes
 
 
 def TorusSymbol(x_grid: UniformGrid, cutoff: int, values) -> SampledSymbol:
     """a(x, l) on a periodic grid times the centered frequency cube."""
-    _require_unit_torus(x_grid, "torus spatial")
-    return SampledSymbol(x_grid, _freq_window(cutoff, x_grid.dim), values)
+    window = LatticeWindow(getattr(x_grid, "dim", 1), cutoff)
+    window.check_grid(x_grid, "torus x_count")
+    return SampledSymbol(x_grid, window, values)
 
 
 def torus_fourier(f: SampledField, cutoff: int) -> np.ndarray:
@@ -551,8 +538,9 @@ def torus_fourier(f: SampledField, cutoff: int) -> np.ndarray:
     Exact for trigonometric polynomials whose degree plus cutoff stays below
     the periodic grid's node count per axis.
     """
-    _require_unit_torus(f.grid, "torus spatial")
-    return dft_forward(f, _freq_window(cutoff, f.grid.dim)).values
+    window = LatticeWindow(getattr(f.grid, "dim", 1), cutoff)
+    window.check_grid(f.grid, "torus x_count")
+    return dft_forward(f, window).values
 
 
 def torus_symbol_from_decomposition(
@@ -567,13 +555,14 @@ def torus_symbol_from_decomposition(
     """
     for grid in (d.h_grid, d.g_grid):
         require_same_grid(grid, x_grid, "torus_symbol_from_decomposition")
-    _require_unit_torus(x_grid, "torus spatial")
-    return _abelian_synthesis(phase, d, x_grid, _freq_window(cutoff, x_grid.dim))
+    window = LatticeWindow(getattr(x_grid, "dim", 1), cutoff)
+    window.check_grid(x_grid, "torus x_count")
+    return _abelian_synthesis(phase, d, x_grid, window)
 
 
 def torus_nuclear_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
     """int_T sum_l e^{i(phi - 2*pi*x.l)} a(x,l) dx, single-difference exponent."""
-    _check_torus(a)
+    LatticeWindow.check_grid(a.freq, a.space, "torus x_count")
     return _abelian_trace(phase, a)
 
 
@@ -583,7 +572,7 @@ def torus_matrix(phase: PhaseSpec, a: SampledSymbol) -> np.ndarray:
     symbol, transposed back. Column l is an FFT over the x grid, within
     1e-13 * max|a| of the per-entry sums; the diagonal is the trace kernel's
     compensated sum, so the constant symbol's diagonal is exactly 1."""
-    _check_torus(a)
+    LatticeWindow.check_grid(a.freq, a.space, "torus x_count")
     x, freqs = a.space.nodes, a.freq.nodes
     M = _abelian_matrix(phase.table(x, freqs).T, a.values.T, freqs, a.space)
     return np.ascontiguousarray(M.T)

@@ -42,9 +42,9 @@ from .group import (
     GroupSymbol,
     _leggauss_ab,
     group_nuclear_trace,
-    torus_freqs,
     unitarity_defect,
 )
+from .lattice import LatticeWindow
 
 __all__ = [
     "ClassIIrrepTable",
@@ -157,12 +157,11 @@ def table_from_su2(quad: GroupQuadrature, cutoff_twoL: int) -> ClassIIrrepTable:
 
 def table_from_torus(x_grid: UniformGrid, cutoff: int) -> ClassIIrrepTable:
     """Torus-as-homogeneous-space: characters as 1x1 irreps, k_pi = 1."""
-    if not x_grid.periodic:
-        raise ValidationError("torus table needs a periodic grid")
-    freqs = torus_freqs(cutoff, x_grid.dim)
+    window = LatticeWindow(getattr(x_grid, "dim", 1), cutoff)
+    window.check_grid(x_grid, "torus x_count")
     # weights on [0,1)^n already sum to 1 (normalized Haar on the torus)
     matrices = {}
-    for ell in freqs:
+    for ell in window.nodes:
         chars = np.exp(2j * np.pi * (x_grid.nodes @ ell))
         matrices[tuple(int(v) for v in ell)] = chars.reshape(-1, 1, 1)
     return ClassIIrrepTable(x_grid.weights, matrices, dict.fromkeys(matrices, 1))

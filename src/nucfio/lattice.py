@@ -11,8 +11,9 @@ cancels in floating point and windowed identities trace to exact integers.
 The lattice, the torus (the same pairing with space and frequency swapped)
 and R^n store one ``grids.SampledSymbol``. Apply, synthesis and trace are
 the abelian bodies of ``euclid``, which weight by both sides (exactly, where
-one side is a window of unit weights); the entry points here check the
-lattice setting and call them. ``_abelian_matrix`` (the torus's too) reads off-diagonals from
+one side is a window of unit weights). ``LatticeWindow.check_grid`` holds the
+pairing rule, and every lattice and torus entry point calls it before the
+bodies. ``_abelian_matrix`` (the torus's too) reads off-diagonals from
 one FFT per row, within 1e-13 * sum(w) * max|a| of per-entry sums, its diagonal from the trace kernel.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, TruncationError, ValidationError
 from .euclid import PhaseSpec, _abelian_apply, _abelian_synthesis, _abelian_trace, _require_phase_density
-from .grids import SampledField, SampledSymbol, UniformGrid, ksum, require_same_grid
+from .grids import SampledField, SampledSymbol, UniformGrid, ksum, require_int, require_same_grid
 from .nuclear import RankOneSequence
 from .numerics import dft_forward, mixed_norm
 
@@ -49,9 +50,9 @@ class LatticeWindow:
     radius: int
 
     def __post_init__(self):
-        if self.dim < 1:
+        if require_int(self.dim, "lattice dimension") < 1:
             raise DomainError(f"lattice dimension {self.dim} < 1")
-        if self.radius < 0:
+        if require_int(self.radius, "window radius") < 0:
             raise DomainError(f"window radius {self.radius} < 0")
 
     @property
@@ -86,33 +87,27 @@ class LatticeWindow:
         """
         return 2 * self.side
 
-
-def _check_xi_grid(window: LatticeWindow, xi_grid: UniformGrid) -> None:
-    """The lattice setting: a window times an exact periodic grid on [0, 1)^n."""
-    if not isinstance(window, LatticeWindow):
-        raise ValidationError(f"lattice space must be a LatticeWindow, got {type(window).__name__}")
-    _require_unit_torus(xi_grid, "lattice frequency")
-    if xi_grid.dim != window.dim:
-        raise ShapeError(f"xi grid dim {xi_grid.dim} != lattice dim {window.dim}")
-    need = window.min_xi_count()
-    for ax, (_, _, count) in enumerate(xi_grid.axes):
-        if count < need:
-            raise TruncationError(
-                f"frequency axis {ax} has {count} nodes, below the {need} needed "
-                f"to integrate window bigrams exactly"
-            )
+    def check_grid(self, grid, what: str) -> None:
+        """The Z^n-T^n pairing rule: ``grid`` is periodic on [0, 1)^n (the nodes k/N
+        ``_abelian_matrix``'s FFT reads) with at least ``min_xi_count()`` nodes per axis.
+        ``what`` names the node count; ``LatticeWindow.check_grid(space, grid, what)``
+        also rejects a space that is not a window."""
+        if not isinstance(self, LatticeWindow):
+            raise ValidationError(f"{what}: the grid pairs with a LatticeWindow, not a {type(self).__name__}")
+        if not getattr(grid, "periodic", False) or any((lo, hi) != (0.0, 1.0) for lo, hi, _ in grid.axes):
+            raise ValidationError(f"{what}: the grid must be periodic and span [0, 1) on every axis")
+        if grid.dim != self.dim:
+            raise ShapeError(f"{what}: grid dim {grid.dim} != window dim {self.dim}")
+        need = self.min_xi_count()
+        for _, _, count in grid.axes:
+            if count < need:
+                raise TruncationError(f"{what} = {count} below the exactness threshold {need}")
 
 
 def LatticeSymbol(window: LatticeWindow, xi_grid: UniformGrid, values) -> SampledSymbol:
     """Symbol samples a(n', xi_j), window points by checked torus nodes."""
-    _check_xi_grid(window, xi_grid)
+    LatticeWindow.check_grid(window, xi_grid, "lattice xi_count")
     return SampledSymbol(window, xi_grid, values)
-
-
-def _require_unit_torus(grid, what: str) -> None:
-    """A periodic grid on [0, 1)^n, whose nodes k/N the FFT of ``_abelian_matrix`` reads."""
-    if not getattr(grid, "periodic", False) or any((lo, hi) != (0.0, 1.0) for lo, hi, _ in grid.axes):
-        raise ValidationError(f"{what} grid must be periodic and span [0, 1) on every axis")
 
 
 def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, grid: UniformGrid) -> np.ndarray:
@@ -139,14 +134,14 @@ def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, grid: Unif
 def lattice_dft(f: SampledField, xi_grid: UniformGrid) -> SampledField:
     """(F_Z f)(xi) = sum_m f(m) e^{-2*pi*i*m.xi}, exact finite sum (the
     quadrature transform with the window's unit weights)."""
-    _check_xi_grid(f.grid, xi_grid)
+    LatticeWindow.check_grid(f.grid, xi_grid, "lattice xi_count")
     return dft_forward(f, xi_grid)
 
 
 def lattice_fio_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> SampledField:
     """out(n') = sum_xi w(xi) e^{i phi(n', xi)} a(n', xi) (F_Z f)(xi)."""
     require_same_grid(f.grid, a.space, "lattice_fio_apply input")
-    _check_xi_grid(a.space, a.freq)
+    LatticeWindow.check_grid(a.space, a.freq, "lattice xi_count")
     if phase.kind == "sampled":
         _require_phase_density(phase, a, "lattice_fio_apply", xi_only=True)
     return _abelian_apply(phase, a, f)
@@ -161,14 +156,14 @@ def lattice_symbol_from_decomposition(
     rides the output variable n', the g transform is evaluated at -xi.
     """
     require_same_grid(d.h_grid, d.g_grid, "lattice_symbol_from_decomposition")
-    _check_xi_grid(d.h_grid, xi_grid)
+    LatticeWindow.check_grid(d.h_grid, xi_grid, "lattice xi_count")
     return _abelian_synthesis(phase, d, d.h_grid, xi_grid)
 
 
 def lattice_nuclear_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
     """sum_{n'} sum_xi w(xi) e^{i(phi - 2*pi*n'.xi)} a(n', xi), exact for
     windowed identities (see ``_abelian_trace``)."""
-    _check_xi_grid(a.space, a.freq)
+    LatticeWindow.check_grid(a.space, a.freq, "lattice xi_count")
     return _abelian_trace(phase, a)
 
 
@@ -178,7 +173,7 @@ def lattice_matrix(phase: PhaseSpec, a: SampledSymbol) -> np.ndarray:
     M[p, q] = sum_xi w(xi) e^{i(phi(n'_p, xi) - 2*pi*m_q.xi)} a(n'_p, xi),
     acting on sequence values by plain matrix multiplication.
     """
-    _check_xi_grid(a.space, a.freq)
+    LatticeWindow.check_grid(a.space, a.freq, "lattice xi_count")
     pts = a.space.nodes
     return _abelian_matrix(phase.table(pts, a.freq.nodes), a.values, pts, a.freq)
 
@@ -189,5 +184,5 @@ def lattice_mixed_norms(a: SampledSymbol, p1: float, p2: float) -> tuple:
     Returns ((int_T (sum_{n'} |a|^{p2})^{p1/p2} dxi)^{1/p1},
              (sum_{n'} (int_T |a|^{p1} dxi)^{p2/p1})^{1/p2}).
     """
-    _check_xi_grid(a.space, a.freq)
+    LatticeWindow.check_grid(a.space, a.freq, "lattice xi_count")
     return mixed_norm(a, "x", p2, p1), mixed_norm(a, "xi", p1, p2)

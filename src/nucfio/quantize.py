@@ -64,6 +64,24 @@ def _validate_tau(tau: float) -> float:
     return validate_range("tau", tau, 0.0, 1.0, include_lo=False)
 
 
+def _freq_first(sigma: SampledSymbol, Z: np.ndarray) -> np.ndarray:
+    """T(u, z) = sum_xi w(xi) e^{2*pi*i*z.xi} sigma(u, xi): the frequency axis, summed once."""
+    xig = sigma.freq
+    return np.einsum("uk,zk->uz", sigma.values * xig.weights[None, :], np.exp(2j * np.pi * (Z @ xig.nodes.T)))
+
+
+def _shift_to_freq(xg: UniformGrid, xig: UniformGrid, zg: UniformGrid, shifted) -> SampledSymbol:
+    """a(x, xi) = sum_z w(z) e^{-2*pi*i*z.xi} c(x, z) over the nodes of ``zg``,
+    ``_X_CHUNK`` x-rows at a time; ``shifted(X)`` gives c on the rows X."""
+    wz = zg.weights
+    E = np.exp(-2j * np.pi * (zg.nodes @ xig.nodes.T))
+    out = np.empty((xg.size, xig.size), dtype=complex)
+    for s in range(0, xg.size, _X_CHUNK):
+        rows = slice(s, min(s + _X_CHUNK, xg.size))
+        out[rows] = np.einsum("mz,z,zk->mk", shifted(xg.nodes[rows]), wz, E)
+    return SampledSymbol(xg, xig, out)
+
+
 def tau_apply(sigma: SampledSymbol, tau: float, f: SampledField) -> SampledField:
     """Apply the tau-quantized operator of ``sigma`` to ``f`` by quadrature.
 
@@ -75,7 +93,7 @@ def tau_apply(sigma: SampledSymbol, tau: float, f: SampledField) -> SampledField
     """
     tau = _validate_tau(tau)
     require_same_grid(f.grid, sigma.space, "tau_apply input")
-    xg, xig = sigma.space, sigma.freq
+    xg = sigma.space
     # the difference lattice: 2n-1 nodes per axis at the x spacing, z = 0 in the middle;
     # x-node i minus y-node j sits at i - j + n - 1 per axis, so its flat index is
     # flat(i) - flat(j) + flat(n - 1) with both raveled over the lattice's shape
@@ -83,7 +101,7 @@ def tau_apply(sigma: SampledSymbol, tau: float, f: SampledField) -> SampledField
     zshape = tuple(2 * n - 1)
     zidx = np.stack(np.unravel_index(np.arange(np.prod(zshape)), zshape), axis=-1)
     Z = (zidx - (n - 1)) * np.array(xg.spacing)
-    S = np.einsum("uk,zk->uz", sigma.values * xig.weights[None, :], np.exp(2j * np.pi * (Z @ xig.nodes.T)))
+    S = _freq_first(sigma, Z)
     zflat = np.ravel_multi_index(np.unravel_index(np.arange(xg.size), xg.shape), zshape)
     center = np.ravel_multi_index(tuple(n - 1), zshape)
     X = xg.nodes
@@ -115,22 +133,18 @@ def weyl_symbol_from_decomposition(
         require_edge_decay(h.values, xg, "weyl_symbol_from_decomposition h factor")
         require_edge_decay(g.values, xg, "weyl_symbol_from_decomposition g factor")
     Z = zg.nodes
-    wz = zg.weights
-    E = np.exp(-2j * np.pi * (Z @ xig.nodes.T))
-    out = np.empty((xg.size, xig.size), dtype=complex)
-    for s in range(0, xg.size, _X_CHUNK):
-        rows = slice(s, min(s + _X_CHUNK, xg.size))
-        Xc = xg.nodes[rows]
-        m = Xc.shape[0]
+
+    def shifted(Xc):
         plus = (Xc[:, None, :] + (1.0 - tau) * Z[None, :, :]).reshape(-1, xg.dim)
         minus = (Xc[:, None, :] - tau * Z[None, :, :]).reshape(-1, xg.dim)
-        acc = np.zeros((m, zg.size), dtype=complex)
+        acc = np.zeros((len(Xc), zg.size), dtype=complex)
         for h, g in d.terms:
-            hv = interpolate(h.values, xg, plus).reshape(m, zg.size)
-            gv = interpolate(g.values, xg, minus).reshape(m, zg.size)
+            hv = interpolate(h.values, xg, plus).reshape(-1, zg.size)
+            gv = interpolate(g.values, xg, minus).reshape(-1, zg.size)
             acc += hv * gv
-        out[rows] = np.einsum("mz,z,zk->mk", acc, wz, E)
-    return SampledSymbol(xg, xig, out)
+        return acc
+
+    return _shift_to_freq(xg, xig, zg, shifted)
 
 
 def tau_convert(b: SampledSymbol, tau: float, tau_prime: float) -> SampledSymbol:
@@ -152,19 +166,15 @@ def tau_convert(b: SampledSymbol, tau: float, tau_prime: float) -> SampledSymbol
     require_edge_decay(b.values, xg, "tau_convert symbol")
     delta = tau - tau_prime
     zg = shift_grid(xg)
-    Z, wz = zg.nodes, zg.weights
+    Z = zg.nodes
     # eta first, once per call: B(u, z) = sum_eta w(eta) e^{+2 pi i eta.z} b(u, eta)
-    B = np.einsum("uh,zh->uz", b.values * xig.weights[None, :], np.exp(2j * np.pi * (Z @ xig.nodes.T)))
-    E_xi = np.exp(-2j * np.pi * (Z @ xig.nodes.T))  # e^{-2 pi i xi.z}
-    out = np.empty((xg.size, xig.size), dtype=complex)
-    for s in range(0, xg.size, _X_CHUNK):
-        rows = slice(s, min(s + _X_CHUNK, xg.size))
-        Xc = xg.nodes[rows]
-        m = Xc.shape[0]
+    B = _freq_first(b, Z)
+
+    def shifted(Xc):
         pts = (Xc[:, None, :] + delta * Z[None, :, :]).reshape(-1, xg.dim)
-        c = interpolate(B, xg, pts, np.tile(np.arange(zg.size), m)).reshape(m, zg.size)
-        out[rows] = np.einsum("mz,z,zk->mk", c, wz, E_xi)
-    return SampledSymbol(xg, xig, out)
+        return interpolate(B, xg, pts, np.tile(np.arange(zg.size), len(Xc))).reshape(-1, zg.size)
+
+    return _shift_to_freq(xg, xig, zg, shifted)
 
 
 def wigner(h: SampledField, g: SampledField, xi_grid: UniformGrid | None = None) -> SampledSymbol:

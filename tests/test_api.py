@@ -4,7 +4,8 @@ Every name in a module's ``__all__`` must exist, and every function the
 benchmark's traced worker wraps (``bench/spans.py``, as "module:qualname")
 must exist, so deleting or renaming one fails here rather than in a traced
 benchmark run. Each public object has one public name, every name the
-demos import from the package resolves, and the compact-group demos run.
+demos import from the package resolves, and every demo but 02 (the tau
+quantizations, the slowest) runs.
 """
 
 import ast
@@ -87,10 +88,20 @@ def test_demo_imports_resolve(demo):
     assert missing == []
 
 
-@pytest.mark.parametrize("demo", ["04_rotation_group.py", "05_homogeneous_space.py"])
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_euclidean_trace.py",
+        "03_lattice_operator.py",
+        "04_rotation_group.py",
+        "05_homogeneous_space.py",
+        "06_cli_pipeline.py",
+    ],
+)
 def test_compact_demo_runs(demo, tmp_path):
     # run, not parsed: a changed call signature fails here, which the import
-    # check above cannot see; each takes about a second
+    # check above cannot see; each takes under about a second (03 runs the
+    # lattice's grid check, 06 the CLI)
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(

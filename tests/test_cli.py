@@ -213,6 +213,16 @@ def test_decomposition_and_symbol_together_are_exit_2(tmp_path, capsys, setting,
     assert "not both" in capsys.readouterr().err
 
 
+def test_bad_su2_symbol_is_exit_2_before_the_operator_is_built(tmp_path, capsys, monkeypatch):
+    # the identity operator's tables and per-node SVD come after the key check
+    def built(*args):
+        raise AssertionError("identity operator built for a rejected config")
+
+    monkeypatch.setattr("nucfio.cli.identity_phase", built)
+    assert run(tmp_path, "trace", {"setting": "su2", "cutoff_twoL": 1, "symbol": "zero"}) == 2
+    assert "su2 config needs 'decomposition' or symbol 'identity'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, index", [("i", -1), ("i", 2), ("j", 2)])
 def test_matrix_entry_index_out_of_range_is_exit_2(tmp_path, capsys, key, index):
     # a negative index would wrap to the last row; twoL + 1 is past the table
@@ -457,6 +467,26 @@ def test_homog_verify_adds_its_checks_to_the_route_checks(tmp_path, instance):
         "mask_support",
     ]
     assert all(check["pass"] for check in rep["checks"].values())
+
+
+@pytest.mark.parametrize(
+    "instance, nodes, ks", [("su2", 8 * 8 * 16, {1, 2}), ("torus", 16, {1})], ids=["su2", "torus"]
+)
+def test_homog_mask_checks_read_the_runs_own_blocks(tmp_path, monkeypatch, instance, nodes, ks):
+    # the masks run on each label's (nodes, d, d) symbol blocks at the
+    # table's k_inv (d for K = {e}), not on a fixed random batch
+    from nucfio import cli
+
+    mask, seen = cli.class_i_mask, []
+
+    def spy(blocks, k):
+        seen.append((blocks.shape, k))
+        return mask(blocks, k)
+
+    monkeypatch.setattr(cli, "class_i_mask", spy)
+    assert run(tmp_path, "verify", _HOMOG[instance]) == 0
+    assert {k for _, k in seen} == ks
+    assert all(shape == (nodes, k, k) for shape, k in seen)
 
 
 @pytest.mark.parametrize(

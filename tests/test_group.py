@@ -370,7 +370,7 @@ def test_constant_torus_symbol_traces_exactly(dim, cutoff, x_count):
 def test_constant_torus_matrix_is_exact_at_any_x_count(x_count):
     # fft(full(N, 1/N))[0] != 1 at N = 21 and 42: the matrix diagonal comes
     # from the trace kernel's row sums, not from the FFT's DC bin
-    cutoff = (x_count - 2) // 4  # the CLI's exactness threshold 4 * cutoff + 2
+    cutoff = (x_count - 2) // 4  # the exactness threshold 4 * cutoff + 2 of LatticeWindow.check_grid
     x_grid = UniformGrid.torus(x_count, 1)
     n_freq = 2 * cutoff + 1
     a = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, n_freq), dtype=complex))
@@ -396,3 +396,12 @@ def test_torus_grids_must_span_the_unit_box():
     for entry in (torus_nuclear_trace, torus_matrix):
         with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
             entry(PhaseSpec.linear(), bare)
+
+
+def test_torus_entry_points_reject_a_domain_that_is_not_a_grid():
+    # a Haar quadrature has no axes: a ValidationError, not an AttributeError
+    quad = su2_haar_quadrature(4, 4, 8)
+    f = SampledField(quad, np.ones(quad.size, dtype=complex))
+    for call in (lambda: torus_fourier(f, 1), lambda: TorusSymbol(quad, 1, np.ones((quad.size, 3)))):
+        with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
+            call()

@@ -4,6 +4,7 @@ import pytest
 from nucfio.errors import DomainError, GridMismatchError, ShapeError, ValidationError
 from nucfio.euclid import PhaseSpec
 from nucfio.grids import SampledField, UniformGrid
+from nucfio.group import torus_freqs
 from nucfio.lattice import (
     LatticeSymbol,
     LatticeWindow,
@@ -45,6 +46,16 @@ def test_window_enumeration():
     assert w.min_xi_count() == 6
     with pytest.raises(DomainError):
         LatticeWindow(0, 1)
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 2.5), (1.0, 2), (True, 2), (1, 3.0)])
+def test_window_rejects_non_integers(dim, radius):
+    # values are never coerced: radius 2.5 would give side 6.0, and the
+    # torus cutoff 2.7 would truncate to radius 2
+    with pytest.raises(ValidationError, match="must be an integer"):
+        LatticeWindow(dim, radius)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        torus_freqs(radius, dim)
 
 
 def test_xi_grid_must_be_periodic_unit(setup):

@@ -11,8 +11,9 @@ sum as the oracle's and equals it bit for bit.
 import numpy as np
 import pytest
 
+from nucfio.errors import TruncationError
 from nucfio.euclid import PhaseSpec
-from nucfio.grids import UniformGrid, ksum
+from nucfio.grids import SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.group import (
     GroupPhase,
     GroupSymbol,
@@ -23,11 +24,15 @@ from nucfio.group import (
     identity_phase,
     su2_haar_quadrature,
     su2_irrep_table,
+    torus_fourier,
     torus_freqs,
     torus_matrix,
+    torus_nuclear_trace,
+    torus_symbol_from_decomposition,
 )
-from nucfio.homog import ClassIIrrepTable
+from nucfio.homog import ClassIIrrepTable, table_from_torus
 from nucfio.lattice import LatticeSymbol, LatticeWindow, lattice_matrix
+from nucfio.nuclear import RankOneSequence
 
 
 def per_entry_group_matrix(Phi, a):
@@ -125,12 +130,10 @@ def test_lattice_matrix_matches_per_column_loop(dim, radius, xi_count):
             assert_matches_oracle(lattice_matrix(phase, a), want, xi_grid.weights, values)
 
 
-# "aliased": fewer x nodes per axis than frequencies, so distinct l read the
-# same FFT bin l mod N, as the per-column sums alias them too
 @pytest.mark.parametrize(
     "dim, cutoff, x_count",
-    [(1, 5, 24), (2, 2, 10), (3, 1, 6), (1, 3, 15), (2, 3, 5)],
-    ids=["dim1", "dim2", "dim3", "odd", "aliased"],
+    [(1, 5, 24), (2, 2, 10), (3, 1, 6), (1, 3, 15)],
+    ids=["dim1", "dim2", "dim3", "odd"],
 )
 def test_torus_matrix_matches_per_column_loop(dim, cutoff, x_count):
     rng = np.random.default_rng(24 + dim)
@@ -142,3 +145,25 @@ def test_torus_matrix_matches_per_column_loop(dim, cutoff, x_count):
         for phase in phases(x, freqs, rng):
             M = per_column_abelian_matrix(phase.table(x, freqs).T, a.values.T, freqs, x, x_grid.weights)
             assert_matches_oracle(torus_matrix(phase, a), M.T, x_grid.weights, values)
+
+
+def test_torus_entry_points_reject_an_aliasing_grid():
+    # 5 x nodes per axis for the cutoff-3 cube: distinct l would read the same
+    # FFT bin l mod 5, and the quadratures would not be exact; every torus
+    # entry point and the torus table refuse it, as the lattice does
+    dim, cutoff, x_grid = 2, 3, UniformGrid.torus(5, 2)
+    values = np.ones((x_grid.size, (2 * cutoff + 1) ** dim), dtype=complex)
+    f = SampledField(x_grid, np.ones(x_grid.size, dtype=complex))
+    d = RankOneSequence(((f, f),), 2.0, 2.0, 1.0)
+    bare = SampledSymbol(x_grid, LatticeWindow(dim, cutoff), values)
+    calls = [
+        lambda: TorusSymbol(x_grid, cutoff, values),
+        lambda: torus_fourier(f, cutoff),
+        lambda: torus_symbol_from_decomposition(PhaseSpec.linear(), d, cutoff, x_grid),
+        lambda: torus_nuclear_trace(PhaseSpec.linear(), bare),
+        lambda: torus_matrix(PhaseSpec.linear(), bare),
+        lambda: table_from_torus(x_grid, cutoff),
+    ]
+    for call in calls:
+        with pytest.raises(TruncationError, match="x_count = 5 below the exactness threshold 14"):
+            call()
