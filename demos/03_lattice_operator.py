@@ -3,16 +3,16 @@
 Sequences supported on {-N..N}^n play the role of functions, the frequency
 variable lives on the unit torus, and with enough frequency nodes every
 integral below is a finite exact sum: traces of integer operators come out
-as integers, not approximations.
+as integers, not approximations. The window and the frequency grid form one
+sampled symbol, which refuses a grid too coarse for the window.
 """
 
 import numpy as np
 
 from nucfio.euclid import PhaseSpec
-from nucfio.grids import SampledField, UniformGrid
+from nucfio.errors import TruncationError
+from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid
 from nucfio.lattice import (
-    LatticeSymbol,
-    LatticeWindow,
     lattice_matrix,
     lattice_nuclear_trace,
     lattice_symbol_from_decomposition,
@@ -25,10 +25,17 @@ xi = UniformGrid.torus(32, 1)              # 32 >= 2 * (2N + 1) = 18: exact
 phase = PhaseSpec.linear()
 
 # constant symbol 1 is the identity on the window
-ident = LatticeSymbol(window, xi, np.ones((window.size, xi.size), dtype=complex))
+ident = SampledSymbol(window, xi, np.ones((window.size, xi.size), dtype=complex))
 tr = lattice_nuclear_trace(phase, ident)
 print("identity trace:", tr, " (window size", window.size, ")")
 print("exact integer :", tr == complex(window.size))
+
+# 16 < 18 frequency nodes would alias: the symbol is refused, not traced
+coarse = UniformGrid.torus(16, 1)
+try:
+    SampledSymbol(window, coarse, np.ones((window.size, coarse.size), dtype=complex))
+except TruncationError as exc:
+    print("coarse grid   :", exc)
 
 # a random 3-term kernel sum_k h_k(n') g_k(m)
 rng = np.random.default_rng(7)

@@ -27,13 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .grids import SampledField, SampledSymbol, UniformGrid, ksum, require_int, require_real
+from .grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum, require_int, require_real
 from .numerics import dense_eigenvalues, matrix_trace
 from .nuclear import RankOneSequence, delgado_trace, r_quasinorm_bound
 from .euclid import PhaseSpec, lidskii_report
 from .quantize import tau_apply, tau_convert, weyl_symbol_from_decomposition, wigner
 from .lattice import (
-    LatticeWindow,
     lattice_matrix,
     lattice_mixed_norms,
     lattice_nuclear_trace,
@@ -42,7 +41,6 @@ from .lattice import (
 from .group import (
     GroupPhase,
     GroupSymbol,
-    TorusSymbol,
     class_i_mask,
     group_matrix,
     group_nuclear_trace,
@@ -425,10 +423,10 @@ def _run_homog(cfg: dict, verb: str) -> tuple:
         M = group_matrix(Phi_g, a_g)
     else:
         cutoff = _count(cfg, "cutoff", 2, 0)
-        x_grid, _ = _torus_grid(cfg, cutoff)
+        x_grid, window = _torus_grid(cfg, cutoff)
         table = table_from_torus(x_grid, cutoff)
         blocks_a = {lab: np.ones((x_grid.size, 1, 1), dtype=complex) for lab in table.labels}
-        a_t = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, len(table.labels)), dtype=complex))
+        a_t = SampledSymbol(x_grid, window, np.ones((x_grid.size, window.size), dtype=complex))
         route, reference = "torus_trace", torus_nuclear_trace(PhaseSpec.linear(), a_t)
         M = torus_matrix(PhaseSpec.linear(), a_t)
     Phi_h = GroupPhase(table, table.matrices)

@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .grids import SampledField, UniformGrid, require_int, require_real
-from .lattice import LatticeWindow
+from .grids import LatticeWindow, SampledField, UniformGrid, require_int, require_real
 
 __all__ = [
     "hermite_function",

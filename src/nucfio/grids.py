@@ -1,4 +1,5 @@
-"""Uniform tensor-product grids, sampled fields, and compensated reductions.
+"""Uniform tensor-product grids, lattice windows, sampled fields and symbols,
+and compensated reductions.
 
 Conventions used throughout the package:
 
@@ -28,10 +29,10 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .group import GroupQuadrature
-    from .lattice import LatticeWindow
 
 __all__ = [
     "UniformGrid",
+    "LatticeWindow",
     "SampledField",
     "SampledSymbol",
     "KahanSum",
@@ -144,12 +145,12 @@ class UniformGrid:
                 w = np.full(count, h)
                 w[0] = w[-1] = h / 2  # trapezoid endpoints carry half weight
                 weights.append(w)
+            # the box volume is the product of the axis lengths, so each axis is checked alone
+            if abs(ksum(weights[-1]) - (hi - lo)) > _VOLUME_RTOL * (hi - lo):
+                raise ValidationError("quadrature weights do not sum to the box volume")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "axis_nodes", tuple(nodes))
         object.__setattr__(self, "axis_weights", tuple(weights))
-        vol = float(np.prod([hi - lo for lo, hi, _ in axes]))
-        if abs(self.weight_sum() - vol) > _VOLUME_RTOL * vol:
-            raise ValidationError("quadrature weights do not sum to the box volume")
 
     # -- shape ------------------------------------------------------------
 
@@ -187,9 +188,6 @@ class UniformGrid:
             w = np.multiply.outer(w, wa)
         return w.reshape(-1)
 
-    def weight_sum(self) -> float:
-        return float(ksum(self.weights))
-
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -201,6 +199,78 @@ class UniformGrid:
     def torus(cls, count, dim=1) -> "UniformGrid":
         """Periodic grid on [0, 1)^dim."""
         return cls(tuple((0.0, 1.0, count) for _ in range(dim)), periodic=True)
+
+
+@dataclass(frozen=True)
+class LatticeWindow:
+    """Centered cube {-radius..radius}^dim in lexicographic node order."""
+
+    dim: int
+    radius: int
+
+    def __post_init__(self):
+        if require_int(self.dim, "lattice dimension") < 1:
+            raise DomainError(f"lattice dimension {self.dim} < 1")
+        if require_int(self.radius, "window radius") < 0:
+            raise DomainError(f"window radius {self.radius} < 0")
+
+    @property
+    def side(self) -> int:
+        return 2 * self.radius + 1
+
+    @property
+    def shape(self) -> tuple:
+        return (self.side,) * self.dim
+
+    @property
+    def size(self) -> int:
+        return self.side**self.dim
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Unit weights: lattice sums are plain sums."""
+        return np.ones(self.size)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """All integer points, shape (size, dim), first axis slowest."""
+        rng = range(-self.radius, self.radius + 1)
+        return np.array(list(itertools.product(rng, repeat=self.dim)), dtype=float)
+
+    def min_xi_count(self) -> int:
+        """Nodes per xi-axis for exact quadrature of window bigrams.
+
+        Products of two window exponentials have frequencies up to 2*(2N+1)-2
+        per axis; a periodic grid with at least 2*(2N+1) nodes kills every
+        nonzero one exactly.
+        """
+        return 2 * self.side
+
+    def check_grid(self, grid, what: str) -> None:
+        """The Z^n-T^n pairing rule: ``grid`` is periodic on [0, 1)^n (the nodes k/N
+        ``lattice._abelian_matrix``'s FFT reads) with at least ``min_xi_count()`` nodes per axis.
+        ``what`` names the node count; ``LatticeWindow.check_grid(space, grid, what)``
+        also rejects a space that is not a window."""
+        if not isinstance(self, LatticeWindow):
+            raise ValidationError(f"{what}: the grid pairs with a LatticeWindow, not a {type(self).__name__}")
+        if not getattr(grid, "periodic", False) or any((lo, hi) != (0.0, 1.0) for lo, hi, _ in grid.axes):
+            raise ValidationError(f"{what}: the grid must be periodic and span [0, 1) on every axis")
+        if grid.dim != self.dim:
+            raise ShapeError(f"{what}: grid dim {grid.dim} != window dim {self.dim}")
+        need = self.min_xi_count()
+        for _, _, count in grid.axes:
+            if count < need:
+                raise TruncationError(f"{what} = {count} below the exactness threshold {need}")
+
+
+def _check_pairing(source, target) -> None:
+    """The pairing rule wherever a window meets another domain, as a symbol's
+    (space, freq) or a transform's (source, target): a window as source pairs
+    with a "lattice xi_count", a window as target with a "torus x_count"."""
+    if isinstance(source, LatticeWindow):
+        source.check_grid(target, "lattice xi_count")
+    elif isinstance(target, LatticeWindow):
+        target.check_grid(source, "torus x_count")
 
 
 def require_same_grid(a, b, what: str) -> None:
@@ -217,7 +287,7 @@ class SampledField:
     The one sampled-function type of every setting. The domain is one of:
 
     * a :class:`UniformGrid` (boxes in R^n, the periodic torus);
-    * a ``lattice.LatticeWindow`` (Z^n; unit weights, so sums stay plain sums);
+    * a :class:`LatticeWindow` (Z^n; unit weights, so sums stay plain sums);
     * a ``group.GroupQuadrature`` or ``homog.ClassIIrrepTable`` (Haar nodes on G or G/K).
 
     values are stored flat, aligned with the domain's nodes.
@@ -234,15 +304,17 @@ class SampledField:
 @dataclass(frozen=True)
 class SampledSymbol:
     """Complex samples a(x, xi) on a space times its dual group: boxes for
-    R^n, a ``lattice.LatticeWindow`` times the periodic [0, 1)^n grid for Z^n,
+    R^n, a :class:`LatticeWindow` times the periodic [0, 1)^n grid for Z^n,
     and the reverse for the torus. Rows are ``space`` nodes, columns ``freq``
-    nodes."""
+    nodes. A window side is checked against the other by the pairing rule
+    (``LatticeWindow.check_grid``), so no aliasing Z^n-T^n pair is built."""
 
     space: UniformGrid | LatticeWindow
     freq: UniformGrid | LatticeWindow
     values: np.ndarray
 
     def __post_init__(self):
+        _check_pairing(self.space, self.freq)
         if self.space.dim != self.freq.dim:
             raise ShapeError(f"space dim {self.space.dim} != frequency dim {self.freq.dim}")
         v = complex_samples(self.values, (self.space.size, self.freq.size), "symbol")

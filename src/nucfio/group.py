@@ -13,10 +13,11 @@ parametrization additionally records the raw mass of its printed density,
 which integrates to 4*pi^2 over the chart, twice the unit 3-sphere area.
 
 Two kernels do the work. The torus is the abelian pair of the lattice with
-space and frequency swapped, one ``SampledSymbol`` over a periodic grid and a
-frequency ``LatticeWindow``: its synthesis and trace are the abelian bodies
-of ``euclid``, its matrix is ``lattice._abelian_matrix`` (FFT off-diagonals
-within 1e-13 * sum(w) * max|a|, an exact trace-kernel diagonal). SU(2) is the
+space and frequency swapped, ``SampledSymbol(x_grid, LatticeWindow(dim,
+cutoff), values)`` with coefficients ``dft_forward(f, window)``: its
+synthesis and trace are the abelian bodies of ``euclid``, its matrix is
+``lattice._abelian_matrix`` (FFT off-diagonals within 1e-13 * sum(w) *
+max|a|, an exact trace-kernel diagonal). SU(2) is the
 K = {e} instance of the class-I table kernel below. Its domain is anything with
 ``size``, ``weights`` and ``irrep(label) -> (label, dim, k_inv, matrices)``: a
 ``GroupQuadrature`` (k_inv = dim) or a ``homog.ClassIIrrepTable``. One symbol
@@ -39,10 +40,9 @@ from .errors import (
     ValidationError,
 )
 from .euclid import PhaseSpec, _abelian_synthesis, _abelian_trace
-from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, complex_samples, ksum, require_same_grid
-from .lattice import LatticeWindow, _abelian_matrix
+from .grids import KahanSum, LatticeWindow, SampledSymbol, UniformGrid, complex_samples, ksum, require_same_grid
+from .lattice import _abelian_matrix
 from .nuclear import RankOneSequence
-from .numerics import dft_forward
 
 __all__ = [
     "GroupQuadrature",
@@ -55,15 +55,11 @@ __all__ = [
     "euler_from_su2",
     "su2_irrep_table",
     "group_fourier",
-    "su2_character",
     "identity_phase",
     "group_fio_apply",
     "group_symbol_from_decomposition",
     "group_nuclear_trace",
     "group_matrix",
-    "TorusSymbol",
-    "torus_freqs",
-    "torus_fourier",
     "torus_symbol_from_decomposition",
     "torus_nuclear_trace",
     "torus_matrix",
@@ -304,12 +300,6 @@ def unitarity_defect(U: np.ndarray) -> float:
     return float(np.abs(np.einsum("nij,nkj->nik", U, U.conj()) - np.eye(U.shape[-1])).max())
 
 
-def su2_character(quad: GroupQuadrature, twoL: int) -> np.ndarray:
-    """Character chi_l at the nodes, the trace of the representation table."""
-    T = su2_irrep_table(quad, twoL)
-    return np.einsum("nii->n", T)
-
-
 # -- the class-I table kernel -------------------------------------------------
 
 
@@ -517,30 +507,6 @@ def group_matrix(Phi: GroupPhase, a: GroupSymbol) -> np.ndarray:
 
 
 # -- the torus as the abelian instance ---------------------------------------
-
-
-def torus_freqs(cutoff: int, dim: int) -> np.ndarray:
-    """Integer frequency tuples in {-cutoff..cutoff}^dim, lexicographic: the
-    nodes of the lattice window of radius ``cutoff``."""
-    return LatticeWindow(dim, cutoff).nodes
-
-
-def TorusSymbol(x_grid: UniformGrid, cutoff: int, values) -> SampledSymbol:
-    """a(x, l) on a periodic grid times the centered frequency cube."""
-    window = LatticeWindow(getattr(x_grid, "dim", 1), cutoff)
-    window.check_grid(x_grid, "torus x_count")
-    return SampledSymbol(x_grid, window, values)
-
-
-def torus_fourier(f: SampledField, cutoff: int) -> np.ndarray:
-    """fhat(l) = int_T f(x) e^{-2*pi*i*l.x} dx for l in the centered cube.
-
-    Exact for trigonometric polynomials whose degree plus cutoff stays below
-    the periodic grid's node count per axis.
-    """
-    window = LatticeWindow(getattr(f.grid, "dim", 1), cutoff)
-    window.check_grid(f.grid, "torus x_count")
-    return dft_forward(f, window).values
 
 
 def torus_symbol_from_decomposition(

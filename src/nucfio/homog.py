@@ -35,16 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
-from .grids import UniformGrid, ksum, validate_range
+from .grids import LatticeWindow, UniformGrid, ksum, validate_range
 from .group import (
     GroupPhase,
     GroupQuadrature,
     GroupSymbol,
-    _leggauss_ab,
     group_nuclear_trace,
     unitarity_defect,
 )
-from .lattice import LatticeWindow
 
 __all__ = [
     "ClassIIrrepTable",
@@ -240,10 +238,10 @@ def su3_fundamental_batch(params: np.ndarray) -> np.ndarray:
 class Su3Quadrature:
     """Eight-axis product quadrature for normalized Haar measure on SU(3).
 
-    The three theta axes carry Gauss-Legendre nodes with the Haar density
-    folded into their weights; the five phi axes carry uniform nodes, exact
-    for the low phi-harmonics that fundamental-representation products
-    produce. The rule is kept as its axes: the tensor grid of ``size``
+    The three theta axes carry Gauss-Legendre nodes in cos(2 theta) with the
+    Haar density folded into their weights; the five phi axes carry uniform
+    nodes, exact for the low phi-harmonics that fundamental-representation
+    products produce. The rule is kept as its axes: the tensor grid of ``size``
     nodes is never formed, and the Haar checks sum over it axis by axis.
     """
 
@@ -266,7 +264,8 @@ def su3_haar_quadrature(resolution: int = 16, phi_count: int = 5) -> Su3Quadratu
     """Product rule for dmu = sin(t1)cos^3(t1) sin(t2)cos(t2) sin(t3)cos(t3)
     dt1 dt2 dt3 dphi1..dphi5 / (2*pi^5).
 
-    ``resolution`` sets the Gauss-Legendre count per theta axis. The phi
+    ``resolution`` sets the Gauss-Legendre count per theta axis, in the
+    variable cos(2 theta), so the densities are polynomial there. The phi
     axes integrate e^{i k phi} exactly for 0 < |k| < phi_count, which covers
     pairwise products of fundamental entries (|k| <= 2) already at the
     default count of 5.
@@ -277,17 +276,17 @@ def su3_haar_quadrature(resolution: int = 16, phi_count: int = 5) -> Su3Quadratu
     m = int(phi_count)
     if m < 3:
         raise DomainError(f"phi_count = {phi_count} < 3")
-    tn, tw = _leggauss_ab(n, 0.0, np.pi / 2.0)
-    w1 = tw * np.sin(tn) * np.cos(tn) ** 3
-    w2 = tw * np.sin(tn) * np.cos(tn)
-    w3 = tw * np.sin(tn) * np.cos(tn)
+    # x = cos(2 theta) turns sin cos^3 dtheta into (1+x)/8 dx and sin cos dtheta
+    # into dx/4, polynomial densities that Gauss-Legendre in x integrates exactly
+    x, w = np.polynomial.legendre.leggauss(n)
+    tn, w1, w2 = np.arccos(x) / 2.0, w * (1.0 + x) / 8.0, w / 4.0
     pn = 2.0 * np.pi * np.arange(m) / m
     pw = np.full(m, 2.0 * np.pi / m)
     # fold the 1/(2*pi^5) normalization into the first phi axis
     pw_first = pw / (2.0 * np.pi**5)
     return Su3Quadrature(
         theta_nodes=(tn, tn.copy(), tn.copy()),
-        theta_weights=(w1, w2, w3),
+        theta_weights=(w1, w2, w2.copy()),
         phi_nodes=tuple(pn.copy() for _ in range(5)),
         phi_weights=(pw_first,) + tuple(pw.copy() for _ in range(4)),
     )

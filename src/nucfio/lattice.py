@@ -9,105 +9,32 @@ Trace kernels are formed as single exponent differences so the linear phase
 cancels in floating point and windowed identities trace to exact integers.
 
 The lattice, the torus (the same pairing with space and frequency swapped)
-and R^n store one ``grids.SampledSymbol``. Apply, synthesis and trace are
-the abelian bodies of ``euclid``, which weight by both sides (exactly, where
-one side is a window of unit weights). ``LatticeWindow.check_grid`` holds the
-pairing rule, and every lattice and torus entry point calls it before the
-bodies. ``_abelian_matrix`` (the torus's too) reads off-diagonals from
-one FFT per row, within 1e-13 * sum(w) * max|a| of per-entry sums, its diagonal from the trace kernel.
+and R^n store one ``grids.SampledSymbol``, here ``SampledSymbol(window,
+xi_grid, values)``, and share one transform, ``numerics.dft_forward``. Apply,
+synthesis and trace are the abelian bodies of ``euclid``. The pairing rule,
+``grids.LatticeWindow.check_grid``, is enforced by the symbol and the
+transform; every entry point calls it too, which rejects other settings.
+``_abelian_matrix`` (the torus's too) reads off-diagonals from one FFT per
+row, within 1e-13 * sum(w) * max|a| of per-entry sums, its diagonal from the
+trace kernel.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, ShapeError, TruncationError, ValidationError
 from .euclid import PhaseSpec, _abelian_apply, _abelian_synthesis, _abelian_trace, _require_phase_density
-from .grids import SampledField, SampledSymbol, UniformGrid, ksum, require_int, require_same_grid
+from .grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum, require_same_grid
 from .nuclear import RankOneSequence
-from .numerics import dft_forward, mixed_norm
+from .numerics import mixed_norm
 
 __all__ = [
-    "LatticeWindow",
-    "LatticeSymbol",
-    "lattice_dft",
     "lattice_fio_apply",
     "lattice_symbol_from_decomposition",
     "lattice_nuclear_trace",
     "lattice_matrix",
     "lattice_mixed_norms",
 ]
-
-
-@dataclass(frozen=True)
-class LatticeWindow:
-    """Centered cube {-radius..radius}^dim in lexicographic node order."""
-
-    dim: int
-    radius: int
-
-    def __post_init__(self):
-        if require_int(self.dim, "lattice dimension") < 1:
-            raise DomainError(f"lattice dimension {self.dim} < 1")
-        if require_int(self.radius, "window radius") < 0:
-            raise DomainError(f"window radius {self.radius} < 0")
-
-    @property
-    def side(self) -> int:
-        return 2 * self.radius + 1
-
-    @property
-    def shape(self) -> tuple:
-        return (self.side,) * self.dim
-
-    @property
-    def size(self) -> int:
-        return self.side**self.dim
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Unit weights: lattice sums are plain sums."""
-        return np.ones(self.size)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """All integer points, shape (size, dim), first axis slowest."""
-        rng = range(-self.radius, self.radius + 1)
-        return np.array(list(itertools.product(rng, repeat=self.dim)), dtype=float)
-
-    def min_xi_count(self) -> int:
-        """Nodes per xi-axis for exact quadrature of window bigrams.
-
-        Products of two window exponentials have frequencies up to 2*(2N+1)-2
-        per axis; a periodic grid with at least 2*(2N+1) nodes kills every
-        nonzero one exactly.
-        """
-        return 2 * self.side
-
-    def check_grid(self, grid, what: str) -> None:
-        """The Z^n-T^n pairing rule: ``grid`` is periodic on [0, 1)^n (the nodes k/N
-        ``_abelian_matrix``'s FFT reads) with at least ``min_xi_count()`` nodes per axis.
-        ``what`` names the node count; ``LatticeWindow.check_grid(space, grid, what)``
-        also rejects a space that is not a window."""
-        if not isinstance(self, LatticeWindow):
-            raise ValidationError(f"{what}: the grid pairs with a LatticeWindow, not a {type(self).__name__}")
-        if not getattr(grid, "periodic", False) or any((lo, hi) != (0.0, 1.0) for lo, hi, _ in grid.axes):
-            raise ValidationError(f"{what}: the grid must be periodic and span [0, 1) on every axis")
-        if grid.dim != self.dim:
-            raise ShapeError(f"{what}: grid dim {grid.dim} != window dim {self.dim}")
-        need = self.min_xi_count()
-        for _, _, count in grid.axes:
-            if count < need:
-                raise TruncationError(f"{what} = {count} below the exactness threshold {need}")
-
-
-def LatticeSymbol(window: LatticeWindow, xi_grid: UniformGrid, values) -> SampledSymbol:
-    """Symbol samples a(n', xi_j), window points by checked torus nodes."""
-    LatticeWindow.check_grid(window, xi_grid, "lattice xi_count")
-    return SampledSymbol(window, xi_grid, values)
 
 
 def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, grid: UniformGrid) -> np.ndarray:
@@ -129,13 +56,6 @@ def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, grid: Unif
     np.exp(np.multiply(1j, np.subtract(phi, kern, out=kern), out=B), out=B)
     M[np.diag_indices(n)] = ksum(np.multiply(B, wa, out=B), axis=1)
     return M
-
-
-def lattice_dft(f: SampledField, xi_grid: UniformGrid) -> SampledField:
-    """(F_Z f)(xi) = sum_m f(m) e^{-2*pi*i*m.xi}, exact finite sum (the
-    quadrature transform with the window's unit weights)."""
-    LatticeWindow.check_grid(f.grid, xi_grid, "lattice xi_count")
-    return dft_forward(f, xi_grid)
 
 
 def lattice_fio_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> SampledField:

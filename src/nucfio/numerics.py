@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError, ValidationError, ZeroNormError
-from .grids import SampledField, UniformGrid, ksum, validate_range
+from .grids import SampledField, UniformGrid, _check_pairing, ksum, validate_range
 
 __all__ = [
     "character_sum",
@@ -47,6 +47,12 @@ def character_sum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: 
 
 
 def _dft(values: np.ndarray, from_grid: UniformGrid, to_grid: UniformGrid, sign: float) -> np.ndarray:
+    """The quadrature sum onto ``to_grid``; a window on either side must pass
+    the pairing rule first (``grids._check_pairing``), so no aliasing Z^n-T^n
+    pair is transformed."""
+    _check_pairing(from_grid, to_grid)
+    if to_grid.dim != from_grid.dim:
+        raise ShapeError(f"target grid dim {to_grid.dim} != field dim {from_grid.dim}")
     src, dst = from_grid.nodes, to_grid.nodes
     wsrc = from_grid.weights * values
     out = np.empty(to_grid.size, dtype=complex)
@@ -61,22 +67,19 @@ def dft_forward(f: SampledField, xi_grid: UniformGrid) -> SampledField:
     Parameters
     ----------
     f : SampledField
-    xi_grid : UniformGrid
-        Frequency nodes to evaluate on; must match the dimension of f's grid.
+    xi_grid : UniformGrid or LatticeWindow
+        Frequency nodes to evaluate on; must match the dimension of f's grid
+        and, where either side is a window, pass ``LatticeWindow.check_grid``.
 
     Returns
     -------
     SampledField on ``xi_grid``.
     """
-    if xi_grid.dim != f.grid.dim:
-        raise ShapeError(f"frequency grid dim {xi_grid.dim} != field dim {f.grid.dim}")
     return SampledField(xi_grid, _dft(f.values, f.grid, xi_grid, -1.0))
 
 
 def dft_inverse(F: SampledField, x_grid: UniformGrid) -> SampledField:
     """Quadrature inverse transform, kernel exp(+2*pi*i*x.xi)."""
-    if x_grid.dim != F.grid.dim:
-        raise ShapeError(f"spatial grid dim {x_grid.dim} != field dim {F.grid.dim}")
     return SampledField(x_grid, _dft(F.values, F.grid, x_grid, +1.0))
 
 

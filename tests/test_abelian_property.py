@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from nucfio.euclid import PhaseSpec, nuclear_trace_euclid, symbol_from_decomposition
-from nucfio.grids import SampledField, UniformGrid
+from nucfio.grids import LatticeWindow, SampledField, UniformGrid
 from nucfio.group import torus_nuclear_trace, torus_symbol_from_decomposition
-from nucfio.lattice import LatticeWindow, lattice_nuclear_trace, lattice_symbol_from_decomposition
+from nucfio.lattice import lattice_nuclear_trace, lattice_symbol_from_decomposition
 from nucfio.nuclear import RankOneSequence, delgado_trace
 
 pytest.importorskip("hypothesis")

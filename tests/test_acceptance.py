@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nucfio.families import euclid_field, lattice_sequence, random_gaussian_mix
-from nucfio.grids import SampledField, UniformGrid
+from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid
 from nucfio.euclid import PhaseSpec, decay_norms, lidskii_report, symbol_from_decomposition
 from nucfio.group import (
     GroupPhase,
@@ -34,8 +34,6 @@ from nucfio.homog import (
     table_from_su2,
 )
 from nucfio.lattice import (
-    LatticeSymbol,
-    LatticeWindow,
     lattice_matrix,
     lattice_mixed_norms,
     lattice_nuclear_trace,
@@ -103,7 +101,7 @@ def test_criterion_2_lattice_decompositions(capsys):
             abs(matrix_trace(M) - direct),
             abs(dense_eigenvalues(M).sum() - direct),
         )
-    ident = LatticeSymbol(w, xi, np.ones((w.size, xi.size), dtype=complex))
+    ident = SampledSymbol(w, xi, np.ones((w.size, xi.size), dtype=complex))
     exact = lattice_nuclear_trace(phase, ident) == complex(w.size)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and exact and elapsed < 10.0

@@ -8,8 +8,7 @@ from nucfio.families import (
     lattice_sequence,
     spec_needs_rng,
 )
-from nucfio.grids import UniformGrid
-from nucfio.lattice import LatticeWindow
+from nucfio.grids import LatticeWindow, UniformGrid
 
 
 @pytest.fixture

@@ -13,13 +13,16 @@ from nucfio.errors import (
 )
 from nucfio.grids import (
     KahanSum,
+    LatticeWindow,
     SampledField,
+    SampledSymbol,
     UniformGrid,
     interpolate,
     ksum,
     require_edge_decay,
     require_same_grid,
 )
+from nucfio.numerics import dft_forward, dft_inverse
 
 
 def test_box_weights_sum_to_volume():
@@ -169,3 +172,43 @@ def test_interpolate_column_gather_peak_does_not_grow_with_table_width():
     # equal up to interpreter bookkeeping; a (points, width) buffer would be 6.4 MB
     assert abs(peaks[1] - peaks[0]) < 0.05 * peaks[0]
     assert peaks[1] <= 8 * out.nbytes
+
+
+def test_grid_construction_does_not_form_the_product_weights():
+    # the volume is checked axis by axis; the product weights of 10^6 nodes
+    # would be 8 MB before any caller could judge the grid's size
+    tracemalloc.start()
+    try:
+        UniformGrid.torus(100, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+# -- the Z^n-T^n pairing rule where a window meets a grid ----------------------
+
+
+@pytest.mark.parametrize("window_side", ["space", "freq"])
+def test_an_aliasing_symbol_is_refused_at_construction(window_side):
+    # a cutoff-3 window needs 2 * 7 = 14 torus nodes; on 4 the lattice
+    # identity, built unchecked, traced to 7 through the R^n entry point
+    window, torus = LatticeWindow(1, 3), UniformGrid.torus(4)
+    space, freq, what = (window, torus, "lattice xi") if window_side == "space" else (torus, window, "torus x")
+    with pytest.raises(TruncationError, match=f"{what}_count = 4 below the exactness threshold 14"):
+        SampledSymbol(space, freq, np.ones((space.size, freq.size)))
+
+
+def test_the_transform_refuses_an_aliasing_pair():
+    window, torus = LatticeWindow(1, 3), UniformGrid.torus(4)
+    on_window = SampledField(window, np.ones(window.size))
+    on_torus = SampledField(torus, np.ones(torus.size))
+    calls = [
+        (lambda: dft_forward(on_window, torus), "lattice xi_count"),
+        (lambda: dft_inverse(on_window, torus), "lattice xi_count"),
+        (lambda: dft_forward(on_torus, window), "torus x_count"),
+    ]
+    for call, what in calls:
+        with pytest.raises(TruncationError, match=f"{what} = 4 below the exactness threshold 14"):
+            call()
+

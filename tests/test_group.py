@@ -5,13 +5,12 @@ import pytest
 
 from nucfio.errors import ConditionError, DomainError, ValidationError
 from nucfio.euclid import PhaseSpec
-from nucfio.grids import SampledField, SampledSymbol, UniformGrid, ksum
+from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.group import (
     _leggauss_ab,
     GroupPhase,
     GroupQuadrature,
     GroupSymbol,
-    TorusSymbol,
     euler_from_su2,
     group_fio_apply,
     group_matrix,
@@ -20,20 +19,16 @@ from nucfio.group import (
     identity_phase,
     s3_quadrature,
     s3_su2_points,
-    su2_character,
     group_fourier,
     su2_haar_quadrature,
     su2_irrep_table,
-    torus_fourier,
-    torus_freqs,
     torus_matrix,
     torus_nuclear_trace,
     torus_symbol_from_decomposition,
     wigner_matrix,
 )
-from nucfio.lattice import LatticeWindow
 from nucfio.nuclear import RankOneSequence, delgado_trace
-from nucfio.numerics import dense_eigenvalues, matrix_trace
+from nucfio.numerics import dense_eigenvalues, dft_forward, dft_inverse, matrix_trace
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +142,7 @@ def test_schur_orthogonality(quad):
 def test_character_norm_one(quad):
     # [DERIVED] irreducible characters are orthonormal in L^2
     for twoL in range(3):
-        chi = su2_character(quad, twoL)
+        chi = np.einsum("nii->n", su2_irrep_table(quad, twoL))
         assert float((quad.weights * np.abs(chi) ** 2).sum()) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -321,7 +316,7 @@ def circle():
 
 
 def test_torus_freqs_lexicographic():
-    F = torus_freqs(1, 2)
+    F = LatticeWindow(2, 1).nodes
     assert F.shape == (9, 2)
     assert np.array_equal(F[0], [-1, -1])
     assert np.array_equal(F[-1], [1, 1])
@@ -330,15 +325,15 @@ def test_torus_freqs_lexicographic():
 def test_torus_fourier_exact_on_polynomials(circle):
     x = circle.nodes[:, 0]
     f = SampledField(circle, (2.0 * np.exp(2j * np.pi * x) + 3.0).astype(complex))
-    fhat = torus_fourier(f, 2)
+    fhat = dft_forward(f, LatticeWindow(1, 2)).values
     # freqs ordered -2..2; coefficient of e^{2 pi i x} sits at index 3
     want = np.array([0.0, 0.0, 3.0, 2.0, 0.0], dtype=complex)
     assert np.abs(fhat - want).max() < 1e-13
 
 
 def test_torus_identity_trace(circle):
-    n_freq = torus_freqs(2, 1).shape[0]
-    a = TorusSymbol(circle, 2, np.ones((circle.size, n_freq), dtype=complex))
+    n_freq = LatticeWindow(1, 2).nodes.shape[0]
+    a = SampledSymbol(circle, LatticeWindow(1, 2), np.ones((circle.size, n_freq), dtype=complex))
     # [DERIVED] identity on a 5-dimensional space of exponentials
     assert torus_nuclear_trace(PhaseSpec.linear(), a) == pytest.approx(5.0, abs=1e-13)
     M = torus_matrix(PhaseSpec.linear(), a)
@@ -359,7 +354,7 @@ def test_torus_synthesis_trace(circle):
 def test_constant_torus_symbol_traces_exactly(dim, cutoff, x_count):
     x_grid = UniformGrid.torus(x_count, dim)
     n_freq = (2 * cutoff + 1) ** dim
-    a = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, n_freq), dtype=complex))
+    a = SampledSymbol(x_grid, LatticeWindow(dim, cutoff), np.ones((x_grid.size, n_freq), dtype=complex))
     # [DERIVED] the identity on the frequency cube traces to its cardinality
     # with no rounding: the linear phase cancels the kernel to e^{i*0} = 1
     # and the dyadic weights sum exactly
@@ -373,7 +368,7 @@ def test_constant_torus_matrix_is_exact_at_any_x_count(x_count):
     cutoff = (x_count - 2) // 4  # the exactness threshold 4 * cutoff + 2 of LatticeWindow.check_grid
     x_grid = UniformGrid.torus(x_count, 1)
     n_freq = 2 * cutoff + 1
-    a = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, n_freq), dtype=complex))
+    a = SampledSymbol(x_grid, LatticeWindow(1, cutoff), np.ones((x_grid.size, n_freq), dtype=complex))
     M = torus_matrix(PhaseSpec.linear(), a)
     assert np.array_equal(np.diag(M), np.ones(n_freq, dtype=complex))
     assert torus_nuclear_trace(PhaseSpec.linear(), a) == complex(n_freq)
@@ -382,26 +377,29 @@ def test_constant_torus_matrix_is_exact_at_any_x_count(x_count):
 
 
 def test_torus_grids_must_span_the_unit_box():
-    # a periodic [0, 2) grid: its nodes are not k/N, where the torus matrix reads them
+    # a periodic [0, 2) grid: its nodes are not k/N, where the torus matrix reads
+    # them; the symbol refuses it at construction, so no entry point sees it
     wide = UniformGrid(((0.0, 2.0, 16),), periodic=True)
     ones = np.ones((wide.size, 5), dtype=complex)
     with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
-        TorusSymbol(wide, 2, ones)
+        SampledSymbol(wide, LatticeWindow(1, 2), ones)
     h = SampledField(wide, np.ones(wide.size, dtype=complex))
     with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
         torus_symbol_from_decomposition(PhaseSpec.linear(), RankOneSequence(((h, h),), 2.0, 2.0, 1.0), 2, wide)
     with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
-        torus_fourier(h, 2)
-    bare = SampledSymbol(wide, LatticeWindow(1, 2), ones)
-    for entry in (torus_nuclear_trace, torus_matrix):
-        with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
-            entry(PhaseSpec.linear(), bare)
+        dft_forward(h, LatticeWindow(1, 2))
 
 
 def test_torus_entry_points_reject_a_domain_that_is_not_a_grid():
-    # a Haar quadrature has no axes: a ValidationError, not an AttributeError
-    quad = su2_haar_quadrature(4, 4, 8)
+    # a Haar quadrature has no axes or dim: the pairing rule runs first, so a
+    # window next to it, on either side, is a ValidationError, not an AttributeError
+    quad, window = su2_haar_quadrature(4, 4, 8), LatticeWindow(1, 1)
     f = SampledField(quad, np.ones(quad.size, dtype=complex))
-    for call in (lambda: torus_fourier(f, 1), lambda: TorusSymbol(quad, 1, np.ones((quad.size, 3)))):
+    for call in (
+        lambda: dft_forward(f, window),
+        lambda: dft_inverse(SampledField(window, np.ones(3)), quad),
+        lambda: SampledSymbol(quad, window, np.ones((quad.size, 3))),
+        lambda: SampledSymbol(window, quad, np.ones((3, quad.size))),
+    ):
         with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
             call()

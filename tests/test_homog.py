@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from nucfio.errors import DomainError, GridMismatchError, ShapeError, ValidationError
-from nucfio.grids import SampledField, UniformGrid, ksum
+from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.euclid import PhaseSpec
 from nucfio.group import (
     GroupPhase,
     GroupSymbol,
-    TorusSymbol,
     class_i_mask,
     group_fio_apply,
     group_fourier,
@@ -19,7 +18,6 @@ from nucfio.group import (
     identity_phase,
     su2_haar_quadrature,
     su2_irrep_table,
-    torus_freqs,
     torus_nuclear_trace,
 )
 from nucfio.homog import (
@@ -167,8 +165,8 @@ def test_torus_degeneration():
     tab = table_from_torus(x_grid, cutoff)
     blocks_a = {lab: np.ones((x_grid.size, 1, 1), dtype=complex) for lab in tab.labels}
     th = homog_nuclear_trace(GroupPhase(tab, tab.matrices), GroupSymbol(tab, blocks_a))
-    n_freq = torus_freqs(cutoff, 1).shape[0]
-    a_t = TorusSymbol(x_grid, cutoff, np.ones((x_grid.size, n_freq), dtype=complex))
+    n_freq = LatticeWindow(1, cutoff).nodes.shape[0]
+    a_t = SampledSymbol(x_grid, LatticeWindow(1, cutoff), np.ones((x_grid.size, n_freq), dtype=complex))
     tt = torus_nuclear_trace(PhaseSpec.linear(), a_t)
     assert th == tt
 
@@ -241,10 +239,20 @@ def test_su3_negative_theta_rejected(axis):
 
 
 def test_su3_haar_mass_and_schur():
-    # resolution 8 is spectrally converged to ~1e-9; the runner uses 16
+    # the runner uses resolution 16; the rule is exact already at 8
     quad = su3_haar_quadrature(8, 5)
     assert abs(su3_mass(quad) - 1.0) < 1e-10
     assert su3_schur_error(quad) < 1e-6
+
+
+@pytest.mark.parametrize("resolution, phi_count", [(8, 5), (2, 3)])
+def test_su3_rule_is_exact_for_the_schur_products(resolution, phi_count):
+    # [DERIVED] in x = cos(2 theta) the densities sin cos^3 and sin cos are
+    # (1+x)/8 and 1/4, so Gauss-Legendre in x integrates the fundamental Schur
+    # products exactly; Gauss-Legendre in theta read 9.5e-9 at (8, 5), 0.16 at (2, 3)
+    quad = su3_haar_quadrature(resolution, phi_count)
+    assert su3_schur_error(quad) <= 1e-14
+    assert abs(su3_mass(quad) - 1.0) <= 1e-14
 
 
 # -- su3 oracles: the closed-form entries and the full-grid sweep ---------------
@@ -314,9 +322,8 @@ def test_su3_term_table_matches_the_closed_form():
 
 @pytest.mark.parametrize("resolution, phi_count", [(4, 3), (5, 3)])
 def test_su3_factorized_checks_match_the_grid_sweep(resolution, phi_count):
-    # the factorized sums reorder the product-rule sum over every node; these
-    # rules are far from converged (Schur error near 4e-3 and 3e-4), so the
-    # match is with the rule, not with the exact integrals
+    # the factorized sums reorder the product-rule sum over every node, so
+    # they match the brute-force sweep of the same rule to roundoff
     quad = su3_haar_quadrature(resolution, phi_count)
     assert abs(su3_mass(quad) - brute_mass(quad)) < 1e-14
     assert abs(su3_schur_error(quad) - brute_schur_error(quad)) < 1e-14

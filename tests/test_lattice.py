@@ -3,12 +3,8 @@ import pytest
 
 from nucfio.errors import DomainError, GridMismatchError, ShapeError, ValidationError
 from nucfio.euclid import PhaseSpec
-from nucfio.grids import SampledField, UniformGrid
-from nucfio.group import torus_freqs
+from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid
 from nucfio.lattice import (
-    LatticeSymbol,
-    LatticeWindow,
-    lattice_dft,
     lattice_fio_apply,
     lattice_matrix,
     lattice_mixed_norms,
@@ -16,7 +12,7 @@ from nucfio.lattice import (
     lattice_symbol_from_decomposition,
 )
 from nucfio.nuclear import RankOneSequence, r_quasinorm_bound
-from nucfio.numerics import dense_eigenvalues, lp_norm, matrix_trace
+from nucfio.numerics import dense_eigenvalues, dft_forward, lp_norm, matrix_trace
 
 
 @pytest.fixture
@@ -55,27 +51,27 @@ def test_window_rejects_non_integers(dim, radius):
     with pytest.raises(ValidationError, match="must be an integer"):
         LatticeWindow(dim, radius)
     with pytest.raises(ValidationError, match="must be an integer"):
-        torus_freqs(radius, dim)
+        LatticeWindow(dim, radius).nodes
 
 
 def test_xi_grid_must_be_periodic_unit(setup):
     w, _, _ = setup
     with pytest.raises(ValidationError):
-        LatticeSymbol(w, UniformGrid.box(0.0, 1.0, 32, 1), np.ones((9, 32), dtype=complex))
+        SampledSymbol(w, UniformGrid.box(0.0, 1.0, 32, 1), np.ones((9, 32), dtype=complex))
 
 
 def test_dft_of_delta_is_character(setup):
     w, xi, _ = setup
     f = np.zeros(w.size, dtype=complex)
     f[w.size // 2] = 1.0  # the origin of the window
-    fhat = lattice_dft(SampledField(w, f), xi)
+    fhat = dft_forward(SampledField(w, f), xi)
     # [DERIVED] delta at m = 0 transforms to the constant 1
     assert np.abs(fhat.values - 1.0).max() < 1e-14
 
 
 def test_identity_trace_is_window_cardinality(setup):
     w, xi, phase = setup
-    a = LatticeSymbol(w, xi, np.ones((w.size, xi.size), dtype=complex))
+    a = SampledSymbol(w, xi, np.ones((w.size, xi.size), dtype=complex))
     # [DERIVED] constant symbol 1 with the linear phase is the identity on
     # the window: trace = 2N + 1 exactly, by dyadic quadrature cancellation
     assert lattice_nuclear_trace(phase, a) == 9.0 + 0.0j
@@ -132,7 +128,7 @@ def test_mixed_norms_for_separable_symbol(setup):
     w, xi, _ = setup
     u = np.arange(1.0, 10.0)
     v = np.cos(2.0 * np.pi * xi.nodes[:, 0]) + 2.0
-    a = LatticeSymbol(w, xi, np.outer(u, v).astype(complex))
+    a = SampledSymbol(w, xi, np.outer(u, v).astype(complex))
     nf, xf = lattice_mixed_norms(a, 2.0, 2.0)
     # [DERIVED] separable symbols factor into ell^2 x L^2 norms
     want = np.sqrt((u**2).sum()) * np.sqrt((xi.weights * v**2).sum())
@@ -172,7 +168,7 @@ def test_identity_is_exact_at_any_xi_count(xi_count):
     radius = (xi_count // 2 - 1) // 2  # the largest with 2 * (2 * radius + 1) <= xi_count
     w, xi = LatticeWindow(1, radius), UniformGrid.torus(xi_count, 1)
     phase = PhaseSpec.linear()
-    a = LatticeSymbol(w, xi, np.ones((w.size, xi.size), dtype=complex))
+    a = SampledSymbol(w, xi, np.ones((w.size, xi.size), dtype=complex))
     M = lattice_matrix(phase, a)
     assert np.array_equal(np.diag(M), np.ones(w.size, dtype=complex))
     assert lattice_nuclear_trace(phase, a) == complex(w.size)
@@ -185,7 +181,7 @@ def test_sampled_phase_is_density_checked_on_apply():
     # at n = 4, above the 2*pi/8 bound; half of it (0.63 rad) passes, and the
     # linear phase, which is exact, is not checked
     w, xi = LatticeWindow(1, 4), UniformGrid.torus(20, 1)
-    a = LatticeSymbol(w, xi, np.ones((w.size, xi.size), dtype=complex))
+    a = SampledSymbol(w, xi, np.ones((w.size, xi.size), dtype=complex))
     f = SampledField(w, np.ones(w.size))
     table = 2.0 * np.pi * (w.nodes @ xi.nodes.T)
     with pytest.raises(ValidationError, match="1.257 rad per node step on axis 1"):

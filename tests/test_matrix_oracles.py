@@ -13,26 +13,23 @@ import pytest
 
 from nucfio.errors import TruncationError
 from nucfio.euclid import PhaseSpec
-from nucfio.grids import SampledField, SampledSymbol, UniformGrid, ksum
+from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.group import (
     GroupPhase,
     GroupSymbol,
-    TorusSymbol,
     class_i_mask,
     group_fio_apply,
     group_matrix,
     identity_phase,
     su2_haar_quadrature,
     su2_irrep_table,
-    torus_fourier,
-    torus_freqs,
     torus_matrix,
-    torus_nuclear_trace,
     torus_symbol_from_decomposition,
 )
 from nucfio.homog import ClassIIrrepTable, table_from_torus
-from nucfio.lattice import LatticeSymbol, LatticeWindow, lattice_matrix
+from nucfio.lattice import lattice_matrix
 from nucfio.nuclear import RankOneSequence
+from nucfio.numerics import dft_forward
 
 
 def per_entry_group_matrix(Phi, a):
@@ -124,7 +121,7 @@ def test_lattice_matrix_matches_per_column_loop(dim, radius, xi_count):
     pts, xi = window.nodes, xi_grid.nodes
     shape = (window.size, xi_grid.size)
     for values in (np.ones(shape), random_complex(rng, shape)):
-        a = LatticeSymbol(window, xi_grid, values)
+        a = SampledSymbol(window, xi_grid, values)
         for phase in phases(pts, xi, rng):
             want = per_column_abelian_matrix(phase.table(pts, xi), a.values, pts, xi, xi_grid.weights)
             assert_matches_oracle(lattice_matrix(phase, a), want, xi_grid.weights, values)
@@ -138,10 +135,10 @@ def test_lattice_matrix_matches_per_column_loop(dim, radius, xi_count):
 def test_torus_matrix_matches_per_column_loop(dim, cutoff, x_count):
     rng = np.random.default_rng(24 + dim)
     x_grid = UniformGrid.torus(x_count, dim)
-    x, freqs = x_grid.nodes, torus_freqs(cutoff, dim)
+    x, freqs = x_grid.nodes, LatticeWindow(dim, cutoff).nodes
     shape = (x_grid.size, freqs.shape[0])
     for values in (np.ones(shape), random_complex(rng, shape)):
-        a = TorusSymbol(x_grid, cutoff, values)
+        a = SampledSymbol(x_grid, LatticeWindow(dim, cutoff), values)
         for phase in phases(x, freqs, rng):
             M = per_column_abelian_matrix(phase.table(x, freqs).T, a.values.T, freqs, x, x_grid.weights)
             assert_matches_oracle(torus_matrix(phase, a), M.T, x_grid.weights, values)
@@ -149,19 +146,17 @@ def test_torus_matrix_matches_per_column_loop(dim, cutoff, x_count):
 
 def test_torus_entry_points_reject_an_aliasing_grid():
     # 5 x nodes per axis for the cutoff-3 cube: distinct l would read the same
-    # FFT bin l mod 5, and the quadratures would not be exact; every torus
-    # entry point and the torus table refuse it, as the lattice does
+    # FFT bin l mod 5, and the quadratures would not be exact; the symbol (so
+    # no torus trace or matrix sees it), the transform, the synthesis and the
+    # torus table refuse it, as the lattice does
     dim, cutoff, x_grid = 2, 3, UniformGrid.torus(5, 2)
     values = np.ones((x_grid.size, (2 * cutoff + 1) ** dim), dtype=complex)
     f = SampledField(x_grid, np.ones(x_grid.size, dtype=complex))
     d = RankOneSequence(((f, f),), 2.0, 2.0, 1.0)
-    bare = SampledSymbol(x_grid, LatticeWindow(dim, cutoff), values)
     calls = [
-        lambda: TorusSymbol(x_grid, cutoff, values),
-        lambda: torus_fourier(f, cutoff),
+        lambda: SampledSymbol(x_grid, LatticeWindow(dim, cutoff), values),
+        lambda: dft_forward(f, LatticeWindow(dim, cutoff)),
         lambda: torus_symbol_from_decomposition(PhaseSpec.linear(), d, cutoff, x_grid),
-        lambda: torus_nuclear_trace(PhaseSpec.linear(), bare),
-        lambda: torus_matrix(PhaseSpec.linear(), bare),
         lambda: table_from_torus(x_grid, cutoff),
     ]
     for call in calls:

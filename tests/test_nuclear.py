@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from nucfio.errors import DomainError, GridMismatchError, ValidationError
-from nucfio.grids import SampledField, UniformGrid
+from nucfio.grids import LatticeWindow, SampledField, UniformGrid
 from nucfio.group import su2_haar_quadrature
-from nucfio.lattice import LatticeWindow
 from nucfio.nuclear import (
     RankOneSequence,
     apply_kernel,

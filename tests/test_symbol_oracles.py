@@ -11,26 +11,20 @@ import pytest
 
 from nucfio.errors import ShapeError, ValidationError
 from nucfio.euclid import PhaseSpec
-from nucfio.grids import SampledField, SampledSymbol, UniformGrid, ksum
+from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.group import (
-    TorusSymbol,
-    torus_fourier,
-    torus_freqs,
     torus_matrix,
     torus_nuclear_trace,
     torus_symbol_from_decomposition,
 )
 from nucfio.lattice import (
-    LatticeSymbol,
-    LatticeWindow,
-    lattice_dft,
     lattice_matrix,
     lattice_mixed_norms,
     lattice_nuclear_trace,
     lattice_symbol_from_decomposition,
 )
 from nucfio.nuclear import RankOneSequence
-from nucfio.numerics import character_sum
+from nucfio.numerics import character_sum, dft_forward
 
 
 def oracle_trace(phi, a, rows, cols, w):
@@ -79,7 +73,7 @@ def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
     pts, xi = window.nodes, xi_grid.nodes
     shape = (window.size, xi_grid.size)
     d = random_decomposition(window, rng)
-    symbols = [LatticeSymbol(window, xi_grid, v) for v in (np.ones(shape), random_complex(rng, shape))]
+    symbols = [SampledSymbol(window, xi_grid, v) for v in (np.ones(shape), random_complex(rng, shape))]
     for phase in phases(pts, xi, rng):
         phi = phase.table(pts, xi)
         for a in symbols:
@@ -89,17 +83,17 @@ def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
         pairs = [(h.values, g.values) for h, g in d.terms]
         assert np.array_equal(s.values, oracle_synthesis(phi, pairs, pts, xi))
     f = d.terms[0][1]
-    assert np.array_equal(lattice_dft(f, xi_grid).values, character_sum(f.values, pts, xi, -1.0))
+    assert np.array_equal(dft_forward(f, xi_grid).values, character_sum(f.values, pts, xi, -1.0))
 
 
 @pytest.mark.parametrize("dim, cutoff, x_count", [(1, 5, 24), (2, 2, 10)], ids=["dim1", "dim2"])
 def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
     rng = np.random.default_rng(32 + dim)
     x_grid = UniformGrid.torus(x_count, dim)
-    x, freqs, w = x_grid.nodes, torus_freqs(cutoff, dim), x_grid.weights
+    x, freqs, w = x_grid.nodes, LatticeWindow(dim, cutoff).nodes, x_grid.weights
     shape = (x_grid.size, freqs.shape[0])
     d = random_decomposition(x_grid, rng)
-    symbols = [TorusSymbol(x_grid, cutoff, v) for v in (np.ones(shape), random_complex(rng, shape))]
+    symbols = [SampledSymbol(x_grid, LatticeWindow(dim, cutoff), v) for v in (np.ones(shape), random_complex(rng, shape))]
     for phase in phases(x, freqs, rng):
         phi = phase.table(x, freqs)
         for a in symbols:
@@ -109,14 +103,14 @@ def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
         pairs = [(h.values, w * g.values) for h, g in d.terms]
         assert np.array_equal(s.values, oracle_synthesis(phi, pairs, x, freqs))
     f = d.terms[0][1]
-    assert np.array_equal(torus_fourier(f, cutoff), character_sum(w * f.values, x, freqs, -1.0))
+    assert np.array_equal(dft_forward(f, LatticeWindow(dim, cutoff)).values, character_sum(w * f.values, x, freqs, -1.0))
 
 
 def test_setting_constructors_return_sampled_symbols():
     window, xi_grid = LatticeWindow(1, 2), UniformGrid.torus(12, 1)
     circle = UniformGrid.torus(16, 1)
-    a = LatticeSymbol(window, xi_grid, np.ones((5, 12)))
-    t = TorusSymbol(circle, 2, np.ones((16, 5)))
+    a = SampledSymbol(window, xi_grid, np.ones((5, 12)))
+    t = SampledSymbol(circle, LatticeWindow(1, 2), np.ones((16, 5)))
     assert type(a) is SampledSymbol and (a.space, a.freq) == (window, xi_grid)
     assert type(t) is SampledSymbol and (t.space, t.freq) == (circle, LatticeWindow(1, 2))
 
@@ -138,18 +132,18 @@ def test_sampled_symbol_construction_is_checked(space, freq, values, error):
 
 
 def test_entry_points_check_the_setting_of_a_bare_symbol():
-    # a SampledSymbol carries no setting, so each entry point checks its own
+    # a SampledSymbol enforces the pairing rule where one side is a window, but
+    # carries no setting, so each entry point checks its own
     phase = PhaseSpec.linear()
     box = UniformGrid.box(0.0, 1.0, 8)
     euclid = SampledSymbol(box, box, np.ones((8, 8)))
-    coarse = SampledSymbol(LatticeWindow(1, 2), UniformGrid.torus(6, 1), np.ones((5, 6)))
+    with pytest.raises(ValidationError, match="lattice xi_count = 6 below the exactness threshold 10"):
+        SampledSymbol(LatticeWindow(1, 2), UniformGrid.torus(6, 1), np.ones((5, 6)))  # 6 < 2 * 5 frequency nodes
     circle = UniformGrid.torus(8, 1)
     grid_freqs = SampledSymbol(circle, UniformGrid.torus(5, 1), np.ones((8, 5)))
     for f in (lattice_nuclear_trace, lattice_matrix):
         with pytest.raises(ValidationError):
             f(phase, euclid)
-        with pytest.raises(ValidationError):
-            f(phase, coarse)  # 6 < 2 * 5 frequency nodes
     with pytest.raises(ValidationError):
         lattice_mixed_norms(euclid, 2.0, 2.0)
     for f in (torus_nuclear_trace, torus_matrix):
