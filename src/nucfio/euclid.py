@@ -166,8 +166,10 @@ def _abelian_synthesis(phase: PhaseSpec, d: RankOneSequence, space, freq) -> Sam
 
 
 def _abelian_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
-    """sum_{p, j} w_p w_j e^{i(phi(p, j) - 2*pi*x_p.xi_j)} a(p, j) in the
-    symbol's own order, as one compensated pass over the flattened rows.
+    """sum_{p, j} w_p w_j e^{i(phi(p, j) - 2*pi*x_p.xi_j)} a(p, j) as one flat
+    ``KahanSum`` over the row-major terms, fed row block by row block: term
+    (p, j) goes to lane (p * n_xi + j) mod 1024 whatever the blocking, and the
+    lanes fold in one exactly rounded ``math.fsum``.
 
     The exponent keeps the i on phi and is one difference, so a linear phase
     gives e^{i*0} = 1 exactly; where one side is a window of unit weights,

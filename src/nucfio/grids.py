@@ -7,13 +7,17 @@ Conventions used throughout the package:
   node index is reproducible from the per-axis index tuple;
 * open boxes carry composite-trapezoid weights (interior h, endpoints h/2),
   periodic boxes carry the uniform weight h with the right endpoint omitted;
-* scalar quadrature reductions go through compensated (Kahan) summation in
-  ascending node order, making repeated runs bit-identical.
+* quadrature reductions are compensated sums in a fixed order, so repeated
+  runs are bit-identical: a reduction along an axis steps through it in
+  ascending index order (Kahan), and a reduction to a scalar deals element i
+  to lane i mod 1024, takes one Neumaier step per lane row, and folds the
+  lanes in one exactly rounded ``math.fsum``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -49,13 +53,26 @@ __all__ = [
 _VOLUME_RTOL = 1e-12
 
 
-class KahanSum:
-    """Resumable compensated (Kahan) sum over the leading axis of blocks.
+# Lane count of the flat compensated sum (see KahanSum).
+_LANES = 1024
 
-    ``add(block)`` folds axis 0 of ``block`` into the running total in
-    ascending index order, elementwise over the trailing ``shape``. A sum
+
+class KahanSum:
+    """Resumable compensated sum over the leading axis of blocks.
+
+    ``add(block)`` folds axis 0 of ``block`` into the running total. A sum
     taken block by block gives the same bits as one ``add`` of the whole
     stack, so callers can bound memory by feeding chunks.
+
+    * A total of ``shape`` != () is a Kahan sum over axis 0 in ascending
+      index order, elementwise over the trailing ``shape``.
+    * A total of shape () sums the flattened stream across ``_LANES`` lanes:
+      element i, counted over every ``add``, goes to lane i mod ``_LANES``,
+      and each lane row takes one vectorized Neumaier step. Complex values
+      are accumulated real and imaginary apart. ``value`` folds the lanes'
+      totals and compensations in one exactly rounded ``math.fsum``; if a
+      lane is not finite or the fold overflows, it is the IEEE sum of the
+      lane totals (inf or nan, as the plain sum would give).
 
     Parameters
     ----------
@@ -66,10 +83,20 @@ class KahanSum:
     """
 
     def __init__(self, shape=(), dtype=float):
-        self.total = np.zeros(shape, dtype=dtype)
+        self.dtype = np.dtype(dtype)
+        self.total = np.zeros(shape, dtype=self.dtype)
+        self.flat = self.total.ndim == 0
+        if self.flat:
+            # the lanes hold the float view of the stream: a complex element's
+            # parts sit in adjacent lanes, so element i owns lanes 2*(i mod _LANES) + {0, 1}
+            width = _LANES * (2 if self.dtype.kind == "c" else 1)
+            self.total = np.zeros(width, dtype=np.finfo(self.dtype).dtype)
+            self.count = 0  # floats fed so far; the next one goes to lane count mod width
         self.comp = np.zeros_like(self.total)
 
     def add(self, block) -> "KahanSum":
+        if self.flat:
+            return self._add_lanes(block)
         total, comp = self.total, self.comp
         for row in block:
             y = row - comp
@@ -79,22 +106,64 @@ class KahanSum:
         self.total, self.comp = total, comp
         return self
 
+    def _add_lanes(self, block) -> "KahanSum":
+        x = np.asarray(block)
+        if x.dtype.kind == "c" and self.dtype.kind != "c":
+            raise ValidationError(f"a complex block cannot be added to a {self.dtype} sum")
+        x = np.ascontiguousarray(x, dtype=self.dtype).reshape(-1).view(self.total.dtype)
+        width, n = self.total.shape[0], x.shape[0]
+        lane = self.count % width
+        self.count += n
+        i = 0
+        while i < n:
+            k = min(width - lane, n - i)
+            self._step(slice(lane, lane + k), x[i : i + k])
+            i, lane = i + k, 0
+        return self
+
+    def _step(self, lanes: slice, x: np.ndarray) -> None:
+        """One Neumaier step on ``lanes``: the exact rounding error of s + x
+        is (s - t) + x when |s| >= |x|, else (x - t) + s."""
+        s = self.total[lanes]
+        t = s + x
+        self.comp[lanes] += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
+        self.total[lanes] = t
+
     @property
     def value(self):
-        """The running total: an array, or a scalar for shape ()."""
-        return self.total if self.total.ndim else self.total[()]
+        """The running total: an array, or a numpy scalar for shape ()."""
+        if not self.flat:
+            return self.total
+        used = min(self.count, self.total.shape[0])
+        parts = 2 if self.dtype.kind == "c" else 1
+        sums = [_fold(self.total[p:used:parts], self.comp[p:used:parts]) for p in range(parts)]
+        return self.dtype.type(complex(*sums) if parts == 2 else sums[0])
+
+
+def _fold(total: np.ndarray, comp: np.ndarray) -> float:
+    """The exactly rounded sum of lane totals and compensations; the IEEE sum
+    of the totals where a lane is not finite or the exact sum overflows.
+
+    ``math.fsum`` of finite lanes is finite or raises OverflowError, and of
+    lanes with an inf or nan is not finite or raises ValueError (inf - inf).
+    """
+    try:
+        v = math.fsum(memoryview(np.concatenate((total, comp))))  # one float at a time, no list
+    except (OverflowError, ValueError):
+        v = math.inf
+    return v if math.isfinite(v) else float(total.sum())
 
 
 def ksum(values, axis=None):
-    """Compensated (Kahan) sum with a fixed accumulation order.
+    """Compensated sum with a fixed accumulation order (see ``KahanSum``).
 
     Parameters
     ----------
     values : array_like
         Real or complex. Complex input is accumulated componentwise.
     axis : int or None
-        None reduces the flattened array to a scalar; an integer reduces
-        along that axis, stepping through it in ascending index order.
+        None reduces the flattened array to a scalar across lanes; an integer
+        reduces along that axis, stepping through it in ascending index order.
 
     Returns
     -------

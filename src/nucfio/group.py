@@ -360,11 +360,13 @@ def _check_invertible(blocks: dict) -> None:
 
 
 def _table_fourier(f_values: np.ndarray, weights: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """fhat = sum_n w_n f_n T_n^*, the matrix Fourier coefficient for table T."""
+    """fhat = sum_n w_n f_n T_n^*, the matrix Fourier coefficient for table T,
+    taken as the conjugate of sum_n conj(w_n f_n) T_n^T: conjugation is exact,
+    so this is the same sum without conjugating the whole (N, d, d) table."""
     f = np.asarray(f_values, dtype=complex).reshape(-1)
     if f.shape[0] != weights.shape[0]:
         raise ShapeError(f"function has {f.shape[0]} samples, quadrature {weights.shape[0]}")
-    return np.einsum("n,nji->ij", weights * f, T.conj())
+    return np.einsum("n,nji->ij", (weights * f).conj(), T).conj()
 
 
 def group_fourier(f_values: np.ndarray, domain, label) -> np.ndarray:
@@ -482,7 +484,7 @@ def group_matrix(Phi: GroupPhase, a: GroupSymbol) -> np.ndarray:
 
     The operator is applied to one group of basis columns at a time, and
     every entry of the group is reduced in one compensated pass over the
-    nodes (ascending order, as a per-entry ``ksum`` would take it). Basis
+    nodes (ascending order, as ``ksum(..., axis=0)`` takes each entry). Basis
     values are formed from the cached tables chunk by chunk, never as a
     whole (N, dim) array.
     """

@@ -126,7 +126,11 @@ def test_verify_passes_and_breach_is_exit_3(tmp_path, capsys):
     assert run(tmp_path, "verify", euclid_cfg()) == 0
     out = capsys.readouterr().out
     assert "pass trace_vs_matrix" in out
-    assert run(tmp_path, "verify", euclid_cfg(), tolerance=1e-30) == 3
+    # a rank-2 random mix: its route gaps sit at roundoff, about 1.8e-15
+    cfg = euclid_cfg()
+    cfg["seed"] = 5
+    cfg["decomposition"]["terms"] = [{"h": {"family": "random_mix"}, "g": {"family": "random_mix"}}] * 2
+    assert run(tmp_path, "verify", cfg, tolerance=1e-30) == 3
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -100,6 +100,90 @@ def test_kahan_sum_in_blocks_matches_one_ksum(values, axis):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def _lane_sensitive(n, lanes):
+    """Zeros, and in each of ``lanes`` the terms 2**53, 1, 2**-60 one lane row
+    of 1024 apart. The lane's compensation rounds 1 + 2**-60 to 1, so the fold
+    meets a tie and rounds to even; a 2**-60 dealt to another lane survives
+    and breaks the tie. The sum's bits show whether every term kept its lane."""
+    v = np.zeros(n)
+    for lane in lanes:
+        v[lane + 1024 * np.arange(3)] = [2.0**53, 1.0, 2.0**-60]
+    return v
+
+
+def test_lane_sensitive_input_tells_lanes_apart():
+    v = _lane_sensitive(3500, (0, 1, 1000, 1023))
+    assert ksum(v) == 2.0**55  # 4 * (2**53 + 1) is a tie, rounded to even
+    v[[3048, 3049]] = v[[3049, 3048]]  # one 2**-60 moves to the next lane
+    assert ksum(v) == 2.0**55 + 8.0
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _adversarial(3500),
+        _adversarial(3500, 4) - 1j * _adversarial(3500, 5),
+        _lane_sensitive(3500, (0, 1, 1000, 1023)),
+        _lane_sensitive(3500, (0, 1, 1000, 1023)) - 1j * _lane_sensitive(3500, (5, 6, 700, 1022)),
+    ],
+    ids=["real_adversarial", "complex_adversarial", "real_lane_sensitive", "complex_lane_sensitive"],
+)
+def test_flat_kahan_sum_resumes_across_lane_wraps(values):
+    # more than three lane rows of 1024, cut off the row boundaries (a cut
+    # inside a row, blocks longer than a row, repeated cuts for empty blocks)
+    want = ksum(values)
+    for cuts in ([0, 1, 1023, 1023, 1025, 2047, 3073], [700, 700, 2900, 3500], [1024, 1500, 2048, 2048, 3499]):
+        acc = KahanSum((), values.dtype)
+        for block in np.split(values, cuts):
+            acc.add(block)
+        got = acc.value
+        assert type(got) is type(want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_flat_kahan_sum_rejects_a_complex_block_into_a_real_total():
+    # a real lane would keep only the real part
+    with pytest.raises(ValidationError, match="complex block"):
+        KahanSum((), float).add(np.array([1.0 + 1.0j]))
+
+
+_BIG = np.finfo(float).max
+
+
+@pytest.mark.parametrize(
+    "values, want",
+    [
+        ([np.inf, 1.0], np.inf),
+        ([1.0, np.nan], np.nan),
+        ([np.inf, -np.inf], np.nan),
+        ([_BIG, _BIG], np.inf),
+        ([-_BIG, -_BIG, _BIG], -np.inf),  # the exact sum is finite, but the fold overflows
+        ([complex(np.inf, 1.0), complex(2.0, 2.0)], complex(np.inf, 3.0)),
+        ([complex(1.0, np.nan)], complex(1.0, np.nan)),
+        ([complex(np.inf, -np.inf), complex(-np.inf, 1.0)], complex(np.nan, -np.inf)),
+        ([complex(_BIG, -_BIG)] * 2, complex(np.inf, -np.inf)),
+    ],
+    ids=[
+        "inf",
+        "nan",
+        "inf_minus_inf",
+        "overflow",
+        "intermediate_overflow",
+        "complex_inf",
+        "complex_nan",
+        "complex_inf_minus_inf",
+        "complex_overflow",
+    ],
+)
+def test_flat_ksum_of_non_finite_or_overflowing_values_is_the_ieee_sum(values, want):
+    # math.fsum of the lanes raises or returns nan on these; the sum gives the IEEE values
+    values = np.asarray(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = ksum(values)
+    assert type(got) is values.dtype.type
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_interpolate_exact_on_cubics():
     # 4-point Lagrange rule reproduces polynomials of degree <= 3 exactly
     g = UniformGrid.box(-1.0, 1.0, 21, 1)

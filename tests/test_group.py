@@ -315,13 +315,6 @@ def circle():
     return UniformGrid.torus(32, 1)
 
 
-def test_torus_freqs_lexicographic():
-    F = LatticeWindow(2, 1).nodes
-    assert F.shape == (9, 2)
-    assert np.array_equal(F[0], [-1, -1])
-    assert np.array_equal(F[-1], [1, 1])
-
-
 def test_torus_fourier_exact_on_polynomials(circle):
     x = circle.nodes[:, 0]
     f = SampledField(circle, (2.0 * np.exp(2j * np.pi * x) + 3.0).astype(complex))

@@ -35,7 +35,7 @@ def random_rank_one(w, rng, terms=3):
 
 def test_window_enumeration():
     w = LatticeWindow(2, 1)
-    assert w.size == 9
+    assert w.size == 9 and w.nodes.shape == (9, 2)
     # [TRIVIAL] lexicographic, first axis slowest
     assert np.array_equal(w.nodes[0], [-1.0, -1.0])
     assert np.array_equal(w.nodes[-1], [1.0, 1.0])

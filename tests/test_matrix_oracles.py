@@ -33,7 +33,9 @@ from nucfio.numerics import dft_forward
 
 
 def per_entry_group_matrix(Phi, a):
-    """One operator application per basis column, one ksum per entry."""
+    """One operator application per basis column, and each entry one
+    compensated sum over the nodes in ascending order (the axis path, a
+    column of entries per call)."""
     weights = a.domain.weights
     basis = []
     for label in a.labels:
@@ -43,8 +45,7 @@ def per_entry_group_matrix(Phi, a):
     M = np.empty((len(basis), len(basis)), dtype=complex)
     for c, bc in enumerate(basis):
         Fc = group_fio_apply(Phi, a, bc)
-        for r, br in enumerate(basis):
-            M[r, c] = complex(ksum(weights * np.conj(br) * Fc))
+        M[:, c] = ksum(np.stack([weights * np.conj(br) * Fc for br in basis], axis=1), axis=0)
     return M
 
 

@@ -106,15 +106,6 @@ def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
     assert np.array_equal(dft_forward(f, LatticeWindow(dim, cutoff)).values, character_sum(w * f.values, x, freqs, -1.0))
 
 
-def test_setting_constructors_return_sampled_symbols():
-    window, xi_grid = LatticeWindow(1, 2), UniformGrid.torus(12, 1)
-    circle = UniformGrid.torus(16, 1)
-    a = SampledSymbol(window, xi_grid, np.ones((5, 12)))
-    t = SampledSymbol(circle, LatticeWindow(1, 2), np.ones((16, 5)))
-    assert type(a) is SampledSymbol and (a.space, a.freq) == (window, xi_grid)
-    assert type(t) is SampledSymbol and (t.space, t.freq) == (circle, LatticeWindow(1, 2))
-
-
 @pytest.mark.parametrize(
     "space, freq, values, error",
     [
