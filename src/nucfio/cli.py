@@ -89,17 +89,9 @@ def _check_keys(cfg: dict, where: str, required: tuple, optional: tuple) -> None
         raise ValidationError(f"{where}: missing required keys {missing}")
 
 
-def _int(spec: dict, key: str, default=None) -> int:
-    """Integer config value (a required key when no default is given)."""
-    return require_int(spec.get(key, default), key)
-
-
-def _count(spec: dict, key: str, default: int, least: int) -> int:
-    """Integer config value of at least ``least``."""
-    value = _int(spec, key, default)
-    if value < least:
-        raise ValidationError(f"{key} = {value} below its minimum {least}")
-    return value
+def _int(spec: dict, key: str, default=None, least=None) -> int:
+    """Integer config value of at least ``least`` (a required key when no default is given)."""
+    return require_int(spec.get(key, default), key, least)
 
 
 def _real(spec: dict, key: str, default=None) -> float:
@@ -322,7 +314,7 @@ def _torus_grid(cfg: dict, cutoff: int) -> tuple:
 
 def _run_torus(cfg: dict, verb: str) -> tuple:
     rng = _rng_for(cfg)
-    cutoff = _count(cfg, "cutoff", None, 0)
+    cutoff = _int(cfg, "cutoff", least=0)
     x_grid, window = _torus_grid(cfg, cutoff)
     phase = _linear_phase(cfg, "torus")
     a, d = _abelian_operator(
@@ -391,7 +383,7 @@ def _run_su2(cfg: dict, verb: str) -> tuple:
         raise ValidationError("su2 config needs 'decomposition' or symbol 'identity'")
     rng = _rng_for(cfg)
     quad = _su2_quad(cfg)
-    cutoff = _int(cfg, "cutoff_twoL")
+    cutoff = _int(cfg, "cutoff_twoL", least=0)
     quasinorm = None
     extras = {}
     if "decomposition" in cfg:
@@ -415,14 +407,14 @@ def _run_homog(cfg: dict, verb: str) -> tuple:
     p1, p2 = _real(cfg, "p1", 2.0), _real(cfg, "p2", 2.0)
     if instance == "su2":
         quad = _su2_quad(cfg)
-        cutoff = _count(cfg, "cutoff_twoL", 2, 0)
+        cutoff = _int(cfg, "cutoff_twoL", 2, least=0)
         table = table_from_su2(quad, cutoff)
         Phi_g, a_g = _su2_identity(quad, cutoff)
         blocks_a = a_g.blocks
         route, reference = "group_trace", group_nuclear_trace(Phi_g, a_g)
         M = group_matrix(Phi_g, a_g)
     else:
-        cutoff = _count(cfg, "cutoff", 2, 0)
+        cutoff = _int(cfg, "cutoff", 2, least=0)
         x_grid, window = _torus_grid(cfg, cutoff)
         table = table_from_torus(x_grid, cutoff)
         blocks_a = {lab: np.ones((x_grid.size, 1, 1), dtype=complex) for lab in table.labels}
@@ -456,7 +448,7 @@ def _run_homog(cfg: dict, verb: str) -> tuple:
 
 
 def _su2_haar_checks(cfg: dict, verb: str) -> tuple:
-    cutoff = _count(cfg, "cutoff_twoL", 2, 0)
+    cutoff = _int(cfg, "cutoff_twoL", 2, least=0)
     quad = _su2_quad(cfg)
     checks = []
     wsum = abs(float(ksum(quad.weights)) - 1.0)
@@ -499,13 +491,13 @@ def _su2_haar_checks(cfg: dict, verb: str) -> tuple:
     trace_gap = abs(group_nuclear_trace(Phi, a) - expected)
     checks.append(("identity_trace", trace_gap, 1e-6))
 
-    s3 = s3_quadrature(_count(cfg, "s3_resolution", 48, 4))
+    s3 = s3_quadrature(_int(cfg, "s3_resolution", 48, least=4))
     checks.append(("s3_raw_mass", abs(s3.raw_mass - 4.0 * np.pi**2), 1e-4))
     return TraceReport("su2", 0.0, 0.0, np.zeros(0, dtype=complex)), checks
 
 
 def _su3_checks(cfg: dict, verb: str) -> tuple:
-    samples = _count(cfg, "samples", 10000, 1)
+    samples = _int(cfg, "samples", 10000, least=1)
     rng = np.random.default_rng(_int(cfg, "seed", 0))
     quad = su3_haar_quadrature(_int(cfg, "resolution", 16), _int(cfg, "phi_count", 5))
     checks = [
@@ -598,8 +590,8 @@ def run_scenario(cfg: dict, verb: str, tolerance: float | None = None):
     A given tolerance replaces every nonzero check tolerance (the exact checks
     keep their 0); runtime_ms is the wall time of the whole scenario."""
     t0 = time.perf_counter()
-    if tolerance is not None and not (np.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValidationError(f"tolerance = {tolerance!r} must be a finite number >= 0")
+    if tolerance is not None:
+        tolerance = require_real(tolerance, "tolerance", 0.0)
     required, optional, runner = _scenario(cfg, verb)
     _check_keys(cfg, "config", ("setting", *required), ("seed", *optional))
     if "seed" in cfg:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, ValidationError
-from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, ksum, require_same_grid, validate_range
+from .errors import ShapeError, ValidationError
+from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, ksum, require_real, require_same_grid
 from .nuclear import RankOneSequence, delgado_trace, r_quasinorm_bound, require_node_cap
 from .numerics import dft_forward, dft_inverse, factored_eigenvalues, mixed_norm
 from .report import TraceReport
@@ -230,12 +230,10 @@ def decay_norms(a: SampledSymbol, p1: float, p2: float) -> tuple:
 
     Returns (||a|| with x integrated first at exponent p2 then xi at p1,
     ||a|| with xi integrated first at exponent p1 then x at p2). The
-    hypothesis p1 >= 2 is enforced here; p2 >= 1.
+    hypothesis 2 <= p1 < inf is enforced here; 1 <= p2 < inf.
     """
-    if not p1 >= 2.0:
-        raise DomainError(f"p1 = {p1!r} below 2, outside the theorem's range")
-    if not p2 >= 1.0:
-        raise DomainError(f"p2 = {p2!r} below 1")
+    p1 = require_real(p1, "p1 (the theorem's range is p1 >= 2)", 2.0, np.inf, include_hi=False)
+    p2 = require_real(p2, "p2", 1.0, np.inf, include_hi=False)
     return (
         mixed_norm(a, "x", p2, p1),
         mixed_norm(a, "xi", p1, p2),
@@ -244,7 +242,7 @@ def decay_norms(a: SampledSymbol, p1: float, p2: float) -> tuple:
 
 def lidskii_exponent(p: float) -> float:
     """r with 1/r = 1 + |1/p - 1/2|, the summability order granted on L^p."""
-    p = validate_range("p", p, 1.0, np.inf, include_hi=False)
+    p = require_real(p, "p", 1.0, np.inf, include_hi=False)
     return 1.0 / (1.0 + abs(1.0 / p - 0.5))
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .grids import LatticeWindow, SampledField, UniformGrid, require_int, require_real
 
 __all__ = [
@@ -53,8 +53,8 @@ def spec_needs_rng(spec: dict) -> bool:
 
 def gaussian_profile(x: np.ndarray, center: float, width: float) -> np.ndarray:
     """exp(-pi ((x - center)/width)^2), unit peak."""
-    if width <= 0:
-        raise DomainError(f"gaussian width {width!r} must be positive")
+    center = require_real(center, "gaussian center")
+    width = require_real(width, "gaussian width", 0.0, np.inf, include_lo=False)
     return np.exp(-np.pi * ((x - center) / width) ** 2)
 
 
@@ -65,9 +65,7 @@ def hermite_function(k: int, x: np.ndarray) -> np.ndarray:
     physicists' H_k; these are eigenfunctions of the e^{-2*pi*i*x*xi}
     transform with eigenvalue (-i)^k.
     """
-    k = int(k)
-    if k < 0:
-        raise DomainError(f"hermite order {k} < 0")
+    k = require_int(k, "hermite order", least=0)
     coeffs = np.zeros(k + 1)
     coeffs[k] = 1.0
     hk = np.polynomial.hermite.hermval(np.sqrt(2.0 * np.pi) * x, coeffs)
@@ -118,7 +116,7 @@ def random_gaussian_mix(grid: UniformGrid, rng: np.random.Generator, terms: int 
     """
     pts = grid.nodes
     out = np.zeros(grid.size, dtype=complex)
-    for _ in range(int(terms)):
+    for _ in range(require_int(terms, "terms", least=1)):
         c = rng.uniform(-1.5, 1.5, size=grid.dim)
         w = rng.uniform(0.8, 1.6, size=grid.dim)
         amp = rng.standard_normal() + 1j * rng.standard_normal()
@@ -165,8 +163,7 @@ def euclid_field(grid: UniformGrid, spec: dict, rng: np.random.Generator | None 
     # random_mix, the one family left
     if rng is None:
         raise ValidationError("random_mix family needs a seeded generator")
-    terms = require_int(spec.get("terms", 3), "terms")
-    return SampledField(grid, random_gaussian_mix(grid, rng, terms))
+    return SampledField(grid, random_gaussian_mix(grid, rng, spec.get("terms", 3)))
 
 
 def lattice_sequence(window: LatticeWindow, spec: dict, rng: np.random.Generator | None = None) -> SampledField:

@@ -1,8 +1,13 @@
 """Uniform tensor-product grids, lattice windows, sampled fields and symbols,
-and compensated reductions.
+compensated reductions, and the package's two scalar validators.
 
 Conventions used throughout the package:
 
+* every scalar parameter goes through ``require_int`` (integers: spin labels,
+  radii, node and term counts, invariant counts) or ``require_real`` (reals:
+  exponents, tau, angles, box ends), and the callee uses the value returned;
+  nothing is truncated or coerced, so 2.5, 2.0, True and "2" are rejected
+  where an integer is due, and True, "2" and nan where a real is due;
 * nodes are enumerated in row-major order (first axis slowest), so a flat
   node index is reproducible from the per-axis index tuple;
 * open boxes carry composite-trapezoid weights (interior h, endpoints h/2),
@@ -44,13 +49,16 @@ __all__ = [
     "interpolate",
     "require_edge_decay",
     "require_same_grid",
-    "validate_range",
     "require_int",
+    "require_real",
     "complex_samples",
 ]
 
 # Relative tolerance for the weight-sum == volume construction invariant.
 _VOLUME_RTOL = 1e-12
+
+# A boundary sample above this fraction of the field's peak fails require_edge_decay.
+_EDGE_RTOL = 1e-8
 
 
 # Lane count of the flat compensated sum (see KahanSum).
@@ -195,15 +203,16 @@ class UniformGrid:
     axis_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        axes = tuple((float(lo), float(hi), int(count)) for lo, hi, count in self.axes)
+        axes = tuple(
+            (require_real(lo, "axis lo"), require_real(hi, "axis hi"), require_int(count, "axis count", least=2))
+            for lo, hi, count in self.axes
+        )
         if not axes:
             raise ValidationError("grid needs at least one axis")
         nodes, weights = [], []
         for lo, hi, count in axes:
             if not (hi > lo):
                 raise ValidationError(f"axis extent [{lo}, {hi}] is empty")
-            if count < 2:
-                raise ValidationError(f"axis count {count} < 2")
             if self.periodic:
                 h = (hi - lo) / count
                 nodes.append(lo + h * np.arange(count))
@@ -278,10 +287,8 @@ class LatticeWindow:
     radius: int
 
     def __post_init__(self):
-        if require_int(self.dim, "lattice dimension") < 1:
-            raise DomainError(f"lattice dimension {self.dim} < 1")
-        if require_int(self.radius, "window radius") < 0:
-            raise DomainError(f"window radius {self.radius} < 0")
+        require_int(self.dim, "lattice dimension", least=1)
+        require_int(self.radius, "window radius", least=0)
 
     @property
     def side(self) -> int:
@@ -489,8 +496,9 @@ def interpolate(field_values: np.ndarray, grid: UniformGrid, points: np.ndarray,
     return out
 
 
-def require_edge_decay(field_values: np.ndarray, grid: UniformGrid, what: str, rtol: float = 1e-8) -> None:
-    """Check that samples are negligible on the boundary slab of the box.
+def require_edge_decay(field_values: np.ndarray, grid: UniformGrid, what: str) -> None:
+    """Check that samples are at most ``_EDGE_RTOL`` of their peak on the
+    boundary slab of the box.
 
     Shift/zero-extension constructions assume the field's support, inflated by
     the shifts in play, stays inside the box. A field that is still large at
@@ -506,25 +514,13 @@ def require_edge_decay(field_values: np.ndarray, grid: UniformGrid, what: str, r
         for side, label in ((0, "low"), (-1, "high")):
             slab = np.take(vals, side, axis=ax)
             worst = float(slab.max())
-            if worst > rtol * peak:
+            if worst > _EDGE_RTOL * peak:
                 node = grid.axes[ax][0] if side == 0 else grid.axes[ax][1]
                 raise TruncationError(
                     f"{what}: field is {worst:.3e} at the {label} edge of axis "
-                    f"{ax} (node {node:g}), above {rtol:.1e} of its peak "
+                    f"{ax} (node {node:g}), above {_EDGE_RTOL:.1e} of its peak "
                     f"{peak:.3e}; enlarge the box"
                 )
-
-
-def validate_range(name: str, value: float, lo: float, hi: float, include_lo=True, include_hi=True) -> float:
-    """Range check helper used for exponents, tau values, angles."""
-    v = float(value)
-    ok_lo = v >= lo if include_lo else v > lo
-    ok_hi = v <= hi if include_hi else v < hi
-    if not (ok_lo and ok_hi and np.isfinite(v)):
-        lb = "[" if include_lo else "("
-        rb = "]" if include_hi else ")"
-        raise DomainError(f"{name} = {value!r} outside {lb}{lo}, {hi}{rb}")
-    return v
 
 
 def complex_samples(values, shape: tuple, what: str) -> np.ndarray:
@@ -539,23 +535,26 @@ def complex_samples(values, shape: tuple, what: str) -> np.ndarray:
     return v
 
 
-def require_int(value, name: str) -> int:
-    """An integer parameter, as given: bools and floats (even 3.0) raise.
-
-    Config values are never truncated, so "radius": 3.9 is an error rather
-    than radius 3.
-    """
+def require_int(value, name: str, least=None) -> int:
+    """An integer parameter, as given: bools, floats (even 3.0) and strings
+    raise ValidationError, so "radius": 3.9 is an error rather than radius 3.
+    A value below ``least`` raises DomainError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{name} = {value} below its minimum {least}")
     return int(value)
 
 
-def require_real(value, name: str) -> float:
-    """A finite real parameter, as given: integers and floats pass; bools,
-    strings (even "3") and non-finite values raise."""
+def require_real(value, name: str, lo=-np.inf, hi=np.inf, include_lo=True, include_hi=True) -> float:
+    """A finite real parameter in the interval from ``lo`` to ``hi``, as a
+    float: bools and strings (even "3") raise ValidationError; a non-finite
+    value, or one outside the interval (each end closed unless its
+    ``include_*`` is False), raises DomainError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    x = float(value)
-    if not np.isfinite(x):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return x
+    v = float(value)
+    lb, rb = "[" if include_lo else "(", "]" if include_hi else ")"
+    if not (math.isfinite(v) and (v >= lo if include_lo else v > lo) and (v <= hi if include_hi else v < hi)):
+        raise DomainError(f"{name} = {value!r} is not a finite number in {lb}{lo}, {hi}{rb}")
+    return v

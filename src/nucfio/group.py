@@ -40,7 +40,8 @@ from .errors import (
     ValidationError,
 )
 from .euclid import PhaseSpec, _abelian_synthesis, _abelian_trace
-from .grids import KahanSum, LatticeWindow, SampledSymbol, UniformGrid, complex_samples, ksum, require_same_grid
+from .grids import KahanSum, LatticeWindow, SampledSymbol, UniformGrid, complex_samples, ksum
+from .grids import require_int, require_real, require_same_grid
 from .lattice import _abelian_matrix
 from .nuclear import RankOneSequence
 
@@ -71,13 +72,6 @@ __all__ = [
 _PHASE_COND_CAP = 1e8
 
 
-def _require_twoL(twoL) -> int:
-    t = int(twoL)
-    if t != twoL or t < 0:
-        raise DomainError(f"twoL = {twoL!r} must be a nonnegative integer")
-    return t
-
-
 @functools.cache
 def _jy_eig(twoL: int):
     """Eigendecomposition of J_y for spin twoL/2, cached.
@@ -105,11 +99,11 @@ def wigner_matrix(twoL: int, alpha: float, beta: float, gamma: float) -> np.ndar
     are single-valued. D = e^{-i m alpha} d^l(beta) e^{-i m' gamma} with the
     real middle factor d^l = exp(-i beta J_y).
     """
-    twoL = _require_twoL(twoL)
-    for name, val, hi in (("alpha", alpha, 2 * np.pi), ("beta", beta, np.pi), ("gamma", gamma, 4 * np.pi)):
-        v = float(val)
-        if not (-1e-12 <= v <= hi + 1e-12):
-            raise DomainError(f"{name} = {val!r} outside [0, {hi:.6f}]")
+    twoL = require_int(twoL, "twoL", least=0)
+    alpha, beta, gamma = (
+        require_real(val, name, -1e-12, hi + 1e-12)
+        for name, val, hi in (("alpha", alpha, 2 * np.pi), ("beta", beta, np.pi), ("gamma", gamma, 4 * np.pi))
+    )
     m, lam, V = _jy_eig(twoL)
     d_beta = (V * np.exp(-1j * beta * lam)) @ V.conj().T
     return np.exp(-1j * m * alpha)[:, None] * d_beta * np.exp(-1j * m * gamma)[None, :]
@@ -194,7 +188,7 @@ class GroupQuadrature:
 
     def irrep(self, label) -> tuple:
         """(twoL, dim, k_inv, matrices) of the spin twoL/2 irrep; K = {e}, so k_inv = dim."""
-        twoL = _require_twoL(label)
+        twoL = require_int(label, "twoL", least=0)
         return twoL, twoL + 1, twoL + 1, su2_irrep_table(self, twoL)
 
 
@@ -211,12 +205,11 @@ def su2_haar_quadrature(n_alpha: int = 16, n_beta: int = 16, n_gamma: int = 32) 
     beta in [0, pi], gamma in [0, 4*pi]; the gamma range covers the double
     cover, which half-integer-spin orthogonality needs.
     """
-    for name, n in (("n_alpha", n_alpha), ("n_beta", n_beta), ("n_gamma", n_gamma)):
-        if int(n) < 2:
-            raise DomainError(f"{name} = {n} < 2")
-    an, aw = _leggauss_ab(int(n_alpha), 0.0, 2.0 * np.pi)
-    bn, bw = _leggauss_ab(int(n_beta), 0.0, np.pi)
-    gn, gw = _leggauss_ab(int(n_gamma), 0.0, 4.0 * np.pi)
+    counts = (("n_alpha", n_alpha), ("n_beta", n_beta), ("n_gamma", n_gamma))
+    n_alpha, n_beta, n_gamma = (require_int(n, name, least=2) for name, n in counts)
+    an, aw = _leggauss_ab(n_alpha, 0.0, 2.0 * np.pi)
+    bn, bw = _leggauss_ab(n_beta, 0.0, np.pi)
+    gn, gw = _leggauss_ab(n_gamma, 0.0, 4.0 * np.pi)
     A, B, Gm = np.meshgrid(an, bn, gn, indexing="ij")
     W = (aw[:, None, None] * (bw * np.sin(bn))[None, :, None] * gw[None, None, :]).reshape(-1)
     raw = float(ksum(W))  # chart mass of sin(beta) dalpha dbeta dgamma: 16*pi^2
@@ -233,9 +226,7 @@ def s3_quadrature(resolution: int = 48) -> GroupQuadrature:
     4*pi^2 (recorded as raw_mass); the true surface density is half that,
     and normalized weights are used for all integrals.
     """
-    n = int(resolution)
-    if n < 4:
-        raise DomainError(f"resolution = {resolution} < 4")
+    n = require_int(resolution, "resolution", least=4)
     tn, tw = _leggauss_ab(n, 0.0, 2.0 * np.pi)
     sn = 2.0 * np.pi * np.arange(n) / n  # uniform, exact for trig polynomials
     sw = np.full(n, 2.0 * np.pi / n)
@@ -273,7 +264,7 @@ def su2_irrep_table(quad: GroupQuadrature, twoL: int) -> np.ndarray:
     Euler-chart quadratures evaluate the Wigner matrices directly; 3-sphere
     charts go through the embedding and exact Euler recovery.
     """
-    twoL = _require_twoL(twoL)
+    twoL = require_int(twoL, "twoL", least=0)
     key = ("table", twoL)
     if key in quad._cache:
         return quad._cache[key]
@@ -312,7 +303,7 @@ def class_i_mask(blocks: np.ndarray, k: int) -> np.ndarray:
     d = M.shape[-1]
     if M.shape[-2] != d:
         raise ShapeError(f"mask needs square trailing dims, got {M.shape}")
-    if not (1 <= k <= d):
+    if require_int(k, "k", least=1) > d:
         raise DomainError(f"k = {k} outside [1, {d}]")
     M[..., k:, :] = 0.0
     M[..., :, k:] = 0.0
@@ -413,7 +404,7 @@ class GroupPhase(GroupSymbol):
 def identity_phase(quad: GroupQuadrature, cutoff_twoL: int) -> GroupPhase:
     """Phi(x, l) = t_l(x): the phase that makes the FIO a plain Fourier
     multiplier modulo the symbol."""
-    cutoff = _require_twoL(cutoff_twoL)
+    cutoff = require_int(cutoff_twoL, "cutoff_twoL", least=0)
     return GroupPhase(quad, {t: su2_irrep_table(quad, t) for t in range(cutoff + 1)})
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
-from .grids import LatticeWindow, UniformGrid, ksum, validate_range
+from .grids import LatticeWindow, UniformGrid, ksum, require_int, require_real
 from .group import (
     GroupPhase,
     GroupQuadrature,
@@ -66,8 +66,9 @@ __all__ = [
 class ClassIIrrepTable:
     """Haar weights plus the class-I irreps by label: ``matrices[label]`` is
     the unitary (N, d, d) table at the nodes, ``k_inv[label]`` the number of
-    K-invariant vectors, 1 <= k_inv <= d. Labels must sort (ints or tuples);
-    reductions iterate them in sorted order, so they are reproducible."""
+    K-invariant vectors, an integer with 1 <= k_inv <= d. Labels must sort
+    (ints or tuples); reductions iterate them in sorted order, so they are
+    reproducible."""
 
     weights: np.ndarray
     matrices: dict
@@ -82,19 +83,20 @@ class ClassIIrrepTable:
             raise ValidationError(f"matrix labels {sorted(self.matrices)} != k_inv labels {sorted(self.k_inv)}")
         if not self.matrices:
             raise ValidationError("table needs at least one irrep")
-        matrices = {}
+        matrices, k_inv = {}, {}
         for label in sorted(self.matrices):
             M = matrices[label] = np.asarray(self.matrices[label], dtype=complex)
             if M.ndim != 3 or M.shape[0] != w.shape[0] or M.shape[1] != M.shape[2]:
                 raise ShapeError(f"irrep {label!r} matrices have shape {M.shape}, expected ({w.shape[0]}, d, d)")
-            if not (1 <= self.k_inv[label] <= M.shape[1]):
-                raise DomainError(f"k_inv = {self.k_inv[label]} outside [1, {M.shape[1]}] for label {label!r}")
+            k = k_inv[label] = require_int(self.k_inv[label], f"k_inv of label {label!r}", least=1)
+            if k > M.shape[1]:
+                raise DomainError(f"k_inv = {k} outside [1, {M.shape[1]}] for label {label!r}")
             defect = unitarity_defect(M)
             if defect > 1e-10:
                 raise ValidationError(f"irrep {label!r} table is not unitary: defect {defect:.3e} > 1e-10")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "k_inv", dict(self.k_inv))
+        object.__setattr__(self, "k_inv", k_inv)
 
     @property
     def size(self) -> int:
@@ -120,7 +122,7 @@ def homog_nuclear_trace(Phi: GroupPhase, a: GroupSymbol) -> complex:
 def dual_lp_norm(coeffs: dict, table: ClassIIrrepTable, p: float) -> float:
     """ell^p norm on the restricted dual: ( sum_pi d_pi k_pi^{p(1/p - 1/2)}
     ||M(pi)||_HS^p )^{1/p}."""
-    p = validate_range("p", p, 1.0, np.inf, include_hi=False)
+    p = require_real(p, "p", 1.0, np.inf, include_hi=False)
     parts = []
     for label in sorted(coeffs):
         _, d, k, _ = table.irrep(label)
@@ -133,8 +135,8 @@ def dual_lp_norm(coeffs: dict, table: ClassIIrrepTable, p: float) -> float:
 def homog_mixed_norm(a: GroupSymbol, p1: float, p2: float) -> float:
     """( int_M ( sum_pi d_pi k_pi^{p1(1/p1-1/2)} ||a(x,pi)||_HS^{p1} )^{p2/p1}
     dx )^{1/p2}, the momentum-decay norm behind nuclearity on G/K."""
-    validate_range("p1", p1, 1.0, np.inf, include_hi=False)
-    validate_range("p2", p2, 1.0, np.inf, include_hi=False)
+    p1 = require_real(p1, "p1", 1.0, np.inf, include_hi=False)
+    p2 = require_real(p2, "p2", 1.0, np.inf, include_hi=False)
     inner = np.zeros(a.domain.size)
     for label in a.labels:
         _, d, k, _ = a.domain.irrep(label)
@@ -149,7 +151,8 @@ def homog_mixed_norm(a: GroupSymbol, p1: float, p2: float) -> float:
 
 def table_from_su2(quad: GroupQuadrature, cutoff_twoL: int) -> ClassIIrrepTable:
     """K = {e} table over an SU(2) quadrature: k_pi = d_pi for every label."""
-    matrices = {twoL: quad.irrep(twoL)[3] for twoL in range(int(cutoff_twoL) + 1)}
+    cutoff = require_int(cutoff_twoL, "cutoff_twoL", least=0)
+    matrices = {twoL: quad.irrep(twoL)[3] for twoL in range(cutoff + 1)}
     return ClassIIrrepTable(quad.weights, matrices, {twoL: twoL + 1 for twoL in matrices})
 
 
@@ -170,9 +173,7 @@ def table_from_torus(x_grid: UniformGrid, cutoff: int) -> ClassIIrrepTable:
 
 def su3_dim(a: int, b: int) -> int:
     """Dimension (a+1)(b+1)(a+b+2)/2 of the (a, b) highest-weight irrep."""
-    a, b = int(a), int(b)
-    if a < 0 or b < 0:
-        raise DomainError(f"highest weight ({a}, {b}) must be nonnegative")
+    a, b = require_int(a, "a", least=0), require_int(b, "b", least=0)
     return (a + 1) * (b + 1) * (a + b + 2) // 2
 
 
@@ -270,12 +271,7 @@ def su3_haar_quadrature(resolution: int = 16, phi_count: int = 5) -> Su3Quadratu
     pairwise products of fundamental entries (|k| <= 2) already at the
     default count of 5.
     """
-    n = int(resolution)
-    if n < 2:
-        raise DomainError(f"resolution = {resolution} < 2")
-    m = int(phi_count)
-    if m < 3:
-        raise DomainError(f"phi_count = {phi_count} < 3")
+    n, m = require_int(resolution, "resolution", least=2), require_int(phi_count, "phi_count", least=3)
     # x = cos(2 theta) turns sin cos^3 dtheta into (1+x)/8 dx and sin cos dtheta
     # into dx/4, polynomial densities that Gauss-Legendre in x integrates exactly
     x, w = np.polynomial.legendre.leggauss(n)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, ValidationError
-from .grids import SampledField, UniformGrid, complex_samples, ksum, require_same_grid, validate_range
-from .numerics import weighted_lp_norm
+from .errors import GridMismatchError, ValidationError
+from .grids import SampledField, UniformGrid, complex_samples, ksum, require_real, require_same_grid
+from .numerics import lp_norm
 
 __all__ = [
     "RankOneSequence",
@@ -34,7 +34,7 @@ DEFAULT_NODE_CAP = 4096
 
 def holder_conjugate(p: float) -> float:
     """p' with 1/p + 1/p' = 1; p = 1 maps to inf."""
-    p = validate_range("p", p, 1.0, np.inf, include_hi=False)
+    p = require_real(p, "p", 1.0, np.inf, include_hi=False)
     if p == 1.0:
         return np.inf
     return p / (p - 1.0)
@@ -72,10 +72,9 @@ class RankOneSequence:
             raise ValidationError("decomposition needs at least one term")
         if not all(isinstance(f, SampledField) for pair in terms for f in pair):
             raise ValidationError("decomposition factors must be SampledFields")
-        validate_range("p1", self.p1, 1.0, np.inf, include_hi=False)
-        validate_range("p2", self.p2, 1.0, np.inf, include_hi=False)
-        if not (0.0 < self.r <= 1.0):
-            raise DomainError(f"r = {self.r!r} outside (0, 1]")
+        object.__setattr__(self, "p1", require_real(self.p1, "p1", 1.0, np.inf, include_hi=False))
+        object.__setattr__(self, "p2", require_real(self.p2, "p2", 1.0, np.inf, include_hi=False))
+        object.__setattr__(self, "r", require_real(self.r, "r", 0.0, 1.0, include_lo=False))
         h0, g0 = terms[0]
         for h, g in terms[1:]:
             require_same_grid(h.grid, h0.grid, "h factors")
@@ -175,9 +174,6 @@ def r_quasinorm_bound(d: RankOneSequence) -> float:
     measures g in the sup norm. This is the decomposition's own bound; no
     infimum over alternative decompositions is attempted.
     """
-    p1c, wh, wg = holder_conjugate(d.p1), d.h_grid.weights, d.g_grid.weights
-    parts = [
-        (weighted_lp_norm(g.values, wg, p1c) * weighted_lp_norm(h.values, wh, d.p2)) ** d.r
-        for h, g in d.terms
-    ]
+    p1c = holder_conjugate(d.p1)
+    parts = [(lp_norm(g, p1c) * lp_norm(h, d.p2)) ** d.r for h, g in d.terms]
     return float(ksum(np.asarray(parts))) ** (1.0 / d.r)

@@ -15,15 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError, ValidationError, ZeroNormError
-from .grids import SampledField, UniformGrid, _check_pairing, ksum, validate_range
+from .errors import NumericError, ShapeError, ValidationError, ZeroNormError
+from .grids import SampledField, UniformGrid, _check_pairing, ksum, require_real
 
 __all__ = [
     "character_sum",
     "dft_forward",
     "dft_inverse",
     "lp_norm",
-    "weighted_lp_norm",
     "mixed_norm",
     "hausdorff_young_ratio",
     "dense_eigenvalues",
@@ -83,27 +82,18 @@ def dft_inverse(F: SampledField, x_grid: UniformGrid) -> SampledField:
     return SampledField(x_grid, _dft(F.values, F.grid, x_grid, +1.0))
 
 
-def weighted_lp_norm(values: np.ndarray, weights, p: float) -> float:
-    """(sum_n w_n |v_n|^p)^(1/p) for p in [1, inf); p = inf gives max |v_n|.
-
-    The one l^p / L^p norm behind every setting: quadrature weights on grids
-    and Haar quadratures, ones on lattice windows (multiplying by 1.0 is
-    exact, so unweighted sums are unchanged).
-    """
-    if p == np.inf:
-        return float(np.abs(values).max())
-    p = validate_range("p", p, 1.0, np.inf, include_hi=False)
-    return float(ksum(weights * np.abs(values) ** p)) ** (1.0 / p)
-
-
 def lp_norm(f: SampledField, p: float) -> float:
     """L^p norm of a field over its own domain, p in [1, inf].
 
     (sum_x w(x) |f(x)|^p)^(1/p) under the domain's weights: quadrature
-    weights on grids and Haar quadratures, ones on lattice windows. p = inf
-    is the largest sample modulus.
+    weights on grids and Haar quadratures, ones on lattice windows
+    (multiplying by 1.0 is exact, so unweighted sums stay plain sums). p = inf
+    is the largest sample modulus. The one l^p / L^p norm of every setting.
     """
-    return weighted_lp_norm(f.values, f.grid.weights, p)
+    if p == np.inf:
+        return float(np.abs(f.values).max())
+    p = require_real(p, "p", 1.0, np.inf, include_hi=False)
+    return float(ksum(f.grid.weights * np.abs(f.values) ** p)) ** (1.0 / p)
 
 
 def mixed_norm(symbol, inner: str, p_inner: float, p_outer: float) -> float:
@@ -128,8 +118,8 @@ def mixed_norm(symbol, inner: str, p_inner: float, p_outer: float) -> float:
     With p_inner == p_outer == p this factors into the 2n-dimensional L^p
     norm on the product grid (Fubini for the product weights).
     """
-    validate_range("p_inner", p_inner, 1.0, np.inf, include_hi=False)
-    validate_range("p_outer", p_outer, 1.0, np.inf, include_hi=False)
+    p_inner = require_real(p_inner, "p_inner", 1.0, np.inf, include_hi=False)
+    p_outer = require_real(p_outer, "p_outer", 1.0, np.inf, include_hi=False)
     if inner not in ("x", "xi"):
         raise ValidationError(f"inner must be 'x' or 'xi', got {inner!r}")
     vals = np.abs(np.asarray(symbol.values))
@@ -151,9 +141,7 @@ def hausdorff_young_ratio(f: SampledField, p: float, xi_grid: UniformGrid | None
     fields that decay inside it. The ratio is <= 1 + quadrature error for any
     admissible p; p = 2 makes it a Plancherel check.
     """
-    p = float(p)
-    if not (1.0 <= p <= 2.0):
-        raise DomainError(f"p = {p!r} outside [1, 2]")
+    p = require_real(p, "p", 1.0, 2.0)
     if xi_grid is None:
         xi_grid = UniformGrid(f.grid.axes, periodic=f.grid.periodic)
     denom = lp_norm(f, p)
@@ -161,7 +149,7 @@ def hausdorff_young_ratio(f: SampledField, p: float, xi_grid: UniformGrid | None
         raise ZeroNormError("||f||_p = 0, ratio undefined")
     F = dft_forward(f, xi_grid)
     pprime = np.inf if p == 1.0 else p / (p - 1.0)
-    return weighted_lp_norm(F.values, F.grid.weights, pprime) / denom
+    return lp_norm(F, pprime) / denom
 
 
 @functools.cache

@@ -34,8 +34,8 @@ from .grids import (
     UniformGrid,
     interpolate,
     require_edge_decay,
+    require_real,
     require_same_grid,
-    validate_range,
 )
 from .nuclear import RankOneSequence
 
@@ -58,10 +58,6 @@ def shift_grid(x_grid: UniformGrid) -> UniformGrid:
     need no interpolation at all.
     """
     return UniformGrid(tuple((2 * lo, 2 * hi, count) for lo, hi, count in x_grid.axes))
-
-
-def _validate_tau(tau: float) -> float:
-    return validate_range("tau", tau, 0.0, 1.0, include_lo=False)
 
 
 def _freq_first(sigma: SampledSymbol, Z: np.ndarray) -> np.ndarray:
@@ -91,7 +87,7 @@ def tau_apply(sigma: SampledSymbol, tau: float, f: SampledField) -> SampledField
     pair then reads one cubic stencil of S at u = tau*x + (1-tau)*y (a convex
     combination that stays inside the box) in the column of its z.
     """
-    tau = _validate_tau(tau)
+    tau = require_real(tau, "tau", 0.0, 1.0, include_lo=False)
     require_same_grid(f.grid, sigma.space, "tau_apply input")
     xg = sigma.space
     # the difference lattice: 2n-1 nodes per axis at the x spacing, z = 0 in the middle;
@@ -124,7 +120,7 @@ def weyl_symbol_from_decomposition(
     with no conjugation on the g factors (they are kernel factors, not an
     inner product). The frequency grid defaults to the factors' own box.
     """
-    tau = _validate_tau(tau)
+    tau = require_real(tau, "tau", 0.0, 1.0, include_lo=False)
     require_same_grid(d.h_grid, d.g_grid, "weyl_symbol_from_decomposition factors")
     xg = d.h_grid
     xig = UniformGrid(xg.axes) if xi_grid is None else xi_grid
@@ -158,8 +154,8 @@ def tau_convert(b: SampledSymbol, tau: float, tau_prime: float) -> SampledSymbol
     The symbol must decay at the spatial box edge since shifted evaluations
     extend it by zero.
     """
-    tau = _validate_tau(tau)
-    tau_prime = _validate_tau(tau_prime)
+    tau = require_real(tau, "tau", 0.0, 1.0, include_lo=False)
+    tau_prime = require_real(tau_prime, "tau_prime", 0.0, 1.0, include_lo=False)
     xg, xig = b.space, b.freq
     if tau == tau_prime:
         return SampledSymbol(xg, xig, b.values.copy())

@@ -665,3 +665,12 @@ def test_option_on_a_verb_that_ignores_it_is_exit_2(tmp_path, capsys, verb, opti
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("terms", [-2, 0])
+def test_random_mix_without_terms_is_exit_2(tmp_path, capsys, terms):
+    # a mixture of no Gaussians is the zero field, whose trace 0 would
+    # otherwise be reported as a result
+    cfg = {**euclid_cfg(), "seed": 1, "decomposition": _one_term({"family": "random_mix", "terms": terms})}
+    assert run(tmp_path, "trace", cfg) == 2
+    assert f"terms = {terms} below its minimum 1" in capsys.readouterr().err

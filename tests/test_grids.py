@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -228,12 +229,12 @@ def test_edge_decay_flags_non_decaying_samples():
     assert "axis" in str(err.value)
 
 
-def test_validate_range_bounds():
-    from nucfio.grids import validate_range
+def test_require_real_bounds():
+    from nucfio.grids import require_real
 
-    validate_range("tau", 0.5, 0.0, 1.0, include_lo=False)
+    require_real(0.5, "tau", 0.0, 1.0, include_lo=False)
     with pytest.raises(DomainError):
-        validate_range("tau", 0.0, 0.0, 1.0, include_lo=False)
+        require_real(0.0, "tau", 0.0, 1.0, include_lo=False)
 
 
 def test_interpolate_column_gather_peak_does_not_grow_with_table_width():
@@ -296,3 +297,96 @@ def test_the_transform_refuses_an_aliasing_pair():
         with pytest.raises(TruncationError, match=f"{what} = 4 below the exactness threshold 14"):
             call()
 
+
+
+@functools.cache
+def _coercion_cases():
+    """(site, call) pairs: each feeds one scalar parameter a value that a
+    truncating int() or float() would accept (2.5, 2.0, True, "2" where an
+    integer is due; "2", True, nan or inf where a real is due), or that a bare
+    comparison would meet with a TypeError. Values a site refused already
+    through its range check (True as a node count of at least 2, say) are
+    left out, so every case is one that used to slip through."""
+    from nucfio.cli import run_scenario
+    from nucfio.euclid import decay_norms, lidskii_exponent
+    from nucfio.families import gaussian_profile, hermite_function, random_gaussian_mix
+    from nucfio.group import (
+        class_i_mask,
+        identity_phase,
+        s3_quadrature,
+        su2_haar_quadrature,
+        su2_irrep_table,
+        wigner_matrix,
+    )
+    from nucfio.homog import (
+        ClassIIrrepTable,
+        dual_lp_norm,
+        homog_mixed_norm,
+        su3_dim,
+        su3_haar_quadrature,
+        table_from_su2,
+    )
+    from nucfio.nuclear import RankOneSequence, holder_conjugate
+    from nucfio.numerics import hausdorff_young_ratio, lp_norm, mixed_norm
+    from nucfio.quantize import tau_apply, tau_convert, weyl_symbol_from_decomposition
+
+    grid = UniformGrid.box(-5.0, 5.0, 9)
+    f = SampledField(grid, np.exp(-np.pi * grid.nodes[:, 0] ** 2))
+    sym = SampledSymbol(grid, grid, np.outer(f.values, f.values))
+    d = RankOneSequence(((f, f),), 2.0, 2.0, 1.0)
+    quad = su2_haar_quadrature(2, 2, 4)
+    table = table_from_su2(quad, 1)
+    cfg = {"setting": "homog", "instance": "torus", "cutoff": 1, "x_count": 8}
+    rng = np.random.default_rng(0)
+    integers = {
+        "UniformGrid count": (lambda v: UniformGrid.box(-6.0, 6.0, v), [64.9, 2.5, 2.0, "2"]),
+        "su2_irrep_table twoL": (lambda v: su2_irrep_table(quad, v), [2.0, True]),
+        "wigner_matrix twoL": (lambda v: wigner_matrix(v, 0.1, 0.2, 0.3), [2.0, True]),
+        "GroupQuadrature.irrep label": (quad.irrep, [2.0, True]),
+        "identity_phase cutoff_twoL": (lambda v: identity_phase(quad, v), [1.0, True]),
+        "su2_haar_quadrature n_alpha": (lambda v: su2_haar_quadrature(v, 2, 2), [3.7, 2.5, 2.0, "2"]),
+        "s3_quadrature resolution": (s3_quadrature, [8.9, 4.5, 4.0, "4"]),
+        "su3_dim a": (lambda v: su3_dim(v, 0), [1.5, 2.5, 2.0, True, "2"]),
+        "su3_haar_quadrature resolution": (lambda v: su3_haar_quadrature(v, 5), [7.9, 2.5, 2.0, "2"]),
+        "su3_haar_quadrature phi_count": (lambda v: su3_haar_quadrature(7, v), [5.5, 3.0, "3"]),
+        "table_from_su2 cutoff_twoL": (lambda v: table_from_su2(quad, v), [2.9, 2.0, True, "2"]),
+        "ClassIIrrepTable k_inv": (
+            lambda v: ClassIIrrepTable(table.weights, table.matrices, {0: 1, 1: v}),
+            [1.5, 1.0, True, "1"],
+        ),
+        "class_i_mask k": (lambda v: class_i_mask(table.matrices[1], v), [1.5, 1.0, True, "1"]),
+        "hermite_function k": (lambda v: hermite_function(v, grid.nodes[:, 0]), [2.5, 2.0, True, "2"]),
+        "random_gaussian_mix terms": (lambda v: random_gaussian_mix(grid, rng, v), [2.5, 2.0, True, "2"]),
+    }
+    reals = {
+        "UniformGrid lo": (lambda v: UniformGrid.box(v, 6.0, 5), ["-6", True, -np.inf]),
+        "UniformGrid hi": (lambda v: UniformGrid.box(-6.0, v, 5), ["2", True, np.inf]),
+        "wigner_matrix angle": (lambda v: wigner_matrix(1, v, 0.2, 0.3), ["0.5", True]),
+        "holder_conjugate p": (holder_conjugate, ["2", True]),
+        "lidskii_exponent p": (lidskii_exponent, ["2", True]),
+        "hausdorff_young_ratio p": (lambda v: hausdorff_young_ratio(f, v), ["2", True]),
+        "lp_norm p": (lambda v: lp_norm(f, v), ["2", True]),
+        "mixed_norm p_inner": (lambda v: mixed_norm(sym, "x", v, 2.0), ["2", True]),
+        "RankOneSequence p1": (lambda v: RankOneSequence(d.terms, v, 2.0, 1.0), ["2", True]),
+        "RankOneSequence r": (lambda v: RankOneSequence(d.terms, 2.0, 2.0, v), ["0.5", True]),
+        "decay_norms p1": (lambda v: decay_norms(sym, v, 2.0), ["2"]),
+        "decay_norms p2": (lambda v: decay_norms(sym, 2.0, v), ["2", True]),
+        "homog_mixed_norm p1": (lambda v: homog_mixed_norm(identity_phase(quad, 1), v, 2.0), ["2", True]),
+        "dual_lp_norm p": (lambda v: dual_lp_norm({0: np.ones((1, 1))}, table, v), ["2", True]),
+        "gaussian_profile center": (lambda v: gaussian_profile(grid.nodes[:, 0], v, 1.0), ["0", True, np.nan]),
+        "gaussian_profile width": (lambda v: gaussian_profile(grid.nodes[:, 0], 0.0, v), ["1", True, np.nan]),
+        "tau_apply tau": (lambda v: tau_apply(sym, v, f), ["0.5", True]),
+        "weyl_symbol_from_decomposition tau": (lambda v: weyl_symbol_from_decomposition(d, v), ["0.5", True]),
+        "tau_convert tau_prime": (lambda v: tau_convert(sym, 0.5, v), ["0.5", True]),
+        "run_scenario tolerance": (lambda v: run_scenario(cfg, "verify", v), ["1", True]),
+    }
+    return {f"{site}={value!r}": (call, value) for site, (call, values) in (integers | reals).items() for value in values}
+
+
+@pytest.mark.parametrize("case", sorted(_coercion_cases()))
+def test_library_parameters_are_never_coerced(case):
+    # each value raises ValidationError (DomainError for nan and inf), never
+    # a TypeError from a bare comparison and never a truncated result
+    call, value = _coercion_cases()[case]
+    with pytest.raises(ValidationError):
+        call(value)
