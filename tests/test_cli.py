@@ -387,6 +387,7 @@ def test_euclid_report_is_identical_across_blas_threads(tmp_path, verb, cfg):
 
 
 _MIX = {"family": "random_mix"}
+_BANDLIMITED = {"family": "random_bandlimited"}
 _MIX_DIM2 = {"seed": 3, "dim": 2, "decomposition": {"terms": [{"h": _MIX, "g": _MIX}] * 2}}
 
 
@@ -398,12 +399,21 @@ _MIX_DIM2 = {"seed": 3, "dim": 2, "decomposition": {"terms": [{"h": _MIX, "g": _
         json.loads((SCENARIOS / "su2_identity_L1.json").read_text()),
         {"setting": "homog", "instance": "su2", "quadrature": {"n_alpha": 8, "n_beta": 8, "n_gamma": 16}},
         {"setting": "homog", "instance": "torus", "cutoff": 2, "x_count": 16},
+        {
+            "setting": "su2",
+            "seed": 4,
+            "cutoff_twoL": 2,
+            "quadrature": {"n_alpha": 8, "n_beta": 8, "n_gamma": 16},
+            "decomposition": {"terms": [{"h": _BANDLIMITED, "g": _BANDLIMITED}]},
+        },
     ],
-    ids=["lattice_dim2", "torus_dim2", "su2_identity_L1", "homog_su2", "homog_torus"],
+    ids=["lattice_dim2", "torus_dim2", "su2_identity_L1", "homog_su2", "homog_torus", "su2_random_bandlimited"],
 )
 def test_compact_spectrum_is_identical_across_blas_threads(tmp_path, cfg):
     # zgeev's blocked updates round by thread count unless the spectrum pins
-    # OpenBLAS to one thread; the lattice case differs in its last bits without
+    # OpenBLAS to one thread; the lattice case differs in its last bits without.
+    # The random su2 symbol's matrix is far from the identity, so a reordered
+    # operator matrix would show in its spectrum.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     one, two = (_report_at_threads(tmp_path, path, n) for n in (1, 2))

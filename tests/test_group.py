@@ -181,8 +181,8 @@ def test_identity_operator_trace(quad):
 
 
 def test_group_matrix_peak_memory(quad):
-    # the operator is applied column group by column group and the basis is
-    # formed in node chunks, so no (N, dim) or (N, dim, dim) array is held
+    # the operator values and the basis are formed node chunk by node chunk
+    # for all columns at once, so no (N, dim) or (N, dim, dim) array is held
     cutoff = 3
     Phi = identity_phase(quad, cutoff)
     a = identity_symbol(quad, cutoff)
@@ -194,6 +194,16 @@ def test_group_matrix_peak_memory(quad):
         tracemalloc.stop()
     assert M.shape == (30, 30)
     assert peak <= 8e6
+
+
+def test_cached_irrep_tables_are_read_only():
+    # phases hold the cached table itself, so a write through one phase
+    # would change the table of every later identity_phase
+    quad = su2_haar_quadrature(10, 10, 20)
+    with pytest.raises(ValueError, match="read-only"):
+        identity_phase(quad, 1).blocks[1][:, 0, 0] *= 2
+    M = group_matrix(identity_phase(quad, 1), identity_symbol(quad, 1))
+    assert np.abs(M - np.eye(5)).max() < 1e-10
 
 
 def test_synthesis_reproduces_delgado(quad):

@@ -86,18 +86,19 @@ def small_quad():
 
 
 def test_group_matrix_matches_per_entry_loop(small_quad):
+    # cutoff 3 carries 30 basis columns on 432 nodes, which no node chunk divides
     rng = np.random.default_rng(20)
-    cutoff = 2
-    labels = range(cutoff + 1)
-    a = GroupSymbol(small_quad, {t: random_complex(rng, (small_quad.size, t + 1, t + 1)) for t in labels})
-    near = {
-        t: su2_irrep_table(small_quad, t) + 0.1 * rng.standard_normal((small_quad.size, t + 1, t + 1))
-        for t in labels
-    }
-    for Phi in (identity_phase(small_quad, cutoff), GroupPhase(small_quad, near)):
-        M = group_matrix(Phi, a)
-        assert M.shape == (14, 14)
-        assert np.array_equal(M, per_entry_group_matrix(Phi, a))
+    for cutoff, dim in ((2, 14), (3, 30)):
+        labels = range(cutoff + 1)
+        a = GroupSymbol(small_quad, {t: random_complex(rng, (small_quad.size, t + 1, t + 1)) for t in labels})
+        near = {
+            t: su2_irrep_table(small_quad, t) + 0.1 * rng.standard_normal((small_quad.size, t + 1, t + 1))
+            for t in labels
+        }
+        for Phi in (identity_phase(small_quad, cutoff), GroupPhase(small_quad, near)):
+            M = group_matrix(Phi, a)
+            assert M.shape == (dim, dim)
+            assert np.array_equal(M, per_entry_group_matrix(Phi, a))
 
 
 def test_group_matrix_on_a_class_i_table_matches_per_entry_loop(small_quad):
@@ -109,6 +110,17 @@ def test_group_matrix_on_a_class_i_table_matches_per_entry_loop(small_quad):
     blocks = {t: class_i_mask(random_complex(rng, (table.size, t + 1, t + 1)), k) for t, k in k_inv.items()}
     a = GroupSymbol(table, blocks)
     assert np.array_equal(group_matrix(Phi, a), per_entry_group_matrix(Phi, a))
+
+
+def test_group_matrix_on_a_torus_table_matches_per_entry_loop():
+    # the characters of T^2 up to cutoff 2 as 25 labels with 1x1 blocks
+    rng = np.random.default_rng(26)
+    table = table_from_torus(UniformGrid.torus(10, 2), 2)
+    Phi = GroupPhase(table, table.matrices)
+    a = GroupSymbol(table, {lab: random_complex(rng, (table.size, 1, 1)) for lab in table.labels})
+    M = group_matrix(Phi, a)
+    assert M.shape == (25, 25)
+    assert np.array_equal(M, per_entry_group_matrix(Phi, a))
 
 
 @pytest.mark.parametrize(
