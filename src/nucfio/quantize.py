@@ -22,6 +22,15 @@ land exactly on x-nodes when the node count is odd. Points off the lattice
 (tau not in {1/2, 1}) are evaluated by tensor-product cubic interpolation
 with zero extension outside the box; fields and symbols must therefore decay
 at the box edge, which is enforced at call time.
+
+Both sums run in float64: the frequency sum into T (``_Z_BLOCK`` shift
+columns at a time) and the shift sum back to frequencies (``_X_CHUNK``
+x-rows at a time). A call forms each weighted phase entry, w cos and w sin
+with the quadrature weight of the summed axis folded in, once, in one
+contiguous real table; each complex product is four real ``einsum`` dot
+products along the summed axis, in a fixed order, with no BLAS call and no
+``optimize``. An entry's bits therefore depend on neither the BLAS thread
+count nor the block width.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ __all__ = [
 ]
 
 _X_CHUNK = 32
+_Z_BLOCK = 64
 
 
 def shift_grid(x_grid: UniformGrid) -> UniformGrid:
@@ -60,21 +70,60 @@ def shift_grid(x_grid: UniformGrid) -> UniformGrid:
     return UniformGrid(tuple((2 * lo, 2 * hi, count) for lo, hi, count in x_grid.axes))
 
 
+def _phase(rows: np.ndarray, cols: np.ndarray, w: np.ndarray, sign: float) -> np.ndarray:
+    """w(c) e^{sign*2*pi*i*r.c} over the node pairs (r, c) of ``rows`` x ``cols``,
+    as one float64 array of shape (2, rows, cols): w*cos, then sign*w*sin."""
+    ph = np.empty((2, len(rows), len(cols)))
+    arg = np.einsum("ra,ca->rc", rows, cols, out=ph[1])
+    arg *= 2.0 * np.pi
+    np.cos(arg, out=ph[0])
+    np.sin(arg, out=ph[1])
+    ph *= w
+    ph[1] *= sign
+    return ph
+
+
+def _parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous float64 copies of a complex array's real and imaginary parts."""
+    return np.ascontiguousarray(a.real), np.ascontiguousarray(a.imag)
+
+
+def _contract(ar: np.ndarray, ai: np.ndarray, ph: np.ndarray, out: np.ndarray) -> None:
+    """out[m, k] = sum_z (ar + i*ai)[m, z] (cos + i*sin)[k, z] with ``ph = (cos, sin)``.
+
+    Four real einsums, each a dot product along the contiguous z axis of both
+    operands, so an entry's bits depend only on its own row and phase row; the
+    parts accumulate in contiguous float64 and ``out`` is written once.
+    """
+    cos, sin = ph
+    re = np.einsum("mz,kz->mk", ar, cos)
+    re -= np.einsum("mz,kz->mk", ai, sin)
+    im = np.einsum("mz,kz->mk", ar, sin)
+    im += np.einsum("mz,kz->mk", ai, cos)
+    out.real = re
+    out.imag = im
+
+
 def _freq_first(sigma: SampledSymbol, Z: np.ndarray) -> np.ndarray:
-    """T(u, z) = sum_xi w(xi) e^{2*pi*i*z.xi} sigma(u, xi): the frequency axis, summed once."""
-    xig = sigma.freq
-    return np.einsum("uk,zk->uz", sigma.values * xig.weights[None, :], np.exp(2j * np.pi * (Z @ xig.nodes.T)))
+    """T(u, z) = sum_xi w(xi) e^{2*pi*i*z.xi} sigma(u, xi): the frequency axis,
+    summed once, ``_Z_BLOCK`` shift columns at a time."""
+    XI, w = sigma.freq.nodes, sigma.freq.weights
+    vr, vi = _parts(sigma.values)
+    out = np.empty((sigma.values.shape[0], Z.shape[0]), dtype=complex)
+    for s in range(0, Z.shape[0], _Z_BLOCK):
+        cols = slice(s, min(s + _Z_BLOCK, Z.shape[0]))
+        _contract(vr, vi, _phase(Z[cols], XI, w, 1.0), out[:, cols])
+    return out
 
 
 def _shift_to_freq(xg: UniformGrid, xig: UniformGrid, zg: UniformGrid, shifted) -> SampledSymbol:
     """a(x, xi) = sum_z w(z) e^{-2*pi*i*z.xi} c(x, z) over the nodes of ``zg``,
     ``_X_CHUNK`` x-rows at a time; ``shifted(X)`` gives c on the rows X."""
-    wz = zg.weights
-    E = np.exp(-2j * np.pi * (zg.nodes @ xig.nodes.T))
+    ph = _phase(xig.nodes, zg.nodes, zg.weights, -1.0)
     out = np.empty((xg.size, xig.size), dtype=complex)
     for s in range(0, xg.size, _X_CHUNK):
         rows = slice(s, min(s + _X_CHUNK, xg.size))
-        out[rows] = np.einsum("mz,z,zk->mk", shifted(xg.nodes[rows]), wz, E)
+        _contract(*_parts(shifted(xg.nodes[rows])), ph, out[rows])
     return SampledSymbol(xg, xig, out)
 
 
@@ -133,11 +182,13 @@ def weyl_symbol_from_decomposition(
     def shifted(Xc):
         plus = (Xc[:, None, :] + (1.0 - tau) * Z[None, :, :]).reshape(-1, xg.dim)
         minus = (Xc[:, None, :] - tau * Z[None, :, :]).reshape(-1, xg.dim)
-        acc = np.zeros((len(Xc), zg.size), dtype=complex)
+        # the first term's product becomes the sum (0 + t is t), so no zero
+        # table is held while the first pair interpolates
+        acc = 0.0
         for h, g in d.terms:
             hv = interpolate(h.values, xg, plus).reshape(-1, zg.size)
-            gv = interpolate(g.values, xg, minus).reshape(-1, zg.size)
-            acc += hv * gv
+            hv *= interpolate(g.values, xg, minus).reshape(-1, zg.size)
+            acc += hv
         return acc
 
     return _shift_to_freq(xg, xig, zg, shifted)

@@ -376,8 +376,9 @@ _RANK4_SPECTRUM = {
         ("spectrum", json.loads((SCENARIOS / "gaussian_rank1.json").read_text())),
         ("spectrum", _RANK4_SPECTRUM),
         ("quantize", {**euclid_cfg(), "taus": [0.25, 0.5, 1.0]}),
+        ("wigner", euclid_cfg()),
     ],
-    ids=["gaussian_rank1", "rank4_random_mix", "quantize_taus"],
+    ids=["gaussian_rank1", "rank4_random_mix", "quantize_taus", "wigner"],
 )
 def test_euclid_report_is_identical_across_blas_threads(tmp_path, verb, cfg):
     path = tmp_path / "cfg.json"

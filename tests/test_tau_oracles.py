@@ -1,11 +1,13 @@
-"""The frequency-first shift integrals against the chunked loops they replaced.
+"""The quantize contractions against the complex bodies they replaced.
 
 ``tau_apply`` and ``tau_convert`` contract the frequency axis once per call
-and then read one interpolation stencil per point pair. The oracles below are
-the earlier bodies: they interpolate the whole frequency row of the symbol at
-every point pair (``interpolate_rows``) and contract afterwards. Interpolation
-is linear in the samples, so the two orders agree to roundoff; the bound is
-1e-13 relative to the oracle's largest entry.
+and then read one interpolation stencil per point pair. Two of the oracles
+below are the earlier bodies: they interpolate the whole frequency row of the
+symbol at every point pair (``interpolate_rows``) and contract afterwards.
+Interpolation is linear in the samples, so the two orders agree to roundoff.
+The third, ``complex_symbol_synthesis``, is the symbol synthesis with its
+shift integral as one complex three-operand einsum, where quantize now runs
+four real ones. The bound is 1e-13 relative to the oracle's largest entry.
 """
 
 import itertools
@@ -14,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nucfio.grids import SampledField, UniformGrid, _axis_stencil, interpolate, ksum
+from nucfio import quantize
+from nucfio.grids import SampledField, SampledSymbol, UniformGrid, _axis_stencil, interpolate, ksum
 from nucfio.nuclear import RankOneSequence
 from nucfio.quantize import shift_grid, tau_apply, tau_convert, weyl_symbol_from_decomposition
 
@@ -87,6 +90,27 @@ def chunked_tau_convert(b, tau, tau_prime):
     return out
 
 
+def complex_symbol_synthesis(d, tau):
+    """a(x, xi) = sum_z w(z) e^{-2 pi i z.xi} sum_k h_k(x + (1-tau) z) g_k(x - tau z),
+    32 x-rows at a time, the z-sum as one complex einsum."""
+    xg = d.h_grid
+    zg = shift_grid(xg)
+    Z, wz = zg.nodes, zg.weights
+    E = np.exp(-2j * np.pi * (Z @ xg.nodes.T))
+    out = np.empty((xg.size, xg.size), dtype=complex)
+    for s in range(0, xg.size, X_CHUNK):
+        rows = slice(s, min(s + X_CHUNK, xg.size))
+        Xc = xg.nodes[rows]
+        plus = (Xc[:, None, :] + (1.0 - tau) * Z[None, :, :]).reshape(-1, xg.dim)
+        minus = (Xc[:, None, :] - tau * Z[None, :, :]).reshape(-1, xg.dim)
+        c = np.zeros((Xc.shape[0], zg.size), dtype=complex)
+        for h, g in d.terms:
+            hv = interpolate(h.values, xg, plus).reshape(-1, zg.size)
+            c += hv * interpolate(g.values, xg, minus).reshape(-1, zg.size)
+        out[rows] = np.einsum("mz,z,zk->mk", c, wz, E)
+    return out
+
+
 def gaussian(grid, center, width, amp=1.0 + 0.0j):
     r2 = (((grid.nodes - np.asarray(center)) / width) ** 2).sum(axis=1)
     return SampledField(grid, amp * np.exp(-np.pi * r2))
@@ -103,11 +127,25 @@ def rel_gap(got, want):
 
 
 @pytest.fixture(scope="module")
-def line_symbols():
+def line_decomposition():
+    return rank_one(UniformGrid.box(-5.0, 5.0, 257, 1), np.ones(1))
+
+
+@pytest.fixture(scope="module")
+def line_symbols(line_decomposition):
     """The 257-node test symbols, one synthesis per tau for the whole module."""
-    line = UniformGrid.box(-5.0, 5.0, 257, 1)
-    d = rank_one(line, np.ones(1))
-    return {tau: weyl_symbol_from_decomposition(d, tau) for tau in (0.25, 0.5, 0.75, 1.0)}
+    return {tau: weyl_symbol_from_decomposition(line_decomposition, tau) for tau in (0.25, 0.5, 0.75, 1.0)}
+
+
+@pytest.mark.parametrize("tau", [0.25, 0.5, 0.75, 1.0])
+def test_symbol_synthesis_matches_complex_einsum_1d(line_decomposition, line_symbols, tau):
+    assert rel_gap(line_symbols[tau].values, complex_symbol_synthesis(line_decomposition, tau)) < BOUND
+
+
+@pytest.mark.parametrize("tau", [0.25, 0.75])
+def test_symbol_synthesis_matches_complex_einsum_2d(tau):
+    d = rank_one(UniformGrid.box(-5.0, 5.0, 13, 2), np.array([1.0, -0.5]))
+    assert rel_gap(weyl_symbol_from_decomposition(d, tau).values, complex_symbol_synthesis(d, tau)) < BOUND
 
 
 @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75, 1.0])
@@ -158,3 +196,42 @@ def test_tau_apply_peak_is_no_greater_than_the_chunked_loop():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1]
+
+
+@pytest.mark.parametrize(
+    "route, oracle",
+    [
+        (lambda sym, d: tau_convert(sym, 0.25, 0.75), lambda sym, d: chunked_tau_convert(sym, 0.25, 0.75)),
+        (lambda sym, d: weyl_symbol_from_decomposition(d, 0.25), lambda sym, d: complex_symbol_synthesis(d, 0.25)),
+    ],
+    ids=["tau_convert", "symbol_synthesis"],
+)
+def test_shift_integral_peak_is_no_greater_than_its_oracle(route, oracle):
+    grid = UniformGrid.box(-5.0, 5.0, 129, 1)
+    d = rank_one(grid, np.ones(1))
+    sym = weyl_symbol_from_decomposition(d, 0.25)
+    peaks = []
+    for f in (route, oracle):
+        tracemalloc.start()
+        try:
+            f(sym, d)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
+@pytest.mark.parametrize("count, dim", [(201, 1), (13, 2)])
+def test_frequency_table_bits_do_not_depend_on_the_block_width(monkeypatch, count, dim):
+    # tau_apply's difference lattice: 2n - 1 shifts per axis, 401 in dim 1, which
+    # no block width below divides; every column must get the same bits anyway
+    grid = UniformGrid.box(-5.0, 5.0, count, dim)
+    rng = np.random.default_rng(dim)
+    values = rng.standard_normal((grid.size, grid.size)) + 1j * rng.standard_normal((grid.size, grid.size))
+    sym = SampledSymbol(grid, grid, values)
+    Z = UniformGrid.box(-10.0, 10.0, 2 * count - 1, dim).nodes
+    tables = []
+    for width in (1, 17, Z.shape[0]):
+        monkeypatch.setattr(quantize, "_Z_BLOCK", width)
+        tables.append(quantize._freq_first(sym, Z))
+    assert all(np.array_equal(t, tables[-1]) for t in tables[:-1])
