@@ -27,17 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum, require_int, require_real
-from .numerics import dense_eigenvalues, matrix_trace
+from .grids import LatticeWindow, SampledSymbol, UniformGrid, ksum, require_int, require_real
+from .numerics import dense_eigenvalues, matrix_trace, mixed_norm
 from .nuclear import RankOneSequence, delgado_trace, r_quasinorm_bound
 from .euclid import PhaseSpec, lidskii_report
 from .quantize import tau_apply, tau_convert, weyl_symbol_from_decomposition, wigner
-from .lattice import (
-    lattice_matrix,
-    lattice_mixed_norms,
-    lattice_nuclear_trace,
-    lattice_symbol_from_decomposition,
-)
+from .lattice import lattice_matrix, lattice_nuclear_trace, lattice_symbol_from_decomposition
 from .group import (
     GroupPhase,
     GroupSymbol,
@@ -142,26 +137,36 @@ def _grid_from(spec: dict, where: str) -> UniformGrid:
 
 
 def _decomposition(spec: dict, factor) -> RankOneSequence:
-    """Parse a decomposition spec; factor(spec, where) turns one h or g spec
-    into a SampledField."""
+    """Parse a decomposition spec; factor(spec) turns one h or g spec into a
+    SampledField."""
     _check_keys(spec, "decomposition", ("terms",), ("p1", "p2", "r"))
     if not isinstance(spec["terms"], list):
         raise ValidationError(f"decomposition.terms must be a list, got {spec['terms']!r}")
     terms = []
     for i, t in enumerate(spec["terms"]):
-        where = f"decomposition.terms[{i}]"
-        _check_keys(t, where, ("h", "g"), ())
-        terms.append((factor(t["h"], f"{where}.h"), factor(t["g"], f"{where}.g")))
+        _check_keys(t, f"decomposition.terms[{i}]", ("h", "g"), ())
+        terms.append((factor(t["h"]), factor(t["g"])))
     p1, p2, r = _real(spec, "p1", 2.0), _real(spec, "p2", 2.0), _real(spec, "r", 1.0)
     return RankOneSequence(tuple(terms), p1, p2, r)
 
 
-def _linear_phase(cfg: dict, setting: str) -> PhaseSpec:
+def _phase(cfg: dict, setting: str, x_grid=None, xi_grid=None) -> PhaseSpec:
+    """The config's phase: linear, or for euclid only a sampled family on the grids."""
     spec = cfg.get("phase", {"kind": "linear"})
-    _check_keys(spec, "phase", ("kind",), ())
-    if spec["kind"] != "linear":
+    euclid = setting == "euclid"
+    _check_keys(spec, "phase", ("kind",), ("family", "shift") if euclid else ())
+    if spec["kind"] == "linear":
+        _check_keys(spec, "linear phase", ("kind",), ())
+        return PhaseSpec.linear()
+    if not euclid:
         raise ValidationError(f"{setting} configs support the linear phase only")
-    return PhaseSpec.linear()
+    if spec["kind"] != "sampled":
+        raise ValidationError(f"phase kind {spec['kind']!r} not in ('linear', 'sampled')")
+    fam = spec.get("family", "shifted_linear")
+    if fam == "shifted_linear":
+        table = 2.0 * np.pi * ((x_grid.nodes + _real(spec, "shift", 0.0)) @ xi_grid.nodes.T)
+        return PhaseSpec("sampled", table)
+    raise ValidationError(f"unknown sampled phase family {fam!r}")
 
 
 def _constant_symbol(cfg: dict, setting: str, shape: tuple) -> np.ndarray:
@@ -191,20 +196,6 @@ def _matrix_report(setting: str, nuclear: complex, M: np.ndarray, **fields) -> T
 # -- euclid -------------------------------------------------------------------
 
 
-def _euclid_phase(spec: dict, x_grid: UniformGrid, xi_grid: UniformGrid) -> PhaseSpec:
-    _check_keys(spec, "phase", ("kind",), ("family", "shift"))
-    if spec["kind"] == "linear":
-        _check_keys(spec, "linear phase", ("kind",), ())
-        return PhaseSpec.linear()
-    if spec["kind"] != "sampled":
-        raise ValidationError(f"phase kind {spec['kind']!r} not in ('linear', 'sampled')")
-    fam = spec.get("family", "shifted_linear")
-    if fam == "shifted_linear":
-        table = 2.0 * np.pi * ((x_grid.nodes + _real(spec, "shift", 0.0)) @ xi_grid.nodes.T)
-        return PhaseSpec("sampled", table)
-    raise ValidationError(f"unknown sampled phase family {fam!r}")
-
-
 def _run_euclid(cfg: dict, verb: str) -> tuple:
     unread = sorted({"taus", "probe"} & set(cfg)) if verb != "quantize" else []
     if unread:
@@ -212,8 +203,8 @@ def _run_euclid(cfg: dict, verb: str) -> tuple:
     rng = _rng_for(cfg)
     grid = _grid_from(cfg["grid"], "grid")
     xi_grid = _grid_from(cfg["xi_grid"], "xi_grid") if "xi_grid" in cfg else UniformGrid(grid.axes)
-    phase = _euclid_phase(cfg.get("phase", {"kind": "linear"}), grid, xi_grid)
-    d = _decomposition(cfg["decomposition"], lambda spec, where: families.euclid_field(grid, spec, rng))
+    phase = _phase(cfg, "euclid", grid, xi_grid)
+    d = _decomposition(cfg["decomposition"], lambda spec: families.euclid_field(grid, spec, rng))
     if "r" in cfg["decomposition"]:
         raise ValidationError("euclid reads no 'decomposition.r': r follows from 'p', 1/r = 1 + |1/p - 1/2|")
     report = lidskii_report(phase, d, _real(cfg, "p", 2.0), xi_grid)
@@ -289,18 +280,17 @@ def _run_lattice(cfg: dict, verb: str) -> tuple:
     window = LatticeWindow(_int(cfg, "dim", 1), _int(cfg, "radius"))
     xi_grid = UniformGrid.torus(_int(cfg, "xi_count", max(32, window.min_xi_count())), window.dim)
     window.check_grid(xi_grid, "xi_count")
-    phase = _linear_phase(cfg, "lattice")
+    phase = _phase(cfg, "lattice")
     a, d = _abelian_operator(
         cfg, "lattice", window, xi_grid,
-        lambda spec, where: families.lattice_sequence(window, spec, rng),
+        lambda spec: families.lattice_sequence(window, spec, rng),
         lambda d: lattice_symbol_from_decomposition(phase, d, xi_grid),
     )
     p1, p2 = (_real(cfg, "p", 2.0),) * 2 if d is None else (d.p1, d.p2)
-    mixed = lattice_mixed_norms(a, p1, p2)
     return _matrix_report(
         "lattice", lattice_nuclear_trace(phase, a), lattice_matrix(phase, a),
         quasinorm_bound=None if d is None else r_quasinorm_bound(d),
-        mixed_norm_x_first=mixed[0], mixed_norm_xi_first=mixed[1],
+        mixed_norm_x_first=mixed_norm(a, "x", p2, p1), mixed_norm_xi_first=mixed_norm(a, "xi", p1, p2),
     ), []
 
 
@@ -316,10 +306,10 @@ def _run_torus(cfg: dict, verb: str) -> tuple:
     rng = _rng_for(cfg)
     cutoff = _int(cfg, "cutoff", least=0)
     x_grid, window = _torus_grid(cfg, cutoff)
-    phase = _linear_phase(cfg, "torus")
+    phase = _phase(cfg, "torus")
     a, d = _abelian_operator(
         cfg, "torus", x_grid, window,
-        lambda spec, where: families.euclid_field(x_grid, spec, rng),
+        lambda spec: families.euclid_field(x_grid, spec, rng),
         lambda d: torus_symbol_from_decomposition(phase, d, cutoff, x_grid),
     )
     return _matrix_report(
@@ -346,37 +336,6 @@ def _su2_identity(quad, cutoff: int) -> tuple:
     return Phi, GroupSymbol(quad, blocks)
 
 
-# The su2 field families and the keys each reads besides "family".
-_GROUP_FAMILIES = {"constant": ("value",), "matrix_entry": ("twoL", "i", "j"), "random_bandlimited": ()}
-
-
-def _group_factor(quad, cutoff: int, rng):
-    """Factor builder for su2 decompositions: fields on the quadrature."""
-
-    def factor(fspec: dict, where: str) -> SampledField:
-        fam = families._family(fspec, "group field", _GROUP_FAMILIES)
-        if fam == "constant":
-            return SampledField(quad, np.full(quad.size, complex(_real(fspec, "value", 1.0))))
-        if fam == "matrix_entry":
-            twoL = _int(fspec, "twoL", 1)
-            T = su2_irrep_table(quad, twoL)
-            i, j = _int(fspec, "i", 0), _int(fspec, "j", 0)
-            for key, index in (("i", i), ("j", j)):
-                if not 0 <= index <= twoL:
-                    raise ValidationError(f"{where}.{key} = {index} outside 0..{twoL} (twoL)")
-            return SampledField(quad, np.sqrt(twoL + 1) * T[:, i, j])
-        # random_bandlimited; the config's seed scan has made sure of rng
-        vals = np.zeros(quad.size, dtype=complex)
-        for twoL in range(cutoff + 1):
-            T = su2_irrep_table(quad, twoL)
-            d = twoL + 1
-            C = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            vals += np.sqrt(d) * np.einsum("nij,ij->n", T, C)
-        return SampledField(quad, vals)
-
-    return factor
-
-
 def _run_su2(cfg: dict, verb: str) -> tuple:
     _one_operator_source(cfg)
     if cfg.get("symbol", "identity") != "identity":
@@ -388,7 +347,7 @@ def _run_su2(cfg: dict, verb: str) -> tuple:
     extras = {}
     if "decomposition" in cfg:
         Phi = identity_phase(quad, cutoff)
-        d = _decomposition(cfg["decomposition"], _group_factor(quad, cutoff, rng))
+        d = _decomposition(cfg["decomposition"], lambda spec: families.group_field(quad, spec, cutoff, rng))
         a = group_symbol_from_decomposition(Phi, d)
         quasinorm = r_quasinorm_bound(d)
         dtr = delgado_trace(d)

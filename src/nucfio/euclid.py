@@ -1,4 +1,4 @@
-"""Fourier integral operators on R^n: application, symbol synthesis, traces.
+"""Fourier integral operators on R^n, Z^n and T^n: apply, synthesis, traces.
 
 The operator acts as (Ff)(x) = int e^{i phi(x, xi)} a(x, xi) (Ff)(xi) dxi in
 the exp(-2*pi*i*x.xi) transform convention. Phases are either exactly linear
@@ -10,8 +10,8 @@ that integrates them.
 
 This module owns the abelian bodies (``_abelian_apply``, ``_abelian_synthesis``,
 ``_abelian_trace``): R^n, Z^n and the torus take the same sums over a
-``SampledSymbol``, with different weights, so ``lattice`` and ``group`` import
-them and only check their own setting.
+``SampledSymbol``, with different weights: ``fio_apply`` applies all three,
+and ``lattice`` and ``group`` import the other two and check their setting.
 """
 
 from __future__ import annotations
@@ -191,7 +191,8 @@ def _abelian_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
 def fio_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> SampledField:
     """Apply the operator: transform f, weight by e^{i phi} a, integrate in xi.
 
-    f must live on the symbol's spatial grid; the output does too.
+    One apply for R^n, Z^n and T^n: f lives on the symbol's space domain
+    (a grid, a window, a torus grid), and so does the output.
     """
     require_same_grid(f.grid, a.space, "fio_apply input")
     if phase.kind == "sampled":

@@ -2,6 +2,8 @@
 
 These back the CLI's config files and the randomized test corpora. Specs are
 small dicts: {"family": "gaussian", "center": 0.0, "width": 1.0} and so on.
+One builder per domain, each with its own family-key table: ``euclid_field``
+on a grid, ``lattice_sequence`` on a window, ``group_field`` on SU(2).
 Random families draw from a caller-supplied numpy Generator so a config's
 seed pins the whole corpus.
 """
@@ -14,12 +16,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .grids import LatticeWindow, SampledField, UniformGrid, require_int, require_real
+from .group import su2_irrep_table
 
 __all__ = [
     "hermite_function",
     "gaussian_profile",
     "euclid_field",
     "lattice_sequence",
+    "group_field",
     "random_gaussian_mix",
     "spec_needs_rng",
 ]
@@ -45,6 +49,7 @@ _SEQUENCE_KEYS = {
     "constant": ("value",),
     "random_mix": (),
 }
+_GROUP_KEYS = {"constant": ("value",), "matrix_entry": ("twoL", "i", "j"), "random_bandlimited": ()}
 
 
 def spec_needs_rng(spec: dict) -> bool:
@@ -188,3 +193,29 @@ def lattice_sequence(window: LatticeWindow, spec: dict, rng: np.random.Generator
         raise ValidationError("random_mix family needs a seeded generator")
     vals = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
     return SampledField(window, vals)
+
+
+def group_field(quad, spec: dict, cutoff_twoL: int, rng: np.random.Generator | None = None) -> SampledField:
+    """Build a field on an SU(2) quadrature from a family spec; ``random_bandlimited``
+    draws every irrep entry up to ``cutoff_twoL``."""
+    fam = _family(spec, "group field", _GROUP_KEYS)
+    if fam == "constant":
+        return SampledField(quad, np.full(quad.size, complex(require_real(spec.get("value", 1.0), "value"))))
+    if fam == "matrix_entry":
+        twoL = require_int(spec.get("twoL", 1), "twoL")
+        T = su2_irrep_table(quad, twoL)
+        i, j = require_int(spec.get("i", 0), "i"), require_int(spec.get("j", 0), "j")
+        for key, index in (("i", i), ("j", j)):
+            if not 0 <= index <= twoL:
+                raise ValidationError(f"matrix_entry.{key} = {index} outside 0..{twoL} (twoL)")
+        return SampledField(quad, np.sqrt(twoL + 1) * T[:, i, j])
+    # random_bandlimited, the one family left
+    if rng is None:
+        raise ValidationError("random_bandlimited family needs a seeded generator")
+    vals = np.zeros(quad.size, dtype=complex)
+    for twoL in range(require_int(cutoff_twoL, "cutoff_twoL", least=0) + 1):
+        T = su2_irrep_table(quad, twoL)
+        d = twoL + 1
+        C = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        vals += np.sqrt(d) * np.einsum("nij,ij->n", T, C)
+    return SampledField(quad, vals)

@@ -11,9 +11,11 @@ cancels in floating point and windowed identities trace to exact integers.
 The lattice, the torus (the same pairing with space and frequency swapped)
 and R^n store one ``grids.SampledSymbol``, here ``SampledSymbol(window,
 xi_grid, values)``, and share one transform, ``numerics.dft_forward``. Apply,
-synthesis and trace are the abelian bodies of ``euclid``. The pairing rule,
+synthesis and trace are the abelian bodies of ``euclid``: a lattice operator
+is applied with ``euclid.fio_apply`` and its mixed norms are
+``numerics.mixed_norm``. The pairing rule,
 ``grids.LatticeWindow.check_grid``, is enforced by the symbol and the
-transform; every entry point calls it too, which rejects other settings.
+transform; the entry points here call it too, which rejects other settings.
 ``_abelian_matrix`` (the torus's too) reads off-diagonals from one FFT per
 row, within 1e-13 * sum(w) * max|a| of per-entry sums, its diagonal from the
 trace kernel.
@@ -23,17 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .euclid import PhaseSpec, _abelian_apply, _abelian_synthesis, _abelian_trace, _require_phase_density
-from .grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum, require_same_grid
+from .euclid import PhaseSpec, _abelian_synthesis, _abelian_trace
+from .grids import LatticeWindow, SampledSymbol, UniformGrid, ksum, require_same_grid
 from .nuclear import RankOneSequence
-from .numerics import mixed_norm
 
 __all__ = [
-    "lattice_fio_apply",
     "lattice_symbol_from_decomposition",
     "lattice_nuclear_trace",
     "lattice_matrix",
-    "lattice_mixed_norms",
 ]
 
 
@@ -56,15 +55,6 @@ def _abelian_matrix(phi: np.ndarray, a: np.ndarray, rows: np.ndarray, grid: Unif
     np.exp(np.multiply(1j, np.subtract(phi, kern, out=kern), out=B), out=B)
     M[np.diag_indices(n)] = ksum(np.multiply(B, wa, out=B), axis=1)
     return M
-
-
-def lattice_fio_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> SampledField:
-    """out(n') = sum_xi w(xi) e^{i phi(n', xi)} a(n', xi) (F_Z f)(xi)."""
-    require_same_grid(f.grid, a.space, "lattice_fio_apply input")
-    LatticeWindow.check_grid(a.space, a.freq, "lattice xi_count")
-    if phase.kind == "sampled":
-        _require_phase_density(phase, a, "lattice_fio_apply", xi_only=True)
-    return _abelian_apply(phase, a, f)
 
 
 def lattice_symbol_from_decomposition(
@@ -97,12 +87,3 @@ def lattice_matrix(phase: PhaseSpec, a: SampledSymbol) -> np.ndarray:
     pts = a.space.nodes
     return _abelian_matrix(phase.table(pts, a.freq.nodes), a.values, pts, a.freq)
 
-
-def lattice_mixed_norms(a: SampledSymbol, p1: float, p2: float) -> tuple:
-    """The two iterated norms, n'-inner and xi-inner.
-
-    Returns ((int_T (sum_{n'} |a|^{p2})^{p1/p2} dxi)^{1/p1},
-             (sum_{n'} (int_T |a|^{p1} dxi)^{p2/p1})^{1/p2}).
-    """
-    LatticeWindow.check_grid(a.space, a.freq, "lattice xi_count")
-    return mixed_norm(a, "x", p2, p1), mixed_norm(a, "xi", p1, p2)

@@ -35,7 +35,6 @@ from nucfio.homog import (
 )
 from nucfio.lattice import (
     lattice_matrix,
-    lattice_mixed_norms,
     lattice_nuclear_trace,
     lattice_symbol_from_decomposition,
 )
@@ -45,7 +44,7 @@ from nucfio.nuclear import (
     holder_conjugate,
     kernel_from_decomposition,
 )
-from nucfio.numerics import dense_eigenvalues, hausdorff_young_ratio, lp_norm, matrix_trace
+from nucfio.numerics import dense_eigenvalues, hausdorff_young_ratio, lp_norm, matrix_trace, mixed_norm
 from nucfio.quantize import tau_apply, tau_convert, weyl_symbol_from_decomposition, wigner
 
 
@@ -181,7 +180,7 @@ def test_criterion_4_norm_bounds_over_corpus(capsys):
         )
         d = RankOneSequence(terms, p1, p2, 1.0)
         a = lattice_symbol_from_decomposition(PhaseSpec.linear(), d, xi)
-        nf, xf = lattice_mixed_norms(a, p1, p2)
+        nf, xf = mixed_norm(a, "x", p2, p1), mixed_norm(a, "xi", p1, p2)
         bound = sum(
             lp_norm(h, p2) * lp_norm(g, holder_conjugate(p1)) for h, g in terms
         )

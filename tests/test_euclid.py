@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nucfio.errors import DomainError, ValidationError
+from nucfio.errors import DomainError, ShapeError, ValidationError
 from nucfio.euclid import (
     PhaseSpec,
     decay_norms,
@@ -82,6 +82,26 @@ def test_sampled_phase_matches_linear(grid):
     tr_lin = nuclear_trace_euclid(PhaseSpec.linear(), a_lin)
     tr_smp = nuclear_trace_euclid(sampled, a_smp)
     assert tr_smp == pytest.approx(tr_lin, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: PhaseSpec("quadratic"), ValidationError, r"phase kind 'quadratic' not in \('linear', 'sampled'\)"),
+        (lambda: PhaseSpec("sampled", np.zeros(5)), ShapeError, "must be a 2-d table"),
+        (lambda: PhaseSpec("sampled", [[0.0, np.nan]]), ValidationError, "non-finite entries"),
+        (lambda: PhaseSpec("linear", np.zeros((2, 2))), ValidationError, "carries no sample table"),
+        (
+            lambda: PhaseSpec("sampled", np.zeros((3, 4))).table(np.zeros((5, 1)), np.zeros((4, 1))),
+            ShapeError,
+            r"sampled phase table \(3, 4\) != \(5, 4\)",
+        ),
+    ],
+    ids=["unknown_kind", "one_d_table", "nan_entry", "linear_with_table", "table_shape"],
+)
+def test_phase_spec_rejects_bad_input(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_undersampled_phase_is_rejected():

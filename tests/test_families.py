@@ -4,11 +4,13 @@ import pytest
 from nucfio.errors import ValidationError
 from nucfio.families import (
     euclid_field,
+    group_field,
     hermite_function,
     lattice_sequence,
     spec_needs_rng,
 )
 from nucfio.grids import LatticeWindow, UniformGrid
+from nucfio.group import su2_haar_quadrature
 
 
 @pytest.fixture
@@ -74,6 +76,20 @@ def test_random_bandlimited_needs_rng():
     # so a seedless su2 config is rejected before its quadrature is built
     assert spec_needs_rng({"family": "random_bandlimited"})
     assert not spec_needs_rng({"family": ["random_mix"]})
+
+
+def test_group_random_bandlimited_without_a_generator_is_a_validation_error():
+    # not an AttributeError from rng.standard_normal on None
+    quad = su2_haar_quadrature(4, 4, 8)
+    with pytest.raises(ValidationError, match="random_bandlimited family needs a seeded generator"):
+        group_field(quad, {"family": "random_bandlimited"}, 1)
+
+
+@pytest.mark.parametrize("key, index", [("i", -1), ("i", 2), ("j", 3)])
+def test_group_matrix_entry_index_is_bounded_by_twoL(key, index):
+    quad = su2_haar_quadrature(4, 4, 8)
+    with pytest.raises(ValidationError, match=rf"^matrix_entry\.{key} = {index} outside 0\.\.1 \(twoL\)$"):
+        group_field(quad, {"family": "matrix_entry", "twoL": 1, key: index}, 1)
 
 
 def test_a_family_rejects_keys_it_does_not_read(grid):

@@ -203,6 +203,21 @@ def test_interpolate_zero_outside_box():
     assert np.all(got == 0.0)
 
 
+@pytest.mark.parametrize("counts", [(2,), (3,), (2, 3)], ids=["two_nodes", "three_nodes", "two_by_three"])
+def test_interpolate_is_linear_on_axes_below_four_nodes(counts):
+    # axes too short for the cubic stencil fall back to a linear one, which
+    # reproduces affine data exactly and reads zero outside the box
+    g = UniformGrid(tuple((-1.0, 2.0, n) for n in counts))
+    slope = np.array([2.0 - 1.0j, -3.0 + 0.5j])[: len(counts)]
+    vals = 0.5 + g.nodes @ slope
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1.0, 2.0, size=(40, len(counts)))
+    assert np.abs(interpolate(vals, g, pts) - (0.5 + pts @ slope)).max() < 1e-14
+    outside = np.full((2, len(counts)), 0.5)
+    outside[0, 0], outside[1, -1] = -1.5, 2.5
+    assert np.all(interpolate(vals, g, outside) == 0.0)
+
+
 def test_sampled_field_validation():
     g = UniformGrid.box(0.0, 1.0, 4, 1)
     with pytest.raises(ShapeError):

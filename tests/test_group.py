@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nucfio.errors import ConditionError, DomainError, ValidationError
-from nucfio.euclid import PhaseSpec
+from nucfio.errors import ConditionError, DomainError, ShapeError, ValidationError
+from nucfio.euclid import PhaseSpec, fio_apply
 from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.group import (
     _leggauss_ab,
@@ -108,6 +108,8 @@ def test_euler_inversion_roundtrip():
 def test_euler_rejects_non_unitary():
     with pytest.raises(ValidationError):
         euler_from_su2(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+    with pytest.raises(ShapeError, match=r"must be 2x2, got \(3, 3\)"):
+        euler_from_su2(np.eye(3))
 
 
 @pytest.mark.parametrize(
@@ -315,6 +317,11 @@ def test_invalid_inputs(quad):
         wigner_matrix(1, -0.5, 0.0, 0.0)
     with pytest.raises(DomainError):
         su2_haar_quadrature(1, 16, 32)
+    # a phase and a symbol must share one quadrature and one label set
+    with pytest.raises(ValidationError, match="group_nuclear_trace: phase and symbol use different quadratures"):
+        group_nuclear_trace(identity_phase(su2_haar_quadrature(4, 4, 8), 1), identity_symbol(quad, 1))
+    with pytest.raises(ValidationError, match=r"group_matrix: phase labels \[0, 1, 2\] differ from symbol labels \[0, 1\]"):
+        group_matrix(identity_phase(quad, 2), identity_symbol(quad, 1))
 
 
 # -- torus --------------------------------------------------------------------
@@ -341,6 +348,35 @@ def test_torus_identity_trace(circle):
     assert torus_nuclear_trace(PhaseSpec.linear(), a) == pytest.approx(5.0, abs=1e-13)
     M = torus_matrix(PhaseSpec.linear(), a)
     assert np.abs(M - np.eye(5)).max() < 1e-13
+
+
+def test_torus_identity_apply_keeps_the_frequencies_up_to_the_cutoff(circle):
+    # [DERIVED] the constant symbol 1 with the linear phase projects onto the
+    # exponentials e^{2 pi i l x} with |l| <= cutoff: degrees 3 and 5 go
+    x = circle.nodes[:, 0]
+    coeffs = {-3: 0.5, -1: 2.0, 0: 1.0 - 1.0j, 2: 0.25j, 5: 4.0}
+    f = SampledField(circle, sum(c * np.exp(2j * np.pi * l * x) for l, c in coeffs.items()))
+    window = LatticeWindow(1, 2)
+    a = SampledSymbol(circle, window, np.ones((circle.size, window.size), dtype=complex))
+    got = fio_apply(PhaseSpec.linear(), a, f)
+    want = sum(c * np.exp(2j * np.pi * l * x) for l, c in coeffs.items() if abs(l) <= 2)
+    assert got.grid is circle
+    assert np.abs(got.values - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("dim, cutoff, x_count", [(1, 3, 16), (2, 1, 8)])
+def test_torus_apply_is_the_frequency_sum(dim, cutoff, x_count):
+    # out(x) = sum_l e^{2 pi i x.l} a(x, l) fhat(l), fhat(l) = sum_x w(x) f(x) e^{-2 pi i x.l}
+    x_grid, window = UniformGrid.torus(x_count, dim), LatticeWindow(dim, cutoff)
+    rng = np.random.default_rng(9)
+    shape = (x_grid.size, window.size)
+    a = SampledSymbol(x_grid, window, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    f = SampledField(x_grid, rng.standard_normal(x_grid.size) + 1j * rng.standard_normal(x_grid.size))
+    x, l = x_grid.nodes, window.nodes
+    fhat = (x_grid.weights * f.values) @ np.exp(-2j * np.pi * (x @ l.T))
+    want = (np.exp(2j * np.pi * (x @ l.T)) * a.values) @ fhat
+    got = fio_apply(PhaseSpec.linear(), a, f)
+    assert np.abs(got.values - want).max() < 1e-12
 
 
 def test_torus_synthesis_trace(circle):

@@ -73,6 +73,10 @@ def test_mask_zeroes_beyond_invariant_count():
     # [TRIVIAL] idempotent, and the input is untouched
     assert np.array_equal(class_i_mask(m, 1), m)
     assert not np.array_equal(m, B)
+    with pytest.raises(ShapeError, match="square trailing dims"):
+        class_i_mask(B[:, :2, :], 1)
+    with pytest.raises(DomainError, match=r"k = 4 outside \[1, 3\]"):
+        class_i_mask(B, 4)
 
 
 def test_symbol_rejects_support_outside_mask(table, quad):

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from nucfio.errors import DomainError, GridMismatchError, ShapeError, ValidationError
-from nucfio.euclid import PhaseSpec
+from nucfio.euclid import PhaseSpec, fio_apply
 from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid
 from nucfio.lattice import (
-    lattice_fio_apply,
     lattice_matrix,
-    lattice_mixed_norms,
     lattice_nuclear_trace,
     lattice_symbol_from_decomposition,
 )
 from nucfio.nuclear import RankOneSequence, r_quasinorm_bound
-from nucfio.numerics import dense_eigenvalues, dft_forward, lp_norm, matrix_trace
+from nucfio.numerics import dense_eigenvalues, dft_forward, lp_norm, matrix_trace, mixed_norm
 
 
 @pytest.fixture
@@ -86,7 +84,7 @@ def test_synthesis_reproduces_sequence_action(setup):
     d = random_rank_one(w, rng)
     a = lattice_symbol_from_decomposition(phase, d, xi)
     f = SampledField(w, rng.standard_normal(w.size) + 0j)
-    got = lattice_fio_apply(phase, a, f)
+    got = fio_apply(phase, a, f)
     want = np.zeros(w.size, dtype=complex)
     for h, g in d.terms:
         want += h.values * (g.values * f.values).sum()
@@ -129,7 +127,7 @@ def test_mixed_norms_for_separable_symbol(setup):
     u = np.arange(1.0, 10.0)
     v = np.cos(2.0 * np.pi * xi.nodes[:, 0]) + 2.0
     a = SampledSymbol(w, xi, np.outer(u, v).astype(complex))
-    nf, xf = lattice_mixed_norms(a, 2.0, 2.0)
+    nf, xf = mixed_norm(a, "x", 2.0, 2.0), mixed_norm(a, "xi", 2.0, 2.0)
     # [DERIVED] separable symbols factor into ell^2 x L^2 norms
     want = np.sqrt((u**2).sum()) * np.sqrt((xi.weights * v**2).sum())
     assert nf == pytest.approx(want, rel=1e-12)
@@ -185,6 +183,6 @@ def test_sampled_phase_is_density_checked_on_apply():
     f = SampledField(w, np.ones(w.size))
     table = 2.0 * np.pi * (w.nodes @ xi.nodes.T)
     with pytest.raises(ValidationError, match="1.257 rad per node step on axis 1"):
-        lattice_fio_apply(PhaseSpec("sampled", table), a, f)
-    lattice_fio_apply(PhaseSpec("sampled", 0.5 * table), a, f)
-    lattice_fio_apply(PhaseSpec.linear(), a, f)
+        fio_apply(PhaseSpec("sampled", table), a, f)
+    fio_apply(PhaseSpec("sampled", 0.5 * table), a, f)
+    fio_apply(PhaseSpec.linear(), a, f)

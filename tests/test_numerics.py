@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +10,7 @@ from nucfio.errors import DomainError, ShapeError, ValidationError, ZeroNormErro
 from nucfio.families import hermite_function
 from nucfio.grids import SampledField, UniformGrid
 from nucfio.numerics import (
+    _openblas_threads,
     dense_eigenvalues,
     dft_forward,
     dft_inverse,
@@ -13,6 +19,8 @@ from nucfio.numerics import (
     matrix_trace,
     mixed_norm,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -105,6 +113,42 @@ def test_dense_eigenvalues_order_and_checks():
         dense_eigenvalues(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
         dense_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+# A seeded 300 x 300 complex spectrum in a fresh process: the digest of its
+# bytes, and the OpenBLAS thread count before and after the call.
+_SPECTRUM_AT_THREADS = """
+import hashlib
+import numpy as np
+from nucfio import numerics
+rng = np.random.default_rng(2024)
+A = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+get = numerics._openblas_threads()[0]
+before = get()
+ev = numerics.dense_eigenvalues(A)
+print(hashlib.sha256(ev.tobytes()).hexdigest(), before, get())
+"""
+
+
+def _spectrum_at_threads(threads: int) -> tuple:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", _SPECTRUM_AT_THREADS]
+    out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True, timeout=300)
+    digest, before, after = out.stdout.split()
+    return digest, int(before), int(after)
+
+
+def test_dense_eigenvalues_are_identical_across_blas_threads():
+    # zgeev's blocked updates round by thread count; the spectrum pins OpenBLAS
+    # to one thread for the call and then restores the caller's count
+    if _openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS thread symbols not found")
+    one, two = (_spectrum_at_threads(n) for n in (1, 2))
+    if two[1] < 2:
+        pytest.skip("OpenBLAS runs one thread on this machine")
+    assert one[0] == two[0]
+    assert (one[1:], two[1:]) == ((1, 1), (2, 2))
 
 
 def test_matrix_trace():

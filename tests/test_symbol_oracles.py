@@ -19,7 +19,6 @@ from nucfio.group import (
 )
 from nucfio.lattice import (
     lattice_matrix,
-    lattice_mixed_norms,
     lattice_nuclear_trace,
     lattice_symbol_from_decomposition,
 )
@@ -135,8 +134,6 @@ def test_entry_points_check_the_setting_of_a_bare_symbol():
     for f in (lattice_nuclear_trace, lattice_matrix):
         with pytest.raises(ValidationError):
             f(phase, euclid)
-    with pytest.raises(ValidationError):
-        lattice_mixed_norms(euclid, 2.0, 2.0)
     for f in (torus_nuclear_trace, torus_matrix):
         with pytest.raises(ValidationError):
             f(phase, euclid)  # open spatial box
