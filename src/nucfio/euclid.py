@@ -151,15 +151,17 @@ def _abelian_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> Sampl
 
 def _abelian_synthesis(phase: PhaseSpec, d: RankOneSequence, space, freq) -> SampledSymbol:
     """a(p, j) = e^{-i phi(p, j)} sum_k h_k(p) sum_m w_m g_k(m) e^{2*pi*i x_m.xi_j}
-    on ``space`` x ``freq``, the g factors on ``space``. The summed side's
-    weights w fold into g_k (``dft_inverse``); on a window, 1.0 * g changes
-    at most the sign of a zero, which the compensated sum absorbs, so window
-    sums stay plain sums bit for bit.
+    on ``space`` x ``freq``, the g factors on ``space``. One ``dft_inverse``
+    transforms all k g factors over one exponential table; the summed side's
+    weights w fold into g_k, and on a window 1.0 * g changes at most the sign
+    of a zero, which the compensated sum absorbs, so window sums stay plain
+    sums bit for bit.
     """
     x, xi = space.nodes, freq.nodes
+    G = dft_inverse(tuple(g for _, g in d.terms), freq)
     A = np.zeros((space.size, freq.size), dtype=complex)
-    for h, g in d.terms:
-        A += np.outer(h.values, dft_inverse(g, freq).values)
+    for (h, _), Gk in zip(d.terms, G):
+        A += np.outer(h.values, Gk.values)
     for rows in _row_blocks(space.size):
         np.multiply(np.exp(-1j * phase.table(x, xi, rows)), A[rows], out=A[rows])
     return SampledSymbol(space, freq, A)

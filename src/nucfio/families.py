@@ -200,7 +200,7 @@ def group_field(quad, spec: dict, cutoff_twoL: int, rng: np.random.Generator | N
     draws every irrep entry up to ``cutoff_twoL``."""
     fam = _family(spec, "group field", _GROUP_KEYS)
     if fam == "constant":
-        return SampledField(quad, np.full(quad.size, complex(require_real(spec.get("value", 1.0), "value"))))
+        return SampledField(quad, np.full(quad.size, _complex_of(spec.get("value", 1.0), "value")))
     if fam == "matrix_entry":
         twoL = require_int(spec.get("twoL", 1), "twoL")
         T = su2_irrep_table(quad, twoL)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError, ZeroNormError
-from .grids import SampledField, UniformGrid, _check_pairing, ksum, require_real
+from .grids import SampledField, UniformGrid, _check_pairing, ksum, require_real, require_same_grid
 
 __all__ = [
     "character_sum",
@@ -30,8 +30,9 @@ __all__ = [
     "matrix_trace",
 ]
 
-# Output-node chunk width for transform phase matrices, keeps peak memory
-# near chunk*size complex entries regardless of grid size.
+# Output-node chunk width for transform phase matrices: a transform of k
+# columns forms ``_CHUNK // k`` output nodes at a time, so peak memory stays
+# near chunk*size complex entries regardless of grid size and column count.
 _CHUNK = 1024
 
 
@@ -40,46 +41,74 @@ def character_sum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: 
 
     The one transform kernel: quadrature transforms on R^n (weights folded
     into the values), the finite transform on Z^n and Fourier coefficients
-    on the torus.
+    on the torus. ``values`` has shape (n,) or (n, k); the result has shape
+    (len(cols),) or (len(cols), k). The exponential table is formed once for
+    all k columns, and since the compensated sum is elementwise over the
+    trailing axes, column c carries the bits of ``character_sum(values[:, c],
+    ...)``.
     """
-    return ksum(values[:, None] * np.exp(sign * 2j * np.pi * (rows @ cols.T)), axis=0)
+    E = np.exp(sign * 2j * np.pi * (rows @ cols.T))
+    if values.ndim == 1:
+        return ksum(values[:, None] * E, axis=0)
+    return ksum(values[:, None, :] * E[:, :, None], axis=0)
 
 
 def _dft(values: np.ndarray, from_grid: UniformGrid, to_grid: UniformGrid, sign: float) -> np.ndarray:
-    """The quadrature sum onto ``to_grid``; a window on either side must pass
-    the pairing rule first (``grids._check_pairing``), so no aliasing Z^n-T^n
-    pair is transformed."""
+    """The quadrature sum onto ``to_grid``, ``values`` of shape (n,) or (n, k)
+    on ``from_grid``, the result (to_grid.size,) or (to_grid.size, k) with
+    every column bit-identical to a one-column transform. Output nodes go
+    ``_CHUNK // k`` at a time. A window on either side must pass the pairing
+    rule first (``grids._check_pairing``), so no aliasing Z^n-T^n pair is
+    transformed."""
     _check_pairing(from_grid, to_grid)
     if to_grid.dim != from_grid.dim:
         raise ShapeError(f"target grid dim {to_grid.dim} != field dim {from_grid.dim}")
     src, dst = from_grid.nodes, to_grid.nodes
-    wsrc = from_grid.weights * values
-    out = np.empty(to_grid.size, dtype=complex)
-    for s in range(0, to_grid.size, _CHUNK):
-        out[s : s + _CHUNK] = character_sum(wsrc, src, dst[s : s + _CHUNK], sign)
+    wsrc = (from_grid.weights * values.T).T
+    step = max(1, _CHUNK // (1 if values.ndim == 1 else values.shape[1]))
+    out = np.empty((to_grid.size,) + values.shape[1:], dtype=complex)
+    for s in range(0, to_grid.size, step):
+        out[s : s + step] = character_sum(wsrc, src, dst[s : s + step], sign)
     return out
 
 
-def dft_forward(f: SampledField, xi_grid: UniformGrid) -> SampledField:
+def _transform(fields: SampledField | tuple, grid: UniformGrid, sign: float) -> SampledField | tuple:
+    """One ``_dft`` for a field or for a tuple of fields on one grid, whose
+    values go in as the columns of one (n, k) array."""
+    if isinstance(fields, SampledField):
+        return SampledField(grid, _dft(fields.values, fields.grid, grid, sign))
+    fields = tuple(fields)
+    if not fields:
+        raise ValidationError("transform needs at least one field")
+    for f in fields[1:]:
+        require_same_grid(f.grid, fields[0].grid, "transformed fields")
+    out = _dft(np.stack([f.values for f in fields], axis=1), fields[0].grid, grid, sign)
+    return tuple(SampledField(grid, out[:, c]) for c in range(len(fields)))
+
+
+def dft_forward(f: SampledField | tuple, xi_grid: UniformGrid) -> SampledField | tuple:
     """Quadrature Fourier transform, kernel exp(-2*pi*i*x.xi).
 
     Parameters
     ----------
-    f : SampledField
+    f : SampledField or tuple of SampledField
+        A tuple must share one grid; its fields are transformed in one pass
+        over the exponential table, each bit-identical to its own transform.
     xi_grid : UniformGrid or LatticeWindow
         Frequency nodes to evaluate on; must match the dimension of f's grid
         and, where either side is a window, pass ``LatticeWindow.check_grid``.
 
     Returns
     -------
-    SampledField on ``xi_grid``.
+    SampledField on ``xi_grid``, or a tuple of them, one per input field.
     """
-    return SampledField(xi_grid, _dft(f.values, f.grid, xi_grid, -1.0))
+    return _transform(f, xi_grid, -1.0)
 
 
-def dft_inverse(F: SampledField, x_grid: UniformGrid) -> SampledField:
-    """Quadrature inverse transform, kernel exp(+2*pi*i*x.xi)."""
-    return SampledField(x_grid, _dft(F.values, F.grid, x_grid, +1.0))
+def dft_inverse(F: SampledField | tuple, x_grid: UniformGrid) -> SampledField | tuple:
+    """Quadrature inverse transform, kernel exp(+2*pi*i*x.xi); takes and
+    returns a field or a tuple of fields as ``dft_forward``."""
+    return _transform(F, x_grid, +1.0)
 
 
 def lp_norm(f: SampledField, p: float) -> float:

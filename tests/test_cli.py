@@ -591,6 +591,30 @@ def test_euclid_only_verbs_outside_euclid_are_exit_2(tmp_path, capsys, verb):
     assert not (tmp_path / "report.json").exists()
 
 
+_SU2_TINY = {"setting": "su2", "cutoff_twoL": 1, "quadrature": {"n_alpha": 4, "n_beta": 4, "n_gamma": 8}}
+
+
+def test_su2_constant_reads_a_complex_pair(tmp_path):
+    # as the euclid, torus and lattice constant families: [re, im] is re + i im
+    assert run(tmp_path, "trace", {**_SU2_TINY, "decomposition": _one_term({"family": "constant"})}) == 0
+    one = json.loads((tmp_path / "report.json").read_text())["nuclear_trace"]
+    cfg = {**_SU2_TINY, "decomposition": _one_term({"family": "constant", "value": [1, 2]})}
+    assert run(tmp_path, "trace", cfg) == 0
+    pair = json.loads((tmp_path / "report.json").read_text())["nuclear_trace"]
+    assert complex(pair["re"], pair["im"]) == pytest.approx((1 + 2j) * complex(one["re"], one["im"]), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("1", "got '1'"), (True, "got True"), (float("nan"), "value = nan"), ([1, "2"], "got '2'")],
+    ids=["string", "bool", "nan", "string_part"],
+)
+def test_su2_constant_rejects_a_non_real_value(tmp_path, capsys, value, message):
+    cfg = {**_SU2_TINY, "decomposition": _one_term({"family": "constant", "value": value})}
+    assert run(tmp_path, "trace", cfg) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_seedless_su2_random_bandlimited_is_exit_2(tmp_path, capsys):
     cfg = {"setting": "su2", "cutoff_twoL": 1, "decomposition": _one_term({"family": "random_bandlimited"})}
     assert run(tmp_path, "trace", cfg) == 2

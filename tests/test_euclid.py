@@ -156,6 +156,22 @@ def test_sampled_trace_peak_memory_is_row_blocked():
     assert peak <= 16 * 2**20
 
 
+def test_rank_four_synthesis_peak_memory():
+    # one transform of the four g factors narrows its output chunks to
+    # _CHUNK // 4 nodes, so the product block stays at _CHUNK * n entries; the
+    # per-term synthesis it replaced peaked at 50_615_800 bytes here, and an
+    # unnarrowed (n, _CHUNK, 4) block alone would take 64 MB
+    g = UniformGrid.box(-8.0, 8.0, 1025, 1)
+    d = rank_one(g, np.random.default_rng(23), terms=4)
+    tracemalloc.start()
+    try:
+        symbol_from_decomposition(PhaseSpec.linear(), d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50_615_800
+
+
 def test_trace_is_phase_independent_after_synthesis(grid):
     # [DERIVED] synthesis divides the phase back out, so the trace of the
     # synthesized operator equals the kernel trace for any admissible phase

@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nucfio.errors import DomainError, ShapeError, ValidationError, ZeroNormError
+from nucfio.errors import DomainError, GridMismatchError, ShapeError, ValidationError, ZeroNormError
 from nucfio.families import hermite_function
-from nucfio.grids import SampledField, UniformGrid
+from nucfio.grids import LatticeWindow, SampledField, UniformGrid
 from nucfio.numerics import (
+    _CHUNK,
     _openblas_threads,
+    character_sum,
     dense_eigenvalues,
     dft_forward,
     dft_inverse,
@@ -43,6 +45,54 @@ def test_dft_roundtrip(line):
     f = SampledField(line, vals)
     back = dft_inverse(dft_forward(f, line), line)
     assert np.abs(back.values - vals).max() < 1e-10
+
+
+_PAIRS = {
+    # 1025 output nodes: the last chunk is partial at _CHUNK and at _CHUNK // k
+    "line_1025": (UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-6.0, 6.0, 1025)),
+    "box_dim2": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-3.0, 3.0, 11, 2)),
+    "window_to_torus": (LatticeWindow(2, 2), UniformGrid.torus(10, 2)),
+    "torus_to_window": (UniformGrid.torus(24), LatticeWindow(1, 5)),
+    # more columns than _CHUNK: one output node per chunk
+    "many_columns": (UniformGrid.box(-1.0, 1.0, 33), UniformGrid.box(-2.0, 2.0, 40)),
+}
+
+
+@pytest.mark.parametrize(
+    "pair, ks",
+    [(name, (1, 3, 4)) for name in _PAIRS if name != "many_columns"] + [("many_columns", (_CHUNK + 3,))],
+    ids=list(_PAIRS),
+)
+def test_batched_transform_matches_one_column_calls(pair, ks):
+    # the exp table is formed once per output chunk for all k columns; the
+    # compensated sum is elementwise over them, so each column keeps the
+    # bits of a one-column character_sum over every output node at once
+    src, dst = _PAIRS[pair]
+    rng = np.random.default_rng(len(pair))
+    for k in ks:
+        V = rng.standard_normal((src.size, k)) + 1j * rng.standard_normal((src.size, k))
+        V[::7, 0] = -0.0
+        fields = tuple(SampledField(src, V[:, c]) for c in range(k))
+        for transform, sign in ((dft_forward, -1.0), (dft_inverse, 1.0)):
+            out = transform(fields, dst)
+            assert len(out) == k and all(f.grid == dst for f in out)
+            for c in range(k):
+                want = character_sum(src.weights * V[:, c], src.nodes, dst.nodes, sign)
+                assert np.array_equal(out[c].values, want)
+            assert np.array_equal(transform(fields[0], dst).values, out[0].values)
+        cols = dst.nodes[:50]
+        stacked = character_sum(V, src.nodes, cols, 1.0)
+        assert stacked.shape == (cols.shape[0], k)
+        for c in range(k):
+            assert np.array_equal(stacked[:, c], character_sum(V[:, c], src.nodes, cols, 1.0))
+
+
+def test_batched_transform_needs_fields_on_one_grid(line):
+    f = SampledField(line, np.ones(line.size))
+    with pytest.raises(GridMismatchError, match="transformed fields"):
+        dft_forward((f, SampledField(UniformGrid.box(-8.0, 8.0, 129), np.ones(129))), line)
+    with pytest.raises(ValidationError, match="at least one field"):
+        dft_inverse((), line)
 
 
 def test_hermite_functions_are_transform_eigenvectors(line):

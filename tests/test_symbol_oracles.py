@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nucfio.errors import ShapeError, ValidationError
-from nucfio.euclid import PhaseSpec
+from nucfio.euclid import PhaseSpec, symbol_from_decomposition
 from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.group import (
     torus_matrix,
@@ -103,6 +103,19 @@ def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
         assert np.array_equal(s.values, oracle_synthesis(phi, pairs, x, freqs))
     f = d.terms[0][1]
     assert np.array_equal(dft_forward(f, LatticeWindow(dim, cutoff)).values, character_sum(w * f.values, x, freqs, -1.0))
+
+
+def test_euclid_rank_four_synthesis_matches_per_term_formula():
+    # one transform of all four g factors: 1025 frequency nodes leave a
+    # partial last chunk, and the symbol equals the per-term sums bit for bit
+    rng = np.random.default_rng(36)
+    grid, xi_grid = UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-4.0, 4.0, 1025)
+    d = random_decomposition(grid, rng, terms=4)
+    x, xi = grid.nodes, xi_grid.nodes
+    pairs = [(h.values, grid.weights * g.values) for h, g in d.terms]
+    for phase in phases(x, xi, rng):
+        s = symbol_from_decomposition(phase, d, xi_grid)
+        assert np.array_equal(s.values, oracle_synthesis(phase.table(x, xi), pairs, x, xi))
 
 
 @pytest.mark.parametrize(
