@@ -173,17 +173,23 @@ def _abelian_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
     (p, j) goes to lane (p * n_xi + j) mod 1024 whatever the blocking, and the
     lanes fold in one exactly rounded ``math.fsum``.
 
-    The exponent keeps the i on phi and is one difference, so a linear phase
-    gives e^{i*0} = 1 exactly; where one side is a window of unit weights,
-    w_p w_j is exact and identities trace to the cardinality with no rounding.
+    A sampled phase enters as e^{i(phi - kernel)}, the exponent one
+    difference. A linear phase is the kernel's own float product, so that
+    difference is exactly 0 and its factor e^{i*0} = 1 is not formed: the
+    terms are a(p, j) w_p w_j, the bits of the exp path up to the sign of an
+    exact-zero part. Where one side is a window of unit weights, w_p w_j is
+    exact and identities trace to the cardinality with no rounding.
     """
     x, xi = a.space.nodes, a.freq.nodes
     wx, wxi = a.space.weights, a.freq.weights
     acc = KahanSum((), complex)
     for rows in _row_blocks(a.space.size):
-        kernel = 2.0 * np.pi * (x[rows] @ xi.T)
         w = wx[rows, None] * wxi[None, :]
-        acc.add((np.exp(1j * (phase.table(x, xi, rows) - kernel)) * a.values[rows] * w).reshape(-1))
+        if phase.kind == "linear":
+            acc.add((a.values[rows] * w).reshape(-1))
+        else:
+            kernel = 2.0 * np.pi * (x[rows] @ xi.T)
+            acc.add((np.exp(1j * (phase.table(x, xi, rows) - kernel)) * a.values[rows] * w).reshape(-1))
     return complex(acc.value)
 
 
@@ -220,8 +226,9 @@ def symbol_from_decomposition(
 def nuclear_trace_euclid(phase: PhaseSpec, a: SampledSymbol) -> complex:
     """Double quadrature of e^{i(phi - 2*pi*x.xi)} a(x, xi).
 
-    The exponent is formed as a single difference, so a linear phase cancels
-    the trace kernel exactly in floating point.
+    The exponent is formed as a single difference, and a linear phase
+    cancels the trace kernel exactly in floating point, so its factor 1 is
+    not formed.
     """
     if phase.kind == "sampled":
         _require_phase_density(phase, a, "nuclear_trace_euclid")

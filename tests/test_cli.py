@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -434,6 +435,48 @@ def test_haar_check_report_is_identical_across_blas_threads(tmp_path, cfg):
     path.write_text(json.dumps(cfg))
     one, two = (_report_at_threads(tmp_path, path, n, "haar-check") for n in (1, 2))
     assert "schur_orthogonality" in one
+    assert one == two
+
+
+@functools.cache
+def _openblas_threads_at(threads: int) -> int:
+    """The OpenBLAS thread count of a fresh process at OPENBLAS_NUM_THREADS
+    = ``threads``; 1 where numpy's bundled OpenBLAS symbols are not found."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "from nucfio import numerics; t = numerics._openblas_threads(); print(t[0]() if t else 1)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=300)
+    return int(out.stdout)
+
+
+_MEDIUM_SU2_QUAD = {"n_alpha": 12, "n_beta": 12, "n_gamma": 24}
+
+
+@pytest.mark.parametrize(
+    "verb, cfg",
+    [
+        (
+            "trace",
+            {
+                "setting": "su2",
+                "seed": 7,
+                "quadrature": _MEDIUM_SU2_QUAD,
+                "cutoff_twoL": 3,
+                "decomposition": {"terms": [{"h": _BANDLIMITED, "g": _BANDLIMITED}] * 2},
+            },
+        ),
+        ("verify", {"setting": "homog", "instance": "su2", "quadrature": _MEDIUM_SU2_QUAD, "cutoff_twoL": 2}),
+    ],
+    ids=["su2_decomposition_trace", "homog_su2_verify"],
+)
+def test_compact_trace_and_verify_are_identical_across_blas_threads(tmp_path, verb, cfg):
+    # every compact route, the phase check's Gram certificate among them, and
+    # every verify check must give the same report bytes at 1 and 2 threads
+    if _openblas_threads_at(2) < 2:
+        pytest.skip("OpenBLAS runs one thread on this machine")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    one, two = (_report_at_threads(tmp_path, path, n, verb) for n in (1, 2))
     assert one == two
 
 

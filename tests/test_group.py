@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from nucfio.group import (
     torus_symbol_from_decomposition,
     wigner_matrix,
 )
+from nucfio.homog import table_from_su2
 from nucfio.nuclear import RankOneSequence, delgado_trace
 from nucfio.numerics import dense_eigenvalues, dft_forward, dft_inverse, matrix_trace
 
@@ -233,6 +235,83 @@ def test_singular_phase_rejected(quad):
         GroupPhase(quad, blocks)
 
 
+@pytest.mark.parametrize(
+    "label, node, block, message",
+    [
+        (1, 5, np.zeros((2, 2)), "phase block 1 is singular at node 5"),
+        (1, 7, np.diag([1.0, 1e-9]), "phase block 1 has condition 1.000e+09 at node 7, above the cap 1.0e+08"),
+        # the Gram matrix overflows to inf - inf = nan: a nan certificate must
+        # not pass the label, so the SVD finds the zero column
+        (2, 9, 1e200 * np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]), "phase block 2 is singular at node 9"),
+    ],
+    ids=["zero_node", "condition_1e9", "nan_certificate"],
+)
+def test_bad_phase_node_is_named(quad, label, node, block, message):
+    blocks = {t: su2_irrep_table(quad, t).copy() for t in range(3)}
+    blocks[label][node] = block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the certificate's overflow is no user-facing warning
+        with pytest.raises(ConditionError) as err:
+            GroupPhase(quad, blocks)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("block", [2.0 * np.eye(2), np.diag([1.0, 10.0])], ids=["2I", "diag_1_10"])
+def test_well_conditioned_non_unitary_phase_passes_through_the_svd(quad, monkeypatch, block):
+    # label 1 is no near-isometry, so its Gram certificate fails and the SVD
+    # passes it (condition 1 and 10); the unitary labels 0 and 2 need no SVD
+    calls, svd = [], np.linalg.svd
+
+    def counted(B, *args, **kwargs):
+        calls.append(B.shape)
+        return svd(B, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    blocks = {t: su2_irrep_table(quad, t) for t in range(3)}
+    blocks[1] = np.broadcast_to(block, (quad.size, 2, 2))
+    assert GroupPhase(quad, blocks).labels == [0, 1, 2]
+    assert calls == [(quad.size, 2, 2)]
+
+
+def test_irrep_table_phase_needs_no_svd(quad, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a unitary phase table reached the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert identity_phase(quad, 3).labels == [0, 1, 2, 3]
+
+
+@pytest.fixture(scope="module")
+def exact_quad():
+    # the four routes below agree within 7.6e-10 on this rule, and within
+    # 2e-13 on the 16 x 16 x 32 rule, which takes 2.7 times as long
+    return su2_haar_quadrature(14, 10, 24)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+@pytest.mark.parametrize("setting", ["su2", "homog"])
+def test_routes_agree_on_random_decompositions(exact_quad, setting, cutoff):
+    # factors band-limited to the cutoff: the dual trace, the Peter-Weyl
+    # matrix trace, its eigenvalue sum and the kernel-diagonal trace agree
+    if setting == "su2":
+        domain, Phi = exact_quad, identity_phase(exact_quad, cutoff)
+    else:
+        domain = table_from_su2(exact_quad, cutoff)
+        Phi = GroupPhase(domain, domain.matrices)
+    for rank in range(1, 5):
+        rng = np.random.default_rng(100 * cutoff + rank)
+        terms = tuple(
+            tuple(SampledField(domain, bandlimited(exact_quad, rng, cutoff)) for _ in range(2))
+            for _ in range(rank)
+        )
+        d = RankOneSequence(terms, 2.0, 2.0, 1.0)
+        a = group_symbol_from_decomposition(Phi, d)
+        M = group_matrix(Phi, a)
+        want = delgado_trace(d)
+        for got in (group_nuclear_trace(Phi, a), matrix_trace(M), dense_eigenvalues(M).sum()):
+            assert abs(got - want) <= 1e-8
+
+
 def test_s3_chart_quadrature():
     s3 = s3_quadrature(48)
     assert abs(float(s3.weights.sum()) - 1.0) < 1e-12
@@ -395,8 +474,8 @@ def test_constant_torus_symbol_traces_exactly(dim, cutoff, x_count):
     n_freq = (2 * cutoff + 1) ** dim
     a = SampledSymbol(x_grid, LatticeWindow(dim, cutoff), np.ones((x_grid.size, n_freq), dtype=complex))
     # [DERIVED] the identity on the frequency cube traces to its cardinality
-    # with no rounding: the linear phase cancels the kernel to e^{i*0} = 1
-    # and the dyadic weights sum exactly
+    # with no rounding: the linear phase cancels the kernel exactly, so no
+    # exp factor enters, and the dyadic weights sum exactly
     assert torus_nuclear_trace(PhaseSpec.linear(), a) == complex(n_freq)
 
 

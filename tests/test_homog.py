@@ -96,8 +96,18 @@ def test_singular_homog_phase_is_condition_error(table, quad):
 
     blocks = {t: M.copy() for t, M in table.matrices.items()}
     blocks[1][5] = 0.0  # one singular node
-    with pytest.raises(ConditionError):
+    with pytest.raises(ConditionError) as err:
         GroupPhase(table, blocks)
+    assert str(err.value) == "phase block 1 is singular at node 5"
+
+
+def test_table_phase_needs_no_svd(table, monkeypatch):
+    # the table's matrices are unitary, so their Gram certificate passes them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a unitary phase table reached the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert GroupPhase(table, table.matrices).labels == [0, 1, 2]
 
 
 def test_table_validation(quad):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nucfio.errors import ShapeError, ValidationError
-from nucfio.euclid import PhaseSpec, symbol_from_decomposition
+from nucfio.euclid import PhaseSpec, nuclear_trace_euclid, symbol_from_decomposition
 from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.group import (
     torus_matrix,
@@ -116,6 +116,39 @@ def test_euclid_rank_four_synthesis_matches_per_term_formula():
     for phase in phases(x, xi, rng):
         s = symbol_from_decomposition(phase, d, xi_grid)
         assert np.array_equal(s.values, oracle_synthesis(phase.table(x, xi), pairs, x, xi))
+
+
+def _euclid_case(rng):
+    grid = UniformGrid.box(-8.0, 8.0, 1025)
+    a = symbol_from_decomposition(PhaseSpec.linear(), random_decomposition(grid, rng, terms=4))
+    return a, grid.weights[:, None] * grid.weights[None, :], nuclear_trace_euclid
+
+
+def _lattice_case(rng):
+    window, xi_grid = LatticeWindow(2, 3), UniformGrid.torus(16, 2)
+    a = SampledSymbol(window, xi_grid, random_complex(rng, (window.size, xi_grid.size)))
+    return a, xi_grid.weights[None, :], lattice_nuclear_trace
+
+
+def _torus_constant_case(rng):
+    x_grid, window = UniformGrid.torus(16, 2), LatticeWindow(2, 3)
+    a = SampledSymbol(x_grid, window, np.ones((x_grid.size, window.size), dtype=complex))
+    return a, x_grid.weights[:, None], torus_nuclear_trace
+
+
+@pytest.mark.parametrize(
+    "build", [_euclid_case, _lattice_case, _torus_constant_case], ids=["euclid_1025", "lattice_dim2", "torus_constant_dim2"]
+)
+def test_linear_trace_matches_the_exp_path_formula(build):
+    # a linear phase is the trace kernel's own float product, so the trace
+    # body skips the factor e^{i(phi - kernel)} = e^{i*0} = 1; the exp path
+    # may differ only in the sign of an exact-zero part, which == ignores
+    a, w, trace = build(np.random.default_rng(37))
+    x, xi = a.space.nodes, a.freq.nodes
+    want = oracle_trace(PhaseSpec.linear().table(x, xi), a.values, x, xi, w)
+    got = trace(PhaseSpec.linear(), a)
+    assert got == want
+    assert want != 0
 
 
 @pytest.mark.parametrize(
