@@ -442,23 +442,15 @@ def _pair_tables(what: str, Phi: GroupPhase, a: GroupSymbol) -> dict:
     return {label: a.domain.irrep(label)[3] for label in a.labels}
 
 
-def _fio_rows(Phi: GroupPhase, a: GroupSymbol, fhats: dict, rows: slice) -> np.ndarray:
-    """sum_l d_l Tr[Phi(x,l) a(x,l) fhat_c(l)] at the nodes ``rows``, shape
-    (nodes, C), for the coefficient stacks fhats[l] of shape (C, d, d). The
-    labels are added onto zero in sorted order, so every entry is summed the
-    same way whatever C and the node slice are."""
-    return sum(
-        fhat.shape[1] * np.einsum("nij,njk,cki->nc", Phi.blocks[label][rows], a.blocks[label][rows], fhat)
-        for label, fhat in fhats.items()
-    )
-
-
 def group_fio_apply(Phi: GroupPhase, a: GroupSymbol, f_values: np.ndarray) -> np.ndarray:
-    """(Ff)(x) = sum_l d_l Tr[Phi(x,l) a(x,l) fhat(l)] at every node."""
+    """(Ff)(x) = sum_l d_l Tr[Phi(x,l) a(x,l) fhat(l)] at every node; the
+    labels are added onto zero in sorted order."""
     tables = _pair_tables("group_fio_apply", Phi, a)
     weights, f = a.domain.weights, np.asarray(f_values, dtype=complex).reshape(-1)
-    fhats = {label: _table_fourier(f, weights, T)[None] for label, T in tables.items()}
-    return _fio_rows(Phi, a, fhats, slice(None))[:, 0]
+    return sum(
+        T.shape[1] * np.einsum("nij,njk,ki->n", Phi.blocks[label], a.blocks[label], _table_fourier(f, weights, T))
+        for label, T in tables.items()
+    )
 
 
 def group_nuclear_trace(Phi: GroupPhase, a: GroupSymbol) -> complex:
@@ -492,9 +484,9 @@ def group_symbol_from_decomposition(Phi: GroupPhase, d: RankOneSequence) -> Grou
     return GroupSymbol(domain, blocks)
 
 
-# Quadrature nodes per accumulated block: the block is (_MATRIX_NODES, dim, dim).
-# At cutoff 3 on 8192 nodes 64 keeps the tracemalloc peak at 1.3 MB; 128
-# reads 2.3 MB at the same speed.
+# Quadrature nodes per contracted chunk: a chunk's real operands are
+# (_MATRIX_NODES, 2 dim) and (_MATRIX_NODES, 4 dim). At cutoff 3 on 8192
+# nodes 64 keeps the tracemalloc peak at 0.6 MB.
 _MATRIX_NODES = 64
 
 
@@ -506,29 +498,41 @@ def group_matrix(Phi: GroupPhase, a: GroupSymbol) -> np.ndarray:
     identity phase with identity symbol this is the identity on a space of
     dimension sum d_l^2.
 
-    Each label's Fourier coefficients of every basis column are stacked once.
-    The nodes are then walked in chunks: a chunk's operator values F e_c for
-    all columns come from one contraction per label (the body of
-    ``group_fio_apply``), and its (nodes, dim, dim) weighted products go to
-    one compensated sum over the nodes in ascending order, as ``ksum(...,
-    axis=0)`` takes each entry. Basis values are formed from the cached
-    tables chunk by chunk, never as a whole (N, dim) array.
+    With B the (N, dim) basis values, A = w conj(B) and P_l = Phi(x,l) a(x,l),
+    M[r, c] = sum_l d_l sum_{i,k} G_l[r,i,k] conj(H_l[c,i,k]) for the node
+    sums G_l[r] = sum_n A[n,r] P_l(x_n) and H_l[c] = sum_n A[n,c] t_l(x_n):
+    the basis column's Fourier coefficient fhat_l[c] = sum_n w_n B[n,c]
+    t_l(x_n)^* is H_l[c]^*. The nodes are walked in chunks. One real
+    ``einsum`` per chunk contracts [Re A, Im A] with [Re Q, Im Q], Q = [P, t]
+    over all labels (no BLAS call, so the bits follow no thread count), and
+    the chunk's (2 dim, 4 dim) sum goes to one compensated sum over the
+    chunks in ascending order: blocked summation with compensated block
+    sums. The labels are combined once, after the node loop. Basis values
+    are formed from the cached tables chunk by chunk, never as a whole
+    (N, dim) array. The entries match one operator application per column
+    with one compensated sum per entry to a few ulps, not bit for bit.
     """
     weights, tables = a.domain.weights, _pair_tables("group_matrix", Phi, a)
-    n = a.domain.size
-    flat = [(np.sqrt(T.shape[1]), T.reshape(n, -1)) for T in tables.values()]
-    columns = [(s, Tf[:, k]) for s, Tf in flat for k in range(Tf.shape[1])]
-    fhats = {
-        label: np.stack([_table_fourier(s * col, weights, T) for s, col in columns])
-        for label, T in tables.items()
-    }
-    acc = KahanSum((len(columns), len(columns)), complex)
-    for n0 in range(0, n, _MATRIX_NODES):
+    dims = [T.shape[1] for T in tables.values()]
+    dim = sum(d * d for d in dims)
+    acc = KahanSum((2 * dim, 4 * dim), float)
+    for n0 in range(0, a.domain.size, _MATRIX_NODES):
         rows = slice(n0, n0 + _MATRIX_NODES)
-        basis = np.concatenate([s * Tf[rows] for s, Tf in flat], axis=1)
-        F = _fio_rows(Phi, a, fhats, rows)
-        acc.add((weights[rows, None] * np.conj(basis))[:, :, None] * F[:, None, :])
-    return acc.value
+        m = weights[rows].shape[0]
+        t = [T[rows].reshape(m, -1) for T in tables.values()]
+        A = weights[rows, None] * np.conj(np.concatenate([np.sqrt(d) * tl for d, tl in zip(dims, t)], axis=1))
+        P = [np.einsum("nij,njk->nik", Phi.blocks[label][rows], a.blocks[label][rows]) for label in tables]
+        Q = np.concatenate([Pl.reshape(m, -1) for Pl in P] + t, axis=1)
+        left, right = np.concatenate([A.real, A.imag], axis=1), np.concatenate([Q.real, Q.imag], axis=1)
+        acc.add(np.einsum("nr,nm->rm", left, right)[None])
+    S = acc.value  # rows Re A | Im A, columns Re Q | Im Q
+    GH = (S[:dim, : 2 * dim] - S[dim:, 2 * dim :]) + 1j * (S[:dim, 2 * dim :] + S[dim:, : 2 * dim])
+    M, q = np.zeros((dim, dim), dtype=complex), 0
+    for d in dims:
+        G, H = GH[:, q : q + d * d], GH[:, dim + q : dim + q + d * d]
+        M += d * np.einsum("rq,cq->rc", G, H.conj())
+        q += d * d
+    return M
 
 
 # -- the torus as the abelian instance ---------------------------------------
