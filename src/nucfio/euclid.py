@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, ksum, require_real, require_same_grid
 from .nuclear import RankOneSequence, delgado_trace, r_quasinorm_bound, require_node_cap
-from .numerics import dft_forward, dft_inverse, factored_eigenvalues, mixed_norm
+from .numerics import _row_blocks, characters, dft_forward, dft_inverse, factored_eigenvalues, mixed_norm
 from .report import TraceReport
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
 # Sampled-phase oscillation budget: adjacent nodes may advance the phase by
 # at most 2*pi/8, i.e. at least 8 nodes per period.
 _MAX_PHASE_STEP = 2.0 * np.pi / 8.0
-
-_ROW_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -123,19 +121,20 @@ def _require_phase_density(phase: PhaseSpec, a: SampledSymbol, what: str, xi_onl
             )
 
 
-def _row_blocks(n: int, unit: int = 1):
-    """Consecutive row slices covering range(n) in order, each a whole number
-    of ``unit``-row slabs and about ``_ROW_CHUNK`` rows (at least one slab)."""
-    step = max(1, _ROW_CHUNK // unit) * unit
-    for s in range(0, n, step):
-        yield slice(s, min(s + step, n))
-
-
 # -- the abelian bodies -------------------------------------------------------
 # R^n, Z^n and the torus share these three: a ``SampledSymbol`` over a space
 # domain and a frequency domain (grids, or a window with unit weights on one
 # side), a ``PhaseSpec`` whose rows are space points and columns frequencies.
 # The entry points check their setting and call one of them.
+
+
+def _phase_factor(phase: PhaseSpec, x: np.ndarray, xi: np.ndarray, rows: slice, sign: float) -> np.ndarray:
+    """e^{sign*i*phi} on the rows ``x[rows]`` against all of ``xi``: a linear
+    phase's table is ``numerics.characters`` (roots of unity on dyadic grids),
+    a sampled phase's the exp of its table."""
+    if phase.kind == "linear":
+        return characters(x[rows], xi, sign)
+    return np.exp(sign * 1j * phase.table(x, xi, rows))
 
 
 def _abelian_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> SampledField:
@@ -145,25 +144,27 @@ def _abelian_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> Sampl
     wfhat = a.freq.weights * dft_forward(f, a.freq).values
     out = np.empty(a.space.size, dtype=complex)
     for rows in _row_blocks(a.space.size):
-        out[rows] = ksum(np.exp(1j * phase.table(x, xi, rows)) * a.values[rows] * wfhat[None, :], axis=1)
+        out[rows] = ksum(_phase_factor(phase, x, xi, rows, 1.0) * a.values[rows] * wfhat[None, :], axis=1)
     return SampledField(a.space, out)
 
 
 def _abelian_synthesis(phase: PhaseSpec, d: RankOneSequence, space, freq) -> SampledSymbol:
     """a(p, j) = e^{-i phi(p, j)} sum_k h_k(p) sum_m w_m g_k(m) e^{2*pi*i x_m.xi_j}
     on ``space`` x ``freq``, the g factors on ``space``. One ``dft_inverse``
-    transforms all k g factors over one exponential table; the summed side's
+    transforms all k g factors over one character table; the summed side's
     weights w fold into g_k, and on a window 1.0 * g changes at most the sign
     of a zero, which the compensated sum absorbs, so window sums stay plain
-    sums bit for bit.
+    sums bit for bit. Each row block sums its k outer products in term order,
+    then takes the phase factor, so no temporary is larger than a block.
     """
     x, xi = space.nodes, freq.nodes
     G = dft_inverse(tuple(g for _, g in d.terms), freq)
     A = np.zeros((space.size, freq.size), dtype=complex)
-    for (h, _), Gk in zip(d.terms, G):
-        A += np.outer(h.values, Gk.values)
     for rows in _row_blocks(space.size):
-        np.multiply(np.exp(-1j * phase.table(x, xi, rows)), A[rows], out=A[rows])
+        block = A[rows]
+        for (h, _), Gk in zip(d.terms, G):
+            block += np.outer(h.values[rows], Gk.values)
+        np.multiply(_phase_factor(phase, x, xi, rows, -1.0), block, out=block)
     return SampledSymbol(space, freq, A)
 
 

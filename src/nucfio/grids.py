@@ -73,7 +73,9 @@ class KahanSum:
     stack, so callers can bound memory by feeding chunks.
 
     * A total of ``shape`` != () is a Kahan sum over axis 0 in ascending
-      index order, elementwise over the trailing ``shape``.
+      index order, elementwise over the trailing ``shape``. ``block`` may
+      also be any iterable of such rows, a generator say, so a caller can
+      feed products row by row without forming their stack.
     * A total of shape () sums the flattened stream across ``_LANES`` lanes:
       element i, counted over every ``add``, goes to lane i mod ``_LANES``,
       and each lane row takes one vectorized Neumaier step. Complex values

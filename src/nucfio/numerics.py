@@ -4,7 +4,10 @@ The Fourier convention is exp(-2*pi*i*x.xi) forward, exp(+2*pi*i*x.xi)
 inverse, with plain quadrature sums over the supplied grids. Transforms are
 therefore only as good as the grids: the caller picks boxes large enough for
 decay and fine enough for the oscillation (downstream modules validate the
-latter for sampled phases).
+latter for sampled phases). Every transform reads its characters from
+``characters``: on dyadic grids (every node an integer over a power of two,
+as on the usual boxes, Z^n windows and power-of-two tori) a gather from a
+cached table of roots of unity, elsewhere ``np.exp``.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError, ZeroNormError
-from .grids import SampledField, UniformGrid, _check_pairing, ksum, require_real, require_same_grid
+from .grids import KahanSum, SampledField, UniformGrid, _check_pairing, ksum, require_real, require_same_grid
 
 __all__ = [
+    "characters",
     "character_sum",
     "dft_forward",
     "dft_inverse",
@@ -30,10 +34,80 @@ __all__ = [
     "matrix_trace",
 ]
 
-# Output-node chunk width for transform phase matrices: a transform of k
-# columns forms ``_CHUNK // k`` output nodes at a time, so peak memory stays
-# near chunk*size complex entries regardless of grid size and column count.
+# Output-node chunk width of a transform: its character table holds ``_CHUNK``
+# output nodes against every source node, whatever the column count.
 _CHUNK = 1024
+
+# Row-block height of the row-blocked passes over a symbol (the abelian
+# bodies of ``euclid`` and ``mixed_norm``).
+_ROW_CHUNK = 256
+
+# Dyadic character tables gather from the M-th roots of unity, M = 2^(s+t) at
+# most 2^_ROOTS_BITS (a table of at most 1 MB).
+_ROOTS_BITS = 16
+
+
+def _row_blocks(n: int, unit: int = 1):
+    """Consecutive row slices covering range(n) in order, each a whole number
+    of ``unit``-row slabs and about ``_ROW_CHUNK`` rows (at least one slab)."""
+    step = max(1, _ROW_CHUNK // unit) * unit
+    for s in range(0, n, step):
+        yield slice(s, min(s + step, n))
+
+
+@functools.cache
+def _roots(M: int) -> np.ndarray:
+    """The M-th roots of unity e^{2*pi*i k/M}, k < M, for M a power of two.
+
+    Only the first quadrant is evaluated; the second is its exact reflection
+    and the lower half-circle the exact negation of the upper, so
+    R[M - k] = conj(R[k]), and the quarter turns are set exactly. Cached and
+    read-only.
+    """
+    n = max(M, 4)
+    k = np.arange(n // 4 + 1)
+    quadrant = np.exp(2j * np.pi * k / n)
+    R = np.empty(n, dtype=complex)
+    R[n // 2 - k] = -np.conj(quadrant)
+    R[k] = quadrant
+    R[n // 2 :] = -R[: n // 2]
+    R[:: n // 4] = (1.0, 1j, -1.0, -1j)
+    R = R[:: n // M]
+    R.flags.writeable = False
+    return R
+
+
+def _dyadic_bits(v: np.ndarray):
+    """The least s <= ``_ROOTS_BITS`` with every entry of v * 2^s an integer,
+    or None."""
+    for s in range(_ROOTS_BITS + 1):
+        if np.all(np.mod(v * 2.0**s, 1.0) == 0.0):
+            return s
+    return None
+
+
+def characters(rows: np.ndarray, cols: np.ndarray, sign: float) -> np.ndarray:
+    """The table e^{sign*2*pi*i rows_p.cols_j}, shape (len(rows), len(cols)).
+
+    ``rows`` and ``cols`` are node arrays of shape (n, dim). Where every row
+    node is a/2^s and every column node b/2^t for integers a, b, with
+    M = 2^(s+t) at most 2^_ROOTS_BITS and sign +-1, each rows_p.cols_j is an
+    exact multiple of 1/M: the table is gathered from the cached M-th roots
+    of unity at (sign * a.b) mod M, the index formed in int64 from sign * a
+    and b reduced mod M (so nothing overflows) and summed over the axes. That
+    table is exact at quarter turns and carries no |theta|*eps argument
+    error. Any other grid gets ``np.exp(sign*2j*np.pi*(rows @ cols.T))``.
+    """
+    s = _dyadic_bits(rows) if sign in (1.0, -1.0) else None
+    t = None if s is None else _dyadic_bits(cols)
+    if t is None or s + t > _ROOTS_BITS:
+        return np.exp(sign * 2j * np.pi * (rows @ cols.T))
+    M = 2 ** (s + t)
+    a = np.mod(sign * rows * 2.0**s, M).astype(np.int64)
+    b = np.mod(cols * 2.0**t, M).astype(np.int64)
+    index = a @ b.T  # integer matmul, exact: each product is below M^2 <= 2^32
+    index &= M - 1
+    return _roots(M).take(index)
 
 
 def character_sum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: float) -> np.ndarray:
@@ -42,22 +116,23 @@ def character_sum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: 
     The one transform kernel: quadrature transforms on R^n (weights folded
     into the values), the finite transform on Z^n and Fourier coefficients
     on the torus. ``values`` has shape (n,) or (n, k); the result has shape
-    (len(cols),) or (len(cols), k). The exponential table is formed once for
-    all k columns, and since the compensated sum is elementwise over the
-    trailing axes, column c carries the bits of ``character_sum(values[:, c],
-    ...)``.
+    (len(cols),) or (len(cols), k). The table of ``characters`` is formed
+    once for all k columns, and one compensated sum takes the source rows
+    values_p * E_p one at a time; it is elementwise over the trailing axes,
+    so column c carries the bits of ``character_sum(values[:, c], ...)``.
     """
-    E = np.exp(sign * 2j * np.pi * (rows @ cols.T))
+    E = characters(rows, cols, sign)
+    acc = KahanSum(E.shape[1:] + values.shape[1:], complex)
     if values.ndim == 1:
-        return ksum(values[:, None] * E, axis=0)
-    return ksum(values[:, None, :] * E[:, :, None], axis=0)
+        return acc.add(v * e for v, e in zip(values, E)).value
+    return acc.add(v[None, :] * e[:, None] for v, e in zip(values, E)).value
 
 
 def _dft(values: np.ndarray, from_grid: UniformGrid, to_grid: UniformGrid, sign: float) -> np.ndarray:
     """The quadrature sum onto ``to_grid``, ``values`` of shape (n,) or (n, k)
     on ``from_grid``, the result (to_grid.size,) or (to_grid.size, k) with
     every column bit-identical to a one-column transform. Output nodes go
-    ``_CHUNK // k`` at a time. A window on either side must pass the pairing
+    ``_CHUNK`` at a time. A window on either side must pass the pairing
     rule first (``grids._check_pairing``), so no aliasing Z^n-T^n pair is
     transformed."""
     _check_pairing(from_grid, to_grid)
@@ -65,10 +140,9 @@ def _dft(values: np.ndarray, from_grid: UniformGrid, to_grid: UniformGrid, sign:
         raise ShapeError(f"target grid dim {to_grid.dim} != field dim {from_grid.dim}")
     src, dst = from_grid.nodes, to_grid.nodes
     wsrc = (from_grid.weights * values.T).T
-    step = max(1, _CHUNK // (1 if values.ndim == 1 else values.shape[1]))
     out = np.empty((to_grid.size,) + values.shape[1:], dtype=complex)
-    for s in range(0, to_grid.size, step):
-        out[s : s + step] = character_sum(wsrc, src, dst[s : s + step], sign)
+    for s in range(0, to_grid.size, _CHUNK):
+        out[s : s + _CHUNK] = character_sum(wsrc, src, dst[s : s + _CHUNK], sign)
     return out
 
 
@@ -93,7 +167,7 @@ def dft_forward(f: SampledField | tuple, xi_grid: UniformGrid) -> SampledField |
     ----------
     f : SampledField or tuple of SampledField
         A tuple must share one grid; its fields are transformed in one pass
-        over the exponential table, each bit-identical to its own transform.
+        over one character table, each bit-identical to its own transform.
     xi_grid : UniformGrid or LatticeWindow
         Frequency nodes to evaluate on; must match the dimension of f's grid
         and, where either side is a window, pass ``LatticeWindow.check_grid``.
@@ -144,22 +218,32 @@ def mixed_norm(symbol, inner: str, p_inner: float, p_outer: float) -> float:
 
     Notes
     -----
-    With p_inner == p_outer == p this factors into the 2n-dimensional L^p
-    norm on the product grid (Fubini for the product weights).
+    The symbol is read ``_ROW_CHUNK`` rows at a time: the x-inner norm
+    carries one compensated column sum across the blocks in ascending row
+    order, the xi-inner norm reduces each block's rows, so the result has the
+    bits of the whole-array sums. With p_inner == p_outer == p this factors
+    into the 2n-dimensional L^p norm on the product grid (Fubini for the
+    product weights).
     """
     p_inner = require_real(p_inner, "p_inner", 1.0, np.inf, include_hi=False)
     p_outer = require_real(p_outer, "p_outer", 1.0, np.inf, include_hi=False)
     if inner not in ("x", "xi"):
         raise ValidationError(f"inner must be 'x' or 'xi', got {inner!r}")
-    vals = np.abs(np.asarray(symbol.values))
+    vals = np.asarray(symbol.values)
     nx, nxi = symbol.space.size, symbol.freq.size
     if vals.shape != (nx, nxi):
         raise ShapeError(f"symbol values {vals.shape} != grid sizes ({nx}, {nxi})")
     wx, wxi = symbol.space.weights, symbol.freq.weights
     if inner == "x":
-        t = ksum(wx[:, None] * vals**p_inner, axis=0) ** (1.0 / p_inner)
+        acc = KahanSum((nxi,), float)
+        for rows in _row_blocks(nx):
+            acc.add(wx[rows, None] * np.abs(vals[rows]) ** p_inner)
+        t = acc.value ** (1.0 / p_inner)
         return float(ksum(wxi * t**p_outer)) ** (1.0 / p_outer)
-    t = ksum(wxi[None, :] * vals**p_inner, axis=1) ** (1.0 / p_inner)
+    t = np.empty(nx)
+    for rows in _row_blocks(nx):
+        t[rows] = ksum(wxi[None, :] * np.abs(vals[rows]) ** p_inner, axis=1)
+    t **= 1.0 / p_inner
     return float(ksum(wx * t**p_outer)) ** (1.0 / p_outer)
 
 

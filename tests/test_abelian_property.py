@@ -1,10 +1,11 @@
 """Property test: the abelian trace of a synthesized symbol is the kernel
-diagonal trace on R^1, Z^1 and T^1.
+diagonal trace on R^1, Z^1 and T^1, and on R^2 and T^2.
 
 One body traces all three settings; each entry point must recover
 sum_x w(x) sum_k h_k(x) g_k(x) from the symbol it synthesizes, within the
 tolerances the per-setting tests state (1e-10 on R^n and Z^n, 1e-12 on the
-torus).
+torus). The R^2 and T^2 grids are dyadic, so their character tables are
+gathered from roots of unity at an index summed over both axes.
 """
 
 import numpy as np
@@ -76,4 +77,42 @@ def test_torus_trace_is_the_kernel_diagonal_trace(seed, rank, cutoff):
     d = _decomposition(trigpoly, rank)
     phase = PhaseSpec.linear()
     got = torus_nuclear_trace(phase, torus_symbol_from_decomposition(phase, d, cutoff, circle))
+    assert got == pytest.approx(delgado_trace(d), abs=1e-12)
+
+
+@_SETTINGS
+@given(_SEEDS, _RANKS)
+def test_euclid_dim_two_trace_is_the_kernel_diagonal_trace(seed, rank):
+    # spacing 1/4 on [-4, 4]^2; the frequency box [-2, 2]^2 is one period of
+    # that spacing, so the trapezoid sum over it resolves x - y to the lattice
+    # 4 Z^2, and these Gaussians are below 1e-16 at distance 3
+    rng = np.random.default_rng(seed)
+    grid, xi_grid = UniformGrid.box(-4.0, 4.0, 33, 2), UniformGrid.box(-2.0, 2.0, 17, 2)
+    x = grid.nodes
+
+    def gaussian():
+        center, width = rng.uniform(-0.5, 0.5, 2), rng.uniform(0.4, 0.6)
+        return SampledField(grid, _complex(rng) * np.exp(-np.pi * np.sum((x - center) ** 2, axis=1) / width**2))
+
+    d = _decomposition(gaussian, rank)
+    phase = PhaseSpec.linear()
+    got = nuclear_trace_euclid(phase, symbol_from_decomposition(phase, d, xi_grid))
+    assert got == pytest.approx(delgado_trace(d), abs=1e-10)
+
+
+@_SETTINGS
+@given(_SEEDS, _RANKS, st.integers(min_value=0, max_value=3))
+def test_torus_dim_two_trace_is_the_kernel_diagonal_trace(seed, rank, cutoff):
+    # factors of degree <= cutoff per axis on 16 x 16 nodes: every quadrature is exact
+    rng = np.random.default_rng(seed)
+    torus = UniformGrid.torus(16, 2)
+    freqs = LatticeWindow(2, cutoff).nodes
+    modes = np.exp(2j * np.pi * (torus.nodes @ freqs.T))
+
+    def trigpoly():
+        return SampledField(torus, modes @ (0.5 * _complex(rng, freqs.shape[0])))
+
+    d = _decomposition(trigpoly, rank)
+    phase = PhaseSpec.linear()
+    got = torus_nuclear_trace(phase, torus_symbol_from_decomposition(phase, d, cutoff, torus))
     assert got == pytest.approx(delgado_trace(d), abs=1e-12)

@@ -4,8 +4,7 @@ Every name in a module's ``__all__`` must exist, and every function the
 benchmark's traced worker wraps (``bench/spans.py``, as "module:qualname")
 must exist, so deleting or renaming one fails here rather than in a traced
 benchmark run. Each public object has one public name, every name the
-demos import from the package resolves, and every demo but 02 (the tau
-quantizations, the slowest) runs.
+demos import from the package resolves, and every demo runs.
 """
 
 import ast
@@ -92,6 +91,7 @@ def test_demo_imports_resolve(demo):
     "demo",
     [
         "01_euclidean_trace.py",
+        "02_quantizations.py",
         "03_lattice_operator.py",
         "04_rotation_group.py",
         "05_homogeneous_space.py",

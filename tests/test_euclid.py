@@ -157,10 +157,11 @@ def test_sampled_trace_peak_memory_is_row_blocked():
 
 
 def test_rank_four_synthesis_peak_memory():
-    # one transform of the four g factors narrows its output chunks to
-    # _CHUNK // 4 nodes, so the product block stays at _CHUNK * n entries; the
-    # per-term synthesis it replaced peaked at 50_615_800 bytes here, and an
-    # unnarrowed (n, _CHUNK, 4) block alone would take 64 MB
+    # the transform sums one source row of the (n, _CHUNK) character table at
+    # a time, and the synthesis sums the four outer products per row block:
+    # the 16.8 MB symbol plus row-block temporaries (25.5 MB in all). The bound
+    # is the 34.0 MB that a (n, _CHUNK // 4, 4) product block and four
+    # full-size np.outer temporaries took; per-term transforms took 50.6 MB
     g = UniformGrid.box(-8.0, 8.0, 1025, 1)
     d = rank_one(g, np.random.default_rng(23), terms=4)
     tracemalloc.start()
@@ -169,7 +170,21 @@ def test_rank_four_synthesis_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 50_615_800
+    assert peak <= 34_000_000
+
+
+def test_decay_norms_peak_memory_is_row_blocked():
+    # both norms read the symbol _ROW_CHUNK rows at a time; reading it whole
+    # took 25.3 MB above the symbol at this size, the row blocks 4.3 MB
+    g = UniformGrid.box(-8.0, 8.0, 1025, 1)
+    a = SampledSymbol(g, g, np.full((g.size, g.size), 1.0 + 1.0j))
+    tracemalloc.start()
+    try:
+        decay_norms(a, 2.0, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_trace_is_phase_independent_after_synthesis(grid):

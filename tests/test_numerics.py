@@ -8,11 +8,14 @@ import pytest
 
 from nucfio.errors import DomainError, GridMismatchError, ShapeError, ValidationError, ZeroNormError
 from nucfio.families import hermite_function
-from nucfio.grids import LatticeWindow, SampledField, UniformGrid
+from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.numerics import (
     _CHUNK,
+    _ROOTS_BITS,
     _openblas_threads,
+    _roots,
     character_sum,
+    characters,
     dense_eigenvalues,
     dft_forward,
     dft_inverse,
@@ -48,12 +51,15 @@ def test_dft_roundtrip(line):
 
 
 _PAIRS = {
-    # 1025 output nodes: the last chunk is partial at _CHUNK and at _CHUNK // k
+    # 1025 output nodes: the last chunk is partial; spacings 1/64 and 3/256
+    # take the roots of unity, as do the two dyadic pairs, the others exp
     "line_1025": (UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-6.0, 6.0, 1025)),
     "box_dim2": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-3.0, 3.0, 11, 2)),
+    "box_dim2_dyadic": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-4.0, 4.0, 17, 2)),
     "window_to_torus": (LatticeWindow(2, 2), UniformGrid.torus(10, 2)),
+    "window_to_torus_dyadic": (LatticeWindow(2, 2), UniformGrid.torus(16, 2)),
     "torus_to_window": (UniformGrid.torus(24), LatticeWindow(1, 5)),
-    # more columns than _CHUNK: one output node per chunk
+    # more columns than _CHUNK, each summed over one table
     "many_columns": (UniformGrid.box(-1.0, 1.0, 33), UniformGrid.box(-2.0, 2.0, 40)),
 }
 
@@ -64,8 +70,8 @@ _PAIRS = {
     ids=list(_PAIRS),
 )
 def test_batched_transform_matches_one_column_calls(pair, ks):
-    # the exp table is formed once per output chunk for all k columns; the
-    # compensated sum is elementwise over them, so each column keeps the
+    # the character table is formed once per output chunk for all k columns;
+    # the compensated sum is elementwise over them, so each column keeps the
     # bits of a one-column character_sum over every output node at once
     src, dst = _PAIRS[pair]
     rng = np.random.default_rng(len(pair))
@@ -85,6 +91,58 @@ def test_batched_transform_matches_one_column_calls(pair, ks):
         assert stacked.shape == (cols.shape[0], k)
         for c in range(k):
             assert np.array_equal(stacked[:, c], character_sum(V[:, c], src.nodes, cols, 1.0))
+
+
+_NON_DYADIC = {
+    "line_1000": (UniformGrid.box(-6.0, 6.0, 1000).nodes, UniformGrid.box(-4.0, 4.0, 1025).nodes),
+    "box_dim2": (UniformGrid.box(-2.0, 2.0, 9, 2).nodes, UniformGrid.box(-3.0, 3.0, 11, 2).nodes),
+    "torus_20": (LatticeWindow(1, 4).nodes, UniformGrid.torus(20).nodes),
+    # spacing 1/512 on both sides needs 2^18 roots, above the 2^_ROOTS_BITS cap
+    "line_above_cap": (UniformGrid.box(-1.0, 1.0, 1025).nodes, UniformGrid.box(-1.0, 1.0, 1025).nodes),
+}
+
+_DYADIC = {
+    "line_1025": (UniformGrid.box(-8.0, 8.0, 1025).nodes, UniformGrid.box(-4.0, 4.0, 1025).nodes),
+    "box_dim2": (UniformGrid.box(-4.0, 4.0, 33, 2).nodes, UniformGrid.box(-2.0, 2.0, 17, 2).nodes),
+    "window_torus_32": (LatticeWindow(2, 5).nodes, UniformGrid.torus(32, 2).nodes),
+    "torus_16_window": (UniformGrid.torus(16, 2).nodes, LatticeWindow(2, 3).nodes),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("pair", list(_NON_DYADIC))
+def test_characters_off_dyadic_grids_are_the_exp_table(pair, sign):
+    rows, cols = _NON_DYADIC[pair]
+    assert np.array_equal(characters(rows, cols, sign), np.exp(sign * 2j * np.pi * (rows @ cols.T)))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("pair", list(_DYADIC))
+def test_characters_on_dyadic_grids_are_roots_of_unity(pair, sign):
+    # every x.xi is an exact dyadic rational, so theta below has only the
+    # 2*pi rounding; the table is within 4 eps (1 + |theta|) of exp and
+    # exactly 1, i, -1 or -i where x.xi is a multiple of 1/4
+    rows, cols = _DYADIC[pair]
+    E = characters(rows, cols, sign)
+    dot = rows @ cols.T
+    theta = sign * 2.0 * np.pi * dot
+    assert np.all(np.abs(E - np.exp(1j * theta)) <= 4 * np.finfo(float).eps * (1.0 + np.abs(theta)))
+    quarter = np.mod(4.0 * dot, 1.0) == 0.0
+    turns = np.mod(sign * 4.0 * dot[quarter], 4.0).astype(int)
+    assert quarter.sum() >= rows.shape[0]
+    assert np.array_equal(E[quarter], np.array([1.0, 1j, -1.0, -1j])[turns])
+    assert not np.array_equal(E, np.exp(sign * 2j * np.pi * dot))
+
+
+def test_roots_table_is_cached_read_only_and_symmetric():
+    for M in (1, 2, 4, 8, 64, 2**_ROOTS_BITS):
+        R, k = _roots(M), np.arange(M)
+        assert _roots(M) is R and R.shape == (M,) and not R.flags.writeable
+        with pytest.raises(ValueError):
+            R[0] = 2.0
+        assert np.array_equal(R[(M - k) % M], np.conj(R))
+        assert np.array_equal(R[:: max(1, M // 4)], np.array([1.0, 1j, -1.0, -1j])[:: max(1, 4 // M)])
+        assert np.all(np.abs(R - np.exp(2j * np.pi * k / M)) <= 4 * np.finfo(float).eps * (1.0 + 2.0 * np.pi * k / M))
 
 
 def test_batched_transform_needs_fields_on_one_grid(line):
@@ -139,6 +197,20 @@ def test_mixed_norm_separable_factorizes():
     )
     assert mixed_norm(Sym(), "x", 3.0, 2.0) == pytest.approx(want, rel=1e-12)
     assert mixed_norm(Sym(), "xi", 2.0, 3.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_mixed_norm_streams_rows_with_whole_array_bits():
+    # the whole-array formulas the row-blocked norms replaced; 1025 rows
+    # span five row blocks, the last a single row
+    g, xi = UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-4.0, 4.0, 300)
+    rng = np.random.default_rng(41)
+    a = SampledSymbol(g, xi, rng.standard_normal((g.size, xi.size)) + 1j * rng.standard_normal((g.size, xi.size)))
+    vals, wx, wxi = np.abs(a.values), g.weights, xi.weights
+    for p_in, p_out in ((2.0, 2.0), (3.0, 1.5), (1.0, 4.0)):
+        t = ksum(wx[:, None] * vals**p_in, axis=0) ** (1.0 / p_in)
+        assert mixed_norm(a, "x", p_in, p_out) == float(ksum(wxi * t**p_out)) ** (1.0 / p_out)
+        t = ksum(wxi[None, :] * vals**p_in, axis=1) ** (1.0 / p_in)
+        assert mixed_norm(a, "xi", p_in, p_out) == float(ksum(wx * t**p_out)) ** (1.0 / p_out)
 
 
 def test_hausdorff_young_ratio_bounds(line):

@@ -3,7 +3,9 @@
 Z^n and the torus store one ``SampledSymbol`` and share one trace, one
 synthesis and one transform path. The oracles below are the earlier
 per-setting formulations, kept here so the merged bodies stay equal to them
-bit for bit.
+bit for bit. The one exception is a linear phase's synthesis factor on
+dyadic grids, which ``numerics.characters`` gathers from roots of unity:
+there the bodies stay within the table's roundoff of the exp formula.
 """
 
 import numpy as np
@@ -23,7 +25,9 @@ from nucfio.lattice import (
     lattice_symbol_from_decomposition,
 )
 from nucfio.nuclear import RankOneSequence
-from nucfio.numerics import character_sum, dft_forward
+from nucfio.numerics import character_sum, characters, dft_forward
+
+EPS = np.finfo(float).eps
 
 
 def oracle_trace(phi, a, rows, cols, w):
@@ -33,13 +37,26 @@ def oracle_trace(phi, a, rows, cols, w):
     return complex(ksum(np.exp(1j * (phi - kernel)) * a * w))
 
 
-def oracle_synthesis(phi, pairs, rows, cols):
+def oracle_synthesis(phi, pairs, rows, cols, factor=None):
     """The per-setting synthesis: pairs (h, g) on the lattice, (h, w * g) on
-    the torus."""
+    the torus; ``factor`` replaces the phase factor e^{-i phi}."""
     A = np.zeros((rows.shape[0], cols.shape[0]), dtype=complex)
     for h, g in pairs:
         A += np.outer(h, character_sum(g, rows, cols, 1.0))
-    return np.exp(-1j * phi) * A
+    return (np.exp(-1j * phi) if factor is None else factor) * A
+
+
+def assert_synthesis_matches(phase, got, phi, pairs, rows, cols, dyadic):
+    """``==`` to the per-setting synthesis, except a linear phase on dyadic
+    grids: its factor comes from roots of unity, within 4 eps (1 + |phi|) of
+    the exp value, so each entry is within 8 eps (1 + |phi|) of the oracle's,
+    the product's own rounding included."""
+    want = oracle_synthesis(phi, pairs, rows, cols)
+    if dyadic and phase.kind == "linear":
+        assert np.all(np.abs(got - want) <= 8 * EPS * (1.0 + np.abs(phi)) * np.abs(want))
+        assert not np.array_equal(got, want)
+    else:
+        assert np.array_equal(got, want)
 
 
 def random_complex(rng, shape):
@@ -65,8 +82,14 @@ def random_decomposition(grid, rng, terms=2):
     return RankOneSequence(pairs, 2.0, 2.0, 1.0)
 
 
-@pytest.mark.parametrize("dim, radius, xi_count", [(1, 4, 20), (2, 2, 12)], ids=["dim1", "dim2"])
+@pytest.mark.parametrize(
+    "dim, radius, xi_count",
+    [(1, 4, 20), (2, 2, 12), (1, 4, 32), (2, 2, 16)],
+    ids=["dim1", "dim2", "dim1_dyadic", "dim2_dyadic"],
+)
 def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
+    # xi_count 20 and 12 take the exp table, 32 and 16 the roots of unity
+    dyadic = xi_count in (16, 32)
     rng = np.random.default_rng(30 + dim)
     window, xi_grid = LatticeWindow(dim, radius), UniformGrid.torus(xi_count, dim)
     pts, xi = window.nodes, xi_grid.nodes
@@ -78,15 +101,23 @@ def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
         for a in symbols:
             want = oracle_trace(phi, a.values, pts, xi, xi_grid.weights[None, :])
             assert np.array_equal(lattice_nuclear_trace(phase, a), want)
+        if dyadic and phase.kind == "linear":  # unit symbol, weights 1/2^t: exactly the cardinality
+            assert lattice_nuclear_trace(phase, symbols[0]) == window.size
         s = lattice_symbol_from_decomposition(phase, d, xi_grid)
         pairs = [(h.values, g.values) for h, g in d.terms]
-        assert np.array_equal(s.values, oracle_synthesis(phi, pairs, pts, xi))
+        assert_synthesis_matches(phase, s.values, phi, pairs, pts, xi, dyadic)
     f = d.terms[0][1]
     assert np.array_equal(dft_forward(f, xi_grid).values, character_sum(f.values, pts, xi, -1.0))
 
 
-@pytest.mark.parametrize("dim, cutoff, x_count", [(1, 5, 24), (2, 2, 10)], ids=["dim1", "dim2"])
+@pytest.mark.parametrize(
+    "dim, cutoff, x_count",
+    [(1, 5, 24), (2, 2, 10), (1, 5, 32), (2, 2, 16)],
+    ids=["dim1", "dim2", "dim1_dyadic", "dim2_dyadic"],
+)
 def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
+    # x_count 24 and 10 take the exp table, 32 and 16 the roots of unity
+    dyadic = x_count in (16, 32)
     rng = np.random.default_rng(32 + dim)
     x_grid = UniformGrid.torus(x_count, dim)
     x, freqs, w = x_grid.nodes, LatticeWindow(dim, cutoff).nodes, x_grid.weights
@@ -98,24 +129,30 @@ def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
         for a in symbols:
             want = oracle_trace(phi, a.values, x, freqs, w[:, None])
             assert np.array_equal(torus_nuclear_trace(phase, a), want)
+        if dyadic and phase.kind == "linear":  # unit symbol, weights 1/2^t: exactly the cardinality
+            assert torus_nuclear_trace(phase, symbols[0]) == freqs.shape[0]
         s = torus_symbol_from_decomposition(phase, d, cutoff, x_grid)
         pairs = [(h.values, w * g.values) for h, g in d.terms]
-        assert np.array_equal(s.values, oracle_synthesis(phi, pairs, x, freqs))
+        assert_synthesis_matches(phase, s.values, phi, pairs, x, freqs, dyadic)
     f = d.terms[0][1]
     assert np.array_equal(dft_forward(f, LatticeWindow(dim, cutoff)).values, character_sum(w * f.values, x, freqs, -1.0))
 
 
 def test_euclid_rank_four_synthesis_matches_per_term_formula():
     # one transform of all four g factors: 1025 frequency nodes leave a
-    # partial last chunk, and the symbol equals the per-term sums bit for bit
-    rng = np.random.default_rng(36)
-    grid, xi_grid = UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-4.0, 4.0, 1025)
-    d = random_decomposition(grid, rng, terms=4)
-    x, xi = grid.nodes, xi_grid.nodes
-    pairs = [(h.values, grid.weights * g.values) for h, g in d.terms]
-    for phase in phases(x, xi, rng):
-        s = symbol_from_decomposition(phase, d, xi_grid)
-        assert np.array_equal(s.values, oracle_synthesis(phase.table(x, xi), pairs, x, xi))
+    # partial last chunk, and the symbol equals the per-term sums bit for bit.
+    # Spacing 16/999 takes the exp table; spacings 1/64 and 1/128 take the
+    # roots of unity, and there the oracle's linear factor is the same table
+    for lo, count in ((-6.0, 1000), (-8.0, 1025)):
+        rng = np.random.default_rng(36)
+        grid, xi_grid = UniformGrid.box(lo, -lo, count), UniformGrid.box(-4.0, 4.0, 1025)
+        d = random_decomposition(grid, rng, terms=4)
+        x, xi = grid.nodes, xi_grid.nodes
+        pairs = [(h.values, grid.weights * g.values) for h, g in d.terms]
+        for phase in phases(x, xi, rng):
+            factor = characters(x, xi, -1.0) if phase.kind == "linear" and count == 1025 else None
+            s = symbol_from_decomposition(phase, d, xi_grid)
+            assert np.array_equal(s.values, oracle_synthesis(phase.table(x, xi), pairs, x, xi, factor))
 
 
 def _euclid_case(rng):
