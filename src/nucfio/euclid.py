@@ -128,13 +128,30 @@ def _require_phase_density(phase: PhaseSpec, a: SampledSymbol, what: str, xi_onl
 # The entry points check their setting and call one of them.
 
 
+def _cis(t: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """``np.exp(sign * 1j * t)`` bit for bit, as one cos and one sin written
+    into the float view of one complex buffer.
+
+    sign*1j*t has the imaginary part sign*0.0 + sign*t (the product's zero
+    cross term rounds a -0.0 to +0.0 for sign +1 only) and a zero real part,
+    whose exp is exactly 1.
+    """
+    theta = sign * t
+    out = np.empty(theta.shape, dtype=complex)
+    parts = out.view(float).reshape(theta.shape + (2,))
+    np.cos(theta, out=parts[..., 0])
+    theta += sign * 0.0
+    np.sin(theta, out=parts[..., 1])
+    return out
+
+
 def _phase_factor(phase: PhaseSpec, x: np.ndarray, xi: np.ndarray, rows: slice, sign: float) -> np.ndarray:
     """e^{sign*i*phi} on the rows ``x[rows]`` against all of ``xi``: a linear
     phase's table is ``numerics.characters`` (roots of unity on dyadic grids),
-    a sampled phase's the exp of its table."""
+    a sampled phase's the ``_cis`` of its table."""
     if phase.kind == "linear":
         return characters(x[rows], xi, sign)
-    return np.exp(sign * 1j * phase.table(x, xi, rows))
+    return _cis(phase.table(x, xi, rows), sign)
 
 
 def _abelian_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> SampledField:
@@ -151,10 +168,11 @@ def _abelian_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> Sampl
 def _abelian_synthesis(phase: PhaseSpec, d: RankOneSequence, space, freq) -> SampledSymbol:
     """a(p, j) = e^{-i phi(p, j)} sum_k h_k(p) sum_m w_m g_k(m) e^{2*pi*i x_m.xi_j}
     on ``space`` x ``freq``, the g factors on ``space``. One ``dft_inverse``
-    transforms all k g factors over one character table; the summed side's
-    weights w fold into g_k, and on a window 1.0 * g changes at most the sign
-    of a zero, which the compensated sum absorbs, so window sums stay plain
-    sums bit for bit. Each row block sums its k outer products in term order,
+    transforms all k g factors in one pass (one FFT on a commensurate dyadic
+    pair, else one character table); the summed side's weights w fold into
+    g_k, and on a window 1.0 * g changes at most the sign of a zero, which
+    the character sum absorbs, so there window sums stay plain sums bit for
+    bit. Each row block sums its k outer products in term order,
     then takes the phase factor, so no temporary is larger than a block.
     """
     x, xi = space.nodes, freq.nodes
@@ -189,8 +207,11 @@ def _abelian_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
         if phase.kind == "linear":
             acc.add((a.values[rows] * w).reshape(-1))
         else:
-            kernel = 2.0 * np.pi * (x[rows] @ xi.T)
-            acc.add((np.exp(1j * (phase.table(x, xi, rows) - kernel)) * a.values[rows] * w).reshape(-1))
+            terms = _cis(phase.table(x, xi, rows) - 2.0 * np.pi * (x[rows] @ xi.T))
+            terms *= a.values[rows]
+            terms *= w
+            acc.add(terms.reshape(-1))
+            del terms  # freed before the next block's tables are formed
     return complex(acc.value)
 
 

@@ -7,19 +7,32 @@ decay and fine enough for the oscillation (downstream modules validate the
 latter for sampled phases). Every transform reads its characters from
 ``characters``: on dyadic grids (every node an integer over a power of two,
 as on the usual boxes, Z^n windows and power-of-two tori) a gather from a
-cached table of roots of unity, elsewhere ``np.exp``.
+cached table of roots of unity, elsewhere ``np.exp``. A transform between
+two dyadic grids whose steps multiply to 1/N on every axis (the usual boxes
+against each other, a window against a power-of-two torus) is one FFT
+between two such tables; every other pair is a compensated character sum.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError, ZeroNormError
-from .grids import KahanSum, SampledField, UniformGrid, _check_pairing, ksum, require_real, require_same_grid
+from .grids import (
+    KahanSum,
+    LatticeWindow,
+    SampledField,
+    UniformGrid,
+    _check_pairing,
+    ksum,
+    require_real,
+    require_same_grid,
+)
 
 __all__ = [
     "characters",
@@ -34,8 +47,9 @@ __all__ = [
     "matrix_trace",
 ]
 
-# Output-node chunk width of a transform: its character table holds ``_CHUNK``
-# output nodes against every source node, whatever the column count.
+# Output-node chunk width of a character-sum transform: its character table
+# holds ``_CHUNK`` output nodes against every source node, whatever the column
+# count.
 _CHUNK = 1024
 
 # Row-block height of the row-blocked passes over a symbol (the abelian
@@ -43,7 +57,8 @@ _CHUNK = 1024
 _ROW_CHUNK = 256
 
 # Dyadic character tables gather from the M-th roots of unity, M = 2^(s+t) at
-# most 2^_ROOTS_BITS (a table of at most 1 MB).
+# most 2^_ROOTS_BITS (a table of at most 1 MB); an FFT transform pads each
+# column to at most 2^_ROOTS_BITS entries too.
 _ROOTS_BITS = 16
 
 
@@ -79,11 +94,20 @@ def _roots(M: int) -> np.ndarray:
 
 def _dyadic_bits(v: np.ndarray):
     """The least s <= ``_ROOTS_BITS`` with every entry of v * 2^s an integer,
-    or None."""
-    for s in range(_ROOTS_BITS + 1):
-        if np.all(np.mod(v * 2.0**s, 1.0) == 0.0):
-            return s
-    return None
+    or None.
+
+    Read off the binary expansion: a nonzero v = mant * 2^e has its lowest
+    set bit at 2^(e - 53 + z), z the trailing zero bits of the 53-bit
+    integer mant * 2^53, so v * 2^s is an integer iff s >= 53 - e - z.
+    """
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(v)):
+        return None
+    mant, e = np.frexp(v[v != 0.0])
+    m = np.abs(mant * 2.0**53).astype(np.int64)
+    z = np.frexp((m & -m).astype(float))[1] - 1
+    s = max(0, int((53 - e - z).max(initial=0)))
+    return s if s <= _ROOTS_BITS else None
 
 
 def characters(rows: np.ndarray, cols: np.ndarray, sign: float) -> np.ndarray:
@@ -113,9 +137,10 @@ def characters(rows: np.ndarray, cols: np.ndarray, sign: float) -> np.ndarray:
 def character_sum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: float) -> np.ndarray:
     """sum_p values_p e^{sign*2*pi*i rows_p.cols_j} for every j, ascending in p.
 
-    The one transform kernel: quadrature transforms on R^n (weights folded
-    into the values), the finite transform on Z^n and Fourier coefficients
-    on the torus. ``values`` has shape (n,) or (n, k); the result has shape
+    The transform kernel of every grid pair that ``_fft_sizes`` turns down
+    (quadrature transforms on R^n with the weights folded into the values,
+    the finite transform on Z^n, Fourier coefficients on the torus), and the
+    oracle of the FFT path. ``values`` has shape (n,) or (n, k); the result has shape
     (len(cols),) or (len(cols), k). The table of ``characters`` is formed
     once for all k columns, and one compensated sum takes the source rows
     values_p * E_p one at a time; it is elementwise over the trailing axes,
@@ -128,18 +153,91 @@ def character_sum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: 
     return acc.add(v[None, :] * e[:, None] for v, e in zip(values, E)).value
 
 
+def _uniform_axes(grid) -> list:
+    """(nodes, step) per axis. A window's step is 1 by definition, so a
+    radius-0 window's single node needs no neighbour to read it from."""
+    if isinstance(grid, LatticeWindow):
+        return [(np.arange(-grid.radius, grid.radius + 1, dtype=float), 1.0)] * grid.dim
+    return [(nodes, nodes[1] - nodes[0]) for nodes in grid.axis_nodes]
+
+
+def _fft_sizes(from_grid, to_grid):
+    """The DFT length N_a of every axis when the pair is commensurate and
+    dyadic, else None.
+
+    Every axis must be exactly uniform, x_m = x_0 + m*h and xi_j = xi_0 + j*h',
+    with h*h' = 1/N_a exactly for an integer N_a; all nodes must be dyadic
+    with s + t <= ``_ROOTS_BITS``, so the twiddles of ``_fft_sum`` are exact
+    roots of unity from ``characters``; and prod N_a is at most
+    2^_ROOTS_BITS, which bounds the padded array at 2^_ROOTS_BITS entries a
+    column.
+    """
+    src, dst = _uniform_axes(from_grid), _uniform_axes(to_grid)
+    s = _dyadic_bits(np.concatenate([x for x, _ in src]))
+    t = None if s is None else _dyadic_bits(np.concatenate([xi for xi, _ in dst]))
+    if t is None or s + t > _ROOTS_BITS:
+        return None
+    sizes = []
+    for (x, h), (xi, hp) in zip(src, dst):
+        N = round(1.0 / (h * hp))
+        if h * hp * N != 1.0:
+            return None
+        if not all(np.array_equal(v - v[0], step * np.arange(v.size)) for v, step in ((x, h), (xi, hp))):
+            return None
+        sizes.append(N)
+    return tuple(sizes) if math.prod(sizes) <= 2**_ROOTS_BITS else None
+
+
+def _fft_sum(values: np.ndarray, from_grid, to_grid, sign: float, sizes: tuple) -> np.ndarray:
+    """``character_sum`` over the nodes of a pair that ``_fft_sizes`` accepts.
+
+    With x_m = x_0 + m.h, xi_j = xi_0 + j.h' and h_a h'_a = 1/N_a,
+    x_m.xi_j = (x_m - x_0).xi_0 + x_0.xi_j + sum_a m_a j_a / N_a, so the sum is
+    post_j times the N-point DFT of pre_m values_m read at j mod N. Axes with
+    more than N_a nodes fold mod N_a first by a compensated sum, shorter ones
+    pad with zeros; then one ``fftn`` (``ifftn`` unscaled for sign +1) takes
+    every column, each along its own lines, so each column keeps the bits of
+    its own transform. Per entry the result is within c * eps * log2(prod N)
+    * sum |values| of the exact sum for a small constant c (Bailey and
+    Swarztrauber, SIAM Rev. 33, 1991); the tests hold it to c = 1.
+    """
+    src, dst = from_grid.nodes, to_grid.nodes
+    v = values.reshape(src.shape[0], -1)
+    a = (characters(src - src[0], dst[:1], sign) * v).T.reshape((v.shape[1],) + from_grid.shape)
+    for ax, N in enumerate(sizes, start=1):
+        n = a.shape[ax]
+        if n > N:  # e^{2 pi i m j / N} has period N in m: fold the axis onto N nodes
+            pad = [(0, 0)] * a.ndim
+            pad[ax] = (0, -n % N)
+            a = np.pad(a, pad).reshape(a.shape[:ax] + (-1, N) + a.shape[ax + 1 :])
+            a = ksum(np.moveaxis(a, ax, 0), axis=0)
+    axes = tuple(range(1, a.ndim))
+    if sign < 0:
+        F = np.fft.fftn(a, s=sizes, axes=axes)
+    else:
+        F = np.fft.ifftn(a, s=sizes, axes=axes, norm="forward")
+    for ax, m in enumerate(to_grid.shape, start=1):
+        F = F.take(np.arange(m), axis=ax, mode="wrap")
+    out = F.reshape(v.shape[1], -1).T * characters(src[:1], dst, sign)[0][:, None]
+    return out.reshape(dst.shape[:1] + values.shape[1:])
+
+
 def _dft(values: np.ndarray, from_grid: UniformGrid, to_grid: UniformGrid, sign: float) -> np.ndarray:
     """The quadrature sum onto ``to_grid``, ``values`` of shape (n,) or (n, k)
     on ``from_grid``, the result (to_grid.size,) or (to_grid.size, k) with
-    every column bit-identical to a one-column transform. Output nodes go
-    ``_CHUNK`` at a time. A window on either side must pass the pairing
-    rule first (``grids._check_pairing``), so no aliasing Z^n-T^n pair is
-    transformed."""
+    every column bit-identical to a one-column transform. A commensurate
+    dyadic pair (``_fft_sizes``) takes one ``_fft_sum``; any other pair goes
+    to ``character_sum``, ``_CHUNK`` output nodes at a time. A window on
+    either side must pass the pairing rule first (``grids._check_pairing``),
+    so no aliasing Z^n-T^n pair is transformed."""
     _check_pairing(from_grid, to_grid)
     if to_grid.dim != from_grid.dim:
         raise ShapeError(f"target grid dim {to_grid.dim} != field dim {from_grid.dim}")
-    src, dst = from_grid.nodes, to_grid.nodes
     wsrc = (from_grid.weights * values.T).T
+    sizes = _fft_sizes(from_grid, to_grid)
+    if sizes is not None:
+        return _fft_sum(wsrc, from_grid, to_grid, sign, sizes)
+    src, dst = from_grid.nodes, to_grid.nodes
     out = np.empty((to_grid.size,) + values.shape[1:], dtype=complex)
     for s in range(0, to_grid.size, _CHUNK):
         out[s : s + _CHUNK] = character_sum(wsrc, src, dst[s : s + _CHUNK], sign)
@@ -167,7 +265,8 @@ def dft_forward(f: SampledField | tuple, xi_grid: UniformGrid) -> SampledField |
     ----------
     f : SampledField or tuple of SampledField
         A tuple must share one grid; its fields are transformed in one pass
-        over one character table, each bit-identical to its own transform.
+        (one FFT on a commensurate dyadic pair, else one character table),
+        each bit-identical to its own transform.
     xi_grid : UniformGrid or LatticeWindow
         Frequency nodes to evaluate on; must match the dimension of f's grid
         and, where either side is a window, pass ``LatticeWindow.check_grid``.

@@ -6,6 +6,7 @@ import pytest
 from nucfio.errors import DomainError, ShapeError, ValidationError
 from nucfio.euclid import (
     PhaseSpec,
+    _cis,
     decay_norms,
     fio_apply,
     lidskii_exponent,
@@ -157,11 +158,11 @@ def test_sampled_trace_peak_memory_is_row_blocked():
 
 
 def test_rank_four_synthesis_peak_memory():
-    # the transform sums one source row of the (n, _CHUNK) character table at
-    # a time, and the synthesis sums the four outer products per row block:
-    # the 16.8 MB symbol plus row-block temporaries (25.5 MB in all). The bound
-    # is the 34.0 MB that a (n, _CHUNK // 4, 4) product block and four
-    # full-size np.outer temporaries took; per-term transforms took 50.6 MB
+    # the transform is one FFT of the four factors on this dyadic box, and
+    # the synthesis sums the four outer products per row block: the 16.8 MB
+    # symbol plus row-block temporaries. The bound is the 34.0 MB that a
+    # (n, _CHUNK // 4, 4) product block and four full-size np.outer
+    # temporaries took; per-term transforms took 50.6 MB
     g = UniformGrid.box(-8.0, 8.0, 1025, 1)
     d = rank_one(g, np.random.default_rng(23), terms=4)
     tracemalloc.start()
@@ -198,6 +199,21 @@ def test_trace_is_phase_independent_after_synthesis(grid):
     a = symbol_from_decomposition(phase, d)
     tr = nuclear_trace_euclid(phase, a)
     assert tr == pytest.approx(delgado_trace(d), abs=1e-10)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sampled_phase_factor_is_the_exp_bit_for_bit(sign):
+    # cos and sin in one complex buffer give np.exp's bits, the signs of
+    # zero parts included: theta = -0.0 and +0.0 sit among the entries
+    rng = np.random.default_rng(29)
+    t = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-3, 4, 500), [0.0, -0.0, np.pi, -np.pi]])
+    t[::7] = -0.0
+    t[1::7] = 0.0
+    t = t.reshape(24, -1)
+    want = np.exp(sign * 1j * t)
+    assert np.array_equal(_cis(t, sign).view(np.int64), want.view(np.int64))
+    if sign > 0:
+        assert np.array_equal(_cis(t).view(np.int64), np.exp(1j * t).view(np.int64))
 
 
 def test_trace_is_one_compensated_pass_over_the_integrand():

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid
 from nucfio.numerics import (
     _CHUNK,
     _ROOTS_BITS,
+    _fft_sizes,
     _openblas_threads,
     _roots,
     character_sum,
@@ -50,9 +52,29 @@ def test_dft_roundtrip(line):
     assert np.abs(back.values - vals).max() < 1e-10
 
 
+# The FFT path's per-entry gap to the compensated character sum is at most
+# C_FFT * eps * log2(prod N) * sum_m |w_m v_m|; the pairs below read at most
+# 0.1 of it.
+C_FFT = 1.0
+
+
+def assert_transform_matches(got, weighted, src, dst, sign):
+    """``got`` against ``character_sum(weighted, ...)``: bit for bit where
+    the pair takes the character sum, within C_FFT's bound where it takes the
+    FFT path."""
+    want = character_sum(weighted, src.nodes, dst.nodes, sign)
+    sizes = _fft_sizes(src, dst)
+    if sizes is None:
+        assert np.array_equal(got, want)
+    else:
+        bound = C_FFT * np.finfo(float).eps * math.log2(math.prod(sizes)) * np.abs(weighted).sum(axis=0)
+        assert np.all(np.abs(got - want) <= bound)
+
+
 _PAIRS = {
     # 1025 output nodes: the last chunk is partial; spacings 1/64 and 3/256
-    # take the roots of unity, as do the two dyadic pairs, the others exp
+    # take the roots of unity, as do the two dyadic pairs, the others exp;
+    # the two dyadic pairs are commensurate and take the FFT path
     "line_1025": (UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-6.0, 6.0, 1025)),
     "box_dim2": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-3.0, 3.0, 11, 2)),
     "box_dim2_dyadic": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-4.0, 4.0, 17, 2)),
@@ -71,9 +93,13 @@ _PAIRS = {
 )
 def test_batched_transform_matches_one_column_calls(pair, ks):
     # the character table is formed once per output chunk for all k columns;
-    # the compensated sum is elementwise over them, so each column keeps the
-    # bits of a one-column character_sum over every output node at once
+    # the compensated sum is elementwise over them, and the FFT takes each
+    # column along its own lines, so each column keeps the bits of its own
+    # transform: a one-column character_sum over every output node at once,
+    # or within the FFT bound of it on a commensurate dyadic pair
     src, dst = _PAIRS[pair]
+    fft = _fft_sizes(src, dst) is not None
+    assert fft == pair.endswith("_dyadic")
     rng = np.random.default_rng(len(pair))
     for k in ks:
         V = rng.standard_normal((src.size, k)) + 1j * rng.standard_normal((src.size, k))
@@ -83,14 +109,88 @@ def test_batched_transform_matches_one_column_calls(pair, ks):
             out = transform(fields, dst)
             assert len(out) == k and all(f.grid == dst for f in out)
             for c in range(k):
-                want = character_sum(src.weights * V[:, c], src.nodes, dst.nodes, sign)
-                assert np.array_equal(out[c].values, want)
+                assert_transform_matches(out[c].values, src.weights * V[:, c], src, dst, sign)
+                if fft:
+                    assert np.array_equal(transform(fields[c], dst).values, out[c].values)
             assert np.array_equal(transform(fields[0], dst).values, out[0].values)
         cols = dst.nodes[:50]
         stacked = character_sum(V, src.nodes, cols, 1.0)
         assert stacked.shape == (cols.shape[0], k)
         for c in range(k):
             assert np.array_equal(stacked[:, c], character_sum(V[:, c], src.nodes, cols, 1.0))
+
+
+def _fsum_transform(V, src, dst, sign):
+    """sum_m w_m V_m e^{sign*2*pi*i x_m.xi_j} with the dyadic pair's exact
+    roots of unity, each real product summed by ``math.fsum``."""
+    W, E = src.weights[:, None] * V, characters(src.nodes, dst.nodes, sign)
+    out = np.empty((dst.size, V.shape[1]), dtype=complex)
+    for j in range(dst.size):
+        for c in range(V.shape[1]):
+            w, e = W[:, c], E[:, j]
+            re = math.fsum(np.concatenate([w.real * e.real, -(w.imag * e.imag)]))
+            im = math.fsum(np.concatenate([w.real * e.imag, w.imag * e.real]))
+            out[j, c] = complex(re, im)
+    return out
+
+
+_FFT_PAIRS = {
+    # (source, target, N per axis); n < N pads, n = N neither pads nor folds,
+    # n > N folds the source onto N nodes
+    "dim1_pad": (UniformGrid.box(-2.0, 2.0, 33), UniformGrid.box(-4.0, 4.0, 65), (64,)),
+    "dim1_equal": (UniformGrid.torus(32), LatticeWindow(1, 7), (32,)),
+    "dim1_fold": (UniformGrid.box(-8.0, 8.0, 129), UniformGrid.box(-2.0, 2.0, 5), (8,)),
+    "dim2_pad": (LatticeWindow(2, 2), UniformGrid.torus(16, 2), (16, 16)),
+    "dim2_equal": (UniformGrid.torus(16, 2), LatticeWindow(2, 3), (16, 16)),
+    "dim2_fold": (UniformGrid.box(-2.0, 2.0, 17, 2), UniformGrid.box(-1.0, 1.0, 3, 2), (4, 4)),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("pair", list(_FFT_PAIRS))
+def test_fft_transform_matches_an_exact_root_fsum(pair, sign):
+    src, dst, sizes = _FFT_PAIRS[pair]
+    assert _fft_sizes(src, dst) == sizes
+    rng = np.random.default_rng(43)
+    V = rng.standard_normal((src.size, 2)) + 1j * rng.standard_normal((src.size, 2))
+    V[::5, 0] = complex(-0.0, 0.0)
+    V[1::5, 0] = complex(0.0, -0.0)
+    V[::3, 1] = complex(-0.0, -0.0)
+    got = (dft_forward if sign < 0 else dft_inverse)(tuple(SampledField(src, v) for v in V.T), dst)
+    bound = C_FFT * np.finfo(float).eps * math.log2(math.prod(sizes)) * np.abs(src.weights[:, None] * V).sum(axis=0)
+    assert np.all(np.abs(np.stack([f.values for f in got], axis=1) - _fsum_transform(V, src, dst, sign)) <= bound)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_radius_zero_window_transforms_against_a_torus(dim):
+    # a window's step is 1 by definition, so its single node per axis pairs
+    # with the torus' 1/2 step at N = 2 both ways
+    window, torus = LatticeWindow(dim, 0), UniformGrid.torus(2, dim)
+    assert _fft_sizes(window, torus) == _fft_sizes(torus, window) == (2,) * dim
+    f = SampledField(window, np.array([2.0 - 1.0j]))
+    assert np.array_equal(dft_forward(f, torus).values, np.full(torus.size, 2.0 - 1.0j))
+    g = SampledField(torus, np.arange(1.0, torus.size + 1.0) + 0.5j)
+    assert np.array_equal(dft_inverse(g, window).values, [ksum(torus.weights * g.values)])
+
+
+@pytest.mark.parametrize(
+    "src, dst",
+    [
+        # gaussian_rank1's box, spacing 12/511, against itself
+        (UniformGrid.box(-6.0, 6.0, 512), UniformGrid.box(-6.0, 6.0, 512)),
+        # the tau grid, spacing 1/20, against itself
+        (UniformGrid.box(-5.0, 5.0, 201), UniformGrid.box(-5.0, 5.0, 201)),
+    ],
+    ids=["gaussian_rank1", "tau_grid"],
+)
+def test_non_commensurate_pairs_keep_the_character_sum(src, dst):
+    assert _fft_sizes(src, dst) is None
+    rng = np.random.default_rng(44)
+    V = rng.standard_normal((src.size, 2)) + 1j * rng.standard_normal((src.size, 2))
+    for transform, sign in ((dft_forward, -1.0), (dft_inverse, 1.0)):
+        out = transform(tuple(SampledField(src, v) for v in V.T), dst)
+        for c, f in enumerate(out):
+            assert np.array_equal(f.values, character_sum(src.weights * V[:, c], src.nodes, dst.nodes, sign))
 
 
 _NON_DYADIC = {

@@ -3,10 +3,14 @@
 Z^n and the torus store one ``SampledSymbol`` and share one trace, one
 synthesis and one transform path. The oracles below are the earlier
 per-setting formulations, kept here so the merged bodies stay equal to them
-bit for bit. The one exception is a linear phase's synthesis factor on
-dyadic grids, which ``numerics.characters`` gathers from roots of unity:
-there the bodies stay within the table's roundoff of the exp formula.
+bit for bit. Two exceptions: a linear phase's synthesis factor on dyadic
+grids, which ``numerics.characters`` gathers from roots of unity, stays
+within the table's roundoff of the exp formula; and a transform between
+commensurate dyadic grids, which is an FFT, stays within C_FFT's bound of
+the compensated character sum.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -25,9 +29,31 @@ from nucfio.lattice import (
     lattice_symbol_from_decomposition,
 )
 from nucfio.nuclear import RankOneSequence
-from nucfio.numerics import character_sum, characters, dft_forward
+from nucfio.numerics import _fft_sizes, character_sum, characters, dft_forward
 
 EPS = np.finfo(float).eps
+
+# The FFT path's per-entry gap to the compensated character sum is at most
+# C_FFT * eps * log2(prod N) * sum_m |w_m v_m|.
+C_FFT = 1.0
+
+
+def fft_bound(space, freq, weighted):
+    """C_FFT's per-entry bound for transforming the columns of ``weighted``
+    from ``space`` to ``freq``, or None where that pair takes the character
+    sum bit for bit."""
+    sizes = _fft_sizes(space, freq)
+    if sizes is None:
+        return None
+    return C_FFT * EPS * math.log2(math.prod(sizes)) * np.abs(weighted).sum(axis=0)
+
+
+def assert_transform_matches(got, want, bound):
+    """``==`` off the FFT path, within ``bound`` on it."""
+    if bound is None:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= bound)
 
 
 def oracle_trace(phi, a, rows, cols, w):
@@ -46,14 +72,31 @@ def oracle_synthesis(phi, pairs, rows, cols, factor=None):
     return (np.exp(-1j * phi) if factor is None else factor) * A
 
 
-def assert_synthesis_matches(phase, got, phi, pairs, rows, cols, dyadic):
-    """``==`` to the per-setting synthesis, except a linear phase on dyadic
-    grids: its factor comes from roots of unity, within 4 eps (1 + |phi|) of
-    the exp value, so each entry is within 8 eps (1 + |phi|) of the oracle's,
-    the product's own rounding included."""
-    want = oracle_synthesis(phi, pairs, rows, cols)
+def synthesis_tolerance(pairs, space, freq):
+    """Per-entry bound on the FFT path's synthesis gap: each transformed
+    (weighted) g is within C_FFT's bound of the oracle's, so sum_k h_k G_k
+    moves by at most sum_k |h_k| C_FFT eps log2(prod N) sum |g_k|; the k-term
+    sum and the unit factor round at most k + 2 times on each side, each by
+    eps sum_k |h_k| sum |g_k| at most."""
+    log2n = math.log2(math.prod(_fft_sizes(space, freq)))
+    per_g = (C_FFT * log2n + 2 * (len(pairs) + 2)) * EPS
+    return sum(np.outer(np.abs(h), per_g * np.abs(g).sum()) for h, g in pairs)
+
+
+def assert_synthesis_matches(phase, got, phi, pairs, space, freq, dyadic):
+    """``==`` to the per-setting synthesis, with two exceptions. A linear
+    phase on dyadic grids takes its factor from roots of unity, within
+    4 eps (1 + |phi|) of the exp value, so each entry is within
+    8 eps (1 + |phi|) of the oracle's, the product's own rounding included.
+    Where the transform is an FFT, ``synthesis_tolerance`` adds to that."""
+    want = oracle_synthesis(phi, pairs, space.nodes, freq.nodes)
+    tol = np.zeros(want.shape)
     if dyadic and phase.kind == "linear":
-        assert np.all(np.abs(got - want) <= 8 * EPS * (1.0 + np.abs(phi)) * np.abs(want))
+        tol += 8 * EPS * (1.0 + np.abs(phi)) * np.abs(want)
+    if _fft_sizes(space, freq) is not None:
+        tol += synthesis_tolerance(pairs, space, freq)
+    if tol.any():
+        assert np.all(np.abs(got - want) <= tol)
         assert not np.array_equal(got, want)
     else:
         assert np.array_equal(got, want)
@@ -88,10 +131,12 @@ def random_decomposition(grid, rng, terms=2):
     ids=["dim1", "dim2", "dim1_dyadic", "dim2_dyadic"],
 )
 def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
-    # xi_count 20 and 12 take the exp table, 32 and 16 the roots of unity
+    # xi_count 20 and 12 take the exp table and the character sum, 32 and 16
+    # the roots of unity and the FFT
     dyadic = xi_count in (16, 32)
     rng = np.random.default_rng(30 + dim)
     window, xi_grid = LatticeWindow(dim, radius), UniformGrid.torus(xi_count, dim)
+    assert (_fft_sizes(window, xi_grid) is not None) == dyadic
     pts, xi = window.nodes, xi_grid.nodes
     shape = (window.size, xi_grid.size)
     d = random_decomposition(window, rng)
@@ -105,9 +150,10 @@ def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
             assert lattice_nuclear_trace(phase, symbols[0]) == window.size
         s = lattice_symbol_from_decomposition(phase, d, xi_grid)
         pairs = [(h.values, g.values) for h, g in d.terms]
-        assert_synthesis_matches(phase, s.values, phi, pairs, pts, xi, dyadic)
+        assert_synthesis_matches(phase, s.values, phi, pairs, window, xi_grid, dyadic)
     f = d.terms[0][1]
-    assert np.array_equal(dft_forward(f, xi_grid).values, character_sum(f.values, pts, xi, -1.0))
+    got, want = dft_forward(f, xi_grid).values, character_sum(f.values, pts, xi, -1.0)
+    assert_transform_matches(got, want, fft_bound(window, xi_grid, f.values))
 
 
 @pytest.mark.parametrize(
@@ -116,11 +162,13 @@ def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
     ids=["dim1", "dim2", "dim1_dyadic", "dim2_dyadic"],
 )
 def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
-    # x_count 24 and 10 take the exp table, 32 and 16 the roots of unity
+    # x_count 24 and 10 take the exp table and the character sum, 32 and 16
+    # the roots of unity and the FFT
     dyadic = x_count in (16, 32)
     rng = np.random.default_rng(32 + dim)
-    x_grid = UniformGrid.torus(x_count, dim)
-    x, freqs, w = x_grid.nodes, LatticeWindow(dim, cutoff).nodes, x_grid.weights
+    x_grid, window = UniformGrid.torus(x_count, dim), LatticeWindow(dim, cutoff)
+    assert (_fft_sizes(x_grid, window) is not None) == dyadic
+    x, freqs, w = x_grid.nodes, window.nodes, x_grid.weights
     shape = (x_grid.size, freqs.shape[0])
     d = random_decomposition(x_grid, rng)
     symbols = [SampledSymbol(x_grid, LatticeWindow(dim, cutoff), v) for v in (np.ones(shape), random_complex(rng, shape))]
@@ -133,26 +181,33 @@ def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
             assert torus_nuclear_trace(phase, symbols[0]) == freqs.shape[0]
         s = torus_symbol_from_decomposition(phase, d, cutoff, x_grid)
         pairs = [(h.values, w * g.values) for h, g in d.terms]
-        assert_synthesis_matches(phase, s.values, phi, pairs, x, freqs, dyadic)
+        assert_synthesis_matches(phase, s.values, phi, pairs, x_grid, window, dyadic)
     f = d.terms[0][1]
-    assert np.array_equal(dft_forward(f, LatticeWindow(dim, cutoff)).values, character_sum(w * f.values, x, freqs, -1.0))
+    got, want = dft_forward(f, window).values, character_sum(w * f.values, x, freqs, -1.0)
+    assert_transform_matches(got, want, fft_bound(x_grid, window, w * f.values))
 
 
 def test_euclid_rank_four_synthesis_matches_per_term_formula():
-    # one transform of all four g factors: 1025 frequency nodes leave a
-    # partial last chunk, and the symbol equals the per-term sums bit for bit.
-    # Spacing 16/999 takes the exp table; spacings 1/64 and 1/128 take the
-    # roots of unity, and there the oracle's linear factor is the same table
+    # one transform of all four g factors, 1025 frequency nodes. Spacing
+    # 16/999 takes the exp table and the character sum, and the symbol equals
+    # the per-term sums bit for bit; spacings 1/64 and 1/128 take the roots of
+    # unity (the oracle's linear factor is the same table) and the FFT with
+    # N = 8192, within C_FFT's bound of the per-term sums
     for lo, count in ((-6.0, 1000), (-8.0, 1025)):
         rng = np.random.default_rng(36)
         grid, xi_grid = UniformGrid.box(lo, -lo, count), UniformGrid.box(-4.0, 4.0, 1025)
+        assert (_fft_sizes(grid, xi_grid) is not None) == (count == 1025)
         d = random_decomposition(grid, rng, terms=4)
         x, xi = grid.nodes, xi_grid.nodes
         pairs = [(h.values, grid.weights * g.values) for h, g in d.terms]
         for phase in phases(x, xi, rng):
             factor = characters(x, xi, -1.0) if phase.kind == "linear" and count == 1025 else None
             s = symbol_from_decomposition(phase, d, xi_grid)
-            assert np.array_equal(s.values, oracle_synthesis(phase.table(x, xi), pairs, x, xi, factor))
+            want = oracle_synthesis(phase.table(x, xi), pairs, x, xi, factor)
+            if count == 1000:
+                assert np.array_equal(s.values, want)
+                continue
+            assert np.all(np.abs(s.values - want) <= synthesis_tolerance(pairs, grid, xi_grid))
 
 
 def _euclid_case(rng):
