@@ -9,9 +9,11 @@ for oscillation density (at least 8 nodes per period) before any quadrature
 that integrates them.
 
 This module owns the abelian bodies (``_abelian_apply``, ``_abelian_synthesis``,
-``_abelian_trace``): R^n, Z^n and the torus take the same sums over a
-``SampledSymbol``, with different weights: ``fio_apply`` applies all three,
-and ``lattice`` and ``group`` import the other two and check their setting.
+``_abelian_trace``, ``_abelian_matrix``): R^n, Z^n and the torus take the
+same sums over a ``SampledSymbol``, with different weights: ``fio_apply``
+applies all three, and ``lattice`` and ``group`` import the other bodies and
+check their setting. The trace and the matrix diagonal sum the same
+``_trace_terms``; the matrix's off-diagonals are one ``numerics`` FFT.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .grids import KahanSum, SampledField, SampledSymbol, UniformGrid, ksum, require_real, require_same_grid
+from .grids import KahanSum, LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
+from .grids import require_real, require_same_grid
 from .nuclear import RankOneSequence, delgado_trace, r_quasinorm_bound, require_node_cap
-from .numerics import _row_blocks, characters, dft_forward, dft_inverse, factored_eigenvalues, mixed_norm
+from .numerics import _fft_sizes, _fft_sum, _row_blocks, characters, dft_forward, dft_inverse
+from .numerics import factored_eigenvalues, mixed_norm
 from .report import TraceReport
 
 __all__ = [
@@ -168,12 +172,11 @@ def _abelian_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> Sampl
 def _abelian_synthesis(phase: PhaseSpec, d: RankOneSequence, space, freq) -> SampledSymbol:
     """a(p, j) = e^{-i phi(p, j)} sum_k h_k(p) sum_m w_m g_k(m) e^{2*pi*i x_m.xi_j}
     on ``space`` x ``freq``, the g factors on ``space``. One ``dft_inverse``
-    transforms all k g factors in one pass (one FFT on a commensurate dyadic
-    pair, else one character table); the summed side's weights w fold into
-    g_k, and on a window 1.0 * g changes at most the sign of a zero, which
-    the character sum absorbs, so there window sums stay plain sums bit for
-    bit. Each row block sums its k outer products in term order,
-    then takes the phase factor, so no temporary is larger than a block.
+    transforms all k g factors in one pass (one FFT on a commensurate pair,
+    every Z^n and T^n pair among them, else one character table); the summed
+    side's weights w fold into g_k. Each row block sums its k outer products
+    in term order, then takes the phase factor, so no temporary is larger
+    than a block.
     """
     x, xi = space.nodes, freq.nodes
     G = dft_inverse(tuple(g for _, g in d.terms), freq)
@@ -186,33 +189,55 @@ def _abelian_synthesis(phase: PhaseSpec, d: RankOneSequence, space, freq) -> Sam
     return SampledSymbol(space, freq, A)
 
 
-def _abelian_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
-    """sum_{p, j} w_p w_j e^{i(phi(p, j) - 2*pi*x_p.xi_j)} a(p, j) as one flat
-    ``KahanSum`` over the row-major terms, fed row block by row block: term
-    (p, j) goes to lane (p * n_xi + j) mod 1024 whatever the blocking, and the
-    lanes fold in one exactly rounded ``math.fsum``.
+def _trace_terms(phase: PhaseSpec, a: SampledSymbol, x: np.ndarray, xi: np.ndarray, rows: slice) -> np.ndarray:
+    """w_p w_j e^{i(phi(p, j) - 2*pi*x_p.xi_j)} a(p, j) on the rows ``rows``
+    of the nodes x against xi. The exponent is one difference; a linear
+    phase is the kernel's own float product, so it is exactly 0 and the
+    factor e^{i*0} = 1 is not formed (the bits of the exp path up to the
+    sign of an exact-zero part). Where one side is a window of unit weights,
+    w_p w_j is exact and identities trace to the cardinality with no
+    rounding."""
+    w = a.space.weights[rows, None] * a.freq.weights[None, :]
+    if phase.kind == "linear":
+        return a.values[rows] * w
+    terms = _cis(phase.table(x, xi, rows) - 2.0 * np.pi * (x[rows] @ xi.T))
+    terms *= a.values[rows]
+    terms *= w
+    return terms
 
-    A sampled phase enters as e^{i(phi - kernel)}, the exponent one
-    difference. A linear phase is the kernel's own float product, so that
-    difference is exactly 0 and its factor e^{i*0} = 1 is not formed: the
-    terms are a(p, j) w_p w_j, the bits of the exp path up to the sign of an
-    exact-zero part. Where one side is a window of unit weights, w_p w_j is
-    exact and identities trace to the cardinality with no rounding.
-    """
+
+def _abelian_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
+    """The sum of the ``_trace_terms`` as one flat ``KahanSum`` fed row block
+    by row block: term (p, j) goes to lane (p * n_xi + j) mod 1024 whatever
+    the blocking, and the lanes fold in one exactly rounded ``math.fsum``."""
     x, xi = a.space.nodes, a.freq.nodes
-    wx, wxi = a.space.weights, a.freq.weights
     acc = KahanSum((), complex)
     for rows in _row_blocks(a.space.size):
-        w = wx[rows, None] * wxi[None, :]
-        if phase.kind == "linear":
-            acc.add((a.values[rows] * w).reshape(-1))
-        else:
-            terms = _cis(phase.table(x, xi, rows) - 2.0 * np.pi * (x[rows] @ xi.T))
-            terms *= a.values[rows]
-            terms *= w
-            acc.add(terms.reshape(-1))
-            del terms  # freed before the next block's tables are formed
+        acc.add(_trace_terms(phase, a, x, xi, rows).reshape(-1))
     return complex(acc.value)
+
+
+def _abelian_matrix(phase: PhaseSpec, a: SampledSymbol) -> np.ndarray:
+    """The matrix of a Z^n or T^n operator on its window: the torus side T
+    is summed against e^{-2*pi*i m.t} for window nodes m, as M[p, q] =
+    sum_{j in T} w_j e^{i(phi(p, j) - 2*pi*m_q.xi_j)} a(p, j) on Z^n and
+    M[l', l] = sum_{x in T} w_x e^{i(phi(x, l) - 2*pi*x.l')} a(x, l) on T^n.
+    Off the diagonal, one FFT of w e^{i phi} a over T onto the window, whose
+    output columns are the symbol's window nodes (so Z^n reads it
+    transposed). The FFT's DC bin is not exact: the diagonal is the T-side
+    compensated sum of the ``_trace_terms``, so windowed identities keep it
+    exact."""
+    lattice = isinstance(a.space, LatticeWindow)
+    torus, window = (a.freq, a.space) if lattice else (a.space, a.freq)
+    x, xi = a.space.nodes, a.freq.nodes
+    B = _phase_factor(phase, x, xi, slice(None), 1.0)
+    B *= a.values
+    B *= torus.weights if lattice else torus.weights[:, None]
+    F = _fft_sum(B.T if lattice else B, torus, window, -1.0, _fft_sizes(torus, window))
+    del B  # freed before the trace terms are formed
+    M = F.T if lattice else F
+    np.fill_diagonal(M, ksum(_trace_terms(phase, a, x, xi, slice(None)), axis=1 if lattice else 0))
+    return M
 
 
 # -- R^n ---------------------------------------------------------------------

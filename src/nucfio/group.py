@@ -15,9 +15,9 @@ which integrates to 4*pi^2 over the chart, twice the unit 3-sphere area.
 Two kernels do the work. The torus is the abelian pair of the lattice with
 space and frequency swapped, ``SampledSymbol(x_grid, LatticeWindow(dim,
 cutoff), values)`` with coefficients ``dft_forward(f, window)``: its
-synthesis and trace are the abelian bodies of ``euclid``, its matrix is
-``lattice._abelian_matrix`` (FFT off-diagonals within 1e-13 * sum(w) *
-max|a|, an exact trace-kernel diagonal). SU(2) is the
+synthesis, trace and matrix are the abelian bodies of ``euclid`` (the
+matrix's off-diagonals one FFT within 1e-13 * sum(w) * max|a|, its diagonal
+the trace terms' compensated sums). SU(2) is the
 K = {e} instance of the class-I table kernel below. Its domain is anything with
 ``size``, ``weights`` and ``irrep(label) -> (label, dim, k_inv, matrices)``: a
 ``GroupQuadrature`` (k_inv = dim) or a ``homog.ClassIIrrepTable``. One symbol
@@ -39,10 +39,9 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .euclid import PhaseSpec, _abelian_synthesis, _abelian_trace
+from .euclid import PhaseSpec, _abelian_matrix, _abelian_synthesis, _abelian_trace
 from .grids import KahanSum, LatticeWindow, SampledSymbol, UniformGrid, complex_samples, ksum
 from .grids import require_int, require_real, require_same_grid
-from .lattice import _abelian_matrix
 from .nuclear import RankOneSequence
 
 __all__ = [
@@ -563,11 +562,9 @@ def torus_nuclear_trace(phase: PhaseSpec, a: SampledSymbol) -> complex:
 
 def torus_matrix(phase: PhaseSpec, a: SampledSymbol) -> np.ndarray:
     """Operator matrix on Fourier coefficients, M[l', l] = int e^{-2*pi*i*x.l'}
-    e^{i phi(x,l)} a(x,l) dx: the lattice-form matrix of the transposed
-    symbol, transposed back. Column l is an FFT over the x grid, within
-    1e-13 * max|a| of the per-entry sums; the diagonal is the trace kernel's
-    compensated sum, so the constant symbol's diagonal is exactly 1."""
+    e^{i phi(x,l)} a(x,l) dx. Column l is an FFT over the x grid, within
+    1e-13 * max|a| of the per-entry sums; the diagonal is the trace terms'
+    compensated sum over x, so the constant symbol's diagonal is exactly 1
+    (see ``euclid._abelian_matrix``)."""
     LatticeWindow.check_grid(a.freq, a.space, "torus x_count")
-    x, freqs = a.space.nodes, a.freq.nodes
-    M = _abelian_matrix(phase.table(x, freqs).T, a.values.T, freqs, a.space)
-    return np.ascontiguousarray(M.T)
+    return _abelian_matrix(phase, a)

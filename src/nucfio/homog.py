@@ -43,6 +43,7 @@ from .group import (
     group_nuclear_trace,
     unitarity_defect,
 )
+from .numerics import characters
 
 __all__ = [
     "ClassIIrrepTable",
@@ -161,10 +162,9 @@ def table_from_torus(x_grid: UniformGrid, cutoff: int) -> ClassIIrrepTable:
     window = LatticeWindow(getattr(x_grid, "dim", 1), cutoff)
     window.check_grid(x_grid, "torus x_count")
     # weights on [0,1)^n already sum to 1 (normalized Haar on the torus)
-    matrices = {}
-    for ell in window.nodes:
-        chars = np.exp(2j * np.pi * (x_grid.nodes @ ell))
-        matrices[tuple(int(v) for v in ell)] = chars.reshape(-1, 1, 1)
+    labels = window.nodes
+    chars = characters(labels, x_grid.nodes, 1.0)  # one row per label
+    matrices = {tuple(int(v) for v in ell): row.reshape(-1, 1, 1) for ell, row in zip(labels, chars)}
     return ClassIIrrepTable(x_grid.weights, matrices, dict.fromkeys(matrices, 1))
 
 

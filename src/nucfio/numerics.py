@@ -4,13 +4,14 @@ The Fourier convention is exp(-2*pi*i*x.xi) forward, exp(+2*pi*i*x.xi)
 inverse, with plain quadrature sums over the supplied grids. Transforms are
 therefore only as good as the grids: the caller picks boxes large enough for
 decay and fine enough for the oscillation (downstream modules validate the
-latter for sampled phases). Every transform reads its characters from
-``characters``: on dyadic grids (every node an integer over a power of two,
-as on the usual boxes, Z^n windows and power-of-two tori) a gather from a
-cached table of roots of unity, elsewhere ``np.exp``. A transform between
-two dyadic grids whose steps multiply to 1/N on every axis (the usual boxes
-against each other, a window against a power-of-two torus) is one FFT
-between two such tables; every other pair is a compensated character sum.
+latter for sampled phases). A transform between two grids whose nodes sit
+at whole steps from 0, with steps that multiply to 1/N on every axis (a
+window against any torus, boxes with power-of-two steps against each
+other), is one FFT: the values go in at their index offsets mod N, so no
+twiddle factor is formed. Every other pair is a compensated sum over a
+``characters`` table: on dyadic grids (every node an integer over a power
+of two) a gather from a cached table of roots of unity, elsewhere
+``np.exp``. This module owns the package's only ``np.fft`` calls.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _ROW_CHUNK = 256
 
 # Dyadic character tables gather from the M-th roots of unity, M = 2^(s+t) at
 # most 2^_ROOTS_BITS (a table of at most 1 MB); an FFT transform pads each
-# column to at most 2^_ROOTS_BITS entries too.
+# column to at most 2^_ROOTS_BITS entries, or to the larger grid's size.
 _ROOTS_BITS = 16
 
 
@@ -138,9 +139,9 @@ def character_sum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: 
     """sum_p values_p e^{sign*2*pi*i rows_p.cols_j} for every j, ascending in p.
 
     The transform kernel of every grid pair that ``_fft_sizes`` turns down
-    (quadrature transforms on R^n with the weights folded into the values,
-    the finite transform on Z^n, Fourier coefficients on the torus), and the
-    oracle of the FFT path. ``values`` has shape (n,) or (n, k); the result has shape
+    (quadrature transforms on R^n boxes whose steps are not commensurate,
+    with the weights folded into the values), and the oracle of the FFT path
+    on dyadic pairs. ``values`` has shape (n,) or (n, k); the result has shape
     (len(cols),) or (len(cols), k). The table of ``characters`` is formed
     once for all k columns, and one compensated sum takes the source rows
     values_p * E_p one at a time; it is elementwise over the trailing axes,
@@ -153,80 +154,77 @@ def character_sum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: 
     return acc.add(v[None, :] * e[:, None] for v, e in zip(values, E)).value
 
 
-def _uniform_axes(grid) -> list:
-    """(nodes, step) per axis. A window's step is 1 by definition, so a
-    radius-0 window's single node needs no neighbour to read it from."""
+def _whole_steps(grid):
+    """(A, (p, q)) per axis, every node at x_m = (A + m) h for integers A
+    and the step h = p/q in lowest terms, or None. A window (A = -radius,
+    h = 1) and a periodic [0, 1) axis (A = 0, h = 1/count) hold this by
+    definition; any other axis must hold it bit for bit in floats."""
     if isinstance(grid, LatticeWindow):
-        return [(np.arange(-grid.radius, grid.radius + 1, dtype=float), 1.0)] * grid.dim
-    return [(nodes, nodes[1] - nodes[0]) for nodes in grid.axis_nodes]
+        return [(-grid.radius, (1, 1))] * grid.dim
+    steps = []
+    for (lo, hi, count), nodes, h in zip(grid.axes, grid.axis_nodes, grid.spacing):
+        torus, A = grid.periodic and (lo, hi) == (0.0, 1.0), round(lo / h)
+        if not (torus or np.array_equal(nodes, h * (A + np.arange(count)))):
+            return None
+        steps.append((0, (1, count)) if torus else (A, h.as_integer_ratio()))
+    return steps
 
 
 def _fft_sizes(from_grid, to_grid):
-    """The DFT length N_a of every axis when the pair is commensurate and
-    dyadic, else None.
-
-    Every axis must be exactly uniform, x_m = x_0 + m*h and xi_j = xi_0 + j*h',
-    with h*h' = 1/N_a exactly for an integer N_a; all nodes must be dyadic
-    with s + t <= ``_ROOTS_BITS``, so the twiddles of ``_fft_sum`` are exact
-    roots of unity from ``characters``; and prod N_a is at most
-    2^_ROOTS_BITS, which bounds the padded array at 2^_ROOTS_BITS entries a
-    column.
-    """
-    src, dst = _uniform_axes(from_grid), _uniform_axes(to_grid)
-    s = _dyadic_bits(np.concatenate([x for x, _ in src]))
-    t = None if s is None else _dyadic_bits(np.concatenate([xi for xi, _ in dst]))
-    if t is None or s + t > _ROOTS_BITS:
+    """The DFT length N_a of every axis, with h_a h'_a = 1/N_a exactly for
+    the steps of ``_whole_steps``: every window against a torus (N_a its
+    count) and float axes whose steps are powers of two. None for other
+    pairs, or where prod N_a, the FFT array's length per column, exceeds
+    both the larger grid's size and 2^_ROOTS_BITS."""
+    src, dst = _whole_steps(from_grid), _whole_steps(to_grid)
+    if src is None or dst is None:
         return None
-    sizes = []
-    for (x, h), (xi, hp) in zip(src, dst):
-        N = round(1.0 / (h * hp))
-        if h * hp * N != 1.0:
-            return None
-        if not all(np.array_equal(v - v[0], step * np.arange(v.size)) for v, step in ((x, h), (xi, hp))):
-            return None
-        sizes.append(N)
-    return tuple(sizes) if math.prod(sizes) <= 2**_ROOTS_BITS else None
+    ratios = [(p * pp, q * qp) for (_, (p, q)), (_, (pp, qp)) in zip(src, dst)]  # h h' = p/q
+    sizes = tuple(q // p for p, q in ratios)
+    if any(q % p for p, q in ratios) or math.prod(sizes) > max(2**_ROOTS_BITS, from_grid.size, to_grid.size):
+        return None
+    return sizes
+
+
+def _wrap(a: np.ndarray, ax: int, A: int, N: int) -> np.ndarray:
+    """Axis ``ax`` of a with node m at index (A + m) mod N of N: zero-padded
+    to a multiple of N, its N-blocks summed in ascending order by a
+    compensated sum, rolled by A; not copied if already in place."""
+    n = a.shape[ax]
+    if n % N:
+        a = np.pad(a, [(0, -n % N if i == ax else 0) for i in range(a.ndim)])
+    if a.shape[ax] > N:  # e^{2 pi i m j / N} has period N in m: fold the axis onto N nodes
+        a = ksum(a.reshape(a.shape[:ax] + (-1, N) + a.shape[ax + 1 :]), axis=ax)
+    return np.roll(a, A % N, axis=ax) if A % N else a
 
 
 def _fft_sum(values: np.ndarray, from_grid, to_grid, sign: float, sizes: tuple) -> np.ndarray:
     """``character_sum`` over the nodes of a pair that ``_fft_sizes`` accepts.
 
-    With x_m = x_0 + m.h, xi_j = xi_0 + j.h' and h_a h'_a = 1/N_a,
-    x_m.xi_j = (x_m - x_0).xi_0 + x_0.xi_j + sum_a m_a j_a / N_a, so the sum is
-    post_j times the N-point DFT of pre_m values_m read at j mod N. Axes with
-    more than N_a nodes fold mod N_a first by a compensated sum, shorter ones
-    pad with zeros; then one ``fftn`` (``ifftn`` unscaled for sign +1) takes
-    every column, each along its own lines, so each column keeps the bits of
-    its own transform. Per entry the result is within c * eps * log2(prod N)
-    * sum |values| of the exact sum for a small constant c (Bailey and
-    Swarztrauber, SIAM Rev. 33, 1991); the tests hold it to c = 1.
+    With x_m = (A + m) h, xi_j = (B + j) h' and h h' = 1/N per axis, the sum
+    is the N-point DFT of values_m placed at (A + m) mod N, read at
+    (B + j) mod N: no twiddle factor, exact roots for any N. ``values`` is
+    (n,) or (n, k), source first. Axis by axis, each column along its own
+    lines (so keeping its own bits), the axis is placed (``_wrap``), takes
+    one ``fft`` (``ifft`` unscaled for sign +1) and is read at its output
+    nodes. Per entry the result is within c * eps * log2(prod N) *
+    sum |values| of the exact sum for a small c (Bailey and Swarztrauber,
+    SIAM Rev. 33, 1991); the tests hold it to c = 1.
     """
-    src, dst = from_grid.nodes, to_grid.nodes
-    v = values.reshape(src.shape[0], -1)
-    a = (characters(src - src[0], dst[:1], sign) * v).T.reshape((v.shape[1],) + from_grid.shape)
-    for ax, N in enumerate(sizes, start=1):
-        n = a.shape[ax]
-        if n > N:  # e^{2 pi i m j / N} has period N in m: fold the axis onto N nodes
-            pad = [(0, 0)] * a.ndim
-            pad[ax] = (0, -n % N)
-            a = np.pad(a, pad).reshape(a.shape[:ax] + (-1, N) + a.shape[ax + 1 :])
-            a = ksum(np.moveaxis(a, ax, 0), axis=0)
-    axes = tuple(range(1, a.ndim))
-    if sign < 0:
-        F = np.fft.fftn(a, s=sizes, axes=axes)
-    else:
-        F = np.fft.ifftn(a, s=sizes, axes=axes, norm="forward")
-    for ax, m in enumerate(to_grid.shape, start=1):
-        F = F.take(np.arange(m), axis=ax, mode="wrap")
-    out = F.reshape(v.shape[1], -1).T * characters(src[:1], dst, sign)[0][:, None]
-    return out.reshape(dst.shape[:1] + values.shape[1:])
+    a = values.reshape(from_grid.shape + (-1,))
+    plan = zip(_whole_steps(from_grid), _whole_steps(to_grid), sizes, to_grid.shape)
+    for ax, ((A, _), (B, _), N, m) in enumerate(plan):
+        a = _wrap(a, ax, A, N)
+        a = np.fft.fft(a, axis=ax) if sign < 0 else np.fft.ifft(a, axis=ax, norm="forward")
+        a = a[(slice(None),) * ax + (np.arange(B, B + m) % N,)]  # no C-order copy, as ``take`` makes
+    return a.reshape((to_grid.size,) + values.shape[1:])
 
 
 def _dft(values: np.ndarray, from_grid: UniformGrid, to_grid: UniformGrid, sign: float) -> np.ndarray:
     """The quadrature sum onto ``to_grid``, ``values`` of shape (n,) or (n, k)
     on ``from_grid``, the result (to_grid.size,) or (to_grid.size, k) with
     every column bit-identical to a one-column transform. A commensurate
-    dyadic pair (``_fft_sizes``) takes one ``_fft_sum``; any other pair goes
+    pair (``_fft_sizes``) takes one ``_fft_sum``; any other pair goes
     to ``character_sum``, ``_CHUNK`` output nodes at a time. A window on
     either side must pass the pairing rule first (``grids._check_pairing``),
     so no aliasing Z^n-T^n pair is transformed."""
@@ -265,8 +263,8 @@ def dft_forward(f: SampledField | tuple, xi_grid: UniformGrid) -> SampledField |
     ----------
     f : SampledField or tuple of SampledField
         A tuple must share one grid; its fields are transformed in one pass
-        (one FFT on a commensurate dyadic pair, else one character table),
-        each bit-identical to its own transform.
+        (one FFT on a commensurate pair, such as a window against any torus,
+        else one character table), each bit-identical to its own transform.
     xi_grid : UniformGrid or LatticeWindow
         Frequency nodes to evaluate on; must match the dimension of f's grid
         and, where either side is a window, pass ``LatticeWindow.check_grid``.
@@ -417,7 +415,7 @@ def dense_eigenvalues(M: np.ndarray) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"matrix must be square 2-d, got shape {A.shape}")
-    if not np.all(np.isfinite(A.view(float))):
+    if not np.all(np.isfinite(A)):
         raise ValidationError("matrix contains non-finite entries")
     try:
         ev = _eigvals_one_thread(A)

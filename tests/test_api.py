@@ -108,3 +108,25 @@ def test_compact_demo_runs(demo, tmp_path):
         [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def _fft_references(tree) -> int:
+    """How often a parsed module names numpy's FFT: ``np.fft`` or
+    ``numpy.fft`` attributes and imports of ``numpy.fft`` or of ``fft`` from
+    numpy."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            count += isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+        elif isinstance(node, ast.Import):
+            count += sum(a.name.startswith("numpy.fft") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            count += node.module.startswith("numpy.fft") or any(a.name == "fft" for a in node.names)
+    return count
+
+
+def test_only_numerics_calls_the_fft():
+    # one transform for R^n, Z^n and T^n: every FFT of the package runs in
+    # numerics, so a second private transform elsewhere fails here
+    users = {p.name for p in (ROOT / "src" / "nucfio").glob("*.py") if _fft_references(ast.parse(p.read_text()))}
+    assert users == {"numerics.py"}

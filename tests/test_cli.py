@@ -398,6 +398,9 @@ _MIX_DIM2 = {"seed": 3, "dim": 2, "decomposition": {"terms": [{"h": _MIX, "g": _
     [
         {"setting": "lattice", "radius": 5, **_MIX_DIM2},
         {"setting": "torus", "cutoff": 3, "x_count": 16, **_MIX_DIM2},
+        # counts that are not powers of two take the FFT too
+        {"setting": "lattice", "radius": 5, "xi_count": 24, **_MIX_DIM2},
+        {"setting": "torus", "cutoff": 3, "x_count": 14, **_MIX_DIM2},
         json.loads((SCENARIOS / "su2_identity_L1.json").read_text()),
         {"setting": "homog", "instance": "su2", "quadrature": {"n_alpha": 8, "n_beta": 8, "n_gamma": 16}},
         {"setting": "homog", "instance": "torus", "cutoff": 2, "x_count": 16},
@@ -409,7 +412,16 @@ _MIX_DIM2 = {"seed": 3, "dim": 2, "decomposition": {"terms": [{"h": _MIX, "g": _
             "decomposition": {"terms": [{"h": _BANDLIMITED, "g": _BANDLIMITED}]},
         },
     ],
-    ids=["lattice_dim2", "torus_dim2", "su2_identity_L1", "homog_su2", "homog_torus", "su2_random_bandlimited"],
+    ids=[
+        "lattice_dim2",
+        "torus_dim2",
+        "lattice_dim2_xi24",
+        "torus_dim2_x14",
+        "su2_identity_L1",
+        "homog_su2",
+        "homog_torus",
+        "su2_random_bandlimited",
+    ],
 )
 def test_compact_spectrum_is_identical_across_blas_threads(tmp_path, cfg):
     # zgeev's blocked updates round by thread count unless the spectrum pins

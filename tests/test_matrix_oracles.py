@@ -2,18 +2,23 @@
 
 ``group_matrix`` sums two node contractions chunk by chunk and compensates
 across the chunks, so it matches its per-entry oracle within
-``GROUP_BOUND``, a few ulps of the entries. ``lattice._abelian_matrix`` (behind
+``GROUP_BOUND``, a few ulps of the entries. ``euclid._abelian_matrix`` (behind
 ``lattice_matrix`` and ``torus_matrix``) takes its off-diagonal entries from
-one FFT per row, so they match the per-column oracle within
-``FFT_BOUND * sum(w) * max|a|``; its diagonal is the same compensated row
-sum as the oracle's and equals it bit for bit.
+one FFT over the torus side, so they match the per-column oracle within
+``FFT_BOUND * sum(w) * max|a|``. Its diagonal is the torus-side compensated
+sum of the trace's own terms (``euclid._trace_terms``). For a linear phase,
+or a constant symbol, those are the oracle's terms, and the diagonal equals
+the oracle's bit for bit. A sampled phase on a non-constant symbol forms the
+product e * a * w where the oracle forms e * (a * w), so there the diagonal
+equals the sums of the trace terms bit for bit, and the oracle's within the
+FFT bound.
 """
 
 import numpy as np
 import pytest
 
 from nucfio.errors import TruncationError
-from nucfio.euclid import PhaseSpec
+from nucfio.euclid import PhaseSpec, _trace_terms
 from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.group import (
     GroupPhase,
@@ -79,10 +84,16 @@ def checked_group_matrix(Phi, a):
 FFT_BOUND = 1e-13
 
 
-def assert_matches_oracle(M, want, w, a):
-    """The diagonal bit for bit, every other entry within the FFT bound."""
-    assert np.array_equal(np.diag(M), np.diag(want))
-    assert np.abs(M - want).max() <= FFT_BOUND * w.sum() * np.abs(a).max()
+def assert_matches_oracle(M, want, w, phase, a, torus_axis):
+    """Every entry within the FFT bound. The diagonal bit for bit: the
+    oracle's, or for a sampled phase on a non-constant symbol the
+    compensated sums of the trace terms over the symbol's torus axis."""
+    assert np.abs(M - want).max() <= FFT_BOUND * w.sum() * np.abs(a.values).max()
+    if phase.kind == "sampled" and np.any(a.values != 1.0):
+        terms = _trace_terms(phase, a, a.space.nodes, a.freq.nodes, slice(None))
+        assert np.array_equal(np.diag(M), ksum(terms, axis=torus_axis))
+    else:
+        assert np.array_equal(np.diag(M), np.diag(want))
 
 
 def random_complex(rng, shape):
@@ -159,7 +170,7 @@ def test_lattice_matrix_matches_per_column_loop(dim, radius, xi_count):
         a = SampledSymbol(window, xi_grid, values)
         for phase in phases(pts, xi, rng):
             want = per_column_abelian_matrix(phase.table(pts, xi), a.values, pts, xi, xi_grid.weights)
-            assert_matches_oracle(lattice_matrix(phase, a), want, xi_grid.weights, values)
+            assert_matches_oracle(lattice_matrix(phase, a), want, xi_grid.weights, phase, a, 1)
 
 
 @pytest.mark.parametrize(
@@ -176,7 +187,7 @@ def test_torus_matrix_matches_per_column_loop(dim, cutoff, x_count):
         a = SampledSymbol(x_grid, LatticeWindow(dim, cutoff), values)
         for phase in phases(x, freqs, rng):
             M = per_column_abelian_matrix(phase.table(x, freqs).T, a.values.T, freqs, x, x_grid.weights)
-            assert_matches_oracle(torus_matrix(phase, a), M.T, x_grid.weights, values)
+            assert_matches_oracle(torus_matrix(phase, a), M.T, x_grid.weights, phase, a, 0)
 
 
 def test_torus_entry_points_reject_an_aliasing_grid():

@@ -52,29 +52,72 @@ def test_dft_roundtrip(line):
     assert np.abs(back.values - vals).max() < 1e-10
 
 
-# The FFT path's per-entry gap to the compensated character sum is at most
+# The FFT path's per-entry gap to the exact sum is at most
 # C_FFT * eps * log2(prod N) * sum_m |w_m v_m|; the pairs below read at most
-# 0.1 of it.
+# 0.37 of it.
 C_FFT = 1.0
+
+
+def _torus_count(src, dst):
+    """The torus count N of a window-torus pair, else None."""
+    for window, torus in ((src, dst), (dst, src)):
+        if isinstance(window, LatticeWindow):
+            return torus.shape[0]
+    return None
+
+
+def _exact_roots(src, dst, sign):
+    """e^{sign*2*pi*i x.xi} for every node pair, (src.size, dst.size). On a
+    window-torus pair, x.xi = r/N for the integer r = (m.k) mod N, m the
+    window node and k/N the torus node, so each entry is the exp of an exact
+    fraction of a turn. Elsewhere, ``characters``: on the dyadic pairs
+    tested, exact roots of unity."""
+    N = _torus_count(src, dst)
+    if N is None:
+        return characters(src.nodes, dst.nodes, sign)
+    m, k = (g.nodes if isinstance(g, LatticeWindow) else g.nodes * N for g in (src, dst))
+    r = np.rint(m) @ np.rint(k).T % N
+    return np.exp(sign * 2j * np.pi * r / N)
+
+
+def _fsum_transform(W, src, dst, sign):
+    """sum_m W_m e^{sign*2*pi*i x_m.xi_j} with the ``_exact_roots``, each
+    real product summed by ``math.fsum``; W of shape (src.size, k)."""
+    E = _exact_roots(src, dst, sign)
+    out = np.empty((dst.size, W.shape[1]), dtype=complex)
+    for j in range(dst.size):
+        for c in range(W.shape[1]):
+            w, e = W[:, c], E[:, j]
+            re = math.fsum(np.concatenate([w.real * e.real, -(w.imag * e.imag)]))
+            im = math.fsum(np.concatenate([w.real * e.imag, w.imag * e.real]))
+            out[j, c] = complex(re, im)
+    return out
 
 
 def assert_transform_matches(got, weighted, src, dst, sign):
     """``got`` against ``character_sum(weighted, ...)``: bit for bit where
     the pair takes the character sum, within C_FFT's bound where it takes the
-    FFT path."""
-    want = character_sum(weighted, src.nodes, dst.nodes, sign)
+    FFT path. A window against a torus of N nodes, N not a power of two,
+    takes the exact-root ``_fsum_transform`` instead: there the character
+    sum's ``np.exp`` table is itself off by up to about twice the bound."""
     sizes = _fft_sizes(src, dst)
     if sizes is None:
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, character_sum(weighted, src.nodes, dst.nodes, sign))
+        return
+    N = _torus_count(src, dst)
+    if N is not None and N & (N - 1):
+        want = _fsum_transform(weighted[:, None], src, dst, sign)[:, 0]
     else:
-        bound = C_FFT * np.finfo(float).eps * math.log2(math.prod(sizes)) * np.abs(weighted).sum(axis=0)
-        assert np.all(np.abs(got - want) <= bound)
+        want = character_sum(weighted, src.nodes, dst.nodes, sign)
+    bound = C_FFT * np.finfo(float).eps * math.log2(math.prod(sizes)) * np.abs(weighted).sum(axis=0)
+    assert np.all(np.abs(got - want) <= bound)
 
 
 _PAIRS = {
     # 1025 output nodes: the last chunk is partial; spacings 1/64 and 3/256
     # take the roots of unity, as do the two dyadic pairs, the others exp;
-    # the two dyadic pairs are commensurate and take the FFT path
+    # the dyadic box pair and every window-torus pair are commensurate and
+    # take the FFT path
     "line_1025": (UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-6.0, 6.0, 1025)),
     "box_dim2": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-3.0, 3.0, 11, 2)),
     "box_dim2_dyadic": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-4.0, 4.0, 17, 2)),
@@ -96,10 +139,10 @@ def test_batched_transform_matches_one_column_calls(pair, ks):
     # the compensated sum is elementwise over them, and the FFT takes each
     # column along its own lines, so each column keeps the bits of its own
     # transform: a one-column character_sum over every output node at once,
-    # or within the FFT bound of it on a commensurate dyadic pair
+    # or within the FFT bound of the exact sum on a commensurate pair
     src, dst = _PAIRS[pair]
     fft = _fft_sizes(src, dst) is not None
-    assert fft == pair.endswith("_dyadic")
+    assert fft == (pair.endswith("_dyadic") or _torus_count(src, dst) is not None)
     rng = np.random.default_rng(len(pair))
     for k in ks:
         V = rng.standard_normal((src.size, k)) + 1j * rng.standard_normal((src.size, k))
@@ -120,20 +163,6 @@ def test_batched_transform_matches_one_column_calls(pair, ks):
             assert np.array_equal(stacked[:, c], character_sum(V[:, c], src.nodes, cols, 1.0))
 
 
-def _fsum_transform(V, src, dst, sign):
-    """sum_m w_m V_m e^{sign*2*pi*i x_m.xi_j} with the dyadic pair's exact
-    roots of unity, each real product summed by ``math.fsum``."""
-    W, E = src.weights[:, None] * V, characters(src.nodes, dst.nodes, sign)
-    out = np.empty((dst.size, V.shape[1]), dtype=complex)
-    for j in range(dst.size):
-        for c in range(V.shape[1]):
-            w, e = W[:, c], E[:, j]
-            re = math.fsum(np.concatenate([w.real * e.real, -(w.imag * e.imag)]))
-            im = math.fsum(np.concatenate([w.real * e.imag, w.imag * e.real]))
-            out[j, c] = complex(re, im)
-    return out
-
-
 _FFT_PAIRS = {
     # (source, target, N per axis); n < N pads, n = N neither pads nor folds,
     # n > N folds the source onto N nodes
@@ -143,6 +172,13 @@ _FFT_PAIRS = {
     "dim2_pad": (LatticeWindow(2, 2), UniformGrid.torus(16, 2), (16, 16)),
     "dim2_equal": (UniformGrid.torus(16, 2), LatticeWindow(2, 3), (16, 16)),
     "dim2_fold": (UniformGrid.box(-2.0, 2.0, 17, 2), UniformGrid.box(-1.0, 1.0, 3, 2), (4, 4)),
+    # window-torus pairs at counts that are not powers of two, both ways
+    "window_to_torus_14": (LatticeWindow(1, 3), UniformGrid.torus(14), (14,)),
+    "torus_34_to_window": (UniformGrid.torus(34), LatticeWindow(1, 8), (34,)),
+    "window_to_torus_49": (LatticeWindow(1, 11), UniformGrid.torus(49), (49,)),
+    "torus_49_to_window": (UniformGrid.torus(49), LatticeWindow(1, 11), (49,)),
+    "window_to_torus_100": (LatticeWindow(1, 20), UniformGrid.torus(100), (100,)),
+    "dim2_torus_14_to_window": (UniformGrid.torus(14, 2), LatticeWindow(2, 3), (14, 14)),
 }
 
 
@@ -157,8 +193,9 @@ def test_fft_transform_matches_an_exact_root_fsum(pair, sign):
     V[1::5, 0] = complex(0.0, -0.0)
     V[::3, 1] = complex(-0.0, -0.0)
     got = (dft_forward if sign < 0 else dft_inverse)(tuple(SampledField(src, v) for v in V.T), dst)
-    bound = C_FFT * np.finfo(float).eps * math.log2(math.prod(sizes)) * np.abs(src.weights[:, None] * V).sum(axis=0)
-    assert np.all(np.abs(np.stack([f.values for f in got], axis=1) - _fsum_transform(V, src, dst, sign)) <= bound)
+    W = src.weights[:, None] * V
+    bound = C_FFT * np.finfo(float).eps * math.log2(math.prod(sizes)) * np.abs(W).sum(axis=0)
+    assert np.all(np.abs(np.stack([f.values for f in got], axis=1) - _fsum_transform(W, src, dst, sign)) <= bound)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -335,6 +372,19 @@ def test_dense_eigenvalues_order_and_checks():
         dense_eigenvalues(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
         dense_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_dense_eigenvalues_take_strided_input():
+    # a transposed matrix and a column slice have a strided last axis; the
+    # finiteness check reads them as they are, and eigvals does not depend on
+    # the layout, so both give the bits of their contiguous copies
+    rng = np.random.default_rng(45)
+    A = rng.standard_normal((9, 12)) + 1j * rng.standard_normal((9, 12))
+    for M in (A[:, :9].T, A[:, ::4][:3, :3], A[:, 2:11]):
+        assert not M.flags.c_contiguous
+        assert np.array_equal(dense_eigenvalues(M), dense_eigenvalues(np.ascontiguousarray(M)))
+    with pytest.raises(ValidationError):
+        dense_eigenvalues(np.array([[1.0, np.inf], [0.0, 1.0]], dtype=complex).T)
 
 
 # A seeded 300 x 300 complex spectrum in a fresh process: the digest of its

@@ -6,8 +6,10 @@ per-setting formulations, kept here so the merged bodies stay equal to them
 bit for bit. Two exceptions: a linear phase's synthesis factor on dyadic
 grids, which ``numerics.characters`` gathers from roots of unity, stays
 within the table's roundoff of the exp formula; and a transform between
-commensurate dyadic grids, which is an FFT, stays within C_FFT's bound of
-the compensated character sum.
+commensurate grids (a window against any torus, dyadic boxes), which is an
+FFT, stays within C_FFT's bound of the exact sum: the compensated character
+sum where its table is exact roots of unity, else an exact-root
+``math.fsum``.
 """
 
 import math
@@ -30,6 +32,7 @@ from nucfio.lattice import (
 )
 from nucfio.nuclear import RankOneSequence
 from nucfio.numerics import _fft_sizes, character_sum, characters, dft_forward
+from test_numerics import _fsum_transform
 
 EPS = np.finfo(float).eps
 
@@ -54,6 +57,16 @@ def assert_transform_matches(got, want, bound):
         assert np.array_equal(got, want)
     else:
         assert np.all(np.abs(got - want) <= bound)
+
+
+def window_transform(weighted, src, dst, dyadic):
+    """The forward transform's oracle on a window-torus pair: the character
+    sum on a power-of-two torus, whose table is exact roots of unity; on any
+    other torus, whose ``np.exp`` table is itself off by up to about twice
+    the FFT bound, the exact-root ``math.fsum`` transform of test_numerics."""
+    if dyadic:
+        return character_sum(weighted, src.nodes, dst.nodes, -1.0)
+    return _fsum_transform(weighted[:, None], src, dst, -1.0)[:, 0]
 
 
 def oracle_trace(phi, a, rows, cols, w):
@@ -131,12 +144,12 @@ def random_decomposition(grid, rng, terms=2):
     ids=["dim1", "dim2", "dim1_dyadic", "dim2_dyadic"],
 )
 def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
-    # xi_count 20 and 12 take the exp table and the character sum, 32 and 16
-    # the roots of unity and the FFT
+    # every count takes the FFT; xi_count 20 and 12 take the exp table for
+    # the phase factor, 32 and 16 the roots of unity
     dyadic = xi_count in (16, 32)
     rng = np.random.default_rng(30 + dim)
     window, xi_grid = LatticeWindow(dim, radius), UniformGrid.torus(xi_count, dim)
-    assert (_fft_sizes(window, xi_grid) is not None) == dyadic
+    assert _fft_sizes(window, xi_grid) is not None
     pts, xi = window.nodes, xi_grid.nodes
     shape = (window.size, xi_grid.size)
     d = random_decomposition(window, rng)
@@ -152,7 +165,7 @@ def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
         pairs = [(h.values, g.values) for h, g in d.terms]
         assert_synthesis_matches(phase, s.values, phi, pairs, window, xi_grid, dyadic)
     f = d.terms[0][1]
-    got, want = dft_forward(f, xi_grid).values, character_sum(f.values, pts, xi, -1.0)
+    got, want = dft_forward(f, xi_grid).values, window_transform(f.values, window, xi_grid, dyadic)
     assert_transform_matches(got, want, fft_bound(window, xi_grid, f.values))
 
 
@@ -162,12 +175,12 @@ def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
     ids=["dim1", "dim2", "dim1_dyadic", "dim2_dyadic"],
 )
 def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
-    # x_count 24 and 10 take the exp table and the character sum, 32 and 16
-    # the roots of unity and the FFT
+    # every count takes the FFT; x_count 24 and 10 take the exp table for
+    # the phase factor, 32 and 16 the roots of unity
     dyadic = x_count in (16, 32)
     rng = np.random.default_rng(32 + dim)
     x_grid, window = UniformGrid.torus(x_count, dim), LatticeWindow(dim, cutoff)
-    assert (_fft_sizes(x_grid, window) is not None) == dyadic
+    assert _fft_sizes(x_grid, window) is not None
     x, freqs, w = x_grid.nodes, window.nodes, x_grid.weights
     shape = (x_grid.size, freqs.shape[0])
     d = random_decomposition(x_grid, rng)
@@ -183,7 +196,7 @@ def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
         pairs = [(h.values, w * g.values) for h, g in d.terms]
         assert_synthesis_matches(phase, s.values, phi, pairs, x_grid, window, dyadic)
     f = d.terms[0][1]
-    got, want = dft_forward(f, window).values, character_sum(w * f.values, x, freqs, -1.0)
+    got, want = dft_forward(f, window).values, window_transform(w * f.values, x_grid, window, dyadic)
     assert_transform_matches(got, want, fft_bound(x_grid, window, w * f.values))
 
 
