@@ -157,9 +157,10 @@ class GroupQuadrature:
     """Quadrature over a group manifold chart.
 
     nodes holds parameter tuples ((alpha, beta, gamma) for the Euler chart,
-    (t, nu, s) for the 3-sphere chart); weights are normalized to total mass
-    1 within 1e-10, checked at construction. raw_mass records the chart
-    integral of the unnormalized printed density where one is meaningful.
+    (t, nu, s) for the 3-sphere chart); nodes and weights are finite and the
+    weights normalized to total mass 1 within 1e-10, checked at
+    construction. raw_mass records the chart integral of the unnormalized
+    printed density where one is meaningful.
     Instances compare by identity; phases, symbols, and decompositions meant
     to interoperate must share one quadrature object.
     """
@@ -175,6 +176,8 @@ class GroupQuadrature:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 2 or weights.ndim != 1 or nodes.shape[0] != weights.shape[0]:
             raise ShapeError("quadrature nodes (N, k) and weights (N,) are inconsistent")
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise ValidationError("quadrature nodes and weights must be finite")
         total = float(ksum(weights))
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"Haar weights sum to {total!r}, not 1")
@@ -257,32 +260,76 @@ def s3_su2_points(quad: GroupQuadrature) -> np.ndarray:
     return U
 
 
+def _leading_run(x: np.ndarray) -> int:
+    """Number of leading entries of x equal to x[0]."""
+    return int(np.argmax(x != x[0])) or x.shape[0]
+
+
+def _euler_axes(quad: GroupQuadrature) -> tuple:
+    """The Euler angles of a quadrature's nodes as three axes, found once and cached.
+
+    Returns (axes, index): axes holds the alpha, beta and gamma values, index
+    each node's position in them, or None when the nodes are the C-order
+    ('ij' meshgrid) product of the three axes, as in ``su2_haar_quadrature``
+    (alpha steps every n_beta * n_gamma nodes, beta every n_gamma). Angles
+    are compared by their bits, so -0.0 and 0.0 keep their own factors.
+    3-sphere charts go through the embedding and exact Euler recovery.
+    """
+    if "euler" in quad._cache:
+        return quad._cache["euler"]
+    if quad.kind == "su2-euler":
+        angles = quad.nodes.T
+    elif quad.kind == "s3":
+        angles = _euler_angles(s3_su2_points(quad))
+    else:
+        raise ValidationError(f"no SU(2) tables for quadrature kind {quad.kind!r}")
+    a, b, g = (np.ascontiguousarray(x).view(np.int64) for x in angles)
+    n_bg = _leading_run(a)
+    n_g = _leading_run(b[:n_bg])
+    if quad.size % n_bg == 0 and n_bg % n_g == 0:
+        shape = (quad.size // n_bg, n_bg // n_g, n_g)
+        lines = (a[::n_bg, None, None], b[:n_bg:n_g, None], g[:n_g])
+        if all(np.array_equal(x.reshape(shape), np.broadcast_to(v, shape)) for x, v in zip((a, b, g), lines)):
+            quad._cache["euler"] = tuple(line.reshape(-1).view(float).copy() for line in lines), None
+            return quad._cache["euler"]
+    distinct = [np.unique(x, return_inverse=True) for x in (a, b, g)]
+    quad._cache["euler"] = tuple(u.view(float) for u, _ in distinct), tuple(i for _, i in distinct)
+    return quad._cache["euler"]
+
+
 def su2_irrep_table(quad: GroupQuadrature, twoL: int) -> np.ndarray:
     """Representation matrices D^l at every quadrature node, cached and
     read-only (phases and tables share the cached array, so a write would
     change every later caller's table).
 
-    Euler-chart quadratures evaluate the Wigner matrices directly; 3-sphere
-    charts go through the embedding and exact Euler recovery.
+    D^l = e^{-i m alpha} d^l(beta) e^{-i m' gamma}: each factor is evaluated
+    once per distinct angle of the nodes (``_euler_axes``), d^l(beta) by one
+    ``einsum`` over those betas, and every entry is (e^{-i m alpha} d^l)
+    e^{-i m' gamma}, the order of a node-by-node product, so the table holds
+    that product's bits. A product rule's table is the broadcast product over
+    (n_alpha, n_beta, n_gamma, d, d), reshaped to (N, d, d), and takes about
+    its own size in memory; any other node list gathers the factors by each
+    node's index.
     """
     twoL = require_int(twoL, "twoL", least=0)
     key = ("table", twoL)
     if key in quad._cache:
         return quad._cache[key]
-    if quad.kind == "su2-euler":
-        alpha, beta, gamma = quad.nodes.T
-    elif quad.kind == "s3":
-        alpha, beta, gamma = _euler_angles(s3_su2_points(quad))
-    else:
-        raise ValidationError(f"no SU(2) tables for quadrature kind {quad.kind!r}")
+    (alpha, beta, gamma), index = _euler_axes(quad)
     m, lam, V = _jy_eig(twoL)
-    core = np.exp(-1j * np.outer(beta, lam))
-    d_beta = np.einsum("ik,nk,jk->nij", V, core, V.conj())
-    T = (
-        np.exp(-1j * np.outer(alpha, m))[:, :, None]
-        * d_beta
-        * np.exp(-1j * np.outer(gamma, m))[:, None, :]
-    )
+    left = np.exp(-1j * np.outer(alpha, m))
+    d_beta = np.einsum("ik,nk,jk->nij", V, np.exp(-1j * np.outer(beta, lam)), V.conj())
+    right = np.exp(-1j * np.outer(gamma, m))
+    if index is None:
+        ad = left[:, None, :, None] * d_beta
+        T = (ad[:, :, None] * right[:, None, :]).reshape(quad.size, twoL + 1, twoL + 1)
+    else:
+        ia, ib, ig = index
+        T = d_beta[ib]
+        # the left factor stays the left operand: a fused complex multiply
+        # need not give b*a the bits of a*b
+        np.multiply(left[ia][:, :, None], T, out=T)
+        np.multiply(T, right[ig][:, None, :], out=T)
     T.setflags(write=False)
     quad._cache[key] = T
     return T

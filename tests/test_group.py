@@ -7,7 +7,10 @@ import pytest
 from nucfio.errors import ConditionError, DomainError, ShapeError, ValidationError
 from nucfio.euclid import PhaseSpec, fio_apply
 from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
+import nucfio.group as group
 from nucfio.group import (
+    _euler_angles,
+    _jy_eig,
     _leggauss_ab,
     GroupPhase,
     GroupQuadrature,
@@ -410,6 +413,92 @@ def test_s3_tables_match_loop_oracle():
     # the branches beta ~ 0 and beta ~ pi, and the single-matrix entry point
     for U in (np.diag([np.exp(0.4j), np.exp(-0.4j)]), np.array([[0.0, -np.exp(0.9j)], [np.exp(-0.9j), 0.0]])):
         assert euler_from_su2(U) == euler_loop_oracle(U)
+
+
+def per_node_table(quad, twoL):
+    """D^l with every Euler factor evaluated at every node and multiplied
+    node by node, (e^{-i m alpha} d^l) e^{-i m' gamma}: the oracle whose bits
+    the factored table must reproduce."""
+    if quad.kind == "su2-euler":
+        alpha, beta, gamma = quad.nodes.T
+    else:
+        alpha, beta, gamma = _euler_angles(s3_su2_points(quad))
+    m, lam, V = _jy_eig(twoL)
+    core = np.exp(-1j * np.outer(beta, lam))
+    d_beta = np.einsum("ik,nk,jk->nij", V, core, V.conj())
+    return (
+        np.exp(-1j * np.outer(alpha, m))[:, :, None]
+        * d_beta
+        * np.exp(-1j * np.outer(gamma, m))[:, None, :]
+    )
+
+
+def loop_euler_quadrature(resolution):
+    """The 3-sphere rule as a hand-built Euler node list, angles recovered node by node."""
+    s3 = s3_quadrature(resolution)
+    angles = np.array([euler_loop_oracle(U) for U in s3_su2_points(s3)])
+    return GroupQuadrature("su2-euler", angles, s3.weights)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: su2_haar_quadrature(16, 16, 32),
+        lambda: su2_haar_quadrature(5, 4, 7),
+        lambda: su2_haar_quadrature(2, 2, 2),
+        lambda: s3_quadrature(8),
+        lambda: s3_quadrature(12),
+        lambda: loop_euler_quadrature(8),
+    ],
+    ids=["product-16-16-32", "product-5-4-7", "product-2-2-2", "s3-8", "s3-12", "euler-list"],
+)
+def test_irrep_tables_match_the_per_node_oracle(build):
+    # one factor per distinct angle, multiplied in the per-node order: the
+    # same bits; the table is cached on first use and read-only
+    quad = build()
+    for twoL in range(9):
+        T = su2_irrep_table(quad, twoL)
+        assert T.tobytes() == per_node_table(quad, twoL).tobytes()
+        assert su2_irrep_table(quad, twoL) is T
+        with pytest.raises(ValueError, match="read-only"):
+            T[0, 0, 0] = 0.0
+
+
+def test_s3_euler_recovery_runs_once_per_quadrature(monkeypatch):
+    calls = []
+    recover = group._euler_angles
+    monkeypatch.setattr(group, "_euler_angles", lambda U: calls.append(1) or recover(U))
+    s3 = s3_quadrature(6)
+    for twoL in range(4):
+        su2_irrep_table(s3, twoL)
+    assert len(calls) == 1
+
+
+def test_product_rule_table_peak_memory():
+    # the factors live on the distinct angles (16 + 16 + 32 of them) and are
+    # multiplied straight into the table; the per-node build peaked at 3.2x
+    quad = su2_haar_quadrature(16, 16, 32)
+    tracemalloc.start()
+    try:
+        T = su2_irrep_table(quad, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * T.nbytes
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["beta", "weight"])
+def test_quadrature_rejects_non_finite_nodes_and_weights(where, value):
+    # a nan beta would otherwise build and give a table of nan entries
+    quad = su2_haar_quadrature(2, 2, 2)
+    nodes, weights = quad.nodes.copy(), quad.weights.copy()
+    if where == "beta":
+        nodes[3, 1] = value
+    else:
+        weights[3] = value
+    with pytest.raises(ValidationError, match="must be finite"):
+        GroupQuadrature("su2-euler", nodes, weights)
 
 
 def test_invalid_inputs(quad):
