@@ -157,10 +157,10 @@ class GroupQuadrature:
     """Quadrature over a group manifold chart.
 
     nodes holds parameter tuples ((alpha, beta, gamma) for the Euler chart,
-    (t, nu, s) for the 3-sphere chart); nodes and weights are finite and the
-    weights normalized to total mass 1 within 1e-10, checked at
-    construction. raw_mass records the chart integral of the unnormalized
-    printed density where one is meaningful.
+    (t, nu, s) for the 3-sphere chart, 3 columns either way); nodes and
+    weights are finite and the weights normalized to total mass 1 within
+    1e-10, checked at construction. raw_mass records the chart integral of
+    the unnormalized printed density where one is meaningful.
     Instances compare by identity; phases, symbols, and decompositions meant
     to interoperate must share one quadrature object.
     """
@@ -176,6 +176,8 @@ class GroupQuadrature:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 2 or weights.ndim != 1 or nodes.shape[0] != weights.shape[0]:
             raise ShapeError("quadrature nodes (N, k) and weights (N,) are inconsistent")
+        if self.kind in ("su2-euler", "s3") and nodes.shape[1] != 3:
+            raise ShapeError(f"{self.kind} quadrature nodes need 3 columns, got {nodes.shape[1]}")
         if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise ValidationError("quadrature nodes and weights must be finite")
         total = float(ksum(weights))

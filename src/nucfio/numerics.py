@@ -7,11 +7,13 @@ decay and fine enough for the oscillation (downstream modules validate the
 latter for sampled phases). A transform between two grids whose nodes sit
 at whole steps from 0, with steps that multiply to 1/N on every axis (a
 window against any torus, boxes with power-of-two steps against each
-other), is one FFT: the values go in at their index offsets mod N, so no
-twiddle factor is formed. Every other pair is a compensated sum over a
-``characters`` table: on dyadic grids (every node an integer over a power
-of two) a gather from a cached table of roots of unity, elsewhere
-``np.exp``. This module owns the package's only ``np.fft`` calls.
+other, steps 1/20 against 1/10), is one FFT: the values go in at their
+index offsets mod N, so no twiddle factor is formed. Each step is exact, a
+ratio of integers formed from the float ends of its axis. Every other pair
+is a compensated sum over a ``characters`` table: on dyadic grids (every
+node an integer over a power of two) a gather from a cached table of roots
+of unity, elsewhere ``np.exp``. This module owns the package's only
+``np.fft`` calls.
 """
 
 from __future__ import annotations
@@ -156,24 +158,31 @@ def character_sum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: 
 
 def _whole_steps(grid):
     """(A, (p, q)) per axis, every node at x_m = (A + m) h for integers A
-    and the step h = p/q in lowest terms, or None. A window (A = -radius,
-    h = 1) and a periodic [0, 1) axis (A = 0, h = 1/count) hold this by
-    definition; any other axis must hold it bit for bit in floats."""
+    and the step h = p/q in lowest terms, or None. The step is exact:
+    h = (hi - lo)/(count - 1), or (hi - lo)/count on a periodic axis, as a
+    ratio of integers formed from the float ends; an axis qualifies wherever
+    lo/h is an integer, whatever its float nodes round to. A window has
+    A = -radius and h = 1."""
     if isinstance(grid, LatticeWindow):
         return [(-grid.radius, (1, 1))] * grid.dim
     steps = []
-    for (lo, hi, count), nodes, h in zip(grid.axes, grid.axis_nodes, grid.spacing):
-        torus, A = grid.periodic and (lo, hi) == (0.0, 1.0), round(lo / h)
-        if not (torus or np.array_equal(nodes, h * (A + np.arange(count)))):
+    for lo, hi, count in grid.axes:
+        (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        p, q = c * b - a * d, b * d * (count if grid.periodic else count - 1)
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        A, r = divmod(a * q, b * p)  # lo/h = (a/b)(q/p)
+        if r:
             return None
-        steps.append((0, (1, count)) if torus else (A, h.as_integer_ratio()))
+        steps.append((A, (p, q)))
     return steps
 
 
 def _fft_sizes(from_grid, to_grid):
     """The DFT length N_a of every axis, with h_a h'_a = 1/N_a exactly for
     the steps of ``_whole_steps``: every window against a torus (N_a its
-    count) and float axes whose steps are powers of two. None for other
+    count), boxes whose steps are powers of two, and other boxes whose steps
+    multiply to a unit fraction (1/20 by 1/10: N_a = 200). None for other
     pairs, or where prod N_a, the FFT array's length per column, exceeds
     both the larger grid's size and 2^_ROOTS_BITS."""
     src, dst = _whole_steps(from_grid), _whole_steps(to_grid)

@@ -23,14 +23,14 @@ land exactly on x-nodes when the node count is odd. Points off the lattice
 with zero extension outside the box; fields and symbols must therefore decay
 at the box edge, which is enforced at call time.
 
-Both sums run in float64: the frequency sum into T (``_Z_BLOCK`` shift
-columns at a time) and the shift sum back to frequencies (``_X_CHUNK``
-x-rows at a time). A call forms each weighted phase entry, w cos and w sin
-with the quadrature weight of the summed axis folded in, once, in one
-contiguous real table; each complex product is four real ``einsum`` dot
-products along the summed axis, in a fixed order, with no BLAS call and no
-``optimize``. An entry's bits therefore depend on neither the BLAS thread
-count nor the block width.
+Both sums are ``numerics`` transforms with the quadrature weight of the
+summed axis folded in: the frequency sum into T is one transform from the
+frequency grid onto the shifts, whose columns are the x-rows, and the shift
+sum back to frequencies one transform per ``_X_CHUNK`` x-rows. On the grids
+whose steps multiply to 1/N (a box of step 1/20 against both shift
+lattices) each is an FFT; elsewhere a compensated character sum. Either
+way every column keeps the bits of its own transform, so no entry depends
+on the chunk width or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .grids import (
     require_same_grid,
 )
 from .nuclear import RankOneSequence
+from .numerics import _dft
 
 __all__ = [
     "shift_grid",
@@ -56,8 +57,11 @@ __all__ = [
     "wigner",
 ]
 
-_X_CHUNK = 32
-_Z_BLOCK = 64
+# x-rows per chunk of the shift sums and of tau_apply's stencil reads. On
+# grids that take the character sum, each chunk's compensated accumulators
+# sit beside the whole character table; 16 rows keep the synthesis' peak
+# below that of the complex-einsum oracle in tests/test_tau_oracles.py.
+_X_CHUNK = 16
 
 
 def shift_grid(x_grid: UniformGrid) -> UniformGrid:
@@ -70,60 +74,20 @@ def shift_grid(x_grid: UniformGrid) -> UniformGrid:
     return UniformGrid(tuple((2 * lo, 2 * hi, count) for lo, hi, count in x_grid.axes))
 
 
-def _phase(rows: np.ndarray, cols: np.ndarray, w: np.ndarray, sign: float) -> np.ndarray:
-    """w(c) e^{sign*2*pi*i*r.c} over the node pairs (r, c) of ``rows`` x ``cols``,
-    as one float64 array of shape (2, rows, cols): w*cos, then sign*w*sin."""
-    ph = np.empty((2, len(rows), len(cols)))
-    arg = np.einsum("ra,ca->rc", rows, cols, out=ph[1])
-    arg *= 2.0 * np.pi
-    np.cos(arg, out=ph[0])
-    np.sin(arg, out=ph[1])
-    ph *= w
-    ph[1] *= sign
-    return ph
-
-
-def _parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous float64 copies of a complex array's real and imaginary parts."""
-    return np.ascontiguousarray(a.real), np.ascontiguousarray(a.imag)
-
-
-def _contract(ar: np.ndarray, ai: np.ndarray, ph: np.ndarray, out: np.ndarray) -> None:
-    """out[m, k] = sum_z (ar + i*ai)[m, z] (cos + i*sin)[k, z] with ``ph = (cos, sin)``.
-
-    Four real einsums, each a dot product along the contiguous z axis of both
-    operands, so an entry's bits depend only on its own row and phase row; the
-    parts accumulate in contiguous float64 and ``out`` is written once.
-    """
-    cos, sin = ph
-    re = np.einsum("mz,kz->mk", ar, cos)
-    re -= np.einsum("mz,kz->mk", ai, sin)
-    im = np.einsum("mz,kz->mk", ar, sin)
-    im += np.einsum("mz,kz->mk", ai, cos)
-    out.real = re
-    out.imag = im
-
-
-def _freq_first(sigma: SampledSymbol, Z: np.ndarray) -> np.ndarray:
-    """T(u, z) = sum_xi w(xi) e^{2*pi*i*z.xi} sigma(u, xi): the frequency axis,
-    summed once, ``_Z_BLOCK`` shift columns at a time."""
-    XI, w = sigma.freq.nodes, sigma.freq.weights
-    vr, vi = _parts(sigma.values)
-    out = np.empty((sigma.values.shape[0], Z.shape[0]), dtype=complex)
-    for s in range(0, Z.shape[0], _Z_BLOCK):
-        cols = slice(s, min(s + _Z_BLOCK, Z.shape[0]))
-        _contract(vr, vi, _phase(Z[cols], XI, w, 1.0), out[:, cols])
-    return out
+def _freq_first(sigma: SampledSymbol, zg: UniformGrid) -> np.ndarray:
+    """T(u, z) = sum_xi w(xi) e^{2*pi*i*z.xi} sigma(u, xi) at the nodes z of
+    ``zg``: the frequency axis, summed once, as one transform of the x-rows.
+    C-ordered, as ``interpolate`` reads it flat on every chunk."""
+    return np.ascontiguousarray(_dft(sigma.values.T, sigma.freq, zg, 1.0).T)
 
 
 def _shift_to_freq(xg: UniformGrid, xig: UniformGrid, zg: UniformGrid, shifted) -> SampledSymbol:
     """a(x, xi) = sum_z w(z) e^{-2*pi*i*z.xi} c(x, z) over the nodes of ``zg``,
     ``_X_CHUNK`` x-rows at a time; ``shifted(X)`` gives c on the rows X."""
-    ph = _phase(xig.nodes, zg.nodes, zg.weights, -1.0)
     out = np.empty((xg.size, xig.size), dtype=complex)
     for s in range(0, xg.size, _X_CHUNK):
         rows = slice(s, min(s + _X_CHUNK, xg.size))
-        _contract(*_parts(shifted(xg.nodes[rows])), ph, out[rows])
+        out[rows] = _dft(shifted(xg.nodes[rows]).T, zg, xig, -1.0).T
     return SampledSymbol(xg, xig, out)
 
 
@@ -142,13 +106,10 @@ def tau_apply(sigma: SampledSymbol, tau: float, f: SampledField) -> SampledField
     # the difference lattice: 2n-1 nodes per axis at the x spacing, z = 0 in the middle;
     # x-node i minus y-node j sits at i - j + n - 1 per axis, so its flat index is
     # flat(i) - flat(j) + flat(n - 1) with both raveled over the lattice's shape
-    n = np.array(xg.shape)
-    zshape = tuple(2 * n - 1)
-    zidx = np.stack(np.unravel_index(np.arange(np.prod(zshape)), zshape), axis=-1)
-    Z = (zidx - (n - 1)) * np.array(xg.spacing)
-    S = _freq_first(sigma, Z)
-    zflat = np.ravel_multi_index(np.unravel_index(np.arange(xg.size), xg.shape), zshape)
-    center = np.ravel_multi_index(tuple(n - 1), zshape)
+    zg = UniformGrid(tuple((lo - hi, hi - lo, 2 * count - 1) for lo, hi, count in xg.axes))
+    S = _freq_first(sigma, zg)
+    zflat = np.ravel_multi_index(np.unravel_index(np.arange(xg.size), xg.shape), zg.shape)
+    center = np.ravel_multi_index(tuple(n - 1 for n in xg.shape), zg.shape)
     X = xg.nodes
     wf = xg.weights * f.values
     out = np.empty(xg.size, dtype=complex)
@@ -156,7 +117,7 @@ def tau_apply(sigma: SampledSymbol, tau: float, f: SampledField) -> SampledField
         rows = slice(s, min(s + _X_CHUNK, xg.size))
         pts = (tau * X[rows, None, :] + (1.0 - tau) * X[None, :, :]).reshape(-1, xg.dim)
         cols = (zflat[rows, None] - zflat[None, :] + center).reshape(-1)
-        out[rows] = np.einsum("my,y->m", interpolate(S, xg, pts, cols).reshape(-1, xg.size), wf)
+        out[rows] = (interpolate(S, xg, pts, cols).reshape(-1, xg.size) * wf).sum(axis=1)
     return SampledField(xg, out)
 
 
@@ -215,7 +176,7 @@ def tau_convert(b: SampledSymbol, tau: float, tau_prime: float) -> SampledSymbol
     zg = shift_grid(xg)
     Z = zg.nodes
     # eta first, once per call: B(u, z) = sum_eta w(eta) e^{+2 pi i eta.z} b(u, eta)
-    B = _freq_first(b, Z)
+    B = _freq_first(b, zg)
 
     def shifted(Xc):
         pts = (Xc[:, None, :] + delta * Z[None, :, :]).reshape(-1, xg.dim)

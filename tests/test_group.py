@@ -501,6 +501,14 @@ def test_quadrature_rejects_non_finite_nodes_and_weights(where, value):
         GroupQuadrature("su2-euler", nodes, weights)
 
 
+@pytest.mark.parametrize("kind", ["su2-euler", "s3"])
+def test_quadrature_rejects_nodes_that_are_not_three_angles(kind):
+    # a (4, 2) node array would otherwise build and fail later, unpacking its
+    # columns into three Euler angles
+    with pytest.raises(ShapeError, match=f"{kind} quadrature nodes need 3 columns, got 2"):
+        GroupQuadrature(kind, np.zeros((4, 2)), np.full(4, 0.25))
+
+
 def test_invalid_inputs(quad):
     with pytest.raises(DomainError):
         su2_irrep_table(quad, -1)

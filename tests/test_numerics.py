@@ -16,6 +16,7 @@ from nucfio.numerics import (
     _fft_sizes,
     _openblas_threads,
     _roots,
+    _whole_steps,
     character_sum,
     characters,
     dense_eigenvalues,
@@ -67,17 +68,21 @@ def _torus_count(src, dst):
 
 
 def _exact_roots(src, dst, sign):
-    """e^{sign*2*pi*i x.xi} for every node pair, (src.size, dst.size). On a
-    window-torus pair, x.xi = r/N for the integer r = (m.k) mod N, m the
-    window node and k/N the torus node, so each entry is the exp of an exact
-    fraction of a turn. Elsewhere, ``characters``: on the dyadic pairs
+    """e^{sign*2*pi*i x.xi} for every node pair, (src.size, dst.size). On an
+    FFT pair, x = (A + m) h and xi = (B + j) h' with h h' = 1/N_a on each
+    axis a, so x.xi = r/L for L = lcm(N_a) and the integer
+    r = sum_a ((A + m_a)(B + j_a) mod N_a) L/N_a: each entry is the exp of an
+    exact fraction of a turn. Elsewhere, ``characters``: on the dyadic pairs
     tested, exact roots of unity."""
-    N = _torus_count(src, dst)
-    if N is None:
+    sizes = _fft_sizes(src, dst)
+    if sizes is None:
         return characters(src.nodes, dst.nodes, sign)
-    m, k = (g.nodes if isinstance(g, LatticeWindow) else g.nodes * N for g in (src, dst))
-    r = np.rint(m) @ np.rint(k).T % N
-    return np.exp(sign * 2j * np.pi * r / N)
+    L = math.lcm(*sizes)
+    m = np.unravel_index(np.arange(src.size), src.shape)
+    j = np.unravel_index(np.arange(dst.size), dst.shape)
+    steps = zip(_whole_steps(src), _whole_steps(dst), sizes, m, j)
+    r = sum(np.outer(A + ma, B + ja) % N * (L // N) for (A, _), (B, _), N, ma, ja in steps) % L
+    return np.exp(sign * 2j * np.pi * r / L)
 
 
 def _fsum_transform(W, src, dst, sign):
@@ -97,21 +102,26 @@ def _fsum_transform(W, src, dst, sign):
 def assert_transform_matches(got, weighted, src, dst, sign):
     """``got`` against ``character_sum(weighted, ...)``: bit for bit where
     the pair takes the character sum, within C_FFT's bound where it takes the
-    FFT path. A window against a torus of N nodes, N not a power of two,
-    takes the exact-root ``_fsum_transform`` instead: there the character
-    sum's ``np.exp`` table is itself off by up to about twice the bound."""
+    FFT path. An FFT pair whose N is not a power of two takes the exact-root
+    ``_fsum_transform`` instead: there the character sum's ``np.exp`` table
+    is itself off by up to about twice the bound."""
     sizes = _fft_sizes(src, dst)
     if sizes is None:
         assert np.array_equal(got, character_sum(weighted, src.nodes, dst.nodes, sign))
         return
-    N = _torus_count(src, dst)
-    if N is not None and N & (N - 1):
-        want = _fsum_transform(weighted[:, None], src, dst, sign)[:, 0]
-    else:
+    if all(N & (N - 1) == 0 for N in sizes):
         want = character_sum(weighted, src.nodes, dst.nodes, sign)
+    else:
+        want = _fsum_transform(weighted[:, None], src, dst, sign)[:, 0]
     bound = C_FFT * np.finfo(float).eps * math.log2(math.prod(sizes)) * np.abs(weighted).sum(axis=0)
     assert np.all(np.abs(got - want) <= bound)
 
+
+# quantize's grids at the benchmark's resolution: the x grid, step 1/20, its
+# difference lattice (step 1/20) and its shift grid (step 1/10)
+_TAU_GRID = UniformGrid.box(-5.0, 5.0, 201)
+_DIFFERENCE_LATTICE = UniformGrid.box(-10.0, 10.0, 401)
+_SHIFT_GRID = UniformGrid.box(-10.0, 10.0, 201)
 
 _PAIRS = {
     # 1025 output nodes: the last chunk is partial; spacings 1/64 and 3/256
@@ -126,6 +136,10 @@ _PAIRS = {
     "torus_to_window": (UniformGrid.torus(24), LatticeWindow(1, 5)),
     # more columns than _CHUNK, each summed over one table
     "many_columns": (UniformGrid.box(-1.0, 1.0, 33), UniformGrid.box(-2.0, 2.0, 40)),
+    # steps 1/20 against 1/20 and 1/10: commensurate, although the float
+    # nodes are not whole multiples of the float step
+    "tau_grid_to_difference_lattice": (_TAU_GRID, _DIFFERENCE_LATTICE),
+    "tau_grid_to_shift_grid": (_TAU_GRID, _SHIFT_GRID),
 }
 
 
@@ -142,7 +156,7 @@ def test_batched_transform_matches_one_column_calls(pair, ks):
     # or within the FFT bound of the exact sum on a commensurate pair
     src, dst = _PAIRS[pair]
     fft = _fft_sizes(src, dst) is not None
-    assert fft == (pair.endswith("_dyadic") or _torus_count(src, dst) is not None)
+    assert fft == (pair.endswith("_dyadic") or pair.startswith("tau_grid") or _torus_count(src, dst) is not None)
     rng = np.random.default_rng(len(pair))
     for k in ks:
         V = rng.standard_normal((src.size, k)) + 1j * rng.standard_normal((src.size, k))
@@ -179,6 +193,10 @@ _FFT_PAIRS = {
     "torus_49_to_window": (UniformGrid.torus(49), LatticeWindow(1, 11), (49,)),
     "window_to_torus_100": (LatticeWindow(1, 20), UniformGrid.torus(100), (100,)),
     "dim2_torus_14_to_window": (UniformGrid.torus(14, 2), LatticeWindow(2, 3), (14, 14)),
+    # quantize's frequency sums (pad to 400, fold onto 200) and shift sum (fold)
+    "tau_grid_to_difference_lattice": (_TAU_GRID, _DIFFERENCE_LATTICE, (400,)),
+    "tau_grid_to_shift_grid": (_TAU_GRID, _SHIFT_GRID, (200,)),
+    "shift_grid_to_tau_grid": (_SHIFT_GRID, _TAU_GRID, (200,)),
 }
 
 
@@ -210,15 +228,39 @@ def test_radius_zero_window_transforms_against_a_torus(dim):
     assert np.array_equal(dft_inverse(g, window).values, [ksum(torus.weights * g.values)])
 
 
+def test_whole_steps_are_exact_ratios_of_the_axis_ends():
+    # the tau grid's float nodes -5 + 0.05 m are not 0.05 (A + m) bit for
+    # bit, but its exact step 10/200 = 1/20 puts lo at A = -100 whole steps
+    grid = _TAU_GRID
+    h = grid.spacing[0]
+    assert not np.array_equal(grid.axis_nodes[0], h * (-100 + np.arange(201)))
+    assert _whole_steps(grid) == [(-100, (1, 20))]
+    assert _whole_steps(_DIFFERENCE_LATTICE) == [(-200, (1, 20))]
+    assert _whole_steps(_SHIFT_GRID) == [(-100, (1, 10))]
+    # gaussian_rank1's box: step 12/511, lo/h = -255.5 is no whole number of steps
+    assert _whole_steps(UniformGrid.box(-6.0, 6.0, 512)) is None
+    assert _whole_steps(UniformGrid(((-6.0, 6.0, 512), (-2.0, 2.0, 9)))) is None
+    # windows, [0, 1) tori and boxes with dyadic steps keep the steps they
+    # had when the float nodes had to be whole multiples of the float step
+    assert _whole_steps(LatticeWindow(2, 3)) == [(-3, (1, 1))] * 2
+    assert _whole_steps(LatticeWindow(1, 0)) == [(0, (1, 1))]
+    assert _whole_steps(UniformGrid.torus(14, 2)) == [(0, (1, 14))] * 2
+    for grid in (UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-2.0, 2.0, 17, 2), UniformGrid.box(-6.0, 6.0, 1025)):
+        h = grid.spacing[0]
+        assert np.array_equal(grid.axis_nodes[0], h * (round(grid.axes[0][0] / h) + np.arange(grid.shape[0])))
+        assert _whole_steps(grid) == [(round(lo / h), h.as_integer_ratio()) for lo, _, _ in grid.axes]
+
+
 @pytest.mark.parametrize(
     "src, dst",
     [
         # gaussian_rank1's box, spacing 12/511, against itself
         (UniformGrid.box(-6.0, 6.0, 512), UniformGrid.box(-6.0, 6.0, 512)),
-        # the tau grid, spacing 1/20, against itself
-        (UniformGrid.box(-5.0, 5.0, 201), UniformGrid.box(-5.0, 5.0, 201)),
+        # criterion 3's grid, spacing 5/128, against its difference lattice:
+        # whole steps, but h h' = 25/16384 is no unit fraction
+        (UniformGrid.box(-5.0, 5.0, 257), UniformGrid.box(-10.0, 10.0, 513)),
     ],
-    ids=["gaussian_rank1", "tau_grid"],
+    ids=["gaussian_rank1", "criterion3_difference_lattice"],
 )
 def test_non_commensurate_pairs_keep_the_character_sum(src, dst):
     assert _fft_sizes(src, dst) is None

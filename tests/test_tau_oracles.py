@@ -7,7 +7,8 @@ symbol at every point pair (``interpolate_rows``) and contract afterwards.
 Interpolation is linear in the samples, so the two orders agree to roundoff.
 The third, ``complex_symbol_synthesis``, is the symbol synthesis with its
 shift integral as one complex three-operand einsum, where quantize now runs
-four real ones. The bound is 1e-13 relative to the oracle's largest entry.
+``numerics`` transforms. The bound is 1e-13 relative to the oracle's largest
+entry.
 """
 
 import itertools
@@ -16,8 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nucfio import quantize
-from nucfio.grids import SampledField, SampledSymbol, UniformGrid, _axis_stencil, interpolate, ksum
+from nucfio.grids import SampledField, UniformGrid, _axis_stencil, interpolate, ksum
 from nucfio.nuclear import RankOneSequence
 from nucfio.quantize import shift_grid, tau_apply, tau_convert, weyl_symbol_from_decomposition
 
@@ -219,19 +219,3 @@ def test_shift_integral_peak_is_no_greater_than_its_oracle(route, oracle):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1]
-
-
-@pytest.mark.parametrize("count, dim", [(201, 1), (13, 2)])
-def test_frequency_table_bits_do_not_depend_on_the_block_width(monkeypatch, count, dim):
-    # tau_apply's difference lattice: 2n - 1 shifts per axis, 401 in dim 1, which
-    # no block width below divides; every column must get the same bits anyway
-    grid = UniformGrid.box(-5.0, 5.0, count, dim)
-    rng = np.random.default_rng(dim)
-    values = rng.standard_normal((grid.size, grid.size)) + 1j * rng.standard_normal((grid.size, grid.size))
-    sym = SampledSymbol(grid, grid, values)
-    Z = UniformGrid.box(-10.0, 10.0, 2 * count - 1, dim).nodes
-    tables = []
-    for width in (1, 17, Z.shape[0]):
-        monkeypatch.setattr(quantize, "_Z_BLOCK", width)
-        tables.append(quantize._freq_first(sym, Z))
-    assert all(np.array_equal(t, tables[-1]) for t in tables[:-1])
