@@ -18,6 +18,7 @@ from nucfio.group import (
     s3_quadrature,
     su2_haar_quadrature,
     su2_irrep_table,
+    su2_schur_error,
     wigner_matrix,
 )
 from nucfio.numerics import dense_eigenvalues
@@ -39,6 +40,9 @@ for twoL in (1, 2, 3, 4):
 T1, T2 = su2_irrep_table(quad, 1), su2_irrep_table(quad, 2)
 cross = np.einsum("n,nij,nkl->ijkl", quad.weights, T1, T2.conj())
 print("cross-spin orthogonality:", np.abs(cross).max())
+# every spin pair up to twoL = 3 at once, the node sum taken over the Euler
+# product rule's alpha, gamma and beta axes in turn
+print("Schur defect through twoL = 3 (sum-factorized):", su2_schur_error(quad))
 
 # the identity operator truncated at spin 1: trace = 1 + 4 + 9 = 14
 cutoff = 2

@@ -44,6 +44,7 @@ from .group import (
     s3_quadrature,
     su2_haar_quadrature,
     su2_irrep_table,
+    su2_schur_error,
     torus_matrix,
     torus_nuclear_trace,
     torus_symbol_from_decomposition,
@@ -416,17 +417,8 @@ def _su2_haar_checks(cfg: dict, verb: str) -> tuple:
     defect = max(unitarity_defect(su2_irrep_table(quad, t)) for t in range(cutoff + 1))
     checks.append(("table_unitarity", defect, 1e-10))
 
-    # Schur orthogonality up to spin 3/2 (twoL <= 3)
-    schur = 0.0
-    for tA in range(0, 4):
-        TA = su2_irrep_table(quad, tA)
-        for tB in range(0, 4):
-            TB = su2_irrep_table(quad, tB)
-            G = np.einsum("n,nij,nkl->ijkl", quad.weights, TA, TB.conj())
-            d = tA + 1
-            target = np.einsum("ik,jl->ijkl", np.eye(d), np.eye(d)) / d if tA == tB else 0.0
-            schur = max(schur, float(np.abs(G - target).max()))
-    checks.append(("schur_orthogonality", schur, 1e-6))
+    # Schur orthogonality over every spin pair up to max(3, cutoff_twoL)
+    checks.append(("schur_orthogonality", su2_schur_error(quad, max(3, cutoff)), 1e-6))
 
     # composition D(U1 U2) = D(U1) D(U2) on deterministic angle pairs
     pairs = [

@@ -54,6 +54,7 @@ __all__ = [
     "wigner_matrix",
     "euler_from_su2",
     "su2_irrep_table",
+    "su2_schur_error",
     "group_fourier",
     "identity_phase",
     "group_fio_apply",
@@ -299,14 +300,22 @@ def _euler_axes(quad: GroupQuadrature) -> tuple:
     return quad._cache["euler"]
 
 
+def _small_d(twoL: int, beta: np.ndarray) -> tuple:
+    """(m, d^l(beta)): the weights m = l, ..., -l and the real middle factor
+    d^l = V e^{-i beta lam} V^* of J_y's eigendecomposition at each beta, one
+    ``einsum``, as an (n_beta, d, d) complex array."""
+    m, lam, V = _jy_eig(twoL)
+    return m, np.einsum("ik,nk,jk->nij", V, np.exp(-1j * np.outer(beta, lam)), V.conj())
+
+
 def su2_irrep_table(quad: GroupQuadrature, twoL: int) -> np.ndarray:
     """Representation matrices D^l at every quadrature node, cached and
     read-only (phases and tables share the cached array, so a write would
     change every later caller's table).
 
     D^l = e^{-i m alpha} d^l(beta) e^{-i m' gamma}: each factor is evaluated
-    once per distinct angle of the nodes (``_euler_axes``), d^l(beta) by one
-    ``einsum`` over those betas, and every entry is (e^{-i m alpha} d^l)
+    once per distinct angle of the nodes (``_euler_axes``), d^l(beta) by
+    ``_small_d`` over those betas, and every entry is (e^{-i m alpha} d^l)
     e^{-i m' gamma}, the order of a node-by-node product, so the table holds
     that product's bits. A product rule's table is the broadcast product over
     (n_alpha, n_beta, n_gamma, d, d), reshaped to (N, d, d), and takes about
@@ -318,9 +327,8 @@ def su2_irrep_table(quad: GroupQuadrature, twoL: int) -> np.ndarray:
     if key in quad._cache:
         return quad._cache[key]
     (alpha, beta, gamma), index = _euler_axes(quad)
-    m, lam, V = _jy_eig(twoL)
+    m, d_beta = _small_d(twoL, beta)
     left = np.exp(-1j * np.outer(alpha, m))
-    d_beta = np.einsum("ik,nk,jk->nij", V, np.exp(-1j * np.outer(beta, lam)), V.conj())
     right = np.exp(-1j * np.outer(gamma, m))
     if index is None:
         ad = left[:, None, :, None] * d_beta
@@ -335,6 +343,45 @@ def su2_irrep_table(quad: GroupQuadrature, twoL: int) -> np.ndarray:
     T.setflags(write=False)
     quad._cache[key] = T
     return T
+
+
+def su2_schur_error(quad: GroupQuadrature, max_twoL: int = 3) -> float:
+    """max | sum_n w_n D^A_ij conj(D^B_kl) - delta_AB delta_ik delta_jl / d_A |
+    over the spin pairs twoA, twoB <= max_twoL: Schur orthogonality under the
+    quadrature, the SU(2) twin of ``homog.su3_schur_error``.
+
+    On a C-order Euler product rule (``_euler_axes``) the summand is
+    W[a, b, g] e^{-i p alpha_a} d^A_ij(beta_b) conj(d^B_kl(beta_b)) e^{-i q gamma_g}
+    with p = m_i - m'_k and q = m_j - m'_l (m the weights of spin A, m' of
+    spin B), for the weights as an (n_alpha, n_beta, n_gamma) tensor of any
+    rank. So the node sum is taken in sum-factorized order: one table
+    H[p, b, q] of alpha and gamma harmonic sums over the distinct differences
+    2p, 2q in [-2 max_twoL, 2 max_twoL] (rows 2p + 2 max_twoL), shared by
+    every spin pair, then per pair a last beta sum against
+    d^A(beta) conj(d^B(beta)). No irrep table is built, no (N, d, d) array is
+    formed, and the plain ``einsum``s make no BLAS call, so the value follows
+    no thread count. Any other node list raises ``ValidationError``.
+    """
+    top = require_int(max_twoL, "max_twoL", least=0)
+    (alpha, beta, gamma), index = _euler_axes(quad)
+    if index is not None:
+        raise ValidationError("su2_schur_error needs the nodes of a C-order Euler product rule")
+    W = quad.weights.reshape(alpha.size, beta.size, gamma.size)
+    halves = np.arange(-2 * top, 2 * top + 1) / 2.0  # p and q, exact
+    H = np.einsum("ap,abg->pbg", np.exp(-1j * np.outer(alpha, halves)), W)
+    H = np.einsum("pbg,gq->pbq", H, np.exp(-1j * np.outer(gamma, halves)))
+    small_d = [_small_d(t, beta)[1] for t in range(top + 1)]
+    worst = 0.0
+    for tA, dA in enumerate(small_d):
+        for tB, dB in enumerate(small_d):
+            # H's row of 2(m_i - m'_k) = (tA - 2i) - (tB - 2k), for every (i, k)
+            row = (tA - 2 * np.arange(tA + 1))[:, None] - (tB - 2 * np.arange(tB + 1)) + 2 * top
+            harmonics = H[row[:, None, :, None], :, row[None, :, None, :]]  # (i, j, k, l, b)
+            G = np.einsum("ijklb,bij,bkl->ijkl", harmonics, dA, dB.conj())
+            if tA == tB:
+                G -= np.einsum("ik,jl->ijkl", np.eye(tA + 1), np.eye(tA + 1)) / (tA + 1)
+            worst = max(worst, float(np.abs(G).max()))
+    return worst
 
 
 def unitarity_defect(U: np.ndarray) -> float:

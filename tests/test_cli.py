@@ -278,6 +278,18 @@ def test_su2_haar_check_rejects_operator_keys(tmp_path, capsys):
     assert "unknown keys ['decomposition']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cutoff, code", [(5, 0), (7, 3)])
+def test_su2_haar_check_schur_range_follows_the_cutoff(tmp_path, capsys, cutoff, code):
+    # Schur orthogonality is checked up to max(3, cutoff_twoL): the default
+    # 16 x 16 x 32 rule's defect is 6.2e-9 at twoL <= 5 and 3.3e-5 at <= 7
+    assert run(tmp_path, "haar-check", {"setting": "su2", "cutoff_twoL": cutoff, "s3_resolution": 8}) == code
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    failed = {name for name, check in checks.items() if not check["pass"]}
+    assert failed == (set() if code == 0 else {"schur_orthogonality"})
+    if code:
+        assert "FAIL schur_orthogonality" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "verb, cfg",
     [

@@ -331,6 +331,7 @@ def _coercion_cases():
         s3_quadrature,
         su2_haar_quadrature,
         su2_irrep_table,
+        su2_schur_error,
         wigner_matrix,
     )
     from nucfio.homog import (
@@ -356,6 +357,7 @@ def _coercion_cases():
     integers = {
         "UniformGrid count": (lambda v: UniformGrid.box(-6.0, 6.0, v), [64.9, 2.5, 2.0, "2"]),
         "su2_irrep_table twoL": (lambda v: su2_irrep_table(quad, v), [2.0, True]),
+        "su2_schur_error max_twoL": (lambda v: su2_schur_error(quad, v), [3.0, True, "3"]),
         "wigner_matrix twoL": (lambda v: wigner_matrix(v, 0.1, 0.2, 0.3), [2.0, True]),
         "GroupQuadrature.irrep label": (quad.irrep, [2.0, True]),
         "identity_phase cutoff_twoL": (lambda v: identity_phase(quad, v), [1.0, True]),

@@ -26,6 +26,7 @@ from nucfio.group import (
     group_fourier,
     su2_haar_quadrature,
     su2_irrep_table,
+    su2_schur_error,
     torus_matrix,
     torus_nuclear_trace,
     torus_symbol_from_decomposition,
@@ -485,6 +486,58 @@ def test_product_rule_table_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * T.nbytes
+
+
+def per_node_schur_error(quad, max_twoL):
+    """Schur orthogonality as one three-operand ``einsum`` over every node per
+    spin pair, reading the cached irrep tables: the oracle of the
+    sum-factorized ``su2_schur_error``."""
+    worst = 0.0
+    for tA in range(max_twoL + 1):
+        TA = su2_irrep_table(quad, tA)
+        for tB in range(max_twoL + 1):
+            TB = su2_irrep_table(quad, tB)
+            G = np.einsum("n,nij,nkl->ijkl", quad.weights, TA, TB.conj())
+            d = tA + 1
+            target = np.einsum("ik,jl->ijkl", np.eye(d), np.eye(d)) / d if tA == tB else 0.0
+            worst = max(worst, float(np.abs(G - target).max()))
+    return worst
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 32), (8, 8, 16), (5, 4, 7)], ids=["16-16-32", "8-8-16", "5-4-7"])
+@pytest.mark.parametrize("max_twoL", [0, 3, 5])
+def test_schur_error_matches_the_per_node_oracle(shape, max_twoL):
+    # the same quadrature sum in sum-factorized order; the defects run from
+    # roundoff on the default rule to 0.15 on the 5 x 4 x 7 rule
+    quad = su2_haar_quadrature(*shape)
+    assert su2_schur_error(quad, max_twoL) == pytest.approx(per_node_schur_error(quad, max_twoL), abs=1e-14)
+
+
+def test_schur_error_builds_no_table_and_little_memory():
+    # no irrep table is built or cached; one twoL = 3 table alone is 2.1 MB
+    quad = su2_haar_quadrature(16, 16, 32)
+    tracemalloc.start()
+    try:
+        value = su2_schur_error(quad, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value < 1e-14
+    assert list(quad._cache) == ["euler"]
+    assert peak < 1_000_000
+
+
+def test_schur_error_needs_a_c_order_euler_product_rule():
+    with pytest.raises(ValidationError, match="C-order Euler product rule"):
+        su2_schur_error(s3_quadrature(8))
+    # a product rule's nodes in reversed axis order, alpha varying fastest
+    quad = su2_haar_quadrature(4, 4, 8)
+    nodes = quad.nodes.reshape(4, 4, 8, 3).transpose(2, 1, 0, 3).reshape(-1, 3)
+    weights = quad.weights.reshape(4, 4, 8).transpose(2, 1, 0).reshape(-1)
+    with pytest.raises(ValidationError, match="C-order Euler product rule"):
+        su2_schur_error(GroupQuadrature("su2-euler", nodes, weights))
+    with pytest.raises(DomainError, match="max_twoL = -1 below its minimum 0"):
+        su2_schur_error(quad, -1)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
