@@ -41,7 +41,7 @@ from .group import (
     group_nuclear_trace,
     group_symbol_from_decomposition,
     identity_phase,
-    s3_quadrature,
+    s3_raw_mass,
     su2_haar_quadrature,
     su2_irrep_table,
     su2_schur_error,
@@ -331,9 +331,11 @@ def _su2_quad(cfg: dict):
 
 
 def _su2_identity(quad, cutoff: int) -> tuple:
-    """(Phi, a) of the identity operator on SU(2): Phi(x, l) = t_l(x), a = 1."""
+    """(Phi, a) of the identity operator on SU(2): Phi(x, l) = t_l(x), a = 1 (read-only views)."""
     Phi = identity_phase(quad, cutoff)
-    blocks = {t: np.tile(np.eye(t + 1, dtype=complex), (quad.size, 1, 1)) for t in range(cutoff + 1)}
+    blocks = {
+        t: np.broadcast_to(np.eye(t + 1, dtype=complex), (quad.size, t + 1, t + 1)) for t in range(cutoff + 1)
+    }
     return Phi, GroupSymbol(quad, blocks)
 
 
@@ -442,8 +444,8 @@ def _su2_haar_checks(cfg: dict, verb: str) -> tuple:
     trace_gap = abs(group_nuclear_trace(Phi, a) - expected)
     checks.append(("identity_trace", trace_gap, 1e-6))
 
-    s3 = s3_quadrature(_int(cfg, "s3_resolution", 48, least=4))
-    checks.append(("s3_raw_mass", abs(s3.raw_mass - 4.0 * np.pi**2), 1e-4))
+    s3_mass = s3_raw_mass(_int(cfg, "s3_resolution", 48, least=4))
+    checks.append(("s3_raw_mass", abs(s3_mass - 4.0 * np.pi**2), 1e-4))
     return TraceReport("su2", 0.0, 0.0, np.zeros(0, dtype=complex)), checks
 
 

@@ -78,13 +78,19 @@ def hermite_function(k: int, x: np.ndarray) -> np.ndarray:
     return norm * hk * np.exp(-np.pi * x**2)
 
 
+def _point(value, key: str, dim: int, check) -> list:
+    """A point as a list of exactly dim coordinates, each through ``check``; anything else raises."""
+    if not isinstance(value, list) or len(value) != dim:
+        raise ValidationError(f"{key} must be a list of {dim} coordinates, one per axis, got {value!r}")
+    return [check(v, key) for v in value]
+
+
 def _gaussian(pts: np.ndarray, spec: dict) -> np.ndarray:
     """Product over axes of gaussian_profile at the points; a scalar center
-    applies to every axis."""
+    applies to every axis, a list gives one coordinate per axis."""
     dim = pts.shape[1]
     center = spec.get("center", 0.0)
-    centers = [require_real(c, "center") for c in (center if isinstance(center, list) else [center])]
-    centers = np.broadcast_to(np.asarray(centers, dtype=float), (dim,))
+    centers = _point(center if isinstance(center, list) else [center] * dim, "center", dim, require_real)
     width = require_real(spec.get("width", 1.0), "width")
     vals = np.ones(pts.shape[0])
     for ax in range(dim):
@@ -178,8 +184,7 @@ def lattice_sequence(window: LatticeWindow, spec: dict, rng: np.random.Generator
     if fam == "gaussian":
         return SampledField(window, _gaussian(pts, spec))
     if fam == "delta":
-        at = [require_int(v, "at") for v in np.ravel(spec.get("at", [0] * window.dim))]
-        at = np.asarray(at, dtype=float)
+        at = np.asarray(_point(spec.get("at", [0] * window.dim), "at", window.dim, require_int), dtype=float)
         match = np.all(pts == at[None, :], axis=1)
         if not match.any():
             raise ValidationError(f"delta point {at.tolist()} outside the window")

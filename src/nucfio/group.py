@@ -50,6 +50,7 @@ __all__ = [
     "GroupSymbol",
     "su2_haar_quadrature",
     "s3_quadrature",
+    "s3_raw_mass",
     "s3_su2_points",
     "wigner_matrix",
     "euler_from_su2",
@@ -222,6 +223,17 @@ def su2_haar_quadrature(n_alpha: int = 16, n_beta: int = 16, n_gamma: int = 32) 
     return GroupQuadrature("su2-euler", nodes, W / raw, raw_mass=raw)
 
 
+def _s3_rule(n: int) -> tuple:
+    """The resolution-n 3-sphere rule's t, nu (a row per t) and s nodes, and the unnormalized
+    weight ((tw_i half_i) vw_ij) sw_k of node (t_i, nu_ij, s_k), in row-major order."""
+    tn, tw = _leggauss_ab(n, 0.0, 2.0 * np.pi)
+    sn = 2.0 * np.pi * np.arange(n) / n  # uniform, exact for trig polynomials
+    sw = np.full(n, 2.0 * np.pi / n)
+    half = np.sin(tn / 2.0)[:, None]
+    vn, vw = _leggauss_ab(n, -half, half)  # one nu rule per t node, (n, n)
+    return tn, vn, sn, ((tw[:, None] * half * vw)[:, :, None] * sw).reshape(-1)
+
+
 def s3_quadrature(resolution: int = 48) -> GroupQuadrature:
     """Quadrature for the (t, nu, s) chart of the unit 3-sphere.
 
@@ -232,17 +244,16 @@ def s3_quadrature(resolution: int = 48) -> GroupQuadrature:
     and normalized weights are used for all integrals.
     """
     n = require_int(resolution, "resolution", least=4)
-    tn, tw = _leggauss_ab(n, 0.0, 2.0 * np.pi)
-    sn = 2.0 * np.pi * np.arange(n) / n  # uniform, exact for trig polynomials
-    sw = np.full(n, 2.0 * np.pi / n)
-    half = np.sin(tn / 2.0)[:, None]
-    vn, vw = _leggauss_ab(n, -half, half)  # one nu rule per t node, (n, n)
-    # node (t_i, nu_ij, s_k) in row-major order, weight ((tw_i half_i) vw_ij) sw_k
+    tn, vn, sn, weights = _s3_rule(n)
     T, S = np.broadcast_to(tn[:, None, None], (n, n, n)), np.broadcast_to(sn, (n, n, n))
     nodes = np.stack([T.reshape(-1), np.repeat(vn.reshape(-1), n), S.reshape(-1)], axis=-1)
-    weights = ((tw[:, None] * half * vw)[:, :, None] * sw).reshape(-1)
     raw = float(ksum(weights))
     return GroupQuadrature("s3", nodes, weights / raw, raw_mass=raw)
+
+
+def s3_raw_mass(resolution: int = 48) -> float:
+    """``s3_quadrature(resolution).raw_mass``, bit for bit, without building the nodes."""
+    return float(ksum(_s3_rule(require_int(resolution, "resolution", least=4))[3]))
 
 
 def s3_su2_points(quad: GroupQuadrature) -> np.ndarray:
@@ -263,19 +274,13 @@ def s3_su2_points(quad: GroupQuadrature) -> np.ndarray:
     return U
 
 
-def _leading_run(x: np.ndarray) -> int:
-    """Number of leading entries of x equal to x[0]."""
-    return int(np.argmax(x != x[0])) or x.shape[0]
-
-
 def _euler_axes(quad: GroupQuadrature) -> tuple:
     """The Euler angles of a quadrature's nodes as three axes, found once and cached.
 
-    Returns (axes, index): axes holds the alpha, beta and gamma values, index
-    each node's position in them, or None when the nodes are the C-order
-    ('ij' meshgrid) product of the three axes, as in ``su2_haar_quadrature``
-    (alpha steps every n_beta * n_gamma nodes, beta every n_gamma). Angles
-    are compared by their bits, so -0.0 and 0.0 keep their own factors.
+    Returns (axes, index): the distinct alpha, beta and gamma values by bits
+    (-0.0 and 0.0 keep their own factors), each axis in order of first
+    appearance, and each node's position in them. On a C-order ('ij'
+    meshgrid) product rule the index is the nodes' C-order multi-index.
     3-sphere charts go through the embedding and exact Euler recovery.
     """
     if "euler" in quad._cache:
@@ -286,17 +291,14 @@ def _euler_axes(quad: GroupQuadrature) -> tuple:
         angles = _euler_angles(s3_su2_points(quad))
     else:
         raise ValidationError(f"no SU(2) tables for quadrature kind {quad.kind!r}")
-    a, b, g = (np.ascontiguousarray(x).view(np.int64) for x in angles)
-    n_bg = _leading_run(a)
-    n_g = _leading_run(b[:n_bg])
-    if quad.size % n_bg == 0 and n_bg % n_g == 0:
-        shape = (quad.size // n_bg, n_bg // n_g, n_g)
-        lines = (a[::n_bg, None, None], b[:n_bg:n_g, None], g[:n_g])
-        if all(np.array_equal(x.reshape(shape), np.broadcast_to(v, shape)) for x, v in zip((a, b, g), lines)):
-            quad._cache["euler"] = tuple(line.reshape(-1).view(float).copy() for line in lines), None
-            return quad._cache["euler"]
-    distinct = [np.unique(x, return_inverse=True) for x in (a, b, g)]
-    quad._cache["euler"] = tuple(u.view(float) for u, _ in distinct), tuple(i for _, i in distinct)
+    axes, index = [], []
+    for x in angles:
+        bits = np.ascontiguousarray(x).view(np.int64)
+        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct values by first appearance
+        axes.append(bits[first[order]].view(float))
+        index.append(np.argsort(order)[inverse])
+    quad._cache["euler"] = tuple(axes), tuple(index)
     return quad._cache["euler"]
 
 
@@ -315,31 +317,21 @@ def su2_irrep_table(quad: GroupQuadrature, twoL: int) -> np.ndarray:
 
     D^l = e^{-i m alpha} d^l(beta) e^{-i m' gamma}: each factor is evaluated
     once per distinct angle of the nodes (``_euler_axes``), d^l(beta) by
-    ``_small_d`` over those betas, and every entry is (e^{-i m alpha} d^l)
-    e^{-i m' gamma}, the order of a node-by-node product, so the table holds
-    that product's bits. A product rule's table is the broadcast product over
-    (n_alpha, n_beta, n_gamma, d, d), reshaped to (N, d, d), and takes about
-    its own size in memory; any other node list gathers the factors by each
-    node's index.
+    ``_small_d`` over those betas, and gathered by each node's index. Every
+    entry is (e^{-i m alpha} d^l) e^{-i m' gamma}, the order of a
+    node-by-node product, so the table holds that product's bits.
     """
     twoL = require_int(twoL, "twoL", least=0)
     key = ("table", twoL)
     if key in quad._cache:
         return quad._cache[key]
-    (alpha, beta, gamma), index = _euler_axes(quad)
+    (alpha, beta, gamma), (ia, ib, ig) = _euler_axes(quad)
     m, d_beta = _small_d(twoL, beta)
-    left = np.exp(-1j * np.outer(alpha, m))
-    right = np.exp(-1j * np.outer(gamma, m))
-    if index is None:
-        ad = left[:, None, :, None] * d_beta
-        T = (ad[:, :, None] * right[:, None, :]).reshape(quad.size, twoL + 1, twoL + 1)
-    else:
-        ia, ib, ig = index
-        T = d_beta[ib]
-        # the left factor stays the left operand: a fused complex multiply
-        # need not give b*a the bits of a*b
-        np.multiply(left[ia][:, :, None], T, out=T)
-        np.multiply(T, right[ig][:, None, :], out=T)
+    T = d_beta[ib]
+    # the left factor stays the left operand: a fused complex multiply need
+    # not give b*a the bits of a*b
+    np.multiply(np.exp(-1j * np.outer(alpha, m))[ia][:, :, None], T, out=T)
+    np.multiply(T, np.exp(-1j * np.outer(gamma, m))[ig][:, None, :], out=T)
     T.setflags(write=False)
     quad._cache[key] = T
     return T
@@ -364,9 +356,10 @@ def su2_schur_error(quad: GroupQuadrature, max_twoL: int = 3) -> float:
     """
     top = require_int(max_twoL, "max_twoL", least=0)
     (alpha, beta, gamma), index = _euler_axes(quad)
-    if index is not None:
+    shape = (alpha.size, beta.size, gamma.size)
+    if not np.array_equal(np.ravel_multi_index(index, shape), np.arange(np.prod(shape))):
         raise ValidationError("su2_schur_error needs the nodes of a C-order Euler product rule")
-    W = quad.weights.reshape(alpha.size, beta.size, gamma.size)
+    W = quad.weights.reshape(shape)
     halves = np.arange(-2 * top, 2 * top + 1) / 2.0  # p and q, exact
     H = np.einsum("ap,abg->pbg", np.exp(-1j * np.outer(alpha, halves)), W)
     H = np.einsum("pbg,gq->pbq", H, np.exp(-1j * np.outer(gamma, halves)))

@@ -649,6 +649,14 @@ def test_keys_a_family_or_phase_would_ignore_are_exit_2(tmp_path, capsys, cfg, m
     assert message in capsys.readouterr().err
 
 
+def test_a_point_with_the_wrong_number_of_coordinates_is_exit_2(tmp_path, capsys):
+    # a 2-d window's delta at [1] once landed silently at site (1, 1)
+    cfg = {"setting": "lattice", "dim": 2, "radius": 2, "decomposition": _one_term({"family": "delta", "at": [1]})}
+    assert run(tmp_path, "trace", cfg) == 2
+    assert "at must be a list of 2 coordinates, one per axis, got [1]" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("verb", ["wigner", "quantize"])
 def test_euclid_only_verbs_outside_euclid_are_exit_2(tmp_path, capsys, verb):
     # as haar-check outside su2 and su3: no plain trace without the verb's fields

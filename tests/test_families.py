@@ -72,6 +72,40 @@ def test_lattice_delta(grid):
     assert np.array_equal(f.values, want)
 
 
+def test_lattice_delta_takes_one_coordinate_per_axis():
+    w = LatticeWindow(2, 1)
+    f = lattice_sequence(w, {"family": "delta", "at": [1, 0]}, None)
+    hit = np.flatnonzero(f.values)
+    assert hit.size == 1 and w.nodes[hit[0]].tolist() == [1.0, 0.0]
+    # a point with too few or too many coordinates, or a bare integer, is
+    # never broadcast over the axes
+    for at in ([1], 1, [1, 0, 0], []):
+        with pytest.raises(ValidationError, match="at must be a list of 2 coordinates"):
+            lattice_sequence(w, {"family": "delta", "at": at}, None)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda spec: euclid_field(UniformGrid.box(-4.0, 4.0, 9, 2), spec, None),
+        lambda spec: lattice_sequence(LatticeWindow(2, 2), spec, None),
+    ],
+    ids=["grid", "window"],
+)
+def test_gaussian_center_takes_one_coordinate_per_axis_or_one_scalar(build):
+    def field(center):
+        return build({"family": "gaussian", "center": center, "width": 1.5}).values
+
+    pts = build({"family": "constant"}).grid.nodes
+    want = np.exp(-np.pi * ((pts[:, 0] - 0.1) / 1.5) ** 2) * np.exp(-np.pi * ((pts[:, 1] - 0.2) / 1.5) ** 2)
+    assert np.allclose(field([0.1, 0.2]), want, rtol=1e-14, atol=0.0)
+    # a scalar center applies to every axis
+    assert np.array_equal(field(0.1), field([0.1, 0.1]))
+    for center in ([0.1], [0.1, 0.2, 0.3]):
+        with pytest.raises(ValidationError, match="center must be a list of 2 coordinates"):
+            field(center)
+
+
 def test_random_bandlimited_needs_rng():
     # so a seedless su2 config is rejected before its quadrature is built
     assert spec_needs_rng({"family": "random_bandlimited"})

@@ -22,6 +22,7 @@ from nucfio.group import (
     group_symbol_from_decomposition,
     identity_phase,
     s3_quadrature,
+    s3_raw_mass,
     s3_su2_points,
     group_fourier,
     su2_haar_quadrature,
@@ -382,6 +383,13 @@ def test_s3_quadrature_matches_loop_oracle():
     assert s3.raw_mass == raw
 
 
+@pytest.mark.parametrize("resolution", [4, 7, 48])
+def test_s3_raw_mass_is_the_quadratures_without_its_nodes(resolution):
+    assert s3_raw_mass(resolution) == s3_quadrature(resolution).raw_mass
+    with pytest.raises(DomainError, match="resolution = 3 below its minimum 4"):
+        s3_raw_mass(3)
+
+
 def euler_loop_oracle(U):
     """Euler angles of one SU(2) matrix, the node-by-node recovery with
     scalar moduli and branches."""
@@ -441,6 +449,22 @@ def loop_euler_quadrature(resolution):
     return GroupQuadrature("su2-euler", angles, s3.weights)
 
 
+def permuted_product_rule(shape, seed=0):
+    """A product rule's nodes and weights in a random order: an Euler node
+    list that is no C-order product."""
+    quad = su2_haar_quadrature(*shape)
+    order = np.random.default_rng(seed).permutation(quad.size)
+    return GroupQuadrature("su2-euler", quad.nodes[order], quad.weights[order])
+
+
+def descending_beta_rule(shape):
+    """A C-order Euler product rule whose beta axis runs from pi down to 0."""
+    quad = su2_haar_quadrature(*shape)
+    nodes = quad.nodes.reshape(*shape, 3)[:, ::-1].reshape(-1, 3)
+    weights = quad.weights.reshape(shape)[:, ::-1].reshape(-1)
+    return GroupQuadrature("su2-euler", nodes, weights)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -450,8 +474,13 @@ def loop_euler_quadrature(resolution):
         lambda: s3_quadrature(8),
         lambda: s3_quadrature(12),
         lambda: loop_euler_quadrature(8),
+        lambda: permuted_product_rule((5, 4, 7)),
+        lambda: descending_beta_rule((5, 4, 7)),
     ],
-    ids=["product-16-16-32", "product-5-4-7", "product-2-2-2", "s3-8", "s3-12", "euler-list"],
+    ids=[
+        "product-16-16-32", "product-5-4-7", "product-2-2-2", "s3-8", "s3-12", "euler-list",
+        "permuted-5-4-7", "descending-beta-5-4-7",
+    ],
 )
 def test_irrep_tables_match_the_per_node_oracle(build):
     # one factor per distinct angle, multiplied in the per-node order: the
@@ -504,12 +533,22 @@ def per_node_schur_error(quad, max_twoL):
     return worst
 
 
-@pytest.mark.parametrize("shape", [(16, 16, 32), (8, 8, 16), (5, 4, 7)], ids=["16-16-32", "8-8-16", "5-4-7"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: su2_haar_quadrature(16, 16, 32),
+        lambda: su2_haar_quadrature(8, 8, 16),
+        lambda: su2_haar_quadrature(5, 4, 7),
+        lambda: descending_beta_rule((5, 4, 7)),
+    ],
+    ids=["16-16-32", "8-8-16", "5-4-7", "descending-beta-5-4-7"],
+)
 @pytest.mark.parametrize("max_twoL", [0, 3, 5])
-def test_schur_error_matches_the_per_node_oracle(shape, max_twoL):
+def test_schur_error_matches_the_per_node_oracle(build, max_twoL):
     # the same quadrature sum in sum-factorized order; the defects run from
-    # roundoff on the default rule to 0.15 on the 5 x 4 x 7 rule
-    quad = su2_haar_quadrature(*shape)
+    # roundoff on the default rule to 0.15 on the 5 x 4 x 7 rule, whichever
+    # way its beta axis runs
+    quad = build()
     assert su2_schur_error(quad, max_twoL) == pytest.approx(per_node_schur_error(quad, max_twoL), abs=1e-14)
 
 
