@@ -149,23 +149,24 @@ def _cis(t: np.ndarray, sign: float = 1.0) -> np.ndarray:
     return out
 
 
-def _phase_factor(phase: PhaseSpec, x: np.ndarray, xi: np.ndarray, rows: slice, sign: float) -> np.ndarray:
-    """e^{sign*i*phi} on the rows ``x[rows]`` against all of ``xi``: a linear
-    phase's table is ``numerics.characters`` (roots of unity on dyadic grids),
-    a sampled phase's the ``_cis`` of its table."""
+def _phase_factor(phase: PhaseSpec, space, freq, rows: slice, sign: float) -> np.ndarray:
+    """e^{sign*i*phi} on the rows ``rows`` of the ``space`` nodes against all
+    ``freq`` nodes: a linear phase's table is ``numerics.characters`` (roots
+    of unity at the nodes' exact integer phases, below its cap), a sampled
+    phase's the ``_cis`` of its table."""
     if phase.kind == "linear":
-        return characters(x[rows], xi, sign)
-    return _cis(phase.table(x, xi, rows), sign)
+        return characters(space, freq, sign, rows)
+    return _cis(phase.table(space.nodes, freq.nodes, rows), sign)
 
 
 def _abelian_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> SampledField:
     """out(p) = sum_j w_j e^{i phi(p, j)} a(p, j) (F f)(xi_j), row block by
     row block; f lives on the symbol's space domain, and so does the output."""
-    x, xi = a.space.nodes, a.freq.nodes
     wfhat = a.freq.weights * dft_forward(f, a.freq).values
     out = np.empty(a.space.size, dtype=complex)
     for rows in _row_blocks(a.space.size):
-        out[rows] = ksum(_phase_factor(phase, x, xi, rows, 1.0) * a.values[rows] * wfhat[None, :], axis=1)
+        terms = _phase_factor(phase, a.space, a.freq, rows, 1.0) * a.values[rows] * wfhat[None, :]
+        out[rows] = ksum(terms, axis=1)
     return SampledField(a.space, out)
 
 
@@ -178,14 +179,13 @@ def _abelian_synthesis(phase: PhaseSpec, d: RankOneSequence, space, freq) -> Sam
     in term order, then takes the phase factor, so no temporary is larger
     than a block.
     """
-    x, xi = space.nodes, freq.nodes
     G = dft_inverse(tuple(g for _, g in d.terms), freq)
     A = np.zeros((space.size, freq.size), dtype=complex)
     for rows in _row_blocks(space.size):
         block = A[rows]
         for (h, _), Gk in zip(d.terms, G):
             block += np.outer(h.values[rows], Gk.values)
-        np.multiply(_phase_factor(phase, x, xi, rows, -1.0), block, out=block)
+        np.multiply(_phase_factor(phase, space, freq, rows, -1.0), block, out=block)
     return SampledSymbol(space, freq, A)
 
 
@@ -230,7 +230,7 @@ def _abelian_matrix(phase: PhaseSpec, a: SampledSymbol) -> np.ndarray:
     lattice = isinstance(a.space, LatticeWindow)
     torus, window = (a.freq, a.space) if lattice else (a.space, a.freq)
     x, xi = a.space.nodes, a.freq.nodes
-    B = _phase_factor(phase, x, xi, slice(None), 1.0)
+    B = _phase_factor(phase, a.space, a.freq, slice(None), 1.0)
     B *= a.values
     B *= torus.weights if lattice else torus.weights[:, None]
     F = _fft_sum(B.T if lattice else B, torus, window, -1.0, _fft_sizes(torus, window))

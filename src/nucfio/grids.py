@@ -212,21 +212,20 @@ class UniformGrid:
         if not axes:
             raise ValidationError("grid needs at least one axis")
         nodes, weights = [], []
-        for lo, hi, count in axes:
+        for ax, (lo, hi, count) in enumerate(axes):
             if not (hi > lo):
                 raise ValidationError(f"axis extent [{lo}, {hi}] is empty")
-            if self.periodic:
-                h = (hi - lo) / count
-                nodes.append(lo + h * np.arange(count))
-                weights.append(np.full(count, h))
-            else:
-                h = (hi - lo) / (count - 1)
-                nodes.append(lo + h * np.arange(count))
-                w = np.full(count, h)
+            h = (hi - lo) / (count if self.periodic else count - 1)
+            if not np.isfinite(h):  # hi - lo overflowed, and the step with it
+                raise DomainError(f"axis {ax}: extent hi - lo of [{lo}, {hi}] is {hi - lo}, not finite")
+            nodes.append(lo + h * np.arange(count))
+            w = np.full(count, h)
+            if not self.periodic:
                 w[0] = w[-1] = h / 2  # trapezoid endpoints carry half weight
-                weights.append(w)
-            # the box volume is the product of the axis lengths, so each axis is checked alone
-            if abs(ksum(weights[-1]) - (hi - lo)) > _VOLUME_RTOL * (hi - lo):
+            weights.append(w)
+            # the box volume is the product of the axis lengths, so each axis
+            # is checked alone; a nan sum fails the check
+            if not abs(ksum(w) - (hi - lo)) <= _VOLUME_RTOL * (hi - lo):
                 raise ValidationError("quadrature weights do not sum to the box volume")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "axis_nodes", tuple(nodes))

@@ -98,16 +98,17 @@ def wigner_matrix(twoL: int, alpha: float, beta: float, gamma: float) -> np.ndar
     z-y-z Euler angles with alpha in [0, 2*pi), beta in [0, pi], gamma in
     [0, 4*pi); the gamma range covers the double cover so half-integer spins
     are single-valued. D = e^{-i m alpha} d^l(beta) e^{-i m' gamma} with the
-    real middle factor d^l = exp(-i beta J_y).
+    real middle factor d^l = exp(-i beta J_y) of ``_small_d``, multiplied in
+    the order of ``su2_irrep_table``, so D has the bits of a one-node table.
     """
     twoL = require_int(twoL, "twoL", least=0)
     alpha, beta, gamma = (
         require_real(val, name, -1e-12, hi + 1e-12)
         for name, val, hi in (("alpha", alpha, 2 * np.pi), ("beta", beta, np.pi), ("gamma", gamma, 4 * np.pi))
     )
-    m, lam, V = _jy_eig(twoL)
-    d_beta = (V * np.exp(-1j * beta * lam)) @ V.conj().T
-    return np.exp(-1j * m * alpha)[:, None] * d_beta * np.exp(-1j * m * gamma)[None, :]
+    m, d_beta = _small_d(twoL, np.array([beta]))
+    left, right = (np.exp(-1j * np.outer(t, m)) for t in (alpha, gamma))
+    return (left[:, :, None] * d_beta * right[:, None, :])[0]
 
 
 def euler_from_su2(U: np.ndarray) -> tuple:

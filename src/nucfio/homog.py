@@ -163,7 +163,7 @@ def table_from_torus(x_grid: UniformGrid, cutoff: int) -> ClassIIrrepTable:
     window.check_grid(x_grid, "torus x_count")
     # weights on [0,1)^n already sum to 1 (normalized Haar on the torus)
     labels = window.nodes
-    chars = characters(labels, x_grid.nodes, 1.0)  # one row per label
+    chars = characters(window, x_grid, 1.0)  # one row per label
     matrices = {tuple(int(v) for v in ell): row.reshape(-1, 1, 1) for ell, row in zip(labels, chars)}
     return ClassIIrrepTable(x_grid.weights, matrices, dict.fromkeys(matrices, 1))
 

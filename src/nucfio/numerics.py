@@ -8,12 +8,14 @@ latter for sampled phases). A transform between two grids whose nodes sit
 at whole steps from 0, with steps that multiply to 1/N on every axis (a
 window against any torus, boxes with power-of-two steps against each
 other, steps 1/20 against 1/10), is one FFT: the values go in at their
-index offsets mod N, so no twiddle factor is formed. Each step is exact, a
-ratio of integers formed from the float ends of its axis. Every other pair
-is a compensated sum over a ``characters`` table: on dyadic grids (every
-node an integer over a power of two) a gather from a cached table of roots
-of unity, elsewhere ``np.exp``. This module owns the package's only
-``np.fft`` calls.
+index offsets mod N, so no twiddle factor is formed. Every other pair is a
+compensated sum over a ``characters`` table. Both read the nodes one way,
+``_exact_axes``: node m of an axis is exactly (u0 + S m)/D for integers
+formed from the float ends, so every x.xi is an exact multiple of 1/M, M
+the least common multiple of the axes' D D'. Where M is at most
+2^_ROOTS_BITS the table is a gather from a cached table of the M-th roots
+of unity at that exact integer phase, elsewhere ``np.exp``. This module
+owns the package's only ``np.fft`` calls.
 """
 
 from __future__ import annotations
@@ -59,10 +61,14 @@ _CHUNK = 1024
 # bodies of ``euclid`` and ``mixed_norm``).
 _ROW_CHUNK = 256
 
-# Dyadic character tables gather from the M-th roots of unity, M = 2^(s+t) at
-# most 2^_ROOTS_BITS (a table of at most 1 MB); an FFT transform pads each
-# column to at most 2^_ROOTS_BITS entries, or to the larger grid's size.
+# Character tables gather from the M-th roots of unity, M at most
+# 2^_ROOTS_BITS (a table of at most 1 MB); an FFT transform pads each column
+# to at most 2^_ROOTS_BITS entries, or to the larger grid's size.
 _ROOTS_BITS = 16
+
+# Roots tables kept at once: M is any common denominator of a grid pair, so
+# a sweep over grid counts would otherwise keep one table per count.
+_ROOTS_CACHED = 32
 
 
 def _row_blocks(n: int, unit: int = 1):
@@ -73,16 +79,15 @@ def _row_blocks(n: int, unit: int = 1):
         yield slice(s, min(s + step, n))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_ROOTS_CACHED)
 def _roots(M: int) -> np.ndarray:
-    """The M-th roots of unity e^{2*pi*i k/M}, k < M, for M a power of two.
-
-    Only the first quadrant is evaluated; the second is its exact reflection
-    and the lower half-circle the exact negation of the upper, so
-    R[M - k] = conj(R[k]), and the quarter turns are set exactly. Cached and
-    read-only.
-    """
-    n = max(M, 4)
+    """The M-th roots of unity e^{2*pi*i k/M}, k < M: every (n/M)-th n-th
+    root, n = M if 4 divides M else 4M, of which only the first quadrant is
+    evaluated; the second is its exact reflection and the lower half-circle
+    the exact negation of the upper, so R[M - k] = conj(R[k]), and the
+    quarter turns are set exactly. (2*pi*k)/n scales exactly with k and n,
+    so ``_roots(2M)[::2]`` is ``_roots(M)`` bit for bit. Cached, read-only."""
+    n = M if M % 4 == 0 else 4 * M
     k = np.arange(n // 4 + 1)
     quadrant = np.exp(2j * np.pi * k / n)
     R = np.empty(n, dtype=complex)
@@ -90,109 +95,100 @@ def _roots(M: int) -> np.ndarray:
     R[k] = quadrant
     R[n // 2 :] = -R[: n // 2]
     R[:: n // 4] = (1.0, 1j, -1.0, -1j)
-    R = R[:: n // M]
+    R = R[:: n // M].copy()
     R.flags.writeable = False
     return R
 
 
-def _dyadic_bits(v: np.ndarray):
-    """The least s <= ``_ROOTS_BITS`` with every entry of v * 2^s an integer,
-    or None.
+def _exact_axes(domain) -> list:
+    """Per axis the integers (u0, S, D), gcd 1 and D > 0, with node m
+    exactly (u0 + S m)/D whatever its float rounds to, from the float ends
+    (``as_integer_ratio``) and the exact step: (hi - lo)/(count - 1), or
+    (hi - lo)/count on a periodic axis. A window is (-radius, 1, 1)."""
+    if isinstance(domain, LatticeWindow):
+        return [(-domain.radius, 1, 1)] * domain.dim
+    axes = []
+    for lo, hi, count in domain.axes:
+        (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        steps = count if domain.periodic else count - 1
+        u0, S, D = a * d * steps, c * b - a * d, b * d * steps
+        g = math.gcd(u0, S, D)
+        axes.append((u0 // g, S // g, D // g))
+    return axes
 
-    Read off the binary expansion: a nonzero v = mant * 2^e has its lowest
-    set bit at 2^(e - 53 + z), z the trailing zero bits of the 53-bit
-    integer mant * 2^53, so v * 2^s is an integer iff s >= 53 - e - z.
+
+def _numerators(domain, axes: list, scale: list, M: int, nodes: slice) -> np.ndarray:
+    """Per axis a, the int64 (u0 + S m) scale_a mod M of the flat nodes
+    ``nodes``, with u0 scale_a and S scale_a reduced mod M as Python ints."""
+    steps = zip(axes, scale, domain.shape)
+    per_axis = [(u0 * c % M + S * c % M * (np.arange(n) % M)) % M for (u0, S, _), c, n in steps]
+    index = np.unravel_index(np.arange(domain.size)[nodes], domain.shape)
+    return [u[i] for u, i in zip(per_axis, index)]
+
+
+def characters(row_domain, col_domain, sign: float, rows: slice = slice(None), cols: slice = slice(None)):
+    """The table e^{sign*2*pi*i x_p.xi_j} of the nodes x_p of
+    ``row_domain.nodes[rows]`` against xi_j of ``col_domain.nodes[cols]``.
+
+    With node m exactly (u0 + S m)/D per axis (``_exact_axes``), x_p.xi_j is
+    an exact multiple of 1/M, M = lcm over the axes of D D'. For sign +-1
+    and M at most 2^_ROOTS_BITS the table is gathered from the cached M-th
+    roots of unity at k = sum_a (sign u_a) t_a M/(D_a D'_a) mod M, u_a and
+    t_a the nodes' numerators: exact at quarter turns, with no |theta|*eps
+    argument error. Otherwise it is ``np.exp(sign*2j*np.pi*(x @ xi.T))``.
     """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        return None
-    mant, e = np.frexp(v[v != 0.0])
-    m = np.abs(mant * 2.0**53).astype(np.int64)
-    z = np.frexp((m & -m).astype(float))[1] - 1
-    s = max(0, int((53 - e - z).max(initial=0)))
-    return s if s <= _ROOTS_BITS else None
-
-
-def characters(rows: np.ndarray, cols: np.ndarray, sign: float) -> np.ndarray:
-    """The table e^{sign*2*pi*i rows_p.cols_j}, shape (len(rows), len(cols)).
-
-    ``rows`` and ``cols`` are node arrays of shape (n, dim). Where every row
-    node is a/2^s and every column node b/2^t for integers a, b, with
-    M = 2^(s+t) at most 2^_ROOTS_BITS and sign +-1, each rows_p.cols_j is an
-    exact multiple of 1/M: the table is gathered from the cached M-th roots
-    of unity at (sign * a.b) mod M, the index formed in int64 from sign * a
-    and b reduced mod M (so nothing overflows) and summed over the axes. That
-    table is exact at quarter turns and carries no |theta|*eps argument
-    error. Any other grid gets ``np.exp(sign*2j*np.pi*(rows @ cols.T))``.
-    """
-    s = _dyadic_bits(rows) if sign in (1.0, -1.0) else None
-    t = None if s is None else _dyadic_bits(cols)
-    if t is None or s + t > _ROOTS_BITS:
-        return np.exp(sign * 2j * np.pi * (rows @ cols.T))
-    M = 2 ** (s + t)
-    a = np.mod(sign * rows * 2.0**s, M).astype(np.int64)
-    b = np.mod(cols * 2.0**t, M).astype(np.int64)
-    index = a @ b.T  # integer matmul, exact: each product is below M^2 <= 2^32
-    index &= M - 1
+    row_axes, col_axes = _exact_axes(row_domain), _exact_axes(col_domain)
+    dens = [D * E for (_, _, D), (_, _, E) in zip(row_axes, col_axes)]
+    M = math.lcm(*dens)
+    if M > 2**_ROOTS_BITS or sign not in (1.0, -1.0):
+        return np.exp(sign * 2j * np.pi * (row_domain.nodes[rows] @ col_domain.nodes[cols].T))
+    u = _numerators(row_domain, row_axes, [int(sign) * M // d for d in dens], M, rows)
+    t = _numerators(col_domain, col_axes, [1] * len(dens), M, cols)
+    index = u[0][:, None] * t[0]  # exact in int64: each product is below M^2 <= 2^32
+    for ua, ta in zip(u[1:], t[1:]):
+        index += ua[:, None] * ta
+    if M & (M - 1):
+        index %= M
+    else:
+        index &= M - 1
     return _roots(M).take(index)
 
 
-def character_sum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: float) -> np.ndarray:
-    """sum_p values_p e^{sign*2*pi*i rows_p.cols_j} for every j, ascending in p.
+def character_sum(values: np.ndarray, from_grid, to_grid, sign: float, cols: slice = slice(None)) -> np.ndarray:
+    """sum_p values_p e^{sign*2*pi*i x_p.xi_j} over the nodes x_p of
+    ``from_grid`` for every xi_j of ``to_grid.nodes[cols]``, ascending in p.
 
-    The transform kernel of every grid pair that ``_fft_sizes`` turns down
-    (quadrature transforms on R^n boxes whose steps are not commensurate,
-    with the weights folded into the values), and the oracle of the FFT path
-    on dyadic pairs. ``values`` has shape (n,) or (n, k); the result has shape
-    (len(cols),) or (len(cols), k). The table of ``characters`` is formed
-    once for all k columns, and one compensated sum takes the source rows
-    values_p * E_p one at a time; it is elementwise over the trailing axes,
-    so column c carries the bits of ``character_sum(values[:, c], ...)``.
+    The transform kernel of every grid pair that ``_fft_sizes`` turns down,
+    with the weights folded into the values, and the FFT path's oracle.
+    ``values`` has shape (n,) or (n, k), the result (n_cols,) or
+    (n_cols, k). The table of ``characters`` is formed once for all k
+    columns, and one compensated sum takes the source rows values_p * E_p
+    one at a time; it is elementwise over the trailing axes, so column c
+    carries the bits of ``character_sum(values[:, c], ...)``.
     """
-    E = characters(rows, cols, sign)
+    E = characters(from_grid, to_grid, sign, cols=cols)
     acc = KahanSum(E.shape[1:] + values.shape[1:], complex)
     if values.ndim == 1:
         return acc.add(v * e for v, e in zip(values, E)).value
     return acc.add(v[None, :] * e[:, None] for v, e in zip(values, E)).value
 
 
-def _whole_steps(grid):
-    """(A, (p, q)) per axis, every node at x_m = (A + m) h for integers A
-    and the step h = p/q in lowest terms, or None. The step is exact:
-    h = (hi - lo)/(count - 1), or (hi - lo)/count on a periodic axis, as a
-    ratio of integers formed from the float ends; an axis qualifies wherever
-    lo/h is an integer, whatever its float nodes round to. A window has
-    A = -radius and h = 1."""
-    if isinstance(grid, LatticeWindow):
-        return [(-grid.radius, (1, 1))] * grid.dim
-    steps = []
-    for lo, hi, count in grid.axes:
-        (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        p, q = c * b - a * d, b * d * (count if grid.periodic else count - 1)
-        g = math.gcd(p, q)
-        p, q = p // g, q // g
-        A, r = divmod(a * q, b * p)  # lo/h = (a/b)(q/p)
-        if r:
-            return None
-        steps.append((A, (p, q)))
-    return steps
-
-
 def _fft_sizes(from_grid, to_grid):
-    """The DFT length N_a of every axis, with h_a h'_a = 1/N_a exactly for
-    the steps of ``_whole_steps``: every window against a torus (N_a its
-    count), boxes whose steps are powers of two, and other boxes whose steps
-    multiply to a unit fraction (1/20 by 1/10: N_a = 200). None for other
-    pairs, or where prod N_a, the FFT array's length per column, exceeds
-    both the larger grid's size and 2^_ROOTS_BITS."""
-    src, dst = _whole_steps(from_grid), _whole_steps(to_grid)
-    if src is None or dst is None:
+    """The DFT length N_a of every axis, where the nodes of both grids sit
+    at whole steps from 0 (S divides u0 in ``_exact_axes``, so the step S/D
+    is in lowest terms) and h_a h'_a = 1/N_a exactly: every window against a
+    torus (N_a its count), boxes whose steps are powers of two, and boxes
+    whose steps multiply to a unit fraction (1/20 by 1/10: N_a = 200). None
+    for other pairs, or where prod N_a, the FFT array's length per column,
+    exceeds both the larger grid's size and 2^_ROOTS_BITS."""
+    sizes = []
+    for (u0, S, D), (v0, T, E) in zip(_exact_axes(from_grid), _exact_axes(to_grid)):
+        if u0 % S or v0 % T or (D * E) % (S * T):
+            return None
+        sizes.append(D * E // (S * T))
+    if math.prod(sizes) > max(2**_ROOTS_BITS, from_grid.size, to_grid.size):
         return None
-    ratios = [(p * pp, q * qp) for (_, (p, q)), (_, (pp, qp)) in zip(src, dst)]  # h h' = p/q
-    sizes = tuple(q // p for p, q in ratios)
-    if any(q % p for p, q in ratios) or math.prod(sizes) > max(2**_ROOTS_BITS, from_grid.size, to_grid.size):
-        return None
-    return sizes
+    return tuple(sizes)
 
 
 def _wrap(a: np.ndarray, ax: int, A: int, N: int) -> np.ndarray:
@@ -210,20 +206,20 @@ def _wrap(a: np.ndarray, ax: int, A: int, N: int) -> np.ndarray:
 def _fft_sum(values: np.ndarray, from_grid, to_grid, sign: float, sizes: tuple) -> np.ndarray:
     """``character_sum`` over the nodes of a pair that ``_fft_sizes`` accepts.
 
-    With x_m = (A + m) h, xi_j = (B + j) h' and h h' = 1/N per axis, the sum
-    is the N-point DFT of values_m placed at (A + m) mod N, read at
-    (B + j) mod N: no twiddle factor, exact roots for any N. ``values`` is
-    (n,) or (n, k), source first. Axis by axis, each column along its own
-    lines (so keeping its own bits), the axis is placed (``_wrap``), takes
-    one ``fft`` (``ifft`` unscaled for sign +1) and is read at its output
-    nodes. Per entry the result is within c * eps * log2(prod N) *
+    With x_m = (A + m) h, xi_j = (B + j) h' (A = u0/S and B = v0/T of
+    ``_exact_axes``) and h h' = 1/N per axis, the sum is the N-point DFT of
+    values_m placed at (A + m) mod N, read at (B + j) mod N: no twiddle
+    factor, exact roots for any N. ``values`` is (n,) or (n, k), source
+    first. Axis by axis, each column along its own lines (so keeping its own
+    bits), the axis is placed (``_wrap``), takes one ``fft`` (``ifft``
+    unscaled for sign +1) and is read at its output nodes. Per entry the result is within c * eps * log2(prod N) *
     sum |values| of the exact sum for a small c (Bailey and Swarztrauber,
     SIAM Rev. 33, 1991); the tests hold it to c = 1.
     """
     a = values.reshape(from_grid.shape + (-1,))
-    plan = zip(_whole_steps(from_grid), _whole_steps(to_grid), sizes, to_grid.shape)
-    for ax, ((A, _), (B, _), N, m) in enumerate(plan):
-        a = _wrap(a, ax, A, N)
+    plan = zip(_exact_axes(from_grid), _exact_axes(to_grid), sizes, to_grid.shape)
+    for ax, ((u0, S, _), (v0, T, _), N, m) in enumerate(plan):
+        a, B = _wrap(a, ax, u0 // S, N), v0 // T
         a = np.fft.fft(a, axis=ax) if sign < 0 else np.fft.ifft(a, axis=ax, norm="forward")
         a = a[(slice(None),) * ax + (np.arange(B, B + m) % N,)]  # no C-order copy, as ``take`` makes
     return a.reshape((to_grid.size,) + values.shape[1:])
@@ -244,10 +240,9 @@ def _dft(values: np.ndarray, from_grid: UniformGrid, to_grid: UniformGrid, sign:
     sizes = _fft_sizes(from_grid, to_grid)
     if sizes is not None:
         return _fft_sum(wsrc, from_grid, to_grid, sign, sizes)
-    src, dst = from_grid.nodes, to_grid.nodes
     out = np.empty((to_grid.size,) + values.shape[1:], dtype=complex)
     for s in range(0, to_grid.size, _CHUNK):
-        out[s : s + _CHUNK] = character_sum(wsrc, src, dst[s : s + _CHUNK], sign)
+        out[s : s + _CHUNK] = character_sum(wsrc, from_grid, to_grid, sign, slice(s, s + _CHUNK))
     return out
 
 

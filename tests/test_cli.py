@@ -326,6 +326,12 @@ def test_unread_p_key_is_exit_2(tmp_path, capsys, cfg):
     assert "unknown keys ['p']" in capsys.readouterr().err
 
 
+def test_grid_whose_extent_overflows_is_exit_2(tmp_path, capsys):
+    # rejected at the grid, before any field is sampled on its inf nodes
+    assert run(tmp_path, "trace", {**euclid_cfg(), "grid": {"lo": -1e308, "hi": 1e308, "count": 3}}) == 2
+    assert "axis 0: extent hi - lo of [-1e+308, 1e+308] is inf" in capsys.readouterr().err
+
+
 def test_lattice_p_next_to_a_decomposition_is_exit_2(tmp_path, capsys):
     # a decomposition carries its own p1 and p2, so "p" would be ignored
     constant = {"family": "constant"}

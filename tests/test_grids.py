@@ -57,6 +57,22 @@ def test_grid_rejects_bad_axes():
         UniformGrid(((0.0, 1.0, 1),))  # fewer than 2 nodes
 
 
+@pytest.mark.parametrize(
+    "axes, periodic",
+    [
+        (((-1e308, 1e308, 3),), False),
+        (((-1.7e308, 1.7e308, 1000),), True),
+        (((0.0, 1.0, 5), (-1e308, 1e308, 2)), False),
+    ],
+    ids=["box", "periodic", "second_axis"],
+)
+def test_grid_rejects_an_extent_that_overflows(axes, periodic):
+    # hi - lo rounds to inf: the nodes would be [nan, inf, ...] and the
+    # weights inf, and a volume check of nan would not fail
+    with pytest.raises(DomainError, match=f"axis {len(axes) - 1}: extent .* inf"):
+        UniformGrid(axes, periodic=periodic)
+
+
 def test_ksum_matches_fsum_on_adversarial_input():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(2000) * 10.0 ** rng.integers(-8, 8, size=2000)

@@ -84,6 +84,15 @@ def test_wigner_matrix_unitary_all_spins():
         assert np.abs(D @ D.conj().T - np.eye(twoL + 1)).max() < 1e-13
 
 
+def test_wigner_matrix_is_a_one_node_irrep_table():
+    # one d^l(beta) formula and one product order: D^l at any angles has the
+    # bits of the table of a quadrature whose one node they are
+    for angles in ((0.7, 1.1, 2.3), (1.9, 0.8, 5.3), (0.0, np.pi, 4.0 * np.pi - 1e-3), (6.1, 0.05, 0.4)):
+        quad = GroupQuadrature("su2-euler", np.array([angles]), np.ones(1))
+        for twoL in range(6):
+            assert np.array_equal(wigner_matrix(twoL, *angles), su2_irrep_table(quad, twoL)[0])
+
+
 def test_composition_property():
     e1, e2 = (0.7, 0.9, 1.3), (2.1, 2.4, 3.7)
     U12 = wigner_matrix(1, *e1) @ wigner_matrix(1, *e2)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,10 @@ from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid
 from nucfio.numerics import (
     _CHUNK,
     _ROOTS_BITS,
+    _exact_axes,
     _fft_sizes,
     _openblas_threads,
     _roots,
-    _whole_steps,
     character_sum,
     characters,
     dense_eigenvalues,
@@ -67,22 +68,41 @@ def _torus_count(src, dst):
     return None
 
 
-def _exact_roots(src, dst, sign):
-    """e^{sign*2*pi*i x.xi} for every node pair, (src.size, dst.size). On an
-    FFT pair, x = (A + m) h and xi = (B + j) h' with h h' = 1/N_a on each
-    axis a, so x.xi = r/L for L = lcm(N_a) and the integer
-    r = sum_a ((A + m_a)(B + j_a) mod N_a) L/N_a: each entry is the exp of an
-    exact fraction of a turn. Elsewhere, ``characters``: on the dyadic pairs
-    tested, exact roots of unity."""
-    sizes = _fft_sizes(src, dst)
-    if sizes is None:
-        return characters(src.nodes, dst.nodes, sign)
-    L = math.lcm(*sizes)
+def _exact_nodes(domain):
+    """Per axis, the nodes as exact Fractions: lo + m (hi - lo)/steps from
+    the float ends, or the window's integers."""
+    if isinstance(domain, LatticeWindow):
+        return [[Fraction(v) for v in range(-domain.radius, domain.radius + 1)]] * domain.dim
+    axes = []
+    for lo, hi, count in domain.axes:
+        h = (Fraction(hi) - Fraction(lo)) / (count if domain.periodic else count - 1)
+        axes.append([Fraction(lo) + m * h for m in range(count)])
+    return axes
+
+
+def _integer_phases(src, dst):
+    """(k, M) with x_p.xi_j = k_pj / M exactly for every node pair: per axis
+    x = u/d and xi = t/d' over the least common denominators of the axis'
+    nodes, M the least common multiple of the d d', and k the
+    (src.size, dst.size) table of sums of u t M/(d d') in Python ints."""
     m = np.unravel_index(np.arange(src.size), src.shape)
     j = np.unravel_index(np.arange(dst.size), dst.shape)
-    steps = zip(_whole_steps(src), _whole_steps(dst), sizes, m, j)
-    r = sum(np.outer(A + ma, B + ja) % N * (L // N) for (A, _), (B, _), N, ma, ja in steps) % L
-    return np.exp(sign * 2j * np.pi * r / L)
+    numerators = []
+    for x, xi in zip(_exact_nodes(src), _exact_nodes(dst)):
+        d, dp = (math.lcm(*(v.denominator for v in nodes)) for nodes in (x, xi))
+        numerators.append(([int(v * d) for v in x], [int(v * dp) for v in xi], d * dp))
+    M = math.lcm(*(dd for _, _, dd in numerators))
+    k = np.zeros((src.size, dst.size), dtype=object)
+    for (u, t, dd), ma, ja in zip(numerators, m, j):
+        k += np.multiply.outer(np.array(u, dtype=object)[ma], np.array(t, dtype=object)[ja]) * (M // dd)
+    return k, M
+
+
+def _exact_roots(src, dst, sign):
+    """e^{sign*2*pi*i x.xi} for every node pair, (src.size, dst.size): the
+    exp of the exact fraction of a turn k/M of ``_integer_phases``."""
+    k, M = _integer_phases(src, dst)
+    return np.exp(sign * 2j * np.pi * (k % M).astype(float) / M)
 
 
 def _fsum_transform(W, src, dst, sign):
@@ -102,17 +122,13 @@ def _fsum_transform(W, src, dst, sign):
 def assert_transform_matches(got, weighted, src, dst, sign):
     """``got`` against ``character_sum(weighted, ...)``: bit for bit where
     the pair takes the character sum, within C_FFT's bound where it takes the
-    FFT path. An FFT pair whose N is not a power of two takes the exact-root
-    ``_fsum_transform`` instead: there the character sum's ``np.exp`` table
-    is itself off by up to about twice the bound."""
+    FFT path, whose pairs here all have their character table gathered from
+    exact roots of unity."""
+    want = character_sum(weighted, src, dst, sign)
     sizes = _fft_sizes(src, dst)
     if sizes is None:
-        assert np.array_equal(got, character_sum(weighted, src.nodes, dst.nodes, sign))
+        assert np.array_equal(got, want)
         return
-    if all(N & (N - 1) == 0 for N in sizes):
-        want = character_sum(weighted, src.nodes, dst.nodes, sign)
-    else:
-        want = _fsum_transform(weighted[:, None], src, dst, sign)[:, 0]
     bound = C_FFT * np.finfo(float).eps * math.log2(math.prod(sizes)) * np.abs(weighted).sum(axis=0)
     assert np.all(np.abs(got - want) <= bound)
 
@@ -124,10 +140,10 @@ _DIFFERENCE_LATTICE = UniformGrid.box(-10.0, 10.0, 401)
 _SHIFT_GRID = UniformGrid.box(-10.0, 10.0, 201)
 
 _PAIRS = {
-    # 1025 output nodes: the last chunk is partial; spacings 1/64 and 3/256
-    # take the roots of unity, as do the two dyadic pairs, the others exp;
-    # the dyadic box pair and every window-torus pair are commensurate and
-    # take the FFT path
+    # 1025 output nodes: the last chunk is partial; every pair's character
+    # table is roots of unity (spacings 1/64 and 3/256: M = 2^14); the
+    # dyadic box pair and every window-torus pair are commensurate and take
+    # the FFT path
     "line_1025": (UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-6.0, 6.0, 1025)),
     "box_dim2": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-3.0, 3.0, 11, 2)),
     "box_dim2_dyadic": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-4.0, 4.0, 17, 2)),
@@ -170,11 +186,11 @@ def test_batched_transform_matches_one_column_calls(pair, ks):
                 if fft:
                     assert np.array_equal(transform(fields[c], dst).values, out[c].values)
             assert np.array_equal(transform(fields[0], dst).values, out[0].values)
-        cols = dst.nodes[:50]
-        stacked = character_sum(V, src.nodes, cols, 1.0)
-        assert stacked.shape == (cols.shape[0], k)
+        cols = slice(50)
+        stacked = character_sum(V, src, dst, 1.0, cols)
+        assert stacked.shape == (min(50, dst.size), k)
         for c in range(k):
-            assert np.array_equal(stacked[:, c], character_sum(V[:, c], src.nodes, cols, 1.0))
+            assert np.array_equal(stacked[:, c], character_sum(V[:, c], src, dst, 1.0, cols))
 
 
 _FFT_PAIRS = {
@@ -228,27 +244,32 @@ def test_radius_zero_window_transforms_against_a_torus(dim):
     assert np.array_equal(dft_inverse(g, window).values, [ksum(torus.weights * g.values)])
 
 
-def test_whole_steps_are_exact_ratios_of_the_axis_ends():
-    # the tau grid's float nodes -5 + 0.05 m are not 0.05 (A + m) bit for
-    # bit, but its exact step 10/200 = 1/20 puts lo at A = -100 whole steps
+def test_exact_axes_are_exact_ratios_of_the_axis_ends():
+    # the tau grid's float nodes -5 + 0.05 m are not 0.05 (-100 + m) bit for
+    # bit, but its exact node m is (-100 + m)/20
     grid = _TAU_GRID
     h = grid.spacing[0]
     assert not np.array_equal(grid.axis_nodes[0], h * (-100 + np.arange(201)))
-    assert _whole_steps(grid) == [(-100, (1, 20))]
-    assert _whole_steps(_DIFFERENCE_LATTICE) == [(-200, (1, 20))]
-    assert _whole_steps(_SHIFT_GRID) == [(-100, (1, 10))]
-    # gaussian_rank1's box: step 12/511, lo/h = -255.5 is no whole number of steps
-    assert _whole_steps(UniformGrid.box(-6.0, 6.0, 512)) is None
-    assert _whole_steps(UniformGrid(((-6.0, 6.0, 512), (-2.0, 2.0, 9)))) is None
-    # windows, [0, 1) tori and boxes with dyadic steps keep the steps they
-    # had when the float nodes had to be whole multiples of the float step
-    assert _whole_steps(LatticeWindow(2, 3)) == [(-3, (1, 1))] * 2
-    assert _whole_steps(LatticeWindow(1, 0)) == [(0, (1, 1))]
-    assert _whole_steps(UniformGrid.torus(14, 2)) == [(0, (1, 14))] * 2
+    assert _exact_axes(grid) == [(-100, 1, 20)]
+    assert _exact_axes(_DIFFERENCE_LATTICE) == [(-200, 1, 20)]
+    assert _exact_axes(_SHIFT_GRID) == [(-100, 1, 10)]
+    # gaussian_rank1's box: node m is (-3066 + 12 m)/511, so lo/h = -255.5
+    # is no whole number of steps and the pair takes no FFT
+    box = UniformGrid.box(-6.0, 6.0, 512)
+    assert _exact_axes(box) == [(-3066, 12, 511)]
+    assert _fft_sizes(box, box) is None
+    assert _exact_axes(UniformGrid(((-6.0, 6.0, 512), (-2.0, 2.0, 9)))) == [(-3066, 12, 511), (-4, 1, 2)]
+    assert _exact_axes(UniformGrid.box(-1.0, 1.0, 4)) == [(-3, 2, 3)]
+    # windows, [0, 1) tori and boxes with dyadic steps h = S/D: node m at
+    # (A + m) h with the float nodes exact, so u0 = A S
+    assert _exact_axes(LatticeWindow(2, 3)) == [(-3, 1, 1)] * 2
+    assert _exact_axes(LatticeWindow(1, 0)) == [(0, 1, 1)]
+    assert _exact_axes(UniformGrid.torus(14, 2)) == [(0, 1, 14)] * 2
     for grid in (UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-2.0, 2.0, 17, 2), UniformGrid.box(-6.0, 6.0, 1025)):
         h = grid.spacing[0]
+        S, D = h.as_integer_ratio()
         assert np.array_equal(grid.axis_nodes[0], h * (round(grid.axes[0][0] / h) + np.arange(grid.shape[0])))
-        assert _whole_steps(grid) == [(round(lo / h), h.as_integer_ratio()) for lo, _, _ in grid.axes]
+        assert _exact_axes(grid) == [(round(lo / h) * S, S, D) for lo, _, _ in grid.axes]
 
 
 @pytest.mark.parametrize(
@@ -269,30 +290,72 @@ def test_non_commensurate_pairs_keep_the_character_sum(src, dst):
     for transform, sign in ((dft_forward, -1.0), (dft_inverse, 1.0)):
         out = transform(tuple(SampledField(src, v) for v in V.T), dst)
         for c, f in enumerate(out):
-            assert np.array_equal(f.values, character_sum(src.weights * V[:, c], src.nodes, dst.nodes, sign))
+            assert np.array_equal(f.values, character_sum(src.weights * V[:, c], src, dst, sign))
 
 
-_NON_DYADIC = {
-    "line_1000": (UniformGrid.box(-6.0, 6.0, 1000).nodes, UniformGrid.box(-4.0, 4.0, 1025).nodes),
-    "box_dim2": (UniformGrid.box(-2.0, 2.0, 9, 2).nodes, UniformGrid.box(-3.0, 3.0, 11, 2).nodes),
-    "torus_20": (LatticeWindow(1, 4).nodes, UniformGrid.torus(20).nodes),
-    # spacing 1/512 on both sides needs 2^18 roots, above the 2^_ROOTS_BITS cap
-    "line_above_cap": (UniformGrid.box(-1.0, 1.0, 1025).nodes, UniformGrid.box(-1.0, 1.0, 1025).nodes),
+_ABOVE_CAP = {
+    # spacing 1/512 on both sides needs M = 2^18 roots, above the
+    # 2^_ROOTS_BITS cap
+    "line_above_cap": (UniformGrid.box(-1.0, 1.0, 1025), UniformGrid.box(-1.0, 1.0, 1025)),
+    # gaussian_rank1's box, step 12/511, against itself: M = 511^2
+    "gaussian_rank1": (UniformGrid.box(-6.0, 6.0, 512), UniformGrid.box(-6.0, 6.0, 512)),
 }
 
 _DYADIC = {
-    "line_1025": (UniformGrid.box(-8.0, 8.0, 1025).nodes, UniformGrid.box(-4.0, 4.0, 1025).nodes),
-    "box_dim2": (UniformGrid.box(-4.0, 4.0, 33, 2).nodes, UniformGrid.box(-2.0, 2.0, 17, 2).nodes),
-    "window_torus_32": (LatticeWindow(2, 5).nodes, UniformGrid.torus(32, 2).nodes),
-    "torus_16_window": (UniformGrid.torus(16, 2).nodes, LatticeWindow(2, 3).nodes),
+    "line_1025": (UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-4.0, 4.0, 1025)),
+    "box_dim2": (UniformGrid.box(-4.0, 4.0, 33, 2), UniformGrid.box(-2.0, 2.0, 17, 2)),
+    "window_torus_32": (LatticeWindow(2, 5), UniformGrid.torus(32, 2)),
+    "torus_16_window": (UniformGrid.torus(16, 2), LatticeWindow(2, 3)),
+    # steps 1/4 and 1 against 1 and 1/4: M = 4 per axis, where the dyadic
+    # gather took 2^(2+2) roots
+    "mixed_axes": (UniformGrid(((-4.0, 4.0, 33), (-1.0, 1.0, 3))), UniformGrid(((-1.0, 1.0, 3), (-4.0, 4.0, 33)))),
+}
+
+_EXACT = {
+    **_DYADIC,
+    "box_dim2_steps_1_2_and_3_5": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-3.0, 3.0, 11, 2)),  # M = 10
+    "line_1000": (UniformGrid.box(-6.0, 6.0, 1000), UniformGrid.box(-4.0, 4.0, 1025)),  # M = 42624
+    "torus_20": (LatticeWindow(1, 4), UniformGrid.torus(20)),
+    "torus_42": (UniformGrid.torus(42), LatticeWindow(1, 10)),
+    "tau_grid": (_TAU_GRID, _TAU_GRID),  # M = 400
+    "step_2_3": (UniformGrid.box(-1.0, 1.0, 4), UniformGrid.box(-1.0, 1.0, 4)),  # M = 9
+    # nodes near 2^62 against a 32-node torus: every phase is a whole turn;
+    # against 30 nodes an int64 product that wrapped would be off mod 30
+    # (the numerators are reduced mod M before any int64 product)
+    "near_2_62": (UniformGrid.box(2.0**62, 2.0**62 + 2.0**52, 3), UniformGrid.torus(32)),
+    "near_2_62_torus_30": (UniformGrid.box(2.0**62, 2.0**62 + 2.0**52, 3), UniformGrid.torus(30)),
 }
 
 
+def _dyadic_gather(rows, cols, sign):
+    """The dyadic table that the exact phases replaced, inlined: with every
+    row node a/2^s and column node b/2^t (s, t least), the M = 2^(s+t)-th
+    roots of unity (first quadrant evaluated, the rest reflected, quarter
+    turns set) gathered at (sign a.b) mod M."""
+    s, t = (next(b for b in range(_ROOTS_BITS + 1) if np.all(v * 2.0**b % 1 == 0)) for v in (rows, cols))
+    M = 2 ** (s + t)
+    n = max(M, 4)
+    k = np.arange(n // 4 + 1)
+    quadrant = np.exp(2j * np.pi * k / n)
+    R = np.empty(n, dtype=complex)
+    R[n // 2 - k] = -np.conj(quadrant)
+    R[k] = quadrant
+    R[n // 2 :] = -R[: n // 2]
+    R[:: n // 4] = (1.0, 1j, -1.0, -1j)
+    a = np.mod(sign * rows * 2.0**s, M).astype(np.int64)
+    b = np.mod(cols * 2.0**t, M).astype(np.int64)
+    return R[:: n // M].take((a @ b.T) & (M - 1))
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("pair", list(_NON_DYADIC))
+@pytest.mark.parametrize("pair", list(_ABOVE_CAP))
 def test_characters_off_dyadic_grids_are_the_exp_table(pair, sign):
-    rows, cols = _NON_DYADIC[pair]
-    assert np.array_equal(characters(rows, cols, sign), np.exp(sign * 2j * np.pi * (rows @ cols.T)))
+    # above the cap of the roots table, the exp of the float nodes' products
+    src, dst = _ABOVE_CAP[pair]
+    rows, cols = src.nodes, dst.nodes
+    assert np.array_equal(characters(src, dst, sign), np.exp(sign * 2j * np.pi * (rows @ cols.T)))
+    part = characters(src, dst, sign, slice(3, 40), slice(500, None))
+    assert np.array_equal(part, np.exp(sign * 2j * np.pi * (rows[3:40] @ cols[500:].T)))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -300,9 +363,12 @@ def test_characters_off_dyadic_grids_are_the_exp_table(pair, sign):
 def test_characters_on_dyadic_grids_are_roots_of_unity(pair, sign):
     # every x.xi is an exact dyadic rational, so theta below has only the
     # 2*pi rounding; the table is within 4 eps (1 + |theta|) of exp and
-    # exactly 1, i, -1 or -i where x.xi is a multiple of 1/4
-    rows, cols = _DYADIC[pair]
-    E = characters(rows, cols, sign)
+    # exactly 1, i, -1 or -i where x.xi is a multiple of 1/4; and it has the
+    # bits of the dyadic gather
+    src, dst = _DYADIC[pair]
+    rows, cols = src.nodes, dst.nodes
+    E = characters(src, dst, sign)
+    assert np.array_equal(E, _dyadic_gather(rows, cols, sign))
     dot = rows @ cols.T
     theta = sign * 2.0 * np.pi * dot
     assert np.all(np.abs(E - np.exp(1j * theta)) <= 4 * np.finfo(float).eps * (1.0 + np.abs(theta)))
@@ -313,15 +379,45 @@ def test_characters_on_dyadic_grids_are_roots_of_unity(pair, sign):
     assert not np.array_equal(E, np.exp(sign * 2j * np.pi * dot))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("pair", list(_EXACT))
+def test_characters_are_roots_of_unity_at_exact_integer_phases(pair, sign):
+    # x.xi = k/M exactly, k formed in Python ints from the exact nodes: the
+    # table is within 4 eps (1 + 2 pi k/M) of e^{2 pi i k/M} for k reduced
+    # mod M, and exactly 1, i, -1 or -i where 4k is a multiple of M
+    src, dst = _EXACT[pair]
+    k, M = _integer_phases(src, dst)
+    assert M <= 2**_ROOTS_BITS
+    k = (int(sign) * k) % M
+    theta = 2.0 * np.pi * k.astype(float) / M
+    E = characters(src, dst, sign)
+    assert np.all(np.abs(E - np.exp(1j * theta)) <= 4 * np.finfo(float).eps * (1.0 + theta))
+    quarter = (4 * k) % M == 0
+    assert quarter.any()
+    assert np.array_equal(E[quarter], np.array([1.0, 1j, -1.0, -1j])[(4 * k[quarter] // M).astype(int)])
+    rows, cols = slice(1, None, 2), slice(min(3, dst.size - 1), None)
+    assert np.array_equal(characters(src, dst, sign, rows, cols), E[rows, cols])
+    if pair == "near_2_62":
+        assert np.array_equal(E, np.ones(E.shape))
+    # a sign other than +-1 names no root of unity: the exp table
+    want = np.exp(0.5 * sign * 2j * np.pi * (src.nodes @ dst.nodes.T))
+    assert np.array_equal(characters(src, dst, 0.5 * sign), want)
+
+
 def test_roots_table_is_cached_read_only_and_symmetric():
-    for M in (1, 2, 4, 8, 64, 2**_ROOTS_BITS):
+    for M in (1, 2, 4, 8, 9, 10, 42, 64, 400, 42624, 2**_ROOTS_BITS):
         R, k = _roots(M), np.arange(M)
         assert _roots(M) is R and R.shape == (M,) and not R.flags.writeable
         with pytest.raises(ValueError):
             R[0] = 2.0
         assert np.array_equal(R[(M - k) % M], np.conj(R))
-        assert np.array_equal(R[:: max(1, M // 4)], np.array([1.0, 1j, -1.0, -1j])[:: max(1, 4 // M)])
+        quarters = [q for q in range(4) if q * M % 4 == 0]
+        assert np.array_equal(R[[q * M // 4 for q in quarters]], np.array([1.0, 1j, -1.0, -1j])[quarters])
         assert np.all(np.abs(R - np.exp(2j * np.pi * k / M)) <= 4 * np.finfo(float).eps * (1.0 + 2.0 * np.pi * k / M))
+    # the tables nest: a gather at k (M'/M) of the M'-th roots is the M-th
+    # roots' entry k bit for bit, whichever M' a pair of grids names
+    for M in (1, 2, 4, 9, 64, 400, 2**15):
+        assert np.array_equal(_roots(2 * M)[::2], _roots(M))
 
 
 def test_batched_transform_needs_fields_on_one_grid(line):

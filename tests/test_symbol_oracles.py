@@ -3,14 +3,12 @@
 Z^n and the torus store one ``SampledSymbol`` and share one trace, one
 synthesis and one transform path. The oracles below are the earlier
 per-setting formulations, kept here so the merged bodies stay equal to them
-bit for bit. Two exceptions: a linear phase's synthesis factor on dyadic
-grids, which ``numerics.characters`` gathers from roots of unity, stays
-within the table's roundoff of the exp formula; and a transform between
-commensurate grids (a window against any torus, dyadic boxes), which is an
-FFT, stays within C_FFT's bound of the exact sum: the compensated character
-sum where its table is exact roots of unity, else an exact-root
-``math.fsum``.
-"""
+bit for bit. Two exceptions: a linear phase's synthesis factor, which
+``numerics.characters`` gathers from roots of unity at each node pair's
+exact integer phase, stays within the table's roundoff of the exp formula;
+and a transform between commensurate grids (a window against any torus,
+dyadic boxes), which is an FFT, stays within C_FFT's bound of the
+compensated character sum over that exact-root table."""
 
 import math
 
@@ -32,7 +30,6 @@ from nucfio.lattice import (
 )
 from nucfio.nuclear import RankOneSequence
 from nucfio.numerics import _fft_sizes, character_sum, characters, dft_forward
-from test_numerics import _fsum_transform
 
 EPS = np.finfo(float).eps
 
@@ -59,16 +56,6 @@ def assert_transform_matches(got, want, bound):
         assert np.all(np.abs(got - want) <= bound)
 
 
-def window_transform(weighted, src, dst, dyadic):
-    """The forward transform's oracle on a window-torus pair: the character
-    sum on a power-of-two torus, whose table is exact roots of unity; on any
-    other torus, whose ``np.exp`` table is itself off by up to about twice
-    the FFT bound, the exact-root ``math.fsum`` transform of test_numerics."""
-    if dyadic:
-        return character_sum(weighted, src.nodes, dst.nodes, -1.0)
-    return _fsum_transform(weighted[:, None], src, dst, -1.0)[:, 0]
-
-
 def oracle_trace(phi, a, rows, cols, w):
     """The per-setting trace: ``w`` is the xi weights as a row on the
     lattice and the x weights as a column on the torus."""
@@ -76,12 +63,12 @@ def oracle_trace(phi, a, rows, cols, w):
     return complex(ksum(np.exp(1j * (phi - kernel)) * a * w))
 
 
-def oracle_synthesis(phi, pairs, rows, cols, factor=None):
+def oracle_synthesis(phi, pairs, space, freq, factor=None):
     """The per-setting synthesis: pairs (h, g) on the lattice, (h, w * g) on
     the torus; ``factor`` replaces the phase factor e^{-i phi}."""
-    A = np.zeros((rows.shape[0], cols.shape[0]), dtype=complex)
+    A = np.zeros((space.size, freq.size), dtype=complex)
     for h, g in pairs:
-        A += np.outer(h, character_sum(g, rows, cols, 1.0))
+        A += np.outer(h, character_sum(g, space, freq, 1.0))
     return (np.exp(-1j * phi) if factor is None else factor) * A
 
 
@@ -96,15 +83,16 @@ def synthesis_tolerance(pairs, space, freq):
     return sum(np.outer(np.abs(h), per_g * np.abs(g).sum()) for h, g in pairs)
 
 
-def assert_synthesis_matches(phase, got, phi, pairs, space, freq, dyadic):
+def assert_synthesis_matches(phase, got, phi, pairs, space, freq):
     """``==`` to the per-setting synthesis, with two exceptions. A linear
-    phase on dyadic grids takes its factor from roots of unity, within
-    4 eps (1 + |phi|) of the exp value, so each entry is within
-    8 eps (1 + |phi|) of the oracle's, the product's own rounding included.
-    Where the transform is an FFT, ``synthesis_tolerance`` adds to that."""
-    want = oracle_synthesis(phi, pairs, space.nodes, freq.nodes)
+    phase takes its factor from roots of unity (every pair here is below
+    the table's cap), within 4 eps (1 + |phi|) of the exp value, so each
+    entry is within 8 eps (1 + |phi|) of the oracle's, the product's own
+    rounding included. Where the transform is an FFT,
+    ``synthesis_tolerance`` adds to that."""
+    want = oracle_synthesis(phi, pairs, space, freq)
     tol = np.zeros(want.shape)
-    if dyadic and phase.kind == "linear":
+    if phase.kind == "linear":
         tol += 8 * EPS * (1.0 + np.abs(phi)) * np.abs(want)
     if _fft_sizes(space, freq) is not None:
         tol += synthesis_tolerance(pairs, space, freq)
@@ -144,8 +132,8 @@ def random_decomposition(grid, rng, terms=2):
     ids=["dim1", "dim2", "dim1_dyadic", "dim2_dyadic"],
 )
 def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
-    # every count takes the FFT; xi_count 20 and 12 take the exp table for
-    # the phase factor, 32 and 16 the roots of unity
+    # every count takes the FFT and the roots of unity for the phase factor;
+    # on 32 and 16 nodes the weights 1/2^t are exact
     dyadic = xi_count in (16, 32)
     rng = np.random.default_rng(30 + dim)
     window, xi_grid = LatticeWindow(dim, radius), UniformGrid.torus(xi_count, dim)
@@ -163,9 +151,9 @@ def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
             assert lattice_nuclear_trace(phase, symbols[0]) == window.size
         s = lattice_symbol_from_decomposition(phase, d, xi_grid)
         pairs = [(h.values, g.values) for h, g in d.terms]
-        assert_synthesis_matches(phase, s.values, phi, pairs, window, xi_grid, dyadic)
+        assert_synthesis_matches(phase, s.values, phi, pairs, window, xi_grid)
     f = d.terms[0][1]
-    got, want = dft_forward(f, xi_grid).values, window_transform(f.values, window, xi_grid, dyadic)
+    got, want = dft_forward(f, xi_grid).values, character_sum(f.values, window, xi_grid, -1.0)
     assert_transform_matches(got, want, fft_bound(window, xi_grid, f.values))
 
 
@@ -175,8 +163,8 @@ def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
     ids=["dim1", "dim2", "dim1_dyadic", "dim2_dyadic"],
 )
 def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
-    # every count takes the FFT; x_count 24 and 10 take the exp table for
-    # the phase factor, 32 and 16 the roots of unity
+    # every count takes the FFT and the roots of unity for the phase factor;
+    # on 32 and 16 nodes the weights 1/2^t are exact
     dyadic = x_count in (16, 32)
     rng = np.random.default_rng(32 + dim)
     x_grid, window = UniformGrid.torus(x_count, dim), LatticeWindow(dim, cutoff)
@@ -194,18 +182,19 @@ def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
             assert torus_nuclear_trace(phase, symbols[0]) == freqs.shape[0]
         s = torus_symbol_from_decomposition(phase, d, cutoff, x_grid)
         pairs = [(h.values, w * g.values) for h, g in d.terms]
-        assert_synthesis_matches(phase, s.values, phi, pairs, x_grid, window, dyadic)
+        assert_synthesis_matches(phase, s.values, phi, pairs, x_grid, window)
     f = d.terms[0][1]
-    got, want = dft_forward(f, window).values, window_transform(w * f.values, x_grid, window, dyadic)
+    got, want = dft_forward(f, window).values, character_sum(w * f.values, x_grid, window, -1.0)
     assert_transform_matches(got, want, fft_bound(x_grid, window, w * f.values))
 
 
 def test_euclid_rank_four_synthesis_matches_per_term_formula():
-    # one transform of all four g factors, 1025 frequency nodes. Spacing
-    # 16/999 takes the exp table and the character sum, and the symbol equals
-    # the per-term sums bit for bit; spacings 1/64 and 1/128 take the roots of
-    # unity (the oracle's linear factor is the same table) and the FFT with
-    # N = 8192, within C_FFT's bound of the per-term sums
+    # one transform of all four g factors, 1025 frequency nodes, and the
+    # roots of unity for a linear phase factor (the oracle's linear factor is
+    # the same table). Spacing 4/333 against 1/128 (M = 42624) takes the
+    # character sum, and the symbol equals the per-term sums bit for bit;
+    # spacings 1/64 and 1/128 take the FFT with N = 8192, within C_FFT's
+    # bound of the per-term sums
     for lo, count in ((-6.0, 1000), (-8.0, 1025)):
         rng = np.random.default_rng(36)
         grid, xi_grid = UniformGrid.box(lo, -lo, count), UniformGrid.box(-4.0, 4.0, 1025)
@@ -214,9 +203,9 @@ def test_euclid_rank_four_synthesis_matches_per_term_formula():
         x, xi = grid.nodes, xi_grid.nodes
         pairs = [(h.values, grid.weights * g.values) for h, g in d.terms]
         for phase in phases(x, xi, rng):
-            factor = characters(x, xi, -1.0) if phase.kind == "linear" and count == 1025 else None
+            factor = characters(grid, xi_grid, -1.0) if phase.kind == "linear" else None
             s = symbol_from_decomposition(phase, d, xi_grid)
-            want = oracle_synthesis(phase.table(x, xi), pairs, x, xi, factor)
+            want = oracle_synthesis(phase.table(x, xi), pairs, grid, xi_grid, factor)
             if count == 1000:
                 assert np.array_equal(s.values, want)
                 continue
