@@ -299,6 +299,8 @@ _ABOVE_CAP = {
     "line_above_cap": (UniformGrid.box(-1.0, 1.0, 1025), UniformGrid.box(-1.0, 1.0, 1025)),
     # gaussian_rank1's box, step 12/511, against itself: M = 511^2
     "gaussian_rank1": (UniformGrid.box(-6.0, 6.0, 512), UniformGrid.box(-6.0, 6.0, 512)),
+    # the float ends +-0.3 are exact ratios over 2^54: M far above the cap
+    "box_dim2": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-0.3, 0.3, 25, 2)),
 }
 
 _DYADIC = {
