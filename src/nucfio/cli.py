@@ -49,7 +49,7 @@ from .group import (
     torus_nuclear_trace,
     torus_symbol_from_decomposition,
     unitarity_defect,
-    wigner_matrix,
+    _wigner_matrices,
     euler_from_su2,
 )
 from .homog import (
@@ -428,14 +428,13 @@ def _su2_haar_checks(cfg: dict, verb: str) -> tuple:
         ((5.9, 0.2, 9.1), (1.0, 3.0, 0.5)),
         ((3.3, 1.6, 7.7), (4.4, 2.8, 11.0)),
     ]
+    # (U1, U2, U1 U2) per pair, each spin's matrices in one batch
+    U = _wigner_matrices(1, np.array(pairs).reshape(-1, 3)).reshape(-1, 2, 2, 2)
+    angles = np.array([(*pair, euler_from_su2(u1 @ u2)) for pair, (u1, u2) in zip(pairs, U)]).reshape(-1, 3)
     comp = 0.0
-    for e1, e2 in pairs:
-        U1, U2 = wigner_matrix(1, *e1), wigner_matrix(1, *e2)
-        e12 = euler_from_su2(U1 @ U2)
-        for twoL in range(0, 5):
-            D12 = wigner_matrix(twoL, *e12)
-            D1D2 = wigner_matrix(twoL, *e1) @ wigner_matrix(twoL, *e2)
-            comp = max(comp, float(np.abs(D12 - D1D2).max()))
+    for twoL in range(0, 5):
+        D = _wigner_matrices(twoL, angles).reshape(len(pairs), 3, twoL + 1, twoL + 1)
+        comp = max(comp, float(np.abs(D[:, 2] - D[:, 0] @ D[:, 1]).max()))
     checks.append(("composition", comp, 1e-8))
 
     # identity-operator trace = sum of squared dimensions

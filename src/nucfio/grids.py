@@ -194,7 +194,8 @@ class UniformGrid:
     axes : tuple of (lo, hi, count)
         Per-axis extent and node count (count >= 2). On a periodic grid the
         nodes are lo + j*h, j < count, with h = (hi-lo)/count; otherwise both
-        endpoints are nodes and h = (hi-lo)/(count-1).
+        endpoints are nodes and h = (hi-lo)/(count-1). The float nodes must
+        strictly increase: a step below their spacing raises DomainError.
     periodic : bool
         Periodic axes get uniform weights; open axes get trapezoid weights.
     """
@@ -219,6 +220,10 @@ class UniformGrid:
             if not np.isfinite(h):  # hi - lo overflowed, and the step with it
                 raise DomainError(f"axis {ax}: extent hi - lo of [{lo}, {hi}] is {hi - lo}, not finite")
             nodes.append(lo + h * np.arange(count))
+            # a step below the float spacing rounds distinct exact nodes
+            # (numerics._exact_axes) onto one float
+            if not np.all(np.diff(nodes[-1]) > 0):
+                raise DomainError(f"axis {ax}: step {h} of [{lo}, {hi}] is below the float spacing, nodes coincide")
             w = np.full(count, h)
             if not self.periodic:
                 w[0] = w[-1] = h / 2  # trapezoid endpoints carry half weight

@@ -106,9 +106,16 @@ def wigner_matrix(twoL: int, alpha: float, beta: float, gamma: float) -> np.ndar
         require_real(val, name, -1e-12, hi + 1e-12)
         for name, val, hi in (("alpha", alpha, 2 * np.pi), ("beta", beta, np.pi), ("gamma", gamma, 4 * np.pi))
     )
-    m, d_beta = _small_d(twoL, np.array([beta]))
-    left, right = (np.exp(-1j * np.outer(t, m)) for t in (alpha, gamma))
-    return (left[:, :, None] * d_beta * right[:, None, :])[0]
+    return _wigner_matrices(twoL, np.array([[alpha, beta, gamma]]))[0]
+
+
+def _wigner_matrices(twoL: int, angles: np.ndarray) -> np.ndarray:
+    """``wigner_matrix`` at each row (alpha, beta, gamma) of ``angles``,
+    unchecked, with one ``_small_d`` over the betas: (N, d, d), each matrix
+    with the bits of a one-row call."""
+    m, d_beta = _small_d(twoL, angles[:, 1])
+    left, right = (np.exp(-1j * np.outer(t, m)) for t in (angles[:, 0], angles[:, 2]))
+    return left[:, :, None] * d_beta * right[:, None, :]
 
 
 def euler_from_su2(U: np.ndarray) -> tuple:

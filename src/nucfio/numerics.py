@@ -4,18 +4,21 @@ The Fourier convention is exp(-2*pi*i*x.xi) forward, exp(+2*pi*i*x.xi)
 inverse, with plain quadrature sums over the supplied grids. Transforms are
 therefore only as good as the grids: the caller picks boxes large enough for
 decay and fine enough for the oscillation (downstream modules validate the
-latter for sampled phases). A transform between two grids whose nodes sit
-at whole steps from 0, with steps that multiply to 1/N on every axis (a
-window against any torus, boxes with power-of-two steps against each
-other, steps 1/20 against 1/10), is one FFT: the values go in at their
-index offsets mod N, so no twiddle factor is formed. Every other pair is a
-compensated sum over a ``characters`` table. Both read the nodes one way,
-``_exact_axes``: node m of an axis is exactly (u0 + S m)/D for integers
-formed from the float ends, so every x.xi is an exact multiple of 1/M, M
-the least common multiple of the axes' D D'. Where M is at most
-2^_ROOTS_BITS the table is a gather from a cached table of the M-th roots
-of unity at that exact integer phase, elsewhere ``np.exp``. This module
-owns the package's only ``np.fft`` calls.
+latter for sampled phases). Every transform between uniform grids is taken
+by FFTs, axis by axis. Where the nodes of both grids sit at whole steps
+from 0 and the steps multiply to 1/N (a window against any torus, boxes
+with power-of-two steps against each other, steps 1/20 against 1/10), the
+axis is one FFT: the values go in at their index offsets mod N, so no
+twiddle factor is formed. Every other axis is a chirp-z transform, one zero-padded
+FFT convolution whose pre-, post- and chirp factors are taken at exact
+integer phases. All of them read the nodes one way, ``_exact_axes``: node
+m of an axis is exactly (u0 + S m)/D for integers formed from the float
+ends, so every phase is an exact multiple of 1/M for an integer M, reduced
+in integers before a gather from a cached table of the M-th roots of unity
+(M at most 2^_ROOTS_BITS) or one ``exp`` of an argument below 2 pi. The
+``characters`` tables of the phase factors read them so too, with
+``np.exp`` of the float products above the roots' cap. This module owns
+the package's only ``np.fft`` calls.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .grids import (
 
 __all__ = [
     "characters",
-    "character_sum",
     "dft_forward",
     "dft_inverse",
     "lp_norm",
@@ -52,18 +54,14 @@ __all__ = [
     "matrix_trace",
 ]
 
-# Output-node chunk width of a character-sum transform: its character table
-# holds ``_CHUNK`` output nodes against every source node, whatever the column
-# count.
-_CHUNK = 1024
-
 # Row-block height of the row-blocked passes over a symbol (the abelian
 # bodies of ``euclid`` and ``mixed_norm``).
 _ROW_CHUNK = 256
 
-# Character tables gather from the M-th roots of unity, M at most
-# 2^_ROOTS_BITS (a table of at most 1 MB); an FFT transform pads each column
-# to at most 2^_ROOTS_BITS entries, or to the larger grid's size.
+# Character tables and chirp-z factors gather from the M-th roots of unity,
+# M at most 2^_ROOTS_BITS (a table of at most 1 MB); the commensurate axes
+# of a transform pad each column to at most 2^_ROOTS_BITS entries, or to the
+# larger grid's size.
 _ROOTS_BITS = 16
 
 # Roots tables kept at once: M is any common denominator of a grid pair, so
@@ -154,41 +152,22 @@ def characters(row_domain, col_domain, sign: float, rows: slice = slice(None), c
     return _roots(M).take(index)
 
 
-def character_sum(values: np.ndarray, from_grid, to_grid, sign: float, cols: slice = slice(None)) -> np.ndarray:
-    """sum_p values_p e^{sign*2*pi*i x_p.xi_j} over the nodes x_p of
-    ``from_grid`` for every xi_j of ``to_grid.nodes[cols]``, ascending in p.
-
-    The transform kernel of every grid pair that ``_fft_sizes`` turns down,
-    with the weights folded into the values, and the FFT path's oracle.
-    ``values`` has shape (n,) or (n, k), the result (n_cols,) or
-    (n_cols, k). The table of ``characters`` is formed once for all k
-    columns, and one compensated sum takes the source rows values_p * E_p
-    one at a time; it is elementwise over the trailing axes, so column c
-    carries the bits of ``character_sum(values[:, c], ...)``.
-    """
-    E = characters(from_grid, to_grid, sign, cols=cols)
-    acc = KahanSum(E.shape[1:] + values.shape[1:], complex)
-    if values.ndim == 1:
-        return acc.add(v * e for v, e in zip(values, E)).value
-    return acc.add(v[None, :] * e[:, None] for v, e in zip(values, E)).value
-
-
-def _fft_sizes(from_grid, to_grid):
-    """The DFT length N_a of every axis, where the nodes of both grids sit
-    at whole steps from 0 (S divides u0 in ``_exact_axes``, so the step S/D
-    is in lowest terms) and h_a h'_a = 1/N_a exactly: every window against a
+def _fft_sizes(from_grid, to_grid) -> tuple:
+    """Per axis the DFT length N_a where the nodes of both grids sit at whole
+    steps from 0 (S divides u0 in ``_exact_axes``, so the step S/D is in
+    lowest terms) and h_a h'_a = 1/N_a exactly: every window against a
     torus (N_a its count), boxes whose steps are powers of two, and boxes
     whose steps multiply to a unit fraction (1/20 by 1/10: N_a = 200). None
-    for other pairs, or where prod N_a, the FFT array's length per column,
-    exceeds both the larger grid's size and 2^_ROOTS_BITS."""
-    sizes = []
-    for (u0, S, D), (v0, T, E) in zip(_exact_axes(from_grid), _exact_axes(to_grid)):
-        if u0 % S or v0 % T or (D * E) % (S * T):
-            return None
-        sizes.append(D * E // (S * T))
-    if math.prod(sizes) > max(2**_ROOTS_BITS, from_grid.size, to_grid.size):
-        return None
-    return tuple(sizes)
+    on every other axis, and on every axis where the product of the N_a, the
+    FFT array's length per column, exceeds both the larger grid's size and
+    2^_ROOTS_BITS: those axes take the chirp-z transform."""
+    sizes = tuple(
+        None if u0 % S or v0 % T or (D * E) % (S * T) else D * E // (S * T)
+        for (u0, S, D), (v0, T, E) in zip(_exact_axes(from_grid), _exact_axes(to_grid))
+    )
+    if math.prod(N for N in sizes if N) > max(2**_ROOTS_BITS, from_grid.size, to_grid.size):
+        return (None,) * len(sizes)
+    return sizes
 
 
 def _wrap(a: np.ndarray, ax: int, A: int, N: int) -> np.ndarray:
@@ -203,22 +182,75 @@ def _wrap(a: np.ndarray, ax: int, A: int, N: int) -> np.ndarray:
     return np.roll(a, A % N, axis=ax) if A % N else a
 
 
-def _fft_sum(values: np.ndarray, from_grid, to_grid, sign: float, sizes: tuple) -> np.ndarray:
-    """``character_sum`` over the nodes of a pair that ``_fft_sizes`` accepts.
+def _chirp(c2: int, c1: int, c0: int, M: int, n: int) -> np.ndarray:
+    """e^{2*pi*i (c2 k^2 + c1 k + c0)/M} for k < n at the exact integer phase
+    r = (c2 k^2 + c1 k + c0) mod M: over the lowest-terms modulus, with the
+    coefficients reduced mod M as Python ints, then int64 products of
+    reduced factors, each below M^2 <= 2^62 (Python ints for M above 2^31).
+    A gather from ``_roots(M)`` where M is at most 2^_ROOTS_BITS, else one
+    exp of 2*pi*r/M, an argument below 2*pi."""
+    g = math.gcd(c2, c1, c0, M)
+    M //= g
+    c2, c1, c0 = (c // g % M for c in (c2, c1, c0))
+    k = np.arange(n) if M <= 2**31 else np.arange(n).astype(object)
+    r = (c2 * (k * k % M) + c1 * k + c0) % M
+    if M <= 2**_ROOTS_BITS:
+        return _roots(M).take(r)
+    return np.exp(2j * np.pi * (r / M).astype(float))
 
-    With x_m = (A + m) h, xi_j = (B + j) h' (A = u0/S and B = v0/T of
-    ``_exact_axes``) and h h' = 1/N per axis, the sum is the N-point DFT of
-    values_m placed at (A + m) mod N, read at (B + j) mod N: no twiddle
-    factor, exact roots for any N. ``values`` is (n,) or (n, k), source
-    first. Axis by axis, each column along its own lines (so keeping its own
-    bits), the axis is placed (``_wrap``), takes one ``fft`` (``ifft``
-    unscaled for sign +1) and is read at its output nodes. Per entry the result is within c * eps * log2(prod N) *
-    sum |values| of the exact sum for a small c (Bailey and Swarztrauber,
-    SIAM Rev. 33, 1991); the tests hold it to c = 1.
+
+def _chirp_axis(a: np.ndarray, ax: int, src: tuple, dst: tuple, m_out: int, sign: float) -> np.ndarray:
+    """Axis ``ax`` of a summed onto m_out output nodes by a chirp-z
+    transform (Bluestein, IEEE Trans. Audio Electroacoust. 18, 1970).
+
+    With x_m = (u0 + S m)/D and xi_j = (v0 + T j)/E (``src`` and ``dst``,
+    from ``_exact_axes``) and m j = (m^2 + j^2 - (j - m)^2)/2, the phase
+    sign x_m xi_j is [pre(m) + post(j) - c(j - m)]/M turns, M = 2 D E, for
+    the integers pre(m) = sign (S T m^2 + 2 S v0 m), post(j) = sign (S T j^2
+    + 2 u0 T j + 2 u0 v0) and c(k) = sign S T k^2, each factor a ``_chirp``.
+    The sum over m is then one linear convolution with e^{-2*pi*i c(k)/M},
+    k from 1 - n to m_out - 1: one FFT of length L >= n + m_out - 1 (a power
+    of two) along the axis, zero-padded, for every column at once, each
+    along its own lines."""
+    (u0, S, D), (v0, T, E) = src, dst
+    n, M, s = a.shape[ax], 2 * D * E, int(sign)
+    L = 1 << (n + m_out - 2).bit_length()
+    c = _chirp(-s * S * T, 0, 0, M, max(n, m_out))
+    kernel = np.zeros(L, dtype=complex)
+    kernel[:m_out] = c[:m_out]
+    kernel[L - n + 1 :] = c[n - 1 : 0 : -1]  # k = 1 - n .. -1 at L + k
+    line = (-1,) + (1,) * (a.ndim - ax - 1)
+    pre = _chirp(s * S * T, 2 * s * S * v0, 0, M, n).reshape(line)
+    post = _chirp(s * S * T, 2 * s * u0 * T, 2 * s * u0 * v0, M, m_out).reshape(line)
+    F = np.fft.fft(a * pre, n=L, axis=ax)
+    F *= np.fft.fft(kernel).reshape(line)
+    return np.fft.ifft(F, axis=ax)[(slice(None),) * ax + (slice(m_out),)] * post
+
+
+def _fft_sum(values: np.ndarray, from_grid, to_grid, sign: float, sizes: tuple) -> np.ndarray:
+    """sum_p values_p e^{sign*2*pi*i x_p.xi_j} over the nodes x_p of
+    ``from_grid`` for every xi_j of ``to_grid``, axis by axis: ``values`` is
+    (n,) or (n, k), source first, and each column is summed along its own
+    lines, so it keeps the bits of its own transform.
+
+    An axis with a length N in ``sizes`` (``_fft_sizes``) has x_m = (A + m) h
+    and xi_j = (B + j) h' (A = u0/S and B = v0/T of ``_exact_axes``) with
+    h h' = 1/N: the N-point DFT of values_m placed at (A + m) mod N, read at
+    (B + j) mod N, with no twiddle factor and exact roots for any N. The
+    axis is placed (``_wrap``), takes one ``fft`` (``ifft`` unscaled for
+    sign +1) and is read at its output nodes. Any other axis takes
+    ``_chirp_axis``. Per entry the result is within c * eps * log2(prod L)
+    * sum |values| of the exact sum, L the N or the chirp-z FFT length of
+    each axis, for a small c (Bailey and Swarztrauber, SIAM Rev. 33, 1991);
+    the tests hold it to c = 1.
     """
     a = values.reshape(from_grid.shape + (-1,))
     plan = zip(_exact_axes(from_grid), _exact_axes(to_grid), sizes, to_grid.shape)
-    for ax, ((u0, S, _), (v0, T, _), N, m) in enumerate(plan):
+    for ax, (src, dst, N, m) in enumerate(plan):
+        if N is None:
+            a = _chirp_axis(a, ax, src, dst, m, sign)
+            continue
+        (u0, S, _), (v0, T, _) = src, dst
         a, B = _wrap(a, ax, u0 // S, N), v0 // T
         a = np.fft.fft(a, axis=ax) if sign < 0 else np.fft.ifft(a, axis=ax, norm="forward")
         a = a[(slice(None),) * ax + (np.arange(B, B + m) % N,)]  # no C-order copy, as ``take`` makes
@@ -228,22 +260,16 @@ def _fft_sum(values: np.ndarray, from_grid, to_grid, sign: float, sizes: tuple) 
 def _dft(values: np.ndarray, from_grid: UniformGrid, to_grid: UniformGrid, sign: float) -> np.ndarray:
     """The quadrature sum onto ``to_grid``, ``values`` of shape (n,) or (n, k)
     on ``from_grid``, the result (to_grid.size,) or (to_grid.size, k) with
-    every column bit-identical to a one-column transform. A commensurate
-    pair (``_fft_sizes``) takes one ``_fft_sum``; any other pair goes
-    to ``character_sum``, ``_CHUNK`` output nodes at a time. A window on
-    either side must pass the pairing rule first (``grids._check_pairing``),
-    so no aliasing Z^n-T^n pair is transformed."""
+    every column bit-identical to a one-column transform: one ``_fft_sum``,
+    an FFT on every commensurate axis (``_fft_sizes``) and a chirp-z
+    transform on every other. A window on either side must pass the pairing
+    rule first (``grids._check_pairing``), so no aliasing Z^n-T^n pair is
+    transformed."""
     _check_pairing(from_grid, to_grid)
     if to_grid.dim != from_grid.dim:
         raise ShapeError(f"target grid dim {to_grid.dim} != field dim {from_grid.dim}")
     wsrc = (from_grid.weights * values.T).T
-    sizes = _fft_sizes(from_grid, to_grid)
-    if sizes is not None:
-        return _fft_sum(wsrc, from_grid, to_grid, sign, sizes)
-    out = np.empty((to_grid.size,) + values.shape[1:], dtype=complex)
-    for s in range(0, to_grid.size, _CHUNK):
-        out[s : s + _CHUNK] = character_sum(wsrc, from_grid, to_grid, sign, slice(s, s + _CHUNK))
-    return out
+    return _fft_sum(wsrc, from_grid, to_grid, sign, _fft_sizes(from_grid, to_grid))
 
 
 def _transform(fields: SampledField | tuple, grid: UniformGrid, sign: float) -> SampledField | tuple:
@@ -267,8 +293,9 @@ def dft_forward(f: SampledField | tuple, xi_grid: UniformGrid) -> SampledField |
     ----------
     f : SampledField or tuple of SampledField
         A tuple must share one grid; its fields are transformed in one pass
-        (one FFT on a commensurate pair, such as a window against any torus,
-        else one character table), each bit-identical to its own transform.
+        (per axis one FFT where the pair is commensurate, as a window
+        against any torus is, else one chirp-z transform: every uniform
+        pair), each bit-identical to its own transform.
     xi_grid : UniformGrid or LatticeWindow
         Frequency nodes to evaluate on; must match the dimension of f's grid
         and, where either side is a window, pass ``LatticeWindow.check_grid``.

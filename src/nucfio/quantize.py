@@ -28,9 +28,9 @@ summed axis folded in: the frequency sum into T is one transform from the
 frequency grid onto the shifts, whose columns are the x-rows, and the shift
 sum back to frequencies one transform per ``_X_CHUNK`` x-rows. On the grids
 whose steps multiply to 1/N (a box of step 1/20 against both shift
-lattices) each is an FFT; elsewhere a compensated character sum. Either
-way every column keeps the bits of its own transform, so no entry depends
-on the chunk width or the BLAS thread count.
+lattices) each is an FFT; elsewhere a chirp-z transform. Either way every
+column keeps the bits of its own transform, so no entry depends on the
+chunk width or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ __all__ = [
     "wigner",
 ]
 
-# x-rows per chunk of the shift sums and of tau_apply's stencil reads. On
-# grids that take the character sum, each chunk's compensated accumulators
-# sit beside the whole character table; 16 rows keep the synthesis' peak
-# below that of the complex-einsum oracle in tests/test_tau_oracles.py.
+# x-rows per chunk of the shift sums and of tau_apply's stencil reads; 16
+# rows keep the synthesis' peak below that of the complex-einsum oracle in
+# tests/test_tau_oracles.py.
 _X_CHUNK = 16
 
 

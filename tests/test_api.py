@@ -130,3 +130,29 @@ def test_only_numerics_calls_the_fft():
     # numerics, so a second private transform elsewhere fails here
     users = {p.name for p in (ROOT / "src" / "nucfio").glob("*.py") if _fft_references(ast.parse(p.read_text()))}
     assert users == {"numerics.py"}
+
+
+def _names(tree) -> set:
+    """Every identifier a parsed module defines, reads, imports or lists as a
+    string (``__all__``): names, attributes, definitions, import aliases and
+    string constants that are identifiers."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name.split(".")[-1], node.asname)))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_no_module_names_the_character_sum():
+    # every uniform grid pair is an FFT or a chirp-z transform; the
+    # compensated character sum is the tests' oracle only
+    users = {p.name for p in (ROOT / "src" / "nucfio").rglob("*.py") if "character_sum" in _names(ast.parse(p.read_text()))}
+    assert users == set()

@@ -73,6 +73,25 @@ def test_grid_rejects_an_extent_that_overflows(axes, periodic):
         UniformGrid(axes, periodic=periodic)
 
 
+@pytest.mark.parametrize(
+    "axes, periodic",
+    [
+        (((1.0, 1.0 + 2**-52, 5),), False),
+        (((0.0, 1.0, 3), (2.0**60, 2.0**60 + 2.0**8, 4)), True),
+    ],
+    ids=["box", "periodic_second_axis"],
+)
+def test_grid_rejects_a_step_below_the_float_spacing(axes, periodic):
+    # 1 + m 2^-54 rounds to [1, 1, 1, 1 + eps, 1 + eps]: the float nodes
+    # coincide while the exact nodes the transforms read do not, so the two
+    # readings would describe different grids
+    with pytest.raises(DomainError, match=f"axis {len(axes) - 1}: step .* below the float spacing"):
+        UniformGrid(axes, periodic=periodic)
+    lo, hi, count = axes[-1]
+    grid = UniformGrid(axes[:-1] + ((lo, hi + 2 * count * (hi - lo), count),), periodic=periodic)
+    assert np.all(np.diff(grid.axis_nodes[-1]) > 0)
+
+
 def test_ksum_matches_fsum_on_adversarial_input():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(2000) * 10.0 ** rng.integers(-8, 8, size=2000)

@@ -32,6 +32,7 @@ from nucfio.group import (
     torus_nuclear_trace,
     torus_symbol_from_decomposition,
     wigner_matrix,
+    _wigner_matrices,
 )
 from nucfio.homog import table_from_su2
 from nucfio.nuclear import RankOneSequence, delgado_trace
@@ -86,11 +87,16 @@ def test_wigner_matrix_unitary_all_spins():
 
 def test_wigner_matrix_is_a_one_node_irrep_table():
     # one d^l(beta) formula and one product order: D^l at any angles has the
-    # bits of the table of a quadrature whose one node they are
-    for angles in ((0.7, 1.1, 2.3), (1.9, 0.8, 5.3), (0.0, np.pi, 4.0 * np.pi - 1e-3), (6.1, 0.05, 0.4)):
-        quad = GroupQuadrature("su2-euler", np.array([angles]), np.ones(1))
-        for twoL in range(6):
+    # bits of the table of a quadrature whose one node they are, and of its
+    # row in a batch over several angle triples (haar-check's composition
+    # check)
+    rows = np.array([(0.7, 1.1, 2.3), (1.9, 0.8, 5.3), (0.0, np.pi, 4.0 * np.pi - 1e-3), (6.1, 0.05, 0.4)])
+    for twoL in range(6):
+        batch = _wigner_matrices(twoL, rows)
+        for angles, D in zip(rows, batch):
+            quad = GroupQuadrature("su2-euler", angles[None], np.ones(1))
             assert np.array_equal(wigner_matrix(twoL, *angles), su2_irrep_table(quad, twoL)[0])
+            assert np.array_equal(D, wigner_matrix(twoL, *angles))
 
 
 def test_composition_property():

@@ -12,13 +12,11 @@ from nucfio.errors import DomainError, GridMismatchError, ShapeError, Validation
 from nucfio.families import hermite_function
 from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.numerics import (
-    _CHUNK,
     _ROOTS_BITS,
     _exact_axes,
     _fft_sizes,
     _openblas_threads,
     _roots,
-    character_sum,
     characters,
     dense_eigenvalues,
     dft_forward,
@@ -28,6 +26,7 @@ from nucfio.numerics import (
     matrix_trace,
     mixed_norm,
 )
+from transform_oracles import character_sum, fft_bound
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -52,12 +51,6 @@ def test_dft_roundtrip(line):
     f = SampledField(line, vals)
     back = dft_inverse(dft_forward(f, line), line)
     assert np.abs(back.values - vals).max() < 1e-10
-
-
-# The FFT path's per-entry gap to the exact sum is at most
-# C_FFT * eps * log2(prod N) * sum_m |w_m v_m|; the pairs below read at most
-# 0.37 of it.
-C_FFT = 1.0
 
 
 def _torus_count(src, dst):
@@ -120,17 +113,11 @@ def _fsum_transform(W, src, dst, sign):
 
 
 def assert_transform_matches(got, weighted, src, dst, sign):
-    """``got`` against ``character_sum(weighted, ...)``: bit for bit where
-    the pair takes the character sum, within C_FFT's bound where it takes the
-    FFT path, whose pairs here all have their character table gathered from
-    exact roots of unity."""
+    """``got`` within C_FFT's bound of ``character_sum(weighted, ...)``, the
+    compensated sum over a character table that every pair here gathers
+    from exact roots of unity."""
     want = character_sum(weighted, src, dst, sign)
-    sizes = _fft_sizes(src, dst)
-    if sizes is None:
-        assert np.array_equal(got, want)
-        return
-    bound = C_FFT * np.finfo(float).eps * math.log2(math.prod(sizes)) * np.abs(weighted).sum(axis=0)
-    assert np.all(np.abs(got - want) <= bound)
+    assert np.all(np.abs(got - want) <= fft_bound(src, dst, weighted))
 
 
 # quantize's grids at the benchmark's resolution: the x grid, step 1/20, its
@@ -140,17 +127,17 @@ _DIFFERENCE_LATTICE = UniformGrid.box(-10.0, 10.0, 401)
 _SHIFT_GRID = UniformGrid.box(-10.0, 10.0, 201)
 
 _PAIRS = {
-    # 1025 output nodes: the last chunk is partial; every pair's character
-    # table is roots of unity (spacings 1/64 and 3/256: M = 2^14); the
-    # dyadic box pair and every window-torus pair are commensurate and take
-    # the FFT path
+    # every pair's character table is roots of unity (spacings 1/64 and
+    # 3/256: M = 2^14); the dyadic box pair, the tau grid's pairs and every
+    # window-torus pair are commensurate and take the FFT on every axis, the
+    # others the chirp-z transform
     "line_1025": (UniformGrid.box(-8.0, 8.0, 1025), UniformGrid.box(-6.0, 6.0, 1025)),
     "box_dim2": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-3.0, 3.0, 11, 2)),
     "box_dim2_dyadic": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-4.0, 4.0, 17, 2)),
     "window_to_torus": (LatticeWindow(2, 2), UniformGrid.torus(10, 2)),
     "window_to_torus_dyadic": (LatticeWindow(2, 2), UniformGrid.torus(16, 2)),
     "torus_to_window": (UniformGrid.torus(24), LatticeWindow(1, 5)),
-    # more columns than _CHUNK, each summed over one table
+    # 1027 columns in one chirp-z transform
     "many_columns": (UniformGrid.box(-1.0, 1.0, 33), UniformGrid.box(-2.0, 2.0, 40)),
     # steps 1/20 against 1/20 and 1/10: commensurate, although the float
     # nodes are not whole multiples of the float step
@@ -161,18 +148,16 @@ _PAIRS = {
 
 @pytest.mark.parametrize(
     "pair, ks",
-    [(name, (1, 3, 4)) for name in _PAIRS if name != "many_columns"] + [("many_columns", (_CHUNK + 3,))],
+    [(name, (1027,) if name == "many_columns" else (1, 3, 4)) for name in _PAIRS],
     ids=list(_PAIRS),
 )
 def test_batched_transform_matches_one_column_calls(pair, ks):
-    # the character table is formed once per output chunk for all k columns;
-    # the compensated sum is elementwise over them, and the FFT takes each
-    # column along its own lines, so each column keeps the bits of its own
-    # transform: a one-column character_sum over every output node at once,
-    # or within the FFT bound of the exact sum on a commensurate pair
+    # the FFT and the chirp-z transform take each column along its own
+    # lines, so each column keeps the bits of its own transform, within the
+    # FFT bound of the character sum
     src, dst = _PAIRS[pair]
-    fft = _fft_sizes(src, dst) is not None
-    assert fft == (pair.endswith("_dyadic") or pair.startswith("tau_grid") or _torus_count(src, dst) is not None)
+    commensurate = all(_fft_sizes(src, dst))
+    assert commensurate == (pair.endswith("_dyadic") or pair.startswith("tau_grid") or _torus_count(src, dst) is not None)
     rng = np.random.default_rng(len(pair))
     for k in ks:
         V = rng.standard_normal((src.size, k)) + 1j * rng.standard_normal((src.size, k))
@@ -183,19 +168,13 @@ def test_batched_transform_matches_one_column_calls(pair, ks):
             assert len(out) == k and all(f.grid == dst for f in out)
             for c in range(k):
                 assert_transform_matches(out[c].values, src.weights * V[:, c], src, dst, sign)
-                if fft:
-                    assert np.array_equal(transform(fields[c], dst).values, out[c].values)
-            assert np.array_equal(transform(fields[0], dst).values, out[0].values)
-        cols = slice(50)
-        stacked = character_sum(V, src, dst, 1.0, cols)
-        assert stacked.shape == (min(50, dst.size), k)
-        for c in range(k):
-            assert np.array_equal(stacked[:, c], character_sum(V[:, c], src, dst, 1.0, cols))
+                assert np.array_equal(transform(fields[c], dst).values, out[c].values)
 
 
 _FFT_PAIRS = {
-    # (source, target, N per axis); n < N pads, n = N neither pads nor folds,
-    # n > N folds the source onto N nodes
+    # (source, target, N per axis, None where the axis takes the chirp-z
+    # transform); n < N pads, n = N neither pads nor folds, n > N folds the
+    # source onto N nodes
     "dim1_pad": (UniformGrid.box(-2.0, 2.0, 33), UniformGrid.box(-4.0, 4.0, 65), (64,)),
     "dim1_equal": (UniformGrid.torus(32), LatticeWindow(1, 7), (32,)),
     "dim1_fold": (UniformGrid.box(-8.0, 8.0, 129), UniformGrid.box(-2.0, 2.0, 5), (8,)),
@@ -213,12 +192,38 @@ _FFT_PAIRS = {
     "tau_grid_to_difference_lattice": (_TAU_GRID, _DIFFERENCE_LATTICE, (400,)),
     "tau_grid_to_shift_grid": (_TAU_GRID, _SHIFT_GRID, (200,)),
     "shift_grid_to_tau_grid": (_SHIFT_GRID, _TAU_GRID, (200,)),
+    # chirp-z: gaussian_rank1's box, step 12/511 with lo/h = -255.5, onto
+    # itself (h h' = 144/511^2, phases mod 2 * 511^2, above the roots' cap)
+    "gaussian_rank1": (UniformGrid.box(-6.0, 6.0, 512), UniformGrid.box(-6.0, 6.0, 512), (None,)),
+    # criterion 3's grid, step 5/128, onto its difference lattice: whole
+    # steps, but h h' = 25/16384 is no unit fraction (phases mod 2^15)
+    "criterion3": (UniformGrid.box(-5.0, 5.0, 257), UniformGrid.box(-10.0, 10.0, 513), (None,)),
+    # step 4/333 at lo/h = -499.5 against 1/128 (phases mod 2 * 42624)
+    "line_1000": (UniformGrid.box(-6.0, 6.0, 1000), UniformGrid.box(-4.0, 4.0, 1025), (None,)),
+    # one commensurate axis (steps 1/4 and 1/4: N = 16) and one chirp-z
+    # axis (steps 1/4 and 3/5), in both orders
+    "dim2_fft_then_chirp": (
+        UniformGrid(((-2.0, 2.0, 17), (-1.0, 1.0, 9))),
+        UniformGrid(((-4.0, 4.0, 33), (-3.0, 3.0, 11))),
+        (16, None),
+    ),
+    "dim2_chirp_then_fft": (
+        UniformGrid(((-1.0, 1.0, 9), (-2.0, 2.0, 17))),
+        UniformGrid(((-3.0, 3.0, 11), (-4.0, 4.0, 33))),
+        (None, 16),
+    ),
+    # the float ends +-0.3 are exact ratios over 2^54: phases mod about
+    # 2^110, reduced in Python ints, each factor one exp
+    "dim2_above_int64": (UniformGrid.box(-2.0, 2.0, 9, 2), UniformGrid.box(-0.3, 0.3, 25, 2), (None, None)),
 }
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("pair", list(_FFT_PAIRS))
 def test_fft_transform_matches_an_exact_root_fsum(pair, sign):
+    # every column within C_FFT's bound of the exact-root sum, and
+    # bit-identical to its own one-column transform; the pairs read at most
+    # 0.37 of the bound
     src, dst, sizes = _FFT_PAIRS[pair]
     assert _fft_sizes(src, dst) == sizes
     rng = np.random.default_rng(43)
@@ -226,10 +231,13 @@ def test_fft_transform_matches_an_exact_root_fsum(pair, sign):
     V[::5, 0] = complex(-0.0, 0.0)
     V[1::5, 0] = complex(0.0, -0.0)
     V[::3, 1] = complex(-0.0, -0.0)
-    got = (dft_forward if sign < 0 else dft_inverse)(tuple(SampledField(src, v) for v in V.T), dst)
+    transform = dft_forward if sign < 0 else dft_inverse
+    fields = tuple(SampledField(src, v) for v in V.T)
+    got = np.stack([f.values for f in transform(fields, dst)], axis=1)
     W = src.weights[:, None] * V
-    bound = C_FFT * np.finfo(float).eps * math.log2(math.prod(sizes)) * np.abs(W).sum(axis=0)
-    assert np.all(np.abs(np.stack([f.values for f in got], axis=1) - _fsum_transform(W, src, dst, sign)) <= bound)
+    assert np.all(np.abs(got - _fsum_transform(W, src, dst, sign)) <= fft_bound(src, dst, W))
+    for c, f in enumerate(fields):
+        assert np.array_equal(transform(f, dst).values, got[:, c])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -254,10 +262,10 @@ def test_exact_axes_are_exact_ratios_of_the_axis_ends():
     assert _exact_axes(_DIFFERENCE_LATTICE) == [(-200, 1, 20)]
     assert _exact_axes(_SHIFT_GRID) == [(-100, 1, 10)]
     # gaussian_rank1's box: node m is (-3066 + 12 m)/511, so lo/h = -255.5
-    # is no whole number of steps and the pair takes no FFT
+    # is no whole number of steps and the pair takes the chirp-z transform
     box = UniformGrid.box(-6.0, 6.0, 512)
     assert _exact_axes(box) == [(-3066, 12, 511)]
-    assert _fft_sizes(box, box) is None
+    assert _fft_sizes(box, box) == (None,)
     assert _exact_axes(UniformGrid(((-6.0, 6.0, 512), (-2.0, 2.0, 9)))) == [(-3066, 12, 511), (-4, 1, 2)]
     assert _exact_axes(UniformGrid.box(-1.0, 1.0, 4)) == [(-3, 2, 3)]
     # windows, [0, 1) tori and boxes with dyadic steps h = S/D: node m at
@@ -270,27 +278,6 @@ def test_exact_axes_are_exact_ratios_of_the_axis_ends():
         S, D = h.as_integer_ratio()
         assert np.array_equal(grid.axis_nodes[0], h * (round(grid.axes[0][0] / h) + np.arange(grid.shape[0])))
         assert _exact_axes(grid) == [(round(lo / h) * S, S, D) for lo, _, _ in grid.axes]
-
-
-@pytest.mark.parametrize(
-    "src, dst",
-    [
-        # gaussian_rank1's box, spacing 12/511, against itself
-        (UniformGrid.box(-6.0, 6.0, 512), UniformGrid.box(-6.0, 6.0, 512)),
-        # criterion 3's grid, spacing 5/128, against its difference lattice:
-        # whole steps, but h h' = 25/16384 is no unit fraction
-        (UniformGrid.box(-5.0, 5.0, 257), UniformGrid.box(-10.0, 10.0, 513)),
-    ],
-    ids=["gaussian_rank1", "criterion3_difference_lattice"],
-)
-def test_non_commensurate_pairs_keep_the_character_sum(src, dst):
-    assert _fft_sizes(src, dst) is None
-    rng = np.random.default_rng(44)
-    V = rng.standard_normal((src.size, 2)) + 1j * rng.standard_normal((src.size, 2))
-    for transform, sign in ((dft_forward, -1.0), (dft_inverse, 1.0)):
-        out = transform(tuple(SampledField(src, v) for v in V.T), dst)
-        for c, f in enumerate(out):
-            assert np.array_equal(f.values, character_sum(src.weights * V[:, c], src, dst, sign))
 
 
 _ABOVE_CAP = {

@@ -6,15 +6,16 @@ per-setting formulations, kept here so the merged bodies stay equal to them
 bit for bit. Two exceptions: a linear phase's synthesis factor, which
 ``numerics.characters`` gathers from roots of unity at each node pair's
 exact integer phase, stays within the table's roundoff of the exp formula;
-and a transform between commensurate grids (a window against any torus,
-dyadic boxes), which is an FFT, stays within C_FFT's bound of the
-compensated character sum over that exact-root table."""
-
-import math
+and every transform, an FFT on commensurate axes (a window against any
+torus, dyadic boxes) and a chirp-z transform on the others, which stays
+within C_FFT's bound of the compensated character sum over that exact-root
+table."""
 
 import numpy as np
 import pytest
 
+from nucfio import numerics
+from nucfio.cli import run_scenario
 from nucfio.errors import ShapeError, ValidationError
 from nucfio.euclid import PhaseSpec, nuclear_trace_euclid, symbol_from_decomposition
 from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
@@ -29,31 +30,10 @@ from nucfio.lattice import (
     lattice_symbol_from_decomposition,
 )
 from nucfio.nuclear import RankOneSequence
-from nucfio.numerics import _fft_sizes, character_sum, characters, dft_forward
+from nucfio.numerics import _fft_sizes, characters, dft_forward
+from transform_oracles import C_FFT, character_sum, fft_bound, transform_lengths
 
 EPS = np.finfo(float).eps
-
-# The FFT path's per-entry gap to the compensated character sum is at most
-# C_FFT * eps * log2(prod N) * sum_m |w_m v_m|.
-C_FFT = 1.0
-
-
-def fft_bound(space, freq, weighted):
-    """C_FFT's per-entry bound for transforming the columns of ``weighted``
-    from ``space`` to ``freq``, or None where that pair takes the character
-    sum bit for bit."""
-    sizes = _fft_sizes(space, freq)
-    if sizes is None:
-        return None
-    return C_FFT * EPS * math.log2(math.prod(sizes)) * np.abs(weighted).sum(axis=0)
-
-
-def assert_transform_matches(got, want, bound):
-    """``==`` off the FFT path, within ``bound`` on it."""
-    if bound is None:
-        assert np.array_equal(got, want)
-    else:
-        assert np.all(np.abs(got - want) <= bound)
 
 
 def oracle_trace(phi, a, rows, cols, w):
@@ -73,34 +53,28 @@ def oracle_synthesis(phi, pairs, space, freq, factor=None):
 
 
 def synthesis_tolerance(pairs, space, freq):
-    """Per-entry bound on the FFT path's synthesis gap: each transformed
+    """Per-entry bound on the transform's synthesis gap: each transformed
     (weighted) g is within C_FFT's bound of the oracle's, so sum_k h_k G_k
-    moves by at most sum_k |h_k| C_FFT eps log2(prod N) sum |g_k|; the k-term
+    moves by at most sum_k |h_k| C_FFT eps log2(prod L) sum |g_k|; the k-term
     sum and the unit factor round at most k + 2 times on each side, each by
     eps sum_k |h_k| sum |g_k| at most."""
-    log2n = math.log2(math.prod(_fft_sizes(space, freq)))
+    log2n = np.log2(np.prod(transform_lengths(space, freq)))
     per_g = (C_FFT * log2n + 2 * (len(pairs) + 2)) * EPS
     return sum(np.outer(np.abs(h), per_g * np.abs(g).sum()) for h, g in pairs)
 
 
 def assert_synthesis_matches(phase, got, phi, pairs, space, freq):
-    """``==`` to the per-setting synthesis, with two exceptions. A linear
-    phase takes its factor from roots of unity (every pair here is below
-    the table's cap), within 4 eps (1 + |phi|) of the exp value, so each
-    entry is within 8 eps (1 + |phi|) of the oracle's, the product's own
-    rounding included. Where the transform is an FFT,
-    ``synthesis_tolerance`` adds to that."""
+    """Within ``synthesis_tolerance`` of the per-setting synthesis, the
+    transform's gap. A linear phase takes its factor from roots of unity
+    (every pair here is below the table's cap), within 4 eps (1 + |phi|) of
+    the exp value, so each entry is off by 8 eps (1 + |phi|) more, the
+    product's own rounding included."""
     want = oracle_synthesis(phi, pairs, space, freq)
-    tol = np.zeros(want.shape)
+    tol = synthesis_tolerance(pairs, space, freq)
     if phase.kind == "linear":
-        tol += 8 * EPS * (1.0 + np.abs(phi)) * np.abs(want)
-    if _fft_sizes(space, freq) is not None:
-        tol += synthesis_tolerance(pairs, space, freq)
-    if tol.any():
-        assert np.all(np.abs(got - want) <= tol)
-        assert not np.array_equal(got, want)
-    else:
-        assert np.array_equal(got, want)
+        tol = tol + 8 * EPS * (1.0 + np.abs(phi)) * np.abs(want)
+    assert np.all(np.abs(got - want) <= tol)
+    assert not np.array_equal(got, want)
 
 
 def random_complex(rng, shape):
@@ -137,7 +111,7 @@ def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
     dyadic = xi_count in (16, 32)
     rng = np.random.default_rng(30 + dim)
     window, xi_grid = LatticeWindow(dim, radius), UniformGrid.torus(xi_count, dim)
-    assert _fft_sizes(window, xi_grid) is not None
+    assert all(_fft_sizes(window, xi_grid))
     pts, xi = window.nodes, xi_grid.nodes
     shape = (window.size, xi_grid.size)
     d = random_decomposition(window, rng)
@@ -154,7 +128,7 @@ def test_lattice_bodies_match_per_setting_formulas(dim, radius, xi_count):
         assert_synthesis_matches(phase, s.values, phi, pairs, window, xi_grid)
     f = d.terms[0][1]
     got, want = dft_forward(f, xi_grid).values, character_sum(f.values, window, xi_grid, -1.0)
-    assert_transform_matches(got, want, fft_bound(window, xi_grid, f.values))
+    assert np.all(np.abs(got - want) <= fft_bound(window, xi_grid, f.values))
 
 
 @pytest.mark.parametrize(
@@ -168,7 +142,7 @@ def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
     dyadic = x_count in (16, 32)
     rng = np.random.default_rng(32 + dim)
     x_grid, window = UniformGrid.torus(x_count, dim), LatticeWindow(dim, cutoff)
-    assert _fft_sizes(x_grid, window) is not None
+    assert all(_fft_sizes(x_grid, window))
     x, freqs, w = x_grid.nodes, window.nodes, x_grid.weights
     shape = (x_grid.size, freqs.shape[0])
     d = random_decomposition(x_grid, rng)
@@ -185,20 +159,19 @@ def test_torus_bodies_match_per_setting_formulas(dim, cutoff, x_count):
         assert_synthesis_matches(phase, s.values, phi, pairs, x_grid, window)
     f = d.terms[0][1]
     got, want = dft_forward(f, window).values, character_sum(w * f.values, x_grid, window, -1.0)
-    assert_transform_matches(got, want, fft_bound(x_grid, window, w * f.values))
+    assert np.all(np.abs(got - want) <= fft_bound(x_grid, window, w * f.values))
 
 
 def test_euclid_rank_four_synthesis_matches_per_term_formula():
     # one transform of all four g factors, 1025 frequency nodes, and the
     # roots of unity for a linear phase factor (the oracle's linear factor is
     # the same table). Spacing 4/333 against 1/128 (M = 42624) takes the
-    # character sum, and the symbol equals the per-term sums bit for bit;
-    # spacings 1/64 and 1/128 take the FFT with N = 8192, within C_FFT's
-    # bound of the per-term sums
+    # chirp-z transform with L = 2048, spacings 1/64 and 1/128 the FFT with
+    # N = 8192; both are within C_FFT's bound of the per-term sums
     for lo, count in ((-6.0, 1000), (-8.0, 1025)):
         rng = np.random.default_rng(36)
         grid, xi_grid = UniformGrid.box(lo, -lo, count), UniformGrid.box(-4.0, 4.0, 1025)
-        assert (_fft_sizes(grid, xi_grid) is not None) == (count == 1025)
+        assert transform_lengths(grid, xi_grid) == ((2048,) if count == 1000 else (8192,))
         d = random_decomposition(grid, rng, terms=4)
         x, xi = grid.nodes, xi_grid.nodes
         pairs = [(h.values, grid.weights * g.values) for h, g in d.terms]
@@ -206,9 +179,6 @@ def test_euclid_rank_four_synthesis_matches_per_term_formula():
             factor = characters(grid, xi_grid, -1.0) if phase.kind == "linear" else None
             s = symbol_from_decomposition(phase, d, xi_grid)
             want = oracle_synthesis(phase.table(x, xi), pairs, grid, xi_grid, factor)
-            if count == 1000:
-                assert np.array_equal(s.values, want)
-                continue
             assert np.all(np.abs(s.values - want) <= synthesis_tolerance(pairs, grid, xi_grid))
 
 
@@ -279,3 +249,26 @@ def test_entry_points_check_the_setting_of_a_bare_symbol():
             f(phase, euclid)  # open spatial box
         with pytest.raises(ValidationError):
             f(phase, grid_freqs)  # frequencies not a window
+
+
+def test_constant_symbol_traces_never_transform(monkeypatch):
+    # a given symbol is traced as it stands: the lattice and torus traces
+    # take no quadrature transform (``_dft``), whatever the phase, and
+    # neither do the CLI runs that report them beside their matrices
+    def no_transform(*args):
+        raise AssertionError("a constant-symbol trace took a transform")
+
+    monkeypatch.setattr(numerics, "_dft", no_transform)
+    rng = np.random.default_rng(37)
+    window, torus = LatticeWindow(2, 2), UniformGrid.torus(10, 2)
+    for space, freq, trace in ((window, torus, lattice_nuclear_trace), (torus, window, torus_nuclear_trace)):
+        a = SampledSymbol(space, freq, np.full((space.size, freq.size), 1.5 - 0.5j))
+        for phase in phases(space.nodes, freq.nodes, rng):
+            assert np.isfinite(trace(phase, a))
+    symbol = {"symbol": {"family": "constant", "value": 2.0}}
+    for cfg in (
+        {"setting": "lattice", "dim": 1, "radius": 3, "xi_count": 14, "phase": {"kind": "linear"}, **symbol},
+        {"setting": "torus", "dim": 2, "cutoff": 2, "x_count": 10, "phase": {"kind": "linear"}, **symbol},
+    ):
+        report, checks = run_scenario(cfg, "verify")
+        assert np.isfinite(report.nuclear_trace) and all(value <= tol for _, value, tol in checks)
