@@ -15,8 +15,9 @@ Conventions used throughout the package:
 * quadrature reductions are compensated sums in a fixed order, so repeated
   runs are bit-identical: a reduction along an axis steps through it in
   ascending index order (Kahan), and a reduction to a scalar deals element i
-  to lane i mod 1024, takes one Neumaier step per lane row, and folds the
-  lanes in one exactly rounded ``math.fsum``.
+  to lane i mod 1024, adds each lane row to the lanes' totals and their exact
+  rounding errors to the lanes' compensations, and folds the lanes in one
+  exactly rounded ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ _EDGE_RTOL = 1e-8
 # Lane count of the flat compensated sum (see KahanSum).
 _LANES = 1024
 
+# Lane rows the flat sum adds per vectorized chunk: a chunk's temporaries are
+# 16 rows of 2048 floats (256 KB each) for a complex sum.
+_CHUNK_ROWS = 16
+
 
 class KahanSum:
     """Resumable compensated sum over the leading axis of blocks.
@@ -77,12 +82,16 @@ class KahanSum:
       also be any iterable of such rows, a generator say, so a caller can
       feed products row by row without forming their stack.
     * A total of shape () sums the flattened stream across ``_LANES`` lanes:
-      element i, counted over every ``add``, goes to lane i mod ``_LANES``,
-      and each lane row takes one vectorized Neumaier step. Complex values
-      are accumulated real and imaginary apart. ``value`` folds the lanes'
-      totals and compensations in one exactly rounded ``math.fsum``; if a
-      lane is not finite or the fold overflows, it is the IEEE sum of the
-      lane totals (inf or nan, as the plain sum would give).
+      element i, counted over every ``add``, goes to lane i mod ``_LANES``.
+      Complex values are accumulated real and imaginary apart. The lanes
+      advance by one vector add per lane row, in row order, and each row's
+      exact rounding error (TwoSum, the error a Neumaier step forms) is
+      added to the lanes' compensations in the same order, up to
+      ``_CHUNK_ROWS`` rows per pass, so the bits do not depend on how the
+      stream is cut into blocks. ``value`` folds the lanes' totals and
+      compensations in one exactly rounded ``math.fsum``; if a lane is not
+      finite or the fold overflows, it is the IEEE sum of the lane totals
+      (inf or nan, as the plain sum would give).
 
     Parameters
     ----------
@@ -126,18 +135,35 @@ class KahanSum:
         self.count += n
         i = 0
         while i < n:
+            # a partial row stays at its lane offset; whole rows go _CHUNK_ROWS at a time
             k = min(width - lane, n - i)
-            self._step(slice(lane, lane + k), x[i : i + k])
-            i, lane = i + k, 0
+            rows = 1 if k < width else min(_CHUNK_ROWS, (n - i) // width)
+            self._add_rows(slice(lane, lane + k), x[i : i + rows * k].reshape(rows, k))
+            i, lane = i + rows * k, 0
         return self
 
-    def _step(self, lanes: slice, x: np.ndarray) -> None:
-        """One Neumaier step on ``lanes``: the exact rounding error of s + x
-        is (s - t) + x when |s| >= |x|, else (x - t) + s."""
-        s = self.total[lanes]
-        t = s + x
-        self.comp[lanes] += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
-        self.total[lanes] = t
+    def _add_rows(self, lanes: slice, x: np.ndarray) -> None:
+        """The rows of ``x`` added to ``lanes`` in order. The totals advance
+        by one add per row; then every row's rounding error, the exact
+        s + x - t, is formed at once by TwoSum (Knuth, TAOCP 2, 4.2.2):
+        z = t - s, e = (s - (t - z)) + (x - z), and folded into ``comp`` one
+        row at a time. Neumaier's branch on |s| >= |x| gives the same error
+        on every finite lane; a lane whose total is not finite keeps a
+        ``comp`` that ``value`` never reads."""
+        T = np.empty((x.shape[0] + 1, x.shape[1]), dtype=x.dtype)
+        T[0] = self.total[lanes]
+        for r, row in enumerate(x):
+            np.add(T[r], row, out=T[r + 1])
+        s, t = T[:-1], T[1:]
+        z = t - s
+        e = t - z
+        np.subtract(s, e, out=e)
+        np.subtract(x, z, out=z)
+        e += z
+        comp = self.comp[lanes]
+        for row in e:
+            comp += row
+        self.total[lanes] = T[-1]
 
     @property
     def value(self):

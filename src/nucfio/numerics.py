@@ -199,6 +199,20 @@ def _chirp(c2: int, c1: int, c0: int, M: int, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * (r / M).astype(float))
 
 
+def _smooth_length(m: int) -> int:
+    """The least 2^a 3^b 5^c at least m: an FFT length that pocketfft takes
+    in radix-2, 3 and 5 passes only, and often well below the next power of
+    two (800 for 769)."""
+    best, p5 = 1 << (m - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _chirp_axis(a: np.ndarray, ax: int, src: tuple, dst: tuple, m_out: int, sign: float) -> np.ndarray:
     """Axis ``ax`` of a summed onto m_out output nodes by a chirp-z
     transform (Bluestein, IEEE Trans. Audio Electroacoust. 18, 1970).
@@ -209,12 +223,12 @@ def _chirp_axis(a: np.ndarray, ax: int, src: tuple, dst: tuple, m_out: int, sign
     the integers pre(m) = sign (S T m^2 + 2 S v0 m), post(j) = sign (S T j^2
     + 2 u0 T j + 2 u0 v0) and c(k) = sign S T k^2, each factor a ``_chirp``.
     The sum over m is then one linear convolution with e^{-2*pi*i c(k)/M},
-    k from 1 - n to m_out - 1: one FFT of length L >= n + m_out - 1 (a power
-    of two) along the axis, zero-padded, for every column at once, each
-    along its own lines."""
+    k from 1 - n to m_out - 1: one FFT of length L >= n + m_out - 1 (the
+    least 5-smooth one, ``_smooth_length``) along the axis, zero-padded, for
+    every column at once, each along its own lines."""
     (u0, S, D), (v0, T, E) = src, dst
     n, M, s = a.shape[ax], 2 * D * E, int(sign)
-    L = 1 << (n + m_out - 2).bit_length()
+    L = _smooth_length(n + m_out - 1)
     c = _chirp(-s * S * T, 0, 0, M, max(n, m_out))
     kernel = np.zeros(L, dtype=complex)
     kernel[:m_out] = c[:m_out]
@@ -346,12 +360,13 @@ def mixed_norm(symbol, inner: str, p_inner: float, p_outer: float) -> float:
 
     Notes
     -----
-    The symbol is read ``_ROW_CHUNK`` rows at a time: the x-inner norm
-    carries one compensated column sum across the blocks in ascending row
-    order, the xi-inner norm reduces each block's rows, so the result has the
-    bits of the whole-array sums. With p_inner == p_outer == p this factors
-    into the 2n-dimensional L^p norm on the product grid (Fubini for the
-    product weights).
+    The inner integral is one compensated sum (``KahanSum``) whose rows are
+    the inner side's nodes, read ``_ROW_CHUNK`` at a time: the rows of the
+    values for the x-inner norm, their columns for the xi-inner norm. Each
+    step is as wide as the outer side, and every outer node sums its inner
+    nodes in ascending order, so the result has the bits of the whole-array
+    sums. With p_inner == p_outer == p this factors into the 2n-dimensional
+    L^p norm on the product grid (Fubini for the product weights).
     """
     p_inner = require_real(p_inner, "p_inner", 1.0, np.inf, include_hi=False)
     p_outer = require_real(p_outer, "p_outer", 1.0, np.inf, include_hi=False)
@@ -361,18 +376,14 @@ def mixed_norm(symbol, inner: str, p_inner: float, p_outer: float) -> float:
     nx, nxi = symbol.space.size, symbol.freq.size
     if vals.shape != (nx, nxi):
         raise ShapeError(f"symbol values {vals.shape} != grid sizes ({nx}, {nxi})")
-    wx, wxi = symbol.space.weights, symbol.freq.weights
-    if inner == "x":
-        acc = KahanSum((nxi,), float)
-        for rows in _row_blocks(nx):
-            acc.add(wx[rows, None] * np.abs(vals[rows]) ** p_inner)
-        t = acc.value ** (1.0 / p_inner)
-        return float(ksum(wxi * t**p_outer)) ** (1.0 / p_outer)
-    t = np.empty(nx)
-    for rows in _row_blocks(nx):
-        t[rows] = ksum(wxi[None, :] * np.abs(vals[rows]) ** p_inner, axis=1)
-    t **= 1.0 / p_inner
-    return float(ksum(wx * t**p_outer)) ** (1.0 / p_outer)
+    w_in, w_out, side = symbol.space.weights, symbol.freq.weights, vals
+    if inner == "xi":  # the inner side's nodes are the rows of ``side``
+        w_in, w_out, side = w_out, w_in, vals.T
+    acc = KahanSum((w_out.size,), float)
+    for rows in _row_blocks(w_in.size):
+        acc.add(w_in[rows, None] * np.abs(side[rows]) ** p_inner)
+    t = acc.value ** (1.0 / p_inner)
+    return float(ksum(w_out * t**p_outer)) ** (1.0 / p_outer)
 
 
 def hausdorff_young_ratio(f: SampledField, p: float, xi_grid: UniformGrid | None = None) -> float:

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from nucfio.grids import (
     require_edge_decay,
     require_same_grid,
 )
-from nucfio.numerics import dft_forward, dft_inverse
+from nucfio.numerics import dft_forward, dft_inverse, mixed_norm
+from ksum_oracles import NeumaierLanes, row_block_mixed_norm
 
 
 def test_box_weights_sum_to_volume():
@@ -218,6 +220,123 @@ def test_flat_ksum_of_non_finite_or_overflowing_values_is_the_ieee_sum(values, w
         got = ksum(values)
     assert type(got) is values.dtype.type
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def _spread(n, seed, kind="f", decades=150):
+    """Normal values scaled by 10^-decades .. 10^decades: most additions
+    round, and a term below its lane's total loses low bits that only the
+    TwoSum's (x - z) term keeps."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-decades, decades, size=n)
+    if kind == "c":
+        v = v + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-decades, decades, size=n)
+    return v
+
+
+def _planted(values, at, specials):
+    v = values.copy()
+    v[at] = specials
+    return v
+
+
+# values per lane row and per chunk of the flat sum, real or complex
+_ROW, _CHUNK = 1024, 16 * 1024
+
+# (values, block lengths): the stream is fed in blocks of these lengths, then the rest
+_LANE_CASES = {
+    "real_mid_row_offsets": (_spread(5000, 1), [700, 0, 800, 1600]),
+    "complex_mid_row_offsets": (_spread(5000, 2, "c"), [300, 1600, 0, 100]),
+    "real_short_and_one_row_blocks": (_spread(6000, 3), [1, 3, _ROW - 1, _ROW, 5, _ROW, _ROW + 1]),
+    "complex_short_and_one_row_blocks": (_spread(6000, 4, "c"), [1, 3, _ROW - 1, _ROW, 5, _ROW, _ROW + 1]),
+    "real_chunk_edges": (_spread(3 * _CHUNK + 7, 5), [_CHUNK - 1, _CHUNK, _CHUNK + 1]),
+    "complex_chunk_edges": (_spread(3 * _CHUNK + 7, 6, "c"), [_CHUNK - 1, _CHUNK, _CHUNK + 1]),
+    "real_one_chunk_from_a_lane_offset": (_spread(2 * _CHUNK + 9, 7), [3, _CHUNK, 1]),
+    "negative_zero": (
+        _planted(_spread(4000, 8), np.r_[3:4000:_ROW, 7:4000:_ROW, 100:200], -0.0),
+        [50, _ROW],
+    ),
+    "complex_negative_zero": (
+        _planted(_spread(3000, 9, "c"), np.r_[5:3000:_ROW, 40:90], complex(-0.0, -0.0)),
+        [20, _ROW],
+    ),
+    "inf": (_planted(_spread(5000, 10), [17, 17 + _ROW, 4990], [np.inf, 1.0, -np.inf]), [2000]),
+    "nan": (_planted(_spread(5000, 11), [9, 4999], np.nan), [4500]),
+    "overflow": (
+        _planted(_spread(5000, 12), [5, 5 + _ROW, 30 + 3 * _ROW, 30 + 4 * _ROW], [_BIG, _BIG, -_BIG, -_BIG]),
+        [1000, 4200],
+    ),
+    "complex_inf_nan_overflow": (
+        _planted(_spread(4000, 13, "c"), [2, 2 + _ROW, 3999], [complex(np.inf, _BIG), complex(1.0, _BIG), np.nan]),
+        [600],
+    ),
+}
+
+
+@pytest.mark.parametrize("values, lengths", _LANE_CASES.values(), ids=_LANE_CASES.keys())
+def test_flat_kahan_sum_keeps_the_bits_of_one_neumaier_step_per_lane_row(values, lengths):
+    # total and comp bit for bit, and the value, against the step-per-row
+    # oracle; comp is compared on every lane whose total is finite, as value
+    # reads no other (an overflowing step leaves -inf there in the oracle, nan here)
+    cuts = np.cumsum(lengths)
+    got, want = KahanSum((), values.dtype), NeumaierLanes((), values.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in np.split(values, cuts):
+            got.add(block)
+            want.add(block)
+        got_value, want_value = got.value, want.value
+    assert got.count == want.count == values.view(float).size
+    assert np.array_equal(got.total.view(np.int64), want.total.view(np.int64))
+    finite = np.isfinite(want.total)
+    assert np.array_equal(got.comp.view(np.int64)[finite], want.comp.view(np.int64)[finite])
+    assert type(got_value) is type(want_value)
+    assert got_value.tobytes() == want_value.tobytes()
+
+
+def test_flat_kahan_sum_adds_without_a_copy_of_its_input():
+    # one add of 1025^2 complex values works through lane rows in chunks of
+    # a few hundred KB, whatever the block length (the input is 16.8 MB)
+    values = _spread(1025**2, 14, "c")
+    acc = KahanSum((), complex)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        acc.add(values)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert acc.count == 2 * values.size
+
+
+def _norm_symbol(values, w_space, w_freq):
+    space, freq = (SimpleNamespace(size=w.size, weights=w) for w in (w_space, w_freq))
+    return SimpleNamespace(space=space, freq=freq, values=values)
+
+
+@pytest.mark.parametrize(
+    "inner, nx, nxi",
+    [("xi", 1281, 100), ("xi", 1025, 1025), ("xi", 1281, 513), ("x", 100, 1281), ("x", 1025, 1025)],
+    ids=["xi_nx_1281_nxi_100", "xi_1025_square", "xi_1281_by_513", "x_nx_100_nxi_1281", "x_1025_square"],
+)
+def test_mixed_norm_keeps_the_bits_of_the_row_block_sums(inner, nx, nxi):
+    # nx = 1 mod 256 leaves a one-row block at the parent; each outer node
+    # still sums its inner nodes in ascending order, so every bit stays
+    rng = np.random.default_rng(nx + nxi)
+    vals = _spread(nx * nxi, nx, "c", decades=3).reshape(nx, nxi)
+    sym = _norm_symbol(vals, rng.uniform(0.1, 1.0, nx), rng.uniform(0.1, 1.0, nxi))
+    for p_inner, p_outer in ((2.0, 2.0), (1.0, 3.0), (2.5, 1.5)):
+        got = mixed_norm(sym, inner, p_inner, p_outer)
+        assert got.hex() == row_block_mixed_norm(sym, inner, p_inner, p_outer).hex()
+    # unit weights, p = 1 and one entry per outer node make every inner sum
+    # exact, and the outer sum deals 2^53 then 1 to lane 0 and 1 to lane 1:
+    # it is 2^53 + 2 only if lane 0 keeps the 1 its total rounded away
+    outer = np.zeros(nx if inner == "xi" else nxi)
+    outer[[0, 1, _ROW]] = [2.0**53, 1.0, 1.0]
+    planted = np.zeros((outer.size, nxi if inner == "xi" else nx), dtype=complex)
+    at = rng.integers(0, planted.shape[1], outer.size)
+    planted[np.arange(outer.size), at] = outer * rng.choice([1, -1, 1j, -1j], outer.size)
+    sym = _norm_symbol(planted if inner == "xi" else planted.T, np.ones(nx), np.ones(nxi))
+    assert mixed_norm(sym, inner, 1.0, 1.0) == row_block_mixed_norm(sym, inner, 1.0, 1.0) == 2.0**53 + 2.0
 
 
 def test_interpolate_exact_on_cubics():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nucfio.grids import ksum
+from nucfio.grids import KahanSum, ksum
+from ksum_oracles import NeumaierLanes
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -52,3 +53,25 @@ def test_ksum_is_within_the_kahan_bound_of_fsum(values):
 def test_ksum_is_exact_on_small_integers(values):
     # every partial sum is an integer below 2**30, so each step is exact
     assert float(ksum(np.asarray(values, dtype=float))) == math.fsum(values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=0, max_value=3 * 16 * 1024 + 1100),
+    st.sampled_from((float, complex)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.integers(min_value=0, max_value=3 * 16 * 1024 + 1100), max_size=6),
+)
+def test_flat_lanes_keep_the_bits_of_one_neumaier_step_per_row(n, dtype, seed, cuts):
+    # finite values over 60 decades fed at any cuts, past three chunks of
+    # 16 lane rows: total, comp and value bit for bit against the oracle
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal(2 * n) * 10.0 ** rng.integers(-30, 30, size=2 * n)).view(complex)
+    values = values if dtype is complex else values.real.copy()
+    got, want = KahanSum((), dtype), NeumaierLanes((), dtype)
+    for block in np.split(values, sorted(c for c in cuts if c <= n)):
+        got.add(block)
+        want.add(block)
+    assert got.total.tobytes() == want.total.tobytes()
+    assert got.comp.tobytes() == want.comp.tobytes()
+    assert got.value.tobytes() == want.value.tobytes()

@@ -17,6 +17,7 @@ from nucfio.numerics import (
     _fft_sizes,
     _openblas_threads,
     _roots,
+    _smooth_length,
     characters,
     dense_eigenvalues,
     dft_forward,
@@ -26,7 +27,7 @@ from nucfio.numerics import (
     matrix_trace,
     mixed_norm,
 )
-from transform_oracles import character_sum, fft_bound
+from transform_oracles import character_sum, fft_bound, smooth_length
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -238,6 +239,13 @@ def test_fft_transform_matches_an_exact_root_fsum(pair, sign):
     assert np.all(np.abs(got - _fsum_transform(W, src, dst, sign)) <= fft_bound(src, dst, W))
     for c, f in enumerate(fields):
         assert np.array_equal(transform(f, dst).values, got[:, c])
+
+
+def test_chirp_z_length_is_the_least_five_smooth_one():
+    # the tests' bound reads the length by trial division; criterion 3's pair
+    # needs 769 and takes 800, gaussian_rank1's needs 1023 and keeps 1024
+    assert [_smooth_length(m) for m in range(1, 5000)] == [smooth_length(m) for m in range(1, 5000)]
+    assert (_smooth_length(769), _smooth_length(1023), _smooth_length(2024)) == (800, 1024, 2025)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -166,12 +166,12 @@ def test_euclid_rank_four_synthesis_matches_per_term_formula():
     # one transform of all four g factors, 1025 frequency nodes, and the
     # roots of unity for a linear phase factor (the oracle's linear factor is
     # the same table). Spacing 4/333 against 1/128 (M = 42624) takes the
-    # chirp-z transform with L = 2048, spacings 1/64 and 1/128 the FFT with
-    # N = 8192; both are within C_FFT's bound of the per-term sums
+    # chirp-z transform with L = 2025 = 3^4 5^2, spacings 1/64 and 1/128 the
+    # FFT with N = 8192; both are within C_FFT's bound of the per-term sums
     for lo, count in ((-6.0, 1000), (-8.0, 1025)):
         rng = np.random.default_rng(36)
         grid, xi_grid = UniformGrid.box(lo, -lo, count), UniformGrid.box(-4.0, 4.0, 1025)
-        assert transform_lengths(grid, xi_grid) == ((2048,) if count == 1000 else (8192,))
+        assert transform_lengths(grid, xi_grid) == ((2025,) if count == 1000 else (8192,))
         d = random_decomposition(grid, rng, terms=4)
         x, xi = grid.nodes, xi_grid.nodes
         pairs = [(h.values, grid.weights * g.values) for h, g in d.terms]

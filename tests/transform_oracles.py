@@ -20,12 +20,25 @@ from nucfio.numerics import _fft_sizes, characters
 C_FFT = 1.0
 
 
+def smooth_length(m: int) -> int:
+    """The least integer at least m with no prime factor above 5, by trial."""
+    k = m
+    while True:
+        r = k
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return k
+        k += 1
+
+
 def transform_lengths(src, dst) -> tuple:
     """Per axis the FFT length of the transform from ``src`` to ``dst``: N of
     ``_fft_sizes`` on a commensurate axis, else the chirp-z transform's, the
-    least power of two at least n + n' - 1."""
+    least 5-smooth length at least n + n' - 1."""
     sizes = zip(_fft_sizes(src, dst), src.shape, dst.shape)
-    return tuple(N if N else 1 << (n + m - 2).bit_length() for N, n, m in sizes)
+    return tuple(N if N else smooth_length(n + m - 1) for N, n, m in sizes)
 
 
 def fft_bound(src, dst, weighted) -> np.ndarray:
