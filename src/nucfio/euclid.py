@@ -13,7 +13,7 @@ This module owns the abelian bodies (``_abelian_apply``, ``_abelian_synthesis``,
 same sums over a ``SampledSymbol``, with different weights: ``fio_apply``
 applies all three, and ``lattice`` and ``group`` import the other bodies and
 check their setting. The trace and the matrix diagonal sum the same
-``_trace_terms``; the matrix's off-diagonals are one ``numerics`` FFT.
+``_trace_terms``; the matrix's off-diagonals are one ``numerics._dft``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import ShapeError, ValidationError
 from .grids import KahanSum, LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from .grids import require_real, require_same_grid
 from .nuclear import RankOneSequence, delgado_trace, r_quasinorm_bound, require_node_cap
-from .numerics import _fft_sizes, _fft_sum, _row_blocks, characters, dft_forward, dft_inverse
+from .numerics import _dft, _row_blocks, characters, dft_forward, dft_inverse
 from .numerics import factored_eigenvalues, mixed_norm
 from .report import TraceReport
 
@@ -173,11 +173,11 @@ def _abelian_apply(phase: PhaseSpec, a: SampledSymbol, f: SampledField) -> Sampl
 def _abelian_synthesis(phase: PhaseSpec, d: RankOneSequence, space, freq) -> SampledSymbol:
     """a(p, j) = e^{-i phi(p, j)} sum_k h_k(p) sum_m w_m g_k(m) e^{2*pi*i x_m.xi_j}
     on ``space`` x ``freq``, the g factors on ``space``. One ``dft_inverse``
-    transforms all k g factors in one pass (one FFT on a commensurate pair,
-    every Z^n and T^n pair among them, else one character table); the summed
-    side's weights w fold into g_k. Each row block sums its k outer products
-    in term order, then takes the phase factor, so no temporary is larger
-    than a block.
+    transforms all k g factors in one pass (an FFT on every commensurate
+    axis, every Z^n and T^n axis among them, a chirp-z transform on every
+    other); the summed side's weights w fold into g_k. Each row block sums
+    its k outer products in term order, then takes the phase factor, so no
+    temporary is larger than a block.
     """
     G = dft_inverse(tuple(g for _, g in d.terms), freq)
     A = np.zeros((space.size, freq.size), dtype=complex)
@@ -222,18 +222,17 @@ def _abelian_matrix(phase: PhaseSpec, a: SampledSymbol) -> np.ndarray:
     is summed against e^{-2*pi*i m.t} for window nodes m, as M[p, q] =
     sum_{j in T} w_j e^{i(phi(p, j) - 2*pi*m_q.xi_j)} a(p, j) on Z^n and
     M[l', l] = sum_{x in T} w_x e^{i(phi(x, l) - 2*pi*x.l')} a(x, l) on T^n.
-    Off the diagonal, one FFT of w e^{i phi} a over T onto the window, whose
-    output columns are the symbol's window nodes (so Z^n reads it
-    transposed). The FFT's DC bin is not exact: the diagonal is the T-side
-    compensated sum of the ``_trace_terms``, so windowed identities keep it
-    exact."""
+    Off the diagonal, one ``numerics._dft`` of e^{i phi} a over T onto the
+    window, which folds in the weights w and whose output columns are the
+    symbol's window nodes (so Z^n reads it transposed). The FFT's DC bin is
+    not exact: the diagonal is the T-side compensated sum of the
+    ``_trace_terms``, so windowed identities keep it exact."""
     lattice = isinstance(a.space, LatticeWindow)
     torus, window = (a.freq, a.space) if lattice else (a.space, a.freq)
     x, xi = a.space.nodes, a.freq.nodes
     B = _phase_factor(phase, a.space, a.freq, slice(None), 1.0)
     B *= a.values
-    B *= torus.weights if lattice else torus.weights[:, None]
-    F = _fft_sum(B.T if lattice else B, torus, window, -1.0, _fft_sizes(torus, window))
+    F = _dft(B.T if lattice else B, torus, window, -1.0)
     del B  # freed before the trace terms are formed
     M = F.T if lattice else F
     np.fill_diagonal(M, ksum(_trace_terms(phase, a, x, xi, slice(None)), axis=1 if lattice else 0))

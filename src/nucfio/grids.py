@@ -356,7 +356,7 @@ class LatticeWindow:
 
     def check_grid(self, grid, what: str) -> None:
         """The Z^n-T^n pairing rule: ``grid`` is periodic on [0, 1)^n (the nodes k/N
-        ``numerics._fft_sum`` reads) with at least ``min_xi_count()`` nodes per axis.
+        ``numerics._dft`` reads) with at least ``min_xi_count()`` nodes per axis.
         ``what`` names the node count; ``LatticeWindow.check_grid(space, grid, what)``
         also rejects a space that is not a window."""
         if not isinstance(self, LatticeWindow):

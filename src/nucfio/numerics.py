@@ -4,21 +4,23 @@ The Fourier convention is exp(-2*pi*i*x.xi) forward, exp(+2*pi*i*x.xi)
 inverse, with plain quadrature sums over the supplied grids. Transforms are
 therefore only as good as the grids: the caller picks boxes large enough for
 decay and fine enough for the oscillation (downstream modules validate the
-latter for sampled phases). Every transform between uniform grids is taken
-by FFTs, axis by axis. Where the nodes of both grids sit at whole steps
-from 0 and the steps multiply to 1/N (a window against any torus, boxes
-with power-of-two steps against each other, steps 1/20 against 1/10), the
-axis is one FFT: the values go in at their index offsets mod N, so no
-twiddle factor is formed. Every other axis is a chirp-z transform, one zero-padded
-FFT convolution whose pre-, post- and chirp factors are taken at exact
-integer phases. All of them read the nodes one way, ``_exact_axes``: node
-m of an axis is exactly (u0 + S m)/D for integers formed from the float
-ends, so every phase is an exact multiple of 1/M for an integer M, reduced
-in integers before a gather from a cached table of the M-th roots of unity
-(M at most 2^_ROOTS_BITS) or one ``exp`` of an argument below 2 pi. The
-``characters`` tables of the phase factors read them so too, with
-``np.exp`` of the float products above the roots' cap. This module owns
-the package's only ``np.fft`` calls.
+latter for sampled phases). Every transform between uniform grids goes
+through one entry point, ``_dft``, which checks the pair, folds in the
+source weights and takes the grids axis by axis. Where the nodes of both
+grids sit at whole steps from 0 and the steps multiply to 1/N (a window
+against any torus, boxes with power-of-two steps against each other,
+steps 1/20 against 1/10), the axis is one FFT: the values go in at their
+index offsets mod N, so no twiddle factor is formed. Every other axis is a
+chirp-z transform, one zero-padded FFT convolution whose pre-, post- and
+chirp factors are taken at exact integer phases. All of them read the
+nodes one way, ``_exact_axes``: node m of an axis is exactly (u0 + S m)/D
+for integers formed from the float ends, so every phase is an exact
+multiple of 1/M for an integer M, reduced in integers before a gather
+from a cached table of the M-th roots of unity (M at most 2^_ROOTS_BITS)
+or one ``exp`` of an argument below 2 pi. The ``characters`` tables of
+the phase factors read them so too, with ``np.exp`` of the float products
+above the roots' cap. This module owns the package's only ``np.fft``
+calls.
 """
 
 from __future__ import annotations
@@ -241,25 +243,31 @@ def _chirp_axis(a: np.ndarray, ax: int, src: tuple, dst: tuple, m_out: int, sign
     return np.fft.ifft(F, axis=ax)[(slice(None),) * ax + (slice(m_out),)] * post
 
 
-def _fft_sum(values: np.ndarray, from_grid, to_grid, sign: float, sizes: tuple) -> np.ndarray:
-    """sum_p values_p e^{sign*2*pi*i x_p.xi_j} over the nodes x_p of
-    ``from_grid`` for every xi_j of ``to_grid``, axis by axis: ``values`` is
-    (n,) or (n, k), source first, and each column is summed along its own
-    lines, so it keeps the bits of its own transform.
+def _dft(values: np.ndarray, from_grid: UniformGrid, to_grid: UniformGrid, sign: float) -> np.ndarray:
+    """The quadrature sum sum_p w_p values_p e^{sign*2*pi*i x_p.xi_j} over
+    the nodes x_p of ``from_grid``, weights w_p, for every xi_j of
+    ``to_grid``: ``values`` is (n,) or (n, k), source first, the result
+    (to_grid.size,) or (to_grid.size, k), and each column is summed along
+    its own lines, so it keeps the bits of its own transform. A window on
+    either side must pass the pairing rule first (``grids._check_pairing``),
+    so no aliasing Z^n-T^n pair is transformed.
 
-    An axis with a length N in ``sizes`` (``_fft_sizes``) has x_m = (A + m) h
-    and xi_j = (B + j) h' (A = u0/S and B = v0/T of ``_exact_axes``) with
-    h h' = 1/N: the N-point DFT of values_m placed at (A + m) mod N, read at
-    (B + j) mod N, with no twiddle factor and exact roots for any N. The
-    axis is placed (``_wrap``), takes one ``fft`` (``ifft`` unscaled for
-    sign +1) and is read at its output nodes. Any other axis takes
-    ``_chirp_axis``. Per entry the result is within c * eps * log2(prod L)
-    * sum |values| of the exact sum, L the N or the chirp-z FFT length of
-    each axis, for a small c (Bailey and Swarztrauber, SIAM Rev. 33, 1991);
-    the tests hold it to c = 1.
+    An axis with a length N in ``_fft_sizes`` has x_m = (A + m) h and xi_j
+    = (B + j) h' (A = u0/S and B = v0/T of ``_exact_axes``) with h h' =
+    1/N: the N-point DFT of values_m placed at (A + m) mod N, read at (B +
+    j) mod N, with no twiddle factor and exact roots for any N. The axis is
+    placed (``_wrap``), takes one ``fft`` (``ifft`` unscaled for sign +1)
+    and is read at its output nodes. Any other axis takes ``_chirp_axis``.
+    Per entry the result is within c * eps * log2(prod L) * sum |w values|
+    of the exact sum, L the N or the chirp-z FFT length of each axis, for a
+    small c (Bailey and Swarztrauber, SIAM Rev. 33, 1991); the tests hold
+    it to c = 1.
     """
-    a = values.reshape(from_grid.shape + (-1,))
-    plan = zip(_exact_axes(from_grid), _exact_axes(to_grid), sizes, to_grid.shape)
+    _check_pairing(from_grid, to_grid)
+    if to_grid.dim != from_grid.dim:
+        raise ShapeError(f"target grid dim {to_grid.dim} != field dim {from_grid.dim}")
+    a = (from_grid.weights * values.T).T.reshape(from_grid.shape + (-1,))
+    plan = zip(_exact_axes(from_grid), _exact_axes(to_grid), _fft_sizes(from_grid, to_grid), to_grid.shape)
     for ax, (src, dst, N, m) in enumerate(plan):
         if N is None:
             a = _chirp_axis(a, ax, src, dst, m, sign)
@@ -269,21 +277,6 @@ def _fft_sum(values: np.ndarray, from_grid, to_grid, sign: float, sizes: tuple) 
         a = np.fft.fft(a, axis=ax) if sign < 0 else np.fft.ifft(a, axis=ax, norm="forward")
         a = a[(slice(None),) * ax + (np.arange(B, B + m) % N,)]  # no C-order copy, as ``take`` makes
     return a.reshape((to_grid.size,) + values.shape[1:])
-
-
-def _dft(values: np.ndarray, from_grid: UniformGrid, to_grid: UniformGrid, sign: float) -> np.ndarray:
-    """The quadrature sum onto ``to_grid``, ``values`` of shape (n,) or (n, k)
-    on ``from_grid``, the result (to_grid.size,) or (to_grid.size, k) with
-    every column bit-identical to a one-column transform: one ``_fft_sum``,
-    an FFT on every commensurate axis (``_fft_sizes``) and a chirp-z
-    transform on every other. A window on either side must pass the pairing
-    rule first (``grids._check_pairing``), so no aliasing Z^n-T^n pair is
-    transformed."""
-    _check_pairing(from_grid, to_grid)
-    if to_grid.dim != from_grid.dim:
-        raise ShapeError(f"target grid dim {to_grid.dim} != field dim {from_grid.dim}")
-    wsrc = (from_grid.weights * values.T).T
-    return _fft_sum(wsrc, from_grid, to_grid, sign, _fft_sizes(from_grid, to_grid))
 
 
 def _transform(fields: SampledField | tuple, grid: UniformGrid, sign: float) -> SampledField | tuple:

@@ -151,6 +151,18 @@ def _names(tree) -> set:
     return names
 
 
+def test_only_numerics_names_the_transform_plan():
+    # ``numerics._dft`` is the one transform entry: which axes take an FFT
+    # and which a chirp-z transform is decided, and carried out, in numerics
+    # alone, so a caller that plans or runs a transform itself fails here
+    plan = {
+        "_fft_sizes", "_fft_sum", "_wrap", "_chirp", "_chirp_axis",
+        "_smooth_length", "_exact_axes", "_numerators", "_roots",
+    }
+    users = {p.name for p in (ROOT / "src" / "nucfio").rglob("*.py") if plan & _names(ast.parse(p.read_text()))}
+    assert users == {"numerics.py"}
+
+
 def test_no_module_names_the_character_sum():
     # every uniform grid pair is an FFT or a chirp-z transform; the
     # compensated character sum is the tests' oracle only

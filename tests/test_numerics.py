@@ -425,6 +425,18 @@ def test_batched_transform_needs_fields_on_one_grid(line):
         dft_inverse((), line)
 
 
+def test_transform_needs_a_target_grid_of_the_field_dim(line):
+    # no window on either side, so the pairing rule passes and the
+    # transform's own dimension check is the one that raises
+    plane = UniformGrid.box(-4, 4, 9, dim=2)
+    f = SampledField(line, np.ones(line.size))
+    for transform in (dft_forward, dft_inverse):
+        with pytest.raises(ShapeError, match="target grid dim 2 != field dim 1"):
+            transform(f, plane)
+        with pytest.raises(ShapeError, match="target grid dim 1 != field dim 2"):
+            transform((SampledField(plane, np.ones(plane.size)),), line)
+
+
 def test_hermite_functions_are_transform_eigenvectors(line):
     # [DERIVED] k-th function maps to (-i)^k times itself
     for k in range(4):
