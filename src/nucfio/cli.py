@@ -30,7 +30,7 @@ from .errors import NumericError, ValidationError
 from .grids import LatticeWindow, SampledSymbol, UniformGrid, ksum, require_int, require_real
 from .numerics import dense_eigenvalues, matrix_trace, mixed_norm
 from .nuclear import RankOneSequence, delgado_trace, r_quasinorm_bound
-from .euclid import PhaseSpec, lidskii_report
+from .euclid import PhaseSpec, lidskii_report, nuclear_trace_euclid
 from .quantize import tau_apply, tau_convert, weyl_symbol_from_decomposition, wigner
 from .lattice import lattice_matrix, lattice_nuclear_trace, lattice_symbol_from_decomposition
 from .group import (
@@ -63,7 +63,7 @@ from .homog import (
     table_from_torus,
 )
 from . import families
-from .report import TraceReport
+from .report import TraceReport, _c
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -214,16 +214,13 @@ def _run_euclid(cfg: dict, verb: str) -> tuple:
         W = wigner(h1, g1, xi_grid)
         peak_flat = int(np.abs(W.values).argmax())
         ix, ixi = np.unravel_index(peak_flat, (grid.size, xi_grid.size))
-        peak = W.values[ix, ixi]
-        integral = complex(
-            ksum(grid.weights[:, None] * xi_grid.weights[None, :] * W.values)
-        )
         report.extras.update(
             {
-                "wigner_peak": {"re": peak.real, "im": peak.imag},
+                "wigner_peak": _c(W.values[ix, ixi]),
                 "wigner_peak_x": float(grid.nodes[ix, 0]),
                 "wigner_peak_xi": float(xi_grid.nodes[ixi, 0]),
-                "wigner_integral": {"re": integral.real, "im": integral.imag},
+                # the Weyl symbol's phase-space integral, the trace <h, g> of the kernel h(x) conj(g(y))
+                "wigner_integral": _c(nuclear_trace_euclid(PhaseSpec.linear(), W)),
             }
         )
     elif verb == "quantize":
@@ -325,18 +322,19 @@ def _run_torus(cfg: dict, verb: str) -> tuple:
 def _su2_quad(cfg: dict):
     qspec = cfg.get("quadrature", {})
     _check_keys(qspec, "quadrature", (), ("n_alpha", "n_beta", "n_gamma"))
-    return su2_haar_quadrature(
-        _int(qspec, "n_alpha", 16), _int(qspec, "n_beta", 16), _int(qspec, "n_gamma", 32)
-    )
+    return su2_haar_quadrature(**qspec)
+
+
+def _identity_symbol(domain, tables: dict) -> GroupSymbol:
+    """a = 1 on a quadrature or a class-I table: per label of ``tables`` (label -> (N, d, d)), a read-only eye view."""
+    blocks = {label: np.broadcast_to(np.eye(T.shape[-1], dtype=complex), T.shape) for label, T in tables.items()}
+    return GroupSymbol(domain, blocks)
 
 
 def _su2_identity(quad, cutoff: int) -> tuple:
     """(Phi, a) of the identity operator on SU(2): Phi(x, l) = t_l(x), a = 1 (read-only views)."""
     Phi = identity_phase(quad, cutoff)
-    blocks = {
-        t: np.broadcast_to(np.eye(t + 1, dtype=complex), (quad.size, t + 1, t + 1)) for t in range(cutoff + 1)
-    }
-    return Phi, GroupSymbol(quad, blocks)
+    return Phi, _identity_symbol(quad, Phi.blocks)
 
 
 def _run_su2(cfg: dict, verb: str) -> tuple:
@@ -353,8 +351,7 @@ def _run_su2(cfg: dict, verb: str) -> tuple:
         d = _decomposition(cfg["decomposition"], lambda spec: families.group_field(quad, spec, cutoff, rng))
         a = group_symbol_from_decomposition(Phi, d)
         quasinorm = r_quasinorm_bound(d)
-        dtr = delgado_trace(d)
-        extras["delgado_trace"] = {"re": dtr.real, "im": dtr.imag}
+        extras["delgado_trace"] = _c(delgado_trace(d))
     else:
         Phi, a = _su2_identity(quad, cutoff)
     nuclear = group_nuclear_trace(Phi, a)
@@ -372,22 +369,20 @@ def _run_homog(cfg: dict, verb: str) -> tuple:
         cutoff = _int(cfg, "cutoff_twoL", 2, least=0)
         table = table_from_su2(quad, cutoff)
         Phi_g, a_g = _su2_identity(quad, cutoff)
-        blocks_a = a_g.blocks
         route, reference = "group_trace", group_nuclear_trace(Phi_g, a_g)
         M = group_matrix(Phi_g, a_g)
     else:
         cutoff = _int(cfg, "cutoff", 2, least=0)
         x_grid, window = _torus_grid(cfg, cutoff)
         table = table_from_torus(x_grid, cutoff)
-        blocks_a = {lab: np.ones((x_grid.size, 1, 1), dtype=complex) for lab in table.labels}
         a_t = SampledSymbol(x_grid, window, np.ones((x_grid.size, window.size), dtype=complex))
         route, reference = "torus_trace", torus_nuclear_trace(PhaseSpec.linear(), a_t)
         M = torus_matrix(PhaseSpec.linear(), a_t)
     Phi_h = GroupPhase(table, table.matrices)
-    a_h = GroupSymbol(table, blocks_a)
+    a_h = _identity_symbol(table, table.matrices)
     nuclear = homog_nuclear_trace(Phi_h, a_h)
     extras = {
-        route: {"re": reference.real, "im": reference.imag},
+        route: _c(reference),
         "degeneration_gap": abs(nuclear - reference),
         "mixed_norm_dual": homog_mixed_norm(a_h, p1, p2),
     }
@@ -451,7 +446,7 @@ def _su2_haar_checks(cfg: dict, verb: str) -> tuple:
 def _su3_checks(cfg: dict, verb: str) -> tuple:
     samples = _int(cfg, "samples", 10000, least=1)
     rng = np.random.default_rng(_int(cfg, "seed", 0))
-    quad = su3_haar_quadrature(_int(cfg, "resolution", 16), _int(cfg, "phi_count", 5))
+    quad = su3_haar_quadrature(**{key: cfg[key] for key in ("resolution", "phi_count") if key in cfg})
     checks = [
         ("haar_mass", abs(su3_mass(quad) - 1.0), 1e-6),
         ("schur_orthogonality", su3_schur_error(quad), 1e-3),
@@ -515,8 +510,7 @@ def _write_report(payload: dict, out_dir: str) -> Path:
 
 
 def _write_spectrum_csv(eigenvalues, out_dir: str) -> Path:
-    path = Path(out_dir) / "spectrum.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = Path(out_dir) / "spectrum.csv"  # in the directory _write_report made
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "re", "im", "modulus"])

@@ -28,7 +28,7 @@ from .grids import require_real, require_same_grid
 from .nuclear import RankOneSequence, delgado_trace, r_quasinorm_bound, require_node_cap
 from .numerics import _dft, _row_blocks, characters, dft_forward, dft_inverse
 from .numerics import factored_eigenvalues, mixed_norm
-from .report import TraceReport
+from .report import TraceReport, _c
 
 __all__ = [
     "PhaseSpec",
@@ -342,5 +342,5 @@ def lidskii_report(
         quasinorm_bound=r_quasinorm_bound(d_at_r),
         mixed_norm_x_first=norms[0],
         mixed_norm_xi_first=norms[1],
-        extras={"delgado_trace": {"re": dtr.real, "im": dtr.imag}},
+        extras={"delgado_trace": _c(dtr)},
     )

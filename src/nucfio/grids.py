@@ -475,7 +475,7 @@ def interpolate(field_values: np.ndarray, grid: UniformGrid, points: np.ndarray,
         Flat samples aligned with ``grid.nodes``; with ``cols``, a
         (grid.size, K) table whose rows are aligned with ``grid.nodes``.
     grid : UniformGrid
-    points : ndarray, shape (m, dim) or (m,) for 1-d grids
+    points : ndarray, shape (m, dim)
     cols : ndarray of int, shape (m,), optional
         Point i reads column ``cols[i]`` of the table, so each point gathers
         one value per stencil node however wide the table is.
@@ -485,10 +485,8 @@ def interpolate(field_values: np.ndarray, grid: UniformGrid, points: np.ndarray,
     ndarray, shape (m,)
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[1] != grid.dim:
-        raise ShapeError(f"points have dim {pts.shape[1]}, grid has dim {grid.dim}")
+    if pts.ndim != 2 or pts.shape[1] != grid.dim:
+        raise ShapeError(f"points have shape {pts.shape}, expected (m, {grid.dim}) on the grid")
     vals = np.asarray(field_values)
     dtype = np.result_type(vals.dtype, float)
     width = 1 if cols is None else vals.shape[-1]

@@ -126,9 +126,9 @@ def _numerators(domain, axes: list, scale: list, M: int, nodes: slice) -> np.nda
     return [u[i] for u, i in zip(per_axis, index)]
 
 
-def characters(row_domain, col_domain, sign: float, rows: slice = slice(None), cols: slice = slice(None)):
+def characters(row_domain, col_domain, sign: float, rows: slice = slice(None)):
     """The table e^{sign*2*pi*i x_p.xi_j} of the nodes x_p of
-    ``row_domain.nodes[rows]`` against xi_j of ``col_domain.nodes[cols]``.
+    ``row_domain.nodes[rows]`` against every xi_j of ``col_domain.nodes``.
 
     With node m exactly (u0 + S m)/D per axis (``_exact_axes``), x_p.xi_j is
     an exact multiple of 1/M, M = lcm over the axes of D D'. For sign +-1
@@ -141,9 +141,9 @@ def characters(row_domain, col_domain, sign: float, rows: slice = slice(None), c
     dens = [D * E for (_, _, D), (_, _, E) in zip(row_axes, col_axes)]
     M = math.lcm(*dens)
     if M > 2**_ROOTS_BITS or sign not in (1.0, -1.0):
-        return np.exp(sign * 2j * np.pi * (row_domain.nodes[rows] @ col_domain.nodes[cols].T))
+        return np.exp(sign * 2j * np.pi * (row_domain.nodes[rows] @ col_domain.nodes.T))
     u = _numerators(row_domain, row_axes, [int(sign) * M // d for d in dens], M, rows)
-    t = _numerators(col_domain, col_axes, [1] * len(dens), M, cols)
+    t = _numerators(col_domain, col_axes, [1] * len(dens), M, slice(None))
     index = u[0][:, None] * t[0]  # exact in int64: each product is below M^2 <= 2^32
     for ua, ta in zip(u[1:], t[1:]):
         index += ua[:, None] * ta

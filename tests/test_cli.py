@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nucfio.cli import run_main
+from nucfio.cli import run_main, run_scenario
+from nucfio.errors import NumericError, ValidationError
 from nucfio.report import TraceReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -121,6 +122,16 @@ def test_bad_json_is_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run_main(["trace", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_a_config_path_naming_a_directory_is_exit_2(tmp_path, capsys):
+    assert run_main(["trace", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+    assert f"error: cannot read config {tmp_path}" in capsys.readouterr().err
+
+
+def test_run_scenario_rejects_an_unknown_verb():
+    with pytest.raises(ValidationError, match="unknown verb 'bogus'"):
+        run_scenario(euclid_cfg(), "bogus")
 
 
 def test_verify_passes_and_breach_is_exit_3(tmp_path, capsys):
@@ -367,6 +378,16 @@ def test_memory_error_is_exit_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: problem too large for available memory")
     assert "8.00 TiB" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_numeric_error_is_exit_3(tmp_path, capsys, monkeypatch):
+    def diverges(cfg, verb, tolerance=None):
+        raise NumericError("eigenvalue QR iteration failed to converge")
+
+    monkeypatch.setattr("nucfio.cli.run_scenario", diverges)
+    assert run(tmp_path, "trace", euclid_cfg()) == 3
+    assert capsys.readouterr().err == "numeric error: eigenvalue QR iteration failed to converge\n"
     assert not (tmp_path / "report.json").exists()
 
 
@@ -651,6 +672,30 @@ def test_wrongly_typed_config_values_are_exit_2(tmp_path, capsys, cfg):
     ids=["euclid_widht", "lattice_valeu", "linear_shift", "su2_constant_twoL", "grid_delta_at", "window_random_mix_terms"],
 )
 def test_keys_a_family_or_phase_would_ignore_are_exit_2(tmp_path, capsys, cfg, message):
+    assert run(tmp_path, "trace", cfg) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"setting": "lattice"}, "config: missing required keys ['radius']"),
+        (
+            {"setting": "lattice", "radius": 2, "phase": {"kind": "sampled"}, "symbol": _CONSTANT},
+            "lattice configs support the linear phase only",
+        ),
+        (
+            {**_TINY_TORUS, "phase": {"kind": "sampled"}, "symbol": _CONSTANT},
+            "torus configs support the linear phase only",
+        ),
+        ({**euclid_cfg(), "phase": {"kind": "quadratic"}}, "phase kind 'quadratic' not in ('linear', 'sampled')"),
+        ({"setting": "lattice", "radius": 2}, "lattice config needs 'decomposition' or 'symbol'"),
+        (_TINY_TORUS, "torus config needs 'decomposition' or 'symbol'"),
+    ],
+    ids=["lattice_without_radius", "lattice_sampled_phase", "torus_sampled_phase", "euclid_quadratic_phase",
+         "lattice_without_operator", "torus_without_operator"],
+)
+def test_a_config_without_a_runnable_operator_is_exit_2(tmp_path, capsys, cfg, message):
     assert run(tmp_path, "trace", cfg) == 2
     assert message in capsys.readouterr().err
 

@@ -131,3 +131,26 @@ def test_a_family_rejects_keys_it_does_not_read(grid):
         euclid_field(grid, {"family": "gaussian", "widht": 3.0}, None)
     with pytest.raises(ValidationError, match=r"unknown keys \['node'\]"):
         lattice_sequence(LatticeWindow(1, 2), {"family": "delta", "node": 1}, None)
+
+
+
+_PLANE, _FIVE, _WINDOW = UniformGrid.box(-4.0, 4.0, 9, 2), UniformGrid.box(-1.0, 1.0, 5), LatticeWindow(1, 2)
+
+
+@pytest.mark.parametrize(
+    "build, domain, spec, message",
+    [
+        (euclid_field, _PLANE, {"family": "hermite"}, "hermite family is one-dimensional"),
+        (euclid_field, _PLANE, {"family": "trigpoly"}, "trigpoly family is one-dimensional"),
+        (euclid_field, _FIVE, {"family": "delta", "node": 5}, r"delta node 5 outside \[0, 5\)"),
+        (euclid_field, _FIVE, {"family": "delta", "node": -1}, r"delta node -1 outside \[0, 5\)"),
+        (euclid_field, _FIVE, {"family": "trigpoly", "coeffs": [1.0, 2.0]}, r"odd coefficient count \(-K\.\.K\)"),
+        (lattice_sequence, _WINDOW, {"family": "delta", "at": [3]}, r"delta point \[3\.0\] outside the window"),
+        (lattice_sequence, _WINDOW, {"family": "random_mix"}, "random_mix family needs a seeded generator"),
+    ],
+    ids=["hermite_2d", "trigpoly_2d", "delta_node_above", "delta_node_below", "trigpoly_even", "window_delta_outside",
+         "window_random_mix_without_rng"],
+)
+def test_a_spec_its_domain_cannot_take_is_a_validation_error(build, domain, spec, message):
+    with pytest.raises(ValidationError, match=message):
+        build(domain, spec, None)

@@ -57,6 +57,8 @@ def test_grid_rejects_bad_axes():
         UniformGrid(((1.0, 0.0, 4),))  # lo >= hi
     with pytest.raises(ValidationError):
         UniformGrid(((0.0, 1.0, 1),))  # fewer than 2 nodes
+    with pytest.raises(ValidationError, match="grid needs at least one axis"):
+        UniformGrid(())
 
 
 @pytest.mark.parametrize(
@@ -355,6 +357,25 @@ def test_interpolate_zero_outside_box():
     vals = np.ones(9, dtype=complex)
     got = interpolate(vals, g, np.array([[2.0], [-0.5]]))
     assert np.all(got == 0.0)
+
+
+_LINE = UniformGrid.box(-1.0, 1.0, 9, 1)
+
+
+@pytest.mark.parametrize(
+    "values, points, cols, error, message",
+    [
+        (np.ones(9), np.zeros((3, 2)), None, ShapeError, r"points have shape \(3, 2\), expected \(m, 1\)"),
+        (np.ones(9), np.zeros(3), None, ShapeError, r"points have shape \(3,\), expected \(m, 1\)"),
+        (np.ones((9, 2)), np.zeros((3, 1)), np.zeros(2, dtype=int), ShapeError, r"read at \(2,\) columns for 3 points"),
+        (np.ones((9, 2)), np.zeros((3, 1)), np.array([0, 2, 1]), ValidationError, "outside the table's 2 columns"),
+        (np.ones((9, 2)), np.zeros((3, 1)), np.array([0, -1, 1]), ValidationError, "outside the table's 2 columns"),
+    ],
+    ids=["points_dim", "flat_points", "cols_shape", "cols_above", "cols_below"],
+)
+def test_interpolate_rejects_misshapen_points_and_columns(values, points, cols, error, message):
+    with pytest.raises(error, match=message):
+        interpolate(values, _LINE, points, cols)
 
 
 @pytest.mark.parametrize("counts", [(2,), (3,), (2, 3)], ids=["two_nodes", "three_nodes", "two_by_three"])

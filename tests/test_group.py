@@ -748,3 +748,31 @@ def test_torus_entry_points_reject_a_domain_that_is_not_a_grid():
     ):
         with pytest.raises(ValidationError, match=r"span \[0, 1\)"):
             call()
+
+
+_TINY = su2_haar_quadrature(2, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GroupQuadrature("su2-euler", np.zeros((3, 3)), np.full(2, 0.5)), ShapeError, "are inconsistent"),
+        (
+            lambda: GroupQuadrature("su2-euler", np.zeros((2, 3)), np.full(2, 0.4)),
+            ValidationError,
+            "Haar weights sum to 0.8, not 1",
+        ),
+        (lambda: GroupSymbol(_TINY, {}), ValidationError, "symbol needs at least one block"),
+        (lambda: group_fourier(np.ones(_TINY.size - 1), _TINY, 0), ShapeError, "function has 7 samples, quadrature 8"),
+        (lambda: group.s3_su2_points(_TINY), ValidationError, "expected an s3 quadrature, got kind 'su2-euler'"),
+        (
+            lambda: su2_irrep_table(GroupQuadrature("other", np.zeros((2, 3)), np.full(2, 0.5)), 1),
+            ValidationError,
+            "no SU\\(2\\) tables for quadrature kind 'other'",
+        ),
+    ],
+    ids=["quadrature_sizes", "quadrature_mass", "no_blocks", "fourier_samples", "s3_points_of_euler", "unknown_kind"],
+)
+def test_a_quadrature_symbol_or_sample_count_that_does_not_fit_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -252,6 +252,28 @@ def test_su3_negative_theta_rejected(axis):
         su3_fundamental_batch(angles)[0]
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: su3_fundamental_batch(np.zeros((2, 7))), ShapeError, r"need 8 angles per row, got shape \(2, 7\)"),
+        (
+            lambda: su3_fundamental_batch([0.3, 0.3, 0.3, 0.0, 0.0, 0.0, 0.0, 6.3]),
+            DomainError,
+            r"phi angles must lie in \[0, 2\*pi\]",
+        ),
+        (
+            lambda: table_from_torus(UniformGrid.torus(8, 1), 1).irrep((5,)),
+            ValidationError,
+            r"block label \(5,\) is not in the irrep table",
+        ),
+    ],
+    ids=["su3_seven_angles", "su3_phi_above_2pi", "unknown_table_label"],
+)
+def test_angles_and_labels_outside_their_range_are_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_su3_haar_mass_and_schur():
     # the runner uses resolution 16; the rule is exact already at 8
     quad = su3_haar_quadrature(8, 5)

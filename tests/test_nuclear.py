@@ -120,3 +120,8 @@ def test_kernel_matrix_trace_equals_delgado(grid):
     d = RankOneSequence(((h, g),), 2.0, 2.0, 1.0)
     M = kernel_matrix(kernel_from_decomposition(d))
     assert np.trace(M) == pytest.approx(delgado_trace(d), abs=1e-12)
+
+
+def test_an_empty_decomposition_is_rejected():
+    with pytest.raises(ValidationError, match="decomposition needs at least one term"):
+        RankOneSequence((), 2.0, 2.0, 1.0)
