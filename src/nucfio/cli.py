@@ -487,6 +487,8 @@ def _scenario(cfg: dict, verb: str) -> tuple:
         if setting not in ("su2", "su3"):
             raise ValidationError("haar-check supports settings 'su2' and 'su3'")
         return _SCENARIOS["su2-checks" if setting == "su2" else "su3"]
+    if setting == "su3":
+        raise ValidationError(f"setting 'su3' runs under haar-check only, not {verb!r}")
     if setting not in _TRACE_SETTINGS:
         raise ValidationError(
             f"setting {setting!r} not in {list(_TRACE_SETTINGS)} (config needs a 'setting')"

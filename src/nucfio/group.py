@@ -29,6 +29,7 @@ by construction.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,8 +207,9 @@ class GroupQuadrature:
         return twoL, twoL + 1, twoL + 1, su2_irrep_table(self, twoL)
 
 
-def _leggauss_ab(n: int, a: float, b: float):
-    x, w = np.polynomial.legendre.leggauss(n)
+def _leggauss_ab(rule: tuple, a, b):
+    """The Gauss-Legendre ``rule`` = leggauss(n) moved from [-1, 1] to [a, b]."""
+    x, w = rule
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -217,13 +219,15 @@ def su2_haar_quadrature(n_alpha: int = 16, n_beta: int = 16, n_gamma: int = 32) 
 
     dmu = sin(beta) dalpha dbeta dgamma / (16*pi^2) over alpha in [0, 2*pi],
     beta in [0, pi], gamma in [0, 4*pi]; the gamma range covers the double
-    cover, which half-integer-spin orthogonality needs.
+    cover, which half-integer-spin orthogonality needs. One ``leggauss`` rule
+    is computed per distinct count.
     """
     counts = (("n_alpha", n_alpha), ("n_beta", n_beta), ("n_gamma", n_gamma))
     n_alpha, n_beta, n_gamma = (require_int(n, name, least=2) for name, n in counts)
-    an, aw = _leggauss_ab(n_alpha, 0.0, 2.0 * np.pi)
-    bn, bw = _leggauss_ab(n_beta, 0.0, np.pi)
-    gn, gw = _leggauss_ab(n_gamma, 0.0, 4.0 * np.pi)
+    rules = {n: np.polynomial.legendre.leggauss(n) for n in {n_alpha, n_beta, n_gamma}}
+    an, aw = _leggauss_ab(rules[n_alpha], 0.0, 2.0 * np.pi)
+    bn, bw = _leggauss_ab(rules[n_beta], 0.0, np.pi)
+    gn, gw = _leggauss_ab(rules[n_gamma], 0.0, 4.0 * np.pi)
     A, B, Gm = np.meshgrid(an, bn, gn, indexing="ij")
     W = (aw[:, None, None] * (bw * np.sin(bn))[None, :, None] * gw[None, None, :]).reshape(-1)
     raw = float(ksum(W))  # chart mass of sin(beta) dalpha dbeta dgamma: 16*pi^2
@@ -233,12 +237,14 @@ def su2_haar_quadrature(n_alpha: int = 16, n_beta: int = 16, n_gamma: int = 32) 
 
 def _s3_rule(n: int) -> tuple:
     """The resolution-n 3-sphere rule's t, nu (a row per t) and s nodes, and the unnormalized
-    weight ((tw_i half_i) vw_ij) sw_k of node (t_i, nu_ij, s_k), in row-major order."""
-    tn, tw = _leggauss_ab(n, 0.0, 2.0 * np.pi)
+    weight ((tw_i half_i) vw_ij) sw_k of node (t_i, nu_ij, s_k), in row-major order.
+    The t and nu axes share one ``leggauss`` rule."""
+    rule = np.polynomial.legendre.leggauss(n)
+    tn, tw = _leggauss_ab(rule, 0.0, 2.0 * np.pi)
     sn = 2.0 * np.pi * np.arange(n) / n  # uniform, exact for trig polynomials
     sw = np.full(n, 2.0 * np.pi / n)
     half = np.sin(tn / 2.0)[:, None]
-    vn, vw = _leggauss_ab(n, -half, half)  # one nu rule per t node, (n, n)
+    vn, vw = _leggauss_ab(rule, -half, half)  # one nu rule per t node, (n, n)
     return tn, vn, sn, ((tw[:, None] * half * vw)[:, :, None] * sw).reshape(-1)
 
 
@@ -385,9 +391,27 @@ def su2_schur_error(quad: GroupQuadrature, max_twoL: int = 3) -> float:
     return worst
 
 
+# id(U) -> (weak reference to U, its unitarity defect), for read-only arrays
+# that own their data; an entry goes when its array is freed
+_DEFECTS: dict = {}
+
+
 def unitarity_defect(U: np.ndarray) -> float:
-    """max |U_n U_n^* - I| over a batch of square matrices."""
-    return float(np.abs(np.einsum("nij,nkj->nik", U, U.conj()) - np.eye(U.shape[-1])).max())
+    """max |U_n U_n^* - I| over a batch of square matrices.
+
+    The defect of a read-only array that owns its data, such as a table
+    cached by ``su2_irrep_table``, is formed once and stored while the array
+    lives, so every later unitarity check of that table reads the stored
+    value. Writable arrays and views are never stored: a write, or a write
+    to a view's base, would change the defect.
+    """
+    stored = isinstance(U, np.ndarray) and U.base is None and not U.flags.writeable
+    if stored and id(U) in _DEFECTS and _DEFECTS[id(U)][0]() is U:
+        return _DEFECTS[id(U)][1]
+    defect = float(np.abs(np.einsum("nij,nkj->nik", U, U.conj()) - np.eye(U.shape[-1])).max())
+    if stored:
+        _DEFECTS[id(U)] = (weakref.ref(U, lambda _, key=id(U): _DEFECTS.pop(key, None)), defect)
+    return defect
 
 
 # -- the class-I table kernel -------------------------------------------------
@@ -435,21 +459,19 @@ def _check_invertible(blocks: dict) -> None:
     """Every phase block invertible at every node with condition number at
     most 1e8; ConditionError names the first offending label and node.
 
-    A label is first certified by its Gram matrices G_n = B_n^* B_n, formed
-    for every node in one ``einsum``: if r = max_n ||G_n - I||_F <= 1/2,
-    Weyl's perturbation bound for Hermitian matrices puts every eigenvalue of
-    G_n, a squared singular value of B_n, in [1/2, 3/2], so every condition
-    number is at most sqrt(3) and the label passes (r^2 is compared with 1/4,
-    and a nan r^2 fails). Unitary tables, the irrep tables t_l(x), give r of
-    a few ulps. Any other label goes to the per-node SVD, which gives every
-    verdict and message.
+    A d x d label is first certified by its ``unitarity_defect`` e: if
+    d e <= 1/2, then ||B_n B_n^* - I||_2 <= ||B_n B_n^* - I||_F <= d e <= 1/2,
+    so Weyl's perturbation bound puts every squared singular value of B_n in
+    [1/2, 3/2], every condition number is at most sqrt(3), and the label
+    passes (a nan e fails the test). Unitary tables, the irrep tables t_l(x),
+    give e of a few ulps, and a cached table's e is the value stored by its
+    first unitarity check. Any other label goes to the per-node SVD, which
+    gives every verdict and message.
     """
     for label, B in blocks.items():
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow goes to the SVD
-            G = np.einsum("nki,nkj->nij", B.conj(), B)
-            G -= np.eye(B.shape[-1])
-            r2 = np.max(np.einsum("nij,nij->n", G.real, G.real) + np.einsum("nij,nij->n", G.imag, G.imag))
-        if r2 <= 0.25:
+            defect = unitarity_defect(B)
+        if B.shape[-1] * defect <= 0.5:
             continue
         s = np.linalg.svd(B, compute_uv=False)
         smin = s[:, -1].min()
@@ -509,10 +531,11 @@ class GroupPhase(GroupSymbol):
     """Phase blocks Phi(x, l): full (unmasked) blocks, each invertible with
     condition number at most 1e8, checked at construction node by node.
 
-    A label whose Gram matrices Phi^* Phi lie within 1/2 of the identity in
-    Frobenius norm at every node passes at once (by Weyl's bound its
-    condition numbers are at most sqrt(3)); this covers the unitary irrep
-    tables. Any other label falls back to a per-node SVD (``_check_invertible``).
+    A d x d label whose ``unitarity_defect`` is at most 1/(2d) passes at once
+    (Phi Phi^* is then within 1/2 of the identity in Frobenius norm at every
+    node, so its condition numbers are at most sqrt(3)); this covers the
+    unitary irrep tables, whose stored defect is read, not formed again. Any
+    other label falls back to a per-node SVD (``_check_invertible``).
     """
 
     _masked = False

@@ -835,3 +835,36 @@ def test_random_mix_without_terms_is_exit_2(tmp_path, capsys, terms):
     cfg = {**euclid_cfg(), "seed": 1, "decomposition": _one_term({"family": "random_mix", "terms": terms})}
     assert run(tmp_path, "trace", cfg) == 2
     assert f"terms = {terms} below its minimum 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["trace", "verify", "spectrum", "quantize", "wigner"])
+def test_su3_outside_haar_check_is_exit_2(tmp_path, capsys, verb):
+    # su3 has a config of its own, so the message names the verb, not a missing key
+    assert run(tmp_path, verb, {"setting": "su3", "resolution": 4, "samples": 10, "seed": 1}) == 2
+    assert f"setting 'su3' runs under haar-check only, not {verb!r}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "verb, cfg, products",
+    [
+        # table_from_su2, identity_phase and the table's GroupPhase check the same three tables
+        ("trace", {"setting": "homog", "instance": "su2", "cutoff_twoL": 2}, 3),
+        # table_unitarity, then identity_phase
+        ("haar-check", {"setting": "su2", "cutoff_twoL": 2}, 3),
+    ],
+    ids=["homog_su2", "su2_haar_check"],
+)
+def test_each_cached_table_is_proven_unitary_once(monkeypatch, verb, cfg, products):
+    # a U U* (or Gram U* U) product over the 8192 nodes of the default rule is
+    # formed once per table; every later unitarity check reads the stored defect
+    formed, einsum = [], np.einsum
+
+    def counted(subscripts, *operands, **kwargs):
+        if subscripts in ("nij,nkj->nik", "nki,nkj->nij") and operands[0].shape[0] == 16 * 16 * 32:
+            formed.append(operands[0].shape)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    run_scenario(cfg, verb)
+    assert len(formed) == products

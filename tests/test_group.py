@@ -1,5 +1,7 @@
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -283,7 +285,7 @@ def test_singular_phase_rejected(quad):
     [
         (1, 5, np.zeros((2, 2)), "phase block 1 is singular at node 5"),
         (1, 7, np.diag([1.0, 1e-9]), "phase block 1 has condition 1.000e+09 at node 7, above the cap 1.0e+08"),
-        # the Gram matrix overflows to inf - inf = nan: a nan certificate must
+        # the product B B* overflows to inf - inf = nan: a nan certificate must
         # not pass the label, so the SVD finds the zero column
         (2, 9, 1e200 * np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]), "phase block 2 is singular at node 9"),
     ],
@@ -299,10 +301,12 @@ def test_bad_phase_node_is_named(quad, label, node, block, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("block", [2.0 * np.eye(2), np.diag([1.0, 10.0])], ids=["2I", "diag_1_10"])
+@pytest.mark.parametrize(
+    "block", [2.0 * np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 10.0])], ids=["2I", "diag_1_2", "diag_1_10"]
+)
 def test_well_conditioned_non_unitary_phase_passes_through_the_svd(quad, monkeypatch, block):
-    # label 1 is no near-isometry, so its Gram certificate fails and the SVD
-    # passes it (condition 1 and 10); the unitary labels 0 and 2 need no SVD
+    # label 1 is no near-isometry, so its defect certificate fails and the SVD
+    # passes it (condition 1, 2 and 10); the unitary labels 0 and 2 need no SVD
     calls, svd = [], np.linalg.svd
 
     def counted(B, *args, **kwargs):
@@ -373,13 +377,13 @@ def test_s3_chart_quadrature():
 
 def s3_loop_oracle(n):
     """The 3-sphere rule built node by node, in the documented order."""
-    tn, tw = _leggauss_ab(n, 0.0, 2.0 * np.pi)
+    tn, tw = _leggauss_ab(np.polynomial.legendre.leggauss(n), 0.0, 2.0 * np.pi)
     sn = 2.0 * np.pi * np.arange(n) / n
     sw = np.full(n, 2.0 * np.pi / n)
     nodes, weights = [], []
     for ti, twi in zip(tn, tw):
         half = np.sin(ti / 2.0)
-        vn, vw = _leggauss_ab(n, -half, half)
+        vn, vw = _leggauss_ab(np.polynomial.legendre.leggauss(n), -half, half)
         for vi, vwi in zip(vn, vw):
             for si, swi in zip(sn, sw):
                 nodes.append((ti, vi, si))
@@ -776,3 +780,101 @@ _TINY = su2_haar_quadrature(2, 2, 2)
 def test_a_quadrature_symbol_or_sample_count_that_does_not_fit_is_rejected(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_writable_table_defect_follows_writes():
+    T = su2_irrep_table(su2_haar_quadrature(4, 4, 8), 1).copy()
+    assert group.unitarity_defect(T) < 1e-14
+    T[3] *= 2.0  # |2 U|^2 - 1 = 3 on the diagonal of node 3
+    assert group.unitarity_defect(T) == pytest.approx(3.0, rel=1e-14)
+    assert id(T) not in group._DEFECTS
+
+
+def test_read_only_view_of_a_writable_base_is_never_stored():
+    base = su2_irrep_table(su2_haar_quadrature(4, 4, 8), 1).copy()
+    view = base[:]
+    view.setflags(write=False)
+    assert group.unitarity_defect(view) < 1e-14
+    assert id(view) not in group._DEFECTS
+    base[0] *= 2.0
+    assert group.unitarity_defect(view) == pytest.approx(3.0, rel=1e-14)
+
+
+def test_cached_table_defect_is_formed_once(monkeypatch):
+    quad = su2_haar_quadrature(4, 4, 8)
+    T = su2_irrep_table(quad, 2)
+    first = group.unitarity_defect(T)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stored defect was formed again")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    assert group.unitarity_defect(T) == first
+    assert GroupPhase(quad, {2: T}).labels == [2]  # the phase check reads it too
+
+
+def test_stored_defects_go_with_their_tables():
+    gc.collect()
+    start = len(group._DEFECTS)
+    for _ in range(100):
+        quad = su2_haar_quadrature(2, 2, 2)
+        identity_phase(quad, 1)  # stores the defects of the quadrature's two tables
+        assert len(group._DEFECTS) <= start + 2
+    table = weakref.ref(su2_irrep_table(quad, 1))
+    del quad
+    gc.collect()
+    assert table() is None
+    assert len(group._DEFECTS) <= start
+
+
+@pytest.mark.parametrize("scale, svd_calls", [(1.2, 0), (1.25, 1)], ids=["certified", "to_the_svd"])
+def test_defect_certificate_boundary(quad, monkeypatch, scale, svd_calls):
+    # a 1 x 1 label at scale s has d * defect = s^2 - 1: 0.44 <= 1/2 is
+    # certified, 0.5625 goes to the SVD, which passes it at condition 1
+    calls, svd = [], np.linalg.svd
+
+    def counted(B, *args, **kwargs):
+        calls.append(B.shape)
+        return svd(B, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    blocks = {t: su2_irrep_table(quad, t) for t in range(2)}
+    blocks[0] = np.full((quad.size, 1, 1), scale, dtype=complex)
+    assert GroupPhase(quad, blocks).labels == [0, 1]
+    assert len(calls) == svd_calls
+
+
+def _haar_reference(counts):
+    """``su2_haar_quadrature`` built with one ``leggauss`` call per axis."""
+    intervals = ((0.0, 2.0 * np.pi), (0.0, np.pi), (0.0, 4.0 * np.pi))
+    (an, aw), (bn, bw), (gn, gw) = (
+        _leggauss_ab(np.polynomial.legendre.leggauss(n), a, b) for n, (a, b) in zip(counts, intervals)
+    )
+    A, B, Gm = np.meshgrid(an, bn, gn, indexing="ij")
+    W = (aw[:, None, None] * (bw * np.sin(bn))[None, :, None] * gw[None, None, :]).reshape(-1)
+    raw = float(ksum(W))
+    return np.stack([A.reshape(-1), B.reshape(-1), Gm.reshape(-1)], axis=-1), W / raw, raw
+
+
+@pytest.mark.parametrize("counts", [(16, 16, 32), (6, 9, 12)], ids=["bench_rule", "three_counts"])
+def test_shared_leggauss_rules_keep_the_bits(counts):
+    nodes, weights, raw = _haar_reference(counts)
+    quad = su2_haar_quadrature(*counts)
+    assert np.array_equal(quad.nodes, nodes) and np.array_equal(quad.weights, weights)
+    assert quad.raw_mass == raw
+
+
+def test_s3_rule_shares_its_leggauss_rule_bit_for_bit():
+    # the t and nu axes once called leggauss(48) each
+    n = 48
+    tn, tw = _leggauss_ab(np.polynomial.legendre.leggauss(n), 0.0, 2.0 * np.pi)
+    half = np.sin(tn / 2.0)[:, None]
+    vn, vw = _leggauss_ab(np.polynomial.legendre.leggauss(n), -half, half)
+    sn = 2.0 * np.pi * np.arange(n) / n
+    W = ((tw[:, None] * half * vw)[:, :, None] * np.full(n, 2.0 * np.pi / n)).reshape(-1)
+    T, S = np.broadcast_to(tn[:, None, None], (n, n, n)), np.broadcast_to(sn, (n, n, n))
+    nodes = np.stack([T.reshape(-1), np.repeat(vn.reshape(-1), n), S.reshape(-1)], axis=-1)
+    raw = float(ksum(W))
+    s3 = s3_quadrature(n)
+    assert np.array_equal(s3.nodes, nodes) and np.array_equal(s3.weights, W / raw)
+    assert s3.raw_mass == raw == s3_raw_mass(n)
