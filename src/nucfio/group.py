@@ -44,6 +44,7 @@ from .euclid import PhaseSpec, _abelian_matrix, _abelian_synthesis, _abelian_tra
 from .grids import KahanSum, LatticeWindow, SampledSymbol, UniformGrid, complex_samples, ksum
 from .grids import require_int, require_real, require_same_grid
 from .nuclear import RankOneSequence
+from .numerics import _one_blas_thread
 
 __all__ = [
     "GroupQuadrature",
@@ -512,6 +513,11 @@ class GroupSymbol:
     The domain is a ``GroupQuadrature`` (labels twoL, every block full) or a
     ``homog.ClassIIrrepTable`` (symbols on G/K, each block supported on its
     leading k_inv x k_inv corner).
+
+    A block of node stride 0, such as the read-only view
+    ``np.broadcast_to(C, (N, d, d))``, is the one matrix C at every node:
+    ``group_matrix`` then forms no per-node product Phi(x, l) C but
+    right-multiplies that label's node sums by C once.
     """
 
     domain: object
@@ -621,34 +627,46 @@ def group_matrix(Phi: GroupPhase, a: GroupSymbol) -> np.ndarray:
     M[r, c] = sum_l d_l sum_{i,k} G_l[r,i,k] conj(H_l[c,i,k]) for the node
     sums G_l[r] = sum_n A[n,r] P_l(x_n) and H_l[c] = sum_n A[n,c] t_l(x_n):
     the basis column's Fourier coefficient fhat_l[c] = sum_n w_n B[n,c]
-    t_l(x_n)^* is H_l[c]^*. The nodes are walked in chunks. One real
-    ``einsum`` per chunk contracts [Re A, Im A] with [Re Q, Im Q], Q = [P, t]
-    over all labels (no BLAS call, so the bits follow no thread count), and
-    the chunk's (2 dim, 4 dim) sum goes to one compensated sum over the
-    chunks in ascending order: blocked summation with compensated block
-    sums. The labels are combined once, after the node loop. Basis values
-    are formed from the cached tables chunk by chunk, never as a whole
-    (N, dim) array. The entries match one operator application per column
-    with one compensated sum per entry to a few ulps, not bit for bit.
+    t_l(x_n)^* is H_l[c]^*. The nodes are walked in chunks. One real dgemm
+    per chunk, on one OpenBLAS thread (``numerics._one_blas_thread``, so the
+    bits follow no thread count), contracts [Re A, Im A] with [Re Q, Im Q],
+    Q = [P, t] over all labels, and the chunk's (2 dim, 4 dim) sum goes to
+    one compensated sum over the chunks in ascending order: blocked
+    summation with compensated block sums. A label whose symbol block is one
+    matrix C_l at every node (node stride 0, see ``GroupSymbol``) forms no
+    P_l: Q takes Phi's rows, and G_l C_l is formed once, when the labels are
+    combined after the node loop. Basis values are formed from the cached
+    tables chunk by chunk, never as a whole (N, dim) array. The entries
+    match one operator application per column with one compensated sum per
+    entry to a few ulps, not bit for bit.
     """
     weights, tables = a.domain.weights, _pair_tables("group_matrix", Phi, a)
     dims = [T.shape[1] for T in tables.values()]
     dim = sum(d * d for d in dims)
+    constant = {label: a.blocks[label].strides[0] == 0 for label in tables}
     acc = KahanSum((2 * dim, 4 * dim), float)
-    for n0 in range(0, a.domain.size, _MATRIX_NODES):
-        rows = slice(n0, n0 + _MATRIX_NODES)
-        m = weights[rows].shape[0]
-        t = [T[rows].reshape(m, -1) for T in tables.values()]
-        A = weights[rows, None] * np.conj(np.concatenate([np.sqrt(d) * tl for d, tl in zip(dims, t)], axis=1))
-        P = [np.einsum("nij,njk->nik", Phi.blocks[label][rows], a.blocks[label][rows]) for label in tables]
-        Q = np.concatenate([Pl.reshape(m, -1) for Pl in P] + t, axis=1)
-        left, right = np.concatenate([A.real, A.imag], axis=1), np.concatenate([Q.real, Q.imag], axis=1)
-        acc.add(np.einsum("nr,nm->rm", left, right)[None])
+    with _one_blas_thread():
+        for n0 in range(0, a.domain.size, _MATRIX_NODES):
+            rows = slice(n0, n0 + _MATRIX_NODES)
+            m = weights[rows].shape[0]
+            t = [T[rows].reshape(m, -1) for T in tables.values()]
+            A = weights[rows, None] * np.conj(np.concatenate([np.sqrt(d) * tl for d, tl in zip(dims, t)], axis=1))
+            P = []
+            for label in tables:
+                Pl = Phi.blocks[label][rows]
+                if not constant[label]:
+                    Pl = np.einsum("nij,njk->nik", Pl, a.blocks[label][rows])
+                P.append(Pl.reshape(m, -1))
+            Q = np.concatenate(P + t, axis=1)
+            left, right = np.concatenate([A.real, A.imag], axis=1), np.concatenate([Q.real, Q.imag], axis=1)
+            acc.add((left.T @ right)[None])
     S = acc.value  # rows Re A | Im A, columns Re Q | Im Q
     GH = (S[:dim, : 2 * dim] - S[dim:, 2 * dim :]) + 1j * (S[:dim, 2 * dim :] + S[dim:, : 2 * dim])
     M, q = np.zeros((dim, dim), dtype=complex), 0
-    for d in dims:
+    for label, d in zip(tables, dims):
         G, H = GH[:, q : q + d * d], GH[:, dim + q : dim + q + d * d]
+        if constant[label]:
+            G = np.einsum("rij,jk->rik", G.reshape(dim, d, d), a.blocks[label][0]).reshape(dim, d * d)
         M += d * np.einsum("rq,cq->rc", G, H.conj())
         q += d * d
     return M

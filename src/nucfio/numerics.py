@@ -25,6 +25,7 @@ calls.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -411,20 +412,24 @@ def _openblas_threads():
     return None
 
 
-def _eigvals_one_thread(A: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvals`` on one OpenBLAS thread, then the old count again.
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the caller's count,
+    also when the body raises.
 
-    zgeev's blocked updates split their sums across threads, so the last
-    bits of a spectrum would follow the thread count. Without the bundled
-    OpenBLAS symbols it runs unpinned.
+    Blocked BLAS and LAPACK routines (dgemm, zgeev's updates) split their
+    sums across threads, so the last bits of a product or a spectrum would
+    follow the thread count. Without the bundled OpenBLAS symbols the body
+    runs unpinned.
     """
     threads = _openblas_threads()
     old = threads[0]() if threads else 1
     if old == 1:
-        return np.linalg.eigvals(A)
+        yield
+        return
     threads[1](1)
     try:
-        return np.linalg.eigvals(A)
+        yield
     finally:
         threads[1](old)
 
@@ -453,7 +458,8 @@ def dense_eigenvalues(M: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValidationError("matrix contains non-finite entries")
     try:
-        ev = _eigvals_one_thread(A)
+        with _one_blas_thread():
+            ev = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"eigenvalue QR iteration failed to converge within the LAPACK cap "

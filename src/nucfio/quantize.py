@@ -57,10 +57,11 @@ __all__ = [
     "wigner",
 ]
 
-# x-rows per chunk of the shift sums and of tau_apply's stencil reads; 16
-# rows keep the synthesis' peak below that of the complex-einsum oracle in
-# tests/test_tau_oracles.py.
-_X_CHUNK = 16
+# x-rows per chunk of the shift sums and of tau_apply's stencil reads. Each
+# chunk pays one transform plan and several ``interpolate`` calls, so wider
+# chunks make fewer calls; 32 rows still keep the synthesis' peak below that
+# of the complex-einsum oracle in tests/test_tau_oracles.py, 64 do not.
+_X_CHUNK = 32
 
 
 def shift_grid(x_grid: UniformGrid) -> UniformGrid:

@@ -35,10 +35,12 @@ from nucfio.group import (
     torus_symbol_from_decomposition,
     wigner_matrix,
     _wigner_matrices,
+    class_i_mask,
 )
-from nucfio.homog import table_from_su2
+from nucfio.homog import ClassIIrrepTable, table_from_su2
 from nucfio.nuclear import RankOneSequence, delgado_trace
-from nucfio.numerics import dense_eigenvalues, dft_forward, dft_inverse, matrix_trace
+from nucfio.numerics import _openblas_threads, dense_eigenvalues, dft_forward, dft_inverse, matrix_trace
+from test_matrix_oracles import GROUP_BOUND
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +245,69 @@ def test_group_matrix_peak_memory(quad):
         tracemalloc.stop()
     assert M.shape == (30, 30)
     assert peak <= 1.33e6
+
+
+def _constant_symbol_domains(quad, cutoff):
+    """(domain, phase) pairs: the quadrature, its K = {e} class-I table, and
+    a class-I table whose labels keep a k < d invariant corner."""
+    k_inv = {t: (t + 2) // 2 for t in range(cutoff + 1)}
+    corner = ClassIIrrepTable(quad.weights, {t: su2_irrep_table(quad, t) for t in k_inv}, k_inv)
+    return [
+        (quad, identity_phase(quad, cutoff)),
+        *((table, GroupPhase(table, table.matrices)) for table in (table_from_su2(quad, cutoff), corner)),
+    ]
+
+
+def _normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("cutoff", range(4))
+def test_constant_symbol_labels_match_the_per_node_product(quad, cutoff):
+    # a block of node stride 0 forms no per-node Phi C; its node sums times C
+    # after the loop must match the per-node path of a writable copy
+    rng = np.random.default_rng(38 + cutoff)
+    for domain, Phi in _constant_symbol_domains(quad, cutoff):
+        irreps = {label: (d, k) for label, d, k, _ in map(domain.irrep, Phi.labels)}
+        N = domain.size
+        const = {t: np.broadcast_to(class_i_mask(_normal(rng, (d, d)), k), (N, d, d)) for t, (d, k) in irreps.items()}
+        varying = {t: class_i_mask(_normal(rng, (N, d, d)), k) for t, (d, k) in irreps.items()}
+        mixed = {t: const[t] if t % 2 == 0 else varying[t] for t in irreps}
+        symbols = [const, mixed]
+        if all(k == d for d, k in irreps.values()):  # the identity has no support outside a corner
+            symbols.append({t: np.broadcast_to(np.eye(d, dtype=complex), (N, d, d)) for t, (d, _) in irreps.items()})
+        for blocks in symbols:
+            a = GroupSymbol(domain, blocks)
+            assert a.blocks[0].strides[0] == 0  # validation keeps the view
+            per_node = GroupSymbol(domain, {t: np.array(B) for t, B in blocks.items()})
+            assert np.abs(group_matrix(Phi, a) - group_matrix(Phi, per_node)).max() <= GROUP_BOUND
+
+
+def test_group_matrix_bits_follow_no_blas_thread_count(quad):
+    # the bench's su2 decomposition (cutoff 3, 8192 nodes): the chunk
+    # contraction is a dgemm on one pinned OpenBLAS thread, so the caller's
+    # count moves no bit and is restored after the call
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS thread symbols not found")
+    get, set_threads = threads
+    rng = np.random.default_rng(3)
+    h, g = (SampledField(quad, bandlimited(quad, rng, 3)) for _ in range(2))
+    d = RankOneSequence(((h, g),), 2.0, 2.0, 1.0)
+    Phi = identity_phase(quad, 3)
+    a = group_symbol_from_decomposition(Phi, d)
+    old, out = get(), {}
+    try:
+        for n in (1, 2):
+            set_threads(n)
+            before = get()
+            out[n] = group_matrix(Phi, a)
+            assert get() == before
+    finally:
+        set_threads(old)
+    if before < 2:
+        pytest.skip("OpenBLAS runs one thread on this machine")
+    assert np.array_equal(out[1], out[2])
 
 
 def test_cached_irrep_tables_are_read_only():

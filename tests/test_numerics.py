@@ -16,6 +16,7 @@ from nucfio.numerics import (
     _ROOTS_BITS,
     _exact_axes,
     _fft_sizes,
+    _one_blas_thread,
     _openblas_threads,
     _roots,
     _smooth_length,
@@ -572,6 +573,24 @@ def test_dense_eigenvalues_are_identical_across_blas_threads():
         pytest.skip("OpenBLAS runs one thread on this machine")
     assert one[0] == two[0]
     assert (one[1:], two[1:]) == ((1, 1), (2, 2))
+
+
+def test_one_blas_thread_restores_the_count_when_the_body_raises():
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS thread symbols not found")
+    get, set_threads = threads
+    old = get()
+    try:
+        set_threads(2)
+        before = get()
+        with pytest.raises(RuntimeError, match="body failed"):
+            with _one_blas_thread():
+                assert get() == 1
+                raise RuntimeError("body failed")
+        assert get() == before
+    finally:
+        set_threads(old)
 
 
 def test_matrix_trace():
