@@ -29,7 +29,6 @@ by construction.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -392,27 +391,9 @@ def su2_schur_error(quad: GroupQuadrature, max_twoL: int = 3) -> float:
     return worst
 
 
-# id(U) -> (weak reference to U, its unitarity defect), for read-only arrays
-# that own their data; an entry goes when its array is freed
-_DEFECTS: dict = {}
-
-
 def unitarity_defect(U: np.ndarray) -> float:
-    """max |U_n U_n^* - I| over a batch of square matrices.
-
-    The defect of a read-only array that owns its data, such as a table
-    cached by ``su2_irrep_table``, is formed once and stored while the array
-    lives, so every later unitarity check of that table reads the stored
-    value. Writable arrays and views are never stored: a write, or a write
-    to a view's base, would change the defect.
-    """
-    stored = isinstance(U, np.ndarray) and U.base is None and not U.flags.writeable
-    if stored and id(U) in _DEFECTS and _DEFECTS[id(U)][0]() is U:
-        return _DEFECTS[id(U)][1]
-    defect = float(np.abs(np.einsum("nij,nkj->nik", U, U.conj()) - np.eye(U.shape[-1])).max())
-    if stored:
-        _DEFECTS[id(U)] = (weakref.ref(U, lambda _, key=id(U): _DEFECTS.pop(key, None)), defect)
-    return defect
+    """max |U_n U_n^* - I| over a batch of square matrices, formed on every call."""
+    return float(np.abs(np.einsum("nij,nkj->nik", U, U.conj()) - np.eye(U.shape[-1])).max())
 
 
 # -- the class-I table kernel -------------------------------------------------
@@ -456,20 +437,25 @@ def _check_blocks(domain, blocks: dict, masked: bool) -> dict:
     return out
 
 
-def _check_invertible(blocks: dict) -> None:
+def _check_invertible(domain, blocks: dict) -> None:
     """Every phase block invertible at every node with condition number at
     most 1e8; ConditionError names the first offending label and node.
 
-    A d x d label is first certified by its ``unitarity_defect`` e: if
-    d e <= 1/2, then ||B_n B_n^* - I||_2 <= ||B_n B_n^* - I||_F <= d e <= 1/2,
-    so Weyl's perturbation bound puts every squared singular value of B_n in
+    A block that is its domain's own irrep table (``domain.irrep(label)[3]``
+    itself), read-only and owning its data, passes unchecked: its domain
+    made it unitary (``su2_irrep_table`` from exact Euler factors,
+    ``homog.ClassIIrrepTable`` by its check to 1e-10 at construction), and
+    no write to it or to a base can have changed it since. Every other d x d
+    label is first certified by its ``unitarity_defect`` e: if d e <= 1/2,
+    then ||B_n B_n^* - I||_2 <= ||B_n B_n^* - I||_F <= d e <= 1/2, so Weyl's
+    perturbation bound puts every squared singular value of B_n in
     [1/2, 3/2], every condition number is at most sqrt(3), and the label
-    passes (a nan e fails the test). Unitary tables, the irrep tables t_l(x),
-    give e of a few ulps, and a cached table's e is the value stored by its
-    first unitarity check. Any other label goes to the per-node SVD, which
-    gives every verdict and message.
+    passes (a nan e fails the test). A label this does not certify goes to
+    the per-node SVD, which gives every verdict and message.
     """
     for label, B in blocks.items():
+        if B is domain.irrep(label)[3] and B.base is None and not B.flags.writeable:
+            continue
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow goes to the SVD
             defect = unitarity_defect(B)
         if B.shape[-1] * defect <= 0.5:
@@ -537,18 +523,20 @@ class GroupPhase(GroupSymbol):
     """Phase blocks Phi(x, l): full (unmasked) blocks, each invertible with
     condition number at most 1e8, checked at construction node by node.
 
-    A d x d label whose ``unitarity_defect`` is at most 1/(2d) passes at once
-    (Phi Phi^* is then within 1/2 of the identity in Frobenius norm at every
-    node, so its condition numbers are at most sqrt(3)); this covers the
-    unitary irrep tables, whose stored defect is read, not formed again. Any
-    other label falls back to a per-node SVD (``_check_invertible``).
+    A block that is the domain's own read-only irrep table t_l(x), such as
+    each block of ``identity_phase``, passes unchecked: the domain already
+    made it unitary. A d x d label whose ``unitarity_defect`` is at most
+    1/(2d) passes at once (Phi Phi^* is then within 1/2 of the identity in
+    Frobenius norm at every node, so its condition numbers are at most
+    sqrt(3)). Any other label falls back to a per-node SVD
+    (``_check_invertible``).
     """
 
     _masked = False
 
     def __post_init__(self):
         super().__post_init__()
-        _check_invertible(self.blocks)
+        _check_invertible(self.domain, self.blocks)
 
 
 def identity_phase(quad: GroupQuadrature, cutoff_twoL: int) -> GroupPhase:

@@ -69,7 +69,13 @@ class ClassIIrrepTable:
     the unitary (N, d, d) table at the nodes, ``k_inv[label]`` the number of
     K-invariant vectors, an integer with 1 <= k_inv <= d. Labels must sort
     (ints or tuples); reductions iterate them in sorted order, so they are
-    reproducible."""
+    reproducible.
+
+    Construction fails closed: it raises unless the weights sum to 1 within
+    1e-10 and every table's unitarity defect is at most 1e-10, so a nan
+    weight or entry raises too. A ``GroupPhase`` over the table passes each
+    of these matrices that is read-only and owns its data with no second
+    check."""
 
     weights: np.ndarray
     matrices: dict
@@ -78,7 +84,7 @@ class ClassIIrrepTable:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         total = float(ksum(w))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:  # a nan total fails the test
             raise ValidationError(f"Haar weights sum to {total!r}, not 1")
         if set(self.matrices) != set(self.k_inv):
             raise ValidationError(f"matrix labels {sorted(self.matrices)} != k_inv labels {sorted(self.k_inv)}")
@@ -93,7 +99,7 @@ class ClassIIrrepTable:
             if k > M.shape[1]:
                 raise DomainError(f"k_inv = {k} outside [1, {M.shape[1]}] for label {label!r}")
             defect = unitarity_defect(M)
-            if defect > 1e-10:
+            if not defect <= 1e-10:  # a nan defect fails the test
                 raise ValidationError(f"irrep {label!r} table is not unitary: defect {defect:.3e} > 1e-10")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "matrices", matrices)
@@ -217,9 +223,10 @@ def su3_fundamental_batch(params: np.ndarray) -> np.ndarray:
         P = P[None, :]
     if P.shape[1] != 8:
         raise ShapeError(f"need 8 angles per row, got shape {P.shape}")
-    if np.any(P[:, :3] < -1e-12) or np.any(P[:, :3] > np.pi / 2 + 1e-12):
+    # written as "not inside" so that a nan angle fails the check
+    if not np.all((P[:, :3] >= -1e-12) & (P[:, :3] <= np.pi / 2 + 1e-12)):
         raise DomainError("theta angles must lie in [0, pi/2]")
-    if np.any(P[:, 3:] < -1e-12) or np.any(P[:, 3:] > 2 * np.pi + 1e-12):
+    if not np.all((P[:, 3:] >= -1e-12) & (P[:, 3:] <= 2 * np.pi + 1e-12)):
         raise DomainError("phi angles must lie in [0, 2*pi]")
     cos, sin = np.cos(P[:, :3]), np.sin(P[:, :3])
     U = np.empty((P.shape[0], 3, 3), dtype=complex)

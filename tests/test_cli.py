@@ -848,16 +848,19 @@ def test_su3_outside_haar_check_is_exit_2(tmp_path, capsys, verb):
 @pytest.mark.parametrize(
     "verb, cfg, products",
     [
-        # table_from_su2, identity_phase and the table's GroupPhase check the same three tables
+        # the ClassIIrrepTable check of table_from_su2's three tables
         ("trace", {"setting": "homog", "instance": "su2", "cutoff_twoL": 2}, 3),
-        # table_unitarity, then identity_phase
+        # table_unitarity
         ("haar-check", {"setting": "su2", "cutoff_twoL": 2}, 3),
+        ("trace", {"setting": "su2", "cutoff_twoL": 3}, 0),
+        ("trace", {"setting": "su2", "cutoff_twoL": 3, "seed": 1, "decomposition": _one_term(_BANDLIMITED)}, 0),
     ],
-    ids=["homog_su2", "su2_haar_check"],
+    ids=["homog_su2", "su2_haar_check", "su2_identity", "su2_decomposition"],
 )
 def test_each_cached_table_is_proven_unitary_once(monkeypatch, verb, cfg, products):
     # a U U* (or Gram U* U) product over the 8192 nodes of the default rule is
-    # formed once per table; every later unitarity check reads the stored defect
+    # formed at most once per table, by a check that reports it or a table
+    # that proves it; a phase over the domain's own tables forms none
     formed, einsum = [], np.einsum
 
     def counted(subscripts, *operands, **kwargs):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nucfio.errors import DomainError, GridMismatchError, ShapeError, ValidationError
+from nucfio.errors import ConditionError, DomainError, GridMismatchError, ShapeError, ValidationError
 from nucfio.grids import LatticeWindow, SampledField, SampledSymbol, UniformGrid, ksum
 from nucfio.euclid import PhaseSpec
 from nucfio.group import (
@@ -92,8 +92,6 @@ def test_symbol_rejects_support_outside_mask(table, quad):
 
 
 def test_singular_homog_phase_is_condition_error(table, quad):
-    from nucfio.errors import ConditionError
-
     blocks = {t: M.copy() for t, M in table.matrices.items()}
     blocks[1][5] = 0.0  # one singular node
     with pytest.raises(ConditionError) as err:
@@ -108,6 +106,32 @@ def test_table_phase_needs_no_svd(table, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
     assert GroupPhase(table, table.matrices).labels == [0, 1, 2]
+
+
+@pytest.mark.parametrize("read_only_view", [False, True], ids=["writable", "read_only_view"])
+def test_table_phase_over_a_block_that_can_change_is_checked(quad, read_only_view):
+    # only a read-only matrix that owns its data passes unchecked; this one
+    # is written through after the table proved it unitary
+    T = su2_irrep_table(quad, 1).copy()
+    M = T[:] if read_only_view else T
+    M.setflags(write=not read_only_view)
+    small = ClassIIrrepTable(quad.weights, {1: M}, {1: 2})
+    T[5] = 0.0
+    with pytest.raises(ConditionError, match="^phase block 1 is singular at node 5$"):
+        GroupPhase(small, small.matrices)
+
+
+@pytest.mark.parametrize("part", ["weight", "entry"])
+def test_table_rejects_nan(quad, part):
+    # a nan must fail the weight-sum and the unitarity check, not slip past a > comparison
+    w, T = quad.weights.copy(), su2_irrep_table(quad, 1).copy()
+    if part == "weight":
+        w[3] = np.nan
+    else:
+        T[3, 0, 1] = np.nan
+    message = "Haar weights sum to nan" if part == "weight" else "irrep 1 table is not unitary: defect nan"
+    with pytest.raises(ValidationError, match=message):
+        ClassIIrrepTable(w, {1: T}, {1: 2})
 
 
 def test_table_validation(quad):
@@ -262,12 +286,22 @@ def test_su3_negative_theta_rejected(axis):
             r"phi angles must lie in \[0, 2\*pi\]",
         ),
         (
+            lambda: su3_fundamental_batch([0.3, np.nan, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            DomainError,
+            r"theta angles must lie in \[0, pi/2\]",
+        ),
+        (
+            lambda: su3_fundamental_batch([0.3, 0.3, 0.3, 0.0, 0.0, 0.0, 0.0, np.nan]),
+            DomainError,
+            r"phi angles must lie in \[0, 2\*pi\]",
+        ),
+        (
             lambda: table_from_torus(UniformGrid.torus(8, 1), 1).irrep((5,)),
             ValidationError,
             r"block label \(5,\) is not in the irrep table",
         ),
     ],
-    ids=["su3_seven_angles", "su3_phi_above_2pi", "unknown_table_label"],
+    ids=["su3_seven_angles", "su3_phi_above_2pi", "su3_nan_theta", "su3_nan_phi", "unknown_table_label"],
 )
 def test_angles_and_labels_outside_their_range_are_rejected(call, error, message):
     with pytest.raises(error, match=message):
